@@ -4,6 +4,7 @@
 //! and the hand-fused kernels in `deepmd-core` — is validated against
 //! central differences through these helpers.
 
+use crate::tape::{Tape, Var};
 use dp_linalg::Matrix;
 
 /// Central-difference gradient of `f` with respect to `x0`.
@@ -45,10 +46,69 @@ pub fn assert_grad_close(analytic: &Matrix<f64>, numeric: &Matrix<f64>, tol: f64
     );
 }
 
+/// Check a scalar function built on a tape from several matrix inputs
+/// against central differences, to first **and** second order.
+///
+/// First order compares `∂f/∂x_i` from [`Tape::grad`] with central
+/// differences of `f`. Second order contracts those gradients with fixed
+/// directions, `h = Σ_i ⟨c_i, ∂f/∂x_i⟩`, differentiates `h` on the tape
+/// (grad-of-grad) and compares with central differences of `h` itself —
+/// the path the force-matching loss takes through every op.
+pub fn assert_two_orders(
+    inputs: &[Matrix<f64>],
+    tol: f64,
+    build: impl Fn(&mut Tape, &[Var]) -> Var,
+) {
+    let directions: Vec<Matrix<f64>> = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, x)| {
+            Matrix::from_fn(x.rows(), x.cols(), |r, c| {
+                0.3 + 0.7 * (1.7 * (r * x.cols() + c) as f64 + i as f64).sin()
+            })
+        })
+        .collect();
+    // Build f and its contracted gradient h on a fresh tape.
+    let on_tape = |xs: &[Matrix<f64>]| -> (Tape, Vec<Var>, Var, Var) {
+        let mut t = Tape::new();
+        let vars: Vec<Var> = xs.iter().map(|x| t.leaf(x)).collect();
+        let f = build(&mut t, &vars);
+        let grads = t.grad(f, &vars);
+        let mut h = t.scalar(0.0);
+        for (g, c) in grads.iter().zip(&directions) {
+            let c = t.leaf(c);
+            let gc = t.mul(*g, c);
+            let term = t.sum_all(gc);
+            h = t.add(h, term);
+        }
+        (t, vars, f, h)
+    };
+    let perturbed = |i: usize, xi: &Matrix<f64>| -> Vec<Matrix<f64>> {
+        let mut xs = inputs.to_vec();
+        xs[i] = xi.clone();
+        xs
+    };
+
+    let (mut t, vars, f, h) = on_tape(inputs);
+    let df = t.grad(f, &vars);
+    let dh = t.grad(h, &vars);
+    for (i, x0) in inputs.iter().enumerate() {
+        let df_num = numeric_grad(x0, 1e-5, |xi| {
+            let (t, _, f, _) = on_tape(&perturbed(i, xi));
+            t.value(f)[(0, 0)]
+        });
+        assert_grad_close(t.value(df[i]), &df_num, tol);
+        let dh_num = numeric_grad(x0, 1e-5, |xi| {
+            let (t, _, _, h) = on_tape(&perturbed(i, xi));
+            t.value(h)[(0, 0)]
+        });
+        assert_grad_close(t.value(dh[i]), &dh_num, tol);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::Tape;
 
     #[test]
     fn tape_grad_matches_fd_on_composite() {
@@ -58,8 +118,8 @@ mod tests {
 
         let f = |x: &Matrix<f64>| {
             let mut t = Tape::new();
-            let xv = t.leaf(x.clone());
-            let wv = t.leaf(w0.clone());
+            let xv = t.leaf(x);
+            let wv = t.leaf(&w0);
             let h = t.matmul(xv, wv);
             let a = t.tanh(h);
             let y = t.sum_squares(a);
@@ -67,8 +127,8 @@ mod tests {
         };
 
         let mut t = Tape::new();
-        let xv = t.leaf(x0.clone());
-        let wv = t.leaf(w0.clone());
+        let xv = t.leaf(&x0);
+        let wv = t.leaf(&w0);
         let h = t.matmul(xv, wv);
         let a = t.tanh(h);
         let y = t.sum_squares(a);
@@ -84,7 +144,7 @@ mod tests {
         let x0 = Matrix::from_vec(1, 1, vec![1.7]);
         let grad_fn = |x: &Matrix<f64>| {
             let mut t = Tape::new();
-            let xv = t.leaf(x.clone());
+            let xv = t.leaf(x);
             let x2 = t.mul(xv, xv);
             let x3 = t.mul(x2, xv);
             let d = t.grad(x3, &[xv])[0];
@@ -92,7 +152,7 @@ mod tests {
         };
 
         let mut t = Tape::new();
-        let xv = t.leaf(x0.clone());
+        let xv = t.leaf(&x0);
         let x2 = t.mul(xv, xv);
         let x3 = t.mul(x2, xv);
         let d1 = t.grad(x3, &[xv])[0];

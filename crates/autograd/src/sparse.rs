@@ -50,11 +50,7 @@ impl SparseLinear {
     pub fn apply(&self, x: &Matrix<f64>) -> Matrix<f64> {
         assert_eq!(x.shape(), self.in_shape, "sparse map input shape");
         let mut y = Matrix::zeros(self.out_shape.0, self.out_shape.1);
-        let xs = x.as_slice();
-        let ys = y.as_mut_slice();
-        for e in &self.entries {
-            ys[e.out_idx as usize] += e.coeff * xs[e.in_idx as usize];
-        }
+        self.apply_into(x.as_slice(), y.as_mut_slice());
         y
     }
 
@@ -62,12 +58,43 @@ impl SparseLinear {
     pub fn apply_transpose(&self, y: &Matrix<f64>) -> Matrix<f64> {
         assert_eq!(y.shape(), self.out_shape, "sparse map adjoint shape");
         let mut x = Matrix::zeros(self.in_shape.0, self.in_shape.1);
-        let ys = y.as_slice();
-        let xs = x.as_mut_slice();
-        for e in &self.entries {
-            xs[e.in_idx as usize] += e.coeff * ys[e.out_idx as usize];
-        }
+        self.apply_transpose_into(y.as_slice(), x.as_mut_slice());
         x
+    }
+
+    /// `y += L(x)` on flat row-major buffers (the tape hands in a zeroed
+    /// pool buffer).
+    pub fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(
+            x.len(),
+            self.in_shape.0 * self.in_shape.1,
+            "sparse map input length"
+        );
+        assert_eq!(
+            y.len(),
+            self.out_shape.0 * self.out_shape.1,
+            "sparse map output length"
+        );
+        for e in &self.entries {
+            y[e.out_idx as usize] += e.coeff * x[e.in_idx as usize];
+        }
+    }
+
+    /// `x += Lᵀ(y)` on flat row-major buffers.
+    pub fn apply_transpose_into(&self, y: &[f64], x: &mut [f64]) {
+        assert_eq!(
+            x.len(),
+            self.in_shape.0 * self.in_shape.1,
+            "sparse map input length"
+        );
+        assert_eq!(
+            y.len(),
+            self.out_shape.0 * self.out_shape.1,
+            "sparse map output length"
+        );
+        for e in &self.entries {
+            x[e.in_idx as usize] += e.coeff * y[e.out_idx as usize];
+        }
     }
 
     pub fn nnz(&self) -> usize {

@@ -1,7 +1,7 @@
 //! Property-based validation of the tape against finite differences.
 
-use dp_autograd::gradcheck::{numeric_grad, relative_error};
-use dp_autograd::{SparseLinear, Tape};
+use dp_autograd::gradcheck::{assert_two_orders, numeric_grad, relative_error};
+use dp_autograd::{SparseLinear, Tape, Trans, Var};
 use dp_linalg::Matrix;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -11,23 +11,176 @@ fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix<f64>> 
         .prop_map(move |v| Matrix::from_vec(rows, cols, v))
 }
 
+/// Values and all input gradients of `sum(f²)` for a fused op and for the
+/// composite of primitives it replaces, on one tape.
+fn assert_same_as_composite(
+    inputs: &[Matrix<f64>],
+    tol: f64,
+    fused: impl Fn(&mut Tape, &[Var]) -> Var,
+    composite: impl Fn(&mut Tape, &[Var]) -> Var,
+) -> Result<(), TestCaseError> {
+    let mut t = Tape::new();
+    let v: Vec<Var> = inputs.iter().map(|m| t.leaf(m)).collect();
+    let (a, b) = (fused(&mut t, &v), composite(&mut t, &v));
+    prop_assert!(t.value(a).max_abs_diff(t.value(b)) < tol);
+    let (ya, yb) = (t.sum_squares(a), t.sum_squares(b));
+    let (ga, gb) = (t.grad(ya, &v), t.grad(yb, &v));
+    for (ga, gb) in ga.iter().zip(&gb) {
+        prop_assert!(t.value(*ga).max_abs_diff(t.value(*gb)) < 100.0 * tol);
+    }
+    Ok(())
+}
+
+/// Row block `i` (of `rows` rows) of `x`, transposed on request.
+fn block(x: &Matrix<f64>, i: usize, rows: usize, transposed: bool) -> Matrix<f64> {
+    let b = Matrix::from_fn(rows, x.cols(), |r, c| x[(i * rows + r, c)]);
+    if transposed {
+        b.transpose()
+    } else {
+        b
+    }
+}
+
+/// A two-block `bmm` to both orders, and against the per-block plain
+/// products of explicitly transposed blocks.
+fn check_bmm(trans: Trans, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<(), TestCaseError> {
+    assert_two_orders(&[a.clone(), b.clone()], 1e-6, |t, v| {
+        let c = t.bmm(v[0], v[1], trans, 2);
+        let c = t.tanh(c);
+        t.sum_squares(c)
+    });
+    let mut t = Tape::new();
+    let (av, bv) = (t.leaf(a), t.leaf(b));
+    let c = t.bmm(av, bv, trans, 2);
+    let m = t.value(c).rows() / 2;
+    for i in 0..2 {
+        let ai = t.leaf(&block(a, i, a.rows() / 2, trans == Trans::TN));
+        let bi = t.leaf(&block(b, i, b.rows() / 2, trans == Trans::NT));
+        let ci = t.matmul(ai, bi);
+        prop_assert!(block(t.value(c), i, m, false).max_abs_diff(t.value(ci)) < 1e-12);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // ---- the fused / batched ops, to first and second order ------------
+
+    #[test]
+    fn bmm_every_layout(a in small_matrix(8, 3), b_tn in small_matrix(8, 2),
+                        b_nn in small_matrix(6, 2), b_nt in small_matrix(4, 3)) {
+        // two blocks of A (4x3) against: Aᵀ(3x4)·(4x2), A·(3x2), A·(2x3)ᵀ
+        check_bmm(Trans::TN, &a, &b_tn)?;
+        check_bmm(Trans::NN, &a, &b_nn)?;
+        check_bmm(Trans::NT, &a, &b_nt)?;
+    }
+
+    #[test]
+    fn dense_layer(x in small_matrix(4, 3), w in small_matrix(3, 2), b in small_matrix(1, 2),
+                   tanh in any::<bool>()) {
+        let inputs = [x, w, b];
+        assert_two_orders(&inputs, 1e-6, |t, v| {
+            let h = t.dense(v[0], v[1], v[2], tanh);
+            t.sum_squares(h)
+        });
+        // MATMUL + broadcast SUM + TANH; 1e-13 is the vectorised tanh
+        assert_same_as_composite(&inputs, 1e-13,
+            |t, v| t.dense(v[0], v[1], v[2], tanh),
+            |t, v| {
+                let xw = t.matmul(v[0], v[1]);
+                let bb = t.broadcast_row(v[2], 4);
+                let pre = t.add(xw, bb);
+                if tanh { t.tanh(pre) } else { pre }
+            })?;
+    }
+
+    #[test]
+    fn tanh_backward_node(g in small_matrix(3, 2), y in small_matrix(3, 2)) {
+        let inputs = [g, y];
+        assert_two_orders(&inputs, 1e-6, |t, v| {
+            let d = t.tanh_bwd(v[0], v[1]);
+            t.sum_squares(d)
+        });
+        assert_same_as_composite(&inputs, 1e-14,
+            |t, v| t.tanh_bwd(v[0], v[1]),
+            |t, v| {
+                let y2 = t.mul(v[1], v[1]);
+                let ones = t.leaf(&Matrix::full(3, 2, 1.0));
+                let dt = t.sub(ones, y2);
+                t.mul(v[0], dt)
+            })?;
+    }
+
+    #[test]
+    fn growth_skip(x in small_matrix(3, 2), y in small_matrix(3, 4)) {
+        let inputs = [x, y];
+        assert_two_orders(&inputs, 1e-6, |t, v| {
+            let s = t.dup_add(v[0], v[1]);
+            let s = t.tanh(s);
+            let f = t.fold_cols(s);
+            t.sum_squares(f)
+        });
+        // CONCAT(x, x) + y and its adjoint, from column pads and slices
+        assert_same_as_composite(&inputs, 1e-14,
+            |t, v| t.dup_add(v[0], v[1]),
+            |t, v| {
+                let (lo, hi) = (t.pad_cols(v[0], 0, 4), t.pad_cols(v[0], 2, 4));
+                let xx = t.add(lo, hi);
+                t.add(xx, v[1])
+            })?;
+        assert_same_as_composite(&inputs[1..], 1e-14,
+            |t, v| t.fold_cols(v[0]),
+            |t, v| {
+                let (lo, hi) = (t.slice_cols(v[0], 0, 2), t.slice_cols(v[0], 2, 4));
+                t.add(lo, hi)
+            })?;
+    }
+
+    #[test]
+    fn row_select_and_scatter(x in small_matrix(5, 2), picks in prop::collection::vec(0u32..5, 1..6)) {
+        let idx: Arc<[u32]> = picks.into();
+        let rows = idx.len();
+        assert_two_orders(std::slice::from_ref(&x), 1e-6, |t, v| {
+            let s = t.select_rows(v[0], idx.clone());
+            let s = t.tanh(s);
+            let back = t.scatter_rows(s, idx.clone(), 5);
+            let back = t.tanh(back);
+            t.sum_squares(back)
+        });
+        // the same selection as a constant sparse map, and its transpose
+        let mut map = SparseLinear::new((5, 2), (rows, 2));
+        for (r, &i) in idx.iter().enumerate() {
+            for c in 0..2 {
+                map.push((r, c), (i as usize, c), 1.0);
+            }
+        }
+        let map = Arc::new(map);
+        assert_same_as_composite(std::slice::from_ref(&x), 1e-14,
+            |t, v| t.select_rows(v[0], idx.clone()),
+            |t, v| t.sparse_apply(v[0], map.clone()))?;
+        let picked = Matrix::from_fn(rows, 2, |r, c| x[(idx[r] as usize, c)]);
+        assert_same_as_composite(&[picked], 1e-14,
+            |t, v| t.scatter_rows(v[0], idx.clone(), 5),
+            |t, v| t.sparse_apply_transpose(v[0], map.clone()))?;
+    }
+
+    // ---- the tape as a whole -------------------------------------------
 
     #[test]
     fn mlp_grad_matches_fd(x0 in small_matrix(3, 4), w0 in small_matrix(4, 2)) {
         let f = |x: &Matrix<f64>| {
             let mut t = Tape::new();
-            let xv = t.leaf(x.clone());
-            let wv = t.leaf(w0.clone());
+            let xv = t.leaf(x);
+            let wv = t.leaf(&w0);
             let h = t.matmul(xv, wv);
             let a = t.tanh(h);
             let y = t.sum_squares(a);
             t.value(y)[(0, 0)]
         };
         let mut t = Tape::new();
-        let xv = t.leaf(x0.clone());
-        let wv = t.leaf(w0.clone());
+        let xv = t.leaf(&x0);
+        let wv = t.leaf(&w0);
         let h = t.matmul(xv, wv);
         let a = t.tanh(h);
         let y = t.sum_squares(a);
@@ -37,8 +190,8 @@ proptest! {
 
         let fw = |w: &Matrix<f64>| {
             let mut t = Tape::new();
-            let xv = t.leaf(x0.clone());
-            let wv = t.leaf(w.clone());
+            let xv = t.leaf(&x0);
+            let wv = t.leaf(w);
             let h = t.matmul(xv, wv);
             let a = t.tanh(h);
             let y = t.sum_squares(a);
@@ -53,7 +206,7 @@ proptest! {
         // scalar = sum(tanh(x)^2); hessian diagonal via FD on the gradient
         let grad_at = |x: &Matrix<f64>| -> Matrix<f64> {
             let mut t = Tape::new();
-            let xv = t.leaf(x.clone());
+            let xv = t.leaf(x);
             let a = t.tanh(xv);
             let y = t.sum_squares(a);
             let g = t.grad(y, &[xv])[0];
@@ -61,7 +214,7 @@ proptest! {
         };
         // analytic second derivative w.r.t. x[0,0] of the gradient's [0,0]:
         let mut t = Tape::new();
-        let xv = t.leaf(x0.clone());
+        let xv = t.leaf(&x0);
         let a = t.tanh(xv);
         let y = t.sum_squares(a);
         let g = t.grad(y, &[xv])[0];
@@ -94,7 +247,7 @@ proptest! {
         let x0 = Matrix::from_vec(3, 2, v);
 
         let mut t = Tape::new();
-        let xv = t.leaf(x0.clone());
+        let xv = t.leaf(&x0);
         let lx = t.sparse_apply(xv, map.clone());
         let y = t.sum_squares(lx);
         prop_assert!(t.value(y)[(0, 0)] >= 0.0);
@@ -115,12 +268,12 @@ proptest! {
             t.sum_squares(a)
         };
         let mut t1 = Tape::new();
-        let x1 = t1.leaf(x0.clone());
+        let x1 = t1.leaf(&x0);
         let y1 = build(&mut t1, x1);
         let g1 = t1.grad(y1, &[x1])[0];
 
         let mut t2 = Tape::new();
-        let x2 = t2.leaf(x0.clone());
+        let x2 = t2.leaf(&x0);
         let y2 = build(&mut t2, x2);
         let cy = t2.scale(y2, c);
         let g2 = t2.grad(cy, &[x2])[0];

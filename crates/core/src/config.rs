@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of a Deep Potential model (the paper's §6.1 settings
 /// are provided as constructors).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DpConfig {
     /// Interaction cutoff r_c (Å). Water: 6, copper: 8.
     pub rcut: f64,

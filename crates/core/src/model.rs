@@ -59,10 +59,17 @@ impl<T: Real> DpModel<T> {
     /// fittings (type order), each in `Net::flat_params` order.
     pub fn flat_params(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.num_params());
-        for n in self.embeddings.iter().chain(self.fittings.iter()) {
-            out.extend(n.flat_params());
-        }
+        self.flat_params_into(&mut out);
         out
+    }
+
+    /// [`flat_params`](Self::flat_params) into a caller-kept buffer (the
+    /// trainer refills one every step).
+    pub fn flat_params_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        for n in self.embeddings.iter().chain(self.fittings.iter()) {
+            n.extend_flat_params(out);
+        }
     }
 
     pub fn set_flat_params(&mut self, flat: &[f64]) {

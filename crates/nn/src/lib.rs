@@ -11,16 +11,16 @@
 //!
 //! Each net exists in two forms kept in exact correspondence:
 //! a *fast path* ([`net::Net::forward_cached`] / [`net::Net::backward_input`])
-//! built on the fused kernels of `dp-linalg` and generic over precision —
-//! this is what MD uses — and a *tape form* ([`tape_build`]) on
-//! `dp-autograd`, used for training where parameter gradients (and
-//! grad-of-grad for the force loss) are required.
+//! generic over precision — this is what MD uses — and a *tape form*
+//! ([`net::Net::tape_leaves`] / [`net::NetVars::forward`]) on `dp-autograd`,
+//! used for training where parameter gradients (and grad-of-grad for the
+//! force loss) are required. Both run the same fused `dp-linalg` kernels:
+//! a tape layer is one `Tape::dense` node.
 
 pub mod adam;
 pub mod layer;
 pub mod net;
-pub mod tape_build;
 
 pub use adam::{Adam, AdamState};
 pub use layer::{Layer, LayerKind};
-pub use net::Net;
+pub use net::{Net, NetVars};

@@ -1,6 +1,7 @@
 //! Stacks of layers: the embedding net and the fitting net.
 
 use crate::layer::{Layer, LayerCache, LayerKind};
+use dp_autograd::{Tape, Var};
 use dp_linalg::{Matrix, Real};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -160,14 +161,20 @@ impl<T: Real> Net<T> {
 
     /// Flatten all parameters (row-major weights then biases, layer order)
     /// into an `f64` vector — the canonical order shared with the tape
-    /// builder and the optimizer.
+    /// leaves and the optimizer.
     pub fn flat_params(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.num_params());
+        self.extend_flat_params(&mut out);
+        out
+    }
+
+    /// Append the parameters to `out` in [`flat_params`](Self::flat_params)
+    /// order.
+    pub fn extend_flat_params(&self, out: &mut Vec<f64>) {
         for l in &self.layers {
             out.extend(l.w.as_slice().iter().map(|x| x.to_f64()));
             out.extend(l.b.iter().map(|x| x.to_f64()));
         }
-        out
     }
 
     /// Overwrite all parameters from a flat vector (inverse of
@@ -230,11 +237,137 @@ impl<T: Real> Net<T> {
     }
 }
 
+/// Tape leaves holding one net's parameters: `(weights, bias row)` per
+/// layer, in `Net::layers` order.
+///
+/// Training needs parameter gradients and — for the force-matching loss —
+/// gradients of gradients, so the training graph lives on `dp-autograd`
+/// (always in f64, as does the paper's). Each layer is the tape's fused
+/// [`Tape::dense`] op, i.e. the same `gemm_bias_into` + `tanh_fused_into`
+/// kernels [`Layer::forward`] runs.
+#[derive(Debug, Clone)]
+pub struct NetVars {
+    layers: Vec<(LayerKind, Var, Var)>,
+}
+
+impl Net<f64> {
+    /// Create tape leaves holding the net's current parameters.
+    pub fn tape_leaves(&self, tape: &mut Tape) -> NetVars {
+        let layers = self
+            .layers
+            .iter()
+            .map(|l| {
+                let w = tape.leaf(&l.w);
+                (l.kind, w, tape.leaf_slice(1, l.b.len(), &l.b))
+            })
+            .collect();
+        NetVars { layers }
+    }
+}
+
+impl NetVars {
+    /// All parameter vars in [`Net::flat_params`] order (w then b per layer).
+    pub fn param_vars(&self) -> impl Iterator<Item = Var> + '_ {
+        self.layers.iter().flat_map(|&(_, w, b)| [w, b])
+    }
+
+    /// Forward the network on the tape: input var `x` (rows × in_dim) to
+    /// the output var (rows × out_dim).
+    pub fn forward(&self, tape: &mut Tape, x: Var) -> Var {
+        let mut h = x;
+        for &(kind, w, b) in &self.layers {
+            let y = tape.dense(h, w, b, kind != LayerKind::Linear);
+            h = match kind {
+                LayerKind::Linear | LayerKind::Plain => y,
+                LayerKind::Residual => tape.add(h, y),
+                LayerKind::Growth => tape.dup_add(h, y),
+            };
+        }
+        h
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn fast_path_matches_tape_fitting() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let net = Net::<f64>::fitting(5, &[10, 10, 10], &mut rng);
+        let x = Matrix::from_fn(4, 5, |i, j| 0.1 * (i as f64) - 0.07 * (j as f64));
+
+        let fast = net.forward(&x);
+
+        let mut tape = Tape::new();
+        let vars = net.tape_leaves(&mut tape);
+        let xv = tape.leaf(&x);
+        let y = vars.forward(&mut tape, xv);
+
+        assert!(fast.max_abs_diff(tape.value(y)) < 1e-12);
+    }
+
+    #[test]
+    fn fast_path_matches_tape_embedding() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let net = Net::<f64>::embedding(&[6, 12, 24], &mut rng);
+        let x = Matrix::from_fn(7, 1, |i, _| 0.15 * i as f64 + 0.02);
+
+        let fast = net.forward(&x);
+
+        let mut tape = Tape::new();
+        let vars = net.tape_leaves(&mut tape);
+        let xv = tape.leaf(&x);
+        let y = vars.forward(&mut tape, xv);
+
+        assert!(fast.max_abs_diff(tape.value(y)) < 1e-12);
+    }
+
+    #[test]
+    fn fast_backward_matches_tape_grad() {
+        // dL/dx for L = sum(net(x)) must agree between the hand-written
+        // backward (used for forces) and the tape gradient.
+        let mut rng = StdRng::seed_from_u64(13);
+        let net = Net::<f64>::fitting(4, &[8, 8], &mut rng);
+        let x = Matrix::from_fn(3, 4, |i, j| 0.2 * (i as f64) - 0.15 * (j as f64));
+
+        let (y, caches) = net.forward_cached(&x);
+        let dy = Matrix::full(y.rows(), y.cols(), 1.0);
+        let fast_dx = net.backward_input(&caches, &dy);
+
+        let mut tape = Tape::new();
+        let vars = net.tape_leaves(&mut tape);
+        let xv = tape.leaf(&x);
+        let out = vars.forward(&mut tape, xv);
+        let s = tape.sum_all(out);
+        let g = tape.grad(s, &[xv])[0];
+
+        assert!(fast_dx.max_abs_diff(tape.value(g)) < 1e-11);
+    }
+
+    #[test]
+    fn tape_param_grads_follow_flat_param_order() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let net = Net::<f64>::fitting(3, &[6, 6], &mut rng);
+        let x = Matrix::from_fn(2, 3, |i, j| 0.1 * (i + j) as f64);
+
+        let mut tape = Tape::new();
+        let vars = net.tape_leaves(&mut tape);
+        let xv = tape.leaf(&x);
+        let out = vars.forward(&mut tape, xv);
+        let s = tape.sum_all(out);
+        let pv: Vec<Var> = vars.param_vars().collect();
+        let grads = tape.grad(s, &pv);
+        let flat: Vec<f64> = grads
+            .iter()
+            .flat_map(|&g| tape.value(g).as_slice().to_vec())
+            .collect();
+        assert_eq!(flat.len(), net.num_params());
+        // the last parameter is the linear head's bias: d sum(out)/db = rows
+        assert_eq!(*flat.last().unwrap(), 2.0);
+    }
 
     #[test]
     fn embedding_shapes() {

@@ -1,12 +1,14 @@
 //! Adam training loop with energy + force matching.
 
 use crate::dataset::Frame;
-use crate::graph::{build_frame_graph, build_loss, model_leaves};
+use crate::graph::{build_frame_graph, build_loss, model_leaves, FrameGeometry};
 use deepmd_core::codec::Codec;
-use deepmd_core::eval::evaluate;
+use deepmd_core::eval::{evaluate_into, EvalOutput};
 use deepmd_core::format::{format_optimized, FormattedEnv};
 use deepmd_core::model::DpModel;
+use deepmd_core::EvalWorkspace;
 use dp_autograd::Tape;
+use dp_linalg::Matrix;
 use dp_md::System;
 use dp_nn::Adam;
 use rayon::prelude::*;
@@ -54,7 +56,25 @@ struct PreparedFrame {
     fmt: FormattedEnv,
     types: Vec<usize>,
     energy: f64,
-    forces: Vec<[f64; 3]>,
+    /// Reference forces, `n_atoms × 3` (the leaf the loss subtracts).
+    forces: Matrix<f64>,
+}
+
+fn prepare(model: &DpModel<f64>, frames: &[Frame]) -> Vec<PreparedFrame> {
+    frames
+        .par_iter()
+        .map(|f| {
+            let sys = frame_system(f);
+            let nl = dp_md::NeighborList::build(&sys, model.config.rcut);
+            let fmt = format_optimized(&sys, &nl, &model.config, Codec::PaperDecimal);
+            PreparedFrame {
+                fmt,
+                types: f.types.clone(),
+                energy: f.energy,
+                forces: Matrix::from_fn(f.forces.len(), 3, |i, k| f.forces[i][k]),
+            }
+        })
+        .collect()
 }
 
 /// Adam-based trainer for a Deep Potential model.
@@ -63,7 +83,13 @@ pub struct Trainer {
     pub weights: LossWeights,
     adam: Adam,
     prepared: Vec<PreparedFrame>,
+    /// Per-type graph inputs of each prepared frame; like the frames they
+    /// depend on geometry alone, so they are built here, not every step.
+    geoms: Vec<FrameGeometry>,
     steps: usize,
+    /// Flat parameter and mean-gradient buffers, refilled every step.
+    params: Vec<f64>,
+    grads: Vec<f64>,
 }
 
 impl Trainer {
@@ -77,19 +103,10 @@ impl Trainer {
         for e in &mut model.e0 {
             *e = mean_e;
         }
-        let prepared = frames
-            .par_iter()
-            .map(|f| {
-                let sys = frame_system(f);
-                let nl = dp_md::NeighborList::build(&sys, model.config.rcut);
-                let fmt = format_optimized(&sys, &nl, &model.config, Codec::PaperDecimal);
-                PreparedFrame {
-                    fmt,
-                    types: f.types.clone(),
-                    energy: f.energy,
-                    forces: f.forces.clone(),
-                }
-            })
+        let prepared = prepare(&model, frames);
+        let geoms = prepared
+            .iter()
+            .map(|pf| FrameGeometry::new(&model.config, &pf.fmt, &pf.types))
             .collect();
         let n_params = model.num_params();
         Self {
@@ -97,61 +114,63 @@ impl Trainer {
             weights,
             adam: Adam::new(n_params, lr),
             prepared,
+            geoms,
             steps: 0,
+            params: Vec::with_capacity(n_params),
+            grads: vec![0.0; n_params],
         }
+    }
+
+    /// Loss and flat parameter gradient of one frame on a fresh tape (whose
+    /// buffers come from, and return to, this thread's pool).
+    fn frame_loss_grad(&self, pf: &PreparedFrame, geom: &FrameGeometry) -> (f64, Vec<f64>) {
+        let mut tape = Tape::new();
+        let mv = model_leaves(&mut tape, &self.model);
+        let fg = build_frame_graph(&mut tape, &mv, &self.model.config, geom, &self.model.e0);
+        let loss = build_loss(
+            &mut tape,
+            &fg,
+            pf.energy,
+            &pf.forces,
+            self.weights.pe,
+            self.weights.pf,
+        );
+        let grads = tape.grad(loss, &mv.param_vars());
+        let mut flat = Vec::with_capacity(self.grads.len());
+        for &g in &grads {
+            flat.extend_from_slice(tape.value(g).as_slice());
+        }
+        (tape.value(loss)[(0, 0)], flat)
     }
 
     /// One full-batch Adam step; returns the mean loss before the update.
     pub fn step(&mut self) -> TrainReport {
         let span = dp_obs::span("train_step");
         let start = Instant::now();
-        let (total_loss, grad_sum) = self
-            .prepared
-            .par_iter()
-            .map(|pf| {
-                let mut tape = Tape::new();
-                let mv = model_leaves(&mut tape, &self.model);
-                let fg = build_frame_graph(
-                    &mut tape,
-                    &mv,
-                    &self.model.config,
-                    &pf.fmt,
-                    &pf.types,
-                    &self.model.e0,
-                );
-                let loss = build_loss(
-                    &mut tape,
-                    &fg,
-                    pf.energy,
-                    &pf.forces,
-                    self.weights.pe,
-                    self.weights.pf,
-                );
-                let pv = mv.param_vars();
-                let grads = tape.grad(loss, &pv);
-                let mut flat = Vec::with_capacity(self.model.num_params());
-                for &g in &grads {
-                    flat.extend_from_slice(tape.value(g).as_slice());
-                }
-                (tape.value(loss)[(0, 0)], flat)
-            })
-            .reduce(
-                || (0.0, vec![0.0; self.model.num_params()]),
-                |(la, mut ga), (lb, gb)| {
-                    for (a, b) in ga.iter_mut().zip(&gb) {
-                        *a += b;
-                    }
-                    (la + lb, ga)
-                },
-            );
-        let nf = self.prepared.len() as f64;
+        // Frames are differentiated in parallel but summed in frame order,
+        // so the step is bit-reproducible whatever the thread schedule.
+        let per_frame: Vec<(f64, Vec<f64>)> = (0..self.prepared.len())
+            .into_par_iter()
+            .map(|i| self.frame_loss_grad(&self.prepared[i], &self.geoms[i]))
+            .collect();
+        let nf = per_frame.len() as f64;
+        let mut total_loss = 0.0;
+        self.grads.fill(0.0);
+        for (loss, grad) in &per_frame {
+            total_loss += loss;
+            for (a, b) in self.grads.iter_mut().zip(grad) {
+                *a += b;
+            }
+        }
         let mean_loss = total_loss / nf;
-        let grads: Vec<f64> = grad_sum.iter().map(|g| g / nf).collect();
-        let grad_norm = grads.iter().map(|g| g * g).sum::<f64>().sqrt();
+        for g in &mut self.grads {
+            *g /= nf;
+        }
+        let grad_norm = self.grads.iter().map(|g| g * g).sum::<f64>().sqrt();
 
-        let mut params = self.model.flat_params();
-        self.adam.step(&mut params, &grads);
-        self.model.set_flat_params(&params);
+        self.model.flat_params_into(&mut self.params);
+        self.adam.step(&mut self.params, &self.grads);
+        self.model.set_flat_params(&self.params);
         self.steps += 1;
         drop(span);
         let report = TrainReport {
@@ -199,13 +218,13 @@ impl Trainer {
     /// model (including the `e0` shifts captured at save time — the dataset
     /// mean computed by [`Trainer::new`] is overwritten, not re-derived)
     /// and the optimizer moments; the prepared frames are kept, since they
-    /// depend only on geometry.
+    /// depend only on geometry and the model configuration — which must
+    /// therefore be the one this trainer was built with.
     pub fn restore(&mut self, ckpt: &crate::checkpoint::TrainCheckpoint) {
         let model = DpModel::from_data(&ckpt.model);
         assert_eq!(
-            model.num_params(),
-            self.model.num_params(),
-            "checkpoint is for a different architecture"
+            model.config, self.model.config,
+            "checkpoint is for a different model configuration"
         );
         self.model = model;
         self.adam.restore_state(ckpt.adam.clone());
@@ -228,13 +247,30 @@ fn rmse_of(model: &DpModel<f64>, frames: &[PreparedFrame]) -> Rmse {
     let mut se_e = 0.0;
     let mut se_f = 0.0;
     let mut n_f = 0usize;
+    // One workspace for all frames: a fresh one per frame is mostly page
+    // faults on memory the allocator just handed back to the OS.
+    let mut ws = EvalWorkspace::new(&model.config);
+    let mut out = EvalOutput {
+        energy: 0.0,
+        per_atom_energy: Vec::new(),
+        forces: Vec::new(),
+        virial: [0.0; 6],
+    };
     for pf in frames {
-        let out = evaluate(model, &pf.fmt, &pf.types, pf.types.len(), None);
+        evaluate_into(
+            model,
+            &pf.fmt,
+            &pf.types,
+            pf.types.len(),
+            None,
+            &mut ws,
+            &mut out,
+        );
         let n = pf.types.len() as f64;
         se_e += ((out.energy - pf.energy) / n).powi(2);
-        for (a, b) in out.forces.iter().zip(&pf.forces) {
-            for k in 0..3 {
-                se_f += (a[k] - b[k]).powi(2);
+        for (f, f_ref) in out.forces.iter().zip(pf.forces.as_slice().chunks_exact(3)) {
+            for (a, b) in f.iter().zip(f_ref) {
+                se_f += (a - b).powi(2);
                 n_f += 1;
             }
         }
@@ -247,21 +283,7 @@ fn rmse_of(model: &DpModel<f64>, frames: &[PreparedFrame]) -> Rmse {
 
 /// Public RMSE helper for already-trained models on fresh frames.
 pub fn rmse_on_frames(model: &DpModel<f64>, frames: &[Frame]) -> Rmse {
-    let prepared: Vec<PreparedFrame> = frames
-        .par_iter()
-        .map(|f| {
-            let sys = frame_system(f);
-            let nl = dp_md::NeighborList::build(&sys, model.config.rcut);
-            let fmt = format_optimized(&sys, &nl, &model.config, Codec::PaperDecimal);
-            PreparedFrame {
-                fmt,
-                types: f.types.clone(),
-                energy: f.energy,
-                forces: f.forces.clone(),
-            }
-        })
-        .collect();
-    rmse_of(model, &prepared)
+    rmse_of(model, &prepare(model, frames))
 }
 
 #[cfg(test)]
@@ -345,19 +367,35 @@ mod tests {
         let tail = resumed.run(10);
         assert_eq!(tail.first().unwrap().step, 11);
 
-        // rayon's gradient reduction is not order-deterministic, so the
-        // comparison is tolerance-based, not bitwise: the resumed loss
-        // curve must track the straight one closely (no restart spike).
+        // Frame gradients are summed in frame order, so the resumed loss
+        // curve is the straight one bit for bit.
         for (r, s) in tail.iter().zip(&straight_losses[10..]) {
-            let rel = (r.loss - s).abs() / s.abs().max(1e-12);
-            assert!(
-                rel < 1e-6,
-                "loss diverged after resume: {} vs {s} (rel {rel})",
+            assert_eq!(
+                r.loss.to_bits(),
+                s.to_bits(),
+                "loss diverged after resume: {} vs {s}",
                 r.loss
             );
         }
         // And the learning-rate schedule must continue, not reset.
         assert!((tail.last().unwrap().lr - straight.adam.lr()).abs() < 1e-15);
+    }
+
+    #[test]
+    #[should_panic(expected = "different model configuration")]
+    fn restore_rejects_a_different_config_of_equal_size() {
+        let frames = tiny_dataset();
+        let mut rng = StdRng::seed_from_u64(56);
+        let cfg = DpConfig::small(1, 4.0, 14);
+        // Same nets, so the same parameter count, but frames formatted for
+        // this `sel` would be misread by a model expecting another.
+        let other = DpConfig::small(1, 4.0, 12);
+        let model = DpModel::<f64>::new_random(cfg, &mut rng);
+        let other_model = DpModel::<f64>::new_random(other, &mut rng);
+        assert_eq!(model.num_params(), other_model.num_params());
+
+        let ckpt = Trainer::new(other_model, &frames, 0.01, LossWeights::default()).checkpoint();
+        Trainer::new(model, &frames, 0.01, LossWeights::default()).restore(&ckpt);
     }
 
     #[test]

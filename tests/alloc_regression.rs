@@ -1,37 +1,52 @@
 //! §5.2.2 regression: the steady-state MD force evaluation must perform
-//! ZERO heap allocations. A counting global allocator wraps the system
-//! allocator; after a few warm-up calls (buffer rotation lets capacities
-//! migrate between workspace roles until they reach a fixed point) the
-//! allocation counter must not move across repeated `compute_into` calls
-//! on the same configuration.
+//! ZERO heap allocations, and a steady-state training step a bounded
+//! handful. A counting global allocator wraps the system allocator; after
+//! a few warm-up calls (buffer rotation lets capacities migrate between
+//! workspace roles until they reach a fixed point) the allocation counter
+//! must not move across repeated `compute_into` calls on the same
+//! configuration.
 //!
 //! The whole measurement runs inside a dedicated single-thread rayon pool
 //! so the thread-local formatter scratch is warmed on the same worker
-//! thread that later serves the measured calls.
+//! thread that later serves the measured calls. The counter is per thread
+//! for the same reason: every measured call runs on that one worker, and
+//! the other tests of this binary, running concurrently on their own
+//! threads, must not leak into its count.
 
 use deepmd_repro::core::{DeepPotential, DpConfig, DpModel, PrecisionMode};
 use deepmd_repro::md::integrate::{run_md_resumable, Berendsen, MdOptions, MdProgress};
+use deepmd_repro::md::potential::pair::PairTable;
 use deepmd_repro::md::{lattice, units, NeighborList, NlScratch, Potential, PotentialOutput};
+use deepmd_repro::train::dataset::perturbed_frames;
+use deepmd_repro::train::{LossWeights, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // const-initialised and without a destructor, so touching it from
+    // inside the allocator can neither allocate nor outlive the thread
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         SystemAlloc.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         SystemAlloc.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         SystemAlloc.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -42,8 +57,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
+    ALLOC_CALLS.with(Cell::get)
 }
 
 #[test]
@@ -218,5 +234,45 @@ fn steady_state_neighbor_rebuild_is_allocation_free() {
         let delta = allocs() - before;
         assert_eq!(delta, 0, "steady-state build_into allocated {delta} times");
         assert!(nl.num_pairs() > 0);
+    });
+}
+
+#[test]
+fn steady_state_train_step_stays_within_allocation_budget() {
+    // The training tape draws every node value from a per-thread buffer
+    // pool that outlives the tape, so once one step has filled the pool a
+    // step allocates only its per-frame bookkeeping (node lists, gradient
+    // vectors), not its 345 node values per frame. perfbench's
+    // train_step_8f shape; the per-atom graph this replaced made 345 654
+    // allocations per step.
+    let cfg = DpConfig {
+        rcut: 4.5,
+        rcut_smth: 1.0,
+        sel: vec![12, 24],
+        embedding: vec![8, 16],
+        fitting: vec![32, 32, 32],
+        axis_neurons: 4,
+    };
+    let mut rng = StdRng::seed_from_u64(23);
+    let base = lattice::water_box([3, 3, 3], 3.104);
+    let labels = PairTable::water_reference().with_cutoff(4.5);
+    let frames = perturbed_frames(&base, &labels, 8, 0.15, &mut rng);
+    let model = DpModel::<f64>::new_random(cfg, &mut rng);
+
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("single-thread pool");
+    pool.install(|| {
+        let mut trainer = Trainer::new(model, &frames, 1e-3, LossWeights::default());
+        trainer.step(); // warm-up: fills the buffer pool
+        let before = allocs();
+        let report = trainer.step();
+        let delta = allocs() - before;
+        assert!(report.loss.is_finite());
+        assert!(
+            delta <= 1000,
+            "steady-state Trainer::step allocated {delta} times"
+        );
     });
 }

@@ -9,6 +9,14 @@ set -e
 cargo build --release --workspace
 cargo test -q --workspace
 
+# Benchmark smoke: all six perfbench workloads, both passes, at a twentieth
+# of the timed phase, then a structural check of the ledger. run.sh falls
+# back from cargo to its plain-rustc route, so a change that breaks that
+# route or one of the benchmark's output checks fails here instead of
+# leaving the benchmark without numbers.
+bash crates/perfbench/smoke.sh
+echo "tier1: perfbench smoke ledger validated"
+
 DPMD=target/release/dpmd
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
