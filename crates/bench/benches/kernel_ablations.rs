@@ -70,8 +70,8 @@ fn bench_tanh_fusion(c: &mut Criterion) {
 
 /// SIMD dispatch ablation: the scalar baseline vs every backend the host
 /// can run, on the two vectorized hot kernels (GEMM row microkernel and
-/// fused tanh). Complements the `kernels` row `bench_dpmd` commits to
-/// `BENCH_dpmd.json` — this is the shape-resolved criterion view.
+/// fused tanh). Complements perfbench's `linalg.*` ledger rows — this is
+/// the shape-resolved criterion view.
 fn bench_simd_backends(c: &mut Criterion) {
     use dp_linalg::simd::{self, Backend};
     let (rows, k, n) = (2048usize, 64usize, 64usize);

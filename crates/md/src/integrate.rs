@@ -3,6 +3,21 @@
 //! collection every `thermo_every` steps (the paper records kinetic
 //! energy, potential energy, temperature and pressure every 20 steps,
 //! §6.1).
+//!
+//! This module is the only place the step arithmetic lives. The paper
+//! runs one integrator under every configuration and changes only the
+//! force provider and the halo around it (§5.1, §5.4); here that is two
+//! layers:
+//!
+//! 1. [`kick_drift`], [`kick`], [`berendsen_rescale`] and
+//!    [`langevin_kick`] — plain functions over the owned atoms
+//!    (`..n_local`) of a [`System`]. The rank-parallel driver calls these
+//!    directly, because its list maintenance is collective.
+//! 2. [`Stepper`] — one standalone trajectory's neighbor list, list
+//!    scratch and Langevin stream, split *around* the force call. The
+//!    serial loop below and the ensemble engine drive it and differ only
+//!    in how they evaluate forces (solo `compute_into` vs one cross-replica
+//!    batch).
 
 use crate::neighbor::{NeighborList, NlScratch};
 use crate::potential::Potential;
@@ -34,18 +49,6 @@ pub struct Langevin {
     pub seed: u64,
 }
 
-/// Berendsen weak-coupling barostat (isotropic): rescales the cell and
-/// coordinates toward a target pressure.
-#[derive(Debug, Clone, Copy)]
-pub struct BerendsenBarostat {
-    /// Target pressure (bar).
-    pub target_p: f64,
-    /// Coupling time constant (ps).
-    pub tau: f64,
-    /// Isothermal compressibility estimate (1/bar); 4.5e-5 suits water.
-    pub compressibility: f64,
-}
-
 /// Integration parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct MdOptions {
@@ -61,9 +64,6 @@ pub struct MdOptions {
     pub thermostat: Option<Berendsen>,
     /// Optional Langevin thermostat (mutually exclusive with `thermostat`).
     pub langevin: Option<Langevin>,
-    /// Optional isotropic pressure coupling (NPT when combined with a
-    /// thermostat).
-    pub barostat: Option<BerendsenBarostat>,
 }
 
 impl Default for MdOptions {
@@ -75,7 +75,6 @@ impl Default for MdOptions {
             thermo_every: 20,
             thermostat: None,
             langevin: None,
-            barostat: None,
         }
     }
 }
@@ -141,6 +140,162 @@ pub struct CheckpointSink<'a> {
     pub save: &'a mut dyn FnMut(&System, MdProgress),
 }
 
+/// First half of a Velocity–Verlet step over the owned atoms: half kick
+/// from the stored forces, drift, wrap into the primary cell.
+pub fn kick_drift(sys: &mut System, dt: f64) {
+    for i in 0..sys.n_local {
+        let inv_m = units::FORCE_TO_ACCEL / sys.masses[sys.types[i]];
+        for d in 0..3 {
+            sys.velocities[i][d] += 0.5 * dt * sys.forces[i][d] * inv_m;
+            sys.positions[i][d] += dt * sys.velocities[i][d];
+        }
+        sys.positions[i] = sys.cell.wrap(sys.positions[i]);
+    }
+}
+
+/// Second half kick over the owned atoms, from the freshly stored forces.
+pub fn kick(sys: &mut System, dt: f64) {
+    for i in 0..sys.n_local {
+        let inv_m = units::FORCE_TO_ACCEL / sys.masses[sys.types[i]];
+        for d in 0..3 {
+            sys.velocities[i][d] += 0.5 * dt * sys.forces[i][d] * inv_m;
+        }
+    }
+}
+
+/// Berendsen weak-coupling rescale of the owned atoms' velocities toward
+/// `b.target_t`, given the current `temperature`: a standalone system
+/// passes `sys.temperature()`, a rank passes the all-reduced global one.
+pub fn berendsen_rescale(sys: &mut System, b: Berendsen, dt: f64, temperature: f64) {
+    if temperature > 0.0 {
+        let lambda = (1.0 + dt / b.tau * (b.target_t / temperature - 1.0)).sqrt();
+        for v in &mut sys.velocities[..sys.n_local] {
+            for d in 0..3 {
+                v[d] *= lambda;
+            }
+        }
+    }
+}
+
+/// Langevin O-step (BAOAB-style) over the owned atoms:
+/// `v <- c v + sqrt((1-c²) kB T / m) ξ`, ξ drawn by Box–Muller from `rng`.
+pub fn langevin_kick(sys: &mut System, l: Langevin, dt: f64, rng: &mut CounterRng) {
+    let c = (-l.gamma * dt).exp();
+    let amp_base = (1.0 - c * c) * units::KB * l.target_t * units::FORCE_TO_ACCEL;
+    for i in 0..sys.n_local {
+        let amp = (amp_base / sys.masses[sys.types[i]]).sqrt();
+        for d in 0..3 {
+            let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            let xi = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            sys.velocities[i][d] = c * sys.velocities[i][d] + amp * xi;
+        }
+    }
+}
+
+/// One standalone trajectory's stepping state: neighbor list, list scratch
+/// (both allocated once and reused, §5.2.2 arena reuse) and the Langevin
+/// stream. A step is `advance_to_force` → the caller's force evaluation
+/// over [`Stepper::neighbor_list`] into `sys.forces` → `finish`.
+pub struct Stepper {
+    nl: NeighborList,
+    scratch: NlScratch,
+    /// List cutoff: potential cutoff + skin.
+    cutoff: f64,
+    rng: Option<CounterRng>,
+    rebuilds: usize,
+}
+
+impl Stepper {
+    /// Build the first list for `sys` at `pot_cutoff + opts.skin` and
+    /// position the Langevin stream (if any) at draw `rng_draws`.
+    pub fn new(sys: &System, pot_cutoff: f64, opts: &MdOptions, rng_draws: u64) -> Self {
+        assert!(opts.dt > 0.0, "time step must be positive");
+        assert!(
+            !(opts.thermostat.is_some() && opts.langevin.is_some()),
+            "pick one thermostat"
+        );
+        let mut stepper = Self {
+            nl: NeighborList::empty(),
+            scratch: NlScratch::default(),
+            cutoff: 0.0,
+            rng: opts
+                .langevin
+                .map(|l| CounterRng::with_draws(l.seed, rng_draws)),
+            rebuilds: 0,
+        };
+        stepper.rebuild(sys, pot_cutoff + opts.skin);
+        stepper
+    }
+
+    /// The list the force evaluation of the current step must use.
+    pub fn neighbor_list(&self) -> &NeighborList {
+        &self.nl
+    }
+
+    /// List builds so far, the initial one included.
+    pub fn rebuilds(&self) -> usize {
+        self.rebuilds
+    }
+
+    /// Rebuild the list at `cutoff` (potential cutoff + skin), e.g. after
+    /// the potential was swapped for one with a different range.
+    pub fn rebuild(&mut self, sys: &System, cutoff: f64) {
+        let _span = dp_obs::span("neighbor_rebuild");
+        self.cutoff = cutoff;
+        self.build(sys);
+    }
+
+    fn build(&mut self, sys: &System) {
+        self.nl.build_into(sys, self.cutoff, &mut self.scratch);
+        self.rebuilds += 1;
+    }
+
+    /// Everything of step `step` that precedes the force evaluation: half
+    /// kick + drift, then neighbor maintenance on the paper's schedule (a
+    /// displacement check every `rebuild_every` steps). Returns whether
+    /// the list was rebuilt.
+    pub fn advance_to_force(&mut self, sys: &mut System, opts: &MdOptions, step: usize) -> bool {
+        {
+            let _span = dp_obs::span("integrate");
+            kick_drift(sys, opts.dt);
+        }
+        let due = step % opts.rebuild_every == 0 && self.nl.needs_rebuild(sys, opts.skin);
+        if due {
+            self.rebuild(sys, self.cutoff);
+        }
+        due
+    }
+
+    /// Everything that follows the force evaluation: second half kick,
+    /// then the thermostat `opts` selects.
+    pub fn finish(&mut self, sys: &mut System, opts: &MdOptions) {
+        let _span = dp_obs::span("integrate");
+        kick(sys, opts.dt);
+        if let Some(b) = opts.thermostat {
+            let t = sys.temperature();
+            berendsen_rescale(sys, b, opts.dt, t);
+        }
+        if let (Some(l), Some(rng)) = (opts.langevin, self.rng.as_mut()) {
+            langevin_kick(sys, l, opts.dt, rng);
+        }
+    }
+
+    /// Call when checkpointing after step `step`: rebuilds the list, so
+    /// this trajectory and any one resumed from the checkpoint (which
+    /// necessarily starts with a fresh list) continue from identical
+    /// state — force summation order, and therefore the trajectory, stays
+    /// bit-exact across the restart — and returns what the checkpoint
+    /// must carry beside the `System`.
+    pub fn checkpoint(&mut self, sys: &System, step: usize) -> MdProgress {
+        self.build(sys);
+        MdProgress {
+            step,
+            rng_draws: self.rng.as_ref().map_or(0, |r| r.draws()),
+        }
+    }
+}
+
 /// Run `n_steps` of Velocity–Verlet, mutating the system in place.
 ///
 /// An optional `observer` is called at every thermo sample; pass `|_|{}` to
@@ -174,11 +329,6 @@ pub fn run_md_resumable(
     mut observer: impl FnMut(&ThermoSample),
     mut checkpoint: Option<CheckpointSink<'_>>,
 ) -> MdRun {
-    assert!(opts.dt > 0.0, "time step must be positive");
-    assert!(
-        !(opts.thermostat.is_some() && opts.langevin.is_some()),
-        "pick one thermostat"
-    );
     assert!(
         resume.step <= end_step,
         "resume step {} is beyond end step {end_step}",
@@ -186,27 +336,16 @@ pub fn run_md_resumable(
     );
     let resuming = resume.step > 0;
     let start = Instant::now();
-    let mut langevin_rng = opts
-        .langevin
-        .map(|l| CounterRng::with_draws(l.seed, resume.rng_draws));
-    let cutoff = pot.cutoff() + opts.skin;
-    // List, list scratch, and force output are allocated once here and
-    // reused by every step of the loop (§5.2.2 arena reuse).
-    let mut nl_scratch = NlScratch::default();
-    let mut nl = NeighborList::empty();
-    {
-        let _span = dp_obs::span("neighbor_rebuild");
-        nl.build_into(sys, cutoff, &mut nl_scratch);
-    }
-    let mut rebuilds = 1usize;
+    let mut stepper = Stepper::new(sys, pot.cutoff(), opts, resume.rng_draws);
     let mut evaluations = 0usize;
+    // The force output is allocated once here and reused by every step.
     let mut out = crate::potential::PotentialOutput::zeros(sys.len());
     if resuming {
         // The checkpoint stored the forces; reuse them (see above).
         out.forces.clone_from(&sys.forces);
     } else {
         let _span = dp_obs::span("force_eval");
-        pot.compute_into(sys, &nl, &mut out);
+        pot.compute_into(sys, stepper.neighbor_list(), &mut out);
         sys.forces.clone_from(&out.forces);
         evaluations += 1;
     }
@@ -231,90 +370,20 @@ pub fn run_md_resumable(
         record(0, sys, &out, &mut thermo, &mut observer);
     }
 
-    let dt = opts.dt;
     for step in resume.step + 1..=end_step {
         // per-step metrics (s/step/atom, GFLOPS) when a sink is installed
         let step_start = dp_obs::metrics::active().then(Instant::now);
 
-        // half kick + drift
-        let drift_span = dp_obs::span("integrate");
-        for i in 0..sys.n_local {
-            let inv_m = units::FORCE_TO_ACCEL / sys.masses[sys.types[i]];
-            for d in 0..3 {
-                sys.velocities[i][d] += 0.5 * dt * sys.forces[i][d] * inv_m;
-                sys.positions[i][d] += dt * sys.velocities[i][d];
-            }
-        }
-        sys.wrap_positions();
-        drop(drift_span);
-
-        // neighbor maintenance on the paper's schedule
-        if step % opts.rebuild_every == 0 && nl.needs_rebuild(sys, opts.skin) {
-            let _span = dp_obs::span("neighbor_rebuild");
-            nl.build_into(sys, cutoff, &mut nl_scratch);
-            rebuilds += 1;
+        if stepper.advance_to_force(sys, opts, step) {
             dp_obs::counter("neighbor_rebuilds").add(1);
         }
-
         {
             let _span = dp_obs::span("force_eval");
-            pot.compute_into(sys, &nl, &mut out);
+            pot.compute_into(sys, stepper.neighbor_list(), &mut out);
         }
         evaluations += 1;
         sys.forces.clone_from(&out.forces);
-
-        // second half kick
-        let kick_span = dp_obs::span("integrate");
-        for i in 0..sys.n_local {
-            let inv_m = units::FORCE_TO_ACCEL / sys.masses[sys.types[i]];
-            for d in 0..3 {
-                sys.velocities[i][d] += 0.5 * dt * sys.forces[i][d] * inv_m;
-            }
-        }
-
-        if let Some(b) = opts.thermostat {
-            let t = sys.temperature();
-            if t > 0.0 {
-                let lambda = (1.0 + dt / b.tau * (b.target_t / t - 1.0)).sqrt();
-                for v in &mut sys.velocities[..sys.n_local] {
-                    for d in 0..3 {
-                        v[d] *= lambda;
-                    }
-                }
-            }
-        }
-
-        if let (Some(l), Some(rng)) = (opts.langevin, langevin_rng.as_mut()) {
-            // BAOAB-style O step: v <- c v + sqrt((1-c^2) kB T / m) ξ
-            let c = (-l.gamma * dt).exp();
-            let amp_base = (1.0 - c * c) * units::KB * l.target_t * units::FORCE_TO_ACCEL;
-            for i in 0..sys.n_local {
-                let amp = (amp_base / sys.masses[sys.types[i]]).sqrt();
-                for d in 0..3 {
-                    // Box–Muller gaussian
-                    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                    let u2: f64 = rng.gen_range(0.0..1.0);
-                    let xi =
-                        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                    sys.velocities[i][d] = c * sys.velocities[i][d] + amp * xi;
-                }
-            }
-        }
-
-        if let Some(p) = opts.barostat {
-            let pressure = out.pressure(sys);
-            let mu = (1.0 - opts.dt / p.tau * p.compressibility * (p.target_p - pressure))
-                .cbrt();
-            // guard against catastrophic rescaling from pressure spikes
-            let mu = mu.clamp(0.99, 1.01);
-            sys.cell = sys.cell.scaled([mu, mu, mu]);
-            for pos in &mut sys.positions {
-                for d in 0..3 {
-                    pos[d] *= mu;
-                }
-            }
-        }
-        drop(kick_span);
+        stepper.finish(sys, opts);
 
         if step % opts.thermo_every == 0 || step == end_step {
             record(step, sys, &out, &mut thermo, &mut observer);
@@ -323,15 +392,7 @@ pub fn run_md_resumable(
         if let Some(ck) = checkpoint.as_mut() {
             if ck.every > 0 && step % ck.every == 0 {
                 let _span = dp_obs::span("io");
-                // Rebuild the list so that this run and any run resumed
-                // from the checkpoint continue from identical state (the
-                // resumed run necessarily starts with a fresh list).
-                nl.build_into(sys, cutoff, &mut nl_scratch);
-                rebuilds += 1;
-                let progress = MdProgress {
-                    step,
-                    rng_draws: langevin_rng.as_ref().map_or(0, |r| r.draws()),
-                };
+                let progress = stepper.checkpoint(sys, step);
                 (ck.save)(sys, progress);
             }
         }
@@ -344,7 +405,7 @@ pub fn run_md_resumable(
     MdRun {
         thermo,
         steps: n_steps,
-        neighbor_rebuilds: rebuilds,
+        neighbor_rebuilds: stepper.rebuilds(),
         loop_time: start.elapsed(),
         evaluations,
     }
@@ -471,37 +532,6 @@ mod tests {
             sys.positions[17]
         };
         assert_eq!(run_once(), run_once());
-    }
-
-    #[test]
-    fn barostat_moves_volume_toward_target_pressure() {
-        // start compressed (smaller lattice constant) -> positive pressure
-        // -> the barostat should expand the cell
-        let mut sys = lattice::fcc(5.0, [3, 3, 3], 39.948);
-        let mut rng = StdRng::seed_from_u64(4);
-        sys.init_velocities(30.0, &mut rng);
-        let lj = argon_lj();
-        let v0 = sys.cell.volume();
-        let opts = MdOptions {
-            dt: 2.0e-3,
-            thermostat: Some(Berendsen {
-                target_t: 30.0,
-                tau: 0.1,
-            }),
-            barostat: Some(BerendsenBarostat {
-                target_p: 0.0,
-                tau: 0.5,
-                compressibility: 4.5e-5,
-            }),
-            ..Default::default()
-        };
-        run_md(&mut sys, &lj, &opts, 300, |_| {});
-        assert!(
-            sys.cell.volume() > v0 * 1.001,
-            "cell did not expand: {} -> {}",
-            v0,
-            sys.cell.volume()
-        );
     }
 
     #[test]
@@ -655,6 +685,61 @@ mod tests {
         );
         assert_eq!(ra.evaluations, rb.evaluations);
         assert_eq!(a.positions, b.positions);
+    }
+
+    /// FNV-1a fold of `to_bits` over final positions then velocities.
+    fn fold_bits(sys: &System) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for x in sys.positions.iter().chain(&sys.velocities).flatten() {
+            h = (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// 20 steps of LJ argon from uniform `CounterRng` velocities (raw
+    /// `next_u64`, no `gen_range`), with a skin small enough that the list
+    /// is rebuilt on the way. The 5.0 Å cutoff keeps every pair out of the
+    /// cosine switch window (first shell < 4.0 Å, second > 5.0 Å), so the
+    /// run touches no libm beyond `sqrt` and one constant holds on any host.
+    fn golden_run(thermostat: Option<Berendsen>) -> u64 {
+        use rand::RngCore;
+        let mut sys = argon_crystal();
+        let mut rng = CounterRng::new(2020);
+        for v in &mut sys.velocities {
+            for d in 0..3 {
+                let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                v[d] = 3.0 * (u - 0.5);
+            }
+        }
+        sys.zero_momentum();
+        let opts = MdOptions {
+            dt: 2.0e-3,
+            skin: 0.05,
+            rebuild_every: 5,
+            thermo_every: 10,
+            thermostat,
+            ..Default::default()
+        };
+        let lj = LennardJones::new(0.0104, 3.405, 5.0);
+        let run = run_md(&mut sys, &lj, &opts, 20, |_| {});
+        assert!(run.neighbor_rebuilds > 1, "the pinned path must rebuild");
+        fold_bits(&sys)
+    }
+
+    /// Absolute results pinned at the commit before the three step loops
+    /// were unified: the shared step must keep the serial float path.
+    #[test]
+    fn golden_bits_nve() {
+        assert_eq!(golden_run(None), 2_377_487_649_233_499_592);
+    }
+
+    #[test]
+    fn golden_bits_berendsen() {
+        let b = Berendsen {
+            target_t: 60.0,
+            tau: 0.05,
+        };
+        assert_eq!(golden_run(Some(b)), 6_302_163_215_747_821_842);
     }
 
     #[test]

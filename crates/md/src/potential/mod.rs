@@ -42,10 +42,7 @@ impl PotentialOutput {
     /// Instantaneous pressure (bar) combining the virial with kinetic
     /// contributions of the system.
     pub fn pressure(&self, sys: &System) -> f64 {
-        let v = sys.cell.volume();
-        let w = (self.virial[0] + self.virial[1] + self.virial[2]) / 3.0;
-        let nkt = sys.n_local as f64 * crate::units::KB * sys.temperature();
-        (nkt + w) / v * crate::units::EV_PER_A3_TO_BAR
+        crate::units::pressure(sys.n_local, sys.temperature(), &self.virial, sys.cell.volume())
     }
 }
 

@@ -125,11 +125,7 @@ impl System {
 
     /// Instantaneous temperature (K) from equipartition over local atoms.
     pub fn temperature(&self) -> f64 {
-        if self.n_local == 0 {
-            return 0.0;
-        }
-        let dof = (3 * self.n_local) as f64;
-        2.0 * self.kinetic_energy() / (dof * units::KB)
+        units::temperature(self.kinetic_energy(), self.n_local)
     }
 
     /// Wrap all positions into the primary cell image.

@@ -17,6 +17,25 @@ pub const MV2E: f64 = 1.0 / FORCE_TO_ACCEL;
 /// 1 eV/Å³ = 1.602176634e6 bar.
 pub const EV_PER_A3_TO_BAR: f64 = 1.602176634e6;
 
+/// Equipartition temperature (K) of `n_atoms` atoms carrying `ke` (eV) of
+/// kinetic energy in total; 0 for an empty set.
+pub fn temperature(ke: f64, n_atoms: usize) -> f64 {
+    if n_atoms == 0 {
+        return 0.0;
+    }
+    let dof = (3 * n_atoms) as f64;
+    2.0 * ke / (dof * KB)
+}
+
+/// Instantaneous pressure (bar) of `n_atoms` atoms at `temperature` (K) in
+/// `volume` (Å³): ideal-gas term plus the trace of `virial`
+/// (`[xx, yy, zz, xy, xz, yz]`, eV).
+pub fn pressure(n_atoms: usize, temperature: f64, virial: &[f64; 6], volume: f64) -> f64 {
+    let w = (virial[0] + virial[1] + virial[2]) / 3.0;
+    let nkt = n_atoms as f64 * KB * temperature;
+    (nkt + w) / volume * EV_PER_A3_TO_BAR
+}
+
 /// Atomic masses (amu) for the species used in the paper's benchmarks.
 pub const MASS_H: f64 = 1.008;
 pub const MASS_O: f64 = 15.999;

@@ -198,7 +198,7 @@ impl ImbalanceReport {
 
 /// Map a span name from the workspace taxonomy onto an analyzer phase.
 /// The driver's rank loop feeds the first three directly; this mapping is
-/// for consumers (like `bench_dpmd`) deriving fractions from span stats.
+/// for consumers deriving compute/comm/wait fractions from span stats.
 pub fn classify_phase(span_name: &str) -> &'static str {
     match span_name {
         "force_eval" | "neighbor_rebuild" | "integrate" | "environment" | "embedding_net"

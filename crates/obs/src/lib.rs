@@ -27,8 +27,8 @@
 //! * [`imbalance`] — the §7.3 load-imbalance analyzer: per-phase
 //!   min/mean/max across ranks, compute/comm/wait shares, imbalance
 //!   ratios, achieved-vs-modeled FLOPS columns,
-//! * [`report`] — the stable `BENCH_*.json` schema seeding the repo's
-//!   machine-readable performance trajectory,
+//! * [`report`] — roofline attribution rows (`--profile-report`,
+//!   `"event":"roofline"` lines),
 //! * [`serve`] — the serving daemon's canonical metric names
 //!   (request/batch counters, latency histograms) and the `/metrics`
 //!   snapshot payload,

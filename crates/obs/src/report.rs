@@ -1,171 +1,11 @@
-//! The machine-readable benchmark schema (`BENCH_*.json`).
+//! Roofline attribution of a run's phases (`dpmd --profile-report`,
+//! `"event":"roofline"` metrics lines, `roofline.*` Prometheus gauges).
 //!
-//! Every perf harness in the workspace emits the same stable document so
-//! future PRs can diff s/step/atom and achieved-GFLOPS trajectories
-//! mechanically instead of hand-copying table text:
-//!
-//! ```json
-//! {
-//!   "schema": "dpmd-bench/1",
-//!   "rows": [
-//!     {"workload": "water", "n_atoms": 243, "steps": 5,
-//!      "loop_time_s": 1.2e-1, "s_per_step_per_atom": 9.9e-5,
-//!      "flops": 123456789, "gflops": 1.03}
-//!   ]
-//! }
-//! ```
-//!
-//! Schema contract (checked by `benchcheck` and the tier-1 smoke step):
-//! `schema` starts with `"dpmd-bench/"`, `rows` is a non-empty array, and
-//! every row carries a positive finite `s_per_step_per_atom`.
+//! Timing records live elsewhere: per-step JSONL in [`crate::metrics`],
+//! and the benchmark ledger in `crates/perfbench` (`run.sh`), which
+//! replaced the `dpmd-bench/1` document this module used to define.
 
 use crate::json;
-use std::time::Duration;
-
-/// Current schema identifier. Bump the suffix on breaking changes only;
-/// adding fields is non-breaking.
-pub const BENCH_SCHEMA: &str = "dpmd-bench/1";
-
-/// Where the loop's busy time went, as fractions of the summed phase
-/// time (Fig 6's computation-vs-communication decomposition). Derived
-/// from span stats via [`crate::imbalance::classify_phase`]. Each is in
-/// `[0, 1]` and the three sum to 1 when any phase time was recorded.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseFractions {
-    pub compute: f64,
-    pub comm: f64,
-    pub wait: f64,
-}
-
-impl PhaseFractions {
-    /// Classify span statistics (name, total seconds) into phase
-    /// fractions. Span names mapping to `"other"` are ignored — nested
-    /// spans would double-count their parents.
-    pub fn from_span_totals<'a>(spans: impl IntoIterator<Item = (&'a str, f64)>) -> Self {
-        let (mut compute, mut comm, mut wait) = (0.0f64, 0.0f64, 0.0f64);
-        for (name, secs) in spans {
-            match crate::imbalance::classify_phase(name) {
-                "compute" => compute += secs,
-                "comm" => comm += secs,
-                "wait" => wait += secs,
-                _ => {}
-            }
-        }
-        let busy = compute + comm + wait;
-        if busy > 0.0 {
-            Self {
-                compute: compute / busy,
-                comm: comm / busy,
-                wait: wait / busy,
-            }
-        } else {
-            Self {
-                compute: 0.0,
-                comm: 0.0,
-                wait: 0.0,
-            }
-        }
-    }
-}
-
-/// One benchmark measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRow {
-    /// Workload label ("water", "copper", "tier1", ...).
-    pub workload: String,
-    pub n_atoms: usize,
-    /// MD steps timed.
-    pub steps: usize,
-    /// Wall time of the MD loop (§6.3's denominator).
-    pub loop_time_s: f64,
-    /// Time-to-solution: `loop_time_s / steps / n_atoms` (Table 1 metric).
-    pub s_per_step_per_atom: f64,
-    /// FLOPs performed inside the loop (the `"flops"` counter delta).
-    pub flops: u64,
-    /// Achieved GFLOPS: `flops / loop_time_s / 1e9` (§6.3's `peak`).
-    pub gflops: f64,
-    /// Optional compute/comm/wait breakdown of the timed loop.
-    pub phases: Option<PhaseFractions>,
-    /// Ensemble rows: how many replicas advanced concurrently
-    /// (`n_atoms` is then the whole-ensemble atom count).
-    pub replicas: Option<usize>,
-    /// Ensemble rows: throughput ratio of the cross-replica batched
-    /// engine over the same trajectories run one replica at a time.
-    pub speedup_vs_serial: Option<f64>,
-}
-
-impl BenchRow {
-    /// Derive the paper metrics from raw measurements.
-    pub fn from_run(
-        workload: impl Into<String>,
-        n_atoms: usize,
-        steps: usize,
-        loop_time: Duration,
-        flops: u64,
-    ) -> Self {
-        let secs = loop_time.as_secs_f64();
-        let denom = (steps.max(1) * n_atoms.max(1)) as f64;
-        Self {
-            workload: workload.into(),
-            n_atoms,
-            steps,
-            loop_time_s: secs,
-            s_per_step_per_atom: secs / denom,
-            flops,
-            gflops: if secs > 0.0 {
-                flops as f64 / secs / 1e9
-            } else {
-                0.0
-            },
-            phases: None,
-            replicas: None,
-            speedup_vs_serial: None,
-        }
-    }
-
-    /// Attach a compute/comm/wait breakdown (builder style).
-    pub fn with_phases(mut self, phases: PhaseFractions) -> Self {
-        self.phases = Some(phases);
-        self
-    }
-
-    /// Mark this as an ensemble row (builder style): replica count and
-    /// the batched-over-serial throughput ratio.
-    pub fn with_ensemble(mut self, replicas: usize, speedup_vs_serial: f64) -> Self {
-        self.replicas = Some(replicas);
-        self.speedup_vs_serial = Some(speedup_vs_serial);
-        self
-    }
-
-    fn to_json(&self) -> String {
-        let mut row = format!(
-            "{{\"workload\":\"{}\",\"n_atoms\":{},\"steps\":{},\"loop_time_s\":{},\"s_per_step_per_atom\":{},\"flops\":{},\"gflops\":{}",
-            json::esc(&self.workload),
-            self.n_atoms,
-            self.steps,
-            json::num(self.loop_time_s),
-            json::num(self.s_per_step_per_atom),
-            self.flops,
-            json::num(self.gflops)
-        );
-        if let Some(p) = &self.phases {
-            row.push_str(&format!(
-                ",\"phases\":{{\"compute\":{},\"comm\":{},\"wait\":{}}}",
-                json::num(p.compute),
-                json::num(p.comm),
-                json::num(p.wait)
-            ));
-        }
-        if let Some(r) = self.replicas {
-            row.push_str(&format!(",\"replicas\":{r}"));
-        }
-        if let Some(s) = self.speedup_vs_serial {
-            row.push_str(&format!(",\"speedup_vs_serial\":{}", json::num(s)));
-        }
-        row.push('}');
-        row
-    }
-}
 
 /// One phase's roofline attribution: where its time went, what rate it
 /// achieved, and whether the roofline model says the phase is limited by
@@ -279,120 +119,9 @@ impl RooflineReport {
     }
 }
 
-/// A full `BENCH_*.json` document.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BenchReport {
-    pub rows: Vec<BenchRow>,
-}
-
-impl BenchReport {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn push(&mut self, row: BenchRow) {
-        self.rows.push(row);
-    }
-
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\n  \"schema\": \"{BENCH_SCHEMA}\",\n  \"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            out.push_str(&row.to_json());
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn row_derives_paper_metrics() {
-        let r = BenchRow::from_run("water", 100, 10, Duration::from_secs(2), 4_000_000_000);
-        assert!((r.s_per_step_per_atom - 2e-3).abs() < 1e-12);
-        assert!((r.gflops - 2.0).abs() < 1e-12);
-        assert_eq!(r.steps, 10);
-    }
-
-    #[test]
-    fn json_has_schema_and_rows() {
-        let mut rep = BenchReport::new();
-        rep.push(BenchRow::from_run(
-            "water",
-            3,
-            2,
-            Duration::from_millis(6),
-            600,
-        ));
-        rep.push(BenchRow::from_run(
-            "copper",
-            4,
-            2,
-            Duration::from_millis(8),
-            800,
-        ));
-        let s = rep.to_json();
-        assert!(s.contains("\"schema\": \"dpmd-bench/1\""));
-        assert!(s.contains("\"workload\":\"water\""));
-        assert!(s.contains("\"workload\":\"copper\""));
-        assert!(s.contains("\"s_per_step_per_atom\":"));
-        // balanced braces/brackets (cheap well-formedness check; real JSON
-        // parsing is exercised by the dp-bench round-trip test)
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-        assert_eq!(s.matches('[').count(), s.matches(']').count());
-    }
-
-    #[test]
-    fn zero_division_guards() {
-        let r = BenchRow::from_run("empty", 0, 0, Duration::ZERO, 0);
-        assert_eq!(r.gflops, 0.0);
-        assert!(r.s_per_step_per_atom.is_finite());
-    }
-
-    #[test]
-    fn phase_fractions_classify_and_normalize() {
-        let p = PhaseFractions::from_span_totals([
-            ("force_eval", 6.0),
-            ("neighbor_rebuild", 1.0),
-            ("ghost_exchange", 2.0),
-            ("reduce", 1.0),
-            ("recovery_reload", 100.0), // "other": excluded
-        ]);
-        assert!((p.compute - 0.7).abs() < 1e-12);
-        assert!((p.comm - 0.2).abs() < 1e-12);
-        assert!((p.wait - 0.1).abs() < 1e-12);
-        assert!((p.compute + p.comm + p.wait - 1.0).abs() < 1e-12);
-        let empty = PhaseFractions::from_span_totals([]);
-        assert_eq!(empty.compute, 0.0);
-    }
-
-    #[test]
-    fn phases_serialize_as_nested_object() {
-        let row = BenchRow::from_run("water", 3, 2, Duration::from_millis(6), 600).with_phases(
-            PhaseFractions {
-                compute: 0.9,
-                comm: 0.06,
-                wait: 0.04,
-            },
-        );
-        let s = row.to_json();
-        assert!(s.contains("\"phases\":{\"compute\":"), "{s}");
-        assert!(s.contains("\"wait\":"), "{s}");
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-        // rows without phases keep the original shape
-        let bare = BenchRow::from_run("copper", 3, 2, Duration::from_millis(6), 600).to_json();
-        assert!(!bare.contains("phases"));
-    }
 
     #[test]
     fn roofline_rows_derive_rates_and_serialize() {
@@ -426,18 +155,5 @@ mod tests {
         assert!(table.contains("roofline attribution"), "{table}");
         assert!(table.contains("compute"), "{table}");
         assert!(table.contains("GF/s"), "{table}");
-    }
-
-    #[test]
-    fn ensemble_fields_serialize_only_when_set() {
-        let row = BenchRow::from_run("ensemble", 648, 10, Duration::from_millis(6), 600)
-            .with_ensemble(8, 2.4);
-        let s = row.to_json();
-        assert!(s.contains("\"replicas\":8"), "{s}");
-        assert!(s.contains("\"speedup_vs_serial\":2.4e0"), "{s}");
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-        let bare = BenchRow::from_run("water", 3, 2, Duration::from_millis(6), 600).to_json();
-        assert!(!bare.contains("replicas"));
-        assert!(!bare.contains("speedup_vs_serial"));
     }
 }

@@ -46,14 +46,17 @@
 //! §7.3 heartbeat; the final [`ParallelRun::imbalance`] report breaks the
 //! run into compute/comm/wait across ranks.
 
-use crate::comm::{Allreduce, CkptAtom, CommError, GhostAtom, Migrant, Msg, RankComm};
+use crate::comm::{Allreduce, CkptAtom, CommError, Msg, RankComm};
 use crate::fault::{self, FaultPlan, FaultState};
 use crate::grid::DomainGrid;
+use crate::halo::{
+    add_reverse_forces, exchange, forward_comm, migrate, reverse_comm, RankState,
+};
 use crate::shard::RankShard;
 use crossbeam::channel::{unbounded, Sender};
 use dp_ckpt::{CkptError, Rotation, ShardSet};
 use dp_md::checkpoint::MdCheckpoint;
-use dp_md::integrate::{MdOptions, MdProgress, ThermoSample};
+use dp_md::integrate::{self, MdOptions, MdProgress, ThermoSample};
 use dp_md::{units, NeighborList, NlScratch, Potential, PotentialOutput, System};
 use dp_obs::{ImbalanceReport, Registry};
 use parking_lot::{Condvar, Mutex};
@@ -289,40 +292,6 @@ impl ParallelRun {
     }
 }
 
-struct RankState {
-    rank: usize,
-    ids: Vec<u64>,
-    positions: Vec<[f64; 3]>,
-    velocities: Vec<[f64; 3]>,
-    types: Vec<usize>,
-    forces: Vec<[f64; 3]>,
-    /// partners (sorted rank ids) for the halo width in use
-    partners: Vec<usize>,
-    /// per partner: local indices shipped as ghosts
-    send_lists: Vec<Vec<u32>>,
-    /// per partner: number of ghosts received (appended in partner order)
-    recv_counts: Vec<usize>,
-    /// local positions at the last exchange (rebuild trigger reference)
-    ref_positions_snapshot: Vec<[f64; 3]>,
-}
-
-impl RankState {
-    fn empty(rank: usize, partners: Vec<usize>) -> Self {
-        Self {
-            rank,
-            ids: Vec::new(),
-            positions: Vec::new(),
-            velocities: Vec::new(),
-            types: Vec::new(),
-            forces: Vec::new(),
-            partners,
-            send_lists: Vec::new(),
-            recv_counts: Vec::new(),
-            ref_positions_snapshot: Vec::new(),
-        }
-    }
-}
-
 /// What one rank thread produced, successful or not.
 struct RankOutcome {
     rank: usize,
@@ -400,6 +369,11 @@ pub fn run_parallel_md(
             sys.cell.max_cutoff()
         )));
     }
+    if opts.md.langevin.is_some() {
+        return Err(RunError::Config(
+            "the Langevin thermostat is not available on a rank grid (Berendsen is)".into(),
+        ));
+    }
     let end_step = opts.start_step + n_steps;
     let faults = opts
         .faults
@@ -470,9 +444,9 @@ pub fn run_parallel_md(
                 for (k, &id) in o.state.ids.iter().enumerate() {
                     let id = id as usize;
                     if id < sys.len() {
-                        positions[id] = o.state.positions[k];
-                        velocities[id] = o.state.velocities[k];
-                        types[id] = o.state.types[k];
+                        positions[id] = o.state.sys.positions[k];
+                        velocities[id] = o.state.sys.velocities[k];
+                        types[id] = o.state.sys.types[k];
                     }
                 }
                 rank_stats.push(o.stats.clone());
@@ -780,8 +754,6 @@ impl Recovery {
 struct RankCtx<'a> {
     grid: &'a DomainGrid,
     pot: &'a Arc<dyn Potential>,
-    masses: &'a [f64],
-    cell: dp_md::Cell,
     opts: &'a ParallelOptions,
     start_rng: u64,
     end_step: usize,
@@ -803,32 +775,6 @@ fn poison_all(ctx: &RankCtx<'_>, rank: usize) {
     ctx.flag_reduce.poison(rank);
     ctx.stats_gather.poison(rank);
     ctx.audit_reduce.poison(rank);
-}
-
-/// Clone this rank's locally-owned atoms (no ghosts; locals are in
-/// global-id order at the capture point) into a shard payload.
-fn capture_shard(st: &RankState, step: usize, rng_draws: u64) -> RankShard {
-    let n = st.ids.len();
-    RankShard {
-        step: step as u64,
-        rng_draws,
-        rank: st.rank as u64,
-        ids: st.ids.clone(),
-        types: st.types[..n].to_vec(),
-        positions: st.positions[..n].to_vec(),
-        velocities: st.velocities.clone(),
-        forces: st.forces.clone(),
-    }
-}
-
-/// Rewind a rank's live state to a shard snapshot. Ghost bookkeeping
-/// (send lists, reference snapshot) is rebuilt by the next exchange.
-fn restore_from_shard(st: &mut RankState, s: &RankShard) {
-    st.ids.clone_from(&s.ids);
-    st.positions.clone_from(&s.positions);
-    st.velocities.clone_from(&s.velocities);
-    st.types.clone_from(&s.types);
-    st.forces.clone_from(&s.forces);
 }
 
 /// The body of one rank thread: run `rank_loop` segments until the epoch
@@ -885,7 +831,7 @@ fn rank_thread(
                 match ctx.recovery.await_directive(rank) {
                     Some((fresh, resume_step)) => match snap.as_ref() {
                         Some(s) if s.step as usize == resume_step => {
-                            restore_from_shard(&mut st, s);
+                            st.restore_from_shard(s);
                             thermo.retain(|t| t.step <= resume_step);
                             start_step = resume_step;
                             comm = Some(fresh);
@@ -954,17 +900,19 @@ fn run_epoch(
     let n_ranks = grid.n_ranks();
     // scatter atoms to owners, in global-id order (the same order a
     // checkpoint restart produces, so recovery replays are bit-exact)
-    let mut initial: Vec<RankState> = (0..n_ranks)
-        .map(|rank| RankState::empty(rank, grid.neighbors_within(rank, halo)))
-        .collect();
+    let empty_state = |rank: usize| {
+        let partners = grid.neighbors_within(rank, halo);
+        RankState::empty(rank, partners, sys.cell, sys.masses.clone())
+    };
+    let mut initial: Vec<RankState> = (0..n_ranks).map(empty_state).collect();
     for i in 0..sys.len() {
-        let r = grid.rank_of_position(sys.positions[i]);
-        let st = &mut initial[r];
-        st.ids.push(i as u64);
-        st.positions.push(sys.cell.wrap(sys.positions[i]));
-        st.velocities.push(sys.velocities[i]);
-        st.types.push(sys.types[i]);
-        st.forces.push(sys.forces[i]);
+        initial[grid.rank_of_position(sys.positions[i])].push_owned(
+            i as u64,
+            sys.types[i],
+            sys.cell.wrap(sys.positions[i]),
+            sys.velocities[i],
+            sys.forces[i],
+        );
     }
 
     let mesh = RankComm::mesh_with(n_ranks, opts.comm_deadline, faults.clone());
@@ -988,8 +936,6 @@ fn run_epoch(
             reg
         })
         .collect();
-    let masses = sys.masses.clone();
-    let cell = sys.cell;
 
     // localized recovery needs per-rank shards next to the rotation; any
     // shard files left over from a previous (failed) epoch are stale
@@ -1016,8 +962,6 @@ fn run_epoch(
     let base_ctx = RankCtx {
         grid,
         pot,
-        masses: &masses,
-        cell,
         opts,
         start_rng,
         end_step,
@@ -1159,8 +1103,8 @@ fn run_epoch(
             })();
             match respawn {
                 Ok((shard, s)) => {
-                    let mut nst = RankState::empty(dead, grid.neighbors_within(dead, halo));
-                    restore_from_shard(&mut nst, &shard);
+                    let mut nst = empty_state(dead);
+                    nst.restore_from_shard(&shard);
                     // Fresh mesh: every point-to-point pair restarts at
                     // sequence 0 and stale in-flight messages die with
                     // the old channels, so the respawned rank's first
@@ -1229,7 +1173,7 @@ fn run_epoch(
         .map(|(rank, o)| {
             o.unwrap_or_else(|| RankOutcome {
                 rank,
-                state: RankState::empty(rank, Vec::new()),
+                state: empty_state(rank),
                 stats: RankStats {
                     rank,
                     ..RankStats::default()
@@ -1261,8 +1205,6 @@ fn rank_loop(
 ) -> Result<(), RankError> {
     let grid = ctx.grid;
     let pot: &dyn Potential = ctx.pot.as_ref();
-    let masses = ctx.masses;
-    let cell = ctx.cell;
     let opts = ctx.opts;
     let start_rng = ctx.start_rng;
     let end_step = ctx.end_step;
@@ -1282,45 +1224,20 @@ fn rank_loop(
     let mut hb_marks = (Duration::ZERO, Duration::ZERO, Duration::ZERO);
     let mut hb_wall = Instant::now();
 
-    // initial exchange + list build; the local system, neighbor list (plus
-    // scratch), and force output allocated here are reused by every later
-    // step (§5.2.2 arena reuse)
+    // initial exchange + list build; the neighbor list (plus scratch) and
+    // force output allocated here are reused by every later step (§5.2.2
+    // arena reuse), and the force provider reads the rank's own `System`
     let (res, d) = dp_obs::timed("ghost_exchange", || exchange(st, comm, grid, halo, stats));
     stats.comm_time += d;
     res?;
-    let mut local = System::new(cell, Vec::new(), Vec::new(), masses.to_vec());
-    refresh_local_system(&mut local, st);
     let mut nl_scratch = NlScratch::default();
     let mut nl = NeighborList::empty();
-    {
-        let ((), d) = dp_obs::timed("neighbor_rebuild", || {
-            nl.build_into(&local, pot.cutoff() + opts.md.skin, &mut nl_scratch)
-        });
-        stats.neigh_time += d;
-    }
-    stats.rebuilds += 1;
-    let mut out = PotentialOutput::zeros(local.len());
+    rebuild_list(&mut nl, &mut nl_scratch, st, halo, stats);
+    let mut out = PotentialOutput::zeros(st.sys.len());
     if start_step == 0 {
         // fresh run: evaluate initial forces and record the step-0 sample
-        {
-            let ((), d) = dp_obs::timed("force_eval", || pot.compute_into(&local, &nl, &mut out));
-            stats.compute_time += d;
-        }
-        reverse_comm(st, comm, &out.forces, local.n_local, stats)?;
-        st.forces.clear();
-        st.forces.extend_from_slice(&out.forces[..local.n_local]);
-        add_reverse_forces(st, comm, stats)?;
-        record(
-            0,
-            st,
-            &local,
-            out.energy,
-            &out.virial,
-            masses,
-            thermo_reduce,
-            stats,
-            thermo,
-        )?;
+        eval_forces(st, comm, pot, &nl, &mut out, stats)?;
+        record(0, st, &out, thermo_reduce, stats, thermo)?;
     }
     // A resumed epoch (start_step > 0) reuses the forces the checkpoint
     // carried (scattered with the atoms) instead of re-evaluating: the
@@ -1350,22 +1267,15 @@ fn rank_loop(
             }
         }
 
-        // half kick + drift (locals only)
-        let drift_span = dp_obs::span("integrate");
-        for k in 0..st.ids.len() {
-            let inv_m = units::FORCE_TO_ACCEL / masses[st.types[k]];
-            for d in 0..3 {
-                st.velocities[k][d] += 0.5 * dt * st.forces[k][d] * inv_m;
-                st.positions[k][d] += dt * st.velocities[k][d];
-            }
-            st.positions[k] = cell.wrap(st.positions[k]);
+        {
+            let _span = dp_obs::span("integrate");
+            integrate::kick_drift(&mut st.sys, dt);
         }
-        drop(drift_span);
 
         // collective rebuild decision on the paper's schedule (absolute
         // steps, so a recovered epoch keeps the original cadence)
         let rebuild = if step % opts.md.rebuild_every == 0 {
-            let moved = needs_rebuild(st, &nl, cell, opts.md.skin);
+            let moved = st.needs_rebuild(opts.md.skin);
             let mut flag = [0.0];
             let (res, d) = dp_obs::timed("reduce", || {
                 flag_reduce.reduce_into(st.rank, &[if moved { 1.0 } else { 0.0 }], &mut flag)
@@ -1384,81 +1294,38 @@ fn rank_loop(
             });
             stats.comm_time += d;
             res?;
-            let ((), d) = dp_obs::timed("neighbor_rebuild", || {
-                refresh_local_system(&mut local, st);
-                nl.build_into(&local, pot.cutoff() + opts.md.skin, &mut nl_scratch)
-            });
-            stats.neigh_time += d;
-            stats.rebuilds += 1;
+            rebuild_list(&mut nl, &mut nl_scratch, st, halo, stats);
         } else {
             let (res, d) = dp_obs::timed("comm", || forward_comm(st, comm));
             stats.comm_time += d;
             res?;
-            update_local_positions(&mut local, st);
         }
+
+        eval_forces(st, comm, pot, &nl, &mut out, stats)?;
 
         {
-            let ((), d) = dp_obs::timed("force_eval", || pot.compute_into(&local, &nl, &mut out));
-            stats.compute_time += d;
+            let _span = dp_obs::span("integrate");
+            integrate::kick(&mut st.sys, dt);
         }
-        reverse_comm(st, comm, &out.forces, local.n_local, stats)?;
-        st.forces.clear();
-        st.forces.extend_from_slice(&out.forces[..local.n_local]);
-        add_reverse_forces(st, comm, stats)?;
 
-        // second half kick
-        let kick_span = dp_obs::span("integrate");
-        for k in 0..st.ids.len() {
-            let inv_m = units::FORCE_TO_ACCEL / masses[st.types[k]];
-            for d in 0..3 {
-                st.velocities[k][d] += 0.5 * dt * st.forces[k][d] * inv_m;
-            }
-        }
-        drop(kick_span);
-
-        // global Berendsen thermostat (needs a global temperature)
+        // global Berendsen thermostat: the temperature is all-reduced
         if let Some(b) = opts.md.thermostat {
-            let mut ke = 0.0;
-            for k in 0..st.ids.len() {
-                let m = masses[st.types[k]];
-                let v = st.velocities[k];
-                ke += 0.5 * m * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]) * units::MV2E;
-            }
+            let mut payload = [0.0; 9];
+            payload[0] = st.sys.kinetic_energy();
+            payload[1] = st.ids.len() as f64;
             let mut tot = [0.0; 9];
             let (res, d) = dp_obs::timed("reduce", || {
-                thermo_reduce.reduce_into(
-                    st.rank,
-                    &[ke, st.ids.len() as f64, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-                    &mut tot,
-                )
+                thermo_reduce.reduce_into(st.rank, &payload, &mut tot)
             });
             stats.reduce_time += d;
             res?;
-            let n = tot[1];
-            let temp = 2.0 * tot[0] / (3.0 * n * units::KB);
-            if temp > 0.0 {
-                let lambda = (1.0 + dt / b.tau * (b.target_t / temp - 1.0)).sqrt();
-                for v in &mut st.velocities {
-                    for d in 0..3 {
-                        v[d] *= lambda;
-                    }
-                }
-            }
+            let temp = units::temperature(tot[0], tot[1] as usize);
+            integrate::berendsen_rescale(&mut st.sys, b, dt, temp);
         }
 
         // thermodynamic output: every step in blocking mode, else on stride
         if opts.blocking_reduce || step % opts.md.thermo_every == 0 || step == end_step {
-            record(
-                step,
-                st,
-                &local,
-                out.energy,
-                &out.virial,
-                masses,
-                thermo_reduce,
-                stats,
-                thermo,
-            )?;
+            record(step, st, &out, thermo_reduce, stats, thermo)?;
         }
 
         // global checkpoint gather: the schedule is step-determined, so
@@ -1466,7 +1333,7 @@ fn rank_loop(
         if let Some(ck) = &opts.checkpoint {
             if ck.every > 0 && step % ck.every == 0 {
                 let (res, d) = dp_obs::timed("io", || {
-                    gather_checkpoint(st, comm, cell, masses, step, start_rng, ck, faults)
+                    gather_checkpoint(st, comm, step, start_rng, ck, faults)
                 });
                 stats.comm_time += d;
                 stats.io_time += d;
@@ -1479,7 +1346,7 @@ fn rank_loop(
                     // traverse identical states, bit for bit.
                     let (res, d) = dp_obs::timed("ghost_exchange", || {
                         migrate(st, comm, grid)?;
-                        sort_locals_by_id(st);
+                        st.sort_locals_by_id();
                         Ok::<(), CommError>(())
                     });
                     stats.comm_time += d;
@@ -1489,7 +1356,7 @@ fn rank_loop(
                     // The same payload stays in memory so survivors can
                     // rewind to the identical cut without touching disk.
                     if let Some(set) = ctx.shards {
-                        let shard = capture_shard(st, step, start_rng);
+                        let shard = st.capture_shard(step, start_rng);
                         let ((), d) = dp_obs::timed("io", || match shard.save(set) {
                             Ok(path) => {
                                 let torn = faults
@@ -1521,12 +1388,7 @@ fn rank_loop(
                     });
                     stats.comm_time += d;
                     res?;
-                    let ((), d) = dp_obs::timed("neighbor_rebuild", || {
-                        refresh_local_system(&mut local, st);
-                        nl.build_into(&local, pot.cutoff() + opts.md.skin, &mut nl_scratch)
-                    });
-                    stats.neigh_time += d;
-                    stats.rebuilds += 1;
+                    rebuild_list(&mut nl, &mut nl_scratch, st, halo, stats);
                 }
             }
         }
@@ -1591,6 +1453,36 @@ fn rank_loop(
     Ok(())
 }
 
+/// Rebuild the rank's neighbor list over its owned atoms + ghosts.
+fn rebuild_list(
+    nl: &mut NeighborList,
+    scratch: &mut NlScratch,
+    st: &RankState,
+    halo: f64,
+    stats: &mut RankStats,
+) {
+    let ((), d) = dp_obs::timed("neighbor_rebuild", || nl.build_into(&st.sys, halo, scratch));
+    stats.neigh_time += d;
+    stats.rebuilds += 1;
+}
+
+/// The rank's force call: evaluate over owned atoms + ghosts, store into
+/// `st.sys.forces`, then reverse-communicate the ghost share to its owners.
+fn eval_forces(
+    st: &mut RankState,
+    comm: &RankComm,
+    pot: &dyn Potential,
+    nl: &NeighborList,
+    out: &mut PotentialOutput,
+    stats: &mut RankStats,
+) -> Result<(), CommError> {
+    let ((), d) = dp_obs::timed("force_eval", || pot.compute_into(&st.sys, nl, out));
+    stats.compute_time += d;
+    st.sys.forces.clone_from(&out.forces);
+    reverse_comm(st, comm)?;
+    add_reverse_forces(st, comm)
+}
+
 /// One collective conservation audit over the dedicated width-4 barrier:
 /// `[owned atoms, ghost violations, step, seq gaps]` per rank. Checks
 /// atom-count conservation across migrate/re-scatter, ghost/owner
@@ -1631,7 +1523,7 @@ fn audit_step(
     let n_local = st.ids.len();
     let slack = ctx.opts.md.skin;
     let mut ghost_violations = 0usize;
-    for p in &st.positions[n_local..] {
+    for p in &st.sys.positions[n_local..] {
         if ctx.grid.distance_to_domain(*p, rank) > ctx.halo + slack {
             ghost_violations += 1;
         }
@@ -1717,28 +1609,18 @@ fn emit_heartbeat(step: usize, n_ranks: usize, every: usize, gathered: &[f64]) {
 }
 
 /// Reduce `[pe, ke, virial(6), n]` and append one global thermo sample.
-#[allow(clippy::too_many_arguments)]
 fn record(
     step: usize,
     st: &RankState,
-    local: &System,
-    pe: f64,
-    virial: &[f64; 6],
-    masses: &[f64],
+    out: &PotentialOutput,
     thermo_reduce: &Allreduce,
     stats: &mut RankStats,
     thermo: &mut Vec<ThermoSample>,
 ) -> Result<(), CommError> {
-    let mut ke = 0.0;
-    for k in 0..st.ids.len() {
-        let m = masses[st.types[k]];
-        let v = st.velocities[k];
-        ke += 0.5 * m * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]) * units::MV2E;
-    }
     let mut payload = [0.0; 9];
-    payload[0] = pe;
-    payload[1] = ke;
-    payload[2..8].copy_from_slice(virial);
+    payload[0] = out.energy;
+    payload[1] = st.sys.kinetic_energy();
+    payload[2..8].copy_from_slice(&out.virial);
     payload[8] = st.ids.len() as f64;
     let mut tot = [0.0; 9];
     let (res, d) = dp_obs::timed("reduce", || {
@@ -1746,299 +1628,16 @@ fn record(
     });
     stats.reduce_time += d;
     res?;
-    let n = tot[8];
-    let temp = if n > 0.0 {
-        2.0 * tot[1] / (3.0 * n * units::KB)
-    } else {
-        0.0
-    };
-    let w = (tot[2] + tot[3] + tot[4]) / 3.0;
-    let pressure = (n * units::KB * temp + w) / local.cell.volume() * units::EV_PER_A3_TO_BAR;
+    let n = tot[8] as usize;
+    let temperature = units::temperature(tot[1], n);
+    let virial = [tot[2], tot[3], tot[4], tot[5], tot[6], tot[7]];
     thermo.push(ThermoSample {
         step,
         potential_energy: tot[0],
         kinetic_energy: tot[1],
-        temperature: temp,
-        pressure,
+        temperature,
+        pressure: units::pressure(n, temperature, &virial, st.sys.cell.volume()),
     });
-    Ok(())
-}
-
-/// Refresh the rank-local `System` view from the rank state in place,
-/// reusing its buffers. Ghosts were appended by `exchange`, so the state's
-/// positions/types already hold locals followed by ghosts.
-fn refresh_local_system(local: &mut System, st: &RankState) {
-    local.positions.clone_from(&st.positions);
-    local.types.clone_from(&st.types);
-    let n = local.positions.len();
-    local.velocities.resize(n, [0.0; 3]);
-    local.forces.resize(n, [0.0; 3]);
-    local.n_local = st.ids.len();
-}
-
-fn update_local_positions(local: &mut System, st: &RankState) {
-    local.positions.copy_from_slice(&st.positions);
-}
-
-fn needs_rebuild(st: &RankState, nl: &NeighborList, cell: dp_md::Cell, skin: f64) -> bool {
-    // conservative: rebuild when any LOCAL atom moved > skin/4 since the
-    // list was built (skin/2 shared between the mover and its neighbors,
-    // which may be ghosts whose motion we don't see directly)
-    let _ = nl;
-    let lim2 = (0.25 * skin) * (0.25 * skin);
-    st.positions[..st.ids.len()]
-        .iter()
-        .zip(&st.ref_positions_snapshot)
-        .any(|(&p, &q)| cell.distance2(p, q) > lim2)
-}
-
-// --- the RankState needs a rebuild snapshot; extend it via a secondary
-// impl to keep the struct definition readable ---
-impl RankState {
-    fn snapshot(&mut self) {
-        self.ref_positions_snapshot = self.positions[..self.ids.len()].to_vec();
-    }
-}
-
-/// Sort the locally-owned atoms into global-id order (no ghosts may be
-/// present). A checkpoint restart scatters atoms in exactly this order, so
-/// sorting after a gather puts the live run and any future recovery in the
-/// same state.
-fn sort_locals_by_id(st: &mut RankState) {
-    let n = st.ids.len();
-    debug_assert_eq!(st.positions.len(), n, "sort requires ghosts truncated");
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&k| st.ids[k as usize]);
-    st.ids = order.iter().map(|&k| st.ids[k as usize]).collect();
-    st.positions = order.iter().map(|&k| st.positions[k as usize]).collect();
-    st.velocities = order.iter().map(|&k| st.velocities[k as usize]).collect();
-    st.types = order.iter().map(|&k| st.types[k as usize]).collect();
-    st.forces = order.iter().map(|&k| st.forces[k as usize]).collect();
-}
-
-/// Migrate atoms whose owner changed to the new owner rank.
-///
-/// The schedule covers *every* rank pair, not just halo partners: with a
-/// long interval between rebuilds a fast atom can cross beyond the halo
-/// ring, and the old partners-only schedule had no route for it (it
-/// panicked). `RankComm` is a full point-to-point mesh, so each rank sends
-/// one `Migrants` message to every other rank — empty for the common case,
-/// which allocates nothing — and the schedule stays static and collective.
-/// Kept atoms are compacted in place, reusing the state's vectors. Forces
-/// travel with the atoms, so a migration between the force evaluation and
-/// the next half-kick (the post-checkpoint realignment) is lossless.
-fn migrate(st: &mut RankState, comm: &RankComm, grid: &DomainGrid) -> Result<(), CommError> {
-    let n_local = st.ids.len();
-    let n_ranks = comm.to.len();
-    let mut outbox: Vec<Vec<Migrant>> = vec![Vec::new(); n_ranks];
-    let mut w = 0usize;
-    for k in 0..n_local {
-        let owner = grid.rank_of_position(st.positions[k]);
-        if owner == st.rank {
-            st.ids[w] = st.ids[k];
-            st.positions[w] = st.positions[k];
-            st.velocities[w] = st.velocities[k];
-            st.types[w] = st.types[k];
-            st.forces[w] = st.forces[k];
-            w += 1;
-        } else {
-            outbox[owner].push(Migrant {
-                ty: st.types[k] as u32,
-                position: st.positions[k],
-                velocity: st.velocities[k],
-                force: st.forces[k],
-                id: st.ids[k],
-            });
-        }
-    }
-    st.ids.truncate(w);
-    st.positions.truncate(w);
-    st.velocities.truncate(w);
-    st.types.truncate(w);
-    st.forces.truncate(w);
-    for (dest, payload) in outbox.iter_mut().enumerate() {
-        if dest != st.rank {
-            comm.send(dest, Msg::Migrants(std::mem::take(payload)))?;
-        }
-    }
-    for src in 0..n_ranks {
-        if src == st.rank {
-            continue;
-        }
-        match comm.recv(src)? {
-            Msg::Migrants(v) => {
-                for m in v {
-                    st.ids.push(m.id);
-                    st.positions.push(m.position);
-                    st.velocities.push(m.velocity);
-                    st.types.push(m.ty as usize);
-                    st.forces.push(m.force);
-                }
-            }
-            _ => {
-                return Err(CommError::Protocol {
-                    from: src,
-                    expected: "Migrants",
-                })
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Full ghost exchange: recompute send lists and ship ghost atoms; append
-/// received ghosts after the locals.
-fn exchange(
-    st: &mut RankState,
-    comm: &RankComm,
-    grid: &DomainGrid,
-    halo: f64,
-    stats: &mut RankStats,
-) -> Result<(), CommError> {
-    let n_local = st.ids.len();
-    // truncate any previous ghosts
-    st.positions.truncate(n_local);
-    st.types.truncate(n_local);
-
-    // send lists are rebuilt in place (inner vectors keep their capacity);
-    // the ghost payloads themselves are moved into the channel, so those
-    // are the only per-exchange allocations left
-    if st.send_lists.len() != st.partners.len() {
-        st.send_lists.resize_with(st.partners.len(), Vec::new);
-    }
-    for (slot, &dest) in st.partners.iter().enumerate() {
-        let list = &mut st.send_lists[slot];
-        list.clear();
-        for k in 0..n_local {
-            if grid.distance_to_domain(st.positions[k], dest) < halo {
-                list.push(k as u32);
-            }
-        }
-    }
-    for (slot, &dest) in st.partners.iter().enumerate() {
-        let ghosts: Vec<GhostAtom> = st.send_lists[slot]
-            .iter()
-            .map(|&k| GhostAtom {
-                owner_index: k,
-                ty: st.types[k as usize] as u32,
-                position: st.positions[k as usize],
-            })
-            .collect();
-        stats.ghost_atoms_sent += ghosts.len() as u64;
-        dp_obs::counter("ghost_atoms_sent").add(ghosts.len() as u64);
-        comm.send(dest, Msg::Ghosts(ghosts))?;
-    }
-    st.recv_counts.clear();
-    st.recv_counts.resize(st.partners.len(), 0);
-    for (slot, &src) in st.partners.iter().enumerate() {
-        match comm.recv(src)? {
-            Msg::Ghosts(v) => {
-                st.recv_counts[slot] = v.len();
-                for g in v {
-                    st.positions.push(g.position);
-                    st.types.push(g.ty as usize);
-                }
-            }
-            _ => {
-                return Err(CommError::Protocol {
-                    from: src,
-                    expected: "Ghosts",
-                })
-            }
-        }
-    }
-    let ghosts_now = st.positions.len() - n_local;
-    stats.last_ghosts = ghosts_now;
-    stats.max_ghosts = stats.max_ghosts.max(ghosts_now);
-    st.snapshot();
-    Ok(())
-}
-
-/// Forward communication between rebuilds: refresh ghost positions.
-fn forward_comm(st: &mut RankState, comm: &RankComm) -> Result<(), CommError> {
-    for (slot, &dest) in st.partners.iter().enumerate() {
-        let positions: Vec<[f64; 3]> = st.send_lists[slot]
-            .iter()
-            .map(|&k| st.positions[k as usize])
-            .collect();
-        comm.send(dest, Msg::GhostPositions(positions))?;
-    }
-    let n_local = st.ids.len();
-    let mut offset = n_local;
-    for (slot, &src) in st.partners.iter().enumerate() {
-        match comm.recv(src)? {
-            Msg::GhostPositions(v) => {
-                if v.len() != st.recv_counts[slot] {
-                    return Err(CommError::Protocol {
-                        from: src,
-                        expected: "GhostPositions matching the ghost schedule",
-                    });
-                }
-                for p in v {
-                    st.positions[offset] = p;
-                    offset += 1;
-                }
-            }
-            _ => {
-                return Err(CommError::Protocol {
-                    from: src,
-                    expected: "GhostPositions",
-                })
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Reverse communication: send forces accumulated on ghosts back to owners.
-fn reverse_comm(
-    st: &mut RankState,
-    comm: &RankComm,
-    forces: &[[f64; 3]],
-    n_local: usize,
-    _stats: &mut RankStats,
-) -> Result<(), CommError> {
-    let mut offset = n_local;
-    for (slot, &src) in st.partners.iter().enumerate() {
-        let count = st.recv_counts[slot];
-        let payload: Vec<[f64; 3]> = forces[offset..offset + count].to_vec();
-        offset += count;
-        // forces on ghosts owned by `src` go back to `src`
-        comm.send(src, Msg::GhostForces(payload))?;
-        let _ = slot;
-    }
-    Ok(())
-}
-
-/// Receive the reverse-communicated forces and add them to local atoms.
-fn add_reverse_forces(
-    st: &mut RankState,
-    comm: &RankComm,
-    _stats: &mut RankStats,
-) -> Result<(), CommError> {
-    for (slot, &src) in st.partners.iter().enumerate() {
-        match comm.recv(src)? {
-            Msg::GhostForces(v) => {
-                if v.len() != st.send_lists[slot].len() {
-                    return Err(CommError::Protocol {
-                        from: src,
-                        expected: "GhostForces matching the reverse schedule",
-                    });
-                }
-                for (f, &k) in v.iter().zip(&st.send_lists[slot]) {
-                    for d in 0..3 {
-                        st.forces[k as usize][d] += f[d];
-                    }
-                }
-            }
-            _ => {
-                return Err(CommError::Protocol {
-                    from: src,
-                    expected: "GhostForces",
-                })
-            }
-        }
-    }
     Ok(())
 }
 
@@ -2048,12 +1647,9 @@ fn add_reverse_forces(
 /// accepts as input, so restarts may re-decompose onto any grid). Write
 /// failures are reported but never abort the run — losing one checkpoint
 /// generation is strictly better than losing the trajectory.
-#[allow(clippy::too_many_arguments)]
 fn gather_checkpoint(
     st: &RankState,
     comm: &RankComm,
-    cell: dp_md::Cell,
-    masses: &[f64],
     step: usize,
     rng_draws: u64,
     ck: &ParallelCkpt,
@@ -2062,10 +1658,10 @@ fn gather_checkpoint(
     let mine: Vec<CkptAtom> = (0..st.ids.len())
         .map(|k| CkptAtom {
             id: st.ids[k],
-            ty: st.types[k] as u32,
-            position: st.positions[k],
-            velocity: st.velocities[k],
-            force: st.forces[k],
+            ty: st.sys.types[k] as u32,
+            position: st.sys.positions[k],
+            velocity: st.sys.velocities[k],
+            force: st.sys.forces[k],
         })
         .collect();
     if st.rank != 0 {
@@ -2104,12 +1700,12 @@ fn gather_checkpoint(
     }
     let snap = MdCheckpoint {
         progress: MdProgress { step, rng_draws },
-        cell,
+        cell: st.sys.cell,
         positions,
         velocities,
         forces,
         types,
-        masses: masses.to_vec(),
+        masses: st.sys.masses.clone(),
     };
     match snap.save(&ck.rotation) {
         Ok(path) => {
@@ -2505,6 +2101,54 @@ mod tests {
         assert!((shares - 1.0).abs() < 1e-9, "phase shares sum to {shares}");
     }
 
+    /// Absolute result pinned at the commit before `rank_loop` moved onto
+    /// `dp_md::integrate`: 20 NVE steps on 2×1×1 from uniform `CounterRng`
+    /// velocities (raw `next_u64`), with a rebuild (migrate + exchange) and
+    /// a sharded checkpoint realignment on the way. The 5.0 Å cutoff keeps
+    /// every pair out of the cosine switch window, so the run touches no
+    /// libm beyond `sqrt` and one constant holds on any host.
+    #[test]
+    fn golden_bits_2x1x1_nve() {
+        use rand::RngCore;
+        let dir = std::env::temp_dir().join(format!("dp-parallel-golden-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut sys = lattice::fcc(5.26, [4, 4, 4], 39.948);
+        let mut rng = dp_md::CounterRng::new(2020);
+        for v in &mut sys.velocities {
+            for d in 0..3 {
+                let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                v[d] = 4.0 * (u - 0.5);
+            }
+        }
+        sys.zero_momentum();
+        let opts = ParallelOptions {
+            md: MdOptions {
+                dt: 2.0e-3,
+                skin: 0.1,
+                rebuild_every: 5,
+                thermo_every: 10,
+                ..MdOptions::default()
+            },
+            checkpoint: Some(ParallelCkpt {
+                every: 10,
+                rotation: Rotation::new(dir.join("golden.ckpt"), 2),
+                shards: true,
+            }),
+            ..ParallelOptions::default()
+        };
+        let pot = Arc::new(LennardJones::new(0.0104, 3.405, 5.0));
+        let run = run_parallel_md(&sys, pot, [2, 1, 1], &opts, 20).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        // initial build + checkpoint realignment + at least one skin trigger
+        assert!(run.rank_stats.iter().all(|s| s.rebuilds > 2));
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let s = &run.system;
+        for x in s.positions.iter().chain(&s.velocities).flatten() {
+            h = (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(h, 15_030_932_595_364_496_346);
+    }
+
     #[test]
     fn bad_grid_is_a_config_error() {
         let err = run_parallel_md(
@@ -2515,6 +2159,25 @@ mod tests {
             1,
         )
         .unwrap_err();
+        assert!(matches!(err, RunError::Config(_)), "got {err:?}");
+    }
+
+    /// The rank loop has no Langevin stream; accepting the option and
+    /// running NVE would silently drop the thermostat.
+    #[test]
+    fn langevin_on_a_grid_is_a_config_error() {
+        let opts = ParallelOptions {
+            md: MdOptions {
+                langevin: Some(dp_md::integrate::Langevin {
+                    target_t: 30.0,
+                    gamma: 1.0,
+                    seed: 1,
+                }),
+                ..MdOptions::default()
+            },
+            ..ParallelOptions::default()
+        };
+        let err = run_parallel_md(&test_system(), lj(), [2, 1, 1], &opts, 1).unwrap_err();
         assert!(matches!(err, RunError::Config(_)), "got {err:?}");
     }
 }

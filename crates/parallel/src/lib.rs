@@ -8,7 +8,7 @@
 //!
 //! * **forward (ghost) communication** — positions of atoms near domain
 //!   faces are copied to the neighboring ranks before every force
-//!   evaluation ([`driver`]),
+//!   evaluation (`halo`, driven by [`driver`]),
 //! * **reverse (force) communication** — forces accumulated on ghost
 //!   copies are sent back and summed into the owners (the DP force
 //!   decomposition makes this identical to LAMMPS `newton on`),
@@ -34,6 +34,7 @@ pub mod comm;
 pub mod driver;
 pub mod fault;
 pub mod grid;
+mod halo;
 pub mod setup;
 mod shard;
 

@@ -2,13 +2,13 @@
 //! against one shared [`DeepPotential`], with every tick's force calls
 //! coalesced into a single cross-replica batched evaluation.
 //!
-//! Bit-exactness contract: a tick performs, per replica, exactly the
-//! operations of one `dp_md::integrate::run_md_resumable` step — same
-//! order, same arithmetic — with the solo `compute_into` replaced by the
-//! replica's slice of one `compute_batch_into` call, which `crates/core`
-//! proves bit-identical to the solo evaluation. An engine holding one
-//! replica therefore reproduces the serial integrator byte-for-byte, and
-//! an engine holding N replicas reproduces N serial runs byte-for-byte
+//! Bit-exactness contract: every replica owns a
+//! `dp_md::integrate::Stepper`, the same one `run_md_resumable` drives, so
+//! a tick is one serial step per replica with the solo `compute_into`
+//! replaced by the replica's slice of one `compute_batch_into` call, which
+//! `crates/core` proves bit-identical to the solo evaluation. An engine
+//! holding one replica therefore reproduces the serial integrator
+//! byte-for-byte, and one holding N replicas N serial runs byte-for-byte
 //! (as long as exchange moves are disabled, which couple the replicas on
 //! purpose). `tests in this module and `dp_train`'s deviation suite
 //! byte-diff both claims.
@@ -18,10 +18,8 @@ use crate::metrics;
 use deepmd_core::{BatchItem, BatchOutput, DeepPotential, PrecisionMode};
 use dp_ckpt::{CkptError, CkptWriter, Dec, Enc, Rotation};
 use dp_md::checkpoint::MdCheckpoint;
-use dp_md::integrate::{Berendsen, Langevin, MdOptions, MdProgress};
-use dp_md::neighbor::NlScratch;
-use dp_md::{units, CounterRng, NeighborList, Potential, System};
-use rand::Rng;
+use dp_md::integrate::{Berendsen, Langevin, MdOptions, Stepper};
+use dp_md::{CounterRng, Potential, System};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -105,7 +103,6 @@ impl EnsembleOptions {
                 gamma,
                 seed: replica_seed(self.seed, k),
             }),
-            barostat: None,
         }
     }
 }
@@ -120,8 +117,8 @@ pub struct ReplicaThermo {
     pub temperature: f64,
 }
 
-/// One trajectory: its atoms, neighbor list, thermostat state, and the
-/// rung of the temperature ladder it currently samples.
+/// One trajectory: its atoms, stepping state (neighbor list, Langevin
+/// stream), and the rung of the temperature ladder it currently samples.
 pub struct Replica {
     pub sys: System,
     /// Thermostat target temperature (K); exchange moves swap these
@@ -131,12 +128,9 @@ pub struct Replica {
     pub step: usize,
     /// Potential energy from the latest force evaluation.
     pub potential_energy: f64,
-    /// Langevin kick stream, `None` unless `langevin_gamma` is set.
-    pub rng: Option<CounterRng>,
     /// Thermo samples recorded this session (a resume does not re-emit).
     pub thermo: Vec<ReplicaThermo>,
-    nl: NeighborList,
-    nl_scratch: NlScratch,
+    stepper: Stepper,
 }
 
 impl Replica {
@@ -167,8 +161,6 @@ pub struct EnsembleEngine {
     /// Per-worker outputs for the threaded sub-batch dispatch, kept so
     /// steady-state ticks reuse the same buffers.
     thread_outs: Vec<BatchOutput>,
-    cutoff: f64,
-    nl_rebuilds: u64,
     evaluations: u64,
 }
 
@@ -185,12 +177,6 @@ impl EnsembleEngine {
     ) -> Self {
         assert!(!systems.is_empty(), "need at least one replica");
         assert_eq!(systems.len(), temps.len(), "one temperature per replica");
-        assert!(
-            !(opts.berendsen_tau.is_some() && opts.langevin_gamma.is_some()),
-            "pick one thermostat"
-        );
-        assert!(opts.dt > 0.0, "time step must be positive");
-        let cutoff = pot.cutoff() + opts.skin;
         let replicas = systems
             .into_iter()
             .zip(temps)
@@ -201,20 +187,15 @@ impl EnsembleEngine {
                     sys.len(),
                     "replicas must be standalone configurations"
                 );
-                let mut r = Replica {
+                let md = opts.md_options_for(target_t, k);
+                Replica {
+                    stepper: Stepper::new(&sys, pot.cutoff(), &md, 0),
                     sys,
                     target_t,
                     step: 0,
                     potential_energy: 0.0,
-                    rng: opts
-                        .langevin_gamma
-                        .map(|_| CounterRng::new(replica_seed(opts.seed, k))),
                     thermo: Vec::new(),
-                    nl: NeighborList::empty(),
-                    nl_scratch: NlScratch::default(),
-                };
-                r.nl.build_into(&r.sys, cutoff, &mut r.nl_scratch);
-                r
+                }
             })
             .collect();
         let mut engine = Self {
@@ -228,11 +209,8 @@ impl EnsembleEngine {
             swap_rng: CounterRng::new(exchange::swap_seed(opts.seed)),
             batch_out: BatchOutput::new(),
             thread_outs: Vec::new(),
-            cutoff,
-            nl_rebuilds: 0,
             evaluations: 0,
         };
-        engine.nl_rebuilds += engine.replicas.len() as u64;
         engine.batched_eval_and_store();
         for r in &mut engine.replicas {
             r.record_thermo();
@@ -260,7 +238,10 @@ impl EnsembleEngine {
 
     /// Neighbor-list rebuilds across all replicas (initial builds included).
     pub fn nl_rebuilds(&self) -> u64 {
-        self.nl_rebuilds
+        self.replicas
+            .iter()
+            .map(|r| r.stepper.rebuilds() as u64)
+            .sum()
     }
 
     /// Worker count for the batched evaluation: `eval_threads` resolved
@@ -288,7 +269,7 @@ impl EnsembleEngine {
                 .iter()
                 .map(|r| BatchItem {
                     sys: &r.sys,
-                    nl: &r.nl,
+                    nl: r.stepper.neighbor_list(),
                 })
                 .collect();
             self.pot
@@ -317,7 +298,7 @@ impl EnsembleEngine {
                             .iter()
                             .map(|r| BatchItem {
                                 sys: &r.sys,
-                                nl: &r.nl,
+                                nl: r.stepper.neighbor_list(),
                             })
                             .collect();
                         pot.compute_batch_into(&items, mode, out);
@@ -338,36 +319,19 @@ impl EnsembleEngine {
         self.evaluations += 1;
     }
 
-    /// Advance every replica by one MD step: per-replica half-kick +
-    /// drift, neighbor maintenance on the integrator's schedule, ONE
-    /// batched force evaluation, then the second half-kick and
-    /// thermostats per replica — followed by an exchange round when due.
+    /// Advance every replica by one MD step: each replica's stepper runs
+    /// up to the force call (half-kick + drift, neighbor maintenance), ONE
+    /// batched force evaluation serves them all, then each stepper
+    /// finishes (second half-kick, thermostat) — followed by an exchange
+    /// round when due.
     pub fn tick(&mut self) {
-        let dt = self.opts.dt;
+        let opts = self.opts;
         let step = self.step + 1;
 
-        {
-            let _span = dp_obs::span("integrate");
-            for r in &mut self.replicas {
-                for i in 0..r.sys.n_local {
-                    let inv_m = units::FORCE_TO_ACCEL / r.sys.masses[r.sys.types[i]];
-                    for d in 0..3 {
-                        r.sys.velocities[i][d] += 0.5 * dt * r.sys.forces[i][d] * inv_m;
-                        r.sys.positions[i][d] += dt * r.sys.velocities[i][d];
-                    }
-                }
-                r.sys.wrap_positions();
-            }
-        }
-
-        if step % self.opts.rebuild_every == 0 {
-            let _span = dp_obs::span("neighbor_rebuild");
-            for r in &mut self.replicas {
-                if r.nl.needs_rebuild(&r.sys, self.opts.skin) {
-                    r.nl.build_into(&r.sys, self.cutoff, &mut r.nl_scratch);
-                    self.nl_rebuilds += 1;
-                    dp_obs::counter(metrics::NL_REBUILDS).add(1);
-                }
+        for (k, r) in self.replicas.iter_mut().enumerate() {
+            let md = opts.md_options_for(r.target_t, k);
+            if r.stepper.advance_to_force(&mut r.sys, &md, step) {
+                dp_obs::counter(metrics::NL_REBUILDS).add(1);
             }
         }
 
@@ -376,54 +340,19 @@ impl EnsembleEngine {
             self.batched_eval_and_store();
         }
 
-        let kick_span = dp_obs::span("integrate");
-        let (tau, gamma) = (self.opts.berendsen_tau, self.opts.langevin_gamma);
-        for r in &mut self.replicas {
-            for i in 0..r.sys.n_local {
-                let inv_m = units::FORCE_TO_ACCEL / r.sys.masses[r.sys.types[i]];
-                for d in 0..3 {
-                    r.sys.velocities[i][d] += 0.5 * dt * r.sys.forces[i][d] * inv_m;
-                }
-            }
-
-            if let Some(tau) = tau {
-                let t = r.sys.temperature();
-                if t > 0.0 {
-                    let lambda = (1.0 + dt / tau * (r.target_t / t - 1.0)).sqrt();
-                    for v in &mut r.sys.velocities[..r.sys.n_local] {
-                        for d in 0..3 {
-                            v[d] *= lambda;
-                        }
-                    }
-                }
-            }
-
-            if let (Some(gamma), Some(rng)) = (gamma, r.rng.as_mut()) {
-                // BAOAB-style O step, identical to the serial integrator's
-                let c = (-gamma * dt).exp();
-                let amp_base = (1.0 - c * c) * units::KB * r.target_t * units::FORCE_TO_ACCEL;
-                for i in 0..r.sys.n_local {
-                    let amp = (amp_base / r.sys.masses[r.sys.types[i]]).sqrt();
-                    for d in 0..3 {
-                        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                        let u2: f64 = rng.gen_range(0.0..1.0);
-                        let xi = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                        r.sys.velocities[i][d] = c * r.sys.velocities[i][d] + amp * xi;
-                    }
-                }
-            }
-
+        for (k, r) in self.replicas.iter_mut().enumerate() {
+            let md = opts.md_options_for(r.target_t, k);
+            r.stepper.finish(&mut r.sys, &md);
             r.step = step;
-            if step % self.opts.thermo_every == 0 {
+            if step % opts.thermo_every == 0 {
                 r.record_thermo();
             }
         }
-        drop(kick_span);
 
         self.step = step;
         dp_obs::counter(metrics::TICKS).add(1);
 
-        if self.opts.exchange_every > 0 && step % self.opts.exchange_every == 0 {
+        if opts.exchange_every > 0 && step % opts.exchange_every == 0 {
             exchange::attempt_round(self);
         }
     }
@@ -455,10 +384,9 @@ impl EnsembleEngine {
     /// forces consistent with the new potential energy surface.
     pub fn swap_model(&mut self, pot: Arc<DeepPotential>) {
         self.pot = pot;
-        self.cutoff = self.pot.cutoff() + self.opts.skin;
+        let cutoff = self.pot.cutoff() + self.opts.skin;
         for r in &mut self.replicas {
-            r.nl.build_into(&r.sys, self.cutoff, &mut r.nl_scratch);
-            self.nl_rebuilds += 1;
+            r.stepper.rebuild(&r.sys, cutoff);
         }
         self.batched_eval_and_store();
         dp_obs::counter(metrics::MODEL_SWAPS).add(1);
@@ -467,17 +395,12 @@ impl EnsembleEngine {
     /// Write one rotation generation per replica (`<base>.rK`, reusing the
     /// MD checkpoint format) plus an ensemble metadata container
     /// (`<base>.meta`: step, swap-RNG position, ladder temperatures,
-    /// per-replica energies, exchange tallies). Neighbor lists are rebuilt
-    /// first, mirroring the serial integrator's checkpoint sink, so the
-    /// saving engine and a resumed engine continue from identical state.
+    /// per-replica energies, exchange tallies). `Stepper::checkpoint`
+    /// rebuilds each neighbor list first, so the saving engine and a
+    /// resumed engine continue from identical state.
     pub fn save_checkpoint(&mut self, base: &Path, keep: usize) -> Result<(), CkptError> {
         for (k, r) in self.replicas.iter_mut().enumerate() {
-            r.nl.build_into(&r.sys, self.cutoff, &mut r.nl_scratch);
-            self.nl_rebuilds += 1;
-            let progress = MdProgress {
-                step: r.step,
-                rng_draws: r.rng.as_ref().map_or(0, |g| g.draws()),
-            };
+            let progress = r.stepper.checkpoint(&r.sys, r.step);
             let ck = MdCheckpoint::capture(&r.sys, progress);
             ck.save(&Rotation::new(replica_path(base, k), keep))
                 .map_err(CkptError::Io)?;
@@ -535,7 +458,6 @@ impl EnsembleEngine {
                 energies.len()
             )));
         }
-        let cutoff = pot.cutoff() + opts.skin;
         let mut replicas = Vec::with_capacity(n);
         for k in 0..n {
             let (ck, _) = MdCheckpoint::load(&Rotation::new(replica_path(base, k), keep))?;
@@ -546,20 +468,15 @@ impl EnsembleEngine {
                     progress.step
                 )));
             }
-            let mut r = Replica {
+            let md = opts.md_options_for(temps[k], k);
+            replicas.push(Replica {
+                stepper: Stepper::new(&sys, pot.cutoff(), &md, progress.rng_draws),
                 sys,
                 target_t: temps[k],
                 step,
                 potential_energy: energies[k],
-                rng: opts
-                    .langevin_gamma
-                    .map(|_| CounterRng::with_draws(replica_seed(opts.seed, k), progress.rng_draws)),
                 thermo: Vec::new(),
-                nl: NeighborList::empty(),
-                nl_scratch: NlScratch::default(),
-            };
-            r.nl.build_into(&r.sys, cutoff, &mut r.nl_scratch);
-            replicas.push(r);
+            });
         }
         Ok(Self {
             opts,
@@ -572,8 +489,6 @@ impl EnsembleEngine {
             swap_rng: CounterRng::with_draws(exchange::swap_seed(opts.seed), swap_draws),
             batch_out: BatchOutput::new(),
             thread_outs: Vec::new(),
-            cutoff,
-            nl_rebuilds: n as u64,
             evaluations: 0,
         })
     }
@@ -599,7 +514,7 @@ fn meta_path(base: &Path) -> std::path::PathBuf {
 mod tests {
     use super::*;
     use deepmd_core::{DpConfig, DpModel};
-    use dp_md::integrate::run_md_resumable;
+    use dp_md::integrate::{run_md_resumable, MdProgress};
     use dp_md::lattice;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

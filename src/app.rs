@@ -551,6 +551,12 @@ fn any_fault_key(cfg: &AppConfig) -> bool {
 /// Run the deck; `log` receives one line per thermo sample.
 pub fn run(cfg: &AppConfig, mut log: impl FnMut(&str)) -> Result<RunSummary, AppError> {
     let pot = build_potential(&cfg.potential)?;
+    if !(cfg.dt_fs.is_finite() && cfg.dt_fs > 0.0) {
+        return Err(AppError::Deck(format!("bad dt_fs {}", cfg.dt_fs)));
+    }
+    if cfg.thermo_every == 0 {
+        return Err(AppError::Deck("thermo_every must be at least 1".into()));
+    }
     if cfg.grid.is_none() && any_fault_key(cfg) {
         return Err(AppError::Deck(
             "fault_* keys require a parallel run: set \"grid\": [nx, ny, nz]".into(),

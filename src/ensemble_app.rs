@@ -298,6 +298,9 @@ pub fn run(cfg: &EnsembleConfig, mut log: impl FnMut(&str)) -> Result<EnsembleSu
     if !(cfg.dt_fs.is_finite() && cfg.dt_fs > 0.0) {
         return Err(AppError::Deck(format!("bad dt_fs {}", cfg.dt_fs)));
     }
+    if cfg.thermo_every == 0 {
+        return Err(AppError::Deck("thermo_every must be at least 1".into()));
+    }
     if cfg.checkpoint_every > 0 && cfg.checkpoint_path.is_none() {
         return Err(AppError::Deck(
             "checkpoint_every is set but there is no checkpoint_path to write to".into(),
@@ -651,6 +654,10 @@ mod tests {
         let mut thermostat = config();
         thermostat.thermostat = Some("nose-hoover".into());
         assert!(matches!(run(&thermostat, |_| {}), Err(AppError::Deck(_))));
+
+        let mut stride = config();
+        stride.thermo_every = 0;
+        assert!(matches!(run(&stride, |_| {}), Err(AppError::Deck(_))));
     }
 
     #[test]

@@ -125,3 +125,36 @@ fn bad_deck_is_a_clean_error() {
         "unexpected error: {err}"
     );
 }
+
+/// `"thermo_every": 0` used to reach `step % 0` in the step loops and a
+/// non-positive `"dt_fs"` an `assert!` in the integrator; both are deck
+/// mistakes and must exit 2 without a panic, serial and on a rank grid.
+#[test]
+fn zero_stride_and_bad_timestep_are_deck_errors() {
+    let deck = |dt_fs: &str, thermo_every: usize, grid: &str| {
+        format!(
+            r#"{{
+        "system": {{"kind": "fcc", "a0": 5.26, "reps": [3,3,3], "mass": 39.948}},
+        "potential": {{"kind": "lennard_jones", "eps": 0.0104, "sigma": 3.405, "rcut": 5.0}},
+        "temperature": 40.0,
+        "dt_fs": {dt_fs},
+        "steps": 4,
+        "thermo_every": {thermo_every}{grid}
+    }}"#
+        )
+    };
+    for (dt_fs, thermo_every, grid, needle) in [
+        ("2.0", 0, "", "thermo_every"),
+        ("2.0", 0, ",\n\"grid\": [2, 1, 1]", "thermo_every"),
+        ("0.0", 10, "", "dt_fs"),
+        ("-1.0", 10, "", "dt_fs"),
+    ] {
+        let cfg = parse_config(&deck(dt_fs, thermo_every, grid)).unwrap();
+        let err = match run(&cfg, |_| {}) {
+            Err(e) => e,
+            Ok(_) => panic!("expected a deck error for dt_fs {dt_fs} thermo_every {thermo_every}"),
+        };
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains(needle), "unexpected error: {err}");
+    }
+}

@@ -66,9 +66,6 @@ EXTERNS_ALL="$EXTERNS_ALL $(ext deepmd_repro)"
 
 echo "== bins and examples (compile)"
 $RUSTC --crate-name dpmd src/bin/dpmd.rs $EXTERNS_ALL
-for b in bench_dpmd benchcheck; do
-    $RUSTC --crate-name "$b" "crates/bench/src/bin/$b.rs" $EXTERNS_ALL
-done
 for e in examples/*.rs; do
     $RUSTC --crate-name "ex_$(basename "$e" .rs)" "$e" $EXTERNS_ALL
 done
@@ -106,7 +103,7 @@ echo "== integration tests (compile)"
 # CARGO_BIN_EXE_dpmd is a cargo-ism; point it at the rustc-built binary so
 # env!() resolves. Subprocess-driven tests still can't RUN offline (the
 # deck parser needs real serde_json), so those stay compile-only.
-for t in tests/*.rs crates/bench/tests/*.rs; do
+for t in tests/*.rs; do
     CARGO_BIN_EXE_dpmd="$OUT/dpmd" \
         $RUSTC --test --crate-name "it_$(basename "$t" .rs)" "$t" $EXTERNS_ALL
 done
