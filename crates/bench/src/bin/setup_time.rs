@@ -32,15 +32,13 @@ fn main() {
 
     // model staging with the paper-size water model (~1.6M parameters)
     let model = models::water_model_paper_size(61);
-    let serialized = serde_json::to_string(&model.to_data()).expect("serialize");
+    let serialized = model.to_json();
     println!(
         "model file: {:.1} MB serialized, {} parameters",
         serialized.len() as f64 / 1e6,
         model.num_params()
     );
-    let parse = || -> deepmd_core::model::DpModelData {
-        serde_json::from_str(&serialized).expect("parse")
-    };
+    let parse = || deepmd_core::DpModel::from_json(&serialized).expect("parse");
     let (_, t_all_read) = stage_model_all_read(n_ranks, parse);
     let (_, t_broadcast) = stage_model_broadcast(n_ranks, parse);
 

@@ -5,7 +5,7 @@
 //! result is cached under `target/dp-models/` and reused.
 
 use crate::workloads;
-use deepmd_core::model::{DpModel, DpModelData};
+use deepmd_core::model::DpModel;
 use dp_md::potential::eam::SuttonChen;
 use dp_md::potential::pair::PairTable;
 use dp_md::Potential;
@@ -25,14 +25,12 @@ fn cache_dir() -> PathBuf {
 fn load(name: &str) -> Option<DpModel<f64>> {
     let path = cache_dir().join(format!("{name}.json"));
     let text = std::fs::read_to_string(path).ok()?;
-    let data: DpModelData = serde_json::from_str(&text).ok()?;
-    Some(DpModel::from_data(&data))
+    DpModel::from_json(&text).ok()
 }
 
 fn store(name: &str, model: &DpModel<f64>) {
     let path = cache_dir().join(format!("{name}.json"));
-    let text = serde_json::to_string(&model.to_data()).expect("serialize model");
-    std::fs::write(path, text).expect("write model cache");
+    std::fs::write(path, model.to_json()).expect("write model cache");
 }
 
 fn train(

@@ -1,10 +1,8 @@
 //! Model hyper-parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Hyper-parameters of a Deep Potential model (the paper's §6.1 settings
 /// are provided as constructors).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DpConfig {
     /// Interaction cutoff r_c (Å). Water: 6, copper: 8.
     pub rcut: f64,
@@ -43,16 +41,29 @@ impl DpConfig {
         self.emb_width() * self.axis_neurons
     }
 
-    /// Validate internal consistency.
+    /// Internal consistency, as an error (a model file's config is
+    /// untrusted input).
+    pub fn validate(&self) -> Result<(), String> {
+        let m = self.embedding.last().copied().unwrap_or(0);
+        let broken = if !(self.rcut_smth > 0.0 && self.rcut_smth < self.rcut) {
+            "need 0 < rcut_smth < rcut"
+        } else if self.sel.is_empty() || self.sel.contains(&0) {
+            "sel needs one positive count per type"
+        } else if self.embedding.is_empty() || self.fitting.is_empty() {
+            "embedding and fitting need at least one width"
+        } else if self.embedding.windows(2).any(|w| w[1] != 2 * w[0]) {
+            "embedding widths must double"
+        } else if !(1..=m).contains(&self.axis_neurons) {
+            "axis_neurons must be between 1 and the last embedding width"
+        } else {
+            return Ok(());
+        };
+        Err(format!("bad model config: {broken}"))
+    }
+
+    /// Panic unless [`validate`](Self::validate) passes.
     pub fn check(&self) {
-        assert!(self.rcut > 0.0 && self.rcut_smth > 0.0 && self.rcut_smth < self.rcut);
-        assert!(!self.sel.is_empty(), "need at least one type");
-        assert!(self.sel.iter().all(|&s| s > 0));
-        assert!(!self.embedding.is_empty() && !self.fitting.is_empty());
-        assert!(self.axis_neurons > 0 && self.axis_neurons <= self.emb_width());
-        for w in self.embedding.windows(2) {
-            assert_eq!(w[1], 2 * w[0], "embedding widths must double");
-        }
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// The paper's water model: r_c = 6 Å, 138 total neighbor slots
@@ -123,14 +134,5 @@ mod tests {
         let mut c = DpConfig::small(1, 5.0, 10);
         c.embedding = vec![8, 20];
         c.check();
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = DpConfig::water_paper();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: DpConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.sel, c.sel);
-        assert_eq!(back.rcut, c.rcut);
     }
 }

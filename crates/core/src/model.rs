@@ -1,10 +1,12 @@
-//! Deep Potential model parameters.
+//! Deep Potential model parameters, and the one place that knows the
+//! model-file format (JSON, see [`DpModel::to_json`]).
 
 use crate::config::DpConfig;
-use dp_linalg::Real;
-use dp_nn::net::{Net, NetWeights};
+use dp_linalg::{Matrix, Real};
+use dp_nn::layer::{Layer, LayerKind};
+use dp_nn::net::Net;
+use dp_obs::json::{self, Json};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A Deep Potential model in precision `T`: one embedding net per neighbor
 /// type (input `s(r)`, output width M) and one fitting net per center type
@@ -19,13 +21,179 @@ pub struct DpModel<T> {
     pub e0: Vec<f64>,
 }
 
-/// Serializable model (f64 weights).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DpModelData {
-    pub config: DpConfig,
-    pub embeddings: Vec<NetWeights>,
-    pub fittings: Vec<NetWeights>,
-    pub e0: Vec<f64>,
+/// The configuration and the parameter count, not ~10⁵ weights.
+impl<T: Real> std::fmt::Debug for DpModel<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DpModel")
+            .field("config", &self.config)
+            .field("num_params", &self.num_params())
+            .finish_non_exhaustive()
+    }
+}
+
+/// Layer kinds by their model-file names.
+const KINDS: [(&str, LayerKind); 4] = [
+    ("Plain", LayerKind::Plain),
+    ("Growth", LayerKind::Growth),
+    ("Residual", LayerKind::Residual),
+    ("Linear", LayerKind::Linear),
+];
+
+fn f64s(xs: &[f64]) -> Json {
+    Json::Arr(xs.iter().map(|&x| json::num(x)).collect())
+}
+
+fn counts(xs: &[usize]) -> Json {
+    Json::Arr(xs.iter().map(|&x| json::num(x as f64)).collect())
+}
+
+fn nets_json(nets: &[Net<f64>]) -> Json {
+    let layer = |l: &Layer<f64>| {
+        let kind = KINDS
+            .iter()
+            .find(|(_, k)| *k == l.kind)
+            .expect("all kinds listed")
+            .0;
+        json::obj(vec![
+            ("kind", json::str(kind)),
+            ("rows", json::num(l.w.rows() as f64)),
+            ("cols", json::num(l.w.cols() as f64)),
+            ("w", f64s(l.w.as_slice())),
+            ("b", f64s(&l.b)),
+        ])
+    };
+    let layers = |n: &Net<f64>| Json::Arr(n.layers.iter().map(layer).collect());
+    Json::Arr(
+        nets.iter()
+            .map(|n| json::obj(vec![("layers", layers(n))]))
+            .collect(),
+    )
+}
+
+/// Required field `key` of object `v`, converted by `get`.
+fn scalar<'a, T>(v: &'a Json, key: &str, get: impl Fn(&'a Json) -> Option<T>) -> Result<T, String> {
+    let field = v.get(key).ok_or_else(|| format!("missing field `{key}`"))?;
+    get(field).ok_or_else(|| format!("field `{key}` has the wrong type"))
+}
+
+/// Required array field `key` of object `v`, every element converted by `item`.
+fn list<'a, T>(
+    v: &'a Json,
+    key: &str,
+    item: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    scalar(v, key, |f| f.as_arr()?.iter().map(&item).collect())
+}
+
+fn layer_from(v: &Json) -> Result<Layer<f64>, String> {
+    let name = scalar(v, "kind", Json::as_str)?;
+    let kind = KINDS.iter().find(|(n, _)| *n == name);
+    let kind = kind
+        .ok_or_else(|| format!("unknown layer kind `{name}`"))?
+        .1;
+    let rows = scalar(v, "rows", Json::as_usize)?;
+    let cols = scalar(v, "cols", Json::as_usize)?;
+    let w = list(v, "w", Json::as_f64)?;
+    let b = list(v, "b", Json::as_f64)?;
+    if w.len() != rows * cols || b.len() != cols {
+        return Err(format!(
+            "layer is {rows}x{cols} but holds {} weights and {} biases",
+            w.len(),
+            b.len()
+        ));
+    }
+    Ok(Layer {
+        kind,
+        w: Matrix::from_vec(rows, cols, w),
+        b,
+    })
+}
+
+fn nets_from(v: &Json, key: &str) -> Result<Vec<Net<f64>>, String> {
+    let net = |n: &Json| {
+        let layers = scalar(n, "layers", Json::as_arr)?.iter().map(layer_from);
+        Ok(Net {
+            layers: layers.collect::<Result<_, _>>()?,
+        })
+    };
+    let nets: Result<_, String> = scalar(v, key, Json::as_arr)?.iter().map(net).collect();
+    nets.map_err(|e| format!("{key}: {e}"))
+}
+
+/// `DpConfig::validate` and `Net::validate`, plus what only the whole
+/// model can tell: one net and one shift per type, nets of the
+/// configured end widths.
+fn consistent(m: &DpModel<f64>) -> Result<(), String> {
+    let c = &m.config;
+    c.validate()?;
+    let n = c.n_types();
+    if m.embeddings.len() != n || m.fittings.len() != n || m.e0.len() != n {
+        return Err("embeddings, fittings and e0 need one entry per type in config.sel".into());
+    }
+    let ends = [
+        (&m.embeddings, "embeddings", 1, c.emb_width()),
+        (&m.fittings, "fittings", c.descriptor_dim(), 1),
+    ];
+    for (nets, key, d_in, d_out) in ends {
+        for net in nets {
+            net.validate().map_err(|e| format!("{key}: {e}"))?;
+            if net.in_dim() != d_in || net.out_dim() != d_out {
+                return Err(format!("{key}: a net must map width {d_in} to {d_out}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The model file (and a training checkpoint's `MODL` section):
+/// `{"config":{"rcut","rcut_smth","sel","embedding","fitting",
+/// "axis_neurons"},"embeddings":[{"layers":[{"kind","rows","cols","w",
+/// "b"}]}],"fittings":[…],"e0":[…]}`, weights row-major in f64, written
+/// so every number re-parses to the same bits (cast other precisions to
+/// f64 first).
+impl DpModel<f64> {
+    pub fn to_json(&self) -> String {
+        let c = &self.config;
+        let config = json::obj(vec![
+            ("rcut", json::num(c.rcut)),
+            ("rcut_smth", json::num(c.rcut_smth)),
+            ("sel", counts(&c.sel)),
+            ("embedding", counts(&c.embedding)),
+            ("fitting", counts(&c.fitting)),
+            ("axis_neurons", json::num(c.axis_neurons as f64)),
+        ]);
+        json::obj(vec![
+            ("config", config),
+            ("embeddings", nets_json(&self.embeddings)),
+            ("fittings", nets_json(&self.fittings)),
+            ("e0", f64s(&self.e0)),
+        ])
+        .to_string()
+    }
+
+    /// Parse [`to_json`](Self::to_json)'s format; the error names the
+    /// field that is missing or mistyped, or the rule an inconsistent
+    /// (well-typed) file breaks.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let v = Json::parse(text)?;
+        let c = v.get("config").ok_or("missing field `config`")?;
+        let config = DpConfig {
+            rcut: scalar(c, "rcut", Json::as_f64)?,
+            rcut_smth: scalar(c, "rcut_smth", Json::as_f64)?,
+            sel: list(c, "sel", Json::as_usize)?,
+            embedding: list(c, "embedding", Json::as_usize)?,
+            fitting: list(c, "fitting", Json::as_usize)?,
+            axis_neurons: scalar(c, "axis_neurons", Json::as_usize)?,
+        };
+        let model = Self {
+            config,
+            embeddings: nets_from(&v, "embeddings")?,
+            fittings: nets_from(&v, "fittings")?,
+            e0: list(&v, "e0", Json::as_f64)?,
+        };
+        consistent(&model)?;
+        Ok(model)
+    }
 }
 
 impl<T: Real> DpModel<T> {
@@ -90,25 +258,6 @@ impl<T: Real> DpModel<T> {
             e0: self.e0.clone(),
         }
     }
-
-    pub fn to_data(&self) -> DpModelData {
-        DpModelData {
-            config: self.config.clone(),
-            embeddings: self.embeddings.iter().map(|n| n.to_weights()).collect(),
-            fittings: self.fittings.iter().map(|n| n.to_weights()).collect(),
-            e0: self.e0.clone(),
-        }
-    }
-
-    pub fn from_data(data: &DpModelData) -> Self {
-        data.config.check();
-        Self {
-            config: data.config.clone(),
-            embeddings: data.embeddings.iter().map(Net::from_weights).collect(),
-            fittings: data.fittings.iter().map(Net::from_weights).collect(),
-            e0: data.e0.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -141,11 +290,18 @@ mod tests {
     }
 
     #[test]
-    fn data_roundtrip_preserves_params() {
-        let mut rng = StdRng::seed_from_u64(3);
+    fn json_roundtrip_is_bit_exact() {
+        let mut rng = StdRng::seed_from_u64(5);
         let m = DpModel::<f64>::new_random(DpConfig::small(2, 5.0, 8), &mut rng);
-        let back = DpModel::<f64>::from_data(&m.to_data());
-        assert_eq!(m.flat_params(), back.flat_params());
+        let back = DpModel::from_json(&m.to_json()).unwrap();
+        assert_eq!(back.config, m.config);
+        let bits = |m: &DpModel<f64>| {
+            m.flat_params()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&back), bits(&m));
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Orthorhombic simulation cell with periodic boundary conditions.
 
-use serde::{Deserialize, Serialize};
-
 /// Orthorhombic box `[0, lx) × [0, ly) × [0, lz)`, fully periodic or open.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
     pub lengths: [f64; 3],
     pub periodic: bool,

@@ -3,10 +3,9 @@
 use dp_linalg::fused::{dup_sum_fused, tanh_fused};
 use dp_linalg::gemm::{gemm_bias, matmul_nt};
 use dp_linalg::{Matrix, Real};
-use serde::{Deserialize, Serialize};
 
 /// The four layer shapes used by the DP nets (Fig 1 (e)–(g)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerKind {
     /// `y = tanh(xW + b)`
     Plain,
@@ -54,20 +53,21 @@ impl<T: Real> Layer<T> {
         self.w.len() + self.b.len()
     }
 
-    /// Validate the weight shape against the layer kind.
+    /// The weight shape against the layer kind, as an error.
+    pub fn validate(&self) -> Result<(), String> {
+        let (rows, cols) = (self.w.rows(), self.w.cols());
+        let broken = match self.kind {
+            _ if self.b.len() != cols => "bias/width mismatch",
+            LayerKind::Growth if cols != 2 * rows => "growth layer must double width",
+            LayerKind::Residual if rows != cols => "residual layer must be square",
+            _ => return Ok(()),
+        };
+        Err(format!("{broken} ({rows}x{cols}, {} biases)", self.b.len()))
+    }
+
+    /// Panic unless [`validate`](Self::validate) passes.
     pub fn check(&self) {
-        assert_eq!(self.b.len(), self.w.cols(), "bias/width mismatch");
-        match self.kind {
-            LayerKind::Growth => assert_eq!(
-                self.w.cols(),
-                2 * self.w.rows(),
-                "growth layer must double width"
-            ),
-            LayerKind::Residual => {
-                assert_eq!(self.w.rows(), self.w.cols(), "residual layer must be square")
-            }
-            LayerKind::Plain | LayerKind::Linear => {}
-        }
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Forward pass returning the output and the cache for backward.

@@ -4,27 +4,11 @@ use crate::layer::{Layer, LayerCache, LayerKind};
 use dp_autograd::{Tape, Var};
 use dp_linalg::{Matrix, Real};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A feed-forward network: an ordered stack of [`Layer`]s.
 #[derive(Clone)]
 pub struct Net<T> {
     pub layers: Vec<Layer<T>>,
-}
-
-/// Serializable form of a network (always stored in f64).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NetWeights {
-    pub layers: Vec<LayerWeights>,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LayerWeights {
-    pub kind: LayerKind,
-    pub rows: usize,
-    pub cols: usize,
-    pub w: Vec<f64>,
-    pub b: Vec<f64>,
 }
 
 fn xavier<T: Real>(rng: &mut impl Rng, rows: usize, cols: usize) -> Matrix<T> {
@@ -102,17 +86,19 @@ impl<T: Real> Net<T> {
         net
     }
 
+    /// Every layer's shape and the widths between layers, as an error.
+    pub fn validate(&self) -> Result<(), String> {
+        self.layers.iter().try_for_each(Layer::validate)?;
+        let mut pairs = self.layers.windows(2);
+        match pairs.all(|w| w[0].out_dim() == w[1].in_dim()) {
+            true => Ok(()),
+            false => Err("consecutive layers disagree on width".into()),
+        }
+    }
+
+    /// Panic unless [`validate`](Self::validate) passes.
     pub fn check(&self) {
-        for l in &self.layers {
-            l.check();
-        }
-        for win in self.layers.windows(2) {
-            assert_eq!(
-                win[0].out_dim(),
-                win[1].in_dim(),
-                "consecutive layers disagree on width"
-            );
-        }
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
     }
 
     pub fn in_dim(&self) -> usize {
@@ -198,42 +184,6 @@ impl<T: Real> Net<T> {
         Net {
             layers: self.layers.iter().map(|l| l.cast()).collect(),
         }
-    }
-
-    pub fn to_weights(&self) -> NetWeights {
-        NetWeights {
-            layers: self
-                .layers
-                .iter()
-                .map(|l| LayerWeights {
-                    kind: l.kind,
-                    rows: l.w.rows(),
-                    cols: l.w.cols(),
-                    w: l.w.as_slice().iter().map(|x| x.to_f64()).collect(),
-                    b: l.b.iter().map(|x| x.to_f64()).collect(),
-                })
-                .collect(),
-        }
-    }
-
-    pub fn from_weights(w: &NetWeights) -> Self {
-        let net = Self {
-            layers: w
-                .layers
-                .iter()
-                .map(|lw| Layer {
-                    kind: lw.kind,
-                    w: Matrix::from_vec(
-                        lw.rows,
-                        lw.cols,
-                        lw.w.iter().map(|&x| T::from_f64(x)).collect(),
-                    ),
-                    b: lw.b.iter().map(|&x| T::from_f64(x)).collect(),
-                })
-                .collect(),
-        };
-        net.check();
-        net
     }
 }
 
@@ -426,18 +376,6 @@ mod tests {
         }
         net.set_flat_params(&p2);
         assert_eq!(net.flat_params(), p2);
-    }
-
-    #[test]
-    fn weights_serde_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let net = Net::<f64>::fitting(4, &[8, 8], &mut rng);
-        let json = serde_json::to_string(&net.to_weights()).unwrap();
-        let back = Net::<f64>::from_weights(&serde_json::from_str(&json).unwrap());
-        // JSON decimal text may perturb the last ULP.
-        for (a, b) in net.flat_params().iter().zip(back.flat_params()) {
-            assert!((a - b).abs() <= a.abs() * 1e-15);
-        }
     }
 
     #[test]

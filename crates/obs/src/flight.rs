@@ -146,8 +146,8 @@ pub fn reset() {
 fn dump_line(reason: &str, rank: usize, window: &[StepRecord]) -> String {
     let steps: Vec<String> = window.iter().map(StepRecord::to_json).collect();
     format!(
-        "{{\"event\":\"flight_recorder\",\"reason\":\"{}\",\"rank\":{rank},\"n_steps\":{},\"steps\":[{}]}}",
-        json::esc(reason),
+        "{{\"event\":\"flight_recorder\",\"reason\":{},\"rank\":{rank},\"n_steps\":{},\"steps\":[{}]}}",
+        json::str(reason),
         window.len(),
         steps.join(",")
     )

@@ -159,7 +159,7 @@ impl ImbalanceReport {
     /// summary (`"imbalance"`) from live heartbeats
     /// (`"imbalance_heartbeat"`); heartbeats carry the step they fired at.
     pub fn to_json(&self, event: &str, step: Option<u64>) -> String {
-        let mut out = format!("{{\"event\":\"{}\"", json::esc(event));
+        let mut out = format!("{{\"event\":{}", json::str(event));
         if let Some(s) = step {
             out.push_str(&format!(",\"step\":{s}"));
         }
@@ -175,8 +175,8 @@ impl ImbalanceReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"phase\":\"{}\",\"min_s\":{},\"mean_s\":{},\"max_s\":{},\"imbalance\":{},\"share\":{}",
-                json::esc(p.name),
+                "{{\"phase\":{},\"min_s\":{},\"mean_s\":{},\"max_s\":{},\"imbalance\":{},\"share\":{}",
+                json::str(p.name),
                 json::num(p.min_s),
                 json::num(p.mean_s),
                 json::num(p.max_s),

@@ -75,7 +75,7 @@ impl<W: Write> MetricsWriter<W> {
                 if !extras.is_empty() {
                     extras.push(',');
                 }
-                extras.push_str(&format!("\"{}\":{delta}", json::esc(name)));
+                extras.push_str(&format!("{}:{delta}", json::str(name)));
             }
         }
         let gflops = if secs > 0.0 {
@@ -296,8 +296,8 @@ mod tests {
         w.record_step(0, 0, Duration::ZERO).unwrap();
         drop(w);
         let text = sink.contents();
-        assert!(text.contains("\"s_per_step_per_atom\":0e0"));
-        assert!(text.contains("\"gflops\":0e0"));
+        assert!(text.contains("\"s_per_step_per_atom\":0,"));
+        assert!(text.contains("\"gflops\":0,") || text.contains("\"gflops\":0}"));
     }
 
     // ---- flush-on-drop guarantee, across all three exit paths ----

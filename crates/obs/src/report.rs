@@ -65,8 +65,8 @@ impl RooflineRow {
     /// One `"event":"roofline"` JSONL metrics object.
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"event\":\"roofline\",\"phase\":\"{}\",\"time_s\":{},\"flops\":{},\"bytes\":{},\"achieved_gflops\":{}",
-            json::esc(self.phase),
+            "{{\"event\":\"roofline\",\"phase\":{},\"time_s\":{},\"flops\":{},\"bytes\":{},\"achieved_gflops\":{}",
+            json::str(self.phase),
             json::num(self.time_s),
             self.flops,
             self.bytes,
@@ -81,7 +81,7 @@ impl RooflineRow {
         if let Some(a) = self.attainable_gflops {
             out.push_str(&format!(",\"attainable_gflops\":{}", json::num(a)));
         }
-        out.push_str(&format!(",\"bound\":\"{}\"}}", json::esc(self.bound)));
+        out.push_str(&format!(",\"bound\":{}}}", json::str(self.bound)));
         out
     }
 }

@@ -27,7 +27,7 @@
 
 use crate::counter::counters;
 use crate::hist::global_snapshots;
-use crate::json::esc;
+use crate::json;
 
 pub const HTTP_REQUESTS: &str = "serve.http.requests";
 pub const HTTP_ERRORS: &str = "serve.http.errors";
@@ -59,21 +59,14 @@ pub fn snapshot_json() -> String {
         if i > 0 {
             s.push(',');
         }
-        s.push('"');
-        s.push_str(&esc(name));
-        s.push_str("\":");
-        s.push_str(&value.to_string());
+        s.push_str(&format!("{}:{value}", json::str(name)));
     }
     s.push_str("},\"hists\":{");
     for (i, (name, snap)) in global_snapshots().into_iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        s.push('"');
-        s.push_str(&esc(name));
-        s.push_str("\":{");
-        s.push_str(&snap.json_fields());
-        s.push('}');
+        s.push_str(&format!("{}:{{{}}}", json::str(name), snap.json_fields()));
     }
     s.push_str("}}");
     s

@@ -175,8 +175,8 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n{{\"name\":\"{}\",\"cat\":\"dpmd\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
-            json::esc(e.name),
+            "\n{{\"name\":{},\"cat\":\"dpmd\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
+            json::str(e.name),
             json::num(e.ts_us),
             json::num(e.dur_us),
             e.tid

@@ -679,9 +679,6 @@ struct Recovery {
 }
 
 struct RecoveryState {
-    /// Bumped on every published directive; a parked survivor waits for
-    /// it to advance past the value it captured when parking.
-    seq: u64,
     /// Sticky: once the supervisor escalates, all present and future
     /// parkers exit instead of waiting.
     aborted: bool,
@@ -696,7 +693,6 @@ impl Recovery {
         Self {
             enabled,
             state: Mutex::new(RecoveryState {
-                seq: 0,
                 aborted: false,
                 resume_step: 0,
                 comms: (0..n_ranks).map(|_| None).collect(),
@@ -710,17 +706,16 @@ impl Recovery {
     /// Returns the fresh mesh endpoint and the step to rewind to, or
     /// `None` if the supervisor escalated (or never answered).
     fn await_directive(&self, rank: usize) -> Option<(RankComm, usize)> {
+        // Wait on this rank's endpoint slot, not on a wakeup count: the
+        // supervisor may publish between this rank's `Paused` message
+        // and its arrival here, and that directive must not be missed.
         let mut st = self.state.lock();
-        let seen = st.seq;
-        let timed_out = self
-            .cv
-            .wait_while_for(
-                &mut st,
-                |s| s.seq == seen && !s.aborted,
-                self.pause_deadline,
-            )
-            .timed_out();
-        if st.aborted || (timed_out && st.seq == seen) {
+        let _ = self.cv.wait_while_for(
+            &mut st,
+            |s| s.comms[rank].is_none() && !s.aborted,
+            self.pause_deadline,
+        );
+        if st.aborted {
             return None;
         }
         let step = st.resume_step;
@@ -733,7 +728,6 @@ impl Recovery {
         let mut st = self.state.lock();
         st.resume_step = step;
         st.comms = comms;
-        st.seq += 1;
         self.cv.notify_all();
     }
 
@@ -742,7 +736,6 @@ impl Recovery {
     fn abort(&self) {
         let mut st = self.state.lock();
         st.aborted = true;
-        st.seq += 1;
         self.cv.notify_all();
     }
 }
@@ -849,7 +842,10 @@ fn rank_thread(
                 };
                 poison_all(&ctx, rank);
                 drop(c);
-                if ctx.recovery.enabled {
+                // an audit failure must reach the supervisor even with
+                // localized recovery off, or the epoch is "recovered" by
+                // a global reload instead of failing with exit 6
+                if ctx.recovery.enabled || audit.is_some() {
                     let _ = ctx.ctl.send(Ctl::Dead {
                         rank,
                         audit,

@@ -20,10 +20,8 @@
 //! Everything else (PFLOPS, TtS, parallel efficiency, hours per
 //! nanosecond) follows arithmetically.
 
-use serde::{Deserialize, Serialize};
-
 /// Summit hardware constants (§6.2).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SummitSpec {
     pub nodes: usize,
     pub gpus_per_node: usize,
@@ -52,7 +50,7 @@ impl SummitSpec {
 }
 
 /// Per-system calibration (see module docs for the derivations).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SystemModel {
     pub name: &'static str,
     /// Number density, atoms/Å³.
@@ -160,7 +158,7 @@ impl SystemModel {
 /// paper's Fig. 3 kernel-by-kernel optimization — customized TabulateFusion
 /// kernels exist exactly because the naive descriptor ops sat on the
 /// memory-bound side of the V100's ridge).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Roofline {
     /// Peak FLOP/s of the device.
     pub peak_flops: f64,

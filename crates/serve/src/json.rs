@@ -1,442 +1,6 @@
-//! A minimal JSON value codec, std-only.
-//!
-//! The serving daemon cannot lean on `serde_json` for its wire format:
-//! the offline build replaces it with a stub, and the derive-based deck
-//! parser stays in the root crate anyway. Requests and responses here
-//! are small, hand-shaped documents, so a tiny recursive-descent parser
-//! plus a writer over a tree [`Json`] value covers everything the API
-//! needs — including exact `f64` round-trips, which the bit-identity
-//! guarantee of the batch scheduler depends on (Rust's shortest-
-//! round-trip `Display` for floats means textual equality of two
-//! responses implies bit equality of the numbers in them).
+//! The daemon's wire format is the workspace codec, [`dp_obs::json`]: no
+//! crate here may depend on an external JSON library, so the one std-only
+//! parser and canonical writer live below every crate that needs them.
+//! This path stays because `crates/perfbench` imports it.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
-/// Parse depth limit: the API never nests deeper than ~6 levels, and a
-/// bounded recursion depth keeps adversarial bodies from overflowing the
-/// connection thread's stack.
-const MAX_DEPTH: usize = 64;
-
-/// A parsed JSON document. Object keys are sorted (BTreeMap) so emitted
-/// documents are canonical.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u32::MAX as f64 => {
-                Some(*x as usize)
-            }
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Object field lookup; `None` for non-objects and missing keys.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        self.as_obj().and_then(|m| m.get(key))
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => write_num(*x, out),
-            Json::Str(s) => write_str(s, out),
-            Json::Arr(v) => {
-                out.push('[');
-                for (i, x) in v.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    x.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(m) => {
-                out.push('{');
-                for (i, (k, x)) in m.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(k, out);
-                    out.push(':');
-                    x.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Serialization (`to_string()`): numbers use Rust's shortest-round-trip
-/// float `Display`, so an integral f64 prints without a fraction and any
-/// finite value re-parses to the same bits.
-impl std::fmt::Display for Json {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = String::new();
-        self.write(&mut s);
-        f.write_str(&s)
-    }
-}
-
-/// JSON has no NaN/Inf; emit them as null rather than producing an
-/// unparseable document.
-fn write_num(x: f64, out: &mut String) {
-    if !x.is_finite() {
-        out.push_str("null");
-    } else {
-        let _ = write!(out, "{x}");
-    }
-}
-
-fn write_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Convenience constructors for hand-built response documents.
-pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-pub fn arr(items: Vec<Json>) -> Json {
-    Json::Arr(items)
-}
-
-pub fn num(x: f64) -> Json {
-    Json::Num(x)
-}
-
-pub fn str(s: impl Into<String>) -> Json {
-    Json::Str(s.into())
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                b as char, self.pos
-            ))
-        }
-    }
-
-    fn eat_lit(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
-            return Err("nesting too deep".into());
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') if self.eat_lit("null") => Ok(Json::Null),
-            Some(b't') if self.eat_lit("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.eat_lit("false") => Ok(Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut v = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(v));
-                }
-                loop {
-                    v.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(v));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut m = BTreeMap::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(m));
-                }
-                loop {
-                    self.skip_ws();
-                    let k = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let v = self.value(depth + 1)?;
-                    m.insert(k, v);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(m));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(format!("unexpected '{}' at byte {}", b as char, self.pos)),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-')
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number '{text}' at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let Some(e) = self.peek() else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            // surrogate pairs are not reassembled: the API
-                            // never emits them, and a lone surrogate maps
-                            // to the replacement character
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(format!("bad escape '\\{}'", other as char));
-                        }
-                    }
-                }
-                b if b < 0x80 => s.push(b as char),
-                _ => {
-                    // multi-byte UTF-8: re-decode from the byte position
-                    let rest = &self.bytes[self.pos - 1..];
-                    let c = std::str::from_utf8(rest)
-                        .ok()
-                        .and_then(|t| t.chars().next())
-                        .ok_or("bad UTF-8 in string")?;
-                    s.push(c);
-                    self.pos += c.len_utf8() - 1;
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_the_api_shapes() {
-        let v = Json::parse(
-            r#"{"model":"demo","cell":[20,20,20],"positions":[[0,0,0],[2.5,0,0]],"types":[0,0],"per_atom":true}"#,
-        )
-        .unwrap();
-        assert_eq!(v.get("model").and_then(Json::as_str), Some("demo"));
-        assert_eq!(v.get("cell").and_then(Json::as_arr).map(<[Json]>::len), Some(3));
-        assert_eq!(
-            v.get("positions").unwrap().as_arr().unwrap()[1].as_arr().unwrap()[0].as_f64(),
-            Some(2.5)
-        );
-        assert_eq!(v.get("per_atom").and_then(Json::as_bool), Some(true));
-        assert_eq!(v.get("missing"), None);
-    }
-
-    #[test]
-    fn f64_round_trips_exactly() {
-        for x in [
-            0.1,
-            -3.004182734612987e-7,
-            1.0 / 3.0,
-            f64::MIN_POSITIVE,
-            123456789.123456789,
-        ] {
-            let text = Json::Num(x).to_string();
-            let back = Json::parse(&text).unwrap().as_f64().unwrap();
-            assert_eq!(back.to_bits(), x.to_bits(), "{text}");
-        }
-    }
-
-    #[test]
-    fn escapes_round_trip() {
-        let s = "line\nbreak \"quoted\" back\\slash tab\t unicode é";
-        let text = Json::Str(s.into()).to_string();
-        assert_eq!(Json::parse(&text).unwrap().as_str(), Some(s));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"unterminated", "{'a':1}"] {
-            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn rejects_deep_nesting() {
-        let mut deep = String::new();
-        for _ in 0..200 {
-            deep.push('[');
-        }
-        assert!(Json::parse(&deep).is_err());
-    }
-
-    #[test]
-    fn writer_emits_sorted_canonical_objects() {
-        let v = obj(vec![("z", num(1.0)), ("a", str("x"))]);
-        assert_eq!(v.to_string(), r#"{"a":"x","z":1}"#);
-        assert_eq!(arr(vec![Json::Null, Json::Bool(false)]).to_string(), "[null,false]");
-        assert_eq!(num(f64::NAN).to_string(), "null");
-    }
-
-    #[test]
-    fn integral_floats_print_without_fraction() {
-        assert_eq!(num(3.0).to_string(), "3");
-        assert_eq!(Json::parse("3").unwrap().as_usize(), Some(3));
-        assert_eq!(Json::parse("3.5").unwrap().as_usize(), None);
-        assert_eq!(Json::parse("-1").unwrap().as_usize(), None);
-    }
-}
+pub use dp_obs::json::*;

@@ -10,9 +10,9 @@
 //!
 //! Modules, bottom-up:
 //!
-//! * [`json`] — minimal std-only JSON codec with exact `f64`
-//!   round-tripping (shortest-representation printing means textual
-//!   equality of two responses implies bit equality of their numbers).
+//! * [`json`] — re-export of the workspace codec, [`dp_obs::json`]
+//!   (exact `f64` round-tripping: textual equality of two responses
+//!   implies bit equality of their numbers).
 //! * [`http`] — hand-rolled HTTP/1.1: `Connection: close`,
 //!   `Content-Length` framing, hard size limits.
 //! * [`router`] — the closed set of endpoints, matched in one place.

@@ -5,10 +5,10 @@
 //! spike at every restart. A [`TrainCheckpoint`] therefore carries the
 //! complete optimizer state ([`dp_nn::AdamState`]) and the step counter, so
 //! a resumed run continues the loss curve where the interrupted one left
-//! off (the weights use `serde_json`, whose f64 formatting round-trips
-//! bit-exactly).
+//! off (the weights are stored as model-file JSON, whose f64 formatting
+//! round-trips bit-exactly).
 
-use deepmd_core::model::{DpModel, DpModelData};
+use deepmd_core::model::DpModel;
 use dp_ckpt::{CkptError, CkptReader, CkptWriter, Dec, Enc, Rotation, KIND_TRAIN};
 use dp_nn::AdamState;
 use std::path::PathBuf;
@@ -23,7 +23,7 @@ pub struct TrainCheckpoint {
     /// Optimizer steps completed when the snapshot was taken.
     pub steps: usize,
     /// Model weights + config + e0 shifts.
-    pub model: DpModelData,
+    pub model: DpModel<f64>,
     /// Adam step counter and first/second moment vectors.
     pub adam: AdamState,
 }
@@ -32,12 +32,12 @@ impl TrainCheckpoint {
     pub fn capture(model: &DpModel<f64>, adam_state: AdamState, steps: usize) -> Self {
         Self {
             steps,
-            model: model.to_data(),
+            model: model.clone(),
             adam: adam_state,
         }
     }
 
-    pub fn to_writer(&self) -> Result<CkptWriter, CkptError> {
+    pub fn to_writer(&self) -> CkptWriter {
         let mut w = CkptWriter::new(KIND_TRAIN);
 
         let mut meta = Enc::new();
@@ -45,10 +45,8 @@ impl TrainCheckpoint {
         meta.put_u64(self.adam.m.len() as u64);
         w.add_section(SEC_META, meta.into_bytes());
 
-        let model_json = serde_json::to_vec(&self.model)
-            .map_err(|e| CkptError::Malformed(format!("model serialization: {e}")))?;
         let mut modl = Enc::new();
-        modl.put_bytes(&model_json);
+        modl.put_bytes(self.model.to_json().as_bytes());
         w.add_section(SEC_MODL, modl.into_bytes());
 
         let mut adam = Enc::new();
@@ -56,7 +54,7 @@ impl TrainCheckpoint {
         adam.put_f64s(&self.adam.m);
         adam.put_f64s(&self.adam.v);
         w.add_section(SEC_ADAM, adam.into_bytes());
-        Ok(w)
+        w
     }
 
     pub fn from_reader(r: &CkptReader) -> Result<Self, CkptError> {
@@ -66,8 +64,9 @@ impl TrainCheckpoint {
         let n_params = meta.get_u64()? as usize;
 
         let mut modl = Dec::new(r.section(SEC_MODL)?);
-        let model_json = modl.get_bytes()?;
-        let model: DpModelData = serde_json::from_slice(model_json)
+        let model = std::str::from_utf8(modl.get_bytes()?)
+            .map_err(|e| e.to_string())
+            .and_then(DpModel::from_json)
             .map_err(|e| CkptError::Malformed(format!("model deserialization: {e}")))?;
 
         let mut adam = Dec::new(r.section(SEC_ADAM)?);
@@ -90,7 +89,7 @@ impl TrainCheckpoint {
 
     /// Write into the next rotation slot (atomic, shifts older generations).
     pub fn save(&self, rot: &Rotation) -> Result<PathBuf, CkptError> {
-        Ok(rot.save(&self.to_writer()?)?)
+        Ok(rot.save(&self.to_writer())?)
     }
 
     /// Load the newest valid generation from a rotation.
@@ -123,16 +122,16 @@ mod tests {
     #[test]
     fn roundtrip_is_bit_exact() {
         let ck = sample();
-        let bytes = ck.to_writer().unwrap().to_bytes();
+        let bytes = ck.to_writer().to_bytes();
         let back = TrainCheckpoint::from_reader(&CkptReader::from_bytes(&bytes).unwrap()).unwrap();
         assert_eq!(back.steps, ck.steps);
         assert_eq!(back.adam.step, ck.adam.step);
         for (a, b) in ck.adam.m.iter().zip(&back.adam.m) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        // serde_json must round-trip weights bit-exactly (ryu formatting)
-        let wa = DpModel::<f64>::from_data(&ck.model).flat_params();
-        let wb = DpModel::<f64>::from_data(&back.model).flat_params();
+        // the MODL section must round-trip weights bit-exactly
+        let wa = ck.model.flat_params();
+        let wb = back.model.flat_params();
         for (a, b) in wa.iter().zip(&wb) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -153,7 +152,7 @@ mod tests {
     fn moment_length_mismatch_is_malformed() {
         let mut ck = sample();
         ck.adam.m.pop();
-        let bytes = ck.to_writer().unwrap().to_bytes();
+        let bytes = ck.to_writer().to_bytes();
         let err =
             TrainCheckpoint::from_reader(&CkptReader::from_bytes(&bytes).unwrap()).unwrap_err();
         assert!(matches!(err, CkptError::Malformed(_)), "{err:?}");

@@ -3,11 +3,10 @@
 use dp_md::integrate::{run_md, Berendsen, MdOptions};
 use dp_md::{NeighborList, Potential, System};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One labelled configuration: the inputs DFT would be asked for, with the
 /// energy/force labels our reference potential supplies instead.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Frame {
     pub cell: dp_md::Cell,
     pub positions: Vec<[f64; 3]>,
@@ -157,15 +156,5 @@ mod tests {
             .map(|(a, b)| (a[0] - b[0]).abs() + (a[1] - b[1]).abs())
             .sum();
         assert!(d01 > 1e-6, "MD frames identical");
-    }
-
-    #[test]
-    fn frame_serde_roundtrip() {
-        let (sys, lj) = base();
-        let f = Frame::label(&sys, &lj);
-        let json = serde_json::to_string(&f).unwrap();
-        let back: Frame = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.n_atoms(), f.n_atoms());
-        assert_eq!(back.types, f.types);
     }
 }

@@ -221,7 +221,7 @@ impl Trainer {
     /// depend only on geometry and the model configuration — which must
     /// therefore be the one this trainer was built with.
     pub fn restore(&mut self, ckpt: &crate::checkpoint::TrainCheckpoint) {
-        let model = DpModel::from_data(&ckpt.model);
+        let model = ckpt.model.clone();
         assert_eq!(
             model.config, self.model.config,
             "checkpoint is for a different model configuration"

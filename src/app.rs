@@ -16,7 +16,7 @@
 //! ```
 //!
 //! `potential.kind` may also be `"deep_potential"` with a `"model"` path to
-//! a JSON model produced by training (see `DpModelData`), or
+//! a JSON model produced by training (see `DpModel::to_json`), or
 //! `"sutton_chen_cu"` / `"water_reference"`.
 //!
 //! Adding `"grid": [nx, ny, nz]` runs the deck on the fault-tolerant
@@ -30,7 +30,7 @@
 //! Every failure is a typed [`AppError`]; `dpmd` maps the variants to
 //! distinct process exit codes (see [`AppError::exit_code`]).
 
-use deepmd_core::model::{DpModel, DpModelData};
+use crate::deck::{self, Fields, RunKeys, COUNT, FLAG, INT, NUM, PAIR, TEXT, TRIPLE};
 use deepmd_core::{DeepPotential, PrecisionMode};
 use dp_ckpt::Rotation;
 use dp_md::checkpoint::MdCheckpoint;
@@ -44,267 +44,132 @@ use dp_md::{lattice, Potential, System};
 use dp_obs::report::{RooflineReport, RooflineRow};
 use dp_obs::ImbalanceReport;
 use dp_parallel::{
-    expand_chaos, expand_soak, run_parallel_md, BreakInvariant, ChaosSpec, DelaySpec, FaultPlan,
-    KillSpec, MsgSelector, ParallelCkpt, ParallelOptions, RunError, SoakSpec,
+    expand_chaos, expand_soak, run_parallel_md, BreakInvariant, ChaosSpec, FaultPlan, KillSpec,
+    ParallelCkpt, ParallelOptions, RunError, SoakSpec,
 };
 use dp_perfmodel::{Roofline, SystemModel};
-use serde::Deserialize;
 use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which atoms to simulate.
-#[derive(Debug, Clone, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-pub enum SystemSpec {
-    /// fcc crystal with lattice constant `a0`, `reps` unit cells per axis.
-    Fcc {
-        a0: f64,
-        reps: [usize; 3],
-        mass: f64,
-    },
-    /// Water molecules on a cubic molecular lattice.
-    Water {
-        mols_per_axis: [usize; 3],
-        spacing: f64,
-    },
-}
+pub use crate::deck::{PotentialSpec, SystemSpec};
 
-/// Which potential drives the forces.
-#[derive(Debug, Clone, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-pub enum PotentialSpec {
-    LennardJones {
-        eps: f64,
-        sigma: f64,
-        rcut: f64,
-    },
-    SuttonChenCu {
-        short: bool,
-    },
-    WaterReference {
-        rcut: f64,
-    },
-    /// A trained Deep Potential model file (JSON `DpModelData`).
-    DeepPotential {
-        model: String,
-        #[serde(default)]
-        mixed_precision: bool,
-    },
-}
-
-/// The whole input deck. Unknown keys are rejected (a typo like
-/// `"checkpont_every"` must fail loudly, not silently change the run).
-#[derive(Debug, Clone, Deserialize)]
-#[serde(deny_unknown_fields)]
+/// An MD input deck: the shared [`RunKeys`] plus the keys only this
+/// runner reads. Unknown keys are rejected (see [`crate::deck`]).
+#[derive(Debug, Clone)]
 pub struct AppConfig {
-    pub system: SystemSpec,
+    /// `system`, `steps`, `dt_fs`, `thermo_every`, `thermostat`
+    /// (`"berendsen"` or null/absent for NVE), `seed`, `checkpoint_*`,
+    /// `metrics_path`.
+    pub run: RunKeys,
     pub potential: PotentialSpec,
     /// Initial (and thermostat target) temperature, K.
     pub temperature: f64,
-    /// `"berendsen"` or null/absent for NVE.
-    #[serde(default)]
-    pub thermostat: Option<String>,
-    /// Time step in femtoseconds.
-    pub dt_fs: f64,
-    pub steps: usize,
-    #[serde(default = "default_thermo_every")]
-    pub thermo_every: usize,
     /// Optional extended-XYZ trajectory output path.
-    #[serde(default)]
     pub trajectory: Option<String>,
-    #[serde(default)]
-    pub seed: u64,
-    /// Steps between checkpoints (0 = no checkpointing).
-    #[serde(default)]
-    pub checkpoint_every: usize,
-    /// Rotation base path the checkpoints are written to (older
-    /// generations get `.1`, `.2`, ... suffixes).
-    #[serde(default)]
-    pub checkpoint_path: Option<String>,
-    /// Checkpoint generations retained.
-    #[serde(default = "default_checkpoint_keep")]
-    pub checkpoint_keep: usize,
     /// Parallel runs only: also write one per-rank shard next to every
     /// checkpoint generation, enabling *localized* recovery — a dead rank
     /// is rebuilt in place from its shard and the survivors' state, with
     /// no global reload (see `dp_parallel`'s fault-tolerance docs).
-    #[serde(default)]
     pub checkpoint_shards: bool,
     /// Resume from this checkpoint (rotation base path) instead of
     /// building a fresh system; corrupt generations fall back to older
     /// ones. Also settable as `dpmd --resume <file>`.
-    #[serde(default)]
     pub resume: Option<String>,
     /// Write a chrome://tracing JSON trace of the run here. Also settable
     /// as `dpmd --trace <file>`.
-    #[serde(default)]
     pub trace_path: Option<String>,
-    /// Write per-step JSONL metrics (s/step/atom, achieved GFLOPS) here.
-    /// Also settable as `dpmd --metrics <file>`.
-    #[serde(default)]
-    pub metrics_path: Option<String>,
     /// Rank grid `[nx, ny, nz]`: run on the fault-tolerant parallel driver
     /// with nx*ny*nz rank threads. Absent = serial integrator.
-    #[serde(default)]
     pub grid: Option<[usize; 3]>,
     /// Parallel runs only: allreduce thermo output every step instead of
     /// deferring reductions to the output stride.
-    #[serde(default)]
     pub blocking_reduce: bool,
     /// Fault injection (parallel runs only): kill this rank...
-    #[serde(default)]
     pub fault_kill_rank: Option<usize>,
     /// ...at this absolute step. Both or neither must be set.
-    #[serde(default)]
     pub fault_kill_step: Option<usize>,
     /// Re-kill in every recovered epoch (exhausts the retry budget; used
     /// to drill the typed-error exit path).
-    #[serde(default)]
     pub fault_kill_every_epoch: bool,
-    /// Silently drop the `seq`-th message from rank `from` to rank `to`:
-    /// `[from, to, seq]`.
-    #[serde(default)]
-    pub fault_drop_msg: Option<[u64; 3]>,
-    /// Delay one message: `[from, to, seq, millis]`. Survivable if the
-    /// delay is shorter than the comm deadline.
-    #[serde(default)]
-    pub fault_delay_msg_ms: Option<[u64; 4]>,
-    /// Truncate the checkpoint generation written at this step (torn
-    /// write; the rotation must fall back on reload).
-    #[serde(default)]
-    pub fault_torn_ckpt_step: Option<usize>,
-    /// Flip a byte in the checkpoint generation written at this step
-    /// (silent corruption; the CRC must reject it on reload).
-    #[serde(default)]
-    pub fault_corrupt_ckpt_step: Option<usize>,
     /// Chaos mode (parallel runs only): expand a seed into a deterministic
     /// randomized schedule of rank kills, message drops, and message delays
     /// spread over the run — a long-soak drill in one deck key. Kills and
     /// drops require checkpointing; the schedule is constructed so every
     /// fault is survivable (see `dp_parallel::chaos`), and the retry budget
     /// is automatically sized to cover it.
-    #[serde(default)]
-    pub fault_chaos: Option<ChaosConfig>,
+    pub fault_chaos: Option<ChaosSpec>,
     /// Soak mode (parallel runs only): `fault_chaos` plus torn per-rank
     /// shard writes, with the periodic invariant auditor switched on —
     /// the long-haul compound-fault drill in one deck key. Requires
     /// checkpointing; `checkpoint_shards` should be on for the localized
     /// tier to be exercised.
-    #[serde(default)]
-    pub chaos_soak: Option<SoakConfig>,
+    pub chaos_soak: Option<SoakSpec>,
     /// Test-only hook `[rank, step]`: corrupt that rank's report in the
     /// first invariant audit at or after `step`, proving the auditor
     /// fails fast with a typed error (exit 6). Never touches real state.
-    #[serde(default)]
     pub fault_break_invariant: Option<[usize; 2]>,
     /// Parallel runs only: audit conservation-class invariants
     /// (atom-count conservation, ghost/owner consistency, step-counter
     /// uniformity, seq-gap-free comm) every this many steps. 0 = off;
     /// `chaos_soak` supplies its own stride when this is 0.
-    #[serde(default)]
     pub audit_every: usize,
     /// How many failed epochs the supervisor may recover from before the
-    /// run fails with a typed error.
-    #[serde(default = "default_max_retries")]
+    /// run fails with a typed error (default 2).
     pub fault_max_retries: usize,
     /// Receive/reduce deadline in milliseconds (default 30000): how long a
     /// rank waits for a peer before declaring it dead.
-    #[serde(default)]
     pub fault_comm_deadline_ms: Option<u64>,
     /// Parallel runs only: every `report_every` steps the ranks gather
     /// per-phase time deltas and rank 0 prints a live load-balance
     /// heartbeat (also an `imbalance_heartbeat` metrics event). 0 = off.
-    #[serde(default)]
     pub report_every: usize,
     /// Parallel runs only: print the §7.3-style cross-rank breakdown
     /// table (compute/comm/wait, imbalance ratios, achieved vs. modeled
     /// GFLOPS) after the run. Also settable as `dpmd --imbalance-report`.
-    #[serde(default)]
     pub imbalance_report: bool,
     /// Parallel runs only: print the roofline attribution table after the
     /// run — per-phase achieved vs. modeled GFLOPS, arithmetic intensity,
     /// and the memory/compute-bound verdict against the paper's V100
     /// roofline. Also settable as `dpmd --profile-report`.
-    #[serde(default)]
     pub profile_report: bool,
     /// Write a Prometheus text-format (0.0.4) snapshot of every counter,
     /// histogram, and published gauge here after the run. Also settable
     /// as `dpmd --prom-dump <file>`.
-    #[serde(default)]
     pub prom_dump: Option<String>,
 }
 
-/// The `fault_chaos` deck key: how much randomized fault traffic to
-/// schedule. The seed *is* the schedule — same seed, same deck, same
-/// faults, bit-exact — so a chaos soak that fails is replayable.
-#[derive(Debug, Clone, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct ChaosConfig {
-    /// Deterministic schedule seed.
-    pub seed: u64,
-    /// Rank kills to schedule (each after a checkpoint exists).
-    #[serde(default)]
-    pub kills: usize,
-    /// Messages to silently drop.
-    #[serde(default)]
-    pub drops: usize,
-    /// Messages to delay.
-    #[serde(default)]
-    pub delays: usize,
-    /// Upper bound on each scheduled delay, milliseconds.
-    #[serde(default = "default_chaos_delay_ms")]
-    pub max_delay_ms: u64,
-}
-
-fn default_chaos_delay_ms() -> u64 {
-    50
-}
-
-/// The `chaos_soak` deck key: a compound-fault soak schedule. Like
-/// [`ChaosConfig`] the seed *is* the schedule, so a failing soak replays
-/// bit-exactly; on top of kills/drops/delays it schedules torn per-rank
-/// shard writes and turns the periodic invariant auditor on.
-#[derive(Debug, Clone, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct SoakConfig {
-    /// Deterministic schedule seed.
-    pub seed: u64,
-    /// Rank kills to schedule (each after a checkpoint exists).
-    #[serde(default)]
-    pub kills: usize,
-    /// Messages to silently drop.
-    #[serde(default)]
-    pub drops: usize,
-    /// Messages to delay.
-    #[serde(default)]
-    pub delays: usize,
-    /// Per-rank shard writes to tear (forces the global-fallback tier when
-    /// a kill later lands on a rank whose newest shard is torn).
-    #[serde(default)]
-    pub torn_shards: usize,
-    /// Upper bound on each scheduled delay, milliseconds.
-    #[serde(default = "default_chaos_delay_ms")]
-    pub max_delay_ms: u64,
-    /// Invariant audit stride the soak runs under (steps).
-    #[serde(default = "default_soak_audit_every")]
-    pub audit_every: usize,
-}
-
-fn default_soak_audit_every() -> usize {
-    10
-}
-
-fn default_thermo_every() -> usize {
-    20
-}
-
-fn default_checkpoint_keep() -> usize {
-    3
-}
-
-fn default_max_retries() -> usize {
-    2
+impl AppConfig {
+    /// The MD-only keys of a deck whose shared keys are already read.
+    pub(crate) fn read(run: RunKeys, f: &mut Fields) -> Result<Self, AppError> {
+        Ok(Self {
+            run,
+            potential: PotentialSpec::read(f.req_obj("potential")?)?,
+            temperature: f.req("temperature", NUM)?,
+            trajectory: f.opt("trajectory", TEXT)?,
+            checkpoint_shards: f.or("checkpoint_shards", FLAG, false)?,
+            resume: f.opt("resume", TEXT)?,
+            trace_path: f.opt("trace_path", TEXT)?,
+            grid: f.opt("grid", TRIPLE)?,
+            blocking_reduce: f.or("blocking_reduce", FLAG, false)?,
+            fault_kill_rank: f.opt("fault_kill_rank", COUNT)?,
+            fault_kill_step: f.opt("fault_kill_step", COUNT)?,
+            fault_kill_every_epoch: f.or("fault_kill_every_epoch", FLAG, false)?,
+            fault_chaos: f
+                .opt_obj("fault_chaos")?
+                .map(deck::read_chaos)
+                .transpose()?,
+            chaos_soak: f.opt_obj("chaos_soak")?.map(deck::read_soak).transpose()?,
+            fault_break_invariant: f.opt("fault_break_invariant", PAIR)?,
+            audit_every: f.or("audit_every", COUNT, 0)?,
+            fault_max_retries: f.or("fault_max_retries", COUNT, 2)?,
+            fault_comm_deadline_ms: f.opt("fault_comm_deadline_ms", INT)?,
+            report_every: f.or("report_every", COUNT, 0)?,
+            imbalance_report: f.or("imbalance_report", FLAG, false)?,
+            profile_report: f.or("profile_report", FLAG, false)?,
+            prom_dump: f.opt("prom_dump", TEXT)?,
+        })
+    }
 }
 
 /// Why a run could not start or finish. Variants map to distinct `dpmd`
@@ -412,16 +277,12 @@ pub(crate) fn build_potential(spec: &PotentialSpec) -> Result<Box<dyn Potential>
             model,
             mixed_precision,
         } => {
-            let text = std::fs::read_to_string(model)
-                .map_err(|e| AppError::Io(format!("cannot read model {model}: {e}")))?;
-            let data: DpModelData = serde_json::from_str(&text)
-                .map_err(|e| AppError::Deck(format!("bad model {model}: {e}")))?;
             let mode = if *mixed_precision {
                 PrecisionMode::Mixed
             } else {
                 PrecisionMode::Double
             };
-            Box::new(DeepPotential::new(DpModel::from_data(&data), mode))
+            Box::new(DeepPotential::new(deck::load_model(model)?, mode))
         }
     })
 }
@@ -455,14 +316,18 @@ fn last_trajectory_step(path: &str) -> Option<usize> {
 fn build_fault_plan(cfg: &AppConfig, grid: [usize; 3]) -> Result<Option<FaultPlan>, AppError> {
     let n_ranks = grid[0] * grid[1] * grid[2];
     let mut plan = FaultPlan::default();
+    let in_grid = |key: &str, rank: usize| {
+        if rank < n_ranks {
+            return Ok(());
+        }
+        Err(AppError::Deck(format!(
+            "{key} rank {rank} is out of range for grid {grid:?} ({n_ranks} ranks)"
+        )))
+    };
     match (cfg.fault_kill_rank, cfg.fault_kill_step) {
         (None, None) => {}
         (Some(rank), Some(step)) => {
-            if rank >= n_ranks {
-                return Err(AppError::Deck(format!(
-                    "fault_kill_rank {rank} is out of range for grid {grid:?} ({n_ranks} ranks)"
-                )));
-            }
+            in_grid("fault_kill_rank", rank)?;
             plan.kill = Some(KillSpec {
                 rank,
                 step,
@@ -475,58 +340,19 @@ fn build_fault_plan(cfg: &AppConfig, grid: [usize; 3]) -> Result<Option<FaultPla
             ))
         }
     }
-    if let Some([from, to, seq]) = cfg.fault_drop_msg {
-        plan.drop_msg = Some(MsgSelector {
-            from: from as usize,
-            to: to as usize,
-            seq,
-        });
-    }
-    if let Some([from, to, seq, ms]) = cfg.fault_delay_msg_ms {
-        plan.delay_msg = Some(DelaySpec {
-            msg: MsgSelector {
-                from: from as usize,
-                to: to as usize,
-                seq,
-            },
-            delay: Duration::from_millis(ms),
-        });
-    }
-    plan.torn_ckpt_step = cfg.fault_torn_ckpt_step;
-    plan.corrupt_ckpt_step = cfg.fault_corrupt_ckpt_step;
     if let Some([rank, step]) = cfg.fault_break_invariant {
-        if rank >= n_ranks {
-            return Err(AppError::Deck(format!(
-                "fault_break_invariant rank {rank} is out of range for grid {grid:?} ({n_ranks} ranks)"
-            )));
-        }
+        in_grid("fault_break_invariant", rank)?;
         plan.break_invariant = Some(BreakInvariant { rank, step });
     }
-    if let Some(chaos) = &cfg.fault_chaos {
-        let spec = ChaosSpec {
-            seed: chaos.seed,
-            kills: chaos.kills,
-            drops: chaos.drops,
-            delays: chaos.delays,
-            max_delay_ms: chaos.max_delay_ms,
-        };
-        let expanded = expand_chaos(&spec, n_ranks, cfg.steps, cfg.checkpoint_every)
+    if let Some(spec) = &cfg.fault_chaos {
+        let expanded = expand_chaos(spec, n_ranks, cfg.run.steps, cfg.run.checkpoint_every)
             .map_err(|e| AppError::Deck(format!("fault_chaos: {e}")))?;
         plan.kills.extend(expanded.kills);
         plan.drops.extend(expanded.drops);
         plan.delays.extend(expanded.delays);
     }
-    if let Some(soak) = &cfg.chaos_soak {
-        let spec = SoakSpec {
-            seed: soak.seed,
-            kills: soak.kills,
-            drops: soak.drops,
-            delays: soak.delays,
-            torn_shards: soak.torn_shards,
-            max_delay_ms: soak.max_delay_ms,
-            audit_every: soak.audit_every,
-        };
-        let expanded = expand_soak(&spec, n_ranks, cfg.steps, cfg.checkpoint_every)
+    if let Some(spec) = &cfg.chaos_soak {
+        let expanded = expand_soak(spec, n_ranks, cfg.run.steps, cfg.run.checkpoint_every)
             .map_err(|e| AppError::Deck(format!("chaos_soak: {e}")))?;
         plan.kills.extend(expanded.kills);
         plan.drops.extend(expanded.drops);
@@ -539,10 +365,6 @@ fn build_fault_plan(cfg: &AppConfig, grid: [usize; 3]) -> Result<Option<FaultPla
 fn any_fault_key(cfg: &AppConfig) -> bool {
     cfg.fault_kill_rank.is_some()
         || cfg.fault_kill_step.is_some()
-        || cfg.fault_drop_msg.is_some()
-        || cfg.fault_delay_msg_ms.is_some()
-        || cfg.fault_torn_ckpt_step.is_some()
-        || cfg.fault_corrupt_ckpt_step.is_some()
         || cfg.fault_chaos.is_some()
         || cfg.chaos_soak.is_some()
         || cfg.fault_break_invariant.is_some()
@@ -550,13 +372,8 @@ fn any_fault_key(cfg: &AppConfig) -> bool {
 
 /// Run the deck; `log` receives one line per thermo sample.
 pub fn run(cfg: &AppConfig, mut log: impl FnMut(&str)) -> Result<RunSummary, AppError> {
+    cfg.run.validate(cfg.resume.as_deref())?;
     let pot = build_potential(&cfg.potential)?;
-    if !(cfg.dt_fs.is_finite() && cfg.dt_fs > 0.0) {
-        return Err(AppError::Deck(format!("bad dt_fs {}", cfg.dt_fs)));
-    }
-    if cfg.thermo_every == 0 {
-        return Err(AppError::Deck("thermo_every must be at least 1".into()));
-    }
     if cfg.grid.is_none() && any_fault_key(cfg) {
         return Err(AppError::Deck(
             "fault_* keys require a parallel run: set \"grid\": [nx, ny, nz]".into(),
@@ -575,7 +392,7 @@ pub fn run(cfg: &AppConfig, mut log: impl FnMut(&str)) -> Result<RunSummary, App
                 .into(),
         ));
     }
-    if cfg.checkpoint_shards && cfg.checkpoint_every == 0 {
+    if cfg.checkpoint_shards && cfg.run.checkpoint_every == 0 {
         return Err(AppError::Deck(
             "checkpoint_shards is set but checkpoint_every is 0 (no checkpoints to shard)".into(),
         ));
@@ -585,7 +402,7 @@ pub fn run(cfg: &AppConfig, mut log: impl FnMut(&str)) -> Result<RunSummary, App
     // newest valid checkpoint generation.
     let (mut sys, progress) = match &cfg.resume {
         Some(path) => {
-            let rot = Rotation::new(path, cfg.checkpoint_keep);
+            let rot = Rotation::new(path, cfg.run.checkpoint_keep);
             let (snap, from) = MdCheckpoint::load(&rot)
                 .map_err(|e| AppError::Ckpt(format!("cannot resume from {path}: {e}")))?;
             log(&format!(
@@ -597,19 +414,18 @@ pub fn run(cfg: &AppConfig, mut log: impl FnMut(&str)) -> Result<RunSummary, App
             snap.restore()
         }
         None => {
-            let mut sys = build_system(&cfg.system);
-            let mut rng = CounterRng::new(cfg.seed);
+            let mut sys = build_system(&cfg.run.system);
+            let mut rng = CounterRng::new(cfg.run.seed);
             sys.init_velocities(cfg.temperature, &mut rng);
             (sys, MdProgress::default())
         }
     };
-    if progress.step > cfg.steps {
+    if progress.step > cfg.run.steps {
         return Err(AppError::Ckpt(format!(
             "checkpoint is at step {}, but the deck only runs to step {}",
-            progress.step, cfg.steps
+            progress.step, cfg.run.steps
         )));
     }
-    let resuming = cfg.resume.is_some();
 
     let halo_limit = sys.cell.max_cutoff();
     if pot.cutoff() > halo_limit {
@@ -621,17 +437,13 @@ pub fn run(cfg: &AppConfig, mut log: impl FnMut(&str)) -> Result<RunSummary, App
 
     let skin = ((halo_limit - pot.cutoff()) * 0.9).clamp(0.0, 2.0);
     let opts = MdOptions {
-        dt: cfg.dt_fs * 1e-3,
+        dt: cfg.run.dt_fs * 1e-3,
         skin,
-        thermostat: match cfg.thermostat.as_deref() {
-            None => None,
-            Some("berendsen") => Some(Berendsen {
-                target_t: cfg.temperature,
-                tau: 0.1,
-            }),
-            Some(other) => return Err(AppError::Deck(format!("unknown thermostat '{other}'"))),
-        },
-        thermo_every: cfg.thermo_every,
+        thermostat: cfg.run.thermostat(&["berendsen"])?.map(|_| Berendsen {
+            target_t: cfg.temperature,
+            tau: 0.1,
+        }),
+        thermo_every: cfg.run.thermo_every,
         ..MdOptions::default()
     };
 
@@ -641,7 +453,7 @@ pub fn run(cfg: &AppConfig, mut log: impl FnMut(&str)) -> Result<RunSummary, App
     let mut last_frame_step: Option<usize> = None;
     let mut traj = match &cfg.trajectory {
         Some(path) => {
-            let file = if resuming {
+            let file = if cfg.resume.is_some() {
                 last_frame_step = last_trajectory_step(path);
                 std::fs::OpenOptions::new()
                     .create(true)
@@ -654,43 +466,27 @@ pub fn run(cfg: &AppConfig, mut log: impl FnMut(&str)) -> Result<RunSummary, App
         }
         None => None,
     };
-    let names = type_names(&cfg.system);
+    let names = type_names(&cfg.run.system);
 
     // Checkpoints write to `checkpoint_path`, or continue the rotation
     // being resumed from when only `resume` is given.
-    let ckpt_base = cfg.checkpoint_path.clone().or_else(|| cfg.resume.clone());
-    let rotation = match (&ckpt_base, cfg.checkpoint_every) {
-        (_, 0) => None,
-        (None, _) => {
-            return Err(AppError::Deck(
-                "checkpoint_every is set but there is no checkpoint_path to write to".into(),
-            ))
-        }
-        (Some(base), _) => Some(Rotation::new(base, cfg.checkpoint_keep)),
-    };
+    let rotation = cfg
+        .run
+        .checkpoint_base(cfg.resume.as_deref())?
+        .map(|base| Rotation::new(base, cfg.run.checkpoint_keep));
 
     log(&format!(
         "dpmd: {} atoms, potential {}, dt {} fs, steps {}..{}",
         sys.len(),
         pot.name(),
-        cfg.dt_fs,
+        cfg.run.dt_fs,
         progress.step,
-        cfg.steps
+        cfg.run.steps
     ));
 
-    // Observability: enable spans/metrics only when the deck asks for them,
-    // so plain runs keep the near-free disabled path.
-    let obs_on = cfg.trace_path.is_some() || cfg.metrics_path.is_some();
-    if obs_on {
-        if let Some(path) = &cfg.metrics_path {
-            dp_obs::metrics::install(path)
-                .map_err(|e| AppError::Io(format!("cannot open metrics file {path}: {e}")))?;
-        }
-        if cfg.trace_path.is_some() {
-            dp_obs::trace::start_recording(dp_obs::trace::DEFAULT_CAPACITY);
-        }
-        dp_obs::enable();
-    }
+    let metrics = cfg.run.metrics_path.as_deref();
+    let trace = cfg.trace_path.as_deref();
+    obs_start(metrics, trace)?;
 
     // The simulation proper, serial or supervised-parallel.
     let result: Result<RunSummary, AppError> = if let Some(grid) = cfg.grid {
@@ -722,48 +518,60 @@ pub fn run(cfg: &AppConfig, mut log: impl FnMut(&str)) -> Result<RunSummary, App
         )
     };
 
-    // Prometheus snapshot: counters are always on, so the dump is useful
-    // for plain (un-instrumented) runs too. It runs after a failed run as
-    // well — a fault drill's counters are the interesting part — but a
-    // write error never masks the run's own error.
+    // The Prometheus snapshot and the obs teardown still run after a failed
+    // run — a fault drill's counters and metrics are the interesting part —
+    // but their errors never mask the run's own. (Counters are always on,
+    // so the dump is useful for un-instrumented runs too.)
     let prom = write_prom_dump(cfg, &mut log);
-
-    if obs_on {
-        dp_obs::disable();
-        // Teardown still runs after a failed run (a fault drill's metrics
-        // are most interesting then), but a teardown error never masks the
-        // run's own error.
-        let teardown: Result<(), AppError> = (|| {
-            if let Some(path) = &cfg.trace_path {
-                let dropped = dp_obs::trace::dropped_events();
-                let events = dp_obs::trace::stop_recording();
-                dp_obs::trace::write_chrome_trace(path, &events)
-                    .map_err(|e| AppError::Io(format!("cannot write trace {path}: {e}")))?;
-                log(&format!(
-                    "trace: {} events -> {path}{}",
-                    events.len(),
-                    if dropped > 0 {
-                        format!(" ({dropped} oldest dropped)")
-                    } else {
-                        String::new()
-                    }
-                ));
-            }
-            if cfg.metrics_path.is_some() {
-                if let Some(res) = dp_obs::metrics::uninstall() {
-                    res.map_err(|e| AppError::Io(format!("metrics write failed: {e}")))?;
-                }
-            }
-            Ok(())
-        })();
-        let summary = result?;
-        teardown?;
-        prom?;
-        return Ok(summary);
-    }
+    let teardown = obs_finish(metrics, trace, &mut log);
     let summary = result?;
+    teardown?;
     prom?;
     Ok(summary)
+}
+
+/// Start what the deck's observability keys ask for — the `metrics_path`
+/// JSONL sink, the `trace_path` recording, span collection — and nothing
+/// when neither is set, so plain runs keep the near-free disabled path.
+pub(crate) fn obs_start(metrics: Option<&str>, trace: Option<&str>) -> Result<(), AppError> {
+    if let Some(path) = metrics {
+        dp_obs::metrics::install(path)
+            .map_err(|e| AppError::Io(format!("cannot open metrics file {path}: {e}")))?;
+    }
+    if trace.is_some() {
+        dp_obs::trace::start_recording(dp_obs::trace::DEFAULT_CAPACITY);
+    }
+    if metrics.or(trace).is_some() {
+        dp_obs::enable();
+    }
+    Ok(())
+}
+
+/// Undo [`obs_start`]: stop span collection, write the trace, flush and
+/// close the metrics sink.
+pub(crate) fn obs_finish(
+    metrics: Option<&str>,
+    trace: Option<&str>,
+    log: &mut impl FnMut(&str),
+) -> Result<(), AppError> {
+    if metrics.or(trace).is_some() {
+        dp_obs::disable();
+    }
+    if let Some(path) = trace {
+        let dropped = dp_obs::trace::dropped_events();
+        let events = dp_obs::trace::stop_recording();
+        dp_obs::trace::write_chrome_trace(path, &events)
+            .map_err(|e| AppError::Io(format!("cannot write trace {path}: {e}")))?;
+        let note = match dropped {
+            0 => String::new(),
+            n => format!(" ({n} oldest dropped)"),
+        };
+        log(&format!("trace: {} events -> {path}{note}", events.len()));
+    }
+    match metrics.and_then(|_| dp_obs::metrics::uninstall()) {
+        Some(Err(e)) => Err(AppError::Io(format!("metrics write failed: {e}"))),
+        _ => Ok(()),
+    }
 }
 
 fn write_prom_dump(cfg: &AppConfig, log: &mut impl FnMut(&str)) -> Result<(), AppError> {
@@ -822,12 +630,20 @@ fn run_serial_deck(
             }
         }
     };
-    let sink = (cfg.checkpoint_every > 0).then_some(CheckpointSink {
-        every: cfg.checkpoint_every,
+    let sink = (cfg.run.checkpoint_every > 0).then_some(CheckpointSink {
+        every: cfg.run.checkpoint_every,
         save: &mut save,
     });
 
-    let run_result = run_md_resumable(sys, pot.as_ref(), opts, cfg.steps, progress, |_| {}, sink);
+    let run_result = run_md_resumable(
+        sys,
+        pot.as_ref(),
+        opts,
+        cfg.run.steps,
+        progress,
+        |_| {},
+        sink,
+    );
     drop(save);
 
     if let Some(e) = io_error {
@@ -840,7 +656,7 @@ fn run_serial_deck(
         ));
     }
     if let Some(f) = traj.as_deref_mut() {
-        write_frame_dedup(f, sys, names, cfg.steps, last_frame_step)
+        write_frame_dedup(f, sys, names, cfg.run.steps, last_frame_step)
             .map_err(|e| AppError::Io(format!("trajectory write failed: {e}")))?;
     }
     log(&format!(
@@ -903,7 +719,7 @@ fn run_parallel_deck(
         start_step: progress.step,
         start_rng_draws: progress.rng_draws,
         checkpoint: rotation.map(|rotation| ParallelCkpt {
-            every: cfg.checkpoint_every,
+            every: cfg.run.checkpoint_every,
             rotation,
             shards: cfg.checkpoint_shards,
         }),
@@ -918,7 +734,7 @@ fn run_parallel_deck(
     };
     let name = pot.name();
     let pot: Arc<dyn Potential> = Arc::from(pot);
-    let n_steps = cfg.steps - progress.step;
+    let n_steps = cfg.run.steps - progress.step;
     let run = run_parallel_md(sys, pot, grid, &popts, n_steps).map_err(|e| match e {
         RunError::Config(msg) => AppError::Deck(msg),
         other => AppError::Fault(other),
@@ -949,7 +765,7 @@ fn run_parallel_deck(
         ));
     }
     if let Some(f) = traj.as_deref_mut() {
-        write_frame_dedup(f, &run.system, names, cfg.steps, last_frame_step)
+        write_frame_dedup(f, &run.system, names, cfg.run.steps, last_frame_step)
             .map_err(|e| AppError::Io(format!("trajectory write failed: {e}")))?;
     }
     log(&format!(
@@ -965,7 +781,7 @@ fn run_parallel_deck(
     // same compute window), emit the summary into the metrics stream,
     // and print the breakdown table when the deck asks for it.
     let mut imbalance = run.imbalance.clone();
-    let model = match &cfg.system {
+    let model = match &cfg.run.system {
         SystemSpec::Water { .. } => SystemModel::by_name("water"),
         SystemSpec::Fcc { .. } => SystemModel::by_name("copper"),
     };
@@ -1060,8 +876,14 @@ fn run_parallel_deck(
     })
 }
 
-/// Parse a JSON input deck. Unknown keys, missing keys, and type
-/// mismatches all surface with serde's path context.
+/// Parse an MD input deck (see [`crate::deck`] for the rules). Unknown
+/// keys, missing keys and type mismatches name the offending key path.
 pub fn parse_config(text: &str) -> Result<AppConfig, AppError> {
-    serde_json::from_str(text).map_err(|e| AppError::Deck(format!("bad input deck: {e}")))
+    match deck::parse(text)? {
+        deck::Deck::Md(cfg) => Ok(cfg),
+        deck::Deck::Ensemble(_) => Err(AppError::Deck(
+            "this is an ensemble deck (it has a \"replicas\" key): run it with `dpmd ensemble`"
+                .into(),
+        )),
+    }
 }

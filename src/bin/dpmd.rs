@@ -337,7 +337,7 @@ fn run_deck(args: &[String]) -> ! {
         cfg.trace_path = trace;
     }
     if metrics.is_some() {
-        cfg.metrics_path = metrics;
+        cfg.run.metrics_path = metrics;
     }
     if prom_dump.is_some() {
         cfg.prom_dump = prom_dump;

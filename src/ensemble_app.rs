@@ -28,9 +28,10 @@
 //! The same decks run server-side: `POST /v1/jobs` detects a top-level
 //! `"replicas"` key and routes the job here (see `crate::serve_app`).
 
-use crate::app::{self, AppError, PotentialSpec, SystemSpec};
+use crate::app::{self, AppError};
+use crate::deck::{self, Fields, PotentialSpec, RunKeys, COUNT, FLAG, NUM, TEXT};
 use deepmd_core::config::DpConfig;
-use deepmd_core::model::{DpModel, DpModelData};
+use deepmd_core::model::DpModel;
 use deepmd_core::{DeepPotential, PrecisionMode};
 use dp_md::{CounterRng, System};
 use dp_replica::{
@@ -39,164 +40,115 @@ use dp_replica::{
 use dp_train::dataset::perturbed_frames;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Deserialize;
 use std::io::Write as _;
 use std::sync::Arc;
 
-/// Which Deep Potential model the whole ensemble shares.
-#[derive(Debug, Clone, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-pub enum ModelSpec {
-    /// A deterministic untrained model (weights from `seed`); the
-    /// arithmetic is the real thing, so smoke tests and benchmarks work
-    /// without a training run.
-    Synthetic {
-        seed: u64,
-        #[serde(default = "default_rcut")]
-        rcut: f64,
-    },
-    /// A trained model file (JSON `DpModelData`).
-    File { path: String },
-}
-
-fn default_rcut() -> f64 {
-    4.5
-}
+pub use crate::deck::ModelSpec;
 
 /// The optional `"active_learning"` deck section: run the concurrent
 /// learning loop (explore → screen by ensemble deviation → label with the
 /// reference → retrain → hot-swap) instead of a plain ensemble run.
-#[derive(Debug, Clone, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Debug, Clone)]
 pub struct ActiveLearnConfig {
     /// Labeling potential standing in for the paper's DFT.
     pub reference: PotentialSpec,
     pub rounds: usize,
-    #[serde(default = "default_n_models")]
-    pub n_models: usize,
-    #[serde(default = "default_train_steps")]
-    pub train_steps: usize,
-    #[serde(default = "default_steps_per_round")]
-    pub steps_per_round: usize,
-    #[serde(default = "default_sample_every")]
-    pub sample_every: usize,
-    #[serde(default = "default_lo")]
-    pub lo: f64,
-    #[serde(default = "default_hi")]
-    pub hi: f64,
-    #[serde(default = "default_lr")]
-    pub lr: f64,
-    /// Seed frames labeled with the reference before round 1.
-    #[serde(default = "default_initial_frames")]
+    /// The keys `n_models`, `train_steps`, `steps_per_round`,
+    /// `sample_every`, `lo`, `hi`, `lr` (defaults:
+    /// `ActiveLearnOptions::default()`); `seed` is the deck's.
+    pub opts: ActiveLearnOptions,
+    /// Seed frames labeled with the reference before round 1 (default 4).
     pub initial_frames: usize,
-    /// Position jitter (Å) of the seed frames.
-    #[serde(default = "default_frame_perturb")]
+    /// Position jitter (Å) of the seed frames (default 0.15).
     pub frame_perturb: f64,
 }
 
-fn default_n_models() -> usize {
-    2
-}
-fn default_train_steps() -> usize {
-    60
-}
-fn default_steps_per_round() -> usize {
-    20
-}
-fn default_sample_every() -> usize {
-    10
-}
-fn default_lo() -> f64 {
-    0.05
-}
-fn default_hi() -> f64 {
-    5.0
-}
-fn default_lr() -> f64 {
-    0.02
-}
-fn default_initial_frames() -> usize {
-    4
-}
-fn default_frame_perturb() -> f64 {
-    0.15
+impl ActiveLearnConfig {
+    fn read(mut f: Fields, seed: u64) -> Result<Self, AppError> {
+        let d = ActiveLearnOptions::default();
+        let cfg = Self {
+            reference: PotentialSpec::read(f.req_obj("reference")?)?,
+            rounds: f.req("rounds", COUNT)?,
+            opts: ActiveLearnOptions {
+                n_models: f.or("n_models", COUNT, d.n_models)?,
+                train_steps: f.or("train_steps", COUNT, d.train_steps)?,
+                steps_per_round: f.or("steps_per_round", COUNT, d.steps_per_round)?,
+                sample_every: f.or("sample_every", COUNT, d.sample_every)?,
+                lo: f.or("lo", NUM, d.lo)?,
+                hi: f.or("hi", NUM, d.hi)?,
+                lr: f.or("lr", NUM, d.lr)?,
+                seed,
+            },
+            initial_frames: f.or("initial_frames", COUNT, 4)?,
+            frame_perturb: f.or("frame_perturb", NUM, 0.15)?,
+        };
+        f.finish()?;
+        Ok(cfg)
+    }
 }
 
-/// The whole ensemble deck. Unknown keys are rejected, like `AppConfig`.
-#[derive(Debug, Clone, Deserialize)]
-#[serde(deny_unknown_fields)]
+/// An ensemble deck: the shared [`RunKeys`] plus the keys only this
+/// runner reads. Unknown keys are rejected (see [`crate::deck`]).
+#[derive(Debug, Clone)]
 pub struct EnsembleConfig {
+    /// `system` (the base every replica is cloned from), `steps`, `dt_fs`,
+    /// `thermo_every`, `thermostat` (`"langevin"`, the default, or
+    /// `"berendsen"` — the engine needs one to hold each rung at its
+    /// ladder temperature), `seed`, `checkpoint_*` (whole-ensemble
+    /// checkpoints), `metrics_path` (per-rank histogram rows,
+    /// active-learning `train_step` lines and the closing
+    /// `ensemble_summary`).
+    pub run: RunKeys,
     /// Ladder size (one replica per rung).
     pub replicas: usize,
-    /// Base system every replica is cloned from.
-    pub system: SystemSpec,
     pub model: ModelSpec,
     /// Ladder endpoints (K); the rungs are geometric between them.
     pub t_min: f64,
     pub t_max: f64,
-    pub steps: usize,
-    pub dt_fs: f64,
-    /// `"langevin"` (default) or `"berendsen"` — the engine needs a
-    /// thermostat to hold each rung at its ladder temperature.
-    #[serde(default)]
-    pub thermostat: Option<String>,
-    /// Langevin friction (1/ps).
-    #[serde(default = "default_gamma")]
+    /// Langevin friction (1/ps, default 2).
     pub gamma: f64,
-    /// Berendsen coupling time (ps).
-    #[serde(default = "default_tau")]
+    /// Berendsen coupling time (ps, default 0.1).
     pub tau: f64,
-    #[serde(default = "default_thermo_every")]
-    pub thermo_every: usize,
     /// Steps between exchange rounds (0 = no replica exchange).
-    #[serde(default)]
     pub exchange_every: usize,
     /// OS threads for the batched evaluation (0 = one per core,
     /// 1 = in-thread). Results are bit-identical either way.
-    #[serde(default)]
     pub eval_threads: usize,
     /// Per-replica initial position jitter (Å), so rungs decorrelate.
-    #[serde(default)]
     pub perturb: f64,
-    #[serde(default)]
     pub mixed_precision: bool,
-    #[serde(default)]
-    pub seed: u64,
     /// Write one JSON line per attempted exchange here.
-    #[serde(default)]
     pub swap_log: Option<String>,
-    /// Write JSONL metrics for the run here: per-rank histogram rows,
-    /// active-learning `train_step` lines (loss, grad norm, wall), and
-    /// the closing `ensemble_summary`. Enables span/histogram collection
-    /// for the run's duration.
-    #[serde(default)]
-    pub metrics_path: Option<String>,
-    /// Steps between whole-ensemble checkpoints (0 = none).
-    #[serde(default)]
-    pub checkpoint_every: usize,
-    #[serde(default)]
-    pub checkpoint_path: Option<String>,
-    #[serde(default = "default_checkpoint_keep")]
-    pub checkpoint_keep: usize,
     /// Resume from `checkpoint_path` instead of building fresh replicas.
     /// Also settable as `dpmd ensemble <deck> --resume`.
-    #[serde(default)]
     pub resume: bool,
-    #[serde(default)]
     pub active_learning: Option<ActiveLearnConfig>,
 }
 
-fn default_gamma() -> f64 {
-    2.0
-}
-fn default_tau() -> f64 {
-    0.1
-}
-fn default_thermo_every() -> usize {
-    20
-}
-fn default_checkpoint_keep() -> usize {
-    3
+impl EnsembleConfig {
+    /// The ensemble-only keys of a deck whose shared keys are already read.
+    pub(crate) fn read(run: RunKeys, f: &mut Fields) -> Result<Self, AppError> {
+        let seed = run.seed;
+        Ok(Self {
+            run,
+            replicas: f.req("replicas", COUNT)?,
+            model: ModelSpec::read(f.req_obj("model")?)?,
+            t_min: f.req("t_min", NUM)?,
+            t_max: f.req("t_max", NUM)?,
+            gamma: f.or("gamma", NUM, 2.0)?,
+            tau: f.or("tau", NUM, 0.1)?,
+            exchange_every: f.or("exchange_every", COUNT, 0)?,
+            eval_threads: f.or("eval_threads", COUNT, 0)?,
+            perturb: f.or("perturb", NUM, 0.0)?,
+            mixed_precision: f.or("mixed_precision", FLAG, false)?,
+            swap_log: f.opt("swap_log", TEXT)?,
+            resume: f.or("resume", FLAG, false)?,
+            active_learning: f
+                .opt_obj("active_learning")?
+                .map(|al| ActiveLearnConfig::read(al, seed))
+                .transpose()?,
+        })
+    }
 }
 
 /// What an ensemble run produced (the serve job summary renders this).
@@ -213,18 +165,14 @@ pub struct EnsembleSummary {
     pub dataset_size: Option<usize>,
 }
 
-/// Parse an ensemble deck (same serde error surfacing as `app`).
+/// Parse an ensemble deck (see [`crate::deck`] for the rules).
 pub fn parse_config(text: &str) -> Result<EnsembleConfig, AppError> {
-    serde_json::from_str(text).map_err(|e| AppError::Deck(format!("bad ensemble deck: {e}")))
-}
-
-/// Is this deck for the ensemble runner rather than a plain MD run? The
-/// discriminator is the top-level `"replicas"` key, which `AppConfig`
-/// rejects and `EnsembleConfig` requires.
-pub fn is_ensemble_deck(text: &str) -> bool {
-    serde_json::from_str::<serde_json::Value>(text)
-        .ok()
-        .is_some_and(|v| v.get("replicas").is_some())
+    match deck::parse(text)? {
+        deck::Deck::Ensemble(cfg) => Ok(cfg),
+        deck::Deck::Md(_) => Err(AppError::Deck(
+            "bad input deck: an ensemble deck needs a \"replicas\" key".into(),
+        )),
+    }
 }
 
 /// The geometric ladder `T_k = t_min · (t_max/t_min)^(k/(n−1))` — equal
@@ -249,35 +197,24 @@ fn build_model(spec: &ModelSpec) -> Result<DpModel<f64>, AppError> {
             let cfg = DpConfig::small(1, *rcut, 16);
             Ok(DpModel::new_random(cfg, &mut StdRng::seed_from_u64(*seed)))
         }
-        ModelSpec::File { path } => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| AppError::Io(format!("cannot read model {path}: {e}")))?;
-            let data: DpModelData = serde_json::from_str(&text)
-                .map_err(|e| AppError::Deck(format!("bad model {path}: {e}")))?;
-            Ok(DpModel::from_data(&data))
-        }
+        ModelSpec::File { path } => deck::load_model(path),
     }
 }
 
 fn engine_options(cfg: &EnsembleConfig, skin: f64, mode: PrecisionMode) -> Result<EnsembleOptions, AppError> {
     let mut opts = EnsembleOptions {
-        dt: cfg.dt_fs * 1e-3,
+        dt: cfg.run.dt_fs * 1e-3,
         skin,
-        thermo_every: cfg.thermo_every,
+        thermo_every: cfg.run.thermo_every,
         mode,
         exchange_every: cfg.exchange_every,
-        seed: cfg.seed,
+        seed: cfg.run.seed,
         eval_threads: cfg.eval_threads,
         ..EnsembleOptions::default()
     };
-    match cfg.thermostat.as_deref() {
-        None | Some("langevin") => opts.langevin_gamma = Some(cfg.gamma),
+    match cfg.run.thermostat(&["langevin", "berendsen"])? {
         Some("berendsen") => opts.berendsen_tau = Some(cfg.tau),
-        Some(other) => {
-            return Err(AppError::Deck(format!(
-                "unknown thermostat '{other}' (ensemble runs take \"langevin\" or \"berendsen\")"
-            )))
-        }
+        _ => opts.langevin_gamma = Some(cfg.gamma),
     }
     Ok(opts)
 }
@@ -295,23 +232,13 @@ pub fn run(cfg: &EnsembleConfig, mut log: impl FnMut(&str)) -> Result<EnsembleSu
             cfg.t_min, cfg.t_max
         )));
     }
-    if !(cfg.dt_fs.is_finite() && cfg.dt_fs > 0.0) {
-        return Err(AppError::Deck(format!("bad dt_fs {}", cfg.dt_fs)));
-    }
-    if cfg.thermo_every == 0 {
-        return Err(AppError::Deck("thermo_every must be at least 1".into()));
-    }
-    if cfg.checkpoint_every > 0 && cfg.checkpoint_path.is_none() {
-        return Err(AppError::Deck(
-            "checkpoint_every is set but there is no checkpoint_path to write to".into(),
-        ));
-    }
-    if cfg.resume && cfg.checkpoint_path.is_none() {
+    cfg.run.validate(None)?;
+    if cfg.resume && cfg.run.checkpoint_path.is_none() {
         return Err(AppError::Deck(
             "resume needs a checkpoint_path to resume from".into(),
         ));
     }
-    if cfg.active_learning.is_some() && cfg.checkpoint_every > 0 {
+    if cfg.active_learning.is_some() && cfg.run.checkpoint_every > 0 {
         return Err(AppError::Deck(
             "active_learning and checkpoint_every are mutually exclusive (the loop owns the \
              step schedule)"
@@ -319,28 +246,15 @@ pub fn run(cfg: &EnsembleConfig, mut log: impl FnMut(&str)) -> Result<EnsembleSu
         ));
     }
 
-    // Same obs lifecycle as `app::run`: a metrics sink for the run's
-    // duration, torn down afterwards (teardown errors never mask the
-    // run's own error).
-    let obs_on = cfg.metrics_path.is_some();
-    if obs_on {
-        if let Some(path) = &cfg.metrics_path {
-            dp_obs::metrics::install(path)
-                .map_err(|e| AppError::Io(format!("cannot open metrics file {path}: {e}")))?;
-        }
-        dp_obs::enable();
-    }
+    // The metrics sink lives for the run's duration; a teardown error
+    // never masks the run's own.
+    let metrics = cfg.run.metrics_path.as_deref();
+    app::obs_start(metrics, None)?;
     let result = run_engine(cfg, &mut log);
-    if obs_on {
-        dp_obs::disable();
-        let teardown = dp_obs::metrics::uninstall().map_or(Ok(()), |r| {
-            r.map_err(|e| AppError::Io(format!("metrics write failed: {e}")))
-        });
-        let summary = result?;
-        teardown?;
-        return Ok(summary);
-    }
-    result
+    let teardown = app::obs_finish(metrics, None, &mut log);
+    let summary = result?;
+    teardown?;
+    Ok(summary)
 }
 
 fn run_engine(
@@ -356,7 +270,7 @@ fn run_engine(
     };
     let pot = Arc::new(DeepPotential::new(model, mode));
 
-    let base = app::build_system(&cfg.system);
+    let base = app::build_system(&cfg.run.system);
     let halo_limit = base.cell.max_cutoff();
     if model_cfg.rcut > halo_limit {
         return Err(AppError::Deck(format!(
@@ -369,10 +283,14 @@ fn run_engine(
     let temps = temperature_ladder(cfg.t_min, cfg.t_max, cfg.replicas);
 
     let mut engine = if cfg.resume {
-        let path = cfg.checkpoint_path.as_deref().expect("checked above");
-        let engine =
-            EnsembleEngine::resume(Arc::clone(&pot), opts, path.as_ref(), cfg.checkpoint_keep)
-                .map_err(|e| AppError::Ckpt(format!("cannot resume from {path}: {e}")))?;
+        let path = cfg.run.checkpoint_path.as_deref().expect("checked above");
+        let engine = EnsembleEngine::resume(
+            Arc::clone(&pot),
+            opts,
+            path.as_ref(),
+            cfg.run.checkpoint_keep,
+        )
+        .map_err(|e| AppError::Ckpt(format!("cannot resume from {path}: {e}")))?;
         if engine.n_replicas() != cfg.replicas {
             return Err(AppError::Ckpt(format!(
                 "checkpoint holds {} replicas, deck wants {}",
@@ -380,10 +298,10 @@ fn run_engine(
                 cfg.replicas
             )));
         }
-        if engine.step > cfg.steps {
+        if engine.step > cfg.run.steps {
             return Err(AppError::Ckpt(format!(
                 "checkpoint is at step {}, but the deck only runs to step {}",
-                engine.step, cfg.steps
+                engine.step, cfg.run.steps
             )));
         }
         log(&format!(
@@ -396,7 +314,7 @@ fn run_engine(
         let systems: Vec<System> = (0..cfg.replicas)
             .map(|k| {
                 let mut sys = base.clone();
-                let mut rng = CounterRng::new(replica_seed(cfg.seed, k));
+                let mut rng = CounterRng::new(replica_seed(cfg.run.seed, k));
                 if cfg.perturb > 0.0 {
                     sys.perturb(cfg.perturb, &mut rng);
                 }
@@ -414,21 +332,21 @@ fn run_engine(
         cfg.t_min,
         cfg.t_max,
         engine.step,
-        cfg.steps,
+        cfg.run.steps,
         cfg.exchange_every
     ));
 
     // --- advance: active-learning loop, or plain run with checkpoints ---
     let mut dataset_size = None;
     if let Some(al) = &cfg.active_learning {
-        if al.n_models < 2 {
+        if al.opts.n_models < 2 {
             return Err(AppError::Deck("active_learning.n_models must be >= 2".into()));
         }
-        if al.sample_every == 0 {
+        if al.opts.sample_every == 0 {
             return Err(AppError::Deck("active_learning.sample_every must be positive".into()));
         }
         let reference = app::build_potential(&al.reference)?;
-        let mut frame_rng = StdRng::seed_from_u64(cfg.seed ^ 0xF4A3);
+        let mut frame_rng = StdRng::seed_from_u64(cfg.run.seed ^ 0xF4A3);
         let frames = perturbed_frames(
             &base,
             reference.as_ref(),
@@ -436,23 +354,13 @@ fn run_engine(
             al.frame_perturb,
             &mut frame_rng,
         );
-        let al_opts = ActiveLearnOptions {
-            n_models: al.n_models,
-            train_steps: al.train_steps,
-            steps_per_round: al.steps_per_round,
-            sample_every: al.sample_every,
-            lo: al.lo,
-            hi: al.hi,
-            lr: al.lr,
-            seed: cfg.seed,
-        };
         let (dataset, reports) = run_active_learning(
             &mut engine,
             &model_cfg,
             reference.as_ref(),
             frames,
             al.rounds,
-            &al_opts,
+            &al.opts,
         );
         for r in &reports {
             log(&format!(
@@ -463,18 +371,18 @@ fn run_engine(
         }
         dataset_size = Some(dataset.len());
     } else {
-        while engine.step < cfg.steps {
-            let remaining = cfg.steps - engine.step;
-            let chunk = if cfg.checkpoint_every > 0 {
-                remaining.min(cfg.checkpoint_every)
+        while engine.step < cfg.run.steps {
+            let remaining = cfg.run.steps - engine.step;
+            let chunk = if cfg.run.checkpoint_every > 0 {
+                remaining.min(cfg.run.checkpoint_every)
             } else {
                 remaining
             };
             engine.run(chunk);
-            if cfg.checkpoint_every > 0 {
-                let path = cfg.checkpoint_path.as_deref().expect("checked above");
+            if cfg.run.checkpoint_every > 0 {
+                let path = cfg.run.checkpoint_path.as_deref().expect("checked above");
                 engine
-                    .save_checkpoint(path.as_ref(), cfg.checkpoint_keep)
+                    .save_checkpoint(path.as_ref(), cfg.run.checkpoint_keep)
                     .map_err(|e| AppError::Io(format!("checkpoint write failed: {e}")))?;
             }
         }
@@ -530,40 +438,14 @@ fn run_engine(
 mod tests {
     use super::*;
 
-    // Deck JSON parsing needs real serde_json and is exercised by the
-    // tier-1 ensemble smoke; these tests drive the library surface the
-    // deck maps onto.
-
     fn config() -> EnsembleConfig {
-        EnsembleConfig {
-            replicas: 3,
-            system: SystemSpec::Fcc {
-                a0: 5.3,
-                reps: [2, 2, 2],
-                mass: 63.546,
-            },
-            model: ModelSpec::Synthetic { seed: 7, rcut: 4.5 },
-            t_min: 100.0,
-            t_max: 300.0,
-            steps: 6,
-            dt_fs: 2.0,
-            thermostat: None,
-            gamma: 2.0,
-            tau: 0.1,
-            thermo_every: 3,
-            exchange_every: 3,
-            eval_threads: 0,
-            perturb: 0.05,
-            mixed_precision: false,
-            seed: 9,
-            swap_log: None,
-            metrics_path: None,
-            checkpoint_every: 0,
-            checkpoint_path: None,
-            checkpoint_keep: 3,
-            resume: false,
-            active_learning: None,
-        }
+        parse_config(
+            r#"{"replicas": 3, "steps": 6, "dt_fs": 2.0, "thermo_every": 3, "seed": 9,
+                "system": {"kind": "fcc", "a0": 5.3, "reps": [2, 2, 2], "mass": 63.546},
+                "model": {"kind": "synthetic", "seed": 7},
+                "t_min": 100.0, "t_max": 300.0, "exchange_every": 3, "perturb": 0.05}"#,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -604,19 +486,19 @@ mod tests {
         let base = dir.join("ens.ckpt").to_string_lossy().into_owned();
 
         let mut straight = config();
-        straight.steps = 8;
+        straight.run.steps = 8;
         let s = run(&straight, |_| {}).unwrap();
 
         let mut first = config();
-        first.steps = 4;
-        first.checkpoint_every = 4;
-        first.checkpoint_path = Some(base.clone());
+        first.run.steps = 4;
+        first.run.checkpoint_every = 4;
+        first.run.checkpoint_path = Some(base.clone());
         run(&first, |_| {}).unwrap();
 
         let mut second = config();
-        second.steps = 8;
-        second.checkpoint_every = 4;
-        second.checkpoint_path = Some(base.clone());
+        second.run.steps = 8;
+        second.run.checkpoint_every = 4;
+        second.run.checkpoint_path = Some(base.clone());
         second.resume = true;
         let r = run(&second, |_| {}).unwrap();
 
@@ -640,7 +522,7 @@ mod tests {
         assert!(matches!(run(&ladder, |_| {}), Err(AppError::Deck(_))));
 
         let mut cutoff = config();
-        cutoff.system = SystemSpec::Fcc {
+        cutoff.run.system = deck::SystemSpec::Fcc {
             a0: 3.0,
             reps: [2, 2, 2],
             mass: 63.546,
@@ -648,15 +530,15 @@ mod tests {
         assert!(matches!(run(&cutoff, |_| {}), Err(AppError::Deck(_))));
 
         let mut orphan = config();
-        orphan.checkpoint_every = 5;
+        orphan.run.checkpoint_every = 5;
         assert!(matches!(run(&orphan, |_| {}), Err(AppError::Deck(_))));
 
         let mut thermostat = config();
-        thermostat.thermostat = Some("nose-hoover".into());
+        thermostat.run.thermostat = Some("nose-hoover".into());
         assert!(matches!(run(&thermostat, |_| {}), Err(AppError::Deck(_))));
 
         let mut stride = config();
-        stride.thermo_every = 0;
+        stride.run.thermo_every = 0;
         assert!(matches!(run(&stride, |_| {}), Err(AppError::Deck(_))));
     }
 
@@ -671,13 +553,15 @@ mod tests {
                 rcut: 3.9,
             },
             rounds: 1,
-            n_models: 2,
-            train_steps: 10,
-            steps_per_round: 4,
-            sample_every: 2,
-            lo: 1e-5,
-            hi: 1e3,
-            lr: 0.02,
+            opts: ActiveLearnOptions {
+                train_steps: 10,
+                steps_per_round: 4,
+                sample_every: 2,
+                lo: 1e-5,
+                hi: 1e3,
+                seed: cfg.run.seed,
+                ..ActiveLearnOptions::default()
+            },
             initial_frames: 3,
             frame_perturb: 0.15,
         });

@@ -3,6 +3,7 @@
 //! inference daemon (models loaded once, jobs and batched evaluations
 //! multiplexed over HTTP).
 pub mod app;
+pub mod deck;
 pub mod ensemble_app;
 pub mod serve_app;
 pub use deepmd_core as core;

@@ -25,9 +25,10 @@
 //!   snapshotted as JSON.
 
 use crate::app::{self, AppError};
+use crate::deck::{self, Deck};
 use crate::ensemble_app;
 use deepmd_core::config::DpConfig;
-use deepmd_core::model::{DpModel, DpModelData};
+use deepmd_core::model::DpModel;
 use deepmd_core::{BatchItem, DeepPotential, PrecisionMode};
 use dp_md::{Cell, NeighborList, System};
 use dp_serve::json::{self, Json};
@@ -175,11 +176,7 @@ fn load_models(specs: &[(String, String)]) -> Result<HashMap<String, Arc<ModelEn
             let model = DpModel::new_random(cfg, &mut StdRng::seed_from_u64(seed));
             (model, PrecisionMode::Double)
         } else {
-            let text = std::fs::read_to_string(source)
-                .map_err(|e| AppError::Io(format!("cannot read model {source}: {e}")))?;
-            let data: DpModelData = serde_json::from_str(&text)
-                .map_err(|e| AppError::Deck(format!("bad model {source}: {e}")))?;
-            (DpModel::from_data(&data), PrecisionMode::Double)
+            (deck::load_model(source)?, PrecisionMode::Double)
         };
         let rcut = model.config.rcut;
         let n_types = model.config.n_types();
@@ -469,8 +466,8 @@ impl BatchBackend for EvalBackend {
     }
 }
 
-/// Runs submitted decks through the same `app::run` as the CLI, with a
-/// per-job state directory.
+/// Runs submitted decks through the same `app::run` / `ensemble_app::run`
+/// as the CLI, confined to a per-job state directory.
 struct DeckRunner {
     state_dir: PathBuf,
     /// `dp-obs` trace/metrics recording is process-global, so at most one
@@ -495,132 +492,78 @@ fn fail(e: AppError) -> JobFailure {
     }
 }
 
-impl DeckRunner {
-    /// Ensemble decks (top-level `"replicas"` key) run through the
-    /// multi-replica engine, with the same job-dir confinement and
-    /// restart-resume conveniences as plain MD decks.
-    fn run_ensemble(&self, id: &str, deck: &str) -> Result<String, JobFailure> {
-        let mut cfg = ensemble_app::parse_config(deck).map_err(fail)?;
-        let job_dir = self.state_dir.join(id);
-        std::fs::create_dir_all(&job_dir)
-            .map_err(|e| fail(AppError::Io(format!("cannot create job dir: {e}"))))?;
-        let in_job_dir = |p: &str| job_dir.join(p).to_string_lossy().into_owned();
-
-        if cfg.checkpoint_every > 0 && cfg.checkpoint_path.is_none() {
-            cfg.checkpoint_path = Some(in_job_dir("ckpt"));
-        }
-        if let Some(p) = &cfg.swap_log {
-            if !p.starts_with('/') {
-                cfg.swap_log = Some(in_job_dir(p));
-            }
-        }
-        // Resubmitted after a daemon restart: continue from the existing
-        // ensemble checkpoint (its meta container marks a valid save).
-        if !cfg.resume && cfg.checkpoint_every > 0 {
-            if let Some(base) = &cfg.checkpoint_path {
-                if std::path::Path::new(&format!("{base}.meta")).exists() {
-                    cfg.resume = true;
-                }
-            }
-        }
-
-        let mut log_file = std::fs::File::create(job_dir.join("log.txt"))
-            .map_err(|e| fail(AppError::Io(format!("cannot create job log: {e}"))))?;
-        let summary = ensemble_app::run(&cfg, |line| {
-            let _ = writeln!(log_file, "{line}");
-        })
-        .map_err(fail)?;
-
-        let mut fields = vec![
-            ("kind", json::str("ensemble")),
-            ("replicas", json::num(summary.replicas as f64)),
-            ("steps", json::num(summary.steps as f64)),
-            (
-                "exchange_attempts",
-                json::num(summary.exchange_attempts as f64),
-            ),
-            (
-                "exchange_accepted",
-                json::num(summary.exchange_accepted as f64),
-            ),
-        ];
-        if let Some(n) = summary.dataset_size {
-            fields.push(("dataset_size", json::num(n as f64)));
-        }
-        Ok(json::obj(fields).to_string())
+/// Run an ensemble deck; the job's result summary.
+fn ensemble_job(
+    cfg: &ensemble_app::EnsembleConfig,
+    log: impl FnMut(&str),
+) -> Result<String, AppError> {
+    let summary = ensemble_app::run(cfg, log)?;
+    let mut fields = vec![
+        ("kind", json::str("ensemble")),
+        ("replicas", json::num(summary.replicas as f64)),
+        ("steps", json::num(summary.steps as f64)),
+        (
+            "exchange_attempts",
+            json::num(summary.exchange_attempts as f64),
+        ),
+        (
+            "exchange_accepted",
+            json::num(summary.exchange_accepted as f64),
+        ),
+    ];
+    if let Some(n) = summary.dataset_size {
+        fields.push(("dataset_size", json::num(n as f64)));
     }
+    Ok(json::obj(fields).to_string())
+}
+
+/// Run an MD deck; the job's result summary.
+fn md_job(cfg: &app::AppConfig, log: impl FnMut(&str)) -> Result<String, AppError> {
+    let summary = app::run(cfg, log)?;
+    let mut fields = vec![
+        ("steps", json::num(cfg.run.steps as f64)),
+        ("natoms", json::num(summary.final_system.len() as f64)),
+        ("potential", json::str(summary.potential_name)),
+        ("recoveries", json::num(summary.recoveries as f64)),
+    ];
+    if let Some(last) = summary.thermo.last() {
+        fields.push(("final_temperature", json::num(last.temperature)));
+        fields.push(("final_potential_energy", json::num(last.potential_energy)));
+    }
+    // Parallel jobs carry their §7.3 phase breakdown onto
+    // `/v1/jobs/{id}`: per-phase share of rank busy time plus the
+    // run-level imbalance ratio.
+    if let Some(imb) = &summary.imbalance {
+        let mut phases: Vec<(&str, Json)> = imb
+            .phases
+            .iter()
+            .map(|p| (p.name, json::num(p.share)))
+            .collect();
+        phases.push(("imbalance", json::num(imb.imbalance)));
+        fields.push(("phases", json::obj(phases)));
+    }
+    Ok(json::obj(fields).to_string())
 }
 
 impl JobRunner for DeckRunner {
     fn run(&self, id: &str, deck: &str) -> Result<String, JobFailure> {
-        if ensemble_app::is_ensemble_deck(deck) {
-            return self.run_ensemble(id, deck);
-        }
-        let mut cfg = app::parse_config(deck).map_err(fail)?;
+        let mut deck = deck::parse(deck).map_err(fail)?;
         let job_dir = self.state_dir.join(id);
         std::fs::create_dir_all(&job_dir)
             .map_err(|e| fail(AppError::Io(format!("cannot create job dir: {e}"))))?;
-        let in_job_dir = |p: &str| job_dir.join(p).to_string_lossy().into_owned();
+        deck.confine_to(&job_dir);
 
-        // Jobs get an automatic checkpoint rotation (resume across daemon
-        // restarts) and have their relative outputs confined to the job
-        // dir so concurrent jobs never clobber each other.
-        if cfg.checkpoint_every > 0 && cfg.checkpoint_path.is_none() {
-            cfg.checkpoint_path = Some(in_job_dir("ckpt"));
-        }
-        if let Some(t) = &cfg.trajectory {
-            if !t.starts_with('/') {
-                cfg.trajectory = Some(in_job_dir(t));
-            }
-        }
-        let wants_obs = cfg.trace_path.is_some() || cfg.metrics_path.is_some();
-        if cfg.trace_path.is_some() {
-            cfg.trace_path = Some(in_job_dir("trace.json"));
-        }
-        if cfg.metrics_path.is_some() {
-            cfg.metrics_path = Some(in_job_dir("metrics.jsonl"));
-        }
-        // If the job was resubmitted after a daemon restart and its
-        // rotation already has generations, continue from them.
-        if cfg.resume.is_none() && cfg.checkpoint_every > 0 {
-            if let Some(base) = &cfg.checkpoint_path {
-                if std::path::Path::new(base).exists() {
-                    cfg.resume = Some(base.clone());
-                }
-            }
-        }
-
-        let _gate = wants_obs.then(|| self.obs_gate.lock().unwrap());
+        let _gate = deck.wants_obs().then(|| self.obs_gate.lock().unwrap());
         let mut log_file = std::fs::File::create(job_dir.join("log.txt"))
             .map_err(|e| fail(AppError::Io(format!("cannot create job log: {e}"))))?;
-        let summary = app::run(&cfg, |line| {
+        let log = |line: &str| {
             let _ = writeln!(log_file, "{line}");
-        })
-        .map_err(fail)?;
-
-        let mut fields = vec![
-            ("steps", json::num(cfg.steps as f64)),
-            ("natoms", json::num(summary.final_system.len() as f64)),
-            ("potential", json::str(summary.potential_name)),
-            ("recoveries", json::num(summary.recoveries as f64)),
-        ];
-        if let Some(last) = summary.thermo.last() {
-            fields.push(("final_temperature", json::num(last.temperature)));
-            fields.push(("final_potential_energy", json::num(last.potential_energy)));
+        };
+        match &deck {
+            Deck::Md(cfg) => md_job(cfg, log),
+            Deck::Ensemble(cfg) => ensemble_job(cfg, log),
         }
-        // Parallel jobs carry their §7.3 phase breakdown onto
-        // `/v1/jobs/{id}`: per-phase share of rank busy time plus the
-        // run-level imbalance ratio.
-        if let Some(imb) = &summary.imbalance {
-            let mut phases: Vec<(&str, Json)> = imb
-                .phases
-                .iter()
-                .map(|p| (p.name, json::num(p.share)))
-                .collect();
-            phases.push(("imbalance", json::num(imb.imbalance)));
-            fields.push(("phases", json::obj(phases)));
-        }
-        Ok(json::obj(fields).to_string())
+        .map_err(fail)
     }
 }
 
@@ -921,14 +864,8 @@ fn handle(
                 return Response::error(400, "deck is not UTF-8");
             };
             // Validate the deck up front so a typo answers 400 now, not a
-            // failed job later. Ensemble decks validate against their own
-            // schema.
-            let validated = if ensemble_app::is_ensemble_deck(text) {
-                ensemble_app::parse_config(text).map(|_| ())
-            } else {
-                app::parse_config(text).map(|_| ())
-            };
-            if let Err(e) = validated {
+            // failed job later.
+            if let Err(e) = deck::parse(text) {
                 return Response::error(400, &e.to_string());
             }
             match store.submit(text.to_string()) {

@@ -52,11 +52,7 @@ fn dp_model_deck_roundtrips_through_disk() {
     let dir = std::env::temp_dir().join("dpmd-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let model_path = dir.join("model.json");
-    std::fs::write(
-        &model_path,
-        serde_json::to_string(&model.to_data()).unwrap(),
-    )
-    .unwrap();
+    std::fs::write(&model_path, model.to_json()).unwrap();
     let traj_path = dir.join("run.xyz");
 
     let deck = format!(

@@ -7,9 +7,9 @@
 
 use deepmd_repro::app::{parse_config, run};
 use deepmd_repro::core::{DpConfig, DpModel};
+use deepmd_repro::obs::json::Json as Value;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde_json::Value;
 
 #[test]
 fn dp_deck_with_trace_and_metrics_produces_valid_artifacts() {
@@ -18,7 +18,7 @@ fn dp_deck_with_trace_and_metrics_produces_valid_artifacts() {
     let dir = std::env::temp_dir().join("dpmd-obs-test");
     std::fs::create_dir_all(&dir).unwrap();
     let model_path = dir.join("model.json");
-    std::fs::write(&model_path, serde_json::to_string(&model.to_data()).unwrap()).unwrap();
+    std::fs::write(&model_path, model.to_json()).unwrap();
     let trace_path = dir.join("trace.json");
     let metrics_path = dir.join("metrics.jsonl");
 
@@ -44,20 +44,30 @@ fn dp_deck_with_trace_and_metrics_produces_valid_artifacts() {
 
     // ---- chrome trace: a loadable JSON array of complete events ----
     let trace_text = std::fs::read_to_string(&trace_path).unwrap();
-    let events: Value = serde_json::from_str(&trace_text).expect("trace is valid JSON");
-    let events = events.as_array().expect("trace is a JSON array");
+    let events = Value::parse(&trace_text).expect("trace is valid JSON");
+    let events = events.as_arr().expect("trace is a JSON array");
     assert!(!events.is_empty(), "trace recorded no events");
+    let text = |v: &Value, k: &str| v.get(k).and_then(Value::as_str).map(str::to_string);
+    let float = |v: &Value, k: &str| v.get(k).and_then(Value::as_f64);
+    let int = |v: &Value, k: &str| v.get(k).and_then(Value::as_u64);
     for e in events.iter() {
-        assert!(e["name"].is_string(), "event missing name: {e}");
-        assert_eq!(e["ph"].as_str(), Some("X"), "event not a complete event: {e}");
-        assert!(e["ts"].as_f64().is_some(), "event missing ts: {e}");
-        assert!(e["dur"].as_f64().is_some(), "event missing dur: {e}");
-        assert!(e["tid"].as_u64().is_some(), "event missing tid: {e}");
+        assert!(text(e, "name").is_some(), "event missing name: {e}");
+        assert_eq!(
+            text(e, "ph").as_deref(),
+            Some("X"),
+            "event not a complete event: {e}"
+        );
+        assert!(float(e, "ts").is_some(), "event missing ts: {e}");
+        assert!(float(e, "dur").is_some(), "event missing dur: {e}");
+        assert!(int(e, "tid").is_some(), "event missing tid: {e}");
     }
     // the MD-loop phase taxonomy shows up
-    let names: Vec<&str> = events.iter().filter_map(|e| e["name"].as_str()).collect();
+    let names: Vec<String> = events.iter().filter_map(|e| text(e, "name")).collect();
     for expected in ["integrate", "force_eval", "environment", "embedding_gemm"] {
-        assert!(names.contains(&expected), "no '{expected}' span in trace");
+        assert!(
+            names.iter().any(|n| n == expected),
+            "no '{expected}' span in trace"
+        );
     }
 
     // ---- per-step metrics: §6.3 headline figures on every line ----
@@ -65,19 +75,19 @@ fn dp_deck_with_trace_and_metrics_produces_valid_artifacts() {
     let lines: Vec<Value> = metrics_text
         .lines()
         .filter(|l| !l.trim().is_empty())
-        .map(|l| serde_json::from_str(l).expect("metrics line is valid JSON"))
+        .map(|l| Value::parse(l).expect("metrics line is valid JSON"))
         .collect();
     assert_eq!(lines.len(), 12, "one metrics line per step");
     for v in &lines {
-        let tts = v["s_per_step_per_atom"].as_f64().expect("tts present");
+        let tts = float(v, "s_per_step_per_atom").expect("tts present");
         assert!(tts > 0.0 && tts.is_finite(), "bad s_per_step_per_atom {tts}");
-        assert_eq!(v["n_atoms"].as_u64(), Some(108));
-        assert!(v["gflops"].as_f64().is_some(), "gflops missing");
-        assert!(v["flops"].as_u64().is_some(), "flops missing");
+        assert_eq!(int(v, "n_atoms"), Some(108));
+        assert!(float(v, "gflops").is_some(), "gflops missing");
+        assert!(int(v, "flops").is_some(), "flops missing");
     }
     // a DP step does real GEMM work, so the flops counter must move
     assert!(
-        lines.iter().any(|v| v["flops"].as_u64().unwrap_or(0) > 0),
+        lines.iter().any(|v| int(v, "flops").unwrap_or(0) > 0),
         "no step recorded any FLOPs"
     );
 

@@ -129,8 +129,7 @@ fn energy_is_rotation_invariant() {
 #[test]
 fn model_roundtrips_through_disk() {
     let (model, sys) = setup();
-    let json = serde_json::to_string(&model.to_data()).unwrap();
-    let back = DpModel::<f64>::from_data(&serde_json::from_str(&json).unwrap());
+    let back = DpModel::from_json(&model.to_json()).unwrap();
 
     let dp_a = DeepPotential::new(model, PrecisionMode::Double);
     let dp_b = DeepPotential::new(back, PrecisionMode::Double);

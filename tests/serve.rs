@@ -9,10 +9,8 @@
 //! with shortest-round-trip float printing, is bit-identity of every
 //! energy and force component.
 //!
-//! Tests prefixed `job_` submit decks, which the daemon parses with
-//! serde_json; the offline harness (tools/offline_check.sh) runs this
-//! binary with `--skip job_` because its serde stub cannot parse JSON at
-//! runtime. The eval/metrics/shutdown tests run everywhere.
+//! Tests prefixed `job_` submit decks; the rest drive eval, metrics and
+//! shutdown.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

@@ -8,18 +8,25 @@
 # determinism check, and the serve daemon.
 #
 # Run from anywhere; it cds to the repo root. `--skip-tests` leaves the
-# `cargo test` stages out (CI runs them as their own steps).
-# no pipefail: several stages pipe dpmd into `grep -q`, which closes the
-# pipe at the first match
+# `cargo test` stages out (CI runs them as their own steps). With
+# `DPMD=<binary>` in the environment the cargo stages are skipped
+# altogether and the smokes drive that binary (tools/offline_check.sh
+# passes its rustc-built one).
+# A run's stdout goes to a file before it is grepped: `grep -q` closes the
+# pipe at its first match, and a `dpmd` that is still printing then dies
+# on EPIPE before it has written its metrics and Prometheus dump.
 set -eu
 cd "$(dirname "$0")"
 
-cargo build --release --workspace
-if [ "${1:-}" != "--skip-tests" ]; then
-    cargo test -q --workspace
-    # the scalar fallback stays a tested baseline on hosts that always
-    # dispatch to the SIMD path
-    DPMD_SIMD=off cargo test -q -p dp-linalg
+if [ -z "${DPMD:-}" ]; then
+    DPMD=target/release/dpmd
+    cargo build --release --workspace
+    if [ "${1:-}" != "--skip-tests" ]; then
+        cargo test -q --workspace
+        # the scalar fallback stays a tested baseline on hosts that always
+        # dispatch to the SIMD path
+        DPMD_SIMD=off cargo test -q -p dp-linalg
+    fi
 fi
 
 # Benchmark smoke: all six perfbench workloads, both passes, at a twentieth
@@ -30,7 +37,6 @@ fi
 bash crates/perfbench/smoke.sh
 echo "tier1: perfbench smoke ledger validated"
 
-DPMD=target/release/dpmd
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 
@@ -106,8 +112,8 @@ cat > "$DIR/fault.json" <<EOF
 }
 EOF
 "$DPMD" "$DIR/fault.json" --metrics "$DIR/fault-metrics.jsonl" \
-  --prom-dump "$DIR/fault-prom.txt" \
-  | grep -q 'recovered from 1 failed epoch'
+  --prom-dump "$DIR/fault-prom.txt" > "$DIR/fault.out"
+grep -q 'recovered from 1 failed epoch' "$DIR/fault.out"
 grep -q 'fault.detected' "$DIR/fault-metrics.jsonl"
 grep -q 'recovery.success' "$DIR/fault-metrics.jsonl"
 # the flight recorder's pre-fault window rides the same metrics stream
@@ -197,7 +203,8 @@ cat > "$DIR/chaos.json" <<EOF
   "seed": 7
 }
 EOF
-"$DPMD" "$DIR/chaos.json" | grep -q 'recovered from'
+"$DPMD" "$DIR/chaos.json" > "$DIR/chaos.out"
+grep -q 'recovered from' "$DIR/chaos.out"
 echo "tier1: fault_chaos schedule recovered via checkpoint rotation"
 
 # Chaos-soak smoke: a deterministic schedule of a kill, a drop, a delay
