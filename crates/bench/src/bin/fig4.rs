@@ -15,9 +15,8 @@ use dp_bench::models;
 use dp_md::analysis::rdf::Rdf;
 use dp_md::integrate::{run_md, Berendsen, MdOptions};
 use dp_md::potential::pair::PairTable;
+use dp_md::CounterRng;
 use dp_md::{lattice, NeighborList, Potential, System};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const R_MAX: f64 = 4.4;
 const BINS: usize = 60;
@@ -27,7 +26,7 @@ const STRIDE: usize = 15;
 
 fn rdf_of_md(pot: &dyn Potential, label: &str) -> [Vec<(f64, f64)>; 3] {
     let mut sys = lattice::water_box([6, 6, 6], 3.104);
-    let mut rng = StdRng::seed_from_u64(77);
+    let mut rng = CounterRng::new(77);
     sys.init_velocities(330.0, &mut rng);
     let opts = MdOptions {
         dt: 5.0e-4,

@@ -19,9 +19,8 @@ use dp_md::deform::{tensile_test, TensileOptions};
 use dp_md::integrate::{run_md, Berendsen, MdOptions};
 use dp_md::polycrystal;
 use dp_md::potential::eam::SuttonChen;
+use dp_md::CounterRng;
 use dp_md::{NeighborList, Potential, System};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// CNA fractions after a brief quench: thermal displacement at 300 K
 /// blurs the signatures, so structures are identified on a configuration
@@ -44,7 +43,7 @@ fn cna_fractions(sys: &System, pot: &dyn Potential) -> (f64, f64, f64) {
 
 fn deform_protocol(pot: &dyn Potential, label: &str) -> Vec<Vec<String>> {
     // scaled-down Fig 7 sample: 4 grains in a 30 Å box (~2,300 atoms)
-    let mut rng = StdRng::seed_from_u64(314);
+    let mut rng = CounterRng::new(314);
     let mut sys = polycrystal::voronoi_fcc(34.0, 4, 3.615, 2.0, &mut rng);
     eprintln!("[fig7] {label}: {} atoms in 4 grains", sys.len());
     sys.init_velocities(300.0, &mut rng);

@@ -6,7 +6,7 @@
 //! reporting 130× / 38× / 17× speedups. We reproduce the same three
 //! operators with our baseline (serial struct-sort formatting, per-slot
 //! serial loops) and optimized (u64-compressed parallel formatting,
-//! rayon per-slot kernels) paths on the identical workload and network
+//! per-slot kernels) paths on the identical workload and network
 //! hyper-parameters.
 //!
 //! Run with: `cargo run --release -p dp-bench --bin table3`
@@ -15,25 +15,21 @@ use deepmd_core::codec::Codec;
 use deepmd_core::format::{format_baseline, format_optimized, FormattedEnv, NONE};
 use dp_bench::report::print_table;
 use dp_bench::workloads;
-use dp_md::NeighborList;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rayon::prelude::*;
+use dp_md::{CounterRng, NeighborList};
 use std::time::Instant;
 
 /// Synthetic per-slot ∂E/∂R̃ rows (4 values) + embedding-input gradients,
 /// standing in for what the network backward pass produces; the ProdForce /
 /// ProdVirial operators are pure functions of these plus the geometry.
 fn synthetic_gw(fmt: &FormattedEnv, seed: u64) -> Vec<[f64; 4]> {
-    use rand::Rng;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = CounterRng::new(seed);
     (0..fmt.n_atoms * fmt.nm)
         .map(|_| {
             [
-                rng.gen_range(-1.0..1.0),
-                rng.gen_range(-1.0..1.0),
-                rng.gen_range(-1.0..1.0),
-                rng.gen_range(-1.0..1.0),
+                rng.range(-1.0, 1.0),
+                rng.range(-1.0, 1.0),
+                rng.range(-1.0, 1.0),
+                rng.range(-1.0, 1.0),
             ]
         })
         .collect()
@@ -80,11 +76,7 @@ fn prod_force_optimized(fmt: &FormattedEnv, gw: &[[f64; 4]], n_total: usize) -> 
         out
     };
     let n_slots = fmt.n_atoms * fmt.nm;
-    let grads: Vec<[f64; 3]> = if rayon::current_num_threads() > 1 {
-        (0..n_slots).into_par_iter().map(slot_grad).collect()
-    } else {
-        (0..n_slots).map(slot_grad).collect()
-    };
+    let grads: Vec<[f64; 3]> = (0..n_slots).map(slot_grad).collect();
     let mut forces = vec![[0.0f64; 3]; n_total];
     for (slot, g) in grads.iter().enumerate() {
         let j = fmt.indices[slot];
@@ -155,14 +147,7 @@ fn prod_virial_optimized(fmt: &FormattedEnv, gw: &[[f64; 4]]) -> [f64; 6] {
         }
         a
     };
-    if rayon::current_num_threads() > 1 {
-        (0..n_slots)
-            .into_par_iter()
-            .map(slot_w)
-            .reduce(|| [0.0; 6], add)
-    } else {
-        (0..n_slots).map(slot_w).fold([0.0; 6], add)
-    }
+    (0..n_slots).map(slot_w).fold([0.0; 6], add)
 }
 
 fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {

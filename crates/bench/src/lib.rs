@@ -1,9 +1,9 @@
 //! Shared infrastructure for the experiment harnesses.
 //!
-//! One binary per paper table/figure lives in `src/bin/`; criterion
-//! ablation benches live in `benches/`. This library supplies the common
-//! pieces: scaled-down trained models (cached on disk so every harness
-//! doesn't retrain), standard workloads, and table formatting.
+//! One binary per paper table/figure (and `ablations`) lives in
+//! `src/bin/`. This library supplies the common pieces: scaled-down
+//! trained models (cached on disk so every harness doesn't retrain),
+//! standard workloads, and table formatting.
 
 pub mod models;
 pub mod report;

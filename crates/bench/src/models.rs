@@ -8,11 +8,10 @@ use crate::workloads;
 use deepmd_core::model::DpModel;
 use dp_md::potential::eam::SuttonChen;
 use dp_md::potential::pair::PairTable;
+use dp_md::CounterRng;
 use dp_md::Potential;
 use dp_train::dataset::{md_frames, perturbed_frames};
 use dp_train::{LossWeights, Trainer};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::path::PathBuf;
 
 fn cache_dir() -> PathBuf {
@@ -46,7 +45,7 @@ fn train(
         return m;
     }
     eprintln!("[models] training {name} ({steps} steps)...");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = CounterRng::new(seed);
     let mut frames = perturbed_frames(&base, reference, 8, 0.35, &mut rng);
     frames.extend(md_frames(&base, reference, 300.0, 4, 25, 5e-4, &mut rng));
     let model = DpModel::<f64>::new_random(cfg, &mut rng);
@@ -100,12 +99,12 @@ pub fn copper_model() -> DpModel<f64> {
 /// (embedding 25×50×100, fitting 240³, sel {46,92}) — used by harnesses
 /// that measure kernels, where weights don't matter.
 pub fn water_model_paper_size(seed: u64) -> DpModel<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = CounterRng::new(seed);
     DpModel::new_random(deepmd_core::DpConfig::water_paper(), &mut rng)
 }
 
 /// Untrained model with the paper's copper hyper-parameters (sel 500).
 pub fn copper_model_paper_size(seed: u64) -> DpModel<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = CounterRng::new(seed);
     DpModel::new_random(deepmd_core::DpConfig::copper_paper(), &mut rng)
 }

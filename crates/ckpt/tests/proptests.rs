@@ -2,8 +2,9 @@
 //! sets survive a byte-level round trip unchanged, and every corruption
 //! (truncation, bit flip, header damage) is detected.
 //!
-//! Uses a self-contained splitmix64 generator instead of `proptest` so the
-//! suite stays dependency-free like the crate itself.
+//! Uses a self-contained splitmix64 generator (not `dp_md::CounterRng`, the
+//! one the other property suites draw from) so the suite stays
+//! dependency-free like the crate itself.
 
 use dp_ckpt::format::{KIND_MD, KIND_TRAIN};
 use dp_ckpt::{CkptError, CkptReader, CkptWriter, Dec, Enc};

@@ -252,14 +252,13 @@ mod tests {
     use crate::config::DpConfig;
     use crate::eval::evaluate;
     use crate::format::format_optimized;
+    use dp_md::CounterRng;
     use dp_md::{lattice, units};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn optimized_matches_baseline_single_species() {
         let cfg = DpConfig::small(1, 4.5, 16);
-        let mut rng = StdRng::seed_from_u64(21);
+        let mut rng = CounterRng::new(21);
         let model = DpModel::<f64>::new_random(cfg.clone(), &mut rng);
         let mut sys = lattice::fcc(3.615, [3, 3, 3], units::MASS_CU);
         sys.perturb(0.12, &mut rng);
@@ -295,7 +294,7 @@ mod tests {
             fitting: vec![16, 16],
             axis_neurons: 3,
         };
-        let mut rng = StdRng::seed_from_u64(22);
+        let mut rng = CounterRng::new(22);
         let model = DpModel::<f64>::new_random(cfg.clone(), &mut rng);
         let mut sys = lattice::water_box([3, 3, 3], 3.5);
         sys.perturb(0.05, &mut rng);
@@ -316,7 +315,7 @@ mod tests {
     #[test]
     fn baseline_forces_match_fd() {
         let cfg = DpConfig::small(1, 4.5, 16);
-        let mut rng = StdRng::seed_from_u64(23);
+        let mut rng = CounterRng::new(23);
         let model = DpModel::<f64>::new_random(cfg.clone(), &mut rng);
         let mut sys = lattice::fcc(3.615, [3, 3, 3], units::MASS_CU);
         sys.perturb(0.1, &mut rng);

@@ -67,12 +67,10 @@ mod tests {
     use crate::potential_impl::{BatchItem, DeepPotential, PrecisionMode};
     use crate::model::DpModel;
     use crate::codec::Codec;
-    use dp_md::{lattice, units, NeighborList, Potential, System};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use dp_md::{lattice, units, CounterRng, NeighborList, Potential, System};
 
     fn sample_systems() -> Vec<System> {
-        let mut rng = StdRng::seed_from_u64(97);
+        let mut rng = CounterRng::new(97);
         // heterogeneous sizes so batch offsets are non-trivial; every
         // axis ≥ 3 cells keeps the 4.5 Å cutoff under the minimum-image
         // limit (3 · 3.615 / 2 = 5.42)
@@ -88,7 +86,7 @@ mod tests {
 
     fn potential() -> DeepPotential {
         let cfg = DpConfig::small(1, 4.5, 16);
-        let mut rng = StdRng::seed_from_u64(31);
+        let mut rng = CounterRng::new(31);
         DeepPotential::new(DpModel::<f64>::new_random(cfg, &mut rng), PrecisionMode::Double)
     }
 

@@ -314,12 +314,11 @@ pub fn evaluate_compressed(
 mod tests {
     use super::*;
     use crate::config::DpConfig;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use dp_md::CounterRng;
 
     fn net() -> Net<f64> {
-        let mut rng = StdRng::seed_from_u64(5);
-        Net::embedding(&[8, 16], &mut rng)
+        let mut rng = CounterRng::new(5);
+        Net::embedding(&[8, 16], &mut || rng.gauss())
     }
 
     #[test]
@@ -403,7 +402,7 @@ mod tests {
         use dp_md::{lattice, units, NeighborList};
 
         let cfg = DpConfig::small(1, 4.5, 16);
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = CounterRng::new(9);
         let model = DpModel::<f64>::new_random(cfg.clone(), &mut rng);
         let mut sys = lattice::fcc(3.615, [3, 3, 3], units::MASS_CU);
         sys.perturb(0.1, &mut rng);
@@ -433,7 +432,7 @@ mod tests {
         use dp_md::{lattice, units, NeighborList};
 
         let cfg = DpConfig::small(1, 4.5, 16);
-        let mut rng = StdRng::seed_from_u64(10);
+        let mut rng = CounterRng::new(10);
         let model = DpModel::<f64>::new_random(cfg.clone(), &mut rng);
         let mut sys = lattice::fcc(3.615, [3, 3, 3], units::MASS_CU);
         sys.perturb(0.1, &mut rng);
@@ -455,7 +454,7 @@ mod tests {
 
     #[test]
     fn compressed_model_builds_per_type() {
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = CounterRng::new(6);
         let model = DpModel::<f64>::new_random(DpConfig::small(2, 5.0, 12), &mut rng);
         let c = CompressedModel::build(model, 0.8, 64);
         assert_eq!(c.tables.len(), 2);

@@ -38,7 +38,7 @@ use dp_linalg::gemm::{gemm_bias_into, matmul_nt_into};
 use dp_linalg::{simd, Matrix, Real};
 use dp_nn::layer::LayerKind;
 use dp_nn::net::Net;
-use rayon::prelude::*;
+use dp_obs::par;
 
 /// Result of one evaluation.
 #[derive(Debug, Clone)]
@@ -504,7 +504,7 @@ pub fn evaluate_into<T: Real>(
             let ds_cols = &*ds_cols;
             let denv_blocks = &*denv_blocks;
             let block_off = &*block_off;
-            slot_grads.par_chunks_mut(nm).enumerate().for_each(|(a, sg)| {
+            par::chunks_mut(slot_grads, nm, |a, sg| {
                 let atom = chunk_start + a;
                 for (within, out_g) in sg.iter_mut().enumerate() {
                     let slot = atom * nm + within;
@@ -574,13 +574,12 @@ mod tests {
     use crate::codec::Codec;
     use crate::config::DpConfig;
     use crate::format::format_optimized;
+    use dp_md::CounterRng;
     use dp_md::{lattice, units, NeighborList, System};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn test_setup() -> (DpModel<f64>, System, FormattedEnv) {
         let cfg = DpConfig::small(1, 4.5, 16);
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = CounterRng::new(11);
         let model = DpModel::new_random(cfg.clone(), &mut rng);
         let mut sys = lattice::fcc(3.615, [3, 3, 3], units::MASS_CU);
         sys.perturb(0.1, &mut rng);
@@ -676,7 +675,7 @@ mod tests {
         // a system larger than one chunk gives identical energies to a
         // manual per-chunk evaluation — i.e. chunk boundaries don't leak
         let cfg = DpConfig::small(1, 4.5, 16);
-        let mut rng = StdRng::seed_from_u64(12);
+        let mut rng = CounterRng::new(12);
         let model = DpModel::<f64>::new_random(cfg.clone(), &mut rng);
         let mut sys = lattice::fcc(3.615, [5, 5, 5], units::MASS_CU); // 500 atoms > CHUNK
         sys.perturb(0.05, &mut rng);

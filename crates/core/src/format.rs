@@ -19,7 +19,6 @@ use crate::codec::Codec;
 use crate::config::DpConfig;
 use crate::env::{env_row, smooth_weight};
 use dp_md::{NeighborList, System};
-use rayon::prelude::*;
 
 /// Slot marker for padding.
 pub const NONE: i32 = -1;
@@ -249,10 +248,10 @@ pub fn format_optimized_into(
     let sel: &[usize] = sel;
 
     let overflow: usize = indices
-        .par_chunks_mut(nm)
-        .zip(env.par_chunks_mut(nm * 4))
-        .zip(denv.par_chunks_mut(nm * 12))
-        .zip(disp.par_chunks_mut(nm * 3))
+        .chunks_mut(nm)
+        .zip(env.chunks_mut(nm * 4))
+        .zip(denv.chunks_mut(nm * 12))
+        .zip(disp.chunks_mut(nm * 3))
         .enumerate()
         .map(|(i, (((idx, env), denv), disp))| {
             FMT_SCRATCH.with(|cell| {
@@ -324,8 +323,7 @@ mod tests {
     use super::*;
     use dp_md::lattice;
     use dp_md::units;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use dp_md::CounterRng;
 
     fn small_cfg() -> DpConfig {
         DpConfig::small(1, 4.5, 16)
@@ -333,7 +331,7 @@ mod tests {
 
     fn copper_test_system() -> (System, NeighborList) {
         let mut sys = lattice::fcc(3.615, [3, 3, 3], units::MASS_CU);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = CounterRng::new(7);
         sys.perturb(0.1, &mut rng);
         let nl = NeighborList::build(&sys, 4.5);
         (sys, nl)

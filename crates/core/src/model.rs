@@ -3,10 +3,10 @@
 
 use crate::config::DpConfig;
 use dp_linalg::{Matrix, Real};
+use dp_md::CounterRng;
 use dp_nn::layer::{Layer, LayerKind};
 use dp_nn::net::Net;
 use dp_obs::json::{self, Json};
-use rand::Rng;
 
 /// A Deep Potential model in precision `T`: one embedding net per neighbor
 /// type (input `s(r)`, output width M) and one fitting net per center type
@@ -198,14 +198,15 @@ impl DpModel<f64> {
 
 impl<T: Real> DpModel<T> {
     /// Fresh model with Xavier-initialized weights.
-    pub fn new_random(config: DpConfig, rng: &mut impl Rng) -> Self {
+    pub fn new_random(config: DpConfig, rng: &mut CounterRng) -> Self {
         config.check();
         let n_types = config.n_types();
+        let gauss = &mut || rng.gauss();
         let embeddings = (0..n_types)
-            .map(|_| Net::embedding(&config.embedding, rng))
+            .map(|_| Net::embedding(&config.embedding, gauss))
             .collect();
         let fittings = (0..n_types)
-            .map(|_| Net::fitting(config.descriptor_dim(), &config.fitting, rng))
+            .map(|_| Net::fitting(config.descriptor_dim(), &config.fitting, gauss))
             .collect();
         Self {
             config,
@@ -263,12 +264,11 @@ impl<T: Real> DpModel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use dp_md::CounterRng;
 
     #[test]
     fn random_model_shapes() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = CounterRng::new(1);
         let m = DpModel::<f64>::new_random(DpConfig::small(2, 5.0, 12), &mut rng);
         assert_eq!(m.embeddings.len(), 2);
         assert_eq!(m.fittings.len(), 2);
@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn flat_params_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = CounterRng::new(2);
         let mut m = DpModel::<f64>::new_random(DpConfig::small(1, 5.0, 12), &mut rng);
         let p = m.flat_params();
         assert_eq!(p.len(), m.num_params());
@@ -291,7 +291,7 @@ mod tests {
 
     #[test]
     fn json_roundtrip_is_bit_exact() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = CounterRng::new(5);
         let m = DpModel::<f64>::new_random(DpConfig::small(2, 5.0, 8), &mut rng);
         let back = DpModel::from_json(&m.to_json()).unwrap();
         assert_eq!(back.config, m.config);
@@ -309,7 +309,7 @@ mod tests {
         // embedding 1->25->50->100: (25+25)+(25*50+50)+(50*100+100) = 6425
         // fitting 400->240->240->240->1:
         //   400*240+240 + 240*240+240 * 2 + 240+1
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = CounterRng::new(4);
         let m = DpModel::<f64>::new_random(DpConfig::water_paper(), &mut rng);
         let emb = 25 + 25 + (25 * 50 + 50) + (50 * 100 + 100);
         let fit = 400 * 240 + 240 + 2 * (240 * 240 + 240) + 240 + 1;

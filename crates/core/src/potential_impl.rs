@@ -363,13 +363,12 @@ impl Potential for DeepPotential {
 mod tests {
     use super::*;
     use crate::config::DpConfig;
+    use dp_md::CounterRng;
     use dp_md::{lattice, units};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn setup(mode: PrecisionMode) -> (DeepPotential, System) {
         let cfg = DpConfig::small(1, 4.5, 16);
-        let mut rng = StdRng::seed_from_u64(31);
+        let mut rng = CounterRng::new(31);
         let model = DpModel::<f64>::new_random(cfg, &mut rng);
         let mut sys = lattice::fcc(3.615, [3, 3, 3], units::MASS_CU);
         sys.perturb(0.1, &mut rng);

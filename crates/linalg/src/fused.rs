@@ -82,7 +82,7 @@ thread_local! {
     /// identity operand depends only on the layer width, which is fixed
     /// per net, so rebuilding it every call (as an earlier revision did)
     /// wasted an O(k²) fill + allocation in the hot loop. Thread-local:
-    /// the kernel is called from inside rayon workers.
+    /// the kernel is called from rank and serve-worker threads.
     static II_CACHE: RefCell<Vec<(TypeId, usize, Box<dyn Any>)>> =
         const { RefCell::new(Vec::new()) };
 }

@@ -2,7 +2,7 @@
 //!
 //! The optimized DeePMD-kit replaces TensorFlow's MATMUL+SUM pairs with a
 //! single cuBLAS GEMM call `C = alpha * A x B + beta * C` (§5.3.1). This
-//! module provides the CPU equivalent: a cache-blocked, rayon-parallel GEMM
+//! module provides the CPU equivalent: a cache-blocked, row-parallel GEMM
 //! with transpose variants (needed by back-propagation) plus the textbook
 //! triple loop kept as the correctness baseline and as the "unoptimized"
 //! side of ablation benches.
@@ -17,7 +17,7 @@ use crate::flops;
 use crate::matrix::Matrix;
 use crate::real::Real;
 use crate::simd;
-use rayon::prelude::*;
+use dp_obs::par;
 
 /// Which operand layout a GEMM input uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +28,7 @@ pub enum Transpose {
     Yes,
 }
 
-/// Problem sizes below this many FLOPs run serially: the rayon fork/join
+/// Problem sizes below this many FLOPs run serially: the fork/join
 /// overhead would dominate (the paper's analogue is kernel-launch latency
 /// dominating small ops, §4 restriction 3).
 const PAR_FLOP_THRESHOLD: u64 = 64 * 1024;
@@ -153,10 +153,7 @@ fn gemm_nn<T: Real>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Mat
             row_kernel(i, c_row);
         }
     } else {
-        c.as_mut_slice()
-            .par_chunks_exact_mut(n)
-            .enumerate()
-            .for_each(|(i, c_row)| row_kernel(i, c_row));
+        par::chunks_mut(c.as_mut_slice(), n, row_kernel);
     }
 }
 
@@ -194,10 +191,7 @@ pub fn gemm_bias_into<T: Real>(a: &Matrix<T>, b: &Matrix<T>, bias: &[T], c: &mut
             row_kernel(i, c_row);
         }
     } else {
-        c.as_mut_slice()
-            .par_chunks_exact_mut(n)
-            .enumerate()
-            .for_each(|(i, c_row)| row_kernel(i, c_row));
+        par::chunks_mut(c.as_mut_slice(), n, row_kernel);
     }
 }
 
@@ -224,10 +218,7 @@ pub fn matmul_nt_into<T: Real>(a: &Matrix<T>, b: &Matrix<T>, c: &mut Matrix<T>) 
             row_kernel(i, c_row);
         }
     } else {
-        c.as_mut_slice()
-            .par_chunks_exact_mut(n)
-            .enumerate()
-            .for_each(|(i, c_row)| row_kernel(i, c_row));
+        par::chunks_mut(c.as_mut_slice(), n, row_kernel);
     }
 }
 
@@ -336,32 +327,6 @@ mod tests {
         assert_eq!(c, want);
     }
 
-    #[test]
-    fn flop_accounting() {
-        flops::reset();
-        let a = rand_matrix(10, 20, 12);
-        let b = rand_matrix(20, 30, 13);
-        let _ = matmul(&a, &b);
-        assert_eq!(flops::reset(), 2 * 10 * 20 * 30);
-    }
-
-    /// Satellite 2 regression: the `m*n` accumulate is charged for every
-    /// non-zero `beta`, including `beta == 1` (which the old accounting
-    /// skipped, under-counting accumulating GEMMs).
-    #[test]
-    fn flop_accounting_beta_matrix() {
-        let a = rand_matrix(10, 20, 12);
-        let b = rand_matrix(20, 30, 13);
-        let mut c = rand_matrix(10, 30, 14);
-        let gemm = 2 * 10 * 20 * 30u64;
-        let accum = 10 * 30u64;
-        for (beta, want) in [(0.0, gemm), (1.0, gemm + accum), (0.5, gemm + accum)] {
-            flops::reset();
-            gemm_ex(Transpose::No, Transpose::No, 1.0, &a, &b, beta, &mut c);
-            assert_eq!(flops::reset(), want, "beta = {beta}");
-        }
-    }
-
     /// Satellite 1 regression: a zero in `A` must not mask NaN/Inf in the
     /// corresponding `B` row — `0 · inf = NaN` per IEEE-754, and the fast
     /// kernels must agree with `naive_gemm` about which outputs poison.
@@ -405,7 +370,7 @@ mod tests {
 
     #[test]
     fn large_parallel_path_matches() {
-        // Big enough to cross PAR_FLOP_THRESHOLD and exercise rayon.
+        // Big enough to cross PAR_FLOP_THRESHOLD and take the `par` branch.
         let a = rand_matrix(256, 64, 20);
         let b = rand_matrix(64, 96, 21);
         let fast = matmul(&a, &b);

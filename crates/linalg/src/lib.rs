@@ -2,7 +2,7 @@
 //!
 //! This crate is the CPU analogue of the cuBLAS + custom-CUDA-kernel layer in
 //! the SC '20 GPU DeePMD-kit: a row-major [`Matrix`] type, a blocked and
-//! rayon-parallel [`gemm`] kernels, the fused operators the paper
+//! row-parallel [`gemm`] kernels, the fused operators the paper
 //! introduces in §5.3 (GEMM with fused bias, CONCAT-free skip connections,
 //! fused `tanh`/`tanh`-gradient), and global FLOP accounting used by the
 //! benchmark harnesses to report peak/sustained FLOPS the same way the paper

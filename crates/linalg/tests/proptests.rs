@@ -1,100 +1,131 @@
-//! Property-based tests for the linear-algebra kernels.
+//! Property tests for the linear-algebra kernels: seeded case loops on
+//! `dp_md::CounterRng` (no generator crate, no shrinking — a failure names
+//! the case, which replays alone).
 
-use dp_linalg::gemm::{gemm_bias, matmul, matmul_nt, matmul_tn, matmul_then_sum, naive_gemm};
 use dp_linalg::fused::{concat_sum_baseline, dup_sum_fused, tanh_fused, tanh_then_grad_baseline};
+use dp_linalg::gemm::{gemm_bias, matmul, matmul_nt, matmul_then_sum, matmul_tn, naive_gemm};
 use dp_linalg::Matrix;
-use proptest::prelude::*;
+use dp_md::rng::for_cases;
+use dp_md::CounterRng;
 
-fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix<f64>> {
-    (1..=max_dim, 1..=max_dim).prop_flat_map(|(r, c)| {
-        prop::collection::vec(-10.0..10.0f64, r * c)
-            .prop_map(move |v| Matrix::from_vec(r, c, v))
-    })
+const CASES: u64 = 256;
+
+fn dim(rng: &mut CounterRng, max: usize) -> usize {
+    1 + rng.below(max as u64) as usize
 }
 
-fn compatible_pair(max_dim: usize) -> impl Strategy<Value = (Matrix<f64>, Matrix<f64>)> {
-    (1..=max_dim, 1..=max_dim, 1..=max_dim).prop_flat_map(|(m, k, n)| {
-        (
-            prop::collection::vec(-10.0..10.0f64, m * k).prop_map(move |v| Matrix::from_vec(m, k, v)),
-            prop::collection::vec(-10.0..10.0f64, k * n).prop_map(move |v| Matrix::from_vec(k, n, v)),
-        )
-    })
+fn matrix(rng: &mut CounterRng, rows: usize, cols: usize) -> Matrix<f64> {
+    Matrix::from_fn(rows, cols, |_, _| rng.range(-10.0, 10.0))
 }
 
-proptest! {
-    #[test]
-    fn gemm_matches_naive((a, b) in compatible_pair(12)) {
-        let fast = matmul(&a, &b);
-        let slow = naive_gemm(&a, &b);
-        prop_assert!(fast.max_abs_diff(&slow) < 1e-9);
+/// Any shape up to `max × max`.
+fn any_matrix(max: usize) -> impl Fn(&mut CounterRng) -> Matrix<f64> {
+    move |rng| {
+        let (r, c) = (dim(rng, max), dim(rng, max));
+        matrix(rng, r, c)
     }
+}
 
-    #[test]
-    fn transpose_is_involution(m in matrix_strategy(16)) {
-        prop_assert_eq!(m.transpose().transpose(), m);
+/// `(m×k, k×n)` with every dimension up to `max`.
+fn compatible_pair(max: usize) -> impl Fn(&mut CounterRng) -> (Matrix<f64>, Matrix<f64>) {
+    move |rng| {
+        let (m, k, n) = (dim(rng, max), dim(rng, max), dim(rng, max));
+        (matrix(rng, m, k), matrix(rng, k, n))
     }
+}
 
-    #[test]
-    fn gemm_transpose_identity((a, b) in compatible_pair(10)) {
+#[test]
+fn gemm_matches_naive() {
+    for_cases(0x6E01, CASES, compatible_pair(12), |(a, b)| {
+        assert!(matmul(a, b).max_abs_diff(&naive_gemm(a, b)) < 1e-9);
+    });
+}
+
+#[test]
+fn transpose_is_involution() {
+    for_cases(0x6E02, CASES, any_matrix(16), |m| {
+        assert_eq!(&m.transpose().transpose(), m);
+    });
+}
+
+#[test]
+fn gemm_transpose_identity() {
+    for_cases(0x6E03, CASES, compatible_pair(10), |(a, b)| {
         // (A x B)^T == B^T x A^T
-        let left = matmul(&a, &b).transpose();
+        let left = matmul(a, b).transpose();
         let right = matmul(&b.transpose(), &a.transpose());
-        prop_assert!(left.max_abs_diff(&right) < 1e-9);
-    }
+        assert!(left.max_abs_diff(&right) < 1e-9);
+    });
+}
 
-    #[test]
-    fn tn_nt_consistency((a, b) in compatible_pair(10)) {
+#[test]
+fn tn_nt_consistency() {
+    for_cases(0x6E04, CASES, compatible_pair(10), |(a, b)| {
         // matmul_tn(A^T stored as A) == matmul of explicit transpose
-        let tn = matmul_tn(&a, &matmul(&a, &b));
-        let explicit = matmul(&a.transpose(), &matmul(&a, &b));
-        prop_assert!(tn.max_abs_diff(&explicit) < 1e-8);
+        let tn = matmul_tn(a, &matmul(a, b));
+        let explicit = matmul(&a.transpose(), &matmul(a, b));
+        assert!(tn.max_abs_diff(&explicit) < 1e-8);
 
-        let nt = matmul_nt(&b, &b);
-        let explicit = matmul(&b, &b.transpose());
-        prop_assert!(nt.max_abs_diff(&explicit) < 1e-8);
-    }
+        let nt = matmul_nt(b, b);
+        let explicit = matmul(b, &b.transpose());
+        assert!(nt.max_abs_diff(&explicit) < 1e-8);
+    });
+}
 
-    #[test]
-    fn fused_bias_equals_two_ops((a, b) in compatible_pair(10), bias_seed in 0u64..1000) {
-        let bias: Vec<f64> = (0..b.cols()).map(|i| ((bias_seed + i as u64) % 17) as f64 * 0.3 - 2.0).collect();
-        let fused = gemm_bias(&a, &b, &bias);
-        let two = matmul_then_sum(&a, &b, &bias);
-        prop_assert!(fused.max_abs_diff(&two) < 1e-10);
-    }
+#[test]
+fn fused_bias_equals_two_ops() {
+    let draw = |rng: &mut CounterRng| (compatible_pair(10)(rng), rng.below(1000));
+    for_cases(0x6E05, CASES, draw, |((a, b), bias_seed)| {
+        let bias: Vec<f64> = (0..b.cols())
+            .map(|i| ((bias_seed + i as u64) % 17) as f64 * 0.3 - 2.0)
+            .collect();
+        let fused = gemm_bias(a, b, &bias);
+        let two = matmul_then_sum(a, b, &bias);
+        assert!(fused.max_abs_diff(&two) < 1e-10);
+    });
+}
 
-    #[test]
-    fn fused_tanh_equals_baseline(x in matrix_strategy(12)) {
-        let (t0, g0) = tanh_then_grad_baseline(&x);
-        let (t1, g1) = tanh_fused(&x);
+#[test]
+fn fused_tanh_equals_baseline() {
+    for_cases(0x6E06, CASES, any_matrix(12), |x| {
+        let (t0, g0) = tanh_then_grad_baseline(x);
+        let (t1, g1) = tanh_fused(x);
         // 1e-13: the SIMD tanh (Cephes exp) is a few ULPs off std tanh —
         // the documented tolerance-gated deviation of the vector path.
-        prop_assert!(t0.max_abs_diff(&t1) < 1e-13);
-        prop_assert!(g0.max_abs_diff(&g1) < 1e-13);
-    }
+        assert!(t0.max_abs_diff(&t1) < 1e-13);
+        assert!(g0.max_abs_diff(&g1) < 1e-13);
+    });
+}
 
-    #[test]
-    fn skip_connection_fused_equals_concat(x in matrix_strategy(8)) {
+#[test]
+fn skip_connection_fused_equals_concat() {
+    for_cases(0x6E07, CASES, any_matrix(8), |x| {
         let h = Matrix::from_fn(x.rows(), 2 * x.cols(), |i, j| (i + j) as f64 * 0.25 - 1.0);
-        let base = concat_sum_baseline(&x, &h);
-        let fused = dup_sum_fused(&x, &h);
-        prop_assert!(base.max_abs_diff(&fused) < 1e-14);
-    }
+        let base = concat_sum_baseline(x, &h);
+        let fused = dup_sum_fused(x, &h);
+        assert!(base.max_abs_diff(&fused) < 1e-14);
+    });
+}
 
-    #[test]
-    fn hcat_preserves_halves(x in matrix_strategy(8)) {
-        let c = x.hcat(&x);
+#[test]
+fn hcat_preserves_halves() {
+    for_cases(0x6E08, CASES, any_matrix(8), |x| {
+        let c = x.hcat(x);
         for i in 0..x.rows() {
             for j in 0..x.cols() {
-                prop_assert_eq!(c[(i, j)], x[(i, j)]);
-                prop_assert_eq!(c[(i, j + x.cols())], x[(i, j)]);
+                assert_eq!(c[(i, j)], x[(i, j)]);
+                assert_eq!(c[(i, j + x.cols())], x[(i, j)]);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn f16_truncation_monotone_pairs(a in -1e4..1e4f64, b in -1e4..1e4f64) {
+#[test]
+fn f16_truncation_monotone_pairs() {
+    let draw = |rng: &mut CounterRng| (rng.range(-1e4, 1e4), rng.range(-1e4, 1e4));
+    for_cases(0x6E09, CASES, draw, |&(a, b)| {
         // Rounding to fp16 must preserve (weak) ordering.
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(dp_linalg::real::truncate_to_f16(lo) <= dp_linalg::real::truncate_to_f16(hi));
-    }
+        assert!(dp_linalg::real::truncate_to_f16(lo) <= dp_linalg::real::truncate_to_f16(hi));
+    });
 }

@@ -11,7 +11,7 @@
 
 use crate::neighbor::NeighborList;
 use crate::system::System;
-use rayon::prelude::*;
+use dp_obs::par;
 
 /// Per-atom structural class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,30 +119,27 @@ pub fn classify(sys: &System, nl: &NeighborList) -> Vec<CnaClass> {
         bonds[i] = v;
     }
 
-    (0..sys.n_local)
-        .into_par_iter()
-        .map(|i| {
-            if bonds[i].len() != 12 {
-                return CnaClass::Other;
+    par::map(sys.n_local, |i| {
+        if bonds[i].len() != 12 {
+            return CnaClass::Other;
+        }
+        let mut n421 = 0;
+        let mut n422 = 0;
+        for &j in &bonds[i] {
+            // signature needs j's bonds too; ghost bonds are empty,
+            // which safely classifies boundary atoms as Other.
+            match pair_signature(&bonds, i, j as usize) {
+                (4, 2, 1) => n421 += 1,
+                (4, 2, 2) => n422 += 1,
+                _ => {}
             }
-            let mut n421 = 0;
-            let mut n422 = 0;
-            for &j in &bonds[i] {
-                // signature needs j's bonds too; ghost bonds are empty,
-                // which safely classifies boundary atoms as Other.
-                match pair_signature(&bonds, i, j as usize) {
-                    (4, 2, 1) => n421 += 1,
-                    (4, 2, 2) => n422 += 1,
-                    _ => {}
-                }
-            }
-            match (n421, n422) {
-                (12, 0) => CnaClass::Fcc,
-                (6, 6) => CnaClass::Hcp,
-                _ => CnaClass::Other,
-            }
-        })
-        .collect()
+        }
+        match (n421, n422) {
+            (12, 0) => CnaClass::Fcc,
+            (6, 6) => CnaClass::Hcp,
+            _ => CnaClass::Other,
+        }
+    })
 }
 
 /// Classify and count.
@@ -214,13 +211,12 @@ mod tests {
 
     #[test]
     fn molten_structure_is_mostly_other() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(55);
+        use crate::CounterRng;
+        let mut rng = CounterRng::new(55);
         let n = 500;
         let l = 18.0;
         let positions: Vec<[f64; 3]> = (0..n)
-            .map(|_| [rng.gen_range(0.0..l), rng.gen_range(0.0..l), rng.gen_range(0.0..l)])
+            .map(|_| [rng.range(0.0, l), rng.range(0.0, l), rng.range(0.0, l)])
             .collect();
         let sys = System::new(
             crate::cell::Cell::cubic(l),
@@ -238,10 +234,9 @@ mod tests {
 
     #[test]
     fn thermal_noise_tolerated() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
+        use crate::CounterRng;
         let mut sys = lattice::fcc(3.615, [4, 4, 4], units::MASS_CU);
-        let mut rng = StdRng::seed_from_u64(56);
+        let mut rng = CounterRng::new(56);
         sys.perturb(0.08, &mut rng); // small thermal-ish displacement
         let nl = NeighborList::build(&sys, fcc_cutoff(3.615));
         let c = count(&sys, &nl);

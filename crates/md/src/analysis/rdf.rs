@@ -115,16 +115,15 @@ mod tests {
     use super::*;
     use crate::cell::Cell;
     use crate::units;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use crate::CounterRng;
 
     #[test]
     fn ideal_gas_rdf_is_one() {
-        let mut rng = StdRng::seed_from_u64(17);
+        let mut rng = CounterRng::new(17);
         let n = 4000;
         let l = 30.0;
         let positions: Vec<[f64; 3]> = (0..n)
-            .map(|_| [rng.gen_range(0.0..l), rng.gen_range(0.0..l), rng.gen_range(0.0..l)])
+            .map(|_| [rng.range(0.0, l), rng.range(0.0, l), rng.range(0.0, l)])
             .collect();
         let sys = System::new(Cell::cubic(l), positions, vec![0; n], vec![units::MASS_CU]);
         let nl = NeighborList::build(&sys, 8.0);

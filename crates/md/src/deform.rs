@@ -119,8 +119,7 @@ mod tests {
     use super::*;
     use crate::lattice;
     use crate::potential::eam::SuttonChen;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::CounterRng;
 
     #[test]
     fn strain_increment_scales_cell_and_positions() {
@@ -139,7 +138,7 @@ mod tests {
         // Small cold single crystal: stress should rise monotonically for
         // small strains (elastic regime).
         let mut sys = lattice::copper([4, 4, 4]);
-        let mut rng = StdRng::seed_from_u64(123);
+        let mut rng = CounterRng::new(123);
         sys.init_velocities(1.0, &mut rng); // nearly cold
         let sc = SuttonChen::copper_short();
         let opts = TensileOptions {

@@ -24,7 +24,6 @@ use crate::potential::Potential;
 use crate::rng::CounterRng;
 use crate::system::System;
 use crate::units;
-use rand::Rng;
 use std::time::{Duration, Instant};
 
 /// Berendsen weak-coupling thermostat.
@@ -185,10 +184,7 @@ pub fn langevin_kick(sys: &mut System, l: Langevin, dt: f64, rng: &mut CounterRn
     for i in 0..sys.n_local {
         let amp = (amp_base / sys.masses[sys.types[i]]).sqrt();
         for d in 0..3 {
-            let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            let xi = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            sys.velocities[i][d] = c * sys.velocities[i][d] + amp * xi;
+            sys.velocities[i][d] = c * sys.velocities[i][d] + amp * rng.gauss();
         }
     }
 }
@@ -416,8 +412,6 @@ mod tests {
     use super::*;
     use crate::lattice;
     use crate::potential::pair::LennardJones;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn argon_crystal() -> System {
         // fcc argon at its LJ-ish lattice constant
@@ -432,7 +426,7 @@ mod tests {
     #[test]
     fn nve_conserves_energy() {
         let mut sys = argon_crystal();
-        let mut rng = StdRng::seed_from_u64(99);
+        let mut rng = CounterRng::new(99);
         sys.init_velocities(40.0, &mut rng);
         let lj = argon_lj();
         let opts = MdOptions {
@@ -450,7 +444,7 @@ mod tests {
     #[test]
     fn berendsen_reaches_target() {
         let mut sys = argon_crystal();
-        let mut rng = StdRng::seed_from_u64(100);
+        let mut rng = CounterRng::new(100);
         sys.init_velocities(10.0, &mut rng);
         let lj = argon_lj();
         let opts = MdOptions {
@@ -702,7 +696,6 @@ mod tests {
     /// cosine switch window (first shell < 4.0 Å, second > 5.0 Å), so the
     /// run touches no libm beyond `sqrt` and one constant holds on any host.
     fn golden_run(thermostat: Option<Berendsen>) -> u64 {
-        use rand::RngCore;
         let mut sys = argon_crystal();
         let mut rng = CounterRng::new(2020);
         for v in &mut sys.velocities {

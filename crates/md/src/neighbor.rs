@@ -12,7 +12,7 @@
 //! cache-friendly analogue of the paper's contiguous GPU layout.
 
 use crate::system::System;
-use rayon::prelude::*;
+use dp_obs::par;
 
 /// CSR full neighbor list for the first `n_local` atoms of a system.
 #[derive(Debug, Clone)]
@@ -95,18 +95,15 @@ impl NeighborList {
         let n = sys.len();
         let c2 = cutoff * cutoff;
         Self::ensure_rows(per_atom, sys.n_local);
-        per_atom[..sys.n_local]
-            .par_chunks_mut(1)
-            .enumerate()
-            .for_each(|(i, row)| {
-                let list = &mut row[0];
-                list.clear();
-                for j in 0..n {
-                    if j != i && sys.cell.distance2(sys.positions[i], sys.positions[j]) < c2 {
-                        list.push(j as u32);
-                    }
+        par::chunks_mut(&mut per_atom[..sys.n_local], 1, |i, row| {
+            let list = &mut row[0];
+            list.clear();
+            for j in 0..n {
+                if j != i && sys.cell.distance2(sys.positions[i], sys.positions[j]) < c2 {
+                    list.push(j as u32);
                 }
-            });
+            }
+        });
     }
 
     fn bin_counts(sys: &System, cutoff: f64) -> [usize; 3] {
@@ -181,42 +178,39 @@ impl NeighborList {
         let bins = &scratch.bins;
 
         Self::ensure_rows(&mut scratch.per_atom, sys.n_local);
-        scratch.per_atom[..sys.n_local]
-            .par_chunks_mut(1)
-            .enumerate()
-            .for_each(|(i, row)| {
-                let list = &mut row[0];
-                list.clear();
-                let pi = sys.positions[i];
-                let bi = bin_of(pi);
-                for dx in -1..=1isize {
-                    for dy in -1..=1isize {
-                        for dz in -1..=1isize {
-                            let mut nb = [bi[0] + dx, bi[1] + dy, bi[2] + dz];
-                            if periodic {
-                                for d in 0..3 {
-                                    nb[d] = nb[d].rem_euclid(nbins[d] as isize);
-                                }
-                            } else {
-                                if nb.iter().zip(&nbins).any(|(&b, &n)| b < 0 || b >= n as isize) {
-                                    continue;
-                                }
+        par::chunks_mut(&mut scratch.per_atom[..sys.n_local], 1, |i, row| {
+            let list = &mut row[0];
+            list.clear();
+            let pi = sys.positions[i];
+            let bi = bin_of(pi);
+            for dx in -1..=1isize {
+                for dy in -1..=1isize {
+                    for dz in -1..=1isize {
+                        let mut nb = [bi[0] + dx, bi[1] + dy, bi[2] + dz];
+                        if periodic {
+                            for d in 0..3 {
+                                nb[d] = nb[d].rem_euclid(nbins[d] as isize);
                             }
-                            for &j in &bins[flat(nb)] {
-                                if j as usize != i
-                                    && sys.cell.distance2(pi, sys.positions[j as usize]) < c2
-                                {
-                                    list.push(j);
-                                }
+                        } else {
+                            if nb.iter().zip(&nbins).any(|(&b, &n)| b < 0 || b >= n as isize) {
+                                continue;
+                            }
+                        }
+                        for &j in &bins[flat(nb)] {
+                            if j as usize != i
+                                && sys.cell.distance2(pi, sys.positions[j as usize]) < c2
+                            {
+                                list.push(j);
                             }
                         }
                     }
                 }
-                // Deduplicate: with <3 bins along an axis in the open case a
-                // neighbor bin can be visited twice.
-                list.sort_unstable();
-                list.dedup();
-            });
+            }
+            // Deduplicate: with <3 bins along an axis in the open case a
+            // neighbor bin can be visited twice.
+            list.sort_unstable();
+            list.dedup();
+        });
     }
 
     fn from_per_atom_into(&mut self, sys: &System, cutoff: f64, per_atom: &[Vec<u32>]) {
@@ -284,19 +278,12 @@ mod tests {
     use super::*;
     use crate::cell::Cell;
     use crate::units;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use crate::CounterRng;
 
     fn random_system(n: usize, l: f64, seed: u64) -> System {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = CounterRng::new(seed);
         let positions = (0..n)
-            .map(|_| {
-                [
-                    rng.gen_range(0.0..l),
-                    rng.gen_range(0.0..l),
-                    rng.gen_range(0.0..l),
-                ]
-            })
+            .map(|_| [rng.range(0.0, l), rng.range(0.0, l), rng.range(0.0, l)])
             .collect();
         System::new(Cell::cubic(l), positions, vec![0; n], vec![units::MASS_CU])
     }

@@ -10,7 +10,7 @@
 use crate::cell::Cell;
 use crate::system::System;
 use crate::units;
-use rand::Rng;
+use crate::CounterRng;
 
 /// A grain: a Voronoi seed plus a lattice orientation.
 #[derive(Debug, Clone, Copy)]
@@ -21,14 +21,9 @@ pub struct Grain {
 }
 
 /// Random rotation matrix via Gram–Schmidt on Gaussian vectors.
-fn random_rotation(rng: &mut impl Rng) -> [[f64; 3]; 3] {
-    let gauss = |rng: &mut dyn rand::RngCore| -> f64 {
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    };
-    let mut a = [gauss(rng), gauss(rng), gauss(rng)];
-    let mut b = [gauss(rng), gauss(rng), gauss(rng)];
+fn random_rotation(rng: &mut CounterRng) -> [[f64; 3]; 3] {
+    let mut a = [rng.gauss(), rng.gauss(), rng.gauss()];
+    let mut b = [rng.gauss(), rng.gauss(), rng.gauss()];
     let norm = |v: [f64; 3]| {
         let n = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
         [v[0] / n, v[1] / n, v[2] / n]
@@ -59,15 +54,15 @@ pub fn voronoi_fcc(
     n_grains: usize,
     a0: f64,
     merge_dist: f64,
-    rng: &mut impl Rng,
+    rng: &mut CounterRng,
 ) -> System {
     assert!(n_grains >= 1);
     let grains: Vec<Grain> = (0..n_grains)
         .map(|_| Grain {
             seed: [
-                rng.gen_range(0.0..box_len),
-                rng.gen_range(0.0..box_len),
-                rng.gen_range(0.0..box_len),
+                rng.range(0.0, box_len),
+                rng.range(0.0, box_len),
+                rng.range(0.0, box_len),
             ],
             rotation: random_rotation(rng),
         })
@@ -201,13 +196,11 @@ mod tests {
     use super::*;
     use crate::analysis::cna;
     use crate::neighbor::NeighborList;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn polycrystal_density_near_fcc() {
         // Larger box so grain interiors dominate over pruned boundaries.
-        let mut rng = StdRng::seed_from_u64(77);
+        let mut rng = CounterRng::new(77);
         let sys = voronoi_fcc(40.0, 4, 3.615, 1.8, &mut rng);
         let nd = sys.len() as f64 / sys.cell.volume();
         let fcc_nd = 4.0 / 3.615f64.powi(3);
@@ -219,7 +212,7 @@ mod tests {
 
     #[test]
     fn no_close_pairs_survive() {
-        let mut rng = StdRng::seed_from_u64(78);
+        let mut rng = CounterRng::new(78);
         let sys = voronoi_fcc(24.0, 3, 3.615, 2.2, &mut rng);
         let nl = NeighborList::build(&sys, 2.19);
         assert_eq!(nl.num_pairs(), 0, "close pairs remain");
@@ -227,7 +220,7 @@ mod tests {
 
     #[test]
     fn grains_are_mostly_fcc_with_boundaries() {
-        let mut rng = StdRng::seed_from_u64(79);
+        let mut rng = CounterRng::new(79);
         let sys = voronoi_fcc(44.0, 4, 3.615, 2.2, &mut rng);
         let nl = NeighborList::build(&sys, cna::fcc_cutoff(3.615));
         let c = cna::count(&sys, &nl);
@@ -258,7 +251,7 @@ mod tests {
     fn rotated_single_grain_interior_is_fcc() {
         // A rotated grain is incommensurate with the periodic box, so its
         // faces are incoherent boundaries, but the interior must be fcc.
-        let mut rng = StdRng::seed_from_u64(80);
+        let mut rng = CounterRng::new(80);
         let grain = Grain {
             seed: [11.0, 11.0, 11.0],
             rotation: random_rotation(&mut rng),
@@ -284,7 +277,7 @@ mod tests {
 
     #[test]
     fn rotation_matrices_are_orthonormal() {
-        let mut rng = StdRng::seed_from_u64(81);
+        let mut rng = CounterRng::new(81);
         for _ in 0..10 {
             let r = random_rotation(&mut rng);
             for i in 0..3 {

@@ -10,7 +10,7 @@
 use super::{accumulate_virial, switch, Potential, PotentialOutput};
 use crate::neighbor::NeighborList;
 use crate::system::System;
-use rayon::prelude::*;
+use dp_obs::par;
 
 /// Sutton–Chen EAM. Defaults are the classic copper parameterization.
 #[derive(Debug, Clone)]
@@ -80,22 +80,19 @@ impl SuttonChen {
         // pair contributions, so accumulate from the directed pairs.
         let mut rho = vec![0.0; sys.len()];
         // Locals: straightforward.
-        let local_rho: Vec<f64> = (0..nl.len())
-            .into_par_iter()
-            .map(|i| {
-                let mut acc = 0.0;
-                for &j in nl.neighbors_of(i) {
-                    let d = sys
-                        .cell
-                        .displacement(sys.positions[j as usize], sys.positions[i]);
-                    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                    if r2 < c2 && r2 > 1e-12 {
-                        acc += self.kernels(r2.sqrt()).2;
-                    }
+        let local_rho: Vec<f64> = par::map(nl.len(), |i| {
+            let mut acc = 0.0;
+            for &j in nl.neighbors_of(i) {
+                let d = sys
+                    .cell
+                    .displacement(sys.positions[j as usize], sys.positions[i]);
+                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                if r2 < c2 && r2 > 1e-12 {
+                    acc += self.kernels(r2.sqrt()).2;
                 }
-                acc
-            })
-            .collect();
+            }
+            acc
+        });
         rho[..nl.len()].copy_from_slice(&local_rho);
         // Ghosts: symmetric accumulation from local lists.
         if sys.len() > nl.len() {
@@ -133,39 +130,36 @@ impl Potential for SuttonChen {
             })
             .collect();
 
-        let results: Vec<(f64, [f64; 3], [f64; 6])> = (0..sys.n_local)
-            .into_par_iter()
-            .map(|i| {
-                let mut e = 0.0;
-                let mut f = [0.0; 3];
-                let mut w = [0.0; 6];
-                for &j in nl.neighbors_of(i) {
-                    let j = j as usize;
-                    let d = sys.cell.displacement(sys.positions[j], sys.positions[i]);
-                    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                    if r2 >= c2 || r2 < 1e-12 {
-                        continue;
-                    }
-                    let r = r2.sqrt();
-                    let (phi, dphi, _psi, dpsi) = self.kernels(r);
-                    e += 0.5 * phi;
-                    // dE/dr for the directed pair: pair term (half from each
-                    // side) plus both atoms' embedding terms acting on ψ'.
-                    let de = dphi + (demb[i] + demb[j]) * dpsi;
-                    let coef = -de / r;
-                    let fp = [coef * d[0], coef * d[1], coef * d[2]];
-                    for k in 0..3 {
-                        f[k] += fp[k];
-                    }
-                    accumulate_virial(&mut w, d, fp);
+        let results: Vec<(f64, [f64; 3], [f64; 6])> = par::map(sys.n_local, |i| {
+            let mut e = 0.0;
+            let mut f = [0.0; 3];
+            let mut w = [0.0; 6];
+            for &j in nl.neighbors_of(i) {
+                let j = j as usize;
+                let d = sys.cell.displacement(sys.positions[j], sys.positions[i]);
+                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                if r2 >= c2 || r2 < 1e-12 {
+                    continue;
                 }
-                // embedding energy of atom i
-                if rho[i] > 1e-30 {
-                    e -= self.eps * self.c * rho[i].sqrt();
+                let r = r2.sqrt();
+                let (phi, dphi, _psi, dpsi) = self.kernels(r);
+                e += 0.5 * phi;
+                // dE/dr for the directed pair: pair term (half from each
+                // side) plus both atoms' embedding terms acting on ψ'.
+                let de = dphi + (demb[i] + demb[j]) * dpsi;
+                let coef = -de / r;
+                let fp = [coef * d[0], coef * d[1], coef * d[2]];
+                for k in 0..3 {
+                    f[k] += fp[k];
                 }
-                (e, f, w)
-            })
-            .collect();
+                accumulate_virial(&mut w, d, fp);
+            }
+            // embedding energy of atom i
+            if rho[i] > 1e-30 {
+                e -= self.eps * self.c * rho[i].sqrt();
+            }
+            (e, f, w)
+        });
 
         let mut out = PotentialOutput::zeros(sys.len());
         for (i, (e, f, w)) in results.into_iter().enumerate() {
@@ -194,8 +188,7 @@ mod tests {
     use crate::lattice;
     use crate::potential::force_consistency_error;
     use crate::units;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::CounterRng;
 
     #[test]
     fn fcc_copper_cohesive_energy_reasonable() {
@@ -228,7 +221,7 @@ mod tests {
     #[test]
     fn forces_match_fd_on_perturbed_lattice() {
         let mut sys = lattice::fcc(3.615, [3, 3, 3], units::MASS_CU);
-        let mut rng = StdRng::seed_from_u64(33);
+        let mut rng = CounterRng::new(33);
         sys.perturb(0.15, &mut rng);
         let sc = SuttonChen::copper_short();
         let err = force_consistency_error(&sc, &sys, 1e-6, &[0, 7, 20, 50]);

@@ -4,7 +4,7 @@
 use super::{accumulate_virial, switch, Potential, PotentialOutput};
 use crate::neighbor::NeighborList;
 use crate::system::System;
-use rayon::prelude::*;
+use dp_obs::par;
 
 /// Functional form of one type-pair interaction.
 #[derive(Debug, Clone, Copy)]
@@ -134,37 +134,34 @@ impl Potential for PairTable {
         // contributes half its energy to i (so locals sum correctly even
         // with ghosts) and the full pair force to i only — j accumulates
         // its share when it is the center, exactly like LAMMPS full lists.
-        let results: Vec<(f64, [f64; 3], [f64; 6])> = (0..sys.n_local)
-            .into_par_iter()
-            .map(|i| {
-                let mut e = 0.0;
-                let mut f = [0.0; 3];
-                let mut w = [0.0; 6];
-                let ti = sys.types[i];
-                for &j in nl.neighbors_of(i) {
-                    let j = j as usize;
-                    let d = sys.cell.displacement(sys.positions[j], sys.positions[i]);
-                    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                    if r2 >= c2 || r2 < 1e-12 {
-                        continue;
-                    }
-                    let r = r2.sqrt();
-                    let (e0, de0) = self.kind(ti, sys.types[j]).energy_deriv(r);
-                    let (s, ds) = switch(r, self.r_on, self.r_cut);
-                    let e_pair = e0 * s;
-                    let de_pair = de0 * s + e0 * ds;
-                    e += 0.5 * e_pair;
-                    // force on i = -dE/dr * d̂ with d = r_i - r_j
-                    let coef = -de_pair / r;
-                    let fp = [coef * d[0], coef * d[1], coef * d[2]];
-                    for k in 0..3 {
-                        f[k] += fp[k];
-                    }
-                    accumulate_virial(&mut w, d, fp);
+        let results: Vec<(f64, [f64; 3], [f64; 6])> = par::map(sys.n_local, |i| {
+            let mut e = 0.0;
+            let mut f = [0.0; 3];
+            let mut w = [0.0; 6];
+            let ti = sys.types[i];
+            for &j in nl.neighbors_of(i) {
+                let j = j as usize;
+                let d = sys.cell.displacement(sys.positions[j], sys.positions[i]);
+                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                if r2 >= c2 || r2 < 1e-12 {
+                    continue;
                 }
-                (e, f, w)
-            })
-            .collect();
+                let r = r2.sqrt();
+                let (e0, de0) = self.kind(ti, sys.types[j]).energy_deriv(r);
+                let (s, ds) = switch(r, self.r_on, self.r_cut);
+                let e_pair = e0 * s;
+                let de_pair = de0 * s + e0 * ds;
+                e += 0.5 * e_pair;
+                // force on i = -dE/dr * d̂ with d = r_i - r_j
+                let coef = -de_pair / r;
+                let fp = [coef * d[0], coef * d[1], coef * d[2]];
+                for k in 0..3 {
+                    f[k] += fp[k];
+                }
+                accumulate_virial(&mut w, d, fp);
+            }
+            (e, f, w)
+        });
 
         let mut out = PotentialOutput::zeros(sys.len());
         for (i, (e, f, w)) in results.into_iter().enumerate() {
@@ -230,8 +227,7 @@ mod tests {
     use crate::cell::Cell;
     use crate::potential::force_consistency_error;
     use crate::units;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use crate::CounterRng;
 
     #[test]
     fn lj_minimum_at_r0() {
@@ -294,7 +290,7 @@ mod tests {
     fn lj_forces_match_fd_random_config() {
         // Perturbed lattice keeps pairs off the singular LJ wall so central
         // differences stay numerically meaningful.
-        let mut rng = StdRng::seed_from_u64(21);
+        let mut rng = CounterRng::new(21);
         let mut sys = crate::lattice::fcc(4.0, [3, 3, 3], units::MASS_CU);
         sys.perturb(0.25, &mut rng);
         let lj = LennardJones::new(0.2, 2.8, 5.5);
@@ -339,11 +335,11 @@ mod tests {
     fn ghost_partitioned_energy_matches_periodic() {
         // Evaluating each half as "local" with the other half present must
         // sum to the full energy (the property domain decomposition needs).
-        let mut rng = StdRng::seed_from_u64(22);
+        let mut rng = CounterRng::new(22);
         let n = 40;
         let l = 16.0;
         let positions: Vec<[f64; 3]> = (0..n)
-            .map(|_| [rng.gen_range(0.0..l), rng.gen_range(0.0..l), rng.gen_range(0.0..l)])
+            .map(|_| [rng.range(0.0, l), rng.range(0.0, l), rng.range(0.0, l)])
             .collect();
         let lj = LennardJones::new(0.2, 2.8, 6.0);
 

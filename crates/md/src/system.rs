@@ -2,7 +2,7 @@
 
 use crate::cell::Cell;
 use crate::units;
-use rand::Rng;
+use crate::CounterRng;
 
 /// A collection of atoms in a cell.
 ///
@@ -58,23 +58,17 @@ impl System {
     /// `t` (K), then remove center-of-mass drift — the paper's setup (§6.1:
     /// "velocities ... randomly initialized subjected to the Boltzmann
     /// distribution at 330 K").
-    pub fn init_velocities(&mut self, t: f64, rng: &mut impl Rng) {
+    pub fn init_velocities(&mut self, t: f64, rng: &mut CounterRng) {
         assert!(t >= 0.0);
         let n = self.n_local;
         if n == 0 {
             return;
         }
-        // Box–Muller pairs from the sanctioned uniform source.
-        let gauss = |rng: &mut dyn rand::RngCore| -> f64 {
-            let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-        };
         for i in 0..n {
             let m = self.masses[self.types[i]];
             let sigma = (units::KB * t * units::FORCE_TO_ACCEL / m).sqrt();
             for d in 0..3 {
-                self.velocities[i][d] = sigma * gauss(rng);
+                self.velocities[i][d] = sigma * rng.gauss();
             }
         }
         self.zero_momentum();
@@ -146,10 +140,10 @@ impl System {
 
     /// Randomly displace local atoms by up to `amp` in each coordinate —
     /// used to generate off-lattice training configurations.
-    pub fn perturb(&mut self, amp: f64, rng: &mut impl Rng) {
+    pub fn perturb(&mut self, amp: f64, rng: &mut CounterRng) {
         for p in self.positions[..self.n_local].iter_mut() {
             for d in 0..3 {
-                p[d] += rng.gen_range(-amp..=amp);
+                p[d] += rng.unit() * (2.0 * amp) - amp;
             }
         }
         self.wrap_positions();
@@ -159,8 +153,6 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn simple_system(n: usize) -> System {
         let cell = Cell::cubic(20.0);
@@ -173,7 +165,7 @@ mod tests {
     #[test]
     fn velocity_init_hits_temperature() {
         let mut sys = simple_system(500);
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = CounterRng::new(42);
         sys.init_velocities(330.0, &mut rng);
         assert!((sys.temperature() - 330.0).abs() < 1e-9);
     }
@@ -181,7 +173,7 @@ mod tests {
     #[test]
     fn momentum_is_zero_after_init() {
         let mut sys = simple_system(100);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = CounterRng::new(7);
         sys.init_velocities(300.0, &mut rng);
         let mut p = [0.0; 3];
         for i in 0..sys.len() {
@@ -197,7 +189,7 @@ mod tests {
     #[test]
     fn zero_temperature_is_stable() {
         let mut sys = simple_system(10);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = CounterRng::new(1);
         sys.init_velocities(0.0, &mut rng);
         assert_eq!(sys.temperature(), 0.0);
     }
@@ -224,7 +216,7 @@ mod tests {
     #[test]
     fn perturb_keeps_atoms_in_cell() {
         let mut sys = simple_system(50);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = CounterRng::new(3);
         sys.perturb(5.0, &mut rng);
         for p in &sys.positions {
             for d in 0..3 {

@@ -3,7 +3,6 @@
 use crate::layer::{Layer, LayerCache, LayerKind};
 use dp_autograd::{Tape, Var};
 use dp_linalg::{Matrix, Real};
-use rand::Rng;
 
 /// A feed-forward network: an ordered stack of [`Layer`]s.
 #[derive(Clone)]
@@ -11,27 +10,24 @@ pub struct Net<T> {
     pub layers: Vec<Layer<T>>,
 }
 
-fn xavier<T: Real>(rng: &mut impl Rng, rows: usize, cols: usize) -> Matrix<T> {
-    // Glorot-normal via Box–Muller on the sanctioned `rand` uniform source.
+/// Glorot-normal weights from `gauss`, a standard-normal sampler (this
+/// crate sits below `dp_md::CounterRng`, which `DpModel::new_random`
+/// passes in as `|| rng.gauss()`).
+fn xavier<T: Real>(gauss: &mut impl FnMut() -> f64, rows: usize, cols: usize) -> Matrix<T> {
     let std = (2.0 / (rows + cols) as f64).sqrt();
-    let gauss = move |rng: &mut dyn rand::RngCore| -> f64 {
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    };
-    Matrix::from_fn(rows, cols, |_, _| T::from_f64(gauss(rng) * std))
+    Matrix::from_fn(rows, cols, |_, _| T::from_f64(gauss() * std))
 }
 
 impl<T: Real> Net<T> {
     /// Embedding net (Fig 1 (c)): input is the scalar `s(r)` per neighbor,
     /// `sizes` are the paper's `[25, 50, 100]`-style widths where each later
     /// width doubles the previous one (growth layers).
-    pub fn embedding(sizes: &[usize], rng: &mut impl Rng) -> Self {
+    pub fn embedding(sizes: &[usize], gauss: &mut impl FnMut() -> f64) -> Self {
         assert!(!sizes.is_empty(), "embedding net needs at least one layer");
         let mut layers = Vec::with_capacity(sizes.len());
         layers.push(Layer {
             kind: LayerKind::Plain,
-            w: xavier(rng, 1, sizes[0]),
+            w: xavier(gauss, 1, sizes[0]),
             b: vec![T::ZERO; sizes[0]],
         });
         for win in sizes.windows(2) {
@@ -43,7 +39,7 @@ impl<T: Real> Net<T> {
             );
             layers.push(Layer {
                 kind: LayerKind::Growth,
-                w: xavier(rng, prev, next),
+                w: xavier(gauss, prev, next),
                 b: vec![T::ZERO; next],
             });
         }
@@ -55,12 +51,12 @@ impl<T: Real> Net<T> {
     /// Fitting net (Fig 1 (d)): descriptor in, scalar atomic energy out.
     /// `hidden` are the paper's `[240, 240, 240]`-style widths; equal
     /// consecutive widths become residual (skip) layers.
-    pub fn fitting(d_in: usize, hidden: &[usize], rng: &mut impl Rng) -> Self {
+    pub fn fitting(d_in: usize, hidden: &[usize], gauss: &mut impl FnMut() -> f64) -> Self {
         assert!(!hidden.is_empty(), "fitting net needs hidden layers");
         let mut layers = Vec::with_capacity(hidden.len() + 1);
         layers.push(Layer {
             kind: LayerKind::Plain,
-            w: xavier(rng, d_in, hidden[0]),
+            w: xavier(gauss, d_in, hidden[0]),
             b: vec![T::ZERO; hidden[0]],
         });
         for win in hidden.windows(2) {
@@ -72,13 +68,13 @@ impl<T: Real> Net<T> {
             };
             layers.push(Layer {
                 kind,
-                w: xavier(rng, prev, next),
+                w: xavier(gauss, prev, next),
                 b: vec![T::ZERO; next],
             });
         }
         layers.push(Layer {
             kind: LayerKind::Linear,
-            w: xavier(rng, *hidden.last().unwrap(), 1),
+            w: xavier(gauss, *hidden.last().unwrap(), 1),
             b: vec![T::ZERO; 1],
         });
         let net = Self { layers };
@@ -240,13 +236,12 @@ impl NetVars {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use dp_md::CounterRng;
 
     #[test]
     fn fast_path_matches_tape_fitting() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let net = Net::<f64>::fitting(5, &[10, 10, 10], &mut rng);
+        let mut rng = CounterRng::new(11);
+        let net = Net::<f64>::fitting(5, &[10, 10, 10], &mut || rng.gauss());
         let x = Matrix::from_fn(4, 5, |i, j| 0.1 * (i as f64) - 0.07 * (j as f64));
 
         let fast = net.forward(&x);
@@ -261,8 +256,8 @@ mod tests {
 
     #[test]
     fn fast_path_matches_tape_embedding() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let net = Net::<f64>::embedding(&[6, 12, 24], &mut rng);
+        let mut rng = CounterRng::new(12);
+        let net = Net::<f64>::embedding(&[6, 12, 24], &mut || rng.gauss());
         let x = Matrix::from_fn(7, 1, |i, _| 0.15 * i as f64 + 0.02);
 
         let fast = net.forward(&x);
@@ -279,8 +274,8 @@ mod tests {
     fn fast_backward_matches_tape_grad() {
         // dL/dx for L = sum(net(x)) must agree between the hand-written
         // backward (used for forces) and the tape gradient.
-        let mut rng = StdRng::seed_from_u64(13);
-        let net = Net::<f64>::fitting(4, &[8, 8], &mut rng);
+        let mut rng = CounterRng::new(13);
+        let net = Net::<f64>::fitting(4, &[8, 8], &mut || rng.gauss());
         let x = Matrix::from_fn(3, 4, |i, j| 0.2 * (i as f64) - 0.15 * (j as f64));
 
         let (y, caches) = net.forward_cached(&x);
@@ -299,8 +294,8 @@ mod tests {
 
     #[test]
     fn tape_param_grads_follow_flat_param_order() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let net = Net::<f64>::fitting(3, &[6, 6], &mut rng);
+        let mut rng = CounterRng::new(14);
+        let net = Net::<f64>::fitting(3, &[6, 6], &mut || rng.gauss());
         let x = Matrix::from_fn(2, 3, |i, j| 0.1 * (i + j) as f64);
 
         let mut tape = Tape::new();
@@ -321,8 +316,8 @@ mod tests {
 
     #[test]
     fn embedding_shapes() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let net = Net::<f64>::embedding(&[4, 8, 16], &mut rng);
+        let mut rng = CounterRng::new(1);
+        let net = Net::<f64>::embedding(&[4, 8, 16], &mut || rng.gauss());
         assert_eq!(net.in_dim(), 1);
         assert_eq!(net.out_dim(), 16);
         let x = Matrix::from_fn(10, 1, |i, _| 0.1 * i as f64);
@@ -332,8 +327,8 @@ mod tests {
 
     #[test]
     fn fitting_shapes() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let net = Net::<f64>::fitting(12, &[24, 24, 24], &mut rng);
+        let mut rng = CounterRng::new(2);
+        let net = Net::<f64>::fitting(12, &[24, 24, 24], &mut || rng.gauss());
         assert_eq!(net.in_dim(), 12);
         assert_eq!(net.out_dim(), 1);
         assert_eq!(net.layers[1].kind, LayerKind::Residual);
@@ -344,8 +339,8 @@ mod tests {
 
     #[test]
     fn backward_matches_fd_through_whole_net() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let net = Net::<f64>::fitting(3, &[6, 6], &mut rng);
+        let mut rng = CounterRng::new(3);
+        let net = Net::<f64>::fitting(3, &[6, 6], &mut || rng.gauss());
         let x0 = Matrix::from_fn(2, 3, |i, j| 0.2 * (i as f64) - 0.1 * (j as f64));
         let (y0, caches) = net.forward_cached(&x0);
         assert_eq!(y0.shape(), (2, 1));
@@ -366,8 +361,8 @@ mod tests {
 
     #[test]
     fn flat_params_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut net = Net::<f64>::embedding(&[4, 8], &mut rng);
+        let mut rng = CounterRng::new(4);
+        let mut net = Net::<f64>::embedding(&[4, 8], &mut || rng.gauss());
         let p = net.flat_params();
         assert_eq!(p.len(), net.num_params());
         let mut p2 = p.clone();
@@ -380,8 +375,8 @@ mod tests {
 
     #[test]
     fn cast_to_f32_stays_close() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let net = Net::<f64>::embedding(&[4, 8], &mut rng);
+        let mut rng = CounterRng::new(6);
+        let net = Net::<f64>::embedding(&[4, 8], &mut || rng.gauss());
         let net32: Net<f32> = net.cast();
         let x = Matrix::from_fn(6, 1, |i, _| 0.3 * i as f64);
         let y64 = net.forward(&x);
@@ -391,8 +386,9 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let n1 = Net::<f64>::embedding(&[4, 8], &mut StdRng::seed_from_u64(7));
-        let n2 = Net::<f64>::embedding(&[4, 8], &mut StdRng::seed_from_u64(7));
+        let (mut r1, mut r2) = (CounterRng::new(7), CounterRng::new(7));
+        let n1 = Net::<f64>::embedding(&[4, 8], &mut || r1.gauss());
+        let n2 = Net::<f64>::embedding(&[4, 8], &mut || r2.gauss());
         assert_eq!(n1.flat_params(), n2.flat_params());
     }
 }

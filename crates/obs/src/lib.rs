@@ -39,6 +39,10 @@
 //!   per-step phase aggregates, dumped by the parallel supervisor on rank
 //!   death, audit failure, or recovery escalation.
 //!
+//! It also hosts the two std-only utilities every layer shares because it
+//! is the one crate they all link: [`json`], the workspace codec, and
+//! [`par`], the data-parallel loops.
+//!
 //! # Cost model
 //!
 //! The subsystem is off by default. A disabled [`span`] performs a single
@@ -54,6 +58,7 @@ pub mod hist;
 pub mod imbalance;
 pub mod json;
 pub mod metrics;
+pub mod par;
 pub mod prom;
 pub mod registry;
 pub mod report;

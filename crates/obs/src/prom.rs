@@ -138,11 +138,6 @@ pub fn publish_hist(name: &str, labels: &[(&str, &str)], snap: HistSnapshot) {
     upsert(name, labels, Published::Hist(snap));
 }
 
-/// Drop every published labeled series (tests and fresh batch runs).
-pub fn clear_published() {
-    published().clear();
-}
-
 // ---- rendering ----
 
 fn render_label_set(labels: &[(String, String)]) -> String {
@@ -555,8 +550,6 @@ mod tests {
         let rsum = exp.sample("dpmd_prom_test_rankhist_sum").expect("sum");
         assert_eq!(rsum.label("rank"), Some("3"));
         assert_eq!(rsum.value, 12.0);
-
-        clear_published();
     }
 
     #[test]
@@ -575,7 +568,6 @@ mod tests {
             text.matches("# TYPE dpmd_prom_test_upsert ").count(),
             1
         );
-        clear_published();
     }
 
     #[test]

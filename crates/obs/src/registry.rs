@@ -15,7 +15,7 @@
 //! The disabled-path contract is unchanged: scoping only adds a
 //! thread-local lookup to the *enabled* record path; a disabled span or
 //! histogram record is still a single relaxed atomic load. Worker threads
-//! spawned inside a scoped region (e.g. rayon's pool under
+//! spawned inside a scoped region (e.g. [`crate::par`] workers under
 //! `compute_into`) do not inherit the scope — their spans fall through to
 //! the global tables, which keeps kernel-level taxonomy (Fig 3) separate
 //! from rank-level phase attribution (Fig 6).

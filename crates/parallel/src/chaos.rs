@@ -22,6 +22,7 @@
 //! *most* `max_failures()` failed epochs, not an exact count.
 
 use crate::fault::{DelaySpec, FaultPlan, KillSpec, MsgSelector, ShardTear};
+use dp_md::CounterRng;
 use std::time::Duration;
 
 /// Conservative upper bound on point-to-point messages one pair sends
@@ -96,26 +97,6 @@ impl Default for SoakSpec {
     }
 }
 
-/// splitmix64: tiny, seedable, and statistically fine for schedule
-/// generation — the point is determinism, not cryptography.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform-ish draw below `n` (modulo bias is irrelevant here).
-    fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        self.next_u64() % n
-    }
-}
-
 /// Expand a chaos spec into a concrete deterministic [`FaultPlan`] for a
 /// run of `end_step` steps on `n_ranks` ranks checkpointing every
 /// `ckpt_every` steps (0 = no checkpointing, which only allows delays).
@@ -142,7 +123,7 @@ pub fn expand_chaos(
             return Err("chaos drops/delays need at least 2 ranks".into());
         }
     }
-    let mut rng = SplitMix64(spec.seed ^ 0xd1fa117_c4a05u64);
+    let mut rng = CounterRng::new(spec.seed ^ 0xd1fa117_c4a05u64);
 
     // Kills: distinct steps in (ckpt_every, end_step), each strictly
     // after a checkpoint generation exists.
@@ -180,7 +161,7 @@ pub fn expand_chaos(
 
     // Drops: sequence numbers a communicating pair can only reach after
     // the first checkpoint write.
-    let pick_pair = |rng: &mut SplitMix64| {
+    let pick_pair = |rng: &mut CounterRng| {
         let from = rng.below(n_ranks as u64) as usize;
         let mut to = rng.below(n_ranks as u64 - 1) as usize;
         if to >= from {
@@ -254,7 +235,7 @@ pub fn expand_soak(
         }
         // A distinct stream: adding shard tears must not reshuffle the
         // kills/drops/delays the shared seed already determined.
-        let mut rng = SplitMix64(spec.seed ^ 0x5a4d_7ea2_u64);
+        let mut rng = CounterRng::new(spec.seed ^ 0x5a4d_7ea2_u64);
         for _ in 0..spec.torn_shards {
             plan.torn_shards.push(ShardTear {
                 rank: rng.below(n_ranks as u64) as usize,

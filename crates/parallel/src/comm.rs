@@ -23,11 +23,17 @@
 //! rank's scoped registry, giving per-rank latency distributions.
 
 use crate::fault::{FaultState, SendAction};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Lock ignoring poison: a rank that panics under `catch_unwind` while
+/// holding a barrier's mutex must not take its survivors down with it
+/// (every update under these locks leaves the state whole at each step).
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Default receive/reduce deadline. Generous: a healthy emulated rank
 /// answers in microseconds, so hitting this means a peer is gone.
@@ -185,7 +191,7 @@ impl RankComm {
                 if i == j {
                     continue;
                 }
-                let (s, r) = unbounded();
+                let (s, r) = channel();
                 senders[i][j] = Some(s);
                 receivers[j][i] = Some(r);
             }
@@ -335,7 +341,7 @@ impl Allreduce {
         &self,
         rank: usize,
         contribution: &[f64],
-    ) -> Result<parking_lot::MutexGuard<'_, ReduceState>, CommError> {
+    ) -> Result<MutexGuard<'_, ReduceState>, CommError> {
         assert_eq!(contribution.len(), self.width);
         let t0 = dp_obs::enabled().then(Instant::now);
         let record_wait = |t0: Option<Instant>| {
@@ -343,7 +349,7 @@ impl Allreduce {
                 dp_obs::hist::record("comm.reduce_wait_ns", t0.elapsed().as_nanos() as u64);
             }
         };
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if let Some(r) = st.poisoned {
             return Err(CommError::PeerFailed { rank: r });
         }
@@ -367,14 +373,12 @@ impl Allreduce {
             record_wait(t0);
             return Ok(st);
         }
-        let timed_out = self
+        let (st, timeout) = self
             .cv
-            .wait_while_for(
-                &mut st,
-                |s| s.generation == my_gen && s.poisoned.is_none(),
-                self.deadline,
-            )
-            .timed_out();
+            .wait_timeout_while(st, self.deadline, |s| {
+                s.generation == my_gen && s.poisoned.is_none()
+            })
+            .unwrap_or_else(PoisonError::into_inner);
         record_wait(t0);
         if st.generation != my_gen {
             // The barrier completed (possibly racing a poison): the
@@ -384,8 +388,7 @@ impl Allreduce {
         if let Some(r) = st.poisoned {
             return Err(CommError::PeerFailed { rank: r });
         }
-        debug_assert!(timed_out);
-        let _ = timed_out;
+        debug_assert!(timeout.timed_out());
         Err(CommError::ReduceTimeout {
             deadline: self.deadline,
         })
@@ -441,7 +444,7 @@ impl Allreduce {
     /// a reduction observe `PeerFailed` within one wakeup instead of
     /// waiting out the deadline.
     pub fn poison(&self, rank: usize) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.poisoned = Some(rank);
         self.cv.notify_all();
     }
@@ -453,7 +456,7 @@ impl Allreduce {
     /// generation bump would otherwise release a stale waiter with a
     /// half-built result.
     pub fn reset(&self) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.poisoned = None;
         st.arrived = 0;
         st.generation += 1;

@@ -46,24 +46,23 @@
 //! §7.3 heartbeat; the final [`ParallelRun::imbalance`] report breaks the
 //! run into compute/comm/wait across ranks.
 
-use crate::comm::{Allreduce, CkptAtom, CommError, Msg, RankComm};
+use crate::comm::{lock, Allreduce, CkptAtom, CommError, Msg, RankComm};
 use crate::fault::{self, FaultPlan, FaultState};
 use crate::grid::DomainGrid;
 use crate::halo::{
     add_reverse_forces, exchange, forward_comm, migrate, reverse_comm, RankState,
 };
 use crate::shard::RankShard;
-use crossbeam::channel::{unbounded, Sender};
 use dp_ckpt::{CkptError, Rotation, ShardSet};
 use dp_md::checkpoint::MdCheckpoint;
 use dp_md::integrate::{self, MdOptions, MdProgress, ThermoSample};
 use dp_md::{units, NeighborList, NlScratch, Potential, PotentialOutput, System};
 use dp_obs::{ImbalanceReport, Registry};
-use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Periodic global checkpointing for a parallel run. Every `every` steps
@@ -535,9 +534,27 @@ pub fn run_parallel_md(
         start_step = progress.step;
         start_rng = progress.rng_draws;
         recovered_from.push(from);
-        // same histogram the localized tier records into, so the two
-        // tiers' costs are directly comparable in the metrics stream
-        dp_obs::hist::record("recovery.latency_us", reload_t0.elapsed().as_micros() as u64);
+        record_recovery_latency(reload_t0);
+    }
+}
+
+/// Close out one recovery of either tier: its cost goes into the shared
+/// `recovery.latency_us` histogram, so the tiers compare directly. The
+/// supervisor is no rank, so the sample lands in the process-global table
+/// (what Prometheus renders); only rank registries are summarised into
+/// the `--metrics` stream, so the histogram's running summary is written
+/// there from here, rank-less.
+fn record_recovery_latency(t0: Instant) {
+    if !dp_obs::enabled() {
+        return;
+    }
+    let hist = dp_obs::hist::global("recovery.latency_us");
+    hist.record(t0.elapsed().as_micros() as u64);
+    if dp_obs::metrics::active() {
+        dp_obs::metrics::emit_line(&format!(
+            "{{\"event\":\"hist\",\"name\":\"recovery.latency_us\",{}}}",
+            hist.snapshot().json_fields()
+        ));
     }
 }
 
@@ -572,25 +589,33 @@ fn record_failed_epoch_metrics(epoch: &EpochOutcome, start_step: usize, n_atoms:
 }
 
 /// Publish one epoch's per-rank observability: merge the rank trace lanes
-/// into the global recording (each rank keeps its own `tid`) and emit one
-/// histogram-summary line per (rank, histogram) into the metrics stream.
+/// into the global recording (each rank keeps its own `tid`), emit one
+/// histogram-summary line per (rank, histogram) into the metrics stream
+/// and publish the same snapshots as `rank`-labeled Prometheus series.
 fn publish_epoch_obs(epoch: &EpochOutcome) {
     if dp_obs::trace::is_recording() {
         let (events, _dropped) = dp_obs::registry::merge_traces(&epoch.registries);
         dp_obs::trace::inject(events);
     }
-    if dp_obs::metrics::active() {
-        for reg in &epoch.registries {
-            for (name, snap) in reg.hist_snapshots() {
-                if snap.count == 0 {
-                    continue;
-                }
+    if !dp_obs::enabled() {
+        return;
+    }
+    for reg in &epoch.registries {
+        let rank = reg.tag().to_string();
+        for (name, snap) in reg.hist_snapshots() {
+            if snap.count == 0 {
+                continue;
+            }
+            if dp_obs::metrics::active() {
                 dp_obs::metrics::emit_line(&format!(
-                    "{{\"event\":\"hist\",\"name\":\"{name}\",\"rank\":{},{}}}",
-                    reg.tag(),
+                    "{{\"event\":\"hist\",\"name\":\"{name}\",\"rank\":{rank},{}}}",
                     snap.json_fields()
                 ));
             }
+            // rank registries are not in the process-global table the
+            // Prometheus renderer walks: publish them as labeled series
+            // (a later epoch's snapshot replaces an earlier one's)
+            dp_obs::prom::publish_hist(name, &[("rank", &rank)], snap);
         }
     }
 }
@@ -709,12 +734,12 @@ impl Recovery {
         // Wait on this rank's endpoint slot, not on a wakeup count: the
         // supervisor may publish between this rank's `Paused` message
         // and its arrival here, and that directive must not be missed.
-        let mut st = self.state.lock();
-        let _ = self.cv.wait_while_for(
-            &mut st,
-            |s| s.comms[rank].is_none() && !s.aborted,
-            self.pause_deadline,
-        );
+        let (mut st, _) = self
+            .cv
+            .wait_timeout_while(lock(&self.state), self.pause_deadline, |s| {
+                s.comms[rank].is_none() && !s.aborted
+            })
+            .unwrap_or_else(PoisonError::into_inner);
         if st.aborted {
             return None;
         }
@@ -725,7 +750,7 @@ impl Recovery {
     /// Supervisor side: hand every survivor its fresh endpoint and wake
     /// them to rewind to `step`. Only sound at the quiescent barrier.
     fn resume(&self, step: usize, comms: Vec<Option<RankComm>>) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.resume_step = step;
         st.comms = comms;
         self.cv.notify_all();
@@ -734,7 +759,7 @@ impl Recovery {
     /// Supervisor side: give up on localized recovery; parked survivors
     /// exit with their cascade errors and the epoch fails as a whole.
     fn abort(&self) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.aborted = true;
         self.cv.notify_all();
     }
@@ -950,7 +975,7 @@ fn run_epoch(
     // dedicated barrier for the invariant audit (width 4) so it never
     // shares a generation with the thermo/flag/heartbeat reductions
     let audit_reduce = Arc::new(Allreduce::with_deadline(n_ranks, 4, opts.comm_deadline));
-    let (ctl_tx, ctl_rx) = unbounded::<Ctl>();
+    let (ctl_tx, ctl_rx) = channel::<Ctl>();
     // parked survivors wait long enough to cover a peer that only
     // notices the death via its own comm deadline
     let pause_deadline = opts.comm_deadline * 2 + Duration::from_secs(5);
@@ -1139,11 +1164,12 @@ fn run_epoch(
                     }
                     attempts += 1;
                     epoch_local_recoveries += 1;
+                    // a death repaired in place never fails its epoch,
+                    // so it is counted here (an escalated one is counted
+                    // once, with the failed epoch)
+                    dp_obs::counter("fault.detected").add(1);
                     dp_obs::counter("recovery.local.success").add(1);
-                    dp_obs::hist::record(
-                        "recovery.latency_us",
-                        t0.elapsed().as_micros() as u64,
-                    );
+                    record_recovery_latency(t0);
                     parked = vec![false; n_ranks];
                     snap_steps = vec![None; n_ranks];
                     pending = None;
@@ -1728,12 +1754,11 @@ mod tests {
     use dp_md::integrate::{run_md, MdOptions};
     use dp_md::lattice;
     use dp_md::potential::pair::LennardJones;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use dp_md::CounterRng;
 
     fn test_system() -> System {
         let mut sys = lattice::fcc(5.26, [4, 4, 4], 39.948);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = CounterRng::new(7);
         sys.init_velocities(30.0, &mut rng);
         sys
     }
@@ -1818,7 +1843,7 @@ mod tests {
     fn atoms_conserved_through_migration() {
         let pot = lj();
         let mut sys = test_system();
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = CounterRng::new(9);
         sys.init_velocities(120.0, &mut rng); // hot: plenty of migration
         let opts = ParallelOptions {
             md: MdOptions {
@@ -2105,7 +2130,6 @@ mod tests {
     /// libm beyond `sqrt` and one constant holds on any host.
     #[test]
     fn golden_bits_2x1x1_nve() {
-        use rand::RngCore;
         let dir = std::env::temp_dir().join(format!("dp-parallel-golden-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mut sys = lattice::fcc(5.26, [4, 4, 4], 39.948);

@@ -3,7 +3,7 @@
 //! On Summit the paper runs 6 MPI ranks per node, each bound to a GPU,
 //! with LAMMPS maintaining the spatial partitioning, ghost-region exchange
 //! and global reductions. Here each MPI rank is an OS thread, messages
-//! travel over `crossbeam` channels, and the same three communication
+//! travel over `std::sync::mpsc` channels, and the same three communication
 //! patterns are reproduced:
 //!
 //! * **forward (ghost) communication** — positions of atoms near domain

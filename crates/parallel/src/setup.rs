@@ -54,28 +54,24 @@ pub fn setup_distributed(
     build: impl Fn() -> System + Sync,
     grid: &DomainGrid,
 ) -> (Vec<RankAtoms>, Duration) {
-    use rayon::prelude::*;
     let n_ranks = grid.n_ranks();
-    let results: Vec<(RankAtoms, Duration)> = (0..n_ranks)
-        .into_par_iter()
-        .map(|rank| {
-            let t = Instant::now();
-            let sys = build();
-            let mut ra = RankAtoms {
-                ids: Vec::new(),
-                positions: Vec::new(),
-                types: Vec::new(),
-            };
-            for i in 0..sys.len() {
-                if grid.rank_of_position(sys.positions[i]) == rank {
-                    ra.ids.push(i as u64);
-                    ra.positions.push(sys.positions[i]);
-                    ra.types.push(sys.types[i]);
-                }
+    let results: Vec<(RankAtoms, Duration)> = dp_obs::par::map(n_ranks, |rank| {
+        let t = Instant::now();
+        let sys = build();
+        let mut ra = RankAtoms {
+            ids: Vec::new(),
+            positions: Vec::new(),
+            types: Vec::new(),
+        };
+        for i in 0..sys.len() {
+            if grid.rank_of_position(sys.positions[i]) == rank {
+                ra.ids.push(i as u64);
+                ra.positions.push(sys.positions[i]);
+                ra.types.push(sys.types[i]);
             }
-            (ra, t.elapsed())
-        })
-        .collect();
+        }
+        (ra, t.elapsed())
+    });
     // On a machine with fewer cores than ranks the builds serialize, so
     // wall time misrepresents the protocol; the parallel completion time
     // is the per-rank maximum (every rank works independently with no

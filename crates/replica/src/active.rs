@@ -18,11 +18,9 @@
 use crate::engine::EnsembleEngine;
 use crate::metrics;
 use deepmd_core::{DeepPotential, DpConfig, DpModel};
-use dp_md::{Potential, System};
+use dp_md::{CounterRng, Potential, System};
 use dp_train::deviation::select_candidates;
 use dp_train::{Frame, LossWeights, Trainer};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Parameters of one active-learning campaign over the engine.
@@ -105,8 +103,7 @@ pub fn run_active_learning(
         // --- train a screening ensemble from different initializations ---
         let mut models: Vec<DpModel<f64>> = (0..opts.n_models)
             .map(|k| {
-                let mut init_rng =
-                    StdRng::seed_from_u64(opts.seed ^ (round as u64 * 97 + k as u64));
+                let mut init_rng = CounterRng::new(opts.seed ^ (round as u64 * 97 + k as u64));
                 let model = DpModel::<f64>::new_random(cfg.clone(), &mut init_rng);
                 let mut trainer = Trainer::new(model, &frames, opts.lr, LossWeights::default());
                 trainer.run(opts.train_steps);
@@ -159,7 +156,7 @@ mod tests {
     use crate::engine::{replica_seed, EnsembleOptions};
     use deepmd_core::PrecisionMode;
     use dp_md::potential::pair::LennardJones;
-    use dp_md::{lattice, units, CounterRng};
+    use dp_md::{lattice, units};
     use dp_train::dataset::perturbed_frames;
 
     #[test]
@@ -167,11 +164,11 @@ mod tests {
         let reference = LennardJones::new(0.2, 2.6, 3.9);
         let base = lattice::fcc(4.0, [2, 2, 2], units::MASS_CU);
         let cfg = DpConfig::small(1, 3.9, 14);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = CounterRng::new(1);
         let frames = perturbed_frames(&base, &reference, 4, 0.15, &mut rng);
         let n0 = frames.len();
 
-        let mut init = StdRng::seed_from_u64(2);
+        let mut init = CounterRng::new(2);
         let pot = Arc::new(DeepPotential::new(
             DpModel::<f64>::new_random(cfg.clone(), &mut init),
             PrecisionMode::Double,

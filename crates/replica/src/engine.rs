@@ -516,12 +516,10 @@ mod tests {
     use deepmd_core::{DpConfig, DpModel};
     use dp_md::integrate::{run_md_resumable, MdProgress};
     use dp_md::lattice;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn small_potential() -> Arc<DeepPotential> {
         let cfg = DpConfig::small(1, 4.0, 14);
-        let mut rng = StdRng::seed_from_u64(31);
+        let mut rng = CounterRng::new(31);
         Arc::new(DeepPotential::new(
             DpModel::<f64>::new_random(cfg, &mut rng),
             PrecisionMode::Mixed,
@@ -706,7 +704,7 @@ mod tests {
         let e_before: Vec<f64> = engine.replicas.iter().map(|r| r.potential_energy).collect();
 
         let cfg = DpConfig::small(1, 4.0, 14);
-        let mut rng = StdRng::seed_from_u64(77);
+        let mut rng = CounterRng::new(77);
         let other = Arc::new(DeepPotential::new(
             DpModel::<f64>::new_random(cfg, &mut rng),
             PrecisionMode::Mixed,

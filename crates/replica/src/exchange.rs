@@ -23,7 +23,6 @@
 use crate::engine::EnsembleEngine;
 use crate::metrics;
 use dp_md::units;
-use rand::Rng;
 
 /// Derive the swap-schedule stream's seed from the deck seed (a distinct
 /// stream from every replica's Langevin seed).
@@ -67,7 +66,7 @@ pub(crate) fn attempt_round(engine: &mut EnsembleEngine) {
     let mut i = start;
     while i + 1 < n {
         let j = i + 1;
-        let u: f64 = engine.swap_rng_mut().gen_range(0.0..1.0);
+        let u: f64 = engine.swap_rng_mut().range(0.0, 1.0);
         let (ti, tj) = (engine.replicas[i].target_t, engine.replicas[j].target_t);
         let (ei, ej) = (
             engine.replicas[i].potential_energy,
@@ -111,13 +110,11 @@ mod tests {
     use crate::engine::{replica_seed, EnsembleOptions};
     use deepmd_core::{DeepPotential, DpConfig, DpModel, PrecisionMode};
     use dp_md::{lattice, CounterRng, System};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use std::sync::Arc;
 
     fn build_engine(n: usize, exchange_every: usize, seed: u64) -> EnsembleEngine {
         let cfg = DpConfig::small(1, 4.0, 14);
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = CounterRng::new(5);
         let pot = Arc::new(DeepPotential::new(
             DpModel::<f64>::new_random(cfg, &mut rng),
             PrecisionMode::Mixed,

@@ -103,12 +103,11 @@ impl TrainCheckpoint {
 mod tests {
     use super::*;
     use deepmd_core::config::DpConfig;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use dp_md::CounterRng;
 
     fn sample() -> TrainCheckpoint {
         let cfg = DpConfig::small(1, 4.0, 8);
-        let mut rng = StdRng::seed_from_u64(19);
+        let mut rng = CounterRng::new(19);
         let model = DpModel::<f64>::new_random(cfg, &mut rng);
         let n = model.num_params();
         let adam = AdamState {

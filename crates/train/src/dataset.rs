@@ -1,8 +1,7 @@
 //! Labelled training frames.
 
 use dp_md::integrate::{run_md, Berendsen, MdOptions};
-use dp_md::{NeighborList, Potential, System};
-use rand::Rng;
+use dp_md::{CounterRng, NeighborList, Potential, System};
 
 /// One labelled configuration: the inputs DFT would be asked for, with the
 /// energy/force labels our reference potential supplies instead.
@@ -52,7 +51,7 @@ pub fn perturbed_frames(
     pot: &dyn Potential,
     n_frames: usize,
     amp: f64,
-    rng: &mut impl Rng,
+    rng: &mut CounterRng,
 ) -> Vec<Frame> {
     (0..n_frames)
         .map(|k| {
@@ -74,7 +73,7 @@ pub fn md_frames(
     n_frames: usize,
     stride: usize,
     dt: f64,
-    rng: &mut impl Rng,
+    rng: &mut CounterRng,
 ) -> Vec<Frame> {
     let mut sys = base.clone();
     sys.init_velocities(temperature, rng);
@@ -106,9 +105,8 @@ pub fn md_frames(
 mod tests {
     use super::*;
     use dp_md::potential::pair::LennardJones;
+    use dp_md::CounterRng;
     use dp_md::{lattice, units};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn base() -> (System, LennardJones) {
         (
@@ -131,7 +129,7 @@ mod tests {
     #[test]
     fn perturbed_frames_have_growing_disorder() {
         let (sys, lj) = base();
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = CounterRng::new(5);
         let frames = perturbed_frames(&sys, &lj, 10, 0.3, &mut rng);
         assert_eq!(frames.len(), 10);
         // later frames (bigger perturbation) have higher energy on average
@@ -145,7 +143,7 @@ mod tests {
         // bigger box: MD adds a 2 Å neighbor skin on top of the cutoff
         let sys = lattice::fcc(4.0, [3, 3, 3], units::MASS_CU);
         let lj = LennardJones::new(0.2, 2.6, 3.9);
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = CounterRng::new(6);
         let frames = md_frames(&sys, &lj, 50.0, 4, 10, 2e-3, &mut rng);
         assert_eq!(frames.len(), 4);
         // frames differ from each other

@@ -77,15 +77,14 @@ pub fn select_candidates<'a>(
 mod tests {
     use super::*;
     use deepmd_core::config::DpConfig;
+    use dp_md::CounterRng;
     use dp_md::{lattice, units};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn ensemble(n: usize) -> Vec<DpModel<f64>> {
         let cfg = DpConfig::small(1, 4.0, 14);
         (0..n)
             .map(|k| {
-                let mut rng = StdRng::seed_from_u64(100 + k as u64);
+                let mut rng = CounterRng::new(100 + k as u64);
                 DpModel::<f64>::new_random(cfg.clone(), &mut rng)
             })
             .collect()
@@ -94,11 +93,11 @@ mod tests {
     #[test]
     fn identical_models_have_zero_deviation() {
         let cfg = DpConfig::small(1, 4.0, 14);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = CounterRng::new(1);
         let m = DpModel::<f64>::new_random(cfg, &mut rng);
         let models = vec![m.clone(), m];
         let mut sys = lattice::fcc(4.0, [2, 2, 2], units::MASS_CU);
-        sys.perturb(0.1, &mut StdRng::seed_from_u64(2));
+        sys.perturb(0.1, &mut CounterRng::new(2));
         assert!(max_force_deviation(&models, &sys) < 1e-12);
     }
 
@@ -106,7 +105,7 @@ mod tests {
     fn random_models_disagree() {
         let models = ensemble(3);
         let mut sys = lattice::fcc(4.0, [2, 2, 2], units::MASS_CU);
-        sys.perturb(0.1, &mut StdRng::seed_from_u64(3));
+        sys.perturb(0.1, &mut CounterRng::new(3));
         assert!(max_force_deviation(&models, &sys) > 1e-6);
     }
 
@@ -118,7 +117,7 @@ mod tests {
         // comparisons.
         let models = ensemble(2);
         let mut sys = lattice::fcc(4.0, [2, 2, 2], units::MASS_CU);
-        sys.perturb(0.15, &mut StdRng::seed_from_u64(9));
+        sys.perturb(0.15, &mut CounterRng::new(9));
         let dev = max_force_deviation(&models, &sys);
         assert!(dev > 0.0 && dev.is_finite());
         let candidates = vec![sys];
@@ -146,7 +145,7 @@ mod tests {
         use dp_md::Potential;
 
         let cfg = DpConfig::small(1, 4.0, 14);
-        let mut rng = StdRng::seed_from_u64(41);
+        let mut rng = CounterRng::new(41);
         let model = DpModel::<f64>::new_random(cfg, &mut rng);
         let snapshots: Vec<System> = (0..4)
             .map(|_| {
@@ -194,7 +193,7 @@ mod tests {
     #[test]
     fn selection_buckets_partition() {
         let models = ensemble(2);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = CounterRng::new(4);
         let candidates: Vec<_> = (0..4)
             .map(|_| {
                 let mut s = lattice::fcc(4.0, [2, 2, 2], units::MASS_CU);

@@ -15,9 +15,7 @@ use deepmd_core::config::DpConfig;
 use deepmd_core::model::DpModel;
 use deepmd_core::{DeepPotential, PrecisionMode};
 use dp_md::integrate::{run_md, Berendsen, MdOptions};
-use dp_md::{Potential, System};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use dp_md::{CounterRng, Potential, System};
 
 /// Parameters of one active-learning campaign.
 #[derive(Debug, Clone)]
@@ -80,14 +78,14 @@ pub fn run_dpgen(
     assert!(opts.n_models >= 2, "ensemble needs at least two models");
     let mut frames = initial_frames;
     let mut reports = Vec::with_capacity(n_rounds);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut rng = CounterRng::new(opts.seed);
     let mut final_model: Option<DpModel<f64>> = None;
 
     for round in 0..n_rounds {
         // --- train an ensemble from different initializations ---
         let mut models = Vec::with_capacity(opts.n_models);
         for k in 0..opts.n_models {
-            let mut init_rng = StdRng::seed_from_u64(opts.seed ^ (round as u64 * 97 + k as u64));
+            let mut init_rng = CounterRng::new(opts.seed ^ (round as u64 * 97 + k as u64));
             let model = DpModel::<f64>::new_random(cfg.clone(), &mut init_rng);
             let mut trainer = Trainer::new(model, &frames, opts.lr, LossWeights::default());
             trainer.run(opts.train_steps);
@@ -111,7 +109,7 @@ pub fn run_dpgen(
         let mut sys = base.clone();
         sys.init_velocities(opts.temperature, &mut rng);
         // small random twist so repeated rounds explore different paths
-        sys.perturb(0.02 + 0.01 * rng.gen_range(0.0..1.0), &mut rng);
+        sys.perturb(0.02 + 0.01 * rng.range(0.0, 1.0), &mut rng);
         for _ in 0..opts.n_explore {
             run_md(&mut sys, &driver, &md, opts.explore_steps, |_| {});
             let dev = max_force_deviation(&models, &sys);
@@ -152,7 +150,7 @@ mod tests {
     fn setup() -> (DpConfig, LennardJones, System, Vec<Frame>) {
         let reference = LennardJones::new(0.2, 2.6, 3.9);
         let base = lattice::fcc(4.0, [2, 2, 2], units::MASS_CU);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = CounterRng::new(1);
         let frames = perturbed_frames(&base, &reference, 4, 0.15, &mut rng);
         let cfg = DpConfig::small(1, 3.9, 14);
         (cfg, reference, base, frames)

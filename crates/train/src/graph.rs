@@ -219,9 +219,8 @@ mod tests {
     use deepmd_core::codec::Codec;
     use deepmd_core::eval::evaluate;
     use deepmd_core::format::format_optimized;
+    use dp_md::CounterRng;
     use dp_md::{lattice, units, NeighborList, System};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     struct Case {
         model: DpModel<f64>,
@@ -231,7 +230,7 @@ mod tests {
     }
 
     fn case(cfg: DpConfig, mut sys: System, seed: u64) -> Case {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = CounterRng::new(seed);
         let model = DpModel::<f64>::new_random(cfg.clone(), &mut rng);
         sys.perturb(0.15, &mut rng);
         let nl = NeighborList::build(&sys, cfg.rcut);
@@ -380,7 +379,7 @@ mod tests {
             fitting: vec![32, 32, 32],
             axis_neurons: 4,
         };
-        let mut rng = StdRng::seed_from_u64(47);
+        let mut rng = CounterRng::new(47);
         let model = DpModel::<f64>::new_random(cfg.clone(), &mut rng);
         let sys = lattice::water_box([3, 3, 3], 3.104);
         assert_eq!(sys.len(), 81);

@@ -11,7 +11,7 @@ use dp_autograd::Tape;
 use dp_linalg::Matrix;
 use dp_md::System;
 use dp_nn::Adam;
-use rayon::prelude::*;
+use dp_obs::par;
 use std::time::{Duration, Instant};
 
 /// Loss prefactors. DeePMD-kit ramps the energy prefactor up and the force
@@ -61,20 +61,18 @@ struct PreparedFrame {
 }
 
 fn prepare(model: &DpModel<f64>, frames: &[Frame]) -> Vec<PreparedFrame> {
-    frames
-        .par_iter()
-        .map(|f| {
-            let sys = frame_system(f);
-            let nl = dp_md::NeighborList::build(&sys, model.config.rcut);
-            let fmt = format_optimized(&sys, &nl, &model.config, Codec::PaperDecimal);
-            PreparedFrame {
-                fmt,
-                types: f.types.clone(),
-                energy: f.energy,
-                forces: Matrix::from_fn(f.forces.len(), 3, |i, k| f.forces[i][k]),
-            }
-        })
-        .collect()
+    par::map(frames.len(), |i| {
+        let f = &frames[i];
+        let sys = frame_system(f);
+        let nl = dp_md::NeighborList::build(&sys, model.config.rcut);
+        let fmt = format_optimized(&sys, &nl, &model.config, Codec::PaperDecimal);
+        PreparedFrame {
+            fmt,
+            types: f.types.clone(),
+            energy: f.energy,
+            forces: Matrix::from_fn(f.forces.len(), 3, |i, k| f.forces[i][k]),
+        }
+    })
 }
 
 /// Adam-based trainer for a Deep Potential model.
@@ -149,10 +147,9 @@ impl Trainer {
         let start = Instant::now();
         // Frames are differentiated in parallel but summed in frame order,
         // so the step is bit-reproducible whatever the thread schedule.
-        let per_frame: Vec<(f64, Vec<f64>)> = (0..self.prepared.len())
-            .into_par_iter()
-            .map(|i| self.frame_loss_grad(&self.prepared[i], &self.geoms[i]))
-            .collect();
+        let per_frame: Vec<(f64, Vec<f64>)> = par::map(self.prepared.len(), |i| {
+            self.frame_loss_grad(&self.prepared[i], &self.geoms[i])
+        });
         let nf = per_frame.len() as f64;
         let mut total_loss = 0.0;
         self.grads.fill(0.0);
@@ -292,14 +289,13 @@ mod tests {
     use crate::dataset::perturbed_frames;
     use deepmd_core::config::DpConfig;
     use dp_md::potential::pair::LennardJones;
+    use dp_md::CounterRng;
     use dp_md::{lattice, units};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn tiny_dataset() -> Vec<Frame> {
         let base = lattice::fcc(4.0, [2, 2, 2], units::MASS_CU);
         let lj = LennardJones::new(0.2, 2.6, 3.9);
-        let mut rng = StdRng::seed_from_u64(51);
+        let mut rng = CounterRng::new(51);
         perturbed_frames(&base, &lj, 6, 0.25, &mut rng)
     }
 
@@ -307,7 +303,7 @@ mod tests {
     fn loss_decreases_over_training() {
         let frames = tiny_dataset();
         let cfg = DpConfig::small(1, 4.0, 14);
-        let mut rng = StdRng::seed_from_u64(52);
+        let mut rng = CounterRng::new(52);
         let model = DpModel::<f64>::new_random(cfg, &mut rng);
         let mut trainer = Trainer::new(model, &frames, 0.01, LossWeights::default());
         let first_report = trainer.step();
@@ -328,7 +324,7 @@ mod tests {
     fn rmse_improves_with_training() {
         let frames = tiny_dataset();
         let cfg = DpConfig::small(1, 4.0, 14);
-        let mut rng = StdRng::seed_from_u64(53);
+        let mut rng = CounterRng::new(53);
         let model = DpModel::<f64>::new_random(cfg, &mut rng);
         let mut trainer = Trainer::new(model, &frames, 0.01, LossWeights::default());
         let before = trainer.rmse();
@@ -347,7 +343,7 @@ mod tests {
     fn checkpoint_resume_is_loss_continuous() {
         let frames = tiny_dataset();
         let cfg = DpConfig::small(1, 4.0, 14);
-        let mut rng = StdRng::seed_from_u64(55);
+        let mut rng = CounterRng::new(55);
         let model = DpModel::<f64>::new_random(cfg.clone(), &mut rng);
 
         // Straight run: 20 steps.
@@ -385,7 +381,7 @@ mod tests {
     #[should_panic(expected = "different model configuration")]
     fn restore_rejects_a_different_config_of_equal_size() {
         let frames = tiny_dataset();
-        let mut rng = StdRng::seed_from_u64(56);
+        let mut rng = CounterRng::new(56);
         let cfg = DpConfig::small(1, 4.0, 14);
         // Same nets, so the same parameter count, but frames formatted for
         // this `sel` would be misread by a model expecting another.
@@ -402,7 +398,7 @@ mod tests {
     fn e0_initialized_to_mean_energy() {
         let frames = tiny_dataset();
         let cfg = DpConfig::small(1, 4.0, 14);
-        let mut rng = StdRng::seed_from_u64(54);
+        let mut rng = CounterRng::new(54);
         let model = DpModel::<f64>::new_random(cfg, &mut rng);
         let trainer = Trainer::new(model, &frames, 0.01, LossWeights::default());
         let mean: f64 =

@@ -38,8 +38,6 @@ use dp_replica::{
     replica_seed, run_active_learning, ActiveLearnOptions, EnsembleEngine, EnsembleOptions,
 };
 use dp_train::dataset::perturbed_frames;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::io::Write as _;
 use std::sync::Arc;
 
@@ -195,7 +193,7 @@ fn build_model(spec: &ModelSpec) -> Result<DpModel<f64>, AppError> {
                 return Err(AppError::Deck(format!("bad synthetic model rcut {rcut}")));
             }
             let cfg = DpConfig::small(1, *rcut, 16);
-            Ok(DpModel::new_random(cfg, &mut StdRng::seed_from_u64(*seed)))
+            Ok(DpModel::new_random(cfg, &mut CounterRng::new(*seed)))
         }
         ModelSpec::File { path } => deck::load_model(path),
     }
@@ -346,7 +344,7 @@ fn run_engine(
             return Err(AppError::Deck("active_learning.sample_every must be positive".into()));
         }
         let reference = app::build_potential(&al.reference)?;
-        let mut frame_rng = StdRng::seed_from_u64(cfg.run.seed ^ 0xF4A3);
+        let mut frame_rng = CounterRng::new(cfg.run.seed ^ 0xF4A3);
         let frames = perturbed_frames(
             &base,
             reference.as_ref(),

@@ -30,14 +30,13 @@ use crate::ensemble_app;
 use deepmd_core::config::DpConfig;
 use deepmd_core::model::DpModel;
 use deepmd_core::{BatchItem, DeepPotential, PrecisionMode};
+use dp_md::CounterRng;
 use dp_md::{Cell, NeighborList, System};
 use dp_serve::json::{self, Json};
 use dp_serve::{
     route, BatchBackend, BatchOptions, Batcher, Bind, Bound, JobFailure, JobRunner, JobStore,
     JobView, Request, Response, Route, RouteError, Server, ShutdownHandle, SubmitError,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -173,7 +172,7 @@ fn load_models(specs: &[(String, String)]) -> Result<HashMap<String, Arc<ModelEn
                 .parse()
                 .map_err(|_| AppError::Deck(format!("bad synthetic model seed '{seed}'")))?;
             let cfg = DpConfig::small(1, 4.5, 16);
-            let model = DpModel::new_random(cfg, &mut StdRng::seed_from_u64(seed));
+            let model = DpModel::new_random(cfg, &mut CounterRng::new(seed));
             (model, PrecisionMode::Double)
         } else {
             (deck::load_model(source)?, PrecisionMode::Double)

@@ -6,12 +6,11 @@
 //! must not move across repeated `compute_into` calls on the same
 //! configuration.
 //!
-//! The whole measurement runs inside a dedicated single-thread rayon pool
-//! so the thread-local formatter scratch is warmed on the same worker
-//! thread that later serves the measured calls. The counter is per thread
-//! for the same reason: every measured call runs on that one worker, and
-//! the other tests of this binary, running concurrently on their own
-//! threads, must not leak into its count.
+//! Every data-parallel loop (`dp_obs::par`) runs on the calling thread, so
+//! the thread-local formatter scratch warmed by the first calls serves
+//! the measured ones. The counter is per thread because the other tests
+//! of this binary, running concurrently on their own threads, must not
+//! leak into its count.
 
 use deepmd_repro::core::{DeepPotential, DpConfig, DpModel, PrecisionMode};
 use deepmd_repro::md::integrate::{run_md_resumable, Berendsen, MdOptions, MdProgress};
@@ -19,8 +18,7 @@ use deepmd_repro::md::potential::pair::PairTable;
 use deepmd_repro::md::{lattice, units, NeighborList, NlScratch, Potential, PotentialOutput};
 use deepmd_repro::train::dataset::perturbed_frames;
 use deepmd_repro::train::{LossWeights, Trainer};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dp_md::CounterRng;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 
@@ -65,42 +63,36 @@ fn allocs() -> u64 {
 #[test]
 fn steady_state_dp_step_is_allocation_free() {
     let cfg = DpConfig::small(1, 4.5, 16);
-    let mut rng = StdRng::seed_from_u64(31);
+    let mut rng = CounterRng::new(31);
     let model = DpModel::<f64>::new_random(cfg, &mut rng);
     let mut sys = lattice::fcc(3.615, [3, 3, 3], units::MASS_CU);
     sys.perturb(0.1, &mut rng);
     let mut pot = DeepPotential::new(model, PrecisionMode::Double);
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("single-thread pool");
-    pool.install(|| {
-        let nl = NeighborList::build(&sys, pot.cutoff());
-        let mut out = PotentialOutput::zeros(sys.len());
-        for mode in [
-            PrecisionMode::Double,
-            PrecisionMode::Mixed,
-            PrecisionMode::HalfEmulated,
-        ] {
-            pot.set_mode(mode);
-            // warm up: capacities rotate between workspace roles until
-            // they reach their fixed point
-            for _ in 0..6 {
-                pot.compute_into(&sys, &nl, &mut out);
-            }
-            let before = allocs();
-            for _ in 0..3 {
-                pot.compute_into(&sys, &nl, &mut out);
-            }
-            let delta = allocs() - before;
-            assert_eq!(
-                delta, 0,
-                "steady-state compute_into allocated {delta} times in {mode:?} mode"
-            );
+    let nl = NeighborList::build(&sys, pot.cutoff());
+    let mut out = PotentialOutput::zeros(sys.len());
+    for mode in [
+        PrecisionMode::Double,
+        PrecisionMode::Mixed,
+        PrecisionMode::HalfEmulated,
+    ] {
+        pot.set_mode(mode);
+        // warm up: capacities rotate between workspace roles until
+        // they reach their fixed point
+        for _ in 0..6 {
+            pot.compute_into(&sys, &nl, &mut out);
         }
-        assert!(out.energy.is_finite());
-    });
+        let before = allocs();
+        for _ in 0..3 {
+            pot.compute_into(&sys, &nl, &mut out);
+        }
+        let delta = allocs() - before;
+        assert_eq!(
+            delta, 0,
+            "steady-state compute_into allocated {delta} times in {mode:?} mode"
+        );
+    }
+    assert!(out.energy.is_finite());
 }
 
 #[test]
@@ -118,39 +110,33 @@ fn alternating_precision_modes_are_allocation_free() {
         PrecisionMode::HalfEmulated,
     ];
     let cfg = DpConfig::small(1, 4.5, 16);
-    let mut rng = StdRng::seed_from_u64(17);
+    let mut rng = CounterRng::new(17);
     let model = DpModel::<f64>::new_random(cfg, &mut rng);
     let mut sys = lattice::fcc(3.615, [3, 3, 3], units::MASS_CU);
     sys.perturb(0.1, &mut rng);
     let mut pot = DeepPotential::new(model, PrecisionMode::Double);
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("single-thread pool");
-    pool.install(|| {
-        let nl = NeighborList::build(&sys, pot.cutoff());
-        let mut out = PotentialOutput::zeros(sys.len());
-        for _ in 0..6 {
-            for mode in MODES {
-                pot.set_mode(mode);
-                pot.compute_into(&sys, &nl, &mut out);
-            }
+    let nl = NeighborList::build(&sys, pot.cutoff());
+    let mut out = PotentialOutput::zeros(sys.len());
+    for _ in 0..6 {
+        for mode in MODES {
+            pot.set_mode(mode);
+            pot.compute_into(&sys, &nl, &mut out);
         }
-        let before = allocs();
-        for _ in 0..3 {
-            for mode in MODES {
-                pot.set_mode(mode);
-                pot.compute_into(&sys, &nl, &mut out);
-            }
+    }
+    let before = allocs();
+    for _ in 0..3 {
+        for mode in MODES {
+            pot.set_mode(mode);
+            pot.compute_into(&sys, &nl, &mut out);
         }
-        let delta = allocs() - before;
-        assert_eq!(
-            delta, 0,
-            "alternating precision modes allocated {delta} times at steady state"
-        );
-        assert!(out.energy.is_finite());
-    });
+    }
+    let delta = allocs() - before;
+    assert_eq!(
+        delta, 0,
+        "alternating precision modes allocated {delta} times at steady state"
+    );
+    assert!(out.energy.is_finite());
 }
 
 #[test]
@@ -163,7 +149,7 @@ fn full_md_step_is_allocation_free_at_steady_state() {
     // (neighbor list, output buffer, thermo vec) cancel and any per-step
     // allocation shows up as a difference.
     let cfg = DpConfig::small(1, 4.5, 16);
-    let mut rng = StdRng::seed_from_u64(11);
+    let mut rng = CounterRng::new(11);
     let model = DpModel::<f64>::new_random(cfg, &mut rng);
     // [4,4,4] keeps cutoff+skin (6.0) under the minimum-image limit (7.23)
     let mut sys0 = lattice::fcc(3.615, [4, 4, 4], units::MASS_CU);
@@ -182,31 +168,25 @@ fn full_md_step_is_allocation_free_at_steady_state() {
         ..MdOptions::default()
     };
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("single-thread pool");
-    pool.install(|| {
-        // warm up: grows the potential's internal workspace to its fixed
-        // point (the run-local buffers are per-call and cancel below)
-        let mut warm = sys0.clone();
-        run_md_resumable(&mut warm, &pot, &opts, 20, MdProgress::default(), |_| {}, None);
+    // warm up: grows the potential's internal workspace to its fixed
+    // point (the run-local buffers are per-call and cancel below)
+    let mut warm = sys0.clone();
+    run_md_resumable(&mut warm, &pot, &opts, 20, MdProgress::default(), |_| {}, None);
 
-        let mut measure = |steps: usize| {
-            let mut s = sys0.clone();
-            let before = allocs();
-            let run = run_md_resumable(&mut s, &pot, &opts, steps, MdProgress::default(), |_| {}, None);
-            assert!(run.thermo.last().unwrap().total_energy().is_finite());
-            allocs() - before
-        };
-        let short = measure(12);
-        let long = measure(62);
-        assert_eq!(
-            short, long,
-            "50 extra MD steps allocated {} extra times",
-            long.saturating_sub(short)
-        );
-    });
+    let measure = |steps: usize| {
+        let mut s = sys0.clone();
+        let before = allocs();
+        let run = run_md_resumable(&mut s, &pot, &opts, steps, MdProgress::default(), |_| {}, None);
+        assert!(run.thermo.last().unwrap().total_energy().is_finite());
+        allocs() - before
+    };
+    let short = measure(12);
+    let long = measure(62);
+    assert_eq!(
+        short, long,
+        "50 extra MD steps allocated {} extra times",
+        long.saturating_sub(short)
+    );
 }
 
 #[test]
@@ -214,27 +194,21 @@ fn steady_state_neighbor_rebuild_is_allocation_free() {
     // The companion invariant for the rebuild step: `build_into` with a
     // warmed scratch must not touch the heap when the geometry is stable.
     let mut sys = lattice::fcc(3.615, [4, 4, 4], units::MASS_CU);
-    let mut rng = StdRng::seed_from_u64(5);
+    let mut rng = CounterRng::new(5);
     sys.perturb(0.05, &mut rng);
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("single-thread pool");
-    pool.install(|| {
-        let mut scratch = NlScratch::default();
-        let mut nl = NeighborList::empty();
-        for _ in 0..4 {
-            nl.build_into(&sys, 6.0, &mut scratch);
-        }
-        let before = allocs();
-        for _ in 0..3 {
-            nl.build_into(&sys, 6.0, &mut scratch);
-        }
-        let delta = allocs() - before;
-        assert_eq!(delta, 0, "steady-state build_into allocated {delta} times");
-        assert!(nl.num_pairs() > 0);
-    });
+    let mut scratch = NlScratch::default();
+    let mut nl = NeighborList::empty();
+    for _ in 0..4 {
+        nl.build_into(&sys, 6.0, &mut scratch);
+    }
+    let before = allocs();
+    for _ in 0..3 {
+        nl.build_into(&sys, 6.0, &mut scratch);
+    }
+    let delta = allocs() - before;
+    assert_eq!(delta, 0, "steady-state build_into allocated {delta} times");
+    assert!(nl.num_pairs() > 0);
 }
 
 #[test]
@@ -253,26 +227,20 @@ fn steady_state_train_step_stays_within_allocation_budget() {
         fitting: vec![32, 32, 32],
         axis_neurons: 4,
     };
-    let mut rng = StdRng::seed_from_u64(23);
+    let mut rng = CounterRng::new(23);
     let base = lattice::water_box([3, 3, 3], 3.104);
     let labels = PairTable::water_reference().with_cutoff(4.5);
     let frames = perturbed_frames(&base, &labels, 8, 0.15, &mut rng);
     let model = DpModel::<f64>::new_random(cfg, &mut rng);
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("single-thread pool");
-    pool.install(|| {
-        let mut trainer = Trainer::new(model, &frames, 1e-3, LossWeights::default());
-        trainer.step(); // warm-up: fills the buffer pool
-        let before = allocs();
-        let report = trainer.step();
-        let delta = allocs() - before;
-        assert!(report.loss.is_finite());
-        assert!(
-            delta <= 1000,
-            "steady-state Trainer::step allocated {delta} times"
-        );
-    });
+    let mut trainer = Trainer::new(model, &frames, 1e-3, LossWeights::default());
+    trainer.step(); // warm-up: fills the buffer pool
+    let before = allocs();
+    let report = trainer.step();
+    let delta = allocs() - before;
+    assert!(report.loss.is_finite());
+    assert!(
+        delta <= 1000,
+        "steady-state Trainer::step allocated {delta} times"
+    );
 }

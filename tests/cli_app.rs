@@ -3,8 +3,7 @@
 
 use deepmd_repro::app::{parse_config, run};
 use deepmd_repro::core::{DpConfig, DpModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dp_md::CounterRng;
 
 #[test]
 fn lj_deck_runs_and_conserves_energy() {
@@ -47,7 +46,7 @@ fn water_deck_with_thermostat_holds_temperature() {
 #[test]
 fn dp_model_deck_roundtrips_through_disk() {
     // save a random model to disk, then drive MD with it via the deck
-    let mut rng = StdRng::seed_from_u64(5);
+    let mut rng = CounterRng::new(5);
     let model = DpModel::<f64>::new_random(DpConfig::small(1, 4.5, 16), &mut rng);
     let dir = std::env::temp_dir().join("dpmd-cli-test");
     std::fs::create_dir_all(&dir).unwrap();

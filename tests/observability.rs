@@ -8,12 +8,11 @@
 use deepmd_repro::app::{parse_config, run};
 use deepmd_repro::core::{DpConfig, DpModel};
 use deepmd_repro::obs::json::Json as Value;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dp_md::CounterRng;
 
 #[test]
 fn dp_deck_with_trace_and_metrics_produces_valid_artifacts() {
-    let mut rng = StdRng::seed_from_u64(8);
+    let mut rng = CounterRng::new(8);
     let model = DpModel::<f64>::new_random(DpConfig::small(1, 4.5, 16), &mut rng);
     let dir = std::env::temp_dir().join("dpmd-obs-test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -5,12 +5,11 @@ use deepmd_repro::core::{DeepPotential, DpConfig, DpModel, PrecisionMode};
 use deepmd_repro::md::integrate::{run_md, MdOptions};
 use deepmd_repro::md::{lattice, NeighborList, Potential, System};
 use deepmd_repro::parallel::{run_parallel_md, ParallelOptions};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dp_md::CounterRng;
 use std::sync::Arc;
 
 fn dp_and_system() -> (Arc<DeepPotential>, System) {
-    let mut rng = StdRng::seed_from_u64(42);
+    let mut rng = CounterRng::new(42);
     let cfg = DpConfig {
         rcut: 4.0,
         rcut_smth: 1.0,

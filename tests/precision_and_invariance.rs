@@ -3,11 +3,10 @@
 
 use deepmd_repro::core::{DeepPotential, DpConfig, DpModel, PrecisionMode};
 use deepmd_repro::md::{lattice, Cell, NeighborList, Potential, System};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dp_md::CounterRng;
 
 fn setup() -> (DpModel<f64>, System) {
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = CounterRng::new(7);
     let cfg = DpConfig::small(1, 4.5, 16);
     let model = DpModel::<f64>::new_random(cfg, &mut rng);
     let mut sys = lattice::fcc(3.615, [3, 3, 3], 63.546);
@@ -83,7 +82,7 @@ fn energy_is_permutation_invariant() {
 #[test]
 fn energy_is_rotation_invariant() {
     // Build an open (non-periodic) cluster so a rigid rotation is exact.
-    let mut rng = StdRng::seed_from_u64(8);
+    let mut rng = CounterRng::new(8);
     let cfg = DpConfig::small(1, 4.5, 24);
     let model = DpModel::<f64>::new_random(cfg, &mut rng);
     let dp = DeepPotential::new(model, PrecisionMode::Double);

@@ -9,11 +9,10 @@ use deepmd_repro::md::{lattice, NeighborList, Potential};
 use deepmd_repro::train::dataset::perturbed_frames;
 use deepmd_repro::train::trainer::rmse_on_frames;
 use deepmd_repro::train::{LossWeights, Trainer};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dp_md::CounterRng;
 
 fn train_lj_model(steps: usize, seed: u64) -> (DpModel<f64>, LennardJones) {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = CounterRng::new(seed);
     let reference = LennardJones::new(0.0104, 3.405, 5.0);
     let base = lattice::fcc(5.26, [2, 2, 2], 39.948);
     let frames = perturbed_frames(&base, &reference, 8, 0.3, &mut rng);
@@ -34,7 +33,7 @@ fn train_lj_model(steps: usize, seed: u64) -> (DpModel<f64>, LennardJones) {
 #[test]
 fn trained_model_generalizes_to_held_out_frames() {
     let (model, reference) = train_lj_model(120, 11);
-    let mut rng = StdRng::seed_from_u64(99);
+    let mut rng = CounterRng::new(99);
     let base = lattice::fcc(5.26, [2, 2, 2], 39.948);
     let held_out = perturbed_frames(&base, &reference, 4, 0.25, &mut rng);
     let rmse = rmse_on_frames(&model, &held_out);
@@ -69,7 +68,7 @@ fn dp_driven_nve_conserves_energy() {
     let (model, _) = train_lj_model(60, 12);
     let dp = DeepPotential::new(model, PrecisionMode::Double);
     let mut sys = lattice::fcc(5.26, [3, 3, 3], 39.948);
-    let mut rng = StdRng::seed_from_u64(13);
+    let mut rng = CounterRng::new(13);
     sys.init_velocities(40.0, &mut rng);
     let opts = MdOptions {
         dt: 2.0e-3,

@@ -6,8 +6,7 @@
 use deepmd_repro::core::{DeepPotential, DpConfig, DpModel, PrecisionMode};
 use deepmd_repro::md::potential::pair::LennardJones;
 use deepmd_repro::md::{lattice, NeighborList, Potential, System};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dp_md::CounterRng;
 
 fn scaled(sys: &System, lambda: f64) -> System {
     let mut out = sys.clone();
@@ -41,7 +40,7 @@ fn check_virial_trace(pot: &dyn Potential, sys: &System, tol: f64) {
 
 #[test]
 fn lj_virial_matches_strain_derivative() {
-    let mut rng = StdRng::seed_from_u64(3);
+    let mut rng = CounterRng::new(3);
     let mut sys = lattice::fcc(5.0, [3, 3, 3], 39.948);
     sys.perturb(0.15, &mut rng);
     let lj = LennardJones::new(0.2, 2.8, 6.0);
@@ -50,7 +49,7 @@ fn lj_virial_matches_strain_derivative() {
 
 #[test]
 fn dp_virial_matches_strain_derivative() {
-    let mut rng = StdRng::seed_from_u64(4);
+    let mut rng = CounterRng::new(4);
     let cfg = DpConfig::small(1, 4.5, 20);
     let model = DpModel::<f64>::new_random(cfg, &mut rng);
     let dp = DeepPotential::new(model, PrecisionMode::Double);

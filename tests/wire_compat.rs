@@ -11,8 +11,7 @@ use deepmd_repro::ensemble_app;
 use deepmd_repro::nn::{AdamState, LayerKind};
 use deepmd_repro::train::checkpoint::TrainCheckpoint;
 use dp_ckpt::CkptReader;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dp_md::CounterRng;
 
 /// A 1-type toy model exactly as the parent's derives on `DpModelData`
 /// shaped it (declaration key order, `1.0`-style floats), with one layer
@@ -100,7 +99,7 @@ fn malformed_model_files_are_errors_not_panics() {
 
 #[test]
 fn paper_size_model_and_train_checkpoint_round_trip_bit_exactly() {
-    let mut rng = StdRng::seed_from_u64(61);
+    let mut rng = CounterRng::new(61);
     let model = DpModel::<f64>::new_random(DpConfig::water_paper(), &mut rng);
     let n = model.num_params();
     let adam = AdamState {

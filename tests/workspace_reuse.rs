@@ -13,12 +13,11 @@ use deepmd_repro::core::format::{format_optimized, format_optimized_into, Format
 use deepmd_repro::core::codec::Codec;
 use deepmd_repro::core::{DpConfig, DpModel, EvalWorkspace};
 use deepmd_repro::md::{lattice, units, NeighborList, System};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dp_md::CounterRng;
 
 fn make_system(reps: [usize; 3], seed: u64) -> (System, NeighborList) {
     let mut sys = lattice::fcc(3.615, reps, units::MASS_CU);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = CounterRng::new(seed);
     sys.perturb(0.1, &mut rng);
     let nl = NeighborList::build(&sys, 4.5);
     (sys, nl)
@@ -107,7 +106,7 @@ fn dirty_formatted_env_is_bit_identical_to_fresh() {
 #[test]
 fn dirty_eval_workspace_is_bit_identical_to_fresh_f64() {
     let cfg = DpConfig::small(1, 4.5, 16);
-    let mut rng = StdRng::seed_from_u64(21);
+    let mut rng = CounterRng::new(21);
     let model = DpModel::<f64>::new_random(cfg.clone(), &mut rng);
     let mut ws = EvalWorkspace::<f64>::new(&cfg);
     let mut out = EvalOutput {
@@ -128,7 +127,7 @@ fn dirty_eval_workspace_is_bit_identical_to_fresh_f64() {
 #[test]
 fn dirty_eval_workspace_is_bit_identical_to_fresh_f32() {
     let cfg = DpConfig::small(1, 4.5, 16);
-    let mut rng = StdRng::seed_from_u64(22);
+    let mut rng = CounterRng::new(22);
     let model64 = DpModel::<f64>::new_random(cfg.clone(), &mut rng);
     let model = model64.cast::<f32>();
     let mut ws = EvalWorkspace::<f32>::new(&cfg);
@@ -151,7 +150,7 @@ fn dirty_eval_workspace_is_bit_identical_to_fresh_f32() {
 fn two_type_system_reuses_workspace_bit_identically() {
     // Multi-type path: per-type embedding slots and blocks in the trunk.
     let cfg = DpConfig::small(2, 4.5, 12);
-    let mut rng = StdRng::seed_from_u64(51);
+    let mut rng = CounterRng::new(51);
     let model = DpModel::<f64>::new_random(cfg.clone(), &mut rng);
     let mut ws = EvalWorkspace::<f64>::new(&cfg);
     let mut fmt_ws = FormattedEnv::alloc(0, &cfg);
@@ -173,7 +172,7 @@ fn two_type_system_reuses_workspace_bit_identically() {
                 vec![units::MASS_CU, 58.693],
             )
         };
-        sys.perturb(0.1, &mut StdRng::seed_from_u64(seed));
+        sys.perturb(0.1, &mut CounterRng::new(seed));
         let nl = NeighborList::build(&sys, 4.5);
 
         format_optimized_into(&mut fmt_ws, &sys, &nl, &cfg, Codec::PaperDecimal);

@@ -8,37 +8,36 @@
 # determinism check, and the serve daemon.
 #
 # Run from anywhere; it cds to the repo root. `--skip-tests` leaves the
-# `cargo test` stages out (CI runs them as their own steps). With
-# `DPMD=<binary>` in the environment the cargo stages are skipped
-# altogether and the smokes drive that binary (tools/offline_check.sh
-# passes its rustc-built one).
+# `cargo test` stages out (CI runs them as their own steps).
 # A run's stdout goes to a file before it is grepped: `grep -q` closes the
 # pipe at its first match, and a `dpmd` that is still printing then dies
 # on EPIPE before it has written its metrics and Prometheus dump.
 set -eu
 cd "$(dirname "$0")"
 
-if [ -z "${DPMD:-}" ]; then
-    DPMD=target/release/dpmd
-    cargo build --release --workspace
-    if [ "${1:-}" != "--skip-tests" ]; then
-        cargo test -q --workspace
-        # the scalar fallback stays a tested baseline on hosts that always
-        # dispatch to the SIMD path
-        DPMD_SIMD=off cargo test -q -p dp-linalg
-    fi
+DIR=$(mktemp -d)
+trap 'rm -rf "$DIR"' EXIT
+
+# Every dependency is a path crate of this workspace, so the build needs
+# the toolchain and nothing else: `--offline` under an empty CARGO_HOME
+# proves no registry, vendor directory or network is involved.
+export CARGO_HOME="$DIR/cargo-home"
+mkdir -p "$CARGO_HOME"
+DPMD="${CARGO_TARGET_DIR:-target}/release/dpmd"
+cargo build --release --offline --workspace
+if [ "${1:-}" != "--skip-tests" ]; then
+    cargo test -q --offline --workspace
+    # the scalar fallback stays a tested baseline on hosts that always
+    # dispatch to the SIMD path (unit tests and the property suite)
+    DPMD_SIMD=off cargo test -q --offline -p dp-linalg
 fi
 
 # Benchmark smoke: all six perfbench workloads, both passes, at a twentieth
-# of the timed phase, then a structural check of the ledger. run.sh falls
-# back from cargo to its plain-rustc route, so a change that breaks that
-# route or one of the benchmark's output checks fails here instead of
+# of the timed phase, then a structural check of the ledger, so a change
+# that breaks one of the benchmark's output checks fails here instead of
 # leaving the benchmark without numbers.
 bash crates/perfbench/smoke.sh
 echo "tier1: perfbench smoke ledger validated"
-
-DIR=$(mktemp -d)
-trap 'rm -rf "$DIR"' EXIT
 
 # deck <steps> <deck-path> <checkpoint-base>
 deck() {
