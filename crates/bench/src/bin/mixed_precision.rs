@@ -5,12 +5,13 @@
 //! energy deviation and a 0.029 eV/Å force RMSD — both below the model's
 //! training error, hence "no loss of accuracy". It also rejects half
 //! precision because 16-bit range breaks the required accuracy; we
-//! reproduce that negative result with an emulated-fp16 mode.
+//! reproduce that negative result with an emulated-fp16 evaluation
+//! ([`dp_bench::fp16`]).
 //!
 //! Run with: `cargo run --release -p dp-bench --bin mixed_precision`
 
 use deepmd_core::{DeepPotential, PrecisionMode};
-use dp_bench::{models, report::print_table, workloads};
+use dp_bench::{fp16, models, report::print_table, workloads};
 use dp_md::{NeighborList, Potential};
 
 fn main() {
@@ -24,19 +25,20 @@ fn main() {
     let mut dp = DeepPotential::new(model, PrecisionMode::Double);
     let nl = NeighborList::build(&sys, dp.cutoff());
     let double = dp.compute(&sys, &nl);
+    dp.set_mode(PrecisionMode::Mixed);
+    let mixed = dp.compute(&sys, &nl);
+    let half = fp16::evaluate_fp16(dp.model(), &sys, &nl);
 
     let mut rows = Vec::new();
     let mut rmsds = Vec::new();
-    for (mode, label) in [
-        (PrecisionMode::Mixed, "mixed (f32 nets)"),
-        (PrecisionMode::HalfEmulated, "fp16-emulated"),
+    for (label, energy, forces) in [
+        ("mixed (f32 nets)", mixed.energy, &mixed.forces),
+        ("fp16-emulated", half.energy, &half.forces),
     ] {
-        dp.set_mode(mode);
-        let out = dp.compute(&sys, &nl);
-        let de_mev_per_mol = (out.energy - double.energy).abs() / n_molecules * 1000.0;
+        let de_mev_per_mol = (energy - double.energy).abs() / n_molecules * 1000.0;
         let mut se = 0.0;
         let mut n = 0usize;
-        for (a, b) in double.forces.iter().zip(&out.forces) {
+        for (a, b) in double.forces.iter().zip(forces) {
             for k in 0..3 {
                 se += (a[k] - b[k]).powi(2);
                 n += 1;

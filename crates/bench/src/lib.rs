@@ -3,8 +3,9 @@
 //! One binary per paper table/figure (and `ablations`) lives in
 //! `src/bin/`. This library supplies the common pieces: scaled-down
 //! trained models (cached on disk so every harness doesn't retrain),
-//! standard workloads, and table formatting.
+//! standard workloads, table formatting, and the emulated fp16 evaluation.
 
+pub mod fp16;
 pub mod models;
 pub mod report;
 pub mod workloads;

@@ -133,11 +133,7 @@ mod tests {
         let systems = sample_systems();
         let nls: Vec<NeighborList> =
             systems.iter().map(|s| NeighborList::build(s, pot.cutoff())).collect();
-        for mode in [
-            PrecisionMode::Double,
-            PrecisionMode::Mixed,
-            PrecisionMode::HalfEmulated,
-        ] {
+        for mode in [PrecisionMode::Double, PrecisionMode::Mixed] {
             let items: Vec<BatchItem> = systems
                 .iter()
                 .zip(&nls)

@@ -7,8 +7,15 @@
 //! cubic Hermite interpolation per output channel. This removes the
 //! embedding GEMMs and every tanh from the MD hot path at a small,
 //! controlled accuracy cost.
+//!
+//! Tables are sampled with `core::eval`'s net pass, and
+//! [`evaluate_compressed`] is `core::eval`'s pipeline with the lookup in
+//! place of the embedding nets.
 
+use crate::eval::{evaluate_fresh, net_backward_into, net_forward_into, Embedding, EvalOutput};
+use crate::format::FormattedEnv;
 use crate::model::DpModel;
+use crate::workspace::NetPass;
 use dp_linalg::{Matrix, Real};
 use dp_nn::net::Net;
 
@@ -36,23 +43,25 @@ impl<T: Real> EmbeddingTable<T> {
         assert!(net.in_dim() == 1, "embedding nets take scalar input");
         assert!(n_knots >= 4 && s_max > s_min);
         let m = net.out_dim();
-        let mut values = Vec::with_capacity(n_knots * m);
-        let mut derivs = Vec::with_capacity(n_knots * m);
         let h = (s_max - s_min) / (n_knots - 1) as f64;
-        for k in 0..n_knots {
-            let s = s_min + k as f64 * h;
-            let x = Matrix::from_vec(1, 1, vec![T::from_f64(s)]);
-            let (g, caches) = net.forward_cached(&x);
-            values.extend_from_slice(g.as_slice());
-            // dG_c/ds via one backward pass per channel would be m passes;
-            // instead use the Jacobian-row trick: backward with unit seeds.
-            // For a 1-input net, dG/ds is the full Jacobian column, which
-            // we get channel-by-channel (m is small: 16–100).
-            for c in 0..m {
-                let mut dy = Matrix::zeros(1, m);
-                dy[(0, c)] = T::ONE;
-                let dx = net.backward_input(&caches, &dy);
-                derivs.push(dx[(0, 0)]);
+        let knots = Matrix::from_fn(n_knots, 1, |k, _| T::from_f64(s_min + k as f64 * h));
+        let mut pass = NetPass::default();
+        net_forward_into(net, &knots, &mut pass, None);
+        // For a 1-input net dG_c/ds is channel c's Jacobian column: one
+        // backward pass per channel, seeded with that channel's unit
+        // vector at every knot (m is small: 16–100).
+        let mut derivs = vec![T::ZERO; n_knots * m];
+        let mut seed = Matrix::zeros(n_knots, m);
+        let mut ds = Matrix::zeros(0, 0);
+        let (mut sa, mut sb) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        for c in 0..m {
+            seed.fill_zero();
+            for k in 0..n_knots {
+                seed[(k, c)] = T::ONE;
+            }
+            net_backward_into(net, &pass.tgrads, &seed, &mut ds, &mut sa, &mut sb, None);
+            for k in 0..n_knots {
+                derivs[k * m + c] = ds[(k, 0)];
             }
         }
         Self {
@@ -60,7 +69,7 @@ impl<T: Real> EmbeddingTable<T> {
             s_max,
             n_knots,
             m,
-            values,
+            values: pass.out.into_vec(),
             derivs,
         }
     }
@@ -126,188 +135,16 @@ impl<T: Real> CompressedModel<T> {
 }
 
 /// Evaluate energy/forces/virial with tabulated embeddings: no embedding
-/// GEMMs, no tanh in the hot path. Fitting nets still run as networks.
-pub fn evaluate_compressed(
-    cm: &CompressedModel<f64>,
-    fmt: &crate::format::FormattedEnv,
+/// GEMMs, no tanh in the embedding stage. Fitting nets still run as
+/// networks; every other stage is [`crate::eval::evaluate`]'s.
+pub fn evaluate_compressed<T: Real>(
+    cm: &CompressedModel<T>,
+    fmt: &FormattedEnv,
     types: &[usize],
     n_total: usize,
-) -> crate::eval::EvalOutput {
-    use crate::format::NONE;
-    let model = &cm.model;
-    let cfg = &model.config;
-    let n_types = cfg.n_types();
-    let m_w = cfg.emb_width();
-    let m2 = cfg.axis_neurons;
-    let nm = fmt.nm;
-    let inv_nm = 1.0 / nm as f64;
-
-    let mut block_off = vec![0usize; n_types + 1];
-    for t in 0..n_types {
-        block_off[t + 1] = block_off[t] + cfg.sel[t];
-    }
-
-    let mut per_atom_energy = vec![0.0f64; fmt.n_atoms];
-    let mut forces = vec![[0.0f64; 3]; n_total];
-    let mut virial = [0.0f64; 6];
-
-    // reusable row buffers
-    let mut g_rows = vec![0.0f64; nm * m_w];
-    let mut dgds_rows = vec![0.0f64; nm * m_w];
-
-    for atom in 0..fmt.n_atoms {
-        // table lookups for all real slots
-        for t in 0..n_types {
-            for k in 0..cfg.sel[t] {
-                let within = block_off[t] + k;
-                let slot = atom * nm + within;
-                if fmt.indices[slot] == NONE {
-                    g_rows[within * m_w..(within + 1) * m_w].fill(0.0);
-                    dgds_rows[within * m_w..(within + 1) * m_w].fill(0.0);
-                    continue;
-                }
-                let sv = fmt.env[slot * 4];
-                let (gr, dgr) = {
-                    let (a, b) = (&mut g_rows, &mut dgds_rows);
-                    (
-                        &mut a[within * m_w..(within + 1) * m_w],
-                        &mut b[within * m_w..(within + 1) * m_w],
-                    )
-                };
-                cm.tables[t].eval_into(sv, gr, dgr);
-            }
-        }
-
-        // descriptor forward (same math as the optimized path)
-        let mut t1 = vec![0.0f64; m_w * 4];
-        let mut t2 = vec![0.0f64; 4 * m2];
-        for within in 0..nm {
-            let slot = atom * nm + within;
-            if fmt.indices[slot] == NONE {
-                continue;
-            }
-            let w = &fmt.env[slot * 4..slot * 4 + 4];
-            let g = &g_rows[within * m_w..(within + 1) * m_w];
-            for (mi, &gm) in g.iter().enumerate() {
-                for c in 0..4 {
-                    t1[mi * 4 + c] += gm * w[c];
-                }
-            }
-            for c in 0..4 {
-                for ai in 0..m2 {
-                    t2[c * m2 + ai] += w[c] * g[ai];
-                }
-            }
-        }
-        for x in &mut t1 {
-            *x *= inv_nm;
-        }
-        for x in &mut t2 {
-            *x *= inv_nm;
-        }
-        let mut d = vec![0.0f64; m_w * m2];
-        for mi in 0..m_w {
-            for c in 0..4 {
-                let v = t1[mi * 4 + c];
-                for ai in 0..m2 {
-                    d[mi * m2 + ai] += v * t2[c * m2 + ai];
-                }
-            }
-        }
-
-        // fitting net (still a network)
-        let ty = types[atom];
-        let d_row = Matrix::from_vec(1, m_w * m2, d);
-        let (e, caches) = model.fittings[ty].forward_cached(&d_row);
-        per_atom_energy[atom] = e[(0, 0)] + model.e0[ty];
-        let ones = Matrix::full(1, 1, 1.0);
-        let dd_row = model.fittings[ty].backward_input(&caches, &ones);
-        let dd = dd_row.as_slice();
-
-        // descriptor backward
-        let mut dt1 = vec![0.0f64; m_w * 4];
-        let mut dt2 = vec![0.0f64; 4 * m2];
-        for mi in 0..m_w {
-            for c in 0..4 {
-                let mut acc = 0.0;
-                for ai in 0..m2 {
-                    acc += dd[mi * m2 + ai] * t2[c * m2 + ai];
-                }
-                dt1[mi * 4 + c] = acc;
-            }
-        }
-        for c in 0..4 {
-            for ai in 0..m2 {
-                let mut acc = 0.0;
-                for mi in 0..m_w {
-                    acc += t1[mi * 4 + c] * dd[mi * m2 + ai];
-                }
-                dt2[c * m2 + ai] = acc;
-            }
-        }
-
-        // per-slot force/virial with the table derivative closing ds
-        for within in 0..nm {
-            let slot = atom * nm + within;
-            let j = fmt.indices[slot];
-            if j == NONE {
-                continue;
-            }
-            let j = j as usize;
-            let w = &fmt.env[slot * 4..slot * 4 + 4];
-            let g = &g_rows[within * m_w..(within + 1) * m_w];
-            let dgds = &dgds_rows[within * m_w..(within + 1) * m_w];
-            // dG rows and dE/dR̃
-            let mut dr = [0.0f64; 4];
-            let mut ds = 0.0f64;
-            for (mi, (&gm, &dgm)) in g.iter().zip(dgds).enumerate() {
-                let mut dgrow = 0.0;
-                for c in 0..4 {
-                    dgrow += w[c] * dt1[mi * 4 + c];
-                    dr[c] += gm * dt1[mi * 4 + c];
-                }
-                if mi < m2 {
-                    for c in 0..4 {
-                        dgrow += w[c] * dt2[c * m2 + mi];
-                    }
-                }
-                ds += dgrow * inv_nm * dgm;
-            }
-            // T2 path of dE/dR̃: Σ_ai dT2[c][ai] * g[ai]
-            for c in 0..4 {
-                let mut acc = 0.0;
-                for ai in 0..m2 {
-                    acc += dt2[c * m2 + ai] * g[ai];
-                }
-                dr[c] = dr[c] * inv_nm + acc * inv_nm;
-            }
-            let gw = [dr[0] + ds, dr[1], dr[2], dr[3]];
-            let jac = &fmt.denv[slot * 12..slot * 12 + 12];
-            let mut grad = [0.0; 3];
-            for kk in 0..3 {
-                grad[kk] =
-                    gw[0] * jac[kk] + gw[1] * jac[3 + kk] + gw[2] * jac[6 + kk] + gw[3] * jac[9 + kk];
-            }
-            let dvec = &fmt.disp[slot * 3..slot * 3 + 3];
-            for kk in 0..3 {
-                forces[atom][kk] += grad[kk];
-                forces[j][kk] -= grad[kk];
-            }
-            virial[0] -= dvec[0] * grad[0];
-            virial[1] -= dvec[1] * grad[1];
-            virial[2] -= dvec[2] * grad[2];
-            virial[3] -= dvec[0] * grad[1];
-            virial[4] -= dvec[0] * grad[2];
-            virial[5] -= dvec[1] * grad[2];
-        }
-    }
-
-    crate::eval::EvalOutput {
-        energy: per_atom_energy.iter().sum(),
-        per_atom_energy,
-        forces,
-        virial,
-    }
+) -> EvalOutput {
+    let tables = Embedding::Tables(&cm.tables);
+    evaluate_fresh(&cm.model, tables, fmt, types, n_total, None)
 }
 
 #[cfg(test)]
@@ -321,6 +158,13 @@ mod tests {
         Net::embedding(&[8, 16], &mut || rng.gauss())
     }
 
+    /// `G(s)` by the core net pass.
+    fn exact(n: &Net<f64>, s: f64) -> Vec<f64> {
+        let mut pass = NetPass::default();
+        net_forward_into(n, &Matrix::from_vec(1, 1, vec![s]), &mut pass, None);
+        pass.out.into_vec()
+    }
+
     #[test]
     fn table_matches_net_at_knots() {
         let n = net();
@@ -329,10 +173,10 @@ mod tests {
         let mut dg = vec![0.0; 16];
         for &s in &[0.0, 1.0 / 63.0 * 7.0, 1.0] {
             table.eval_into(s, &mut g, &mut dg);
-            let exact = n.forward(&Matrix::from_vec(1, 1, vec![s]));
+            let exact = exact(&n, s);
             for c in 0..16 {
                 assert!(
-                    (g[c] - exact[(0, c)]).abs() < 1e-12,
+                    (g[c] - exact[c]).abs() < 1e-12,
                     "knot mismatch at s={s} channel {c}"
                 );
             }
@@ -349,9 +193,9 @@ mod tests {
         for i in 0..500 {
             let s = i as f64 / 499.0;
             table.eval_into(s, &mut g, &mut dg);
-            let exact = n.forward(&Matrix::from_vec(1, 1, vec![s]));
+            let exact = exact(&n, s);
             for c in 0..16 {
-                worst = worst.max((g[c] - exact[(0, c)]).abs());
+                worst = worst.max((g[c] - exact[c]).abs());
             }
         }
         assert!(worst < 1e-6, "interpolation error {worst}");
@@ -422,6 +266,43 @@ mod tests {
             }
         }
         assert!(worst < 1e-4, "force deviation {worst}");
+    }
+
+    #[test]
+    fn compressed_two_type_eval_matches_exact_in_both_precisions() {
+        use crate::codec::Codec;
+        use crate::eval::evaluate;
+        use crate::format::format_optimized;
+        use dp_md::{lattice, NeighborList};
+
+        // water: two neighbor-type blocks, padded slots in both, and O–H
+        // pairs under 1 Å (the tables reach s = 1/0.5)
+        let cfg = DpConfig::small(2, 4.5, 24);
+        let mut rng = CounterRng::new(8);
+        let model = DpModel::<f64>::new_random(cfg.clone(), &mut rng);
+        let mut sys = lattice::water_box([3, 3, 3], 3.104);
+        sys.perturb(0.05, &mut rng);
+        let nl = NeighborList::build(&sys, cfg.rcut);
+        let fmt = format_optimized(&sys, &nl, &cfg, Codec::PaperDecimal);
+        let exact = evaluate(&model, &fmt, &sys.types, sys.len(), None);
+
+        let worst_force = |out: &EvalOutput| {
+            let ours = out.forces.iter().flatten();
+            let pairs = exact.forces.iter().flatten().zip(ours);
+            pairs.map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
+        };
+        let f64_tables = CompressedModel::build(model.clone(), 0.5, 2048);
+        let f32_tables = CompressedModel::build(model.cast::<f32>(), 0.5, 2048);
+        let n = sys.len();
+        for (out, tol) in [
+            (evaluate_compressed(&f64_tables, &fmt, &sys.types, n), 1e-8),
+            (evaluate_compressed(&f32_tables, &fmt, &sys.types, n), 1e-4),
+        ] {
+            let e_dev = (exact.energy - out.energy).abs() / n as f64;
+            assert!(e_dev < tol, "energy {} vs {}", exact.energy, out.energy);
+            let f_dev = worst_force(&out);
+            assert!(f_dev < tol, "force deviation {f_dev}");
+        }
     }
 
     #[test]

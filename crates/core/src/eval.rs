@@ -27,7 +27,15 @@
 //!
 //! Atoms are processed in chunks so peak memory stays bounded at paper-size
 //! neighbor counts (the GPU code relies on 16 GB device memory instead).
+//!
+//! [`net_forward_into`] / [`net_backward_into`] are the only non-tape
+//! network code in the workspace: the pipeline runs every embedding and
+//! fitting net through them, and [`crate::compress`] samples its tables
+//! with them. The tabulated model shares the rest of the pipeline and
+//! swaps only stage 1 (table lookup of `G` and `dG/ds`) and the embedding
+//! backward (`dE/ds` as the row-wise dot product of `dE/dG` with `dG/ds`).
 
+use crate::compress::EmbeddingTable;
 use crate::format::{FormattedEnv, NONE};
 use crate::model::DpModel;
 use crate::profile::{maybe_time, Kernel, Profiler};
@@ -59,12 +67,15 @@ pub fn chunk_size(max_sel: usize) -> usize {
     (32_768 / max_sel.max(1)).clamp(16, CHUNK)
 }
 
-/// Profiled re-implementation of `Net::forward_cached` writing into the
-/// workspace's [`NetPass`] buffers (no allocation in steady state),
-/// attributing GEMM and activation time to their Fig 3 categories. Kept in
-/// lockstep with `dp_nn::Layer::forward` (equivalence is tested). The final
-/// activation lands in `pass.out`; cached tanh gradients in `pass.tgrads`.
-fn net_forward_into<T: Real>(
+/// Network forward pass (Fig 1 (e)–(g) layers) over the rows of `x`,
+/// writing into a [`NetPass`] (no allocation in steady state) with the
+/// paper's fused kernels — GEMM with fused bias (§5.3.1), CONCAT-free skip
+/// (§5.3.2), fused tanh+grad (§5.3.3) — and attributing GEMM and
+/// activation time to their Fig 3 categories. The final activation lands
+/// in `pass.out`; the cached tanh gradients in `pass.tgrads`. The tape
+/// form `dp_nn::NetVars::forward` runs the same kernels (equivalence is
+/// tested below).
+pub(crate) fn net_forward_into<T: Real>(
     net: &Net<T>,
     x: &Matrix<T>,
     pass: &mut NetPass<T>,
@@ -110,10 +121,12 @@ fn net_forward_into<T: Real>(
     }
 }
 
-/// Profiled `Net::backward_input` (same taxonomy) using the tanh gradients
-/// cached by [`net_forward_into`]. The input gradient lands in `g`; `sa`
-/// and `sb` are ping-pong scratch.
-fn net_backward_into<T: Real>(
+/// Input gradient `dL/dx` given `dL/dy = dy`, using the tanh gradients
+/// cached by [`net_forward_into`] (no tanh is re-evaluated). Parameter
+/// gradients are not computed: forces need input gradients only, and
+/// training uses the tape. Same Fig 3 taxonomy. The input gradient lands
+/// in `g`; `sa` and `sb` are ping-pong scratch.
+pub(crate) fn net_backward_into<T: Real>(
     net: &Net<T>,
     tgrads: &[Matrix<T>],
     dy: &Matrix<T>,
@@ -178,15 +191,7 @@ pub fn evaluate<T: Real>(
     n_total: usize,
     prof: Option<&Profiler>,
 ) -> EvalOutput {
-    let mut ws = EvalWorkspace::new(&model.config);
-    let mut out = EvalOutput {
-        energy: 0.0,
-        per_atom_energy: Vec::new(),
-        forces: Vec::new(),
-        virial: [0.0; 6],
-    };
-    evaluate_into(model, fmt, types, n_total, prof, &mut ws, &mut out);
-    out
+    evaluate_fresh(model, Embedding::Nets, fmt, types, n_total, prof)
 }
 
 /// [`evaluate`] into caller-provided workspace and output buffers — the
@@ -195,6 +200,51 @@ pub fn evaluate<T: Real>(
 /// to [`evaluate`] regardless of what the workspace previously held.
 pub fn evaluate_into<T: Real>(
     model: &DpModel<T>,
+    fmt: &FormattedEnv,
+    types: &[usize],
+    n_total: usize,
+    prof: Option<&Profiler>,
+    ws: &mut EvalWorkspace<T>,
+    out: &mut EvalOutput,
+) {
+    pipeline(model, Embedding::Nets, fmt, types, n_total, prof, ws, out);
+}
+
+/// How stage 1 produces the embedding matrix `G` of each neighbor type.
+#[derive(Clone, Copy)]
+pub(crate) enum Embedding<'a, T> {
+    /// Run `model.embeddings` (and their backward in stage 6).
+    Nets,
+    /// Look `G` and `dG/ds` up in one table per neighbor type.
+    Tables(&'a [EmbeddingTable<T>]),
+}
+
+/// The pipeline on a fresh workspace and output.
+pub(crate) fn evaluate_fresh<T: Real>(
+    model: &DpModel<T>,
+    embedding: Embedding<T>,
+    fmt: &FormattedEnv,
+    types: &[usize],
+    n_total: usize,
+    prof: Option<&Profiler>,
+) -> EvalOutput {
+    let mut ws = EvalWorkspace::new(&model.config);
+    let mut out = EvalOutput {
+        energy: 0.0,
+        per_atom_energy: Vec::new(),
+        forces: Vec::new(),
+        virial: [0.0; 6],
+    };
+    pipeline(
+        model, embedding, fmt, types, n_total, prof, &mut ws, &mut out,
+    );
+    out
+}
+
+#[allow(clippy::too_many_arguments)]
+fn pipeline<T: Real>(
+    model: &DpModel<T>,
+    embedding: Embedding<T>,
     fmt: &FormattedEnv,
     types: &[usize],
     n_total: usize,
@@ -297,7 +347,21 @@ pub fn evaluate_into<T: Real>(
                     data[i] = e[i * 4];
                 }
             });
-            net_forward_into(&model.embeddings[t], s_col, &mut emb_passes[t], prof);
+            match embedding {
+                Embedding::Nets => {
+                    net_forward_into(&model.embeddings[t], s_col, &mut emb_passes[t], prof)
+                }
+                // the table path has no activations to cache, so the
+                // pass's `act` buffer carries dG/ds to stage 6
+                Embedding::Tables(tables) => maybe_time(prof, Kernel::Custom, || {
+                    let NetPass { out, act, .. } = &mut emb_passes[t];
+                    out.reuse_shape(rows, m_w);
+                    act.reuse_shape(rows, m_w);
+                    for (i, s) in s_col.as_slice().iter().enumerate() {
+                        tables[t].eval_into(s.to_f64(), out.row_mut(i), act.row_mut(i));
+                    }
+                }),
+            }
         }
         drop(emb_span);
 
@@ -483,16 +547,27 @@ pub fn evaluate_into<T: Real>(
         // ---- 6. embedding backward: dE/ds per slot ----
         let emb_bwd_span = dp_obs::span("embedding_backward");
         for t in 0..n_types {
-            net_backward_into(
-                &model.embeddings[t],
-                &emb_passes[t].tgrads,
-                &dg_mats[t],
-                bwd_g,
-                bwd_a,
-                bwd_b,
-                prof,
-            );
-            std::mem::swap(bwd_g, &mut ds_cols[t]);
+            match embedding {
+                Embedding::Nets => {
+                    net_backward_into(
+                        &model.embeddings[t],
+                        &emb_passes[t].tgrads,
+                        &dg_mats[t],
+                        bwd_g,
+                        bwd_a,
+                        bwd_b,
+                        prof,
+                    );
+                    std::mem::swap(bwd_g, &mut ds_cols[t]);
+                }
+                Embedding::Tables(_) => maybe_time(prof, Kernel::Custom, || {
+                    let (dg, dgds) = (&dg_mats[t], &emb_passes[t].act);
+                    ds_cols[t].reuse_shape(dg.rows(), 1);
+                    for (i, ds) in ds_cols[t].as_mut_slice().iter_mut().enumerate() {
+                        *ds = simd::dot(dg.row(i), dgds.row(i));
+                    }
+                }),
+            }
         }
         drop(emb_bwd_span);
 
@@ -668,6 +743,159 @@ mod tests {
         assert!(prof.grand_total().as_nanos() > 0);
         let pct = prof.percentages();
         assert!((pct.iter().sum::<f64>() - 100.0).abs() < 1e-6);
+    }
+
+    /// The net pass on `x`: output in `.out`, tanh gradients in `.tgrads`.
+    fn forward<T: Real>(net: &Net<T>, x: &Matrix<T>) -> NetPass<T> {
+        let mut pass = NetPass::default();
+        net_forward_into(net, x, &mut pass, None);
+        pass
+    }
+
+    /// `dL/dx` for `dL/dy = dy` after [`forward`].
+    fn backward(net: &Net<f64>, pass: &NetPass<f64>, dy: &Matrix<f64>) -> Matrix<f64> {
+        let mut g = Matrix::zeros(0, 0);
+        let (mut sa, mut sb) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        net_backward_into(net, &pass.tgrads, dy, &mut g, &mut sa, &mut sb, None);
+        g
+    }
+
+    fn one_layer(kind: LayerKind, rows: usize, cols: usize) -> Net<f64> {
+        let layer = dp_nn::Layer {
+            kind,
+            w: Matrix::from_fn(rows, cols, |i, j| {
+                0.3 * ((i * cols + j) as f64 % 7.0) - 0.9
+            }),
+            b: (0..cols).map(|j| 0.1 * j as f64 - 0.2).collect(),
+        };
+        layer.check();
+        Net { layers: vec![layer] }
+    }
+
+    fn input(rows: usize, cols: usize) -> Matrix<f64> {
+        Matrix::from_fn(rows, cols, |i, j| 0.2 * ((i + 2 * j) as f64 % 5.0) - 0.4)
+    }
+
+    /// Central differences of `f(x) = Σ y²` against the net pass's input
+    /// gradient.
+    fn check_backward(net: &Net<f64>, x0: &Matrix<f64>) {
+        let pass = forward(net, x0);
+        let mut dy = pass.out.clone();
+        dy.scale(2.0);
+        let dx = backward(net, &pass, &dy);
+        let f = |x: &Matrix<f64>| {
+            let y = forward(net, x).out;
+            y.as_slice().iter().map(|v| v * v).sum::<f64>()
+        };
+        let eps = 1e-6;
+        for idx in 0..x0.len() {
+            let mut xp = x0.clone();
+            xp.as_mut_slice()[idx] += eps;
+            let mut xm = x0.clone();
+            xm.as_mut_slice()[idx] -= eps;
+            let fd = (f(&xp) - f(&xm)) / (2.0 * eps);
+            let analytic = dx.as_slice()[idx];
+            assert!((fd - analytic).abs() < 1e-6, "idx {idx}: fd {fd} analytic {analytic}");
+        }
+    }
+
+    #[test]
+    fn plain_backward_matches_fd() {
+        check_backward(&one_layer(LayerKind::Plain, 4, 6), &input(3, 4));
+    }
+
+    #[test]
+    fn growth_backward_matches_fd() {
+        check_backward(&one_layer(LayerKind::Growth, 3, 6), &input(3, 3));
+    }
+
+    #[test]
+    fn residual_backward_matches_fd() {
+        check_backward(&one_layer(LayerKind::Residual, 5, 5), &input(3, 5));
+    }
+
+    #[test]
+    fn linear_backward_matches_fd() {
+        check_backward(&one_layer(LayerKind::Linear, 4, 1), &input(3, 4));
+    }
+
+    #[test]
+    fn backward_matches_fd_through_whole_net() {
+        let mut rng = CounterRng::new(3);
+        let net = Net::<f64>::fitting(3, &[6, 6], &mut || rng.gauss());
+        let x0 = Matrix::from_fn(2, 3, |i, j| 0.2 * (i as f64) - 0.1 * (j as f64));
+        let pass = forward(&net, &x0);
+        assert_eq!(pass.out.shape(), (2, 1));
+        let dx = backward(&net, &pass, &Matrix::full(2, 1, 1.0));
+
+        let f = |x: &Matrix<f64>| forward(&net, x).out.sum();
+        let eps = 1e-6;
+        for idx in 0..x0.len() {
+            let mut xp = x0.clone();
+            xp.as_mut_slice()[idx] += eps;
+            let mut xm = x0.clone();
+            xm.as_mut_slice()[idx] -= eps;
+            let fd = (f(&xp) - f(&xm)) / (2.0 * eps);
+            assert!((fd - dx.as_slice()[idx]).abs() < 1e-7);
+        }
+    }
+
+    #[test]
+    fn growth_output_shape_doubles() {
+        let net = one_layer(LayerKind::Growth, 4, 8);
+        assert_eq!(forward(&net, &input(2, 4)).out.shape(), (2, 8));
+        assert_eq!(net.out_dim(), 8);
+    }
+
+    /// The net pass and the training tape (`NetVars::forward`, one
+    /// `Tape::dense` node per layer) agree on the output and on `dL/dx`.
+    fn check_against_tape(net: &Net<f64>, x: &Matrix<f64>) {
+        use dp_autograd::Tape;
+        let pass = forward(net, x);
+        let dx = backward(net, &pass, &Matrix::full(x.rows(), net.out_dim(), 1.0));
+
+        let mut tape = Tape::new();
+        let vars = net.tape_leaves(&mut tape);
+        let xv = tape.leaf(x);
+        let y = vars.forward(&mut tape, xv);
+        assert!(pass.out.max_abs_diff(tape.value(y)) < 1e-12);
+        let s = tape.sum_all(y);
+        let g = tape.grad(s, &[xv])[0];
+        assert!(dx.max_abs_diff(tape.value(g)) < 1e-11);
+    }
+
+    #[test]
+    fn net_pass_matches_tape_fitting() {
+        let mut rng = CounterRng::new(11);
+        let net = Net::<f64>::fitting(5, &[10, 10, 10], &mut || rng.gauss());
+        let x = Matrix::from_fn(4, 5, |i, j| 0.1 * (i as f64) - 0.07 * (j as f64));
+        check_against_tape(&net, &x);
+    }
+
+    #[test]
+    fn net_pass_matches_tape_embedding() {
+        let mut rng = CounterRng::new(12);
+        let net = Net::<f64>::embedding(&[6, 12, 24], &mut || rng.gauss());
+        let x = Matrix::from_fn(7, 1, |i, _| 0.15 * i as f64 + 0.02);
+        check_against_tape(&net, &x);
+    }
+
+    #[test]
+    fn net_backward_matches_tape_grad() {
+        let mut rng = CounterRng::new(13);
+        let net = Net::<f64>::fitting(4, &[8, 8], &mut || rng.gauss());
+        let x = Matrix::from_fn(3, 4, |i, j| 0.2 * (i as f64) - 0.15 * (j as f64));
+        check_against_tape(&net, &x);
+    }
+
+    #[test]
+    fn cast_to_f32_stays_close() {
+        let mut rng = CounterRng::new(6);
+        let net = Net::<f64>::embedding(&[4, 8], &mut || rng.gauss());
+        let x = Matrix::from_fn(6, 1, |i, _| 0.3 * i as f64);
+        let y64 = forward(&net, &x).out;
+        let y32: Matrix<f64> = forward(&net.cast::<f32>(), &x.cast()).out.cast();
+        assert!(y64.max_abs_diff(&y32) < 1e-5);
     }
 
     #[test]

@@ -15,20 +15,21 @@
 //!   fitting nets per center type) in any precision,
 //! * [`eval`] — the optimized batched forward/backward: one tall GEMM per
 //!   (neighbor-type, layer) instead of per-atom small kernels, fused
-//!   bias/tanh/skip kernels, and the ProdForce / ProdVirial operators,
+//!   bias/tanh/skip kernels, and the ProdForce / ProdVirial operators; its
+//!   net pass is the only non-tape network code in the workspace,
 //! * [`baseline`] — the unoptimized per-atom reference implementation
 //!   standing in for the 2018 serial DeePMD-kit (the paper's baseline),
 //! * [`batch`] — cross-request concatenation of formatted tables: the
 //!   serving scheduler's coalescing primitive (§5.2.1 applied across
 //!   systems, bit-identical per-request results),
 //! * [`potential_impl`] — [`DeepPotential`], the `dp_md::Potential`
-//!   implementation with double / mixed / single / emulated-fp16 precision
-//!   modes (§5.2.3),
+//!   implementation with double and mixed precision modes (§5.2.3),
 //! * [`profile`] — per-kernel-category timers reproducing Fig 3's GEMM /
 //!   TANH / CUSTOM / SLICE breakdown,
 //! * [`compress`] — tabulated (spline-compressed) embedding nets, the
 //!   paper's future-work direction that became DeePMD-kit's model
-//!   compression: no embedding GEMMs or tanh in the MD hot path.
+//!   compression: no embedding GEMMs or tanh in the MD hot path; tables
+//!   are sampled and evaluated on [`eval`]'s pipeline.
 
 pub mod baseline;
 pub mod batch;

@@ -7,11 +7,11 @@ use crate::format::{format_optimized_into, FormattedEnv};
 use crate::model::DpModel;
 use crate::profile::Profiler;
 use crate::workspace::EvalWorkspace;
-use dp_linalg::real::truncate_to_f16;
 use dp_md::{NeighborList, Potential, PotentialOutput, System};
 use std::sync::{Arc, Mutex};
 
-/// Numerical precision of the network evaluation.
+/// Numerical precision of the network evaluation. (The paper's rejected
+/// half precision is emulated by the `mixed_precision` experiment only.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrecisionMode {
     /// Everything in f64.
@@ -19,23 +19,15 @@ pub enum PrecisionMode {
     /// Networks in f32, geometry and accumulation in f64 — the paper's
     /// production mode (~1.5× faster, half the memory, no observable loss).
     Mixed,
-    /// Networks in f32 with weights and inputs rounded to fp16 resolution —
-    /// emulates the half-precision experiment the paper *rejects* because
-    /// 16-bit range cannot preserve energy/force accuracy.
-    HalfEmulated,
 }
 
 /// One caller's complete evaluation arena (§5.2.2 "trunk of memory"):
 /// the formatted environment, the precision-specific eval workspaces, and
 /// the raw evaluation output. Boxed so pool pushes move a pointer.
-/// Each precision mode owns its trunk — `HalfEmulated` gets `ws16`
-/// rather than borrowing `ws32`, so a server alternating modes never
-/// re-warms another mode's buffers.
 struct DpScratch {
     fmt: FormattedEnv,
     ws64: EvalWorkspace<f64>,
     ws32: EvalWorkspace<f32>,
-    ws16: EvalWorkspace<f32>,
     out: EvalOutput,
 }
 
@@ -108,7 +100,6 @@ struct BatchScratch {
     offsets: Vec<usize>,
     ws64: EvalWorkspace<f64>,
     ws32: EvalWorkspace<f32>,
-    ws16: EvalWorkspace<f32>,
     out: EvalOutput,
 }
 
@@ -116,7 +107,6 @@ struct BatchScratch {
 pub struct DeepPotential {
     model64: DpModel<f64>,
     model32: DpModel<f32>,
-    model16: DpModel<f32>,
     pub mode: PrecisionMode,
     /// Optional Fig 3 profiler shared with the caller.
     pub profiler: Option<Arc<Profiler>>,
@@ -132,18 +122,9 @@ pub struct DeepPotential {
 impl DeepPotential {
     pub fn new(model: DpModel<f64>, mode: PrecisionMode) -> Self {
         let model32 = model.cast::<f32>();
-        let mut model16 = model.clone();
-        let trunc: Vec<f64> = model16
-            .flat_params()
-            .iter()
-            .map(|&x| truncate_to_f16(x))
-            .collect();
-        model16.set_flat_params(&trunc);
-        let model16 = model16.cast::<f32>();
         Self {
             model64: model,
             model32,
-            model16,
             mode,
             profiler: None,
             scratch: Mutex::new(Vec::new()),
@@ -220,7 +201,6 @@ impl DeepPotential {
                 offsets: Vec::new(),
                 ws64: EvalWorkspace::new(cfg),
                 ws32: EvalWorkspace::new(&self.model32.config),
-                ws16: EvalWorkspace::new(&self.model16.config),
                 out: EvalOutput {
                     energy: 0.0,
                     per_atom_energy: Vec::new(),
@@ -252,7 +232,6 @@ impl DeepPotential {
             offsets,
             ws64,
             ws32,
-            ws16,
             out,
             ..
         } = &mut *sc;
@@ -262,12 +241,6 @@ impl DeepPotential {
             }
             PrecisionMode::Mixed => {
                 evaluate_into(&self.model32, joined, types, n_total, prof, ws32, out)
-            }
-            PrecisionMode::HalfEmulated => {
-                for x in &mut joined.env {
-                    *x = truncate_to_f16(*x);
-                }
-                evaluate_into(&self.model16, joined, types, n_total, prof, ws16, out)
             }
         }
         res.offsets.clone_from(offsets);
@@ -300,7 +273,6 @@ impl Potential for DeepPotential {
                 fmt: FormattedEnv::alloc(0, &self.model64.config),
                 ws64: EvalWorkspace::new(&self.model64.config),
                 ws32: EvalWorkspace::new(&self.model32.config),
-                ws16: EvalWorkspace::new(&self.model16.config),
                 out: EvalOutput {
                     energy: 0.0,
                     per_atom_energy: Vec::new(),
@@ -320,7 +292,6 @@ impl Potential for DeepPotential {
             fmt,
             ws64,
             ws32,
-            ws16,
             out: eval_out,
         } = &mut *sc;
         match self.mode {
@@ -329,14 +300,6 @@ impl Potential for DeepPotential {
             }
             PrecisionMode::Mixed => {
                 evaluate_into(&self.model32, fmt, types, sys.len(), prof, ws32, eval_out)
-            }
-            PrecisionMode::HalfEmulated => {
-                // emulate fp16 storage of the environment matrix as well;
-                // truncate in place (the arena env is rebuilt next call)
-                for x in &mut fmt.env {
-                    *x = truncate_to_f16(*x);
-                }
-                evaluate_into(&self.model16, fmt, types, sys.len(), prof, ws16, eval_out)
             }
         }
         out.energy = eval_out.energy;
@@ -354,7 +317,6 @@ impl Potential for DeepPotential {
         match self.mode {
             PrecisionMode::Double => "deep-potential(double)",
             PrecisionMode::Mixed => "deep-potential(mixed)",
-            PrecisionMode::HalfEmulated => "deep-potential(fp16-emulated)",
         }
     }
 }
@@ -402,34 +364,6 @@ mod tests {
             }
         }
         assert!(max_f < 1e-3, "force deviation {max_f} eV/Å");
-    }
-
-    #[test]
-    fn half_emulated_is_worse_than_mixed() {
-        // reproduces the paper's negative result: fp16 deviates much more
-        let (mut dp, sys) = setup(PrecisionMode::Double);
-        let nl = NeighborList::build(&sys, dp.cutoff());
-        let double = dp.compute(&sys, &nl);
-        dp.set_mode(PrecisionMode::Mixed);
-        let mixed = dp.compute(&sys, &nl);
-        dp.set_mode(PrecisionMode::HalfEmulated);
-        let half = dp.compute(&sys, &nl);
-
-        let dev = |o: &dp_md::PotentialOutput| {
-            let mut m = 0.0f64;
-            for (a, b) in double.forces.iter().zip(&o.forces) {
-                for k in 0..3 {
-                    m = m.max((a[k] - b[k]).abs());
-                }
-            }
-            m
-        };
-        let dev_mixed = dev(&mixed);
-        let dev_half = dev(&half);
-        assert!(
-            dev_half > 5.0 * dev_mixed,
-            "fp16 dev {dev_half} not clearly worse than mixed {dev_mixed}"
-        );
     }
 
     #[test]

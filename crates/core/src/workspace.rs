@@ -31,7 +31,8 @@ pub struct NetPass<T> {
     pub tgrads: Vec<Matrix<T>>,
     /// Pre-activation scratch.
     pub pre: Matrix<T>,
-    /// tanh output scratch.
+    /// tanh output scratch; on the tabulated path (`crate::compress`),
+    /// which runs no embedding net, `dG/ds` from the table lookup.
     pub act: Matrix<T>,
     /// Skip-connection scratch.
     pub skip: Matrix<T>,

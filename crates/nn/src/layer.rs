@@ -1,7 +1,7 @@
-//! A single network layer in the fast (non-tape) path.
+//! The weights of a single network layer. Its arithmetic lives in two
+//! places only: `deepmd_core::eval`'s net pass (inference) and the tape's
+//! `dense` op (training, [`crate::net::NetVars`]).
 
-use dp_linalg::fused::{dup_sum_fused, tanh_fused};
-use dp_linalg::gemm::{gemm_bias, matmul_nt};
 use dp_linalg::{Matrix, Real};
 
 /// The four layer shapes used by the DP nets (Fig 1 (e)–(g)).
@@ -25,16 +25,6 @@ pub struct Layer<T> {
     pub w: Matrix<T>,
     /// `out_dim` bias row.
     pub b: Vec<T>,
-}
-
-/// Activations cached by the forward pass, consumed by the backward pass.
-///
-/// Holding `1 - tanh²` from the fused forward kernel is the paper's
-/// "trading space for time" (§5.3.3): the backward pass for forces reads the
-/// cached gradient instead of re-evaluating `tanh`.
-pub struct LayerCache<T> {
-    /// `1 - tanh²(xW+b)`; empty for `Linear` layers.
-    pub tgrad: Matrix<T>,
 }
 
 impl<T: Real> Layer<T> {
@@ -70,70 +60,6 @@ impl<T: Real> Layer<T> {
         self.validate().unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Forward pass returning the output and the cache for backward.
-    ///
-    /// Uses the paper's fused kernels: GEMM with fused bias (§5.3.1),
-    /// CONCAT-free skip (§5.3.2), fused tanh+grad (§5.3.3).
-    pub fn forward(&self, x: &Matrix<T>) -> (Matrix<T>, LayerCache<T>) {
-        debug_assert_eq!(x.cols(), self.in_dim(), "layer input width");
-        let pre = gemm_bias(x, &self.w, &self.b);
-        match self.kind {
-            LayerKind::Linear => (
-                pre,
-                LayerCache {
-                    tgrad: Matrix::zeros(0, 0),
-                },
-            ),
-            LayerKind::Plain => {
-                let (t, g) = tanh_fused(&pre);
-                (t, LayerCache { tgrad: g })
-            }
-            LayerKind::Growth => {
-                let (t, g) = tanh_fused(&pre);
-                (dup_sum_fused(x, &t), LayerCache { tgrad: g })
-            }
-            LayerKind::Residual => {
-                let (mut t, g) = tanh_fused(&pre);
-                t.axpy(T::ONE, x);
-                (t, LayerCache { tgrad: g })
-            }
-        }
-    }
-
-    /// Backward pass: given `dL/dy`, return `dL/dx`.
-    ///
-    /// Parameter gradients are *not* computed here — the MD hot path only
-    /// needs input gradients (forces); training uses the autograd tape.
-    pub fn backward_input(&self, cache: &LayerCache<T>, dy: &Matrix<T>) -> Matrix<T> {
-        match self.kind {
-            LayerKind::Linear => matmul_nt(dy, &self.w),
-            LayerKind::Plain => {
-                let dpre = dy.hadamard(&cache.tgrad);
-                matmul_nt(&dpre, &self.w)
-            }
-            LayerKind::Residual => {
-                let dpre = dy.hadamard(&cache.tgrad);
-                let mut dx = matmul_nt(&dpre, &self.w);
-                dx.axpy(T::ONE, dy);
-                dx
-            }
-            LayerKind::Growth => {
-                let dpre = dy.hadamard(&cache.tgrad);
-                let mut dx = matmul_nt(&dpre, &self.w);
-                // adjoint of (x,x): add both halves of dy
-                let k = self.w.rows();
-                for i in 0..dy.rows() {
-                    let dy_row = dy.row(i);
-                    let dx_row = dx.row_mut(i);
-                    for j in 0..k {
-                        dx_row[j] += dy_row[j] + dy_row[j + k];
-                    }
-                }
-                dx
-            }
-        }
-    }
-
     /// Convert the layer to another precision (used to derive the f32 model
     /// for the mixed-precision path from the trained f64 model, §5.2.3).
     pub fn cast<U: Real>(&self) -> Layer<U> {
@@ -157,71 +83,6 @@ mod tests {
             }),
             b: (0..cols).map(|j| 0.1 * j as f64 - 0.2).collect(),
         }
-    }
-
-    fn input(rows: usize, cols: usize) -> Matrix<f64> {
-        Matrix::from_fn(rows, cols, |i, j| 0.2 * ((i + 2 * j) as f64 % 5.0) - 0.4)
-    }
-
-    /// Finite-difference check of backward_input for every layer kind.
-    fn check_backward(kind: LayerKind, in_dim: usize, out_cols: usize) {
-        let l = layer(kind, in_dim, out_cols);
-        l.check();
-        let x0 = input(3, in_dim);
-        let (y0, cache) = l.forward(&x0);
-        // scalar objective: sum of squares of outputs
-        let dy = {
-            let mut d = y0.clone();
-            d.scale(2.0);
-            d
-        };
-        let dx = l.backward_input(&cache, &dy);
-
-        let f = |x: &Matrix<f64>| {
-            let (y, _) = l.forward(x);
-            y.as_slice().iter().map(|v| v * v).sum::<f64>()
-        };
-        let eps = 1e-6;
-        for idx in 0..x0.len() {
-            let mut xp = x0.clone();
-            xp.as_mut_slice()[idx] += eps;
-            let mut xm = x0.clone();
-            xm.as_mut_slice()[idx] -= eps;
-            let fd = (f(&xp) - f(&xm)) / (2.0 * eps);
-            assert!(
-                (fd - dx.as_slice()[idx]).abs() < 1e-6,
-                "{kind:?} idx {idx}: fd {fd} analytic {}",
-                dx.as_slice()[idx]
-            );
-        }
-    }
-
-    #[test]
-    fn plain_backward_matches_fd() {
-        check_backward(LayerKind::Plain, 4, 6);
-    }
-
-    #[test]
-    fn growth_backward_matches_fd() {
-        check_backward(LayerKind::Growth, 3, 6);
-    }
-
-    #[test]
-    fn residual_backward_matches_fd() {
-        check_backward(LayerKind::Residual, 5, 5);
-    }
-
-    #[test]
-    fn linear_backward_matches_fd() {
-        check_backward(LayerKind::Linear, 4, 1);
-    }
-
-    #[test]
-    fn growth_output_shape_doubles() {
-        let l = layer(LayerKind::Growth, 4, 8);
-        let (y, _) = l.forward(&input(2, 4));
-        assert_eq!(y.shape(), (2, 8));
-        assert_eq!(l.out_dim(), 8);
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //!   net's hidden layers,
 //! * **linear head** `y = xW + b` — the scalar atomic-energy output.
 //!
-//! Each net exists in two forms kept in exact correspondence:
-//! a *fast path* ([`net::Net::forward_cached`] / [`net::Net::backward_input`])
-//! generic over precision — this is what MD uses — and a *tape form*
-//! ([`net::Net::tape_leaves`] / [`net::NetVars::forward`]) on `dp-autograd`,
-//! used for training where parameter gradients (and grad-of-grad for the
-//! force loss) are required. Both run the same fused `dp-linalg` kernels:
-//! a tape layer is one `Tape::dense` node.
+//! The crate holds the parameters ([`net::Net`], generic over precision),
+//! their tape leaves ([`net::Net::tape_leaves`] / [`net::NetVars::forward`]
+//! on `dp-autograd`, for training, where parameter gradients and
+//! grad-of-grad for the force loss are required) and [`Adam`]. Inference —
+//! MD, serve, the ensemble engine and the tabulated embeddings — runs
+//! `deepmd_core::eval`'s net pass over these parameters. Both run the
+//! same fused `dp-linalg` kernels: a tape layer is one `Tape::dense` node.
 
 pub mod adam;
 pub mod layer;

@@ -1,10 +1,10 @@
-//! DP-GEN-style active learning driven by the ensemble engine (§3.2 of
-//! the paper / `dp_train::dpgen`), with two twists the engine makes
-//! cheap: *exploration* runs across the whole temperature ladder at once
-//! (one batched evaluation per tick instead of one serial MD segment),
-//! and the retrained model is *hot-swapped* into the running engine so
-//! later rounds explore with the improved potential without rebuilding
-//! replica state.
+//! DP-GEN-style active learning driven by the ensemble engine (§3.2 /
+//! ref 68 of the paper), the workspace's one concurrent-learning loop.
+//! The engine makes two things cheap: *exploration* runs across the whole
+//! temperature ladder at once (one batched evaluation per tick instead of
+//! one serial MD segment), and the retrained model is *hot-swapped* into
+//! the running engine so later rounds explore with the improved potential
+//! without rebuilding replica state.
 //!
 //! Per round: advance the engine `steps_per_round` ticks, harvesting a
 //! snapshot of every replica each `sample_every` steps; train an ensemble

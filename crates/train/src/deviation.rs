@@ -154,11 +154,7 @@ mod tests {
                 s
             })
             .collect();
-        for mode in [
-            PrecisionMode::Double,
-            PrecisionMode::Mixed,
-            PrecisionMode::HalfEmulated,
-        ] {
+        for mode in [PrecisionMode::Double, PrecisionMode::Mixed] {
             let pot = DeepPotential::new(model.clone(), mode);
             let nls: Vec<NeighborList> = snapshots
                 .iter()

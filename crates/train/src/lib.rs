@@ -14,15 +14,14 @@
 //! * [`trainer`] — Adam loop with exponential learning-rate decay and
 //!   energy/force RMSE reporting,
 //! * [`deviation`] — ensemble force deviation, the selection criterion of
-//!   the concurrent-learning scheme (DP-GEN) the paper's models come from,
-//! * [`dpgen`] — the full concurrent-learning loop: train ensemble →
-//!   explore with MD → flag disagreements → label with the reference →
-//!   retrain.
+//!   the concurrent-learning scheme (DP-GEN) the paper's models come from.
+//!   The loop itself (train ensemble → explore with MD → flag
+//!   disagreements → label with the reference → retrain) is
+//!   `dp_replica::active`.
 
 pub mod checkpoint;
 pub mod dataset;
 pub mod deviation;
-pub mod dpgen;
 pub mod graph;
 pub mod trainer;
 

@@ -161,30 +161,31 @@ struct ModelEntry {
     pot: DeepPotential,
     rcut: f64,
     n_types: usize,
-    default_mode: PrecisionMode,
 }
+
+/// Precision of an eval request that names none (and `/v1/models`'
+/// `default_precision`).
+const DEFAULT_MODE: PrecisionMode = PrecisionMode::Double;
 
 fn load_models(specs: &[(String, String)]) -> Result<HashMap<String, Arc<ModelEntry>>, AppError> {
     let mut registry = HashMap::new();
     for (name, source) in specs {
-        let (model, default_mode) = if let Some(seed) = source.strip_prefix("synthetic:") {
+        let model = if let Some(seed) = source.strip_prefix("synthetic:") {
             let seed: u64 = seed
                 .parse()
                 .map_err(|_| AppError::Deck(format!("bad synthetic model seed '{seed}'")))?;
             let cfg = DpConfig::small(1, 4.5, 16);
-            let model = DpModel::new_random(cfg, &mut CounterRng::new(seed));
-            (model, PrecisionMode::Double)
+            DpModel::new_random(cfg, &mut CounterRng::new(seed))
         } else {
-            (deck::load_model(source)?, PrecisionMode::Double)
+            deck::load_model(source)?
         };
         let rcut = model.config.rcut;
         let n_types = model.config.n_types();
         let entry = ModelEntry {
             name: name.clone(),
-            pot: DeepPotential::new(model, default_mode),
+            pot: DeepPotential::new(model, DEFAULT_MODE),
             rcut,
             n_types,
-            default_mode,
         };
         if registry.insert(name.clone(), Arc::new(entry)).is_some() {
             return Err(AppError::Deck(format!("model '{name}' given twice")));
@@ -197,7 +198,6 @@ fn mode_name(mode: PrecisionMode) -> &'static str {
     match mode {
         PrecisionMode::Double => "double",
         PrecisionMode::Mixed => "mixed",
-        PrecisionMode::HalfEmulated => "half",
     }
 }
 
@@ -246,15 +246,14 @@ fn parse_eval(
         .ok_or_else(|| (404, format!("no such model '{model_name}'")))?;
 
     let mode = match doc.get("precision") {
-        None => model.default_mode,
+        None => DEFAULT_MODE,
         Some(v) => match v.as_str() {
             Some("double") => PrecisionMode::Double,
             Some("mixed") => PrecisionMode::Mixed,
-            Some("half") => PrecisionMode::HalfEmulated,
             _ => {
                 return Err((
                     400,
-                    "\"precision\" must be \"double\", \"mixed\", or \"half\"".to_string(),
+                    "\"precision\" must be \"double\" or \"mixed\"".to_string(),
                 ))
             }
         },
@@ -655,7 +654,7 @@ pub fn run_serve(opts: &ServeOptions, mut log: impl FnMut(&str)) -> Result<(), A
             m.name,
             m.rcut,
             m.n_types,
-            mode_name(m.default_mode)
+            mode_name(DEFAULT_MODE)
         ));
     }
     std::fs::create_dir_all(&opts.state_dir)
@@ -792,7 +791,7 @@ fn handle(
                             ("name", json::str(&m.name)),
                             ("rcut", json::num(m.rcut)),
                             ("n_types", json::num(m.n_types as f64)),
-                            ("default_precision", json::str(mode_name(m.default_mode))),
+                            ("default_precision", json::str(mode_name(DEFAULT_MODE))),
                         ])
                     })
                     .collect(),
@@ -1006,6 +1005,22 @@ mod tests {
         assert_eq!(ok.sys.len(), 3);
         assert_eq!(ok.mode, PrecisionMode::Double);
         assert!(!ok.per_atom);
+
+        // "precision" takes exactly two values; anything else, including
+        // the emulated fp16 the library no longer offers, is a typed 400.
+        let with_precision = |value: &str| {
+            let body = format!(
+                "{{\"cell\": [20,12,12], \"positions\": [[1,1,1]], \"precision\": {value}}}"
+            );
+            parse_eval(body.as_bytes(), &models)
+        };
+        assert_eq!(with_precision("\"double\"").unwrap().mode, PrecisionMode::Double);
+        assert_eq!(with_precision("\"mixed\"").unwrap().mode, PrecisionMode::Mixed);
+        for bad in ["\"half\"", "16"] {
+            let (status, msg) = with_precision(bad).unwrap_err();
+            assert_eq!(status, 400, "{bad}");
+            assert_eq!(msg, "\"precision\" must be \"double\" or \"mixed\"");
+        }
 
         // Unknown model is 404, not 400.
         let (status, _) =

@@ -71,11 +71,7 @@ fn steady_state_dp_step_is_allocation_free() {
 
     let nl = NeighborList::build(&sys, pot.cutoff());
     let mut out = PotentialOutput::zeros(sys.len());
-    for mode in [
-        PrecisionMode::Double,
-        PrecisionMode::Mixed,
-        PrecisionMode::HalfEmulated,
-    ] {
+    for mode in [PrecisionMode::Double, PrecisionMode::Mixed] {
         pot.set_mode(mode);
         // warm up: capacities rotate between workspace roles until
         // they reach their fixed point
@@ -97,18 +93,10 @@ fn steady_state_dp_step_is_allocation_free() {
 
 #[test]
 fn alternating_precision_modes_are_allocation_free() {
-    // Regression for the shared-trunk hazard: Mixed and HalfEmulated both
-    // evaluate in f32, but the half path truncates the formatted
-    // environment in place, so when the two modes shared one f32 workspace
-    // every switch re-warmed it (capacity thrash = steady-state
-    // allocations). With a dedicated half-precision trunk, cycling
-    // Double -> Mixed -> HalfEmulated every call must stay at zero
-    // allocations once all three trunks are warm.
-    const MODES: [PrecisionMode; 3] = [
-        PrecisionMode::Double,
-        PrecisionMode::Mixed,
-        PrecisionMode::HalfEmulated,
-    ];
+    // Each precision mode owns its workspace in the arena, so switching
+    // Double -> Mixed every call must stay at zero allocations once both
+    // are warm.
+    const MODES: [PrecisionMode; 2] = [PrecisionMode::Double, PrecisionMode::Mixed];
     let cfg = DpConfig::small(1, 4.5, 16);
     let mut rng = CounterRng::new(17);
     let model = DpModel::<f64>::new_random(cfg, &mut rng);

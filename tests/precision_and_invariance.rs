@@ -16,32 +16,23 @@ fn setup() -> (DpModel<f64>, System) {
 
 #[test]
 fn precision_ladder_orders_deviations() {
-    // double is the reference; mixed deviates a little; fp16 much more.
+    // double is the reference; mixed deviates a little (the fp16 rung is
+    // `dp_bench::fp16`'s test).
     let (model, sys) = setup();
     let mut dp = DeepPotential::new(model, PrecisionMode::Double);
     let nl = NeighborList::build(&sys, dp.cutoff());
     let d = dp.compute(&sys, &nl);
     dp.set_mode(PrecisionMode::Mixed);
     let m = dp.compute(&sys, &nl);
-    dp.set_mode(PrecisionMode::HalfEmulated);
-    let h = dp.compute(&sys, &nl);
 
-    let dev = |o: &deepmd_repro::md::PotentialOutput| {
-        let mut worst = 0.0f64;
-        for (a, b) in d.forces.iter().zip(&o.forces) {
-            for k in 0..3 {
-                worst = worst.max((a[k] - b[k]).abs());
-            }
+    let mut dev_m = 0.0f64;
+    for (a, b) in d.forces.iter().zip(&m.forces) {
+        for k in 0..3 {
+            dev_m = dev_m.max((a[k] - b[k]).abs());
         }
-        worst
-    };
-    let dev_m = dev(&m);
-    let dev_h = dev(&h);
+    }
+    assert!(dev_m > 0.0, "mixed precision must differ from double");
     assert!(dev_m < 1e-3, "mixed force deviation too large: {dev_m}");
-    assert!(
-        dev_h > 3.0 * dev_m,
-        "fp16 ({dev_h}) should be clearly worse than mixed ({dev_m})"
-    );
 }
 
 #[test]

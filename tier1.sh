@@ -28,8 +28,9 @@ cargo build --release --offline --workspace
 if [ "${1:-}" != "--skip-tests" ]; then
     cargo test -q --offline --workspace
     # the scalar fallback stays a tested baseline on hosts that always
-    # dispatch to the SIMD path (unit tests and the property suite)
-    DPMD_SIMD=off cargo test -q --offline -p dp-linalg
+    # dispatch to the SIMD path: linalg's unit tests and property suite,
+    # and deepmd-core's net pass tests and scalar golden fold
+    DPMD_SIMD=off cargo test -q --offline -p dp-linalg -p deepmd-core
 fi
 
 # Benchmark smoke: all six perfbench workloads, both passes, at a twentieth
