@@ -17,7 +17,7 @@ use dp_linalg::fused::{
     concat_sum_baseline, concat_sum_gemm, dup_sum_fused, tanh_fused, tanh_then_grad_baseline,
 };
 use dp_linalg::gemm::{gemm_bias, matmul_then_sum};
-use dp_linalg::simd::{self, Backend};
+use dp_linalg::simd::{self, Acc, Backend, Panel, PanelGemm};
 use dp_linalg::Matrix;
 use dp_md::{lattice, CounterRng, NeighborList};
 use std::hint::black_box;
@@ -134,12 +134,19 @@ fn main() {
             .filter(|&b| b != Backend::Scalar),
     );
     for backend in backends {
+        let ld = |ld| Panel { ld, stride: 0 };
+        let g = PanelGemm {
+            m,
+            k,
+            n,
+            alpha: 1.0,
+            a: ld(k),
+            b: ld(n),
+            c: ld(n),
+            acc: Acc::Overwrite,
+        };
         let ms = median_ms(|| {
-            out.fill(0.0);
-            for r in 0..m {
-                let (c_row, a_row) = (&mut out[r * n..(r + 1) * n], &a[r * k..(r + 1) * k]);
-                simd::row_gemm_with(backend, c_row, a_row, &b_op, n, 1.0);
-            }
+            simd::row_panel_with(backend, &g, false, 0..1, &a, &b_op, &mut out);
             black_box(&mut out);
         });
         row("simd row_gemm 2048x64x64", backend.name(), ms);

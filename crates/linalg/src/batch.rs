@@ -10,59 +10,21 @@
 //! variants read `A` with a column stride or reduce along rows directly,
 //! which keeps the §5.2.2 zero-allocation contract intact.
 //!
-//! FLOPs are charged once per call (`batch · 2mnk`, plus `batch · mn`
-//! when accumulating), matching the per-call accounting in
-//! [`crate::gemm`].
+//! Each call is one [`simd`] panel: the backend is resolved once and the
+//! whole item × row loop runs inside one vectorised kernel. FLOPs are
+//! charged once per call (`batch · 2mnk`, plus `batch · mn` when
+//! accumulating), matching the per-call accounting in [`crate::gemm`].
 
 use crate::flops;
 use crate::real::Real;
-use crate::simd;
-use dp_obs::par;
+use crate::simd::{self, PanelGemm};
 
-/// Whether a batched GEMM overwrites `C` or accumulates into it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Acc {
-    /// `C = alpha · A×B` (existing contents ignored).
-    Overwrite,
-    /// `C += alpha · A×B`.
-    Add,
-}
-
-/// Serial below this many total FLOPs — same rationale as the
-/// `PAR_FLOP_THRESHOLD` in [`crate::gemm`].
-const PAR_FLOP_THRESHOLD: u64 = 64 * 1024;
-
-/// Operand layout for one batched problem, all in elements:
-/// item `i` of `A` starts at `i * stride` and rows are `ld` apart.
-#[derive(Debug, Clone, Copy)]
-pub struct Panel {
-    pub ld: usize,
-    pub stride: usize,
-}
+pub use crate::simd::{Acc, Panel};
 
 fn charge(batch: usize, m: usize, n: usize, k: usize, acc: Acc) {
     flops::add(batch as u64 * flops::gemm_flops(m, n, k));
     if acc == Acc::Add {
         flops::add((batch * m * n) as u64);
-    }
-}
-
-#[inline]
-fn run_batch<T, F>(batch: usize, work: u64, c: &mut [T], stride_c: usize, item: F)
-where
-    T: Real,
-    F: Fn(usize, &mut [T]) + Send + Sync,
-{
-    if batch == 0 {
-        return;
-    }
-    debug_assert!(c.len() >= batch * stride_c, "C buffer too short");
-    if work < PAR_FLOP_THRESHOLD {
-        for (i, c_i) in c[..batch * stride_c].chunks_exact_mut(stride_c).enumerate() {
-            item(i, c_i);
-        }
-    } else {
-        par::chunks_mut(&mut c[..batch * stride_c], stride_c, item);
     }
 }
 
@@ -84,18 +46,8 @@ pub fn gemm_batch_nn<T: Real>(
     acc: Acc,
 ) {
     charge(batch, m, n, k, acc);
-    let work = batch as u64 * flops::gemm_flops(m, n, k);
-    run_batch(batch, work, c, pc.stride, |i, c_i| {
-        let a_i = &a[i * pa.stride..];
-        let b_i = &b[i * pb.stride..];
-        for row in 0..m {
-            let c_row = &mut c_i[row * pc.ld..row * pc.ld + n];
-            if acc == Acc::Overwrite {
-                c_row.fill(T::ZERO);
-            }
-            simd::row_gemm(c_row, &a_i[row * pa.ld..row * pa.ld + k], b_i, pb.ld, alpha);
-        }
-    });
+    let g = PanelGemm { m, k, n, alpha, a: pa, b: pb, c: pc, acc };
+    simd::row_panel(&g, false, 0..batch, a, b, c);
 }
 
 /// Batched `C_i (+)= alpha · A_iᵀ × B_i` with `A_i` stored `(k×m)`
@@ -117,19 +69,8 @@ pub fn gemm_batch_tn<T: Real>(
     acc: Acc,
 ) {
     charge(batch, m, n, k, acc);
-    let work = batch as u64 * flops::gemm_flops(m, n, k);
-    run_batch(batch, work, c, pc.stride, |i, c_i| {
-        let a_i = &a[i * pa.stride..];
-        let b_i = &b[i * pb.stride..];
-        for row in 0..m {
-            let c_row = &mut c_i[row * pc.ld..row * pc.ld + n];
-            if acc == Acc::Overwrite {
-                c_row.fill(T::ZERO);
-            }
-            // Column `row` of A_i: elements a[p·ld + row], p = 0..k.
-            simd::row_gemm_strided(c_row, k, &a_i[row..], pa.ld, b_i, pb.ld, alpha);
-        }
-    });
+    let g = PanelGemm { m, k, n, alpha, a: pa, b: pb, c: pc, acc };
+    simd::row_panel(&g, true, 0..batch, a, b, c);
 }
 
 /// Batched `C_i (+)= alpha · A_i × B_iᵀ` with `A_i` `(m×k)` and `B_i`
@@ -151,26 +92,8 @@ pub fn gemm_batch_nt<T: Real>(
     acc: Acc,
 ) {
     charge(batch, m, n, k, acc);
-    let work = batch as u64 * flops::gemm_flops(m, n, k);
-    run_batch(batch, work, c, pc.stride, |i, c_i| {
-        let a_i = &a[i * pa.stride..];
-        let b_i = &b[i * pb.stride..];
-        for row in 0..m {
-            let a_row = &a_i[row * pa.ld..row * pa.ld + k];
-            let c_row = &mut c_i[row * pc.ld..row * pc.ld + n];
-            if acc == Acc::Overwrite && alpha == T::ONE {
-                simd::dot_rows(c_row, a_row, b_i, pb.ld);
-            } else {
-                for (j, cj) in c_row.iter_mut().enumerate() {
-                    let d = alpha * simd::dot(a_row, &b_i[j * pb.ld..j * pb.ld + k]);
-                    *cj = match acc {
-                        Acc::Overwrite => d,
-                        Acc::Add => *cj + d,
-                    };
-                }
-            }
-        }
-    });
+    let g = PanelGemm { m, k, n, alpha, a: pa, b: pb, c: pc, acc };
+    simd::dot_panel(&g, 0..batch, a, b, c);
 }
 
 #[cfg(test)]

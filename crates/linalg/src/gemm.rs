@@ -2,22 +2,21 @@
 //!
 //! The optimized DeePMD-kit replaces TensorFlow's MATMUL+SUM pairs with a
 //! single cuBLAS GEMM call `C = alpha * A x B + beta * C` (§5.3.1). This
-//! module provides the CPU equivalent: a cache-blocked, row-parallel GEMM
-//! with transpose variants (needed by back-propagation) plus the textbook
-//! triple loop kept as the correctness baseline and as the "unoptimized"
-//! side of ablation benches.
+//! module provides the CPU equivalent: a single-threaded GEMM on the
+//! vectorised panels of [`crate::simd`] (one backend dispatch per call,
+//! AVX2/NEON with a scalar fallback), with transpose variants (needed by
+//! back-propagation), plus the textbook triple loop kept as the
+//! correctness baseline and as the "unoptimized" side of ablation benches.
 //!
-//! The per-row inner loops are the runtime-dispatched SIMD primitives of
-//! [`crate::simd`] (AVX2/NEON with a scalar fallback). Multiply-adds are
-//! never skipped on zero operands: `0 · inf` and `0 · NaN` must produce
-//! NaN per IEEE-754, exactly as cuBLAS would (an earlier revision
-//! shortcut zero `A` elements, silently masking non-finite `B`).
+//! Multiply-adds are never skipped on zero operands: `0 · inf` and
+//! `0 · NaN` must produce NaN per IEEE-754, exactly as cuBLAS would (an
+//! earlier revision shortcut zero `A` elements, silently masking
+//! non-finite `B`).
 
 use crate::flops;
 use crate::matrix::Matrix;
 use crate::real::Real;
-use crate::simd;
-use dp_obs::par;
+use crate::simd::{self, Acc, Panel, PanelGemm};
 
 /// Which operand layout a GEMM input uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,12 +27,7 @@ pub enum Transpose {
     Yes,
 }
 
-/// Problem sizes below this many FLOPs run serially: the fork/join
-/// overhead would dominate (the paper's analogue is kernel-launch latency
-/// dominating small ops, §4 restriction 3).
-const PAR_FLOP_THRESHOLD: u64 = 64 * 1024;
-
-/// Textbook `C = A x B` (no blocking, no parallelism, no accounting).
+/// Textbook `C = A x B` (no vectorisation, no accounting).
 ///
 /// This is the reference the fast kernels are tested against, and the
 /// baseline side of the GEMM ablation bench.
@@ -52,7 +46,7 @@ pub fn naive_gemm<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     c
 }
 
-/// `C = alpha * op(A) x op(B) + beta * C`, blocked and parallel.
+/// `C = alpha * op(A) x op(B) + beta * C`.
 ///
 /// FLOPs are charged to the global counter: `2*m*n*k`, plus `m*n` when
 /// `beta != 0` — a `beta == 1` accumulate reads and adds every `C`
@@ -128,33 +122,28 @@ pub fn matmul_nt<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     c
 }
 
+/// One `m×k×n` problem as a single-item panel: row-major operands at
+/// their natural leading dimensions.
+fn single<T>(m: usize, k: usize, n: usize, alpha: T, lda: usize, ldb: usize, acc: Acc) -> PanelGemm<T> {
+    let ld = |ld| Panel { ld, stride: 0 };
+    PanelGemm { m, k, n, alpha, a: ld(lda), b: ld(ldb), c: ld(n), acc }
+}
+
 /// Core NN kernel: `C = alpha * A x B + beta * C`.
 fn gemm_nn<T: Real>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Matrix<T>) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let work = flops::gemm_flops(m, n, k);
-
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-
-    let backend = simd::active();
-    let row_kernel = |i: usize, c_row: &mut [T]| {
-        if beta == T::ZERO {
-            c_row.fill(T::ZERO);
-        } else if beta != T::ONE {
-            simd::scale_with(backend, c_row, beta);
-        }
-        // No zero-skip: every A element contributes a multiply-add so
-        // non-finite B values propagate per IEEE-754.
-        simd::row_gemm_with(backend, c_row, &a_data[i * k..(i + 1) * k], b_data, n, alpha);
-    };
-
-    if work < PAR_FLOP_THRESHOLD {
-        for (i, c_row) in c.as_mut_slice().chunks_exact_mut(n).enumerate() {
-            row_kernel(i, c_row);
-        }
+    let acc = if beta == T::ZERO {
+        Acc::Overwrite
     } else {
-        par::chunks_mut(c.as_mut_slice(), n, row_kernel);
-    }
+        if beta != T::ONE {
+            simd::scale(c.as_mut_slice(), beta);
+        }
+        Acc::Add
+    };
+    // No zero-skip: every A element contributes a multiply-add so
+    // non-finite B values propagate per IEEE-754.
+    let g = single(m, k, n, alpha, k, n, acc);
+    simd::row_panel(&g, false, 0..1, a.as_slice(), b.as_slice(), c.as_mut_slice());
 }
 
 /// Fused `C = A x B + 1 ⊗ bias`: GEMM with the bias row broadcast-added,
@@ -175,23 +164,18 @@ pub fn gemm_bias_into<T: Real>(a: &Matrix<T>, b: &Matrix<T>, bias: &[T], c: &mut
     flops::add(flops::gemm_flops(m, n, k) + (m * n) as u64);
 
     c.reuse_shape(m, n);
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    let work = flops::gemm_flops(m, n, k);
-
-    let backend = simd::active();
-    let row_kernel = |i: usize, c_row: &mut [T]| {
-        c_row.copy_from_slice(bias);
-        // No zero-skip (see `gemm_nn`): NaN/Inf in B must reach C.
-        simd::row_gemm_with(backend, c_row, &a_data[i * k..(i + 1) * k], b_data, n, T::ONE);
-    };
-
-    if work < PAR_FLOP_THRESHOLD {
-        for (i, c_row) in c.as_mut_slice().chunks_exact_mut(n).enumerate() {
-            row_kernel(i, c_row);
+    // Bias rows, then the GEMM over them, a block at a time, so the GEMM
+    // reads back rows still in cache. No zero-skip (see `gemm_nn`):
+    // NaN/Inf in B must reach C.
+    const ROWS: usize = 32;
+    for r0 in (0..m).step_by(ROWS) {
+        let rows = ROWS.min(m - r0);
+        for r in r0..r0 + rows {
+            c.row_mut(r).copy_from_slice(bias);
         }
-    } else {
-        par::chunks_mut(c.as_mut_slice(), n, row_kernel);
+        let g = single(rows, k, n, T::ONE, k, n, Acc::Add);
+        let c_blk = &mut c.as_mut_slice()[r0 * n..(r0 + rows) * n];
+        simd::row_panel(&g, false, 0..1, &a.as_slice()[r0 * k..], b.as_slice(), c_blk);
     }
 }
 
@@ -204,22 +188,8 @@ pub fn matmul_nt_into<T: Real>(a: &Matrix<T>, b: &Matrix<T>, c: &mut Matrix<T>) 
     flops::add(flops::gemm_flops(m, n, k));
 
     c.reuse_shape(m, n);
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    let work = flops::gemm_flops(m, n, k);
-
-    let backend = simd::active();
-    let row_kernel = |i: usize, c_row: &mut [T]| {
-        simd::dot_rows_with(backend, c_row, &a_data[i * k..(i + 1) * k], b_data, k);
-    };
-
-    if work < PAR_FLOP_THRESHOLD {
-        for (i, c_row) in c.as_mut_slice().chunks_exact_mut(n).enumerate() {
-            row_kernel(i, c_row);
-        }
-    } else {
-        par::chunks_mut(c.as_mut_slice(), n, row_kernel);
-    }
+    let g = single(m, k, n, T::ONE, k, k, Acc::Overwrite);
+    simd::dot_panel(&g, 0..1, a.as_slice(), b.as_slice(), c.as_mut_slice());
 }
 
 /// Baseline for the §5.3.1 ablation: separate MATMUL then row-broadcast SUM,
@@ -370,7 +340,7 @@ mod tests {
 
     #[test]
     fn large_parallel_path_matches() {
-        // Big enough to cross PAR_FLOP_THRESHOLD and take the `par` branch.
+        // Big enough that the old row-parallel split would have taken it.
         let a = rand_matrix(256, 64, 20);
         let b = rand_matrix(64, 96, 21);
         let fast = matmul(&a, &b);

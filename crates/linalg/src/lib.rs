@@ -1,12 +1,12 @@
 //! Dense linear-algebra kernels underlying the Deep Potential model.
 //!
 //! This crate is the CPU analogue of the cuBLAS + custom-CUDA-kernel layer in
-//! the SC '20 GPU DeePMD-kit: a row-major [`Matrix`] type, a blocked and
-//! row-parallel [`gemm`] kernels, the fused operators the paper
-//! introduces in §5.3 (GEMM with fused bias, CONCAT-free skip connections,
-//! fused `tanh`/`tanh`-gradient), and global FLOP accounting used by the
-//! benchmark harnesses to report peak/sustained FLOPS the same way the paper
-//! does with NVPROF.
+//! the SC '20 GPU DeePMD-kit: a row-major [`Matrix`] type, [`gemm`] and
+//! strided-[`batch`] GEMMs on the vectorised panels of [`simd`], the fused
+//! operators the paper introduces in §5.3 (GEMM with fused bias,
+//! CONCAT-free skip connections, fused `tanh`/`tanh`-gradient), and global
+//! FLOP accounting used by the benchmark harnesses to report
+//! peak/sustained FLOPS the same way the paper does with NVPROF.
 
 pub mod batch;
 pub mod flops;

@@ -24,24 +24,52 @@
 //! feature-matrix tests can pit backends against each other directly
 //! without racing on global state.
 //!
+//! ## Panels
+//!
+//! The GEMM family runs as two **panel** kernels, [`row_panel`] (NN, and
+//! TN through a column stride on `A`) and [`dot_panel`] (NT). A panel is
+//! a whole batched GEMM — every item of a range, every row — resolved to
+//! a backend once and run inside one `target_feature` function, with the
+//! element kernels inlined. The §5.2.1 fixed-shape layout makes two
+//! shapes ubiquitous, and the AVX2 panels specialise on them by shape
+//! alone: a dot panel with reduction `k = 4` runs its lanes across output
+//! columns (B's four columns transposed per item into a stack tile), and
+//! an f32 row panel with `n = 4` packs two C rows into each 8-lane
+//! register. NEON and the scalar baseline run the same item × row loop
+//! over their per-row kernels.
+//!
 //! ## Numerical contract
 //!
-//! `row_gemm` / `row_gemm_strided` / `axpy` are **bit-identical** across
-//! backends: both the scalar and vector paths perform one fused
-//! multiply-add per output element with the reduction index ascending, so
-//! the rounding sequence is the same (the vector lanes are independent
-//! output columns, not a reordered reduction). `dot` / `dot_rows` use four
-//! independent accumulators in the vector path, which reorders the
-//! reduction — results agree to a few ULPs, not bitwise. `tanh_fused` uses
-//! a Cephes-style polynomial `exp` in the vector path whose error against
-//! `std` `tanh` is a few ULPs (< 1e-13 in f64). Non-finite inputs
-//! propagate per IEEE-754 on every path: `tanh(NaN) = NaN`,
-//! `tanh(±inf) = ±1`, and no kernel here skips multiply-adds on zero
-//! operands (`0 * inf` must produce NaN, see the `gemm_nn` zero-skip bug
-//! this PR removes).
+//! Every output element has one floating-point expression per backend,
+//! and the golden `to_bits` folds in `deepmd-core` pin it; a new kernel
+//! must reproduce it exactly, whatever its lane layout:
+//!
+//! * **Row GEMM** ([`row_panel`], [`row_gemm_strided_with`], `axpy`):
+//!   `c ← fma(b_p, alpha·a_p, c)` for `p` ascending, starting from C's
+//!   initial value (zero when overwriting). The same on every backend —
+//!   vector lanes are independent output columns, never a reordered
+//!   reduction.
+//! * **Dot** ([`dot`], [`dot_panel`]): the backend's own `dot` of the A
+//!   row with the B row, then `alpha·d` when `alpha ≠ 1`, then `c + d`
+//!   when accumulating. The dot itself:
+//!   - `Scalar`, and `Avx2` in f32 with `k < 8`: an fma chain from `+0`
+//!     in index order;
+//!   - `Avx2` in f64 with `k = 4`: `(p0 + p2) + (p1 + p3)` with
+//!     `p_q = fma(a_q, b_q, +0)`;
+//!   - longer vector dots: 4 (f64) or 2 (f32) lane accumulators, summed
+//!     as in `x86::dot_f64` / `dot_f32`, then an fma tail — a few ULPs
+//!     from the scalar chain, not bitwise.
+//!
+//! `tanh_fused` uses a Cephes-style polynomial `exp` in the vector path
+//! whose error against `std` `tanh` is a few ULPs (< 1e-13 in f64).
+//! Non-finite inputs propagate per IEEE-754 on every path:
+//! `tanh(NaN) = NaN`, `tanh(±inf) = ±1`, and no kernel here skips
+//! multiply-adds on zero operands (`0 · inf` and `0 · NaN` must produce
+//! NaN, as cuBLAS would).
 
 use crate::real::Real;
 use std::any::TypeId;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// A vectorization backend. `Scalar` exists everywhere; the SIMD variants
@@ -74,7 +102,7 @@ impl Backend {
 pub fn available() -> Vec<Backend> {
     let mut v = vec![Backend::Scalar];
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+    if x86::detected() {
         v.push(Backend::Avx2);
     }
     #[cfg(target_arch = "aarch64")]
@@ -126,38 +154,13 @@ unsafe fn cast_mut<T, U>(s: &mut [T]) -> &mut [U] {
 // row_gemm: c[j] += Σ_p (alpha · a[p·a_stride]) · b[p·ldb + j]
 // ---------------------------------------------------------------------------
 
-/// Accumulate one GEMM output row: `c[j] += Σ_p (alpha·a[p]) · B[p][j]`
-/// with `B` row-major at leading dimension `ldb` (only the first
-/// `c.len()` columns of each `B` row are touched). One FMA per output
-/// element, `p` ascending — bit-identical across backends.
-#[inline]
-pub fn row_gemm<T: Real>(c: &mut [T], a: &[T], b: &[T], ldb: usize, alpha: T) {
-    row_gemm_with(active(), c, a, b, ldb, alpha)
-}
-
-/// [`row_gemm`] with the `A` elements strided (`a[p·a_stride]`), covering
-/// the transposed-A panels of the batched descriptor GEMMs without
-/// materializing the transpose. `k` is the reduction length.
-#[inline]
-pub fn row_gemm_strided<T: Real>(
-    c: &mut [T],
-    k: usize,
-    a: &[T],
-    a_stride: usize,
-    b: &[T],
-    ldb: usize,
-    alpha: T,
-) {
-    row_gemm_strided_with(active(), c, k, a, a_stride, b, ldb, alpha)
-}
-
-/// [`row_gemm`] on an explicit backend (for tests and ablation benches).
-#[inline]
-pub fn row_gemm_with<T: Real>(backend: Backend, c: &mut [T], a: &[T], b: &[T], ldb: usize, alpha: T) {
-    row_gemm_strided_with(backend, c, a.len(), a, 1, b, ldb, alpha)
-}
-
-/// [`row_gemm_strided`] on an explicit backend.
+/// Accumulate one GEMM output row on an explicit backend:
+/// `c[j] += Σ_p (alpha·a[p·a_stride]) · B[p][j]` over a reduction of
+/// length `k`, with `B` row-major at leading dimension `ldb` (only the
+/// first `c.len()` columns of each `B` row are touched). One FMA per
+/// output element, `p` ascending — bit-identical across backends. The
+/// panels run this kernel inlined; it stays public as the per-row
+/// reference their tests compare against.
 pub fn row_gemm_strided_with<T: Real>(
     backend: Backend,
     c: &mut [T],
@@ -237,7 +240,7 @@ fn row_gemm_scalar<T: Real>(
 }
 
 // ---------------------------------------------------------------------------
-// dot / dot_rows
+// dot
 // ---------------------------------------------------------------------------
 
 /// Dot product `Σ_i a[i]·b[i]`. Vector paths split the reduction over
@@ -285,60 +288,248 @@ fn dot_scalar<T: Real>(a: &[T], b: &[T]) -> T {
     acc
 }
 
-/// One `A×Bᵀ` output row: `c[j] = dot(a_row, B[j])` with `B` row-major at
-/// leading dimension `ldb` and reduction length `a_row.len()`. Dispatches
-/// once per row instead of once per dot.
-#[inline]
-pub fn dot_rows<T: Real>(c: &mut [T], a_row: &[T], b: &[T], ldb: usize) {
-    dot_rows_with(active(), c, a_row, b, ldb)
+// ---------------------------------------------------------------------------
+// panels: one dispatch per batched GEMM
+// ---------------------------------------------------------------------------
+
+/// Whether a panel overwrites `C` or accumulates into it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Acc {
+    /// `C = alpha · A×B` (existing contents ignored).
+    Overwrite,
+    /// `C += alpha · A×B`.
+    Add,
 }
 
-/// [`dot_rows`] on an explicit backend.
-pub fn dot_rows_with<T: Real>(backend: Backend, c: &mut [T], a_row: &[T], b: &[T], ldb: usize) {
-    let k = a_row.len();
-    if !c.is_empty() {
-        debug_assert!(b.len() >= (c.len() - 1) * ldb + k, "B panel too short");
+/// Operand layout for one batched problem, all in elements:
+/// item `i` starts at `i * stride` and rows are `ld` apart.
+#[derive(Debug, Clone, Copy)]
+pub struct Panel {
+    pub ld: usize,
+    pub stride: usize,
+}
+
+/// One batched GEMM as the panels see it: for each item `i` of a range,
+/// `C_i (+)= alpha · op(A_i) × op(B_i)` with `C_i` `m×n`, a reduction of
+/// length `k`, and each operand laid out by its [`Panel`].
+#[derive(Debug, Clone, Copy)]
+pub struct PanelGemm<T> {
+    pub m: usize,
+    pub k: usize,
+    pub n: usize,
+    pub alpha: T,
+    pub a: Panel,
+    pub b: Panel,
+    pub c: Panel,
+    pub acc: Acc,
+}
+
+impl<T: Real> PanelGemm<T> {
+    /// The same problem typed for a kernel (only called with `U == T`, so
+    /// `alpha` round-trips exactly).
+    fn cast<U: Real>(&self) -> PanelGemm<U> {
+        let Self { m, k, n, a, b, c, acc, .. } = *self;
+        PanelGemm { m, k, n, alpha: U::from_f64(self.alpha.to_f64()), a, b, c, acc }
     }
-    match backend {
-        Backend::Scalar => {
-            for (j, cj) in c.iter_mut().enumerate() {
-                *cj = dot_scalar(a_row, &b[j * ldb..j * ldb + k]);
-            }
+
+    /// The dot panel's epilogue: `alpha·d` when `alpha ≠ 1`, then `c + d`
+    /// when accumulating.
+    #[inline(always)]
+    fn finish(&self, d: T, c: T) -> T {
+        let d = if self.alpha == T::ONE { d } else { self.alpha * d };
+        match self.acc {
+            Acc::Overwrite => d,
+            Acc::Add => c + d,
         }
+    }
+}
+
+/// Elements an operand of `rows × cols` per item spans over items
+/// `..end`; `usize::MAX` on overflow, so the bounds asserts fail.
+fn extent(p: Panel, end: usize, rows: usize, cols: usize) -> usize {
+    if end == 0 || rows == 0 || cols == 0 {
+        return 0;
+    }
+    (end - 1)
+        .checked_mul(p.stride)
+        .and_then(|x| x.checked_add((rows - 1).checked_mul(p.ld)?))
+        .and_then(|x| x.checked_add(cols))
+        .unwrap_or(usize::MAX)
+}
+
+/// Row-GEMM panel over `items`: `C_i (+)= alpha · A_i × B_i` with `B_i`
+/// `k×n` row-major and `A_i` `m×k` row-major, or stored `k×m` and read
+/// down its columns when `trans_a` (no transpose is materialized). Each
+/// element is the row-GEMM expression of the numerical contract.
+#[inline]
+pub fn row_panel<T: Real>(
+    g: &PanelGemm<T>,
+    trans_a: bool,
+    items: Range<usize>,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+) {
+    row_panel_with(active(), g, trans_a, items, a, b, c)
+}
+
+/// [`row_panel`] on an explicit backend.
+pub fn row_panel_with<T: Real>(
+    backend: Backend,
+    g: &PanelGemm<T>,
+    trans_a: bool,
+    items: Range<usize>,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+) {
+    let (m, k, n) = (g.m, g.k, g.n);
+    if items.is_empty() || m == 0 || n == 0 {
+        return;
+    }
+    let (a_rows, a_cols) = if trans_a { (k, m) } else { (m, k) };
+    // The AVX2 kernels index through raw pointers: this covers every
+    // element they touch.
+    assert!(
+        a.len() >= extent(g.a, items.end, a_rows, a_cols)
+            && b.len() >= extent(g.b, items.end, k, n)
+            && c.len() >= extent(g.c, items.end, m, n),
+        "row panel operand too short"
+    );
+    // A(r, p) of an item sits at r·step.0 + p·step.1
+    let step = if trans_a { (1, g.a.ld) } else { (g.a.ld, 1) };
+    match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe {
+        // SAFETY: avx2+fma are detected on this host, the bounds are
+        // asserted above, and `is` proves `T` is the kernel's type.
+        Backend::Avx2 if x86::detected() => unsafe {
             if is::<T, f64>() {
-                let (c, a_row, b) = (cast_mut::<T, f64>(c), cast::<T, f64>(a_row), cast::<T, f64>(b));
-                for (j, cj) in c.iter_mut().enumerate() {
-                    *cj = x86::dot_f64(a_row, &b[j * ldb..j * ldb + k]);
-                }
+                return x86::row_panel_f64(&g.cast(), step, items, cast(a), cast(b), cast_mut(c));
             } else if is::<T, f32>() {
-                let (c, a_row, b) = (cast_mut::<T, f32>(c), cast::<T, f32>(a_row), cast::<T, f32>(b));
-                for (j, cj) in c.iter_mut().enumerate() {
-                    *cj = x86::dot_f32(a_row, &b[j * ldb..j * ldb + k]);
-                }
-            } else {
-                dot_rows_with(Backend::Scalar, c, a_row, b, ldb)
+                return x86::row_panel_f32(&g.cast(), step, items, cast(a), cast(b), cast_mut(c));
             }
         },
         #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is mandatory on aarch64; `is` proves the type.
         Backend::Neon => unsafe {
             if is::<T, f64>() {
-                let (c, a_row, b) = (cast_mut::<T, f64>(c), cast::<T, f64>(a_row), cast::<T, f64>(b));
-                for (j, cj) in c.iter_mut().enumerate() {
-                    *cj = arm::dot_f64(a_row, &b[j * ldb..j * ldb + k]);
-                }
+                let g = g.cast::<f64>();
+                return row_loop(&g, step, items, cast(a), cast(b), cast_mut(c), |c_row, a_r, b_i| {
+                    arm::row_gemm_f64(c_row, k, a_r, step.1, b_i, g.b.ld, g.alpha)
+                });
             } else if is::<T, f32>() {
-                let (c, a_row, b) = (cast_mut::<T, f32>(c), cast::<T, f32>(a_row), cast::<T, f32>(b));
-                for (j, cj) in c.iter_mut().enumerate() {
-                    *cj = arm::dot_f32(a_row, &b[j * ldb..j * ldb + k]);
-                }
-            } else {
-                dot_rows_with(Backend::Scalar, c, a_row, b, ldb)
+                let g = g.cast::<f32>();
+                return row_loop(&g, step, items, cast(a), cast(b), cast_mut(c), |c_row, a_r, b_i| {
+                    arm::row_gemm_f32(c_row, k, a_r, step.1, b_i, g.b.ld, g.alpha)
+                });
             }
         },
-        #[allow(unreachable_patterns)]
-        _ => dot_rows_with(Backend::Scalar, c, a_row, b, ldb),
+        _ => {}
+    }
+    row_loop(g, step, items, a, b, c, |c_row, a_r, b_i| {
+        row_gemm_scalar(c_row, k, a_r, step.1, b_i, g.b.ld, g.alpha)
+    })
+}
+
+/// The item × row loop of a row panel over one backend's row kernel
+/// `row(c_row, a_r, b_i)`, with `a_r` starting at A(r, 0).
+#[inline(always)]
+fn row_loop<T: Real>(
+    g: &PanelGemm<T>,
+    step: (usize, usize),
+    items: Range<usize>,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    mut row: impl FnMut(&mut [T], &[T], &[T]),
+) {
+    for i in items {
+        let (a_i, b_i) = (&a[i * g.a.stride..], &b[i * g.b.stride..]);
+        for r in 0..g.m {
+            let at = i * g.c.stride + r * g.c.ld;
+            let c_row = &mut c[at..at + g.n];
+            if g.acc == Acc::Overwrite {
+                c_row.fill(T::ZERO);
+            }
+            row(c_row, &a_i[r * step.0..], b_i);
+        }
+    }
+}
+
+/// Dot panel over `items`: `C_i (+)= alpha · A_i × B_iᵀ` with `A_i` `m×k`
+/// and `B_i` stored `n×k`, both row-major, so every element is a dot of
+/// two contiguous rows — the dot expression of the numerical contract.
+#[inline]
+pub fn dot_panel<T: Real>(g: &PanelGemm<T>, items: Range<usize>, a: &[T], b: &[T], c: &mut [T]) {
+    dot_panel_with(active(), g, items, a, b, c)
+}
+
+/// [`dot_panel`] on an explicit backend.
+pub fn dot_panel_with<T: Real>(
+    backend: Backend,
+    g: &PanelGemm<T>,
+    items: Range<usize>,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+) {
+    let (m, k, n) = (g.m, g.k, g.n);
+    if items.is_empty() || m == 0 || n == 0 {
+        return;
+    }
+    // as in `row_panel_with`: the AVX2 kernels rely on this
+    assert!(
+        a.len() >= extent(g.a, items.end, m, k)
+            && b.len() >= extent(g.b, items.end, n, k)
+            && c.len() >= extent(g.c, items.end, m, n),
+        "dot panel operand too short"
+    );
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `row_panel_with`.
+        Backend::Avx2 if x86::detected() => unsafe {
+            if is::<T, f64>() {
+                return x86::dot_panel_f64(&g.cast(), items, cast(a), cast(b), cast_mut(c));
+            } else if is::<T, f32>() {
+                return x86::dot_panel_f32(&g.cast(), items, cast(a), cast(b), cast_mut(c));
+            }
+        },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: as in `row_panel_with`.
+        Backend::Neon => unsafe {
+            if is::<T, f64>() {
+                let g = g.cast::<f64>();
+                return dot_loop(&g, items, cast(a), cast(b), cast_mut(c), |x, y| arm::dot_f64(x, y));
+            } else if is::<T, f32>() {
+                let g = g.cast::<f32>();
+                return dot_loop(&g, items, cast(a), cast(b), cast_mut(c), |x, y| arm::dot_f32(x, y));
+            }
+        },
+        _ => {}
+    }
+    dot_loop(g, items, a, b, c, dot_scalar)
+}
+
+/// The item × row × column loop of a dot panel over one backend's `dot`.
+#[inline(always)]
+fn dot_loop<T: Real>(
+    g: &PanelGemm<T>,
+    items: Range<usize>,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    dot: impl Fn(&[T], &[T]) -> T,
+) {
+    let k = g.k;
+    for i in items {
+        let (a_i, b_i) = (&a[i * g.a.stride..], &b[i * g.b.stride..]);
+        for r in 0..g.m {
+            let a_row = &a_i[r * g.a.ld..r * g.a.ld + k];
+            let at = i * g.c.stride + r * g.c.ld;
+            for (j, cj) in c[at..at + g.n].iter_mut().enumerate() {
+                *cj = g.finish(dot(a_row, &b_i[j * g.b.ld..j * g.b.ld + k]), *cj);
+            }
+        }
     }
 }
 
@@ -476,7 +667,14 @@ fn tanh_fused_scalar<T: Real>(x: &[T], t: &mut [T], g: &mut [T]) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::{dot_loop, row_loop, Acc, PanelGemm};
     use std::arch::x86_64::*;
+    use std::ops::Range;
+
+    /// Whether this host can run the kernels below (avx2 + fma).
+    pub fn detected() -> bool {
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+    }
 
     /// # Safety: caller guarantees avx2+fma and the panel bounds checked
     /// by the dispatcher (`a.len() ≥ (k−1)·a_stride+1`,
@@ -591,7 +789,12 @@ mod x86 {
         }
     }
 
+    /// Kept out of line: inlined into the dot panel's element loop, its
+    /// 16-term loop picks up extra induction variables, and the
+    /// paper-width embedding backward measured about 20 % slower.
+    ///
     /// # Safety: caller guarantees avx2+fma and `a.len() == b.len()`.
+    #[inline(never)]
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
         let k = a.len();
@@ -637,7 +840,10 @@ mod x86 {
         out
     }
 
+    /// Out of line for the reason given at [`dot_f64`].
+    ///
     /// # Safety: as [`dot_f64`].
+    #[inline(never)]
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
         let k = a.len();
@@ -670,6 +876,199 @@ mod x86 {
             p += 1;
         }
         out
+    }
+
+    /// Row panel in f64 (`n = 4` is already one register per row).
+    ///
+    /// # Safety: caller guarantees avx2+fma and operands covering `items`
+    /// (asserted by `row_panel_with`).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn row_panel_f64(
+        g: &PanelGemm<f64>,
+        step: (usize, usize),
+        items: Range<usize>,
+        a: &[f64],
+        b: &[f64],
+        c: &mut [f64],
+    ) {
+        row_loop(g, step, items, a, b, c, |c_row, a_r, b_i| {
+            row_gemm_f64(c_row, g.k, a_r, step.1, b_i, g.b.ld, g.alpha)
+        })
+    }
+
+    /// Row panel in f32. With `n = 4`, rows `r` and `r+1` share one
+    /// register as `[row r | row r+1]`; each lane is still one FMA chain
+    /// over `p` ascending, as in [`row_gemm_f32`].
+    ///
+    /// # Safety: as [`row_panel_f64`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn row_panel_f32(
+        g: &PanelGemm<f32>,
+        step: (usize, usize),
+        items: Range<usize>,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ) {
+        if g.n != 4 {
+            return row_loop(g, step, items, a, b, c, |c_row, a_r, b_i| {
+                row_gemm_f32(c_row, g.k, a_r, step.1, b_i, g.b.ld, g.alpha)
+            });
+        }
+        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        let (ldb, ldc, alpha, add) = (g.b.ld, g.c.ld, g.alpha, g.acc == Acc::Add);
+        for i in items {
+            let (a_i, b_i, c_i) = (ap.add(i * g.a.stride), bp.add(i * g.b.stride), cp.add(i * g.c.stride));
+            let mut r = 0;
+            while r + 2 <= g.m {
+                let (a0, a1) = (a_i.add(r * step.0), a_i.add((r + 1) * step.0));
+                let (c0, c1) = (c_i.add(r * ldc), c_i.add((r + 1) * ldc));
+                let mut acc = if add { _mm256_loadu2_m128(c1, c0) } else { _mm256_setzero_ps() };
+                for p in 0..g.k {
+                    let s = _mm256_set_m128(
+                        _mm_set1_ps(alpha * *a1.add(p * step.1)),
+                        _mm_set1_ps(alpha * *a0.add(p * step.1)),
+                    );
+                    let bq = _mm_loadu_ps(b_i.add(p * ldb));
+                    acc = _mm256_fmadd_ps(_mm256_set_m128(bq, bq), s, acc);
+                }
+                _mm256_storeu2_m128(c1, c0, acc);
+                r += 2;
+            }
+            if r < g.m {
+                let (a0, c0) = (a_i.add(r * step.0), c_i.add(r * ldc));
+                let mut acc = if add { _mm_loadu_ps(c0) } else { _mm_setzero_ps() };
+                for p in 0..g.k {
+                    let s = _mm_set1_ps(alpha * *a0.add(p * step.1));
+                    acc = _mm_fmadd_ps(_mm_loadu_ps(b_i.add(p * ldb)), s, acc);
+                }
+                _mm_storeu_ps(c0, acc);
+            }
+        }
+    }
+
+    /// Output columns per transposed B tile of the `k = 4` dot panels.
+    const TILE: usize = 64;
+
+    /// The frame of the `k = 4` dot panels: per item, B's four columns
+    /// are transposed `TILE` output columns at a time into a stack tile,
+    /// and `cols(x, tile, w, c_r)` writes the `w` C elements at `c_r`
+    /// from the A row `x`, lanes running across columns.
+    ///
+    /// # Safety: operands cover `items` (asserted by `dot_panel_with`).
+    #[inline(always)]
+    unsafe fn k4_tiles<T: Copy + Default>(
+        g: &PanelGemm<T>,
+        items: Range<usize>,
+        a: &[T],
+        b: &[T],
+        c: &mut [T],
+        mut cols: impl FnMut([T; 4], &[[T; TILE]; 4], usize, *mut T),
+    ) {
+        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        let mut tile = [[T::default(); TILE]; 4];
+        for i in items {
+            let (a_i, b_i, c_i) = (ap.add(i * g.a.stride), bp.add(i * g.b.stride), cp.add(i * g.c.stride));
+            for j0 in (0..g.n).step_by(TILE) {
+                let w = TILE.min(g.n - j0);
+                for j in 0..w {
+                    let b_j = b_i.add((j0 + j) * g.b.ld);
+                    for (q, t) in tile.iter_mut().enumerate() {
+                        t[j] = *b_j.add(q);
+                    }
+                }
+                for r in 0..g.m {
+                    let a_r = a_i.add(r * g.a.ld);
+                    let x = [*a_r, *a_r.add(1), *a_r.add(2), *a_r.add(3)];
+                    cols(x, &tile, w, c_i.add(r * g.c.ld + j0));
+                }
+            }
+        }
+    }
+
+    /// Dot panel in f64. With `k = 4` every element is
+    /// `(p0 + p2) + (p1 + p3)`, `p_q = fma(a_q, b_q, +0)` — [`dot_f64`]'s
+    /// expression for that length — four output columns per register.
+    ///
+    /// # Safety: as [`row_panel_f64`] (asserted by `dot_panel_with`).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn dot_panel_f64(g: &PanelGemm<f64>, items: Range<usize>, a: &[f64], b: &[f64], c: &mut [f64]) {
+        if g.k != 4 {
+            return dot_loop(g, items, a, b, c, |x, y| dot_f64(x, y));
+        }
+        let (alpha, zero) = (_mm256_set1_pd(g.alpha), _mm256_setzero_pd());
+        k4_tiles(g, items, a, b, c, |x, t, w, c_r| {
+            let mut j = 0;
+            while j + 4 <= w {
+                let mut p = [zero; 4];
+                for q in 0..4 {
+                    p[q] = _mm256_fmadd_pd(_mm256_set1_pd(x[q]), _mm256_loadu_pd(t[q].as_ptr().add(j)), zero);
+                }
+                let mut d = _mm256_add_pd(_mm256_add_pd(p[0], p[2]), _mm256_add_pd(p[1], p[3]));
+                if g.alpha != 1.0 {
+                    d = _mm256_mul_pd(alpha, d);
+                }
+                if g.acc == Acc::Add {
+                    d = _mm256_add_pd(_mm256_loadu_pd(c_r.add(j)), d);
+                }
+                _mm256_storeu_pd(c_r.add(j), d);
+                j += 4;
+            }
+            while j < w {
+                let p: [f64; 4] = std::array::from_fn(|q| x[q].mul_add(t[q][j], 0.0));
+                *c_r.add(j) = g.finish((p[0] + p[2]) + (p[1] + p[3]), *c_r.add(j));
+                j += 1;
+            }
+        })
+    }
+
+    /// Dot panel in f32. With `k = 4` every element is an fma chain from
+    /// `+0` in index order — [`dot_f32`]'s expression below eight terms —
+    /// eight (then four) output columns per register.
+    ///
+    /// # Safety: as [`dot_panel_f64`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn dot_panel_f32(g: &PanelGemm<f32>, items: Range<usize>, a: &[f32], b: &[f32], c: &mut [f32]) {
+        if g.k != 4 {
+            return dot_loop(g, items, a, b, c, |x, y| dot_f32(x, y));
+        }
+        let add = g.acc == Acc::Add;
+        k4_tiles(g, items, a, b, c, |x, t, w, c_r| {
+            let mut j = 0;
+            while j + 8 <= w {
+                let mut d = _mm256_setzero_ps();
+                for q in 0..4 {
+                    d = _mm256_fmadd_ps(_mm256_set1_ps(x[q]), _mm256_loadu_ps(t[q].as_ptr().add(j)), d);
+                }
+                if g.alpha != 1.0 {
+                    d = _mm256_mul_ps(_mm256_set1_ps(g.alpha), d);
+                }
+                if add {
+                    d = _mm256_add_ps(_mm256_loadu_ps(c_r.add(j)), d);
+                }
+                _mm256_storeu_ps(c_r.add(j), d);
+                j += 8;
+            }
+            if j + 4 <= w {
+                let mut d = _mm_setzero_ps();
+                for q in 0..4 {
+                    d = _mm_fmadd_ps(_mm_set1_ps(x[q]), _mm_loadu_ps(t[q].as_ptr().add(j)), d);
+                }
+                if g.alpha != 1.0 {
+                    d = _mm_mul_ps(_mm_set1_ps(g.alpha), d);
+                }
+                if add {
+                    d = _mm_add_ps(_mm_loadu_ps(c_r.add(j)), d);
+                }
+                _mm_storeu_ps(c_r.add(j), d);
+                j += 4;
+            }
+            while j < w {
+                let d = (0..4).fold(0.0f32, |d, q| x[q].mul_add(t[q][j], d));
+                *c_r.add(j) = g.finish(d, *c_r.add(j));
+                j += 1;
+            }
+        })
     }
 
     /// # Safety: caller guarantees avx2+fma and `x.len() == y.len()`.
@@ -1116,6 +1515,11 @@ mod tests {
         (0..n).map(|_| lcg(&mut s) * 3.0).collect()
     }
 
+    /// [`row_gemm_strided_with`] on a contiguous `A` row.
+    fn row_gemm_with<T: Real>(backend: Backend, c: &mut [T], a: &[T], b: &[T], ldb: usize, alpha: T) {
+        row_gemm_strided_with(backend, c, a.len(), a, 1, b, ldb, alpha)
+    }
+
     #[test]
     fn dispatch_honors_scalar_and_detection() {
         let avail = available();
@@ -1272,15 +1676,20 @@ mod tests {
     }
 
     #[test]
-    fn dot_rows_matches_per_dot() {
-        let a = vec_f64(13, 41);
-        let b = vec_f64(6 * 13, 42);
-        for backend in available() {
-            let mut c = vec![0.0; 6];
-            dot_rows_with(backend, &mut c, &a, &b, 13);
-            for j in 0..6 {
-                let want = dot_with(backend, &a, &b[j * 13..(j + 1) * 13]);
-                assert_eq!(c[j], want, "{backend:?} j={j}");
+    fn dot_panel_matches_per_dot() {
+        // k = 4 takes the AVX2 column-lane path, k = 13 the per-element one
+        for k in [4, 13] {
+            let a = vec_f64(k, 41);
+            let b = vec_f64(6 * k, 42);
+            let tight = |ld| Panel { ld, stride: 0 };
+            let g = PanelGemm { m: 1, k, n: 6, alpha: 1.0, a: tight(k), b: tight(k), c: tight(6), acc: Acc::Overwrite };
+            for backend in available() {
+                let mut c = vec![0.0; 6];
+                dot_panel_with(backend, &g, 0..1, &a, &b, &mut c);
+                for j in 0..6 {
+                    let want = dot_with(backend, &a, &b[j * k..(j + 1) * k]);
+                    assert_eq!(c[j].to_bits(), want.to_bits(), "{backend:?} k={k} j={j}");
+                }
             }
         }
     }

@@ -2,9 +2,14 @@
 //! `dp_md::CounterRng` (no generator crate, no shrinking — a failure names
 //! the case, which replays alone).
 
+use dp_linalg::batch::{gemm_batch_nn, gemm_batch_nt, gemm_batch_tn};
 use dp_linalg::fused::{concat_sum_baseline, dup_sum_fused, tanh_fused, tanh_then_grad_baseline};
-use dp_linalg::gemm::{gemm_bias, matmul, matmul_nt, matmul_then_sum, matmul_tn, naive_gemm};
-use dp_linalg::Matrix;
+use dp_linalg::gemm::{
+    gemm_bias, gemm_bias_into, matmul, matmul_nt, matmul_nt_into, matmul_then_sum, matmul_tn,
+    naive_gemm,
+};
+use dp_linalg::simd::{self, Acc, Backend, Panel, PanelGemm};
+use dp_linalg::{Matrix, Real};
 use dp_md::rng::for_cases;
 use dp_md::CounterRng;
 
@@ -128,4 +133,277 @@ fn f16_truncation_monotone_pairs() {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         assert!(dp_linalg::real::truncate_to_f16(lo) <= dp_linalg::real::truncate_to_f16(hi));
     });
+}
+
+// ---------------------------------------------------------------------------
+// The GEMM panels against the per-row composition they replaced: a row
+// kernel per output row, a dot per output element. Bit for bit, on every
+// backend the host runs.
+// ---------------------------------------------------------------------------
+
+/// Which batched GEMM a panel case runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Op {
+    Nn,
+    Tn,
+    Nt,
+}
+
+/// One batched problem. Operand values come from `data`, so a failing
+/// case prints in one line and replays alone.
+#[derive(Debug)]
+struct PanelCase {
+    op: Op,
+    f32: bool,
+    batch: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    /// `alpha = 1 / nm`, or 1 when `None` (the descriptor's two scalings)
+    nm: Option<usize>,
+    add: bool,
+    /// extra leading-dimension columns of A, B and C
+    pad: [usize; 3],
+    data: u64,
+}
+
+fn panel_case(rng: &mut CounterRng) -> PanelCase {
+    let op = [Op::Nn, Op::Tn, Op::Nt][rng.below(3) as usize];
+    // the §5.2.1 width 4 a third of the time; odd sizes otherwise
+    let width = |rng: &mut CounterRng, max| if rng.below(3) == 0 { 4 } else { dim(rng, max) };
+    let m = dim(rng, 9);
+    let k = width(rng, 20);
+    // now and then wider than one 64-column tile of the k = 4 dot panels
+    let n = if rng.below(6) == 0 {
+        60 + dim(rng, 90)
+    } else {
+        width(rng, 40)
+    };
+    PanelCase {
+        op,
+        f32: rng.below(2) == 0,
+        batch: dim(rng, 4),
+        m,
+        k,
+        n,
+        nm: (rng.below(2) == 0).then(|| dim(rng, 150)),
+        add: rng.below(2) == 0,
+        pad: [0; 3].map(|_| rng.below(3) as usize),
+        data: rng.next_u64(),
+    }
+}
+
+/// A case's operands, laid out as its panels read them.
+struct Operands<T> {
+    g: PanelGemm<T>,
+    a: Vec<T>,
+    b: Vec<T>,
+    c: Vec<T>,
+}
+
+fn operands<T: Real>(case: &PanelCase) -> Operands<T> {
+    let (m, k, n) = (case.m, case.k, case.n);
+    // stored (rows, cols) of A and B
+    let (a_shape, b_shape) = match case.op {
+        Op::Nn => ((m, k), (k, n)),
+        Op::Tn => ((k, m), (k, n)),
+        Op::Nt => ((m, k), (n, k)),
+    };
+    let mut rng = CounterRng::new(case.data);
+    let mut fill = |(rows, cols): (usize, usize), pad: usize| {
+        let ld = cols + pad;
+        let p = Panel {
+            ld,
+            stride: rows * ld + pad,
+        };
+        let v = (0..case.batch * p.stride)
+            .map(|_| T::from_f64(rng.range(-2.0, 2.0)))
+            .collect();
+        (p, v)
+    };
+    let (pa, a) = fill(a_shape, case.pad[0]);
+    let (pb, b) = fill(b_shape, case.pad[1]);
+    let (pc, c) = fill((m, n), case.pad[2]);
+    let alpha = case.nm.map_or(T::ONE, |nm| T::ONE / T::from_usize(nm));
+    let acc = if case.add { Acc::Add } else { Acc::Overwrite };
+    Operands {
+        g: PanelGemm {
+            m,
+            k,
+            n,
+            alpha,
+            a: pa,
+            b: pb,
+            c: pc,
+            acc,
+        },
+        a,
+        b,
+        c,
+    }
+}
+
+/// The per-row composition on `backend`: `row_gemm_strided_with` per C
+/// row, `alpha · dot_with` per C element, then `+ c` when accumulating.
+fn oracle<T: Real>(backend: Backend, op: Op, batch: usize, x: &Operands<T>) -> Vec<T> {
+    let Operands { g, a, b, .. } = x;
+    let mut c = x.c.clone();
+    for i in 0..batch {
+        let (a_i, b_i) = (&a[i * g.a.stride..], &b[i * g.b.stride..]);
+        for r in 0..g.m {
+            let at = i * g.c.stride + r * g.c.ld;
+            let c_row = &mut c[at..at + g.n];
+            if op == Op::Nt {
+                let a_row = &a_i[r * g.a.ld..r * g.a.ld + g.k];
+                for (j, cj) in c_row.iter_mut().enumerate() {
+                    let d = g.alpha
+                        * simd::dot_with(backend, a_row, &b_i[j * g.b.ld..j * g.b.ld + g.k]);
+                    *cj = if g.acc == Acc::Add { *cj + d } else { d };
+                }
+                continue;
+            }
+            if g.acc == Acc::Overwrite {
+                c_row.fill(T::ZERO);
+            }
+            let (a_r, a_stride) = match op {
+                Op::Tn => (&a_i[r..], g.a.ld),
+                _ => (&a_i[r * g.a.ld..], 1),
+            };
+            simd::row_gemm_strided_with(backend, c_row, g.k, a_r, a_stride, b_i, g.b.ld, g.alpha);
+        }
+    }
+    c
+}
+
+fn bits<T: Real>(v: &[T]) -> Vec<u64> {
+    v.iter().map(|x| x.to_f64().to_bits()).collect()
+}
+
+fn check_panel_case<T: Real>(case: &PanelCase) {
+    let x = operands::<T>(case);
+    let Operands { g, a, b, .. } = &x;
+    for backend in simd::available() {
+        let mut c = x.c.clone();
+        match case.op {
+            Op::Nt => simd::dot_panel_with(backend, g, 0..case.batch, a, b, &mut c),
+            op => simd::row_panel_with(backend, g, op == Op::Tn, 0..case.batch, a, b, &mut c),
+        }
+        assert_eq!(
+            bits(&c),
+            bits(&oracle(backend, case.op, case.batch, &x)),
+            "{backend:?} panel"
+        );
+    }
+    // the public entry points, on the active backend
+    let kernel = match case.op {
+        Op::Nn => gemm_batch_nn::<T>,
+        Op::Tn => gemm_batch_tn::<T>,
+        Op::Nt => gemm_batch_nt::<T>,
+    };
+    let mut c = x.c.clone();
+    kernel(
+        case.batch, g.m, g.k, g.n, g.alpha, a, g.a, b, g.b, &mut c, g.c, g.acc,
+    );
+    let want = oracle(simd::active(), case.op, case.batch, &x);
+    assert_eq!(bits(&c), bits(&want), "gemm_batch_{:?}", case.op);
+}
+
+#[test]
+fn batched_panels_match_the_per_row_composition_bitwise() {
+    for_cases(0x6E0A, CASES, panel_case, |case| {
+        if case.f32 {
+            check_panel_case::<f32>(case)
+        } else {
+            check_panel_case::<f64>(case)
+        }
+    });
+}
+
+#[test]
+fn gemm_bias_and_nt_into_match_the_per_row_composition_bitwise() {
+    let draw = |rng: &mut CounterRng| {
+        let width = |rng: &mut CounterRng, max| if rng.below(3) == 0 { 4 } else { dim(rng, max) };
+        (dim(rng, 9), width(rng, 20), width(rng, 40), rng.next_u64())
+    };
+    for_cases(0x6E0B, CASES, draw, |&(m, k, n, data)| {
+        let mut rng = CounterRng::new(data);
+        let a = matrix(&mut rng, m, k);
+        let w = matrix(&mut rng, k, n);
+        let bias: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
+        let backend = simd::active();
+
+        let mut c = matrix(&mut rng, 3, 2);
+        gemm_bias_into(&a, &w, &bias, &mut c);
+        let mut want = Matrix::from_fn(m, n, |_, j| bias[j]);
+        for r in 0..m {
+            simd::row_gemm_strided_with(
+                backend,
+                want.row_mut(r),
+                k,
+                a.row(r),
+                1,
+                w.as_slice(),
+                n,
+                1.0,
+            );
+        }
+        assert_eq!(bits(c.as_slice()), bits(want.as_slice()), "gemm_bias_into");
+
+        let bt = w.transpose(); // n × k, rows contiguous
+        matmul_nt_into(&a, &bt, &mut c);
+        let want = Matrix::from_fn(m, n, |r, j| simd::dot_with(backend, a.row(r), bt.row(j)));
+        assert_eq!(bits(c.as_slice()), bits(want.as_slice()), "matmul_nt_into");
+    });
+}
+
+/// A padded slot's all-zero R̃ row against a NaN must still give NaN on
+/// the fixed-width paths (no zero-skip, see `gemm.rs`): the k = 4 dot
+/// (`dG = R̃·dT1ᵀ`) and the n = 4 row GEMM (`dG += R̃·dT2`).
+fn zero_row_times_nan<T: Real>() {
+    let ld = |ld| Panel { ld, stride: 0 };
+    // R̃: three neighbor rows, the middle one padding
+    let env: Vec<T> = [1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.5, 0.25, 2.0]
+        .map(T::from_f64)
+        .to_vec();
+    let mut dt = vec![T::from_f64(0.5); 9 * 4];
+    dt[5 * 4 + 2] = T::from_f64(f64::NAN);
+    for backend in simd::available() {
+        // dot, k = 4: C (3 × 9) = R̃ × dT1ᵀ, dT1 stored 9 × 4
+        let g = PanelGemm {
+            m: 3,
+            k: 4,
+            n: 9,
+            alpha: T::ONE,
+            a: ld(4),
+            b: ld(4),
+            c: ld(9),
+            acc: Acc::Overwrite,
+        };
+        let mut c = vec![T::ZERO; 27];
+        simd::dot_panel_with(backend, &g, 0..1, &env, &dt, &mut c);
+        assert!(
+            c[9 + 5].to_f64().is_nan(),
+            "{backend:?} k = 4 dot: 0·NaN must be NaN"
+        );
+        assert_eq!(c[9 + 4].to_f64(), 0.0, "{backend:?} k = 4 dot");
+        // row, n = 4: C (3 × 4) = R̃ × dT2, dT2 = dt[16..] is 4 × 4 with the NaN at (1, 2)
+        let g = PanelGemm {
+            n: 4,
+            c: ld(4),
+            ..g
+        };
+        let mut c = vec![T::ZERO; 12];
+        simd::row_panel_with(backend, &g, false, 0..1, &env, &dt[16..], &mut c);
+        assert!(
+            c[4 + 2].to_f64().is_nan(),
+            "{backend:?} n = 4 row: 0·NaN must be NaN"
+        );
+        assert_eq!(c[4].to_f64(), 0.0, "{backend:?} n = 4 row");
+    }
+}
+
+#[test]
+fn zero_env_row_against_nan_gives_nan_on_width_4_paths() {
+    zero_row_times_nan::<f32>();
+    zero_row_times_nan::<f64>();
 }

@@ -29,8 +29,9 @@ if [ "${1:-}" != "--skip-tests" ]; then
     cargo test -q --offline --workspace
     # the scalar fallback stays a tested baseline on hosts that always
     # dispatch to the SIMD path: linalg's unit tests and property suite,
-    # and deepmd-core's net pass tests and scalar golden fold
-    DPMD_SIMD=off cargo test -q --offline -p dp-linalg -p deepmd-core
+    # deepmd-core's net pass tests and scalar golden folds, and the tape's
+    # property and gradcheck suites (its bmm and dense run the linalg panels)
+    DPMD_SIMD=off cargo test -q --offline -p dp-linalg -p deepmd-core -p dp-autograd
 fi
 
 # Benchmark smoke: all six perfbench workloads, both passes, at a twentieth
