@@ -159,8 +159,8 @@ unsafe fn cast_mut<T, U>(s: &mut [T]) -> &mut [U] {
 /// length `k`, with `B` row-major at leading dimension `ldb` (only the
 /// first `c.len()` columns of each `B` row are touched). One FMA per
 /// output element, `p` ascending — bit-identical across backends. The
-/// panels run this kernel inlined; it stays public as the per-row
-/// reference their tests compare against.
+/// panels inline the same per-backend row kernels; this entry point
+/// stays public as the per-row reference their tests compare against.
 pub fn row_gemm_strided_with<T: Real>(
     backend: Backend,
     c: &mut [T],
