@@ -394,6 +394,103 @@ fn torn_shard_escalates_to_global_reload() {
     assert_bit_exact(&straight, &recovered, "torn shard at 30, kill at 33");
 }
 
+/// One-shot kills of rank 1 at the given steps.
+fn kills_at(steps: &[usize]) -> FaultPlan {
+    FaultPlan {
+        kills: steps
+            .iter()
+            .map(|&step| KillSpec {
+                rank: 1,
+                step,
+                every_epoch: false,
+            })
+            .collect(),
+        ..FaultPlan::default()
+    }
+}
+
+#[test]
+fn two_kills_are_both_repaired_from_shards() {
+    // Kills at 33 and 45: the first rewinds to the step-30 shards, the
+    // second to the step-40 shards the recovered run wrote. Neither
+    // touches the global rotation.
+    let dir = test_dir("dpft-two-local");
+    let sys = argon();
+    let straight = run_parallel_md(
+        &sys,
+        lj(),
+        [2, 2, 1],
+        &opts(Some(ckpt_sharded(&dir, "a.ckpt")), None),
+        60,
+    )
+    .unwrap();
+    let recovered = run_parallel_md(
+        &sys,
+        lj(),
+        [2, 2, 1],
+        &opts(Some(ckpt_sharded(&dir, "b.ckpt")), Some(kills_at(&[33, 45]))),
+        60,
+    )
+    .unwrap();
+    assert_eq!(recovered.local_recoveries, 2);
+    assert_eq!(recovered.recoveries, 0);
+    assert_bit_exact(&straight, &recovered, "kills at 33 and 45, shards on");
+}
+
+#[test]
+fn zero_local_budget_goes_to_the_global_rotation() {
+    let dir = test_dir("dpft-no-local-budget");
+    let sys = argon();
+    let straight = run_parallel_md(
+        &sys,
+        lj(),
+        [2, 2, 1],
+        &opts(Some(ckpt_sharded(&dir, "a.ckpt")), None),
+        60,
+    )
+    .unwrap();
+    let mut o = opts(Some(ckpt_sharded(&dir, "b.ckpt")), Some(kills_at(&[33])));
+    o.max_local_recoveries = 0;
+    let recovered = run_parallel_md(&sys, lj(), [2, 2, 1], &o, 60).unwrap();
+    assert_eq!(recovered.local_recoveries, 0);
+    assert_eq!(recovered.recoveries, 1);
+    assert_bit_exact(&straight, &recovered, "kill at 33, local budget 0");
+}
+
+#[test]
+fn single_rank_grid_is_repaired_from_its_shard() {
+    // No survivors: the dead rank's own shard is the whole step-30 state.
+    let dir = test_dir("dpft-single-rank-local");
+    let sys = argon();
+    let straight = run_parallel_md(
+        &sys,
+        lj(),
+        [1, 1, 1],
+        &opts(Some(ckpt_sharded(&dir, "a.ckpt")), None),
+        60,
+    )
+    .unwrap();
+    let plan = FaultPlan {
+        kill: Some(KillSpec {
+            rank: 0,
+            step: 33,
+            every_epoch: false,
+        }),
+        ..FaultPlan::default()
+    };
+    let recovered = run_parallel_md(
+        &sys,
+        lj(),
+        [1, 1, 1],
+        &opts(Some(ckpt_sharded(&dir, "b.ckpt")), Some(plan)),
+        60,
+    )
+    .unwrap();
+    assert_eq!(recovered.local_recoveries, 1);
+    assert_eq!(recovered.recoveries, 0);
+    assert_bit_exact(&straight, &recovered, "kill at 33 on a 1x1x1 grid");
+}
+
 #[test]
 fn chaos_soak_recovers_bit_exact_with_audits() {
     // Soak mode: a seed expands into a compound schedule (kill, drop,
