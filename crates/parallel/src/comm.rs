@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 /// Lock ignoring poison: a rank that panics under `catch_unwind` while
 /// holding a barrier's mutex must not take its survivors down with it
 /// (every update under these locks leaves the state whole at each step).
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -447,19 +447,6 @@ impl Allreduce {
         let mut st = lock(&self.state);
         st.poisoned = Some(rank);
         self.cv.notify_all();
-    }
-
-    /// Clear the poison and re-arm the barrier for reuse after a localized
-    /// recovery. Only sound once every rank is quiescent (the supervisor
-    /// calls this at the recovery barrier, when the dead rank's thread has
-    /// exited and every survivor is parked outside any reduction): the
-    /// generation bump would otherwise release a stale waiter with a
-    /// half-built result.
-    pub fn reset(&self) {
-        let mut st = lock(&self.state);
-        st.poisoned = None;
-        st.arrived = 0;
-        st.generation += 1;
     }
 
     /// Number of completed reductions.

@@ -14,10 +14,17 @@
 //! [`CommError`] from a dead peer) poisons the reduction barriers and
 //! drops its mesh endpoints on the way out, so every surviving rank
 //! unwinds with a typed error within the comm deadline instead of
-//! deadlocking. The supervisor then reloads the newest *valid* checkpoint
-//! generation (the rotation steps over torn or corrupted ones), rebuilds
-//! the mesh, and resumes — bounded by `max_recoveries`, after which a
-//! typed [`RunError`] surfaces.
+//! deadlocking. Every failure ends the epoch. The supervisor then reloads
+//! one checkpoint and starts the next epoch from it, on a fresh mesh. It
+//! tries two sources, each with its own budget, and a typed [`RunError`]
+//! surfaces once both are spent:
+//!
+//! * the *shards* ([`ParallelCkpt::shards`], `max_local_recoveries`):
+//!   when exactly one rank failed on its own, the survivors' in-memory
+//!   snapshots and the dead rank's shard file, all taken at one
+//!   checkpoint step, assemble into that step's global checkpoint;
+//! * the *rotation* (`max_recoveries`): the newest valid global
+//!   generation (the rotation steps over torn or corrupted ones).
 //!
 //! # Bit-exact recovery
 //!
@@ -46,13 +53,13 @@
 //! §7.3 heartbeat; the final [`ParallelRun::imbalance`] report breaks the
 //! run into compute/comm/wait across ranks.
 
-use crate::comm::{lock, Allreduce, CkptAtom, CommError, Msg, RankComm};
+use crate::comm::{Allreduce, CommError, Msg, RankComm};
 use crate::fault::{self, FaultPlan, FaultState};
 use crate::grid::DomainGrid;
 use crate::halo::{
     add_reverse_forces, exchange, forward_comm, migrate, reverse_comm, RankState,
 };
-use crate::shard::RankShard;
+use crate::shard::{assemble, RankShard};
 use dp_ckpt::{CkptError, Rotation, ShardSet};
 use dp_md::checkpoint::MdCheckpoint;
 use dp_md::integrate::{self, MdOptions, MdProgress, ThermoSample};
@@ -61,8 +68,7 @@ use dp_obs::{ImbalanceReport, Registry};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Periodic global checkpointing for a parallel run. Every `every` steps
@@ -78,10 +84,10 @@ pub struct ParallelCkpt {
     /// Rotation the gathered snapshots are written into (by rank 0).
     pub rotation: Rotation,
     /// Also write one per-rank domain shard (`<base>.rank<r>`) at every
-    /// checkpoint step. Shards enable the *localized* recovery tier: a
-    /// single dead rank is respawned from its own shard while the
-    /// survivors rewind in memory, instead of tearing the whole epoch
-    /// down and reloading the global checkpoint.
+    /// checkpoint step. Shards are the *localized* recovery tier: after a
+    /// single rank death the next epoch starts from the dead rank's shard
+    /// plus the survivors' in-memory copies of theirs, without reading
+    /// the global checkpoint.
     pub shards: bool,
 }
 
@@ -121,9 +127,9 @@ pub struct ParallelOptions {
     /// one-line §7.3-style breakdown, also emitted into the metrics
     /// stream as an `imbalance_heartbeat` event. 0 disables (default).
     pub report_every: usize,
-    /// How many localized (shard-based, in-epoch) recoveries the
-    /// supervisor may perform per epoch before escalating to a global
-    /// checkpoint reload. Only meaningful with [`ParallelCkpt::shards`].
+    /// How many failed epochs the supervisor may restart from the shards
+    /// in one run; past it every failure goes to the global rotation.
+    /// Only meaningful with [`ParallelCkpt::shards`].
     pub max_local_recoveries: usize,
     /// Invariant-audit stride: every `audit_every` steps the ranks run a
     /// collective conservation audit (atom-count conservation across
@@ -268,9 +274,8 @@ pub struct ParallelRun {
     /// Epochs the supervisor recovered from via a *global* checkpoint
     /// reload (0 for a clean run).
     pub recoveries: usize,
-    /// Rank deaths the supervisor absorbed *inside* an epoch by
-    /// respawning the dead rank from its per-rank shard while the
-    /// survivors rewound in memory (the localized recovery tier).
+    /// Failed epochs the supervisor restarted from the per-rank shards
+    /// (the localized recovery tier) instead of the global rotation.
     pub local_recoveries: usize,
     /// Checkpoint generation each recovery reloaded, in order. A path
     /// with a `.1`/`.2` suffix means the newest generation was unusable
@@ -301,6 +306,14 @@ struct RankOutcome {
     /// rank's vector is a prefix of the true sequence.
     thermo: Vec<ThermoSample>,
     failure: Option<String>,
+    /// The failure is a cascade: this rank saw a peer die
+    /// ([`CommError::PeerFailed`]) rather than failing on its own.
+    cascade: bool,
+    /// The invariant-audit violation this rank failed with, if any.
+    audit: Option<AuditFailure>,
+    /// In-memory copy of the shard this rank wrote at its last checkpoint
+    /// step of the epoch (shards on only).
+    snap: Option<RankShard>,
 }
 
 struct EpochOutcome {
@@ -310,22 +323,26 @@ struct EpochOutcome {
     /// Per-rank observability registries the rank threads recorded into
     /// (spans, latency histograms, trace lanes), indexed by rank.
     registries: Vec<Arc<Registry>>,
-    /// Rank deaths absorbed inside this epoch via localized respawn.
-    local_recoveries: usize,
-    /// First invariant-audit violation, if the epoch died to one.
-    audit: Option<AuditFailure>,
 }
 
 impl EpochOutcome {
+    /// The ranks that failed on their own, not by cascade.
+    fn root_causes(&self) -> impl Iterator<Item = &RankOutcome> {
+        self.outcomes
+            .iter()
+            .filter(|o| o.failure.is_some() && !o.cascade)
+    }
+
+    /// Diagnose with the root cause — the failing rank's own report — and
+    /// fall back to a cascade only if no rank failed on its own.
     fn failure(&self) -> Option<&str> {
-        let failures = || self.outcomes.iter().filter_map(|o| o.failure.as_deref());
-        // "peer rank N failed" is a cascade: a survivor noticing someone
-        // else's death. Diagnose with the root cause — the failing rank's
-        // own report — and fall back to the cascade only if the dead
-        // rank's thread never produced one.
-        failures()
-            .find(|f| !f.contains("peer rank"))
-            .or_else(|| failures().next())
+        self.root_causes()
+            .chain(self.outcomes.iter())
+            .find_map(|o| o.failure.as_deref())
+    }
+
+    fn audit(&self) -> Option<&AuditFailure> {
+        self.outcomes.iter().find_map(|o| o.audit.as_ref())
     }
 
     /// Longest recorded thermo prefix across ranks.
@@ -409,7 +426,6 @@ pub fn run_parallel_md(
             faults.clone(),
         );
         reduce_operations += epoch.reduce_operations;
-        local_recoveries += epoch.local_recoveries;
         // publish per-rank trace lanes and histogram summaries for clean
         // AND failed epochs: a dying epoch's partial observability is
         // often the most interesting part of the run
@@ -435,21 +451,23 @@ pub fn run_parallel_md(
             for s in epoch.best_thermo() {
                 accum.insert(s.step, *s);
             }
-            let mut positions = vec![[0.0; 3]; sys.len()];
-            let mut velocities = vec![[0.0; 3]; sys.len()];
-            let mut types = vec![0usize; sys.len()];
-            let mut rank_stats = Vec::with_capacity(epoch.outcomes.len());
-            for o in &epoch.outcomes {
-                for (k, &id) in o.state.ids.iter().enumerate() {
-                    let id = id as usize;
-                    if id < sys.len() {
-                        positions[id] = o.state.sys.positions[k];
-                        velocities[id] = o.state.sys.velocities[k];
-                        types[id] = o.state.sys.types[k];
-                    }
-                }
-                rank_stats.push(o.stats.clone());
-            }
+            let progress = MdProgress {
+                step: end_step,
+                rng_draws: start_rng,
+            };
+            let atoms = epoch.outcomes.iter().flat_map(|o| o.state.owned_atoms());
+            let Some(last) = assemble(atoms, sys.len(), sys.cell, &sys.masses, progress) else {
+                // only reachable if migrate lost or duplicated an atom
+                let failure = AuditFailure {
+                    rank: 0,
+                    step: end_step,
+                    check: "atom_count",
+                    detail: "the final gather does not hold every atom id once".into(),
+                };
+                return Err(RunError::Audit { failure });
+            };
+            let mut rank_stats: Vec<RankStats> =
+                epoch.outcomes.iter().map(|o| o.stats.clone()).collect();
             rank_stats.sort_by_key(|s| s.rank);
             let flops = dp_obs::counter("flops").get().saturating_sub(epoch_flops0);
             let imbalance = build_imbalance(
@@ -458,14 +476,12 @@ pub fn run_parallel_md(
                 (end_step - start_step) as u64,
                 flops,
             );
-            let mut final_sys = System::new(sys.cell, positions, types, sys.masses.clone());
-            final_sys.velocities = velocities;
             return Ok(ParallelRun {
                 thermo: accum.into_values().collect(),
                 steps: n_steps,
                 loop_time: start.elapsed(),
                 rank_stats,
-                system: final_sys,
+                system: last.restore().0,
                 reduce_operations,
                 recoveries,
                 local_recoveries,
@@ -475,53 +491,78 @@ pub fn run_parallel_md(
             });
         };
 
-        // failed epoch: count it, then try to recover
+        // failed epoch: count it and leave the dead rank's last-N-steps
+        // window behind before deciding anything
         dp_obs::counter("fault.detected").add(1);
+        for o in epoch.root_causes() {
+            let dump = dp_obs::flight::dump_rank(o.rank, "rank_death");
+            emit_flight_lines(dump.into_iter().collect());
+        }
+        record_failed_epoch_metrics(&epoch, start_step, sys.len());
         // an invariant-audit violation is evidence of state corruption:
         // fail fast with the typed report instead of recovering — a
         // checkpoint written after the violation cannot be trusted either
-        if let Some(af) = epoch.audit.clone() {
+        if let Some(failure) = epoch.audit().cloned() {
             dp_obs::counter("audit.failed").add(1);
             emit_flight_lines(dp_obs::flight::dump("audit_failure"));
-            record_failed_epoch_metrics(&epoch, start_step, sys.len());
-            return Err(RunError::Audit { failure: af });
+            return Err(RunError::Audit { failure });
         }
         let Some(ck) = opts.checkpoint.as_ref().filter(|c| c.every > 0) else {
             emit_flight_lines(dp_obs::flight::dump("rank_failure"));
-            record_failed_epoch_metrics(&epoch, start_step, sys.len());
             return Err(RunError::RankFailure { failure });
         };
-        if recoveries >= opts.max_recoveries {
-            emit_flight_lines(dp_obs::flight::dump("retries_exhausted"));
-            record_failed_epoch_metrics(&epoch, start_step, sys.len());
-            return Err(RunError::RetriesExhausted {
-                attempts: recoveries,
-                last: failure,
-            });
-        }
-        dp_obs::counter("recovery.attempt").add(1);
-        emit_flight_lines(dp_obs::flight::dump("recovery_escalation"));
-        record_failed_epoch_metrics(&epoch, start_step, sys.len());
-        recoveries += 1;
 
         let _span = dp_obs::span("recovery_reload");
-        let reload_t0 = Instant::now();
-        let (snap, from) = MdCheckpoint::load(&ck.rotation).map_err(|e| RunError::Recovery {
-            failure: failure.clone(),
-            source: e,
-        })?;
-        if snap.progress.step < opts.start_step || snap.progress.step > end_step {
-            return Err(RunError::Recovery {
-                failure,
-                source: CkptError::Malformed(format!(
-                    "checkpoint at step {} is outside the run window {}..{}",
-                    snap.progress.step, opts.start_step, end_step
-                )),
-            });
+        let t0 = Instant::now();
+        let mut from_shards = None;
+        if ck.shards && local_recoveries < opts.max_local_recoveries {
+            dp_obs::counter("recovery.local.attempt").add(1);
+            match shard_checkpoint(&epoch, ck, sys, start_step, end_step) {
+                Ok(snap) => from_shards = Some(snap),
+                Err(why) => {
+                    eprintln!(
+                        "warning: localized recovery failed ({why}); \
+                         escalating to global checkpoint reload"
+                    );
+                    dp_obs::counter("recovery.local.fallback").add(1);
+                }
+            }
         }
-        if from != ck.rotation.slot_path(0) {
-            dp_obs::counter("recovery.ckpt_fallback").add(1);
-        }
+        let snap = if let Some(snap) = from_shards {
+            dp_obs::counter("recovery.local.success").add(1);
+            local_recoveries += 1;
+            snap
+        } else {
+            if recoveries >= opts.max_recoveries {
+                emit_flight_lines(dp_obs::flight::dump("retries_exhausted"));
+                return Err(RunError::RetriesExhausted {
+                    attempts: recoveries,
+                    last: failure,
+                });
+            }
+            dp_obs::counter("recovery.attempt").add(1);
+            emit_flight_lines(dp_obs::flight::dump("recovery_escalation"));
+            recoveries += 1;
+            let (snap, from) =
+                MdCheckpoint::load(&ck.rotation).map_err(|e| RunError::Recovery {
+                    failure: failure.clone(),
+                    source: e,
+                })?;
+            if snap.progress.step < opts.start_step || snap.progress.step > end_step {
+                return Err(RunError::Recovery {
+                    failure,
+                    source: CkptError::Malformed(format!(
+                        "checkpoint at step {} is outside the run window {}..{}",
+                        snap.progress.step, opts.start_step, end_step
+                    )),
+                });
+            }
+            if from != ck.rotation.slot_path(0) {
+                dp_obs::counter("recovery.ckpt_fallback").add(1);
+            }
+            recovered_from.push(from);
+            snap
+        };
         // Keep only samples at or before the reload point; the recovered
         // epoch regenerates everything after it (bit-identically).
         for s in epoch.best_thermo() {
@@ -533,9 +574,52 @@ pub fn run_parallel_md(
         restored = Some(sys2);
         start_step = progress.step;
         start_rng = progress.rng_draws;
-        recovered_from.push(from);
-        record_recovery_latency(reload_t0);
+        record_recovery_latency(t0);
     }
+}
+
+/// The shard source: the global checkpoint of checkpoint step `s`,
+/// assembled from the dead rank's shard file and every survivor's
+/// in-memory copy of its own. It holds exactly what the global generation
+/// written at `s` holds — both are taken after the step-`s` gather, and
+/// the realignment between them only changes which rank owns an atom — so
+/// the rotation's bit-exact replay argument covers it too. Refused unless
+/// exactly one rank failed on its own and every piece is at one step `s`
+/// inside the epoch window.
+fn shard_checkpoint(
+    epoch: &EpochOutcome,
+    ck: &ParallelCkpt,
+    sys: &System,
+    start_step: usize,
+    end_step: usize,
+) -> Result<MdCheckpoint, String> {
+    let mut dead = epoch.root_causes();
+    let (Some(dead), None) = (dead.next(), dead.next()) else {
+        return Err("not exactly one rank failed on its own".into());
+    };
+    let set = ShardSet::new(ck.rotation.base());
+    let shard =
+        RankShard::load(&set, dead.rank).map_err(|e| format!("rank {}'s shard: {e}", dead.rank))?;
+    let s = shard.step as usize;
+    if s <= start_step || s >= end_step {
+        return Err(format!(
+            "shard step {s} outside the epoch window {start_step}..{end_step}"
+        ));
+    }
+    let mut pieces = vec![&shard];
+    for o in epoch.outcomes.iter().filter(|o| o.rank != dead.rank) {
+        match &o.snap {
+            Some(snap) if snap.step == shard.step => pieces.push(snap),
+            _ => return Err(format!("rank {}'s snapshot is not at step {s}", o.rank)),
+        }
+    }
+    let progress = MdProgress {
+        step: s,
+        rng_draws: shard.rng_draws,
+    };
+    let atoms = pieces.into_iter().flat_map(RankShard::atoms);
+    assemble(atoms, sys.len(), sys.cell, &sys.masses, progress)
+        .ok_or_else(|| format!("the step-{s} shards do not hold every atom once"))
 }
 
 /// Close out one recovery of either tier: its cost goes into the shared
@@ -672,103 +756,8 @@ impl std::fmt::Display for RankError {
     }
 }
 
-/// Control events the rank threads send the in-epoch supervisor.
-enum Ctl {
-    /// This rank failed on its own (injected kill, panic, protocol
-    /// violation, timeout, or an audit violation). Sent only when
-    /// localized recovery is enabled; always followed by `Finished`.
-    Dead {
-        rank: usize,
-        audit: Option<AuditFailure>,
-        recoverable: bool,
-    },
-    /// A survivor noticed a peer death, dropped its mesh endpoints (so
-    /// chain-blocked partners disconnect instead of timing out), and
-    /// parked at the recovery barrier. `snap_step` labels its in-memory
-    /// shard snapshot (`None` before the first checkpoint of the epoch).
-    Paused { rank: usize, snap_step: Option<usize> },
-    /// The thread is exiting for good.
-    Finished(Box<RankOutcome>),
-}
-
-/// The barrier paused survivors park at while the supervisor decides
-/// between localized respawn and escalation to the global tier.
-struct Recovery {
-    /// Localized recovery configured (checkpointing with shards on).
-    enabled: bool,
-    state: Mutex<RecoveryState>,
-    cv: Condvar,
-    /// How long a parked survivor waits for a directive before treating
-    /// the recovery as failed and exiting with its cascade error.
-    pause_deadline: Duration,
-}
-
-struct RecoveryState {
-    /// Sticky: once the supervisor escalates, all present and future
-    /// parkers exit instead of waiting.
-    aborted: bool,
-    resume_step: usize,
-    /// Fresh mesh endpoints (one slot per rank) for the survivors; the
-    /// dead rank's endpoint goes to the respawned thread directly.
-    comms: Vec<Option<RankComm>>,
-}
-
-impl Recovery {
-    fn new(enabled: bool, n_ranks: usize, pause_deadline: Duration) -> Self {
-        Self {
-            enabled,
-            state: Mutex::new(RecoveryState {
-                aborted: false,
-                resume_step: 0,
-                comms: (0..n_ranks).map(|_| None).collect(),
-            }),
-            cv: Condvar::new(),
-            pause_deadline,
-        }
-    }
-
-    /// Survivor side: park until the supervisor publishes a directive.
-    /// Returns the fresh mesh endpoint and the step to rewind to, or
-    /// `None` if the supervisor escalated (or never answered).
-    fn await_directive(&self, rank: usize) -> Option<(RankComm, usize)> {
-        // Wait on this rank's endpoint slot, not on a wakeup count: the
-        // supervisor may publish between this rank's `Paused` message
-        // and its arrival here, and that directive must not be missed.
-        let (mut st, _) = self
-            .cv
-            .wait_timeout_while(lock(&self.state), self.pause_deadline, |s| {
-                s.comms[rank].is_none() && !s.aborted
-            })
-            .unwrap_or_else(PoisonError::into_inner);
-        if st.aborted {
-            return None;
-        }
-        let step = st.resume_step;
-        st.comms[rank].take().map(|c| (c, step))
-    }
-
-    /// Supervisor side: hand every survivor its fresh endpoint and wake
-    /// them to rewind to `step`. Only sound at the quiescent barrier.
-    fn resume(&self, step: usize, comms: Vec<Option<RankComm>>) {
-        let mut st = lock(&self.state);
-        st.resume_step = step;
-        st.comms = comms;
-        self.cv.notify_all();
-    }
-
-    /// Supervisor side: give up on localized recovery; parked survivors
-    /// exit with their cascade errors and the epoch fails as a whole.
-    fn abort(&self) {
-        let mut st = lock(&self.state);
-        st.aborted = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Everything a rank thread needs besides its own mutable state; cloned
-/// once per spawned thread (localized-recovery respawns included). All
+/// Everything a rank thread needs besides its own mutable state. All
 /// referents live in `run_epoch`'s frame, which outlives the scope.
-#[derive(Clone)]
 struct RankCtx<'a> {
     grid: &'a DomainGrid,
     pot: &'a Arc<dyn Potential>,
@@ -784,8 +773,6 @@ struct RankCtx<'a> {
     audit_reduce: &'a Allreduce,
     faults: Option<&'a FaultState>,
     shards: Option<&'a ShardSet>,
-    recovery: &'a Recovery,
-    ctl: Sender<Ctl>,
 }
 
 fn poison_all(ctx: &RankCtx<'_>, rank: usize) {
@@ -795,113 +782,66 @@ fn poison_all(ctx: &RankCtx<'_>, rank: usize) {
     ctx.audit_reduce.poison(rank);
 }
 
-/// The body of one rank thread: run `rank_loop` segments until the epoch
-/// completes or the rank dies for good. With localized recovery enabled,
-/// a segment ending in a *cascade* error (a peer died) parks at the
-/// recovery barrier; if the supervisor pulls off a localized respawn of
-/// the dead rank, this thread rewinds to its in-memory shard snapshot,
-/// takes a fresh mesh endpoint, and replays — bit-exactly, because the
-/// snapshot is the realigned post-checkpoint state a restart would
-/// scatter.
+/// The body of one rank thread: run `rank_loop` under `catch_unwind` and
+/// report how it ended. A failing rank poisons the reduction barriers and
+/// drops its mesh endpoint on the way out, so every peer blocked on it
+/// wakes with [`CommError::PeerFailed`] instead of waiting out the
+/// deadline.
 fn rank_thread(
-    ctx: RankCtx<'_>,
+    ctx: &RankCtx<'_>,
     registry: Arc<Registry>,
     mut st: RankState,
-    mut thermo: Vec<ThermoSample>,
-    mut start_step: usize,
     comm: RankComm,
-    mut snap: Option<RankShard>,
-) {
+    start_step: usize,
+) -> RankOutcome {
     let rank = st.rank;
     let mut stats = RankStats {
         rank,
         ..RankStats::default()
     };
+    let mut thermo = Vec::new();
+    let mut snap = None;
     let _obs_scope = dp_obs::scope(registry);
-    let mut comm = Some(comm);
-    let failure: Option<String> = loop {
-        let Some(c) = comm.take() else {
-            break Some(format!("rank {rank}: lost mesh endpoint"));
-        };
-        let res = catch_unwind(AssertUnwindSafe(|| {
-            rank_loop(
-                &mut st,
-                &c,
-                &ctx,
-                start_step,
-                &mut stats,
-                &mut thermo,
-                &mut snap,
-            )
-        }));
-        let cascade = matches!(
-            &res,
-            Ok(Err(RankError::Comm(CommError::PeerFailed { .. })))
-        );
-        match res {
-            Ok(Ok(())) => break None,
-            Ok(Err(e)) if cascade && ctx.recovery.enabled => {
-                // a peer died, not us: wake partners blocked on our
-                // channels, then park and let the supervisor decide
-                drop(c);
-                let snap_step = snap.as_ref().map(|s| s.step as usize);
-                let _ = ctx.ctl.send(Ctl::Paused { rank, snap_step });
-                match ctx.recovery.await_directive(rank) {
-                    Some((fresh, resume_step)) => match snap.as_ref() {
-                        Some(s) if s.step as usize == resume_step => {
-                            st.restore_from_shard(s);
-                            thermo.retain(|t| t.step <= resume_step);
-                            start_step = resume_step;
-                            comm = Some(fresh);
-                            continue;
-                        }
-                        _ => break Some(format!("rank {rank}: {e} (resume snapshot mismatch)")),
-                    },
-                    None => break Some(format!("rank {rank}: {e}")),
-                }
-            }
-            Ok(Err(e)) => {
-                let (audit, recoverable) = match &e {
-                    RankError::Audit(af) => (Some(af.clone()), false),
-                    RankError::Comm(_) => (None, true),
-                };
-                poison_all(&ctx, rank);
-                drop(c);
-                // an audit failure must reach the supervisor even with
-                // localized recovery off, or the epoch is "recovered" by
-                // a global reload instead of failing with exit 6
-                if ctx.recovery.enabled || audit.is_some() {
-                    let _ = ctx.ctl.send(Ctl::Dead {
-                        rank,
-                        audit,
-                        recoverable,
-                    });
-                }
-                break Some(format!("rank {rank}: {e}"));
-            }
-            Err(payload) => {
-                let msg = fault::describe_panic(rank, payload.as_ref());
-                poison_all(&ctx, rank);
-                drop(c);
-                if ctx.recovery.enabled {
-                    let _ = ctx.ctl.send(Ctl::Dead {
-                        rank,
-                        audit: None,
-                        recoverable: true,
-                    });
-                }
-                break Some(msg);
-            }
-        }
+    let res = catch_unwind(AssertUnwindSafe(|| {
+        rank_loop(
+            &mut st,
+            &comm,
+            ctx,
+            start_step,
+            &mut stats,
+            &mut thermo,
+            &mut snap,
+        )
+    }));
+    let (failure, cascade, audit) = match res {
+        Ok(Ok(())) => (None, false, None),
+        Ok(Err(RankError::Comm(e))) => (
+            Some(format!("rank {rank}: {e}")),
+            matches!(e, CommError::PeerFailed { .. }),
+            None,
+        ),
+        Ok(Err(RankError::Audit(af))) => (Some(format!("rank {rank}: {af}")), false, Some(af)),
+        Err(payload) => (
+            Some(fault::describe_panic(rank, payload.as_ref())),
+            false,
+            None,
+        ),
     };
+    if failure.is_some() {
+        poison_all(ctx, rank);
+    }
+    drop(comm);
     stats.final_local = st.ids.len();
-    let _ = ctx.ctl.send(Ctl::Finished(Box::new(RankOutcome {
+    RankOutcome {
         rank,
         state: st,
         stats,
         thermo,
         failure,
-    })));
+        cascade,
+        audit,
+        snap,
+    }
 }
 
 /// Scatter the state, spawn one thread per rank, run the step loop under
@@ -937,12 +877,12 @@ fn run_epoch(
     }
 
     let mesh = RankComm::mesh_with(n_ranks, opts.comm_deadline, faults.clone());
-    let thermo_reduce = Arc::new(Allreduce::with_deadline(n_ranks, 9, opts.comm_deadline));
-    let flag_reduce = Arc::new(Allreduce::with_deadline(n_ranks, 1, opts.comm_deadline));
+    let thermo_reduce = Allreduce::with_deadline(n_ranks, 9, opts.comm_deadline);
+    let flag_reduce = Allreduce::with_deadline(n_ranks, 1, opts.comm_deadline);
     // dedicated barrier for the heartbeat allgather ([compute, comm,
     // wait, wall] seconds per rank) so it never shares a generation with
     // the thermo/flag reductions
-    let stats_gather = Arc::new(Allreduce::with_deadline(n_ranks, 4, opts.comm_deadline));
+    let stats_gather = Allreduce::with_deadline(n_ranks, 4, opts.comm_deadline);
     // one observability registry per rank: installed thread-locally in
     // the rank thread, so its spans/histograms land in a per-rank table
     // tagged with the rank id (the chrome-trace tid lane after merging)
@@ -958,9 +898,9 @@ fn run_epoch(
         })
         .collect();
 
-    // localized recovery needs per-rank shards next to the rotation; any
-    // shard files left over from a previous (failed) epoch are stale
-    // relative to this epoch's replay position, so clear them first
+    // per-rank shards next to the rotation; any shard files left over
+    // from a previous (failed) epoch are stale relative to this epoch's
+    // replay position, so clear them first
     let shard_set = opts
         .checkpoint
         .as_ref()
@@ -971,16 +911,10 @@ fn run_epoch(
             let _ = std::fs::remove_file(set.path(r));
         }
     }
-    let local_enabled = shard_set.is_some();
     // dedicated barrier for the invariant audit (width 4) so it never
     // shares a generation with the thermo/flag/heartbeat reductions
-    let audit_reduce = Arc::new(Allreduce::with_deadline(n_ranks, 4, opts.comm_deadline));
-    let (ctl_tx, ctl_rx) = channel::<Ctl>();
-    // parked survivors wait long enough to cover a peer that only
-    // notices the death via its own comm deadline
-    let pause_deadline = opts.comm_deadline * 2 + Duration::from_secs(5);
-    let recovery = Recovery::new(local_enabled, n_ranks, pause_deadline);
-    let base_ctx = RankCtx {
+    let audit_reduce = Allreduce::with_deadline(n_ranks, 4, opts.comm_deadline);
+    let ctx = RankCtx {
         grid,
         pot,
         opts,
@@ -994,224 +928,43 @@ fn run_epoch(
         audit_reduce: &audit_reduce,
         faults: faults.as_deref(),
         shards: shard_set.as_ref(),
-        recovery: &recovery,
-        ctl: ctl_tx,
     };
-    let mut epoch_local_recoveries = 0usize;
-    let mut epoch_audit: Option<AuditFailure> = None;
     let start = Instant::now();
 
-    let outcome_slots: Vec<Option<RankOutcome>> = std::thread::scope(|scope| {
-        for (state, comm) in initial.drain(..).zip(mesh) {
-            let ctx = base_ctx.clone();
-            let registry = registries[state.rank].clone();
-            scope.spawn(move || {
-                rank_thread(ctx, registry, state, Vec::new(), start_step, comm, None)
-            });
-        }
-
-        // ---- in-epoch supervisor ------------------------------------
-        // Collects rank outcomes; on a root-cause death with localized
-        // recovery enabled it assembles the recovery barrier (all
-        // survivors parked, dead thread exited), reloads the dead rank's
-        // shard, rebuilds the mesh, and respawns — otherwise it aborts
-        // the epoch and the outer loop escalates to the global tier.
-        let mut outcomes: Vec<Option<RankOutcome>> = (0..n_ranks).map(|_| None).collect();
-        let mut live = n_ranks;
-        let mut parked = vec![false; n_ranks];
-        let mut snap_steps: Vec<Option<usize>> = vec![None; n_ranks];
-        // (dead rank, barrier-assembly start) of the recovery in flight
-        let mut pending: Option<(usize, Instant)> = None;
-        let mut aborted = false;
-        let mut attempts = 0usize;
-        while live > 0 {
-            let Ok(ev) = ctl_rx.recv() else { break };
-            match ev {
-                Ctl::Finished(o) => {
-                    let r = o.rank;
-                    outcomes[r] = Some(*o);
-                    live -= 1;
-                }
-                Ctl::Paused { rank, snap_step } => {
-                    parked[rank] = true;
-                    snap_steps[rank] = snap_step;
-                }
-                Ctl::Dead {
-                    rank,
-                    audit,
-                    recoverable,
-                } => {
-                    // post-mortem first: the dead rank's last-N-steps
-                    // window, dumped before any recovery decision (a
-                    // localized respawn keeps writing to this ring)
-                    emit_flight_lines(
-                        dp_obs::flight::dump_rank(rank, "rank_death")
-                            .into_iter()
-                            .collect(),
-                    );
-                    if audit.is_some() && epoch_audit.is_none() {
-                        epoch_audit = audit;
-                    }
-                    let local_ok = recoverable
-                        && !aborted
-                        && pending.is_none()
-                        && epoch_audit.is_none()
-                        && attempts < opts.max_local_recoveries;
-                    if local_ok {
-                        dp_obs::counter("recovery.local.attempt").add(1);
-                        pending = Some((rank, Instant::now()));
-                    } else {
-                        if pending.take().is_some() {
-                            dp_obs::counter("recovery.local.fallback").add(1);
-                        }
-                        if recovery.enabled && !aborted {
-                            recovery.abort();
-                        }
-                        aborted = true;
-                    }
-                }
-            }
-
-            // try to complete the recovery in flight
-            let Some((dead, t0)) = pending else { continue };
-            if aborted {
-                pending = None;
-                continue;
-            }
-            if (0..n_ranks).any(|r| r != dead && outcomes[r].is_some()) {
-                // a second rank died outright while the barrier was
-                // assembling: one shard cannot fill two holes — escalate
-                dp_obs::counter("recovery.local.fallback").add(1);
-                recovery.abort();
-                aborted = true;
-                pending = None;
-                continue;
-            }
-            let others_parked = (0..n_ranks).filter(|&r| r != dead).all(|r| parked[r]);
-            if outcomes[dead].is_none() || !others_parked {
-                continue; // barrier still assembling
-            }
-            // all survivors parked with their snapshot labels; their
-            // snapshots must agree on a single step for a consistent cut
-            let mut agreed: Result<Option<usize>, ()> = Ok(None);
-            for r in (0..n_ranks).filter(|&r| r != dead) {
-                agreed = match (agreed, snap_steps[r]) {
-                    (Ok(None), Some(s)) => Ok(Some(s)),
-                    (Ok(Some(a)), Some(s)) if s == a => Ok(Some(a)),
-                    _ => Err(()),
-                };
-                if agreed.is_err() {
-                    break;
-                }
-            }
-            let respawn = (|| -> Result<(RankShard, usize), String> {
-                let set = shard_set
-                    .as_ref()
-                    .ok_or_else(|| "no shard set configured".to_string())?;
-                let shard = RankShard::load(set, dead).map_err(|e| e.to_string())?;
-                let s = shard.step as usize;
-                if s <= start_step || s >= end_step {
-                    return Err(format!(
-                        "shard step {s} outside the epoch window {start_step}..{end_step}"
-                    ));
-                }
-                match agreed {
-                    Ok(Some(a)) if a == s => {}
-                    Ok(None) if n_ranks == 1 => {}
-                    _ => return Err("survivor snapshots disagree with the shard step".into()),
-                }
-                Ok((shard, s))
-            })();
-            match respawn {
-                Ok((shard, s)) => {
-                    let mut nst = empty_state(dead);
-                    nst.restore_from_shard(&shard);
-                    // Fresh mesh: every point-to-point pair restarts at
-                    // sequence 0 and stale in-flight messages die with
-                    // the old channels, so the respawned rank's first
-                    // exchange cannot trip seq-gap detection against the
-                    // dead rank's retired sequence counters.
-                    let mut slots: Vec<Option<RankComm>> =
-                        RankComm::mesh_with(n_ranks, opts.comm_deadline, faults.clone())
-                            .into_iter()
-                            .map(Some)
-                            .collect();
-                    let dead_comm = slots[dead].take();
-                    // the barrier is quiescent (dead thread exited, all
-                    // survivors parked outside any reduction): re-arm
-                    // the poisoned reduction barriers
-                    thermo_reduce.reset();
-                    flag_reduce.reset();
-                    stats_gather.reset();
-                    audit_reduce.reset();
-                    // the dead thread's thermo prefix rides into the
-                    // replacement so rank-local history stays complete
-                    // even on a single-rank grid
-                    let mut dthermo = outcomes[dead]
-                        .take()
-                        .map(|o| o.thermo)
-                        .unwrap_or_default();
-                    dthermo.retain(|t| t.step <= s);
-                    live += 1;
-                    recovery.resume(s, slots);
-                    if let Some(comm) = dead_comm {
-                        let ctx = base_ctx.clone();
-                        let registry = registries[dead].clone();
-                        let seed = Some(shard);
-                        scope.spawn(move || {
-                            rank_thread(ctx, registry, nst, dthermo, s, comm, seed)
-                        });
-                    }
-                    attempts += 1;
-                    epoch_local_recoveries += 1;
-                    // a death repaired in place never fails its epoch,
-                    // so it is counted here (an escalated one is counted
-                    // once, with the failed epoch)
-                    dp_obs::counter("fault.detected").add(1);
-                    dp_obs::counter("recovery.local.success").add(1);
-                    record_recovery_latency(t0);
-                    parked = vec![false; n_ranks];
-                    snap_steps = vec![None; n_ranks];
-                    pending = None;
-                }
-                Err(why) => {
-                    eprintln!(
-                        "warning: localized recovery of rank {dead} failed ({why}); \
-                         escalating to global checkpoint reload"
-                    );
-                    dp_obs::counter("recovery.local.fallback").add(1);
-                    recovery.abort();
-                    aborted = true;
-                    pending = None;
-                }
-            }
-        }
-        outcomes
-    });
-
-    let outcomes: Vec<RankOutcome> = outcome_slots
-        .into_iter()
-        .enumerate()
-        .map(|(rank, o)| {
-            o.unwrap_or_else(|| RankOutcome {
-                rank,
-                state: empty_state(rank),
-                stats: RankStats {
-                    rank,
-                    ..RankStats::default()
-                },
-                thermo: Vec::new(),
-                failure: Some(format!("rank {rank} thread aborted outside catch_unwind")),
+    let outcomes: Vec<RankOutcome> = std::thread::scope(|scope| {
+        let threads: Vec<_> = initial
+            .into_iter()
+            .zip(mesh)
+            .map(|(state, comm)| {
+                let (ctx, registry) = (&ctx, registries[state.rank].clone());
+                scope.spawn(move || rank_thread(ctx, registry, state, comm, start_step))
             })
-        })
-        .collect();
+            .collect();
+        threads
+            .into_iter()
+            .enumerate()
+            .map(|(rank, thread)| {
+                thread.join().unwrap_or_else(|_| RankOutcome {
+                    rank,
+                    state: empty_state(rank),
+                    stats: RankStats {
+                        rank,
+                        ..RankStats::default()
+                    },
+                    thermo: Vec::new(),
+                    failure: Some(format!("rank {rank} thread aborted outside catch_unwind")),
+                    cascade: false,
+                    audit: None,
+                    snap: None,
+                })
+            })
+            .collect()
+    });
     EpochOutcome {
         outcomes,
         reduce_operations: thermo_reduce.operations(),
         wall: start.elapsed(),
         registries,
-        local_recoveries: epoch_local_recoveries,
-        audit: epoch_audit,
     }
 }
 
@@ -1373,10 +1126,9 @@ fn rank_loop(
                     });
                     stats.comm_time += d;
                     res?;
-                    // per-rank shard at the realigned instant: exactly
-                    // the state a localized respawn must reconstruct.
-                    // The same payload stays in memory so survivors can
-                    // rewind to the identical cut without touching disk.
+                    // per-rank shard at the realigned instant. The same
+                    // payload stays in memory: if a peer dies, this
+                    // rank's piece of the shard source needs no disk.
                     if let Some(set) = ctx.shards {
                         let shard = st.capture_shard(step, start_rng);
                         let ((), d) = dp_obs::timed("io", || match shard.save(set) {
@@ -1677,15 +1429,7 @@ fn gather_checkpoint(
     ck: &ParallelCkpt,
     faults: Option<&FaultState>,
 ) -> Result<(), CommError> {
-    let mine: Vec<CkptAtom> = (0..st.ids.len())
-        .map(|k| CkptAtom {
-            id: st.ids[k],
-            ty: st.sys.types[k] as u32,
-            position: st.sys.positions[k],
-            velocity: st.sys.velocities[k],
-            force: st.sys.forces[k],
-        })
-        .collect();
+    let mine: Vec<_> = st.owned_atoms().collect();
     if st.rank != 0 {
         return comm.send(0, Msg::CkptAtoms(mine));
     }
@@ -1702,33 +1446,12 @@ fn gather_checkpoint(
             }
         }
     }
-    let n = atoms.len();
-    let mut positions = vec![[0.0; 3]; n];
-    let mut velocities = vec![[0.0; 3]; n];
-    let mut forces = vec![[0.0; 3]; n];
-    let mut types = vec![0usize; n];
-    for a in &atoms {
-        let id = a.id as usize;
-        if id >= n {
-            return Err(CommError::Protocol {
-                from: 0,
-                expected: "gathered atom ids within 0..n_atoms",
-            });
-        }
-        positions[id] = a.position;
-        velocities[id] = a.velocity;
-        forces[id] = a.force;
-        types[id] = a.ty as usize;
-    }
-    let snap = MdCheckpoint {
-        progress: MdProgress { step, rng_draws },
-        cell: st.sys.cell,
-        positions,
-        velocities,
-        forces,
-        types,
-        masses: st.sys.masses.clone(),
-    };
+    let (n, cell) = (atoms.len(), st.sys.cell);
+    let progress = MdProgress { step, rng_draws };
+    let snap = assemble(atoms, n, cell, &st.sys.masses, progress).ok_or(CommError::Protocol {
+        from: 0,
+        expected: "gathered atom ids covering 0..n_atoms once",
+    })?;
     match snap.save(&ck.rotation) {
         Ok(path) => {
             if let Some(f) = faults {

@@ -11,7 +11,7 @@
 //! [`reverse_comm`] / [`add_reverse_forces`] (ghost forces back to their
 //! owners). Every schedule is static and collective.
 
-use crate::comm::{CommError, GhostAtom, Migrant, Msg, RankComm};
+use crate::comm::{CkptAtom, CommError, GhostAtom, Migrant, Msg, RankComm};
 use crate::driver::RankStats;
 use crate::grid::DomainGrid;
 use crate::shard::RankShard;
@@ -91,16 +91,15 @@ impl RankState {
         }
     }
 
-    /// Rewind the owned atoms to a shard snapshot. Ghosts and their
-    /// bookkeeping (send lists, reference snapshot) are rebuilt by the
-    /// next exchange.
-    pub fn restore_from_shard(&mut self, s: &RankShard) {
-        self.ids.clone_from(&s.ids);
-        self.sys.types.clone_from(&s.types);
-        self.sys.positions.clone_from(&s.positions);
-        self.sys.velocities.clone_from(&s.velocities);
-        self.sys.forces.clone_from(&s.forces);
-        self.sys.n_local = self.ids.len();
+    /// The owned atoms as checkpoint records.
+    pub fn owned_atoms(&self) -> impl Iterator<Item = CkptAtom> + '_ {
+        (0..self.ids.len()).map(|k| CkptAtom {
+            id: self.ids[k],
+            ty: self.sys.types[k] as u32,
+            position: self.sys.positions[k],
+            velocity: self.sys.velocities[k],
+            force: self.sys.forces[k],
+        })
     }
 
     /// Conservative rebuild trigger: any OWNED atom moved > skin/4 since

@@ -1,14 +1,52 @@
-//! One rank's domain payload for per-rank checkpoint shards.
+//! One rank's domain payload for per-rank checkpoint shards, and the one
+//! assembly of per-rank atoms into a global checkpoint.
 //!
 //! Written by each rank at every checkpoint step, right after the
 //! post-checkpoint realignment (migrate → sort-by-id) — the instant at
 //! which the live state is provably identical to what a restart from the
-//! global checkpoint would scatter onto this rank. That makes the shard
-//! sufficient for localized recovery: reload it, respawn the rank, and
-//! the first ghost exchange pulls the halo back from the neighbors; the
-//! replayed trajectory is bit-exact.
+//! global checkpoint would scatter onto this rank. The shards of all ranks
+//! at one step therefore [`assemble`] into that step's global checkpoint,
+//! and a restart from it replays the trajectory bit-exactly.
 
+use crate::comm::CkptAtom;
 use dp_ckpt::{CkptError, CkptReader, CkptWriter, Dec, Enc, ShardSet, KIND_SHARD};
+use dp_md::checkpoint::MdCheckpoint;
+use dp_md::integrate::MdProgress;
+use dp_md::Cell;
+
+/// Lay atoms gathered from any number of ranks out by global id: the
+/// assembly behind the checkpoint gather, the shard source and the
+/// final-state gather. `None` unless the ids are exactly `0..n`.
+pub(crate) fn assemble(
+    atoms: impl IntoIterator<Item = CkptAtom>,
+    n: usize,
+    cell: Cell,
+    masses: &[f64],
+    progress: MdProgress,
+) -> Option<MdCheckpoint> {
+    let mut ck = MdCheckpoint {
+        progress,
+        cell,
+        positions: vec![[0.0; 3]; n],
+        velocities: vec![[0.0; 3]; n],
+        forces: vec![[0.0; 3]; n],
+        types: vec![0; n],
+        masses: masses.to_vec(),
+    };
+    let mut seen = vec![false; n];
+    for a in atoms {
+        let id = a.id as usize;
+        match seen.get_mut(id) {
+            Some(s) if !*s => *s = true,
+            _ => return None,
+        }
+        ck.positions[id] = a.position;
+        ck.velocities[id] = a.velocity;
+        ck.forces[id] = a.force;
+        ck.types[id] = a.ty as usize;
+    }
+    seen.iter().all(|&s| s).then_some(ck)
+}
 
 /// The locally-owned atoms of one rank at one checkpoint step (no
 /// ghosts), in global-id order, plus the progress labels every other
@@ -26,6 +64,16 @@ pub(crate) struct RankShard {
 }
 
 impl RankShard {
+    pub fn atoms(&self) -> impl Iterator<Item = CkptAtom> + '_ {
+        (0..self.ids.len()).map(|k| CkptAtom {
+            id: self.ids[k],
+            ty: self.types[k] as u32,
+            position: self.positions[k],
+            velocity: self.velocities[k],
+            force: self.forces[k],
+        })
+    }
+
     pub fn to_writer(&self) -> CkptWriter {
         let mut w = CkptWriter::new(KIND_SHARD);
         let mut meta = Enc::new();
