@@ -29,12 +29,14 @@
 //! generation reloaded, and the run resumed bit-exactly — or a typed
 //! [`RunError`] surfaces once the retry budget is spent.
 
+mod audit;
 pub mod chaos;
 pub mod comm;
 pub mod driver;
 pub mod fault;
 pub mod grid;
 mod halo;
+mod rank;
 pub mod setup;
 mod shard;
 
