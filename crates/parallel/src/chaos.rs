@@ -118,12 +118,10 @@ pub fn expand_chaos(
             "chaos kills/drops fail epochs and need checkpoint_every > 0 to recover from".into(),
         );
     }
-    if spec.drops > 0 || spec.delays > 0 {
-        if n_ranks < 2 {
-            return Err("chaos drops/delays need at least 2 ranks".into());
-        }
+    if (spec.drops > 0 || spec.delays > 0) && n_ranks < 2 {
+        return Err("chaos drops/delays need at least 2 ranks".into());
     }
-    let mut rng = CounterRng::new(spec.seed ^ 0xd1fa117_c4a05u64);
+    let mut rng = CounterRng::new(spec.seed ^ 0xd1fa_117c_4a05_u64);
 
     // Kills: distinct steps in (ckpt_every, end_step), each strictly
     // after a checkpoint generation exists.

@@ -307,7 +307,7 @@ pub fn run_parallel_md(
     if sys.n_local != sys.len() {
         return Err(RunError::Config("input must have no ghosts".into()));
     }
-    if grid_dims.iter().any(|&d| d == 0) {
+    if grid_dims.contains(&0) {
         return Err(RunError::Config(format!(
             "rank grid {grid_dims:?} has a zero dimension"
         )));

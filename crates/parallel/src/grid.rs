@@ -26,12 +26,12 @@ impl DomainGrid {
         let mut best = [n_ranks, 1, 1];
         let mut best_score = f64::INFINITY;
         for px in 1..=n_ranks {
-            if n_ranks % px != 0 {
+            if !n_ranks.is_multiple_of(px) {
                 continue;
             }
             let rest = n_ranks / px;
             for py in 1..=rest {
-                if rest % py != 0 {
+                if !rest.is_multiple_of(py) {
                     continue;
                 }
                 let pz = rest / py;

@@ -328,8 +328,8 @@ pub(crate) fn add_reverse_forces(st: &mut RankState, comm: &RankComm) -> Result<
                     });
                 }
                 for (f, &k) in v.iter().zip(&st.send_lists[slot]) {
-                    for d in 0..3 {
-                        st.sys.forces[k as usize][d] += f[d];
+                    for (acc, x) in st.sys.forces[k as usize].iter_mut().zip(f) {
+                        *acc += x;
                     }
                 }
             }
