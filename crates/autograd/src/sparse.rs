@@ -96,10 +96,6 @@ impl SparseLinear {
             x[e.in_idx as usize] += e.coeff * y[e.out_idx as usize];
         }
     }
-
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[cfg(test)]

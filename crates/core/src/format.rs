@@ -69,12 +69,6 @@ impl FormattedEnv {
         atom * self.nm + before
     }
 
-    /// Environment row (4 values) of a global slot.
-    #[inline]
-    pub fn env_of(&self, slot: usize) -> &[f64] {
-        &self.env[slot * 4..slot * 4 + 4]
-    }
-
     /// Count of real (non-padding) neighbors.
     pub fn real_neighbors(&self) -> usize {
         self.indices.iter().filter(|&&i| i != NONE).count()

@@ -156,13 +156,6 @@ impl<T: Real> Matrix<T> {
         }
     }
 
-    /// In-place elementwise map.
-    pub fn map_inplace(&mut self, f: impl Fn(T) -> T) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Set every element to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         self.data.fill(T::ZERO);

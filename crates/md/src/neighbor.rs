@@ -245,14 +245,6 @@ impl NeighborList {
         self.neighbors.len()
     }
 
-    /// Largest per-atom neighbor count.
-    pub fn max_neighbors(&self) -> usize {
-        (0..self.len())
-            .map(|i| self.offsets[i + 1] - self.offsets[i])
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Mean neighbor count.
     pub fn mean_neighbors(&self) -> f64 {
         if self.is_empty() {

@@ -196,19 +196,6 @@ impl ImbalanceReport {
     }
 }
 
-/// Map a span name from the workspace taxonomy onto an analyzer phase.
-/// The driver's rank loop feeds the first three directly; this mapping is
-/// for consumers deriving compute/comm/wait fractions from span stats.
-pub fn classify_phase(span_name: &str) -> &'static str {
-    match span_name {
-        "force_eval" | "neighbor_rebuild" | "integrate" | "environment" | "embedding_net"
-        | "embedding_gemm" | "fitting_net" | "prod_force" | "prod_virial" => "compute",
-        "ghost_exchange" | "comm" | "migrate" | "io" => "comm",
-        "reduce" => "wait",
-        _ => "other",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,13 +284,5 @@ mod tests {
         let t = rep.to_table();
         assert!(t.contains("25.0%"), "{t}");
         assert!(t.contains("rank imbalance"));
-    }
-
-    #[test]
-    fn span_taxonomy_maps_onto_phases() {
-        assert_eq!(classify_phase("force_eval"), "compute");
-        assert_eq!(classify_phase("ghost_exchange"), "comm");
-        assert_eq!(classify_phase("reduce"), "wait");
-        assert_eq!(classify_phase("recovery_reload"), "other");
     }
 }

@@ -94,17 +94,6 @@ impl Registry {
             .collect()
     }
 
-    /// Span aggregates recorded under this scope, largest total first.
-    pub fn span_stats(&self) -> Vec<SpanStat> {
-        let map = lock(&self.spans);
-        let mut out: Vec<SpanStat> = map
-            .iter()
-            .map(|(&name, &(count, total))| SpanStat { name, count, total })
-            .collect();
-        out.sort_by(|a, b| b.total.cmp(&a.total));
-        out
-    }
-
     /// Aggregate for one span name under this scope.
     pub fn stat(&self, name: &str) -> Option<SpanStat> {
         lock(&self.spans)

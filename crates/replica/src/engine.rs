@@ -226,11 +226,6 @@ impl EnsembleEngine {
         self.replicas.len()
     }
 
-    /// Total replica-steps advanced (for throughput accounting).
-    pub fn replica_steps(&self) -> u64 {
-        self.step as u64 * self.replicas.len() as u64
-    }
-
     /// Batched force evaluations dispatched so far.
     pub fn evaluations(&self) -> u64 {
         self.evaluations

@@ -85,8 +85,6 @@ struct StoreState {
 struct Inner {
     state: Mutex<StoreState>,
     work: Condvar,
-    /// Signalled whenever a job reaches a terminal state (drain waits on it).
-    settled: Condvar,
 }
 
 /// Shared job store; clone the `Arc` freely across handler and worker
@@ -120,7 +118,6 @@ impl JobStore {
                     draining: false,
                 }),
                 work: Condvar::new(),
-                settled: Condvar::new(),
             }),
         }
     }
@@ -187,18 +184,6 @@ impl JobStore {
         self.inner.work.notify_all();
     }
 
-    /// Block until every job has reached a terminal state.
-    pub fn wait_idle(&self) {
-        let mut s = self.inner.state.lock().unwrap();
-        while s
-            .jobs
-            .values()
-            .any(|j| !j.state.is_terminal())
-        {
-            s = self.inner.settled.wait(s).unwrap();
-        }
-    }
-
     /// Claim the next queued job; blocks until work arrives or the store
     /// drains. Workers call this in a loop and exit on `None`.
     fn claim_next(&self) -> Option<(String, String)> {
@@ -232,7 +217,6 @@ impl JobStore {
                 }
             };
         }
-        self.inner.settled.notify_all();
     }
 }
 

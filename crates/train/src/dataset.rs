@@ -32,11 +32,6 @@ impl Frame {
         self.positions.len()
     }
 
-    /// Rebuild a `System` view (masses needed for MD-based uses).
-    pub fn to_system(&self, masses: Vec<f64>) -> System {
-        System::new(self.cell, self.positions.clone(), self.types.clone(), masses)
-    }
-
     /// Mean energy per atom — used to initialize the model's `e0`.
     pub fn energy_per_atom(&self) -> f64 {
         self.energy / self.n_atoms() as f64
