@@ -1,23 +1,25 @@
 //! The parallel Velocity–Verlet driver with supervised fault recovery.
 //!
-//! One OS thread per rank; each step performs the LAMMPS communication
-//! cycle the paper inherits (§5.4): forward ghost refresh → force
-//! evaluation → reverse force communication → (optionally deferred)
-//! global reductions. Neighbor-list rebuild decisions are collective, so
-//! the message schedule is identical on every rank.
+//! One OS thread per rank (the rank side lives in `rank.rs`); each step
+//! performs the LAMMPS communication cycle the paper inherits (§5.4):
+//! forward ghost refresh → force evaluation → reverse force
+//! communication → (optionally deferred) global reductions.
+//! Neighbor-list rebuild decisions are collective, so the message
+//! schedule is identical on every rank. This module holds the public
+//! types and the supervisor.
 //!
 //! # Supervision
 //!
 //! [`run_parallel_md`] is an *epoch loop*. Each epoch scatters the current
 //! state onto the rank grid and runs the rank threads under
 //! `catch_unwind`. A rank that dies (injected fault, panic, or a
-//! [`CommError`] from a dead peer) poisons the reduction barriers and
-//! drops its mesh endpoints on the way out, so every surviving rank
-//! unwinds with a typed error within the comm deadline instead of
-//! deadlocking. Every failure ends the epoch. The supervisor then reloads
-//! one checkpoint and starts the next epoch from it, on a fresh mesh. It
-//! tries two sources, each with its own budget, and a typed [`RunError`]
-//! surfaces once both are spent:
+//! [`CommError`](crate::CommError) from a dead peer) poisons the
+//! reduction barriers and drops its mesh endpoints on the way out, so
+//! every surviving rank unwinds with a typed error within the comm
+//! deadline instead of deadlocking. Every failure ends the epoch. The
+//! supervisor then reloads one checkpoint and starts the next epoch from
+//! it, on a fresh mesh. It tries two sources, each with its own budget,
+//! and a typed [`RunError`] surfaces once both are spent:
 //!
 //! * the *shards* ([`ParallelCkpt::shards`], `max_local_recoveries`):
 //!   when exactly one rank failed on its own, the survivors' in-memory
@@ -31,8 +33,8 @@
 //! A recovered run must be indistinguishable from an uninterrupted one.
 //! Three mechanisms make that literal, to the last float bit:
 //!
-//! * [`Allreduce`] folds per-rank slots in rank order, so global sums
-//!   don't depend on thread arrival order;
+//! * [`Allreduce`](crate::Allreduce) folds per-rank slots in rank order,
+//!   so global sums don't depend on thread arrival order;
 //! * after every checkpoint gather the ranks *realign*: migrate (forces
 //!   ride along), sort locals by global atom id, and re-exchange — exactly
 //!   the state a restart reconstructs by scattering the checkpoint;
@@ -42,7 +44,7 @@
 //!
 //! # Per-rank observability
 //!
-//! Each epoch creates one `dp_obs` [`Registry`] per rank and installs it
+//! Each epoch creates one [`dp_obs::Registry`] per rank and installs it
 //! thread-locally in the rank thread: spans, latency histograms
 //! (`comm.send_ns`, `comm.recv_wait_ns`, `comm.reduce_wait_ns`,
 //! `comm.ghost_bytes`, `step_wall_ns`) and trace events land in per-rank
@@ -60,14 +62,14 @@ use crate::shard::{assemble, RankShard};
 use dp_ckpt::{CkptError, Rotation, ShardSet};
 use dp_md::checkpoint::MdCheckpoint;
 use dp_md::integrate::{MdOptions, MdProgress, ThermoSample};
+#[cfg(test)]
+use dp_md::NeighborList;
 use dp_md::{Potential, System};
 use dp_obs::ImbalanceReport;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-#[cfg(test)]
-use dp_md::NeighborList;
 
 /// Periodic global checkpointing for a parallel run. Every `every` steps
 /// each rank ships its locally-owned atoms to rank 0, which assembles the
@@ -113,8 +115,8 @@ pub struct ParallelOptions {
     /// Deterministic faults to inject (tests and chaos drills); `None`
     /// costs one branch per step.
     pub faults: Option<FaultPlan>,
-    /// How many failed epochs the supervisor may recover from before
-    /// giving up with [`RunError::RetriesExhausted`].
+    /// How many failed epochs the supervisor may restart from the global
+    /// rotation before giving up with [`RunError::RetriesExhausted`].
     pub max_recoveries: usize,
     /// Deadline for point-to-point receives and reductions; a rank that
     /// hears nothing for this long declares the peer dead.

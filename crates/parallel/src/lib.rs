@@ -25,9 +25,10 @@
 //! [`CommError`]s with deadlines instead of panicking, [`fault`] injects
 //! deterministic failures (rank kill, message drop/delay, checkpoint
 //! sabotage) for tests and drills, and [`run_parallel_md`] supervises the
-//! rank threads: a failed epoch is detected, the newest valid checkpoint
-//! generation reloaded, and the run resumed bit-exactly — or a typed
-//! [`RunError`] surfaces once the retry budget is spent.
+//! rank threads: every failure ends the epoch, and the next one resumes
+//! bit-exactly from a reloaded checkpoint — the per-rank shards when one
+//! rank died, else the newest valid global generation — or a typed
+//! [`RunError`] surfaces once the retry budgets are spent.
 
 mod audit;
 pub mod chaos;

@@ -7,9 +7,7 @@ use crate::comm::{Allreduce, CommError, Msg, RankComm};
 use crate::driver::{AuditFailure, ParallelCkpt, ParallelOptions, RankStats};
 use crate::fault::{self, FaultState};
 use crate::grid::DomainGrid;
-use crate::halo::{
-    add_reverse_forces, exchange, forward_comm, migrate, reverse_comm, RankState,
-};
+use crate::halo::{add_reverse_forces, exchange, forward_comm, migrate, reverse_comm, RankState};
 use crate::shard::{assemble, RankShard};
 use dp_ckpt::ShardSet;
 use dp_md::integrate::{self, MdProgress, ThermoSample};
@@ -82,7 +80,7 @@ impl EpochOutcome {
     }
 }
 
-/// Why one `rank_loop` segment ended early.
+/// Why `rank_loop` ended early.
 #[derive(Debug)]
 pub(crate) enum RankError {
     Comm(CommError),
