@@ -62,8 +62,6 @@ use crate::shard::{assemble, RankShard};
 use dp_ckpt::{CkptError, Rotation, ShardSet};
 use dp_md::checkpoint::MdCheckpoint;
 use dp_md::integrate::{MdOptions, MdProgress, ThermoSample};
-#[cfg(test)]
-use dp_md::NeighborList;
 use dp_md::{Potential, System};
 use dp_obs::ImbalanceReport;
 use std::collections::BTreeMap;
@@ -670,6 +668,10 @@ fn build_imbalance(
     }
     report
 }
+
+// the unit tests reach the serial reference list through `super::*`
+#[cfg(test)]
+use dp_md::NeighborList;
 
 #[cfg(test)]
 mod tests {

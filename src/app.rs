@@ -236,9 +236,8 @@ pub struct RunSummary {
     /// Failed epochs the parallel supervisor recovered from via global
     /// checkpoint reload (0 for serial runs and clean parallel runs).
     pub recoveries: usize,
-    /// Rank failures recovered *in place* — dead rank rebuilt from its
-    /// per-rank shard and respawned while the survivors waited at the
-    /// step barrier, no global reload.
+    /// Failed epochs restarted from the per-rank shards (the dead rank's
+    /// shard file plus the survivors' in-memory copies), no global reload.
     pub local_recoveries: usize,
     /// Highest recovery tier the run needed: `"none"`, `"local"`
     /// (localized respawn only), or `"global"` (at least one full
