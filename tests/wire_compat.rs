@@ -274,6 +274,11 @@ fn rejected_decks_name_the_offending_key() {
             "`chaos_soak.torn_shard`",
         ),
         (
+            "\"chaos_soak\"",
+            "\"fault_chaos\"",
+            "unknown key `fault_chaos.torn_shards`",
+        ),
+        (
             "\"checkpoint_shards\"",
             "\"checkpont_shards\"",
             "`checkpont_shards`",
