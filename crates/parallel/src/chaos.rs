@@ -1,13 +1,15 @@
 //! Chaos mode: expand one seed into a deterministic randomized
 //! [`FaultPlan`] schedule.
 //!
-//! The single-fault drills in [`crate::fault`] answer "does recovery
-//! work for THIS failure"; a long soak needs the other question — does
-//! it keep working when failures arrive many times, in arbitrary order,
-//! at arbitrary ranks? Chaos mode generates that schedule from a seed
-//! with a splitmix64 stream, so a soak that fails is replayed exactly by
+//! A single-fault drill answers "does recovery work for THIS failure";
+//! a long soak needs the other question — does it keep working when
+//! failures arrive many times, in arbitrary order, at arbitrary ranks?
+//! Chaos mode fills the same [`FaultPlan`] lists from a seed with
+//! splitmix64 streams, so a soak that fails is replayed exactly by
 //! re-running the same deck: no clocks, no OS entropy, the seed IS the
-//! schedule.
+//! schedule. One [`ChaosSpec`] serves both deck sections: `fault_chaos`
+//! (kills, drops, delays) and `chaos_soak` (plus torn per-rank shards and
+//! the invariant-audit stride).
 //!
 //! The expansion is *survivable by construction* when the run
 //! checkpoints: every scheduled kill lands strictly after the first
@@ -33,40 +35,12 @@ use std::time::Duration;
 /// `ckpt_every + 1`.
 pub const MSGS_PER_STEP_BOUND: u64 = 4;
 
-/// What a `fault_chaos` deck key asks for.
+/// What a `fault_chaos` or `chaos_soak` deck section asks for. A plain
+/// chaos section leaves `torn_shards` and `audit_every` at 0; a soak adds
+/// torn per-rank shard writes (which force the recovery to fall back from
+/// the shards to the global rotation) and a periodic invariant audit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosSpec {
-    /// The schedule seed; same seed + same run shape = same schedule.
-    pub seed: u64,
-    /// Scheduled one-shot rank kills.
-    pub kills: usize,
-    /// Scheduled one-shot message drops.
-    pub drops: usize,
-    /// Scheduled one-shot message delays.
-    pub delays: usize,
-    /// Upper bound on each scheduled delay, milliseconds.
-    pub max_delay_ms: u64,
-}
-
-impl Default for ChaosSpec {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            kills: 0,
-            drops: 0,
-            delays: 0,
-            max_delay_ms: 50,
-        }
-    }
-}
-
-/// What a `chaos_soak` deck key asks for: a chaos schedule plus the
-/// soak-specific stimuli and checks — torn per-rank shard writes (which
-/// force the localized-recovery tier to escalate to the global rotation)
-/// and a periodic invariant audit stride. Soak runs should enable
-/// per-rank shards so kills exercise localized recovery first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SoakSpec {
     /// The schedule seed; same seed + same run shape = same schedule.
     pub seed: u64,
     /// Scheduled one-shot rank kills.
@@ -79,11 +53,12 @@ pub struct SoakSpec {
     pub torn_shards: usize,
     /// Upper bound on each scheduled delay, milliseconds.
     pub max_delay_ms: u64,
-    /// Invariant audit stride in steps (0 disables the auditor).
+    /// Invariant audit stride in steps (0 = no auditor). Carried on the
+    /// spec, not the plan: the caller wires it into the driver options.
     pub audit_every: usize,
 }
 
-impl Default for SoakSpec {
+impl Default for ChaosSpec {
     fn default() -> Self {
         Self {
             seed: 0,
@@ -92,7 +67,7 @@ impl Default for SoakSpec {
             delays: 0,
             torn_shards: 0,
             max_delay_ms: 50,
-            audit_every: 10,
+            audit_every: 0,
         }
     }
 }
@@ -110,7 +85,7 @@ pub fn expand_chaos(
         return Err("chaos: no ranks".into());
     }
     let mut plan = FaultPlan::default();
-    if spec.kills == 0 && spec.drops == 0 && spec.delays == 0 {
+    if spec.kills == 0 && spec.drops == 0 && spec.delays == 0 && spec.torn_shards == 0 {
         return Ok(plan);
     }
     if (spec.kills > 0 || spec.drops > 0) && ckpt_every == 0 {
@@ -199,40 +174,20 @@ pub fn expand_chaos(
             });
         }
     }
-    Ok(plan)
-}
 
-/// Expand a soak spec: a chaos schedule (same stream as [`expand_chaos`]
-/// for the shared fields, so a plain chaos deck and a soak deck with the
-/// same seed agree on kills/drops/delays) plus scheduled per-rank shard
-/// tears at checkpoint steps. The audit stride is carried on the spec, not
-/// the plan — the caller wires it into the driver options.
-pub fn expand_soak(
-    spec: &SoakSpec,
-    n_ranks: usize,
-    end_step: usize,
-    ckpt_every: usize,
-) -> Result<FaultPlan, String> {
-    let chaos = ChaosSpec {
-        seed: spec.seed,
-        kills: spec.kills,
-        drops: spec.drops,
-        delays: spec.delays,
-        max_delay_ms: spec.max_delay_ms,
-    };
-    let mut plan = expand_chaos(&chaos, n_ranks, end_step, ckpt_every)?;
+    // Shard tears: checkpoint steps, from a distinct stream, so adding
+    // tears does not reshuffle the kills, drops and delays the seed
+    // already determined.
     if spec.torn_shards > 0 {
         if ckpt_every == 0 {
-            return Err("soak shard tears need checkpoint_every > 0 (shards are written at checkpoint steps)".into());
+            return Err("chaos shard tears need checkpoint_every > 0 (shards are written at checkpoint steps)".into());
         }
         let n_ckpts = end_step / ckpt_every;
         if n_ckpts == 0 {
             return Err(format!(
-                "soak shard tears need at least one checkpoint step (steps {end_step}, checkpoint_every {ckpt_every})"
+                "chaos shard tears need at least one checkpoint step (steps {end_step}, checkpoint_every {ckpt_every})"
             ));
         }
-        // A distinct stream: adding shard tears must not reshuffle the
-        // kills/drops/delays the shared seed already determined.
         let mut rng = CounterRng::new(spec.seed ^ 0x5a4d_7ea2_u64);
         for _ in 0..spec.torn_shards {
             plan.torn_shards.push(ShardTear {
@@ -254,7 +209,9 @@ mod tests {
             kills: 3,
             drops: 2,
             delays: 2,
+            torn_shards: 0,
             max_delay_ms: 20,
+            audit_every: 0,
         }
     }
 
@@ -330,8 +287,8 @@ mod tests {
         assert_eq!(plan.max_failures(), 3 + 2 + 2);
     }
 
-    fn soak_spec() -> SoakSpec {
-        SoakSpec {
+    fn soak_spec() -> ChaosSpec {
+        ChaosSpec {
             seed: 42,
             kills: 3,
             drops: 2,
@@ -344,8 +301,8 @@ mod tests {
 
     #[test]
     fn soak_is_deterministic_and_extends_chaos() {
-        let a = expand_soak(&soak_spec(), 4, 100, 10).unwrap();
-        let b = expand_soak(&soak_spec(), 4, 100, 10).unwrap();
+        let a = expand_chaos(&soak_spec(), 4, 100, 10).unwrap();
+        let b = expand_chaos(&soak_spec(), 4, 100, 10).unwrap();
         assert_eq!(a, b, "soak expansion must be deterministic");
         // same seed: the chaos part of the schedule is unchanged
         let chaos = expand_chaos(&spec(), 4, 100, 10).unwrap();
@@ -359,7 +316,7 @@ mod tests {
     fn soak_shard_tears_land_on_checkpoint_steps() {
         for seed in 0..50 {
             let plan =
-                expand_soak(&SoakSpec { seed, ..soak_spec() }, 3, 80, 10).unwrap();
+                expand_chaos(&ChaosSpec { seed, ..soak_spec() }, 3, 80, 10).unwrap();
             for t in &plan.torn_shards {
                 assert!(t.rank < 3);
                 assert!(t.step % 10 == 0 && t.step > 0 && t.step <= 80,
@@ -370,8 +327,8 @@ mod tests {
 
     #[test]
     fn soak_shard_tears_require_checkpointing() {
-        let s = SoakSpec { kills: 0, drops: 0, delays: 0, ..soak_spec() };
-        assert!(expand_soak(&s, 4, 100, 0).is_err());
-        assert!(expand_soak(&s, 4, 5, 10).is_err(), "no checkpoint step in range");
+        let s = ChaosSpec { kills: 0, drops: 0, delays: 0, ..soak_spec() };
+        assert!(expand_chaos(&s, 4, 100, 0).is_err());
+        assert!(expand_chaos(&s, 4, 5, 10).is_err(), "no checkpoint step in range");
     }
 }

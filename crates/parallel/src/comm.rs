@@ -676,11 +676,11 @@ mod tests {
     fn dropped_message_leaves_a_detectable_seq_gap() {
         use crate::fault::{FaultPlan, MsgSelector};
         let plan = FaultPlan {
-            drop_msg: Some(MsgSelector {
+            drops: vec![MsgSelector {
                 from: 0,
                 to: 1,
                 seq: 0,
-            }),
+            }],
             ..FaultPlan::default()
         };
         let faults = Arc::new(FaultState::new(plan, 2));

@@ -2,12 +2,14 @@
 //!
 //! The paper's target campaigns run for days across thousands of nodes
 //! (§6–7), where rank failure is a statistical certainty. This module
-//! provides the *test stimulus* for that reality: a [`FaultPlan`] describes
-//! exactly one of each supported fault — kill rank r at step N, drop or
-//! delay one specific point-to-point message, tear or corrupt one written
-//! checkpoint generation — and a [`FaultState`] tracks one-shot firing so a
-//! plan replays identically every run. Determinism is the whole point:
-//! every fault is keyed on (rank, step) or (from, to, sequence-number), no
+//! provides the *test stimulus* for that reality: a [`FaultPlan`] is one
+//! schedule — a list per fault kind: rank kills at (rank, step), dropped
+//! or delayed point-to-point messages, damaged checkpoint generations,
+//! torn per-rank shards, and the test-only audit sabotage. A single-fault
+//! drill is a one-entry list; chaos mode ([`crate::chaos`]) expands a seed
+//! into the same lists. A [`FaultState`] tracks one-shot firing so a plan
+//! replays identically every run. Determinism is the whole point: every
+//! fault is keyed on (rank, step) or (from, to, sequence-number), no
 //! clocks and no RNG, so a recovery test that passes once passes always.
 //!
 //! The no-faults configuration costs a single `Option` branch per step and
@@ -83,31 +85,31 @@ pub enum CkptSabotage {
     BitFlip,
 }
 
-/// A deterministic schedule of faults to inject into one parallel run.
-///
-/// The `Option` fields are the original single-fault drills; the `Vec`
-/// fields carry a *schedule* of additional one-shot faults (chaos mode,
-/// [`crate::chaos`]) and default to empty, so existing
-/// `..FaultPlan::default()` construction is unaffected.
+/// Damage the global checkpoint generation written at one step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CkptFault {
+    /// Absolute checkpoint step whose generation gets damaged.
+    pub step: usize,
+    pub what: CkptSabotage,
+}
+
+/// A deterministic schedule of faults to inject into one parallel run:
+/// one list per fault kind, empty by default. A single-fault drill is a
+/// one-entry list; chaos mode ([`crate::chaos`]) fills the lists from a
+/// seed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    pub kill: Option<KillSpec>,
-    /// Silently discard the selected message (the receiver times out).
-    pub drop_msg: Option<MsgSelector>,
-    /// Delay the selected message (survivable if shorter than the comm
-    /// deadline, fatal-and-recovered if longer).
-    pub delay_msg: Option<DelaySpec>,
-    /// Truncate the checkpoint generation written at this absolute step.
-    pub torn_ckpt_step: Option<usize>,
-    /// Flip a byte in the checkpoint generation written at this step.
-    pub corrupt_ckpt_step: Option<usize>,
-    /// Scheduled additional kills; each fires per its own `every_epoch`.
+    /// Rank kills; each fires once, or per its own `every_epoch`.
     pub kills: Vec<KillSpec>,
-    /// Scheduled additional message drops; each fires once.
+    /// Silently discarded messages (the receiver times out); each fires
+    /// once.
     pub drops: Vec<MsgSelector>,
-    /// Scheduled additional message delays; each fires once.
+    /// Delayed messages (survivable if shorter than the comm deadline,
+    /// fatal-and-recovered if longer); each fires once.
     pub delays: Vec<DelaySpec>,
-    /// Scheduled per-rank shard tears; each fires once.
+    /// Damaged global checkpoint generations; each fires once.
+    pub ckpts: Vec<CkptFault>,
+    /// Torn per-rank shards; each fires once.
     pub torn_shards: Vec<ShardTear>,
     /// Test-only audit sabotage (fires once).
     pub break_invariant: Option<BreakInvariant>,
@@ -115,16 +117,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     pub fn is_empty(&self) -> bool {
-        self.kill.is_none()
-            && self.drop_msg.is_none()
-            && self.delay_msg.is_none()
-            && self.torn_ckpt_step.is_none()
-            && self.corrupt_ckpt_step.is_none()
-            && self.kills.is_empty()
-            && self.drops.is_empty()
-            && self.delays.is_empty()
-            && self.torn_shards.is_empty()
-            && self.break_invariant.is_none()
+        *self == FaultPlan::default()
     }
 
     /// Worst-case failed epochs this plan can cause: every kill and every
@@ -132,12 +125,7 @@ impl FaultPlan {
     /// deadline — counted too, to be safe; sabotaged checkpoints fail no
     /// epoch by themselves). Sizes the supervisor's retry budget.
     pub fn max_failures(&self) -> usize {
-        usize::from(self.kill.is_some())
-            + usize::from(self.drop_msg.is_some())
-            + usize::from(self.delay_msg.is_some())
-            + self.kills.len()
-            + self.drops.len()
-            + self.delays.len()
+        self.kills.len() + self.drops.len() + self.delays.len()
     }
 }
 
@@ -149,162 +137,93 @@ pub enum SendAction {
     Delay(Duration),
 }
 
+/// The entries of one fault kind, each with the flag that makes it
+/// one-shot (`None` for an entry that fires every time it is reached).
+#[derive(Debug)]
+struct Once<T>(Vec<(T, Option<AtomicBool>)>);
+
+impl<T: Copy> Once<T> {
+    fn new(entries: &[T], repeats: impl Fn(&T) -> bool) -> Self {
+        let flag = |e: &T| (!repeats(e)).then(|| AtomicBool::new(false));
+        Self(entries.iter().map(|e| (*e, flag(e))).collect())
+    }
+
+    /// The first entry `hit` matches that may still fire, now marked
+    /// fired.
+    fn fire(&self, hit: impl Fn(&T) -> bool) -> Option<T> {
+        let unfired =
+            |f: &Option<AtomicBool>| f.as_ref().is_none_or(|f| !f.swap(true, Ordering::Relaxed));
+        let (e, _) = self.0.iter().find(|(e, f)| hit(e) && unfired(f))?;
+        Some(*e)
+    }
+}
+
 /// Per-run firing state for a [`FaultPlan`]. Shared by every rank of every
 /// epoch of one supervised run, so one-shot faults stay one-shot across
 /// recoveries and message sequence numbers keep counting through restarts.
 #[derive(Debug)]
 pub struct FaultState {
-    plan: FaultPlan,
     n_ranks: usize,
     /// Messages sent so far per (from, to) pair, flattened `from * n + to`.
     sent: Vec<AtomicU64>,
-    kill_fired: AtomicBool,
-    drop_fired: AtomicBool,
-    delay_fired: AtomicBool,
-    torn_fired: AtomicBool,
-    corrupt_fired: AtomicBool,
-    /// One-shot flags per scheduled entry, same indexing as the plan's
-    /// `kills` / `drops` / `delays` / `torn_shards` vectors.
-    kills_fired: Vec<AtomicBool>,
-    drops_fired: Vec<AtomicBool>,
-    delays_fired: Vec<AtomicBool>,
-    shards_fired: Vec<AtomicBool>,
-    invariant_fired: AtomicBool,
+    kills: Once<KillSpec>,
+    drops: Once<MsgSelector>,
+    delays: Once<DelaySpec>,
+    ckpts: Once<CkptFault>,
+    torn_shards: Once<ShardTear>,
+    break_invariant: Once<BreakInvariant>,
 }
 
 impl FaultState {
     pub fn new(plan: FaultPlan, n_ranks: usize) -> Self {
-        let flags = |n: usize| (0..n).map(|_| AtomicBool::new(false)).collect();
-        let (nk, nd, nl, ns) = (
-            plan.kills.len(),
-            plan.drops.len(),
-            plan.delays.len(),
-            plan.torn_shards.len(),
-        );
         Self {
-            plan,
             n_ranks,
             sent: (0..n_ranks * n_ranks).map(|_| AtomicU64::new(0)).collect(),
-            kill_fired: AtomicBool::new(false),
-            drop_fired: AtomicBool::new(false),
-            delay_fired: AtomicBool::new(false),
-            torn_fired: AtomicBool::new(false),
-            corrupt_fired: AtomicBool::new(false),
-            kills_fired: flags(nk),
-            drops_fired: flags(nd),
-            delays_fired: flags(nl),
-            shards_fired: flags(ns),
-            invariant_fired: AtomicBool::new(false),
+            kills: Once::new(&plan.kills, |k| k.every_epoch),
+            drops: Once::new(&plan.drops, |_| false),
+            delays: Once::new(&plan.delays, |_| false),
+            ckpts: Once::new(&plan.ckpts, |_| false),
+            torn_shards: Once::new(&plan.torn_shards, |_| false),
+            break_invariant: Once::new(plan.break_invariant.as_slice(), |_| false),
         }
-    }
-
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Should `rank` die at the top of `step`?
     pub fn should_kill(&self, rank: usize, step: usize) -> bool {
-        if let Some(k) = self.plan.kill {
-            if k.rank == rank
-                && k.step == step
-                && (k.every_epoch || !self.kill_fired.swap(true, Ordering::Relaxed))
-            {
-                return true;
-            }
-        }
-        for (i, k) in self.plan.kills.iter().enumerate() {
-            if k.rank == rank
-                && k.step == step
-                && (k.every_epoch || !self.kills_fired[i].swap(true, Ordering::Relaxed))
-            {
-                return true;
-            }
-        }
-        false
+        let hit = |k: &KillSpec| k.rank == rank && k.step == step;
+        self.kills.fire(hit).is_some()
     }
 
     /// Count an outgoing message and decide its fate.
     pub fn on_send(&self, from: usize, to: usize) -> SendAction {
         let seq = self.sent[from * self.n_ranks + to].fetch_add(1, Ordering::Relaxed);
-        if let Some(sel) = self.plan.drop_msg {
-            if sel.from == from
-                && sel.to == to
-                && sel.seq == seq
-                && !self.drop_fired.swap(true, Ordering::Relaxed)
-            {
-                return SendAction::Drop;
-            }
+        let this = MsgSelector { from, to, seq };
+        if self.drops.fire(|m| *m == this).is_some() {
+            return SendAction::Drop;
         }
-        if let Some(d) = self.plan.delay_msg {
-            if d.msg.from == from
-                && d.msg.to == to
-                && d.msg.seq == seq
-                && !self.delay_fired.swap(true, Ordering::Relaxed)
-            {
-                return SendAction::Delay(d.delay);
-            }
+        match self.delays.fire(|d| d.msg == this) {
+            Some(d) => SendAction::Delay(d.delay),
+            None => SendAction::Deliver,
         }
-        for (i, sel) in self.plan.drops.iter().enumerate() {
-            if sel.from == from
-                && sel.to == to
-                && sel.seq == seq
-                && !self.drops_fired[i].swap(true, Ordering::Relaxed)
-            {
-                return SendAction::Drop;
-            }
-        }
-        for (i, d) in self.plan.delays.iter().enumerate() {
-            if d.msg.from == from
-                && d.msg.to == to
-                && d.msg.seq == seq
-                && !self.delays_fired[i].swap(true, Ordering::Relaxed)
-            {
-                return SendAction::Delay(d.delay);
-            }
-        }
-        SendAction::Deliver
     }
 
     /// Should `rank`'s per-rank shard just written at `step` be torn?
     pub fn shard_sabotage(&self, rank: usize, step: usize) -> bool {
-        for (i, t) in self.plan.torn_shards.iter().enumerate() {
-            if t.rank == rank
-                && t.step == step
-                && !self.shards_fired[i].swap(true, Ordering::Relaxed)
-            {
-                return true;
-            }
-        }
-        false
+        let this = ShardTear { rank, step };
+        self.torn_shards.fire(|t| *t == this).is_some()
     }
 
     /// Should `rank` corrupt its audit report at this audit step? Fires at
     /// the first audit at or after the planned step (audits run on a
     /// stride, so an exact-step match would often never trigger).
     pub fn break_invariant(&self, rank: usize, step: usize) -> bool {
-        if let Some(b) = self.plan.break_invariant {
-            if b.rank == rank
-                && step >= b.step
-                && !self.invariant_fired.swap(true, Ordering::Relaxed)
-            {
-                return true;
-            }
-        }
-        false
+        let hit = |b: &BreakInvariant| b.rank == rank && step >= b.step;
+        self.break_invariant.fire(hit).is_some()
     }
 
     /// Should the checkpoint generation just written at `step` be damaged?
     pub fn ckpt_sabotage(&self, step: usize) -> Option<CkptSabotage> {
-        if self.plan.torn_ckpt_step == Some(step) && !self.torn_fired.swap(true, Ordering::Relaxed)
-        {
-            return Some(CkptSabotage::TornWrite);
-        }
-        if self.plan.corrupt_ckpt_step == Some(step)
-            && !self.corrupt_fired.swap(true, Ordering::Relaxed)
-        {
-            return Some(CkptSabotage::BitFlip);
-        }
-        None
+        self.ckpts.fire(|c| c.step == step).map(|c| c.what)
     }
 }
 
@@ -367,11 +286,11 @@ mod tests {
     fn kill_fires_once_unless_every_epoch() {
         let st = FaultState::new(
             FaultPlan {
-                kill: Some(KillSpec {
+                kills: vec![KillSpec {
                     rank: 1,
                     step: 7,
                     every_epoch: false,
-                }),
+                }],
                 ..FaultPlan::default()
             },
             2,
@@ -383,11 +302,11 @@ mod tests {
 
         let st = FaultState::new(
             FaultPlan {
-                kill: Some(KillSpec {
+                kills: vec![KillSpec {
                     rank: 0,
                     step: 3,
                     every_epoch: true,
-                }),
+                }],
                 ..FaultPlan::default()
             },
             2,
@@ -400,11 +319,11 @@ mod tests {
     fn message_faults_select_by_sequence_number() {
         let st = FaultState::new(
             FaultPlan {
-                drop_msg: Some(MsgSelector {
+                drops: vec![MsgSelector {
                     from: 0,
                     to: 1,
                     seq: 2,
-                }),
+                }],
                 ..FaultPlan::default()
             },
             2,
@@ -420,8 +339,16 @@ mod tests {
     fn ckpt_sabotage_is_one_shot_per_kind() {
         let st = FaultState::new(
             FaultPlan {
-                torn_ckpt_step: Some(20),
-                corrupt_ckpt_step: Some(40),
+                ckpts: vec![
+                    CkptFault {
+                        step: 20,
+                        what: CkptSabotage::TornWrite,
+                    },
+                    CkptFault {
+                        step: 40,
+                        what: CkptSabotage::BitFlip,
+                    },
+                ],
                 ..FaultPlan::default()
             },
             1,
@@ -435,46 +362,44 @@ mod tests {
 
     #[test]
     fn scheduled_kills_and_drops_fire_once_each() {
-        let st = FaultState::new(
-            FaultPlan {
-                kills: vec![
-                    KillSpec {
-                        rank: 0,
-                        step: 5,
-                        every_epoch: false,
-                    },
-                    KillSpec {
-                        rank: 1,
-                        step: 9,
-                        every_epoch: false,
-                    },
-                ],
-                drops: vec![
-                    MsgSelector {
-                        from: 0,
-                        to: 1,
-                        seq: 0,
-                    },
-                    MsgSelector {
-                        from: 0,
-                        to: 1,
-                        seq: 2,
-                    },
-                ],
-                delays: vec![DelaySpec {
-                    msg: MsgSelector {
-                        from: 1,
-                        to: 0,
-                        seq: 1,
-                    },
-                    delay: Duration::from_millis(5),
-                }],
-                ..FaultPlan::default()
-            },
-            2,
-        );
-        assert!(!st.plan().is_empty());
-        assert_eq!(st.plan().max_failures(), 5);
+        let plan = FaultPlan {
+            kills: vec![
+                KillSpec {
+                    rank: 0,
+                    step: 5,
+                    every_epoch: false,
+                },
+                KillSpec {
+                    rank: 1,
+                    step: 9,
+                    every_epoch: false,
+                },
+            ],
+            drops: vec![
+                MsgSelector {
+                    from: 0,
+                    to: 1,
+                    seq: 0,
+                },
+                MsgSelector {
+                    from: 0,
+                    to: 1,
+                    seq: 2,
+                },
+            ],
+            delays: vec![DelaySpec {
+                msg: MsgSelector {
+                    from: 1,
+                    to: 0,
+                    seq: 1,
+                },
+                delay: Duration::from_millis(5),
+            }],
+            ..FaultPlan::default()
+        };
+        assert!(!plan.is_empty());
+        assert_eq!(plan.max_failures(), 5);
+        let st = FaultState::new(plan, 2);
 
         assert!(st.should_kill(0, 5));
         assert!(!st.should_kill(0, 5), "scheduled kill fired twice");
@@ -495,15 +420,13 @@ mod tests {
 
     #[test]
     fn shard_and_invariant_sabotage_fire_once() {
-        let st = FaultState::new(
-            FaultPlan {
-                torn_shards: vec![ShardTear { rank: 1, step: 20 }],
-                break_invariant: Some(BreakInvariant { rank: 0, step: 15 }),
-                ..FaultPlan::default()
-            },
-            2,
-        );
-        assert!(!st.plan().is_empty());
+        let plan = FaultPlan {
+            torn_shards: vec![ShardTear { rank: 1, step: 20 }],
+            break_invariant: Some(BreakInvariant { rank: 0, step: 15 }),
+            ..FaultPlan::default()
+        };
+        assert!(!plan.is_empty());
+        let st = FaultState::new(plan, 2);
         assert!(!st.shard_sabotage(0, 20), "wrong rank fired");
         assert!(!st.shard_sabotage(1, 10), "wrong step fired");
         assert!(st.shard_sabotage(1, 20));

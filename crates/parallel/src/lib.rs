@@ -23,12 +23,13 @@
 //! Long campaigns (the paper's week-scale, full-machine runs) make rank
 //! failure routine rather than exceptional. The comm layer returns typed
 //! [`CommError`]s with deadlines instead of panicking, [`fault`] injects
-//! deterministic failures (rank kill, message drop/delay, checkpoint
-//! sabotage) for tests and drills, and [`run_parallel_md`] supervises the
-//! rank threads: every failure ends the epoch, and the next one resumes
-//! bit-exactly from a reloaded checkpoint — the per-rank shards when one
-//! rank died, else the newest valid global generation — or a typed
-//! [`RunError`] surfaces once the retry budgets are spent.
+//! one deterministic schedule of failures (rank kills, message drops and
+//! delays, checkpoint and shard sabotage) for tests and drills, written
+//! by hand or expanded from a seed by [`chaos`], and [`run_parallel_md`]
+//! supervises the rank threads: every failure ends the epoch, and the
+//! next one resumes bit-exactly from a reloaded checkpoint — the per-rank
+//! shards when one rank died, else the newest valid global generation —
+//! or a typed [`RunError`] surfaces once the retry budgets are spent.
 
 mod audit;
 pub mod chaos;
@@ -41,13 +42,13 @@ mod rank;
 pub mod setup;
 mod shard;
 
-pub use chaos::{expand_chaos, expand_soak, ChaosSpec, SoakSpec};
+pub use chaos::{expand_chaos, ChaosSpec};
 pub use comm::{Allreduce, CommError, Envelope, RankComm, DEFAULT_DEADLINE};
 pub use driver::{
     run_parallel_md, AuditFailure, ParallelCkpt, ParallelOptions, ParallelRun, RunError,
 };
 pub use fault::{
-    BreakInvariant, CkptSabotage, DelaySpec, FaultPlan, FaultState, KillSpec, MsgSelector,
-    ShardTear,
+    BreakInvariant, CkptFault, CkptSabotage, DelaySpec, FaultPlan, FaultState, KillSpec,
+    MsgSelector, ShardTear,
 };
 pub use grid::DomainGrid;

@@ -5,7 +5,7 @@
 //! expansion stays bit-for-bit the same: this test folds every field of
 //! the schedules expanded for seeds 0..32 into one `u64` and pins it.
 
-use dp_parallel::{expand_chaos, expand_soak, ChaosSpec, FaultPlan, SoakSpec};
+use dp_parallel::{expand_chaos, ChaosSpec, FaultPlan};
 
 /// FNV-1a style fold of one `u64` into the running hash.
 fn fold(h: &mut u64, v: u64) {
@@ -53,8 +53,8 @@ fn chaos_and_soak_schedules_are_pinned() {
             &mut h,
             &expand_chaos(&chaos, n_ranks, end_step, ckpt_every).unwrap(),
         );
-        let soak = expand_soak(
-            &SoakSpec {
+        let soak = expand_chaos(
+            &ChaosSpec {
                 seed,
                 kills: 3,
                 drops: 2,

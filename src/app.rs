@@ -44,8 +44,8 @@ use dp_md::{lattice, Potential, System};
 use dp_obs::report::{RooflineReport, RooflineRow};
 use dp_obs::ImbalanceReport;
 use dp_parallel::{
-    expand_chaos, expand_soak, run_parallel_md, BreakInvariant, ChaosSpec, FaultPlan, KillSpec,
-    ParallelCkpt, ParallelOptions, RunError, SoakSpec,
+    expand_chaos, run_parallel_md, BreakInvariant, ChaosSpec, FaultPlan, KillSpec, ParallelCkpt,
+    ParallelOptions, RunError,
 };
 use dp_perfmodel::{Roofline, SystemModel};
 use std::io::Write as _;
@@ -104,7 +104,7 @@ pub struct AppConfig {
     /// the long-haul compound-fault drill in one deck key. Requires
     /// checkpointing; `checkpoint_shards` should be on for the localized
     /// tier to be exercised.
-    pub chaos_soak: Option<SoakSpec>,
+    pub chaos_soak: Option<ChaosSpec>,
     /// Test-only hook `[rank, step]`: corrupt that rank's report in the
     /// first invariant audit at or after `step`, proving the auditor
     /// fails fast with a typed error (exit 6). Never touches real state.
@@ -157,9 +157,12 @@ impl AppConfig {
             fault_kill_every_epoch: f.or("fault_kill_every_epoch", FLAG, false)?,
             fault_chaos: f
                 .opt_obj("fault_chaos")?
-                .map(deck::read_chaos)
+                .map(|f| deck::read_chaos(f, false))
                 .transpose()?,
-            chaos_soak: f.opt_obj("chaos_soak")?.map(deck::read_soak).transpose()?,
+            chaos_soak: f
+                .opt_obj("chaos_soak")?
+                .map(|f| deck::read_chaos(f, true))
+                .transpose()?,
             fault_break_invariant: f.opt("fault_break_invariant", PAIR)?,
             audit_every: f.or("audit_every", COUNT, 0)?,
             fault_max_retries: f.or("fault_max_retries", COUNT, 2)?,
@@ -327,7 +330,7 @@ fn build_fault_plan(cfg: &AppConfig, grid: [usize; 3]) -> Result<Option<FaultPla
         (None, None) => {}
         (Some(rank), Some(step)) => {
             in_grid("fault_kill_rank", rank)?;
-            plan.kill = Some(KillSpec {
+            plan.kills.push(KillSpec {
                 rank,
                 step,
                 every_epoch: cfg.fault_kill_every_epoch,
@@ -343,16 +346,14 @@ fn build_fault_plan(cfg: &AppConfig, grid: [usize; 3]) -> Result<Option<FaultPla
         in_grid("fault_break_invariant", rank)?;
         plan.break_invariant = Some(BreakInvariant { rank, step });
     }
-    if let Some(spec) = &cfg.fault_chaos {
+    let sections = [
+        ("fault_chaos", &cfg.fault_chaos),
+        ("chaos_soak", &cfg.chaos_soak),
+    ];
+    for (key, spec) in sections {
+        let Some(spec) = spec else { continue };
         let expanded = expand_chaos(spec, n_ranks, cfg.run.steps, cfg.run.checkpoint_every)
-            .map_err(|e| AppError::Deck(format!("fault_chaos: {e}")))?;
-        plan.kills.extend(expanded.kills);
-        plan.drops.extend(expanded.drops);
-        plan.delays.extend(expanded.delays);
-    }
-    if let Some(spec) = &cfg.chaos_soak {
-        let expanded = expand_soak(spec, n_ranks, cfg.run.steps, cfg.run.checkpoint_every)
-            .map_err(|e| AppError::Deck(format!("chaos_soak: {e}")))?;
+            .map_err(|e| AppError::Deck(format!("{key}: {e}")))?;
         plan.kills.extend(expanded.kills);
         plan.drops.extend(expanded.drops);
         plan.delays.extend(expanded.delays);

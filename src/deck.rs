@@ -19,7 +19,7 @@ use crate::app::{AppConfig, AppError};
 use crate::ensemble_app::EnsembleConfig;
 use deepmd_core::model::DpModel;
 use dp_obs::json::Json;
-use dp_parallel::{ChaosSpec, SoakSpec};
+use dp_parallel::ChaosSpec;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -238,34 +238,25 @@ impl ModelSpec {
     }
 }
 
-/// The `fault_chaos` section: the seed *is* the schedule — same seed,
-/// same deck, same faults, bit-exact — so a failing drill is replayable.
-pub(crate) fn read_chaos(mut f: Fields) -> Result<ChaosSpec, AppError> {
+/// The `fault_chaos` section, or with `soak` the `chaos_soak` one, which
+/// also takes torn per-rank shard writes and the invariant-audit stride
+/// the soak runs under (default 10). The seed *is* the schedule — same
+/// seed, same deck, same faults, bit-exact — so a failing drill is
+/// replayable.
+pub(crate) fn read_chaos(mut f: Fields, soak: bool) -> Result<ChaosSpec, AppError> {
     let d = ChaosSpec::default();
-    let spec = ChaosSpec {
+    let mut spec = ChaosSpec {
         seed: f.req("seed", INT)?,
         kills: f.or("kills", COUNT, d.kills)?,
         drops: f.or("drops", COUNT, d.drops)?,
         delays: f.or("delays", COUNT, d.delays)?,
         max_delay_ms: f.or("max_delay_ms", INT, d.max_delay_ms)?,
+        ..d
     };
-    f.finish()?;
-    Ok(spec)
-}
-
-/// The `chaos_soak` section: [`read_chaos`]'s schedule plus torn per-rank
-/// shard writes and the invariant-audit stride the soak runs under.
-pub(crate) fn read_soak(mut f: Fields) -> Result<SoakSpec, AppError> {
-    let d = SoakSpec::default();
-    let spec = SoakSpec {
-        seed: f.req("seed", INT)?,
-        kills: f.or("kills", COUNT, d.kills)?,
-        drops: f.or("drops", COUNT, d.drops)?,
-        delays: f.or("delays", COUNT, d.delays)?,
-        torn_shards: f.or("torn_shards", COUNT, d.torn_shards)?,
-        max_delay_ms: f.or("max_delay_ms", INT, d.max_delay_ms)?,
-        audit_every: f.or("audit_every", COUNT, d.audit_every)?,
-    };
+    if soak {
+        spec.torn_shards = f.or("torn_shards", COUNT, d.torn_shards)?;
+        spec.audit_every = f.or("audit_every", COUNT, 10)?;
+    }
     f.finish()?;
     Ok(spec)
 }

@@ -15,9 +15,9 @@ use deepmd_repro::md::potential::pair::LennardJones;
 use deepmd_repro::md::rng::CounterRng;
 use deepmd_repro::md::{lattice, Potential, System};
 use deepmd_repro::parallel::{
-    expand_chaos, expand_soak, run_parallel_md, Allreduce, BreakInvariant, ChaosSpec, CommError,
-    DelaySpec, FaultPlan, KillSpec, MsgSelector, ParallelCkpt, ParallelOptions, ParallelRun,
-    RunError, ShardTear, SoakSpec,
+    expand_chaos, run_parallel_md, Allreduce, BreakInvariant, ChaosSpec, CkptFault, CkptSabotage,
+    CommError, DelaySpec, FaultPlan, KillSpec, MsgSelector, ParallelCkpt, ParallelOptions,
+    ParallelRun, RunError, ShardTear,
 };
 use dp_ckpt::Rotation;
 use std::path::PathBuf;
@@ -111,11 +111,11 @@ fn killed_rank_recovers_bit_exact() {
     assert_eq!(straight.recoveries, 0);
 
     let plan = FaultPlan {
-        kill: Some(KillSpec {
+        kills: vec![KillSpec {
             rank: 1,
             step: 33,
             every_epoch: false,
-        }),
+        }],
         ..FaultPlan::default()
     };
     let faulted_ckpt = ckpt(&dir, "b.ckpt");
@@ -145,12 +145,15 @@ fn corrupted_newest_generation_falls_back() {
     // at 33: the CRC rejects the newest generation and the rotation falls
     // back to the step-20 one.
     let plan = FaultPlan {
-        kill: Some(KillSpec {
+        kills: vec![KillSpec {
             rank: 0,
             step: 33,
             every_epoch: false,
-        }),
-        corrupt_ckpt_step: Some(30),
+        }],
+        ckpts: vec![CkptFault {
+            step: 30,
+            what: CkptSabotage::BitFlip,
+        }],
         ..FaultPlan::default()
     };
     let faulted_ckpt = ckpt(&dir, "b.ckpt");
@@ -177,12 +180,15 @@ fn torn_checkpoint_write_falls_back() {
             .unwrap();
 
     let plan = FaultPlan {
-        kill: Some(KillSpec {
+        kills: vec![KillSpec {
             rank: 3,
             step: 37,
             every_epoch: false,
-        }),
-        torn_ckpt_step: Some(30),
+        }],
+        ckpts: vec![CkptFault {
+            step: 30,
+            what: CkptSabotage::TornWrite,
+        }],
         ..FaultPlan::default()
     };
     let faulted_ckpt = ckpt(&dir, "b.ckpt");
@@ -213,11 +219,11 @@ fn dropped_message_is_detected_and_recovered() {
     // receiver either sees the wrong message next (protocol error) or times
     // out; both are typed failures the supervisor recovers from.
     let plan = FaultPlan {
-        drop_msg: Some(MsgSelector {
+        drops: vec![MsgSelector {
             from: 1,
             to: 0,
             seq: 60,
-        }),
+        }],
         ..FaultPlan::default()
     };
     let mut o = opts(Some(ckpt(&dir, "b.ckpt")), Some(plan));
@@ -241,14 +247,14 @@ fn delayed_message_within_deadline_is_survivable() {
     let straight = run_parallel_md(&sys, lj(), [2, 2, 1], &opts(None, None), 40).unwrap();
 
     let plan = FaultPlan {
-        delay_msg: Some(DelaySpec {
+        delays: vec![DelaySpec {
             msg: MsgSelector {
                 from: 1,
                 to: 0,
                 seq: 5,
             },
             delay: Duration::from_millis(100),
-        }),
+        }],
         ..FaultPlan::default()
     };
     let delayed = run_parallel_md(&sys, lj(), [2, 2, 1], &opts(None, Some(plan)), 40).unwrap();
@@ -277,7 +283,9 @@ fn chaos_schedule_recovers_bit_exact() {
         kills: 2,
         drops: 1,
         delays: 2,
+        torn_shards: 0,
         max_delay_ms: 20,
+        audit_every: 0,
     };
     let plan = expand_chaos(&spec, 2, 60, 10).unwrap();
     assert_eq!(plan, expand_chaos(&spec, 2, 60, 10).unwrap(), "schedule must replay");
@@ -318,11 +326,11 @@ fn localized_respawn_recovers_bit_exact() {
     assert_eq!(straight.local_recoveries, 0);
 
     let plan = FaultPlan {
-        kill: Some(KillSpec {
+        kills: vec![KillSpec {
             rank: 1,
             step: 33,
             every_epoch: false,
-        }),
+        }],
         ..FaultPlan::default()
     };
     let recovered = run_parallel_md(
@@ -368,11 +376,11 @@ fn torn_shard_escalates_to_global_reload() {
     .unwrap();
 
     let plan = FaultPlan {
-        kill: Some(KillSpec {
+        kills: vec![KillSpec {
             rank: 1,
             step: 33,
             every_epoch: false,
-        }),
+        }],
         torn_shards: vec![ShardTear { rank: 1, step: 30 }],
         ..FaultPlan::default()
     };
@@ -471,11 +479,11 @@ fn single_rank_grid_is_repaired_from_its_shard() {
     )
     .unwrap();
     let plan = FaultPlan {
-        kill: Some(KillSpec {
+        kills: vec![KillSpec {
             rank: 0,
             step: 33,
             every_epoch: false,
-        }),
+        }],
         ..FaultPlan::default()
     };
     let recovered = run_parallel_md(
@@ -509,7 +517,7 @@ fn chaos_soak_recovers_bit_exact_with_audits() {
     )
     .unwrap();
 
-    let spec = SoakSpec {
+    let spec = ChaosSpec {
         seed: 11,
         kills: 1,
         drops: 1,
@@ -518,10 +526,10 @@ fn chaos_soak_recovers_bit_exact_with_audits() {
         max_delay_ms: 20,
         audit_every: 10,
     };
-    let plan = expand_soak(&spec, 2, 60, 10).unwrap();
+    let plan = expand_chaos(&spec, 2, 60, 10).unwrap();
     assert_eq!(
         plan,
-        expand_soak(&spec, 2, 60, 10).unwrap(),
+        expand_chaos(&spec, 2, 60, 10).unwrap(),
         "soak schedule must replay bit-exactly"
     );
     let mut o = opts(Some(ckpt_sharded(&dir, "b.ckpt")), Some(plan.clone()));
@@ -570,11 +578,11 @@ fn broken_invariant_fails_fast_typed() {
 fn rank_failure_without_checkpointing_is_typed() {
     let sys = argon();
     let plan = FaultPlan {
-        kill: Some(KillSpec {
+        kills: vec![KillSpec {
             rank: 0,
             step: 5,
             every_epoch: false,
-        }),
+        }],
         ..FaultPlan::default()
     };
     let started = Instant::now();
@@ -602,11 +610,11 @@ fn retries_exhausted_is_typed() {
     let dir = test_dir("dpft-retries");
     let sys = argon();
     let plan = FaultPlan {
-        kill: Some(KillSpec {
+        kills: vec![KillSpec {
             rank: 1,
             step: 15,
             every_epoch: true,
-        }),
+        }],
         ..FaultPlan::default()
     };
     let mut o = opts(Some(ckpt(&dir, "r.ckpt")), Some(plan));
@@ -735,11 +743,11 @@ fn flight_recorder_dumps_steps_before_rank_death() {
     // Shards on: the kill is absorbed by a localized respawn, and the
     // supervisor dumps the dead rank's ring before deciding on recovery.
     let plan = FaultPlan {
-        kill: Some(KillSpec {
+        kills: vec![KillSpec {
             rank: 1,
             step: 33,
             every_epoch: false,
-        }),
+        }],
         ..FaultPlan::default()
     };
     let run = run_parallel_md(
