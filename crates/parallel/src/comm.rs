@@ -86,23 +86,13 @@ pub struct GhostAtom {
     pub position: [f64; 3],
 }
 
-/// An atom migrating to a new owner. Forces ride along so a migration
-/// scheduled *between* the force evaluation and the next half-kick (the
-/// post-checkpoint realignment) loses nothing.
+/// One owned atom's full state: what migrates to a new owner, and what
+/// a global checkpoint gathers to rank 0 (the MPI_Gather of a LAMMPS
+/// `write_restart`). Forces ride along so a migration scheduled *between*
+/// the force evaluation and the next half-kick (the post-checkpoint
+/// realignment) loses nothing.
 #[derive(Debug, Clone, Copy)]
-pub struct Migrant {
-    /// Global atom id (stable across the run).
-    pub id: u64,
-    pub ty: u32,
-    pub position: [f64; 3],
-    pub velocity: [f64; 3],
-    pub force: [f64; 3],
-}
-
-/// One locally-owned atom's full state, shipped to rank 0 when a global
-/// checkpoint is gathered (the MPI_Gather of a LAMMPS `write_restart`).
-#[derive(Debug, Clone, Copy)]
-pub struct CkptAtom {
+pub struct OwnedAtom {
     /// Global atom id (stable across the run).
     pub id: u64,
     pub ty: u32,
@@ -122,9 +112,9 @@ pub enum Msg {
     /// same order as the `Ghosts` they answer.
     GhostForces(Vec<[f64; 3]>),
     /// Atoms whose owner changed.
-    Migrants(Vec<Migrant>),
+    Migrants(Vec<OwnedAtom>),
     /// Local atoms gathered to rank 0 for a global checkpoint.
-    CkptAtoms(Vec<CkptAtom>),
+    CkptAtoms(Vec<OwnedAtom>),
 }
 
 /// A mesh message plus its per-(sender, receiver) sequence number.

@@ -11,7 +11,7 @@
 //! [`reverse_comm`] / [`add_reverse_forces`] (ghost forces back to their
 //! owners). Every schedule is static and collective.
 
-use crate::comm::{CkptAtom, CommError, GhostAtom, Migrant, Msg, RankComm};
+use crate::comm::{CommError, GhostAtom, Msg, OwnedAtom, RankComm};
 use crate::driver::RankStats;
 use crate::grid::DomainGrid;
 use crate::shard::RankShard;
@@ -47,21 +47,25 @@ impl RankState {
     }
 
     /// Append one owned atom (no ghosts may be present).
-    pub fn push_owned(
-        &mut self,
-        id: u64,
-        ty: usize,
-        position: [f64; 3],
-        velocity: [f64; 3],
-        force: [f64; 3],
-    ) {
+    pub fn push_owned(&mut self, a: OwnedAtom) {
         debug_assert_eq!(self.sys.len(), self.ids.len(), "push requires ghosts truncated");
-        self.ids.push(id);
-        self.sys.types.push(ty);
-        self.sys.positions.push(position);
-        self.sys.velocities.push(velocity);
-        self.sys.forces.push(force);
+        self.ids.push(a.id);
+        self.sys.types.push(a.ty as usize);
+        self.sys.positions.push(a.position);
+        self.sys.velocities.push(a.velocity);
+        self.sys.forces.push(a.force);
         self.sys.n_local = self.ids.len();
+    }
+
+    /// The `k`-th owned atom as a record.
+    fn owned(&self, k: usize) -> OwnedAtom {
+        OwnedAtom {
+            id: self.ids[k],
+            ty: self.sys.types[k] as u32,
+            position: self.sys.positions[k],
+            velocity: self.sys.velocities[k],
+            force: self.sys.forces[k],
+        }
     }
 
     /// Keep the first `n` owned atoms; everything beyond (ghosts included)
@@ -91,15 +95,9 @@ impl RankState {
         }
     }
 
-    /// The owned atoms as checkpoint records.
-    pub fn owned_atoms(&self) -> impl Iterator<Item = CkptAtom> + '_ {
-        (0..self.ids.len()).map(|k| CkptAtom {
-            id: self.ids[k],
-            ty: self.sys.types[k] as u32,
-            position: self.sys.positions[k],
-            velocity: self.sys.velocities[k],
-            force: self.sys.forces[k],
-        })
+    /// The owned atoms as records.
+    pub fn owned_atoms(&self) -> impl Iterator<Item = OwnedAtom> + '_ {
+        (0..self.ids.len()).map(|k| self.owned(k))
     }
 
     /// Conservative rebuild trigger: any OWNED atom moved > skin/4 since
@@ -151,27 +149,21 @@ pub(crate) fn migrate(
     grid: &DomainGrid,
 ) -> Result<(), CommError> {
     let n_ranks = comm.to.len();
-    let mut outbox: Vec<Vec<Migrant>> = vec![Vec::new(); n_ranks];
+    let mut outbox: Vec<Vec<OwnedAtom>> = vec![Vec::new(); n_ranks];
     let mut w = 0usize;
     for k in 0..st.ids.len() {
-        let sys = &mut st.sys;
-        let owner = grid.rank_of_position(sys.positions[k]);
-        if owner == st.rank {
-            st.ids[w] = st.ids[k];
-            sys.types[w] = sys.types[k];
-            sys.positions[w] = sys.positions[k];
-            sys.velocities[w] = sys.velocities[k];
-            sys.forces[w] = sys.forces[k];
-            w += 1;
-        } else {
-            outbox[owner].push(Migrant {
-                ty: sys.types[k] as u32,
-                position: sys.positions[k],
-                velocity: sys.velocities[k],
-                force: sys.forces[k],
-                id: st.ids[k],
-            });
+        let owner = grid.rank_of_position(st.sys.positions[k]);
+        if owner != st.rank {
+            outbox[owner].push(st.owned(k));
+            continue;
         }
+        let sys = &mut st.sys;
+        st.ids[w] = st.ids[k];
+        sys.types[w] = sys.types[k];
+        sys.positions[w] = sys.positions[k];
+        sys.velocities[w] = sys.velocities[k];
+        sys.forces[w] = sys.forces[k];
+        w += 1;
     }
     st.truncate(w);
     for (dest, payload) in outbox.iter_mut().enumerate() {
@@ -184,11 +176,7 @@ pub(crate) fn migrate(
             continue;
         }
         match comm.recv(src)? {
-            Msg::Migrants(v) => {
-                for m in v {
-                    st.push_owned(m.id, m.ty as usize, m.position, m.velocity, m.force);
-                }
-            }
+            Msg::Migrants(v) => v.into_iter().for_each(|a| st.push_owned(a)),
             _ => {
                 return Err(CommError::Protocol {
                     from: src,

@@ -3,7 +3,7 @@
 //! back to the supervisor in [`crate::driver`].
 
 use crate::audit::audit_step;
-use crate::comm::{Allreduce, CommError, Msg, RankComm};
+use crate::comm::{Allreduce, CommError, Msg, OwnedAtom, RankComm};
 use crate::driver::{AuditFailure, ParallelCkpt, ParallelOptions, RankStats};
 use crate::fault::{self, FaultState};
 use crate::grid::DomainGrid;
@@ -213,13 +213,13 @@ pub(crate) fn run_epoch(
     };
     let mut initial: Vec<RankState> = (0..n_ranks).map(empty_state).collect();
     for i in 0..sys.len() {
-        initial[grid.rank_of_position(sys.positions[i])].push_owned(
-            i as u64,
-            sys.types[i],
-            sys.cell.wrap(sys.positions[i]),
-            sys.velocities[i],
-            sys.forces[i],
-        );
+        initial[grid.rank_of_position(sys.positions[i])].push_owned(OwnedAtom {
+            id: i as u64,
+            ty: sys.types[i] as u32,
+            position: sys.cell.wrap(sys.positions[i]),
+            velocity: sys.velocities[i],
+            force: sys.forces[i],
+        });
     }
 
     let mesh = RankComm::mesh_with(n_ranks, opts.comm_deadline, faults.clone());

@@ -8,7 +8,7 @@
 //! at one step therefore [`assemble`] into that step's global checkpoint,
 //! and a restart from it replays the trajectory bit-exactly.
 
-use crate::comm::CkptAtom;
+use crate::comm::OwnedAtom;
 use dp_ckpt::{CkptError, CkptReader, CkptWriter, Dec, Enc, ShardSet, KIND_SHARD};
 use dp_md::checkpoint::MdCheckpoint;
 use dp_md::integrate::MdProgress;
@@ -18,7 +18,7 @@ use dp_md::Cell;
 /// assembly behind the checkpoint gather, the shard source and the
 /// final-state gather. `None` unless the ids are exactly `0..n`.
 pub(crate) fn assemble(
-    atoms: impl IntoIterator<Item = CkptAtom>,
+    atoms: impl IntoIterator<Item = OwnedAtom>,
     n: usize,
     cell: Cell,
     masses: &[f64],
@@ -64,8 +64,8 @@ pub(crate) struct RankShard {
 }
 
 impl RankShard {
-    pub fn atoms(&self) -> impl Iterator<Item = CkptAtom> + '_ {
-        (0..self.ids.len()).map(|k| CkptAtom {
+    pub fn atoms(&self) -> impl Iterator<Item = OwnedAtom> + '_ {
+        (0..self.ids.len()).map(|k| OwnedAtom {
             id: self.ids[k],
             ty: self.types[k] as u32,
             position: self.positions[k],

@@ -239,13 +239,6 @@ pub struct RunSummary {
     /// Failed epochs the parallel supervisor recovered from via global
     /// checkpoint reload (0 for serial runs and clean parallel runs).
     pub recoveries: usize,
-    /// Failed epochs restarted from the per-rank shards (the dead rank's
-    /// shard file plus the survivors' in-memory copies), no global reload.
-    pub local_recoveries: usize,
-    /// Highest recovery tier the run needed: `"none"`, `"local"`
-    /// (localized respawn only), or `"global"` (at least one full
-    /// checkpoint reload).
-    pub recovery_tier: &'static str,
     /// §7.3 cross-rank phase breakdown with achieved and (when the system
     /// has a paper calibration) modeled GFLOPS columns. `None` for serial
     /// runs.
@@ -672,8 +665,6 @@ fn run_serial_deck(
         final_system: sys.clone(),
         potential_name: pot.name(),
         recoveries: 0,
-        local_recoveries: 0,
-        recovery_tier: "none",
         imbalance: None,
     })
 }
@@ -852,12 +843,10 @@ fn run_parallel_deck(
         }
     }
 
-    let recovery_tier = if run.recoveries > 0 {
-        "global"
-    } else if run.local_recoveries > 0 {
-        "local"
-    } else {
-        "none"
+    let recovery_tier = match (run.recoveries, run.local_recoveries) {
+        (0, 0) => "none",
+        (0, _) => "local",
+        _ => "global",
     };
     if dp_obs::metrics::active() {
         dp_obs::metrics::emit_line(&format!(
@@ -870,8 +859,6 @@ fn run_parallel_deck(
         final_system: run.system,
         potential_name: name,
         recoveries: run.recoveries,
-        local_recoveries: run.local_recoveries,
-        recovery_tier,
         imbalance: Some(imbalance),
     })
 }
