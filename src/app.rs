@@ -420,18 +420,9 @@ pub fn run(cfg: &AppConfig, mut log: impl FnMut(&str)) -> Result<RunSummary, App
         )));
     }
 
-    let halo_limit = sys.cell.max_cutoff();
-    if pot.cutoff() > halo_limit {
-        return Err(AppError::Deck(format!(
-            "potential cutoff {} exceeds the minimum-image limit {halo_limit:.3} of this box",
-            pot.cutoff()
-        )));
-    }
-
-    let skin = ((halo_limit - pot.cutoff()) * 0.9).clamp(0.0, 2.0);
     let opts = MdOptions {
         dt: cfg.run.dt_fs * 1e-3,
-        skin,
+        skin: deck::skin(&sys, pot.cutoff(), "potential")?,
         thermostat: cfg.run.thermostat(&["berendsen"])?.map(|_| Berendsen {
             target_t: cfg.temperature,
             tau: 0.1,

@@ -12,12 +12,16 @@
 //! This module owns what the runners share: the tagged sections, the
 //! [`RunKeys`] both deck kinds carry and their one [`RunKeys::validate`],
 //! the MD-vs-ensemble dispatch ([`parse`]), the job-dir confinement of
-//! `/v1/jobs` ([`Deck::confine_to`]) and [`load_model`]. The keys only one
-//! runner reads stay next to it (`AppConfig::read`, `EnsembleConfig::read`).
+//! `/v1/jobs` ([`Deck::confine_to`]), the model loaders ([`load_model`],
+//! [`ModelSpec::load`]), the cutoff-vs-box check with its neighbor skin
+//! and the one chaos-section reader. The keys only one runner reads stay
+//! next to it (`AppConfig::read`, `EnsembleConfig::read`).
 
 use crate::app::{AppConfig, AppError};
 use crate::ensemble_app::EnsembleConfig;
+use deepmd_core::config::DpConfig;
 use deepmd_core::model::DpModel;
+use dp_md::{CounterRng, System};
 use dp_obs::json::Json;
 use dp_parallel::ChaosSpec;
 use std::collections::BTreeMap;
@@ -209,7 +213,7 @@ impl PotentialSpec {
 }
 
 /// Which Deep Potential model a whole ensemble shares (`"model"`, tagged
-/// by `"kind"`).
+/// by `"kind"`), or a `dpmd serve --model` entry serves.
 #[derive(Debug, Clone)]
 pub enum ModelSpec {
     /// `"synthetic"`: a deterministic untrained model (weights from
@@ -236,6 +240,34 @@ impl ModelSpec {
         f.finish()?;
         Ok(spec)
     }
+
+    /// Build the model: the one loader behind the ensemble `"model"`
+    /// section and `dpmd serve --model`.
+    pub fn load(&self) -> Result<DpModel<f64>, AppError> {
+        match self {
+            ModelSpec::Synthetic { seed, rcut } => {
+                if !(rcut.is_finite() && *rcut > 0.0) {
+                    return Err(AppError::Deck(format!("bad synthetic model rcut {rcut}")));
+                }
+                let cfg = DpConfig::small(1, *rcut, 16);
+                Ok(DpModel::new_random(cfg, &mut CounterRng::new(*seed)))
+            }
+            ModelSpec::File { path } => load_model(path),
+        }
+    }
+}
+
+/// The neighbor-list skin for a `what` ("potential", "model") of cutoff
+/// `rcut` in `sys`'s box: 90 % of the room the minimum-image limit leaves,
+/// at most 2 Å. A cutoff beyond that limit is a deck error.
+pub(crate) fn skin(sys: &System, rcut: f64, what: &str) -> Result<f64, AppError> {
+    let halo_limit = sys.cell.max_cutoff();
+    if rcut > halo_limit {
+        return Err(AppError::Deck(format!(
+            "{what} cutoff {rcut} exceeds the minimum-image limit {halo_limit:.3} of this box"
+        )));
+    }
+    Ok(((halo_limit - rcut) * 0.9).clamp(0.0, 2.0))
 }
 
 /// The `fault_chaos` section, or with `soak` the `chaos_soak` one, which

@@ -30,8 +30,6 @@
 
 use crate::app::{self, AppError};
 use crate::deck::{self, Fields, PotentialSpec, RunKeys, COUNT, FLAG, NUM, TEXT};
-use deepmd_core::config::DpConfig;
-use deepmd_core::model::DpModel;
 use deepmd_core::{DeepPotential, PrecisionMode};
 use dp_md::{CounterRng, System};
 use dp_replica::{
@@ -186,19 +184,6 @@ pub fn temperature_ladder(t_min: f64, t_max: f64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn build_model(spec: &ModelSpec) -> Result<DpModel<f64>, AppError> {
-    match spec {
-        ModelSpec::Synthetic { seed, rcut } => {
-            if !(rcut.is_finite() && *rcut > 0.0) {
-                return Err(AppError::Deck(format!("bad synthetic model rcut {rcut}")));
-            }
-            let cfg = DpConfig::small(1, *rcut, 16);
-            Ok(DpModel::new_random(cfg, &mut CounterRng::new(*seed)))
-        }
-        ModelSpec::File { path } => deck::load_model(path),
-    }
-}
-
 fn engine_options(cfg: &EnsembleConfig, skin: f64, mode: PrecisionMode) -> Result<EnsembleOptions, AppError> {
     let mut opts = EnsembleOptions {
         dt: cfg.run.dt_fs * 1e-3,
@@ -259,7 +244,7 @@ fn run_engine(
     cfg: &EnsembleConfig,
     log: &mut impl FnMut(&str),
 ) -> Result<EnsembleSummary, AppError> {
-    let model = build_model(&cfg.model)?;
+    let model = cfg.model.load()?;
     let model_cfg = model.config.clone();
     let mode = if cfg.mixed_precision {
         PrecisionMode::Mixed
@@ -269,14 +254,7 @@ fn run_engine(
     let pot = Arc::new(DeepPotential::new(model, mode));
 
     let base = app::build_system(&cfg.run.system);
-    let halo_limit = base.cell.max_cutoff();
-    if model_cfg.rcut > halo_limit {
-        return Err(AppError::Deck(format!(
-            "model cutoff {} exceeds the minimum-image limit {halo_limit:.3} of this box",
-            model_cfg.rcut
-        )));
-    }
-    let skin = ((halo_limit - model_cfg.rcut) * 0.9).clamp(0.0, 2.0);
+    let skin = deck::skin(&base, model_cfg.rcut, "model")?;
     let opts = engine_options(cfg, skin, mode)?;
     let temps = temperature_ladder(cfg.t_min, cfg.t_max, cfg.replicas);
 

@@ -25,12 +25,9 @@
 //!   snapshotted as JSON.
 
 use crate::app::{self, AppError};
-use crate::deck::{self, Deck};
+use crate::deck::{self, Deck, ModelSpec};
 use crate::ensemble_app;
-use deepmd_core::config::DpConfig;
-use deepmd_core::model::DpModel;
 use deepmd_core::{BatchItem, DeepPotential, PrecisionMode};
-use dp_md::CounterRng;
 use dp_md::{Cell, NeighborList, System};
 use dp_serve::json::{self, Json};
 use dp_serve::{
@@ -170,15 +167,18 @@ const DEFAULT_MODE: PrecisionMode = PrecisionMode::Double;
 fn load_models(specs: &[(String, String)]) -> Result<HashMap<String, Arc<ModelEntry>>, AppError> {
     let mut registry = HashMap::new();
     for (name, source) in specs {
-        let model = if let Some(seed) = source.strip_prefix("synthetic:") {
-            let seed: u64 = seed
-                .parse()
-                .map_err(|_| AppError::Deck(format!("bad synthetic model seed '{seed}'")))?;
-            let cfg = DpConfig::small(1, 4.5, 16);
-            DpModel::new_random(cfg, &mut CounterRng::new(seed))
-        } else {
-            deck::load_model(source)?
+        let spec = match source.strip_prefix("synthetic:") {
+            Some(seed) => ModelSpec::Synthetic {
+                seed: seed
+                    .parse()
+                    .map_err(|_| AppError::Deck(format!("bad synthetic model seed '{seed}'")))?,
+                rcut: 4.5,
+            },
+            None => ModelSpec::File {
+                path: source.clone(),
+            },
         };
+        let model = spec.load()?;
         let rcut = model.config.rcut;
         let n_types = model.config.n_types();
         let entry = ModelEntry {
