@@ -628,7 +628,6 @@ fn run_serial_deck(
         |_| {},
         sink,
     );
-    drop(save);
 
     if let Some(e) = io_error {
         return Err(AppError::Io(e));
@@ -639,7 +638,7 @@ fn run_serial_deck(
             s.step, s.potential_energy, s.kinetic_energy, s.temperature, s.pressure
         ));
     }
-    if let Some(f) = traj.as_deref_mut() {
+    if let Some(f) = traj {
         write_frame_dedup(f, sys, names, cfg.run.steps, last_frame_step)
             .map_err(|e| AppError::Io(format!("trajectory write failed: {e}")))?;
     }
@@ -669,7 +668,7 @@ fn run_parallel_deck(
     grid: [usize; 3],
     progress: MdProgress,
     rotation: Option<Rotation>,
-    mut traj: Option<&mut std::fs::File>,
+    traj: Option<&mut std::fs::File>,
     last_frame_step: &mut Option<usize>,
     names: &[&'static str],
     log: &mut impl FnMut(&str),
@@ -678,11 +677,9 @@ fn run_parallel_deck(
     // A chaos schedule may carry more faults than the deck's default retry
     // budget; grow the budget to cover the whole schedule so "chaos with N
     // faults" never fails just because N > fault_max_retries.
-    let max_recoveries = faults
-        .as_ref()
-        .map_or(cfg.fault_max_retries, |p| {
-            cfg.fault_max_retries.max(p.max_failures())
-        });
+    let max_recoveries = faults.as_ref().map_or(cfg.fault_max_retries, |p| {
+        cfg.fault_max_retries.max(p.max_failures())
+    });
     // Localized respawns get the same treatment: the default budget, grown
     // to cover every scheduled kill so a soak never fails on budget alone.
     let defaults = ParallelOptions::default();
@@ -746,7 +743,7 @@ fn run_parallel_deck(
             from.join(", ")
         ));
     }
-    if let Some(f) = traj.as_deref_mut() {
+    if let Some(f) = traj {
         write_frame_dedup(f, &run.system, names, cfg.run.steps, last_frame_step)
             .map_err(|e| AppError::Io(format!("trajectory write failed: {e}")))?;
     }
@@ -787,11 +784,7 @@ fn run_parallel_deck(
     // and the perfmodel's per-atom traffic estimate; comm gets the ghost
     // stream (3 f64 coordinates per forwarded atom); wait moves nothing.
     let device = Roofline::v100();
-    let ghost_bytes: u64 = run
-        .rank_stats
-        .iter()
-        .map(|s| s.ghost_atoms_sent * 24)
-        .sum();
+    let ghost_bytes: u64 = run.rank_stats.iter().map(|s| s.ghost_atoms_sent * 24).sum();
     let mut rows = Vec::new();
     for p in &imbalance.phases {
         let (flops, bytes) = match p.name {

@@ -37,7 +37,7 @@ use dp_serve::{
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Command-line configuration of the daemon.
@@ -551,7 +551,10 @@ impl JobRunner for DeckRunner {
             .map_err(|e| fail(AppError::Io(format!("cannot create job dir: {e}"))))?;
         deck.confine_to(&job_dir);
 
-        let _gate = deck.wants_obs().then(|| self.obs_gate.lock().unwrap());
+        // A traced job that panicked left the gate poisoned; the gate guards
+        // no data, so later traced jobs take it anyway.
+        let gate = || self.obs_gate.lock().unwrap_or_else(PoisonError::into_inner);
+        let _gate = deck.wants_obs().then(gate);
         let mut log_file = std::fs::File::create(job_dir.join("log.txt"))
             .map_err(|e| fail(AppError::Io(format!("cannot create job log: {e}"))))?;
         let log = |line: &str| {
@@ -1089,6 +1092,33 @@ mod tests {
         };
         let err = runner.run("job-t1", "{\"not\": \"a deck\"}").unwrap_err();
         assert_eq!(err.class, "deck");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_traced_job_runs_after_a_panic_poisoned_the_obs_gate() {
+        let dir = std::env::temp_dir().join(format!("dp-serve-gate-{}", std::process::id()));
+        let runner = DeckRunner {
+            state_dir: dir.clone(),
+            obs_gate: Mutex::new(()),
+        };
+        // a traced job that panics while it holds the gate poisons it
+        std::thread::scope(|s| {
+            let held = s.spawn(|| {
+                let _gate = runner.obs_gate.lock().unwrap();
+                panic!("traced job panicked");
+            });
+            assert!(held.join().is_err());
+        });
+        assert!(runner.obs_gate.is_poisoned());
+        let deck = r#"{
+            "system": {"kind": "fcc", "a0": 5.26, "reps": [2, 2, 2], "mass": 39.948},
+            "potential": {"kind": "lennard_jones", "eps": 0.0104, "sigma": 3.405, "rcut": 5.0},
+            "temperature": 40.0, "dt_fs": 2.0, "steps": 4, "metrics_path": "m.jsonl"
+        }"#;
+        let out = runner.run("job-gate", deck).expect("traced job after a poisoned gate");
+        assert!(out.contains("natoms"), "{out}");
+        assert!(dir.join("job-gate").join("metrics.jsonl").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
