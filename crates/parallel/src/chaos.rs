@@ -180,12 +180,12 @@ pub fn expand_chaos(
     // already determined.
     if spec.torn_shards > 0 {
         if ckpt_every == 0 {
-            return Err("chaos shard tears need checkpoint_every > 0 (shards are written at checkpoint steps)".into());
+            return Err("soak shard tears need checkpoint_every > 0 (shards are written at checkpoint steps)".into());
         }
         let n_ckpts = end_step / ckpt_every;
         if n_ckpts == 0 {
             return Err(format!(
-                "chaos shard tears need at least one checkpoint step (steps {end_step}, checkpoint_every {ckpt_every})"
+                "soak shard tears need at least one checkpoint step (steps {end_step}, checkpoint_every {ckpt_every})"
             ));
         }
         let mut rng = CounterRng::new(spec.seed ^ 0x5a4d_7ea2_u64);

@@ -167,18 +167,14 @@ const DEFAULT_MODE: PrecisionMode = PrecisionMode::Double;
 fn load_models(specs: &[(String, String)]) -> Result<HashMap<String, Arc<ModelEntry>>, AppError> {
     let mut registry = HashMap::new();
     for (name, source) in specs {
-        let spec = match source.strip_prefix("synthetic:") {
-            Some(seed) => ModelSpec::Synthetic {
-                seed: seed
-                    .parse()
-                    .map_err(|_| AppError::Deck(format!("bad synthetic model seed '{seed}'")))?,
-                rcut: 4.5,
-            },
-            None => ModelSpec::File {
-                path: source.clone(),
-            },
+        let model = match source.strip_prefix("synthetic:") {
+            Some(seed) => {
+                let bad = |_| AppError::Deck(format!("bad synthetic model seed '{seed}'"));
+                let seed = seed.parse().map_err(bad)?;
+                ModelSpec::Synthetic { seed, rcut: 4.5 }.load()?
+            }
+            None => deck::load_model(source)?,
         };
-        let model = spec.load()?;
         let rcut = model.config.rcut;
         let n_types = model.config.n_types();
         let entry = ModelEntry {
@@ -963,6 +959,15 @@ mod tests {
     }
 
     #[test]
+    fn a_bad_synthetic_seed_is_a_deck_error() {
+        let Err(err) = load_models(&[("m".into(), "synthetic:x1".into())]) else {
+            panic!("synthetic:x1 loaded");
+        };
+        assert_eq!(err.to_string(), "bad synthetic model seed 'x1'");
+        assert_eq!(err.exit_code(), 2);
+    }
+
+    #[test]
     fn parse_serve_args_defaults_and_flags() {
         let opts = parse_serve_args(&[]).unwrap();
         assert_eq!(opts.addr.as_deref(), Some("127.0.0.1:0"));
@@ -1116,7 +1121,7 @@ mod tests {
             "potential": {"kind": "lennard_jones", "eps": 0.0104, "sigma": 3.405, "rcut": 5.0},
             "temperature": 40.0, "dt_fs": 2.0, "steps": 4, "metrics_path": "m.jsonl"
         }"#;
-        let out = runner.run("job-gate", deck).expect("traced job after a poisoned gate");
+        let out = runner.run("job-gate", deck).expect("traced job");
         assert!(out.contains("natoms"), "{out}");
         assert!(dir.join("job-gate").join("metrics.jsonl").exists());
         let _ = std::fs::remove_dir_all(&dir);
