@@ -1,5 +1,7 @@
 //! Model hyper-parameters.
 
+use crate::codec::Codec;
+
 /// Hyper-parameters of a Deep Potential model (the paper's §6.1 settings
 /// are provided as constructors).
 #[derive(Debug, Clone, PartialEq)]
@@ -39,6 +41,13 @@ impl DpConfig {
     /// Descriptor dimension `M × M₂` (the fitting-net input width).
     pub fn descriptor_dim(&self) -> usize {
         self.emb_width() * self.axis_neurons
+    }
+
+    /// The neighbor-key codec for formatting `n_atoms` atoms under this
+    /// model: the paper's decimal layout while its ranges allow, binary
+    /// beyond (see [`Codec::auto`]).
+    pub fn codec(&self, n_atoms: usize) -> Codec {
+        Codec::auto(self.n_types(), n_atoms, self.rcut)
     }
 
     /// Internal consistency, as an error (a model file's config is

@@ -24,6 +24,8 @@
 //!   systems, bit-identical per-request results),
 //! * [`potential_impl`] — [`DeepPotential`], the `dp_md::Potential`
 //!   implementation with double and mixed precision modes (§5.2.3),
+//! * [`train_grad`] — the training gradient of the energy + force loss:
+//!   a tangent forward and one reverse pass over [`eval`]'s kernels,
 //! * [`profile`] — per-kernel-category timers reproducing Fig 3's GEMM /
 //!   TANH / CUSTOM / SLICE breakdown,
 //! * [`compress`] — tabulated (spline-compressed) embedding nets, the
@@ -42,6 +44,7 @@ pub mod format;
 pub mod model;
 pub mod potential_impl;
 pub mod profile;
+pub mod train_grad;
 pub mod workspace;
 
 pub use config::DpConfig;

@@ -367,6 +367,52 @@ mod tests {
     }
 
     #[test]
+    fn train_grad_pass_matches_tape_gradient() {
+        use deepmd_core::train_grad::{loss_grad_into, Labels, LossWeights, TrainWorkspace};
+        for (name, mut c) in [("copper", copper()), ("water", water())] {
+            for (t, e) in c.model.e0.iter_mut().enumerate() {
+                *e = 0.1 * (t + 1) as f64;
+            }
+            let n = c.sys.len();
+            let forces: Vec<[f64; 3]> = (0..n)
+                .map(|i| [0.3 * (i as f64).sin(), -0.2, 0.1 * (i % 3) as f64])
+                .collect();
+            let f_ref = Matrix::from_fn(n, 3, |i, k| forces[i][k]);
+            for (pe, pf) in [(1.0, 10.0), (0.0, 10.0), (1.0, 0.0)] {
+                let mut tape = Tape::new();
+                let (mv, fg) = graph(&c, &mut tape);
+                let loss = build_loss(&mut tape, &fg, -1.0, &f_ref, pe, pf);
+                let grads = tape.grad(loss, &mv.param_vars());
+                let tape_grad: Vec<f64> = grads
+                    .iter()
+                    .flat_map(|&g| tape.value(g).as_slice().to_vec())
+                    .collect();
+
+                let mut ws = TrainWorkspace::new(&c.model.config);
+                let mut grad = vec![0.0; c.model.num_params()];
+                let labels = Labels { energy: -1.0, forces: &forces };
+                let weights = LossWeights { pe, pf };
+                let lg = loss_grad_into(&c.model, &c.fmt, &c.sys.types, labels, weights, &mut ws, &mut grad);
+
+                let scale = tape_grad.iter().fold(0.0f64, |m, g| m.max(g.abs()));
+                let diff = grad
+                    .iter()
+                    .zip(&tape_grad)
+                    .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+                let loss_tape = tape.value(loss)[(0, 0)];
+                println!(
+                    "{name} p_e={pe} p_f={pf}: max|dgrad|/max|grad| = {:.2e} \
+                     (max|grad| {scale:.3e}), |dloss|/loss = {:.2e}",
+                    diff / scale,
+                    (lg.loss - loss_tape).abs() / loss_tape
+                );
+                assert!(diff <= 1e-10 * scale, "{name} ({pe}, {pf}): {diff} vs {scale}");
+                assert!((lg.loss - loss_tape).abs() <= 1e-12 * loss_tape);
+            }
+        }
+    }
+
+    #[test]
     fn benchmark_frame_stays_within_node_budget() {
         // perfbench's train_step_8f frame: 81-atom water, sel [12, 24],
         // 8×16 embedding, 32³ fitting. The per-atom builder this replaced
