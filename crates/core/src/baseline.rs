@@ -130,8 +130,7 @@ pub fn evaluate_baseline_formatted(
         // per-type embedding on small matrices, then CONCAT into G
         let mut g = Matrix::<f64>::zeros(nm, m_w);
         let mut caches_per_type = Vec::with_capacity(n_types);
-        for t in 0..n_types {
-            let sel_t = cfg.sel[t];
+        for (t, &sel_t) in cfg.sel.iter().enumerate() {
             let s_col = Matrix::from_fn(sel_t, 1, |k, _| {
                 fmt.env[(atom * nm + block_off[t] + k) * 4]
             });

@@ -27,7 +27,7 @@ pub type Key = u64;
 #[inline]
 pub fn encode_paper(ty: usize, r: f64, j: usize) -> Key {
     debug_assert!(ty < 10, "decimal codec supports < 10 types");
-    debug_assert!(r >= 0.0 && r < 92.0, "decimal codec distance range");
+    debug_assert!((0.0..92.0).contains(&r), "decimal codec distance range");
     debug_assert!(j < 100_000, "decimal codec index range");
     ty as u64 * 1_000_000_000_000_000 + (r * 1.0e8).floor() as u64 * 100_000 + j as u64
 }

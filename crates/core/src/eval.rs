@@ -427,21 +427,21 @@ fn pipeline<T: Real>(
         // dE/dD per atom (filled from fitting backward; every chunk atom
         // belongs to exactly one center type, so every row is written)
         reuse_uninit(d_desc, nc * d_in, T::ZERO);
-        for t in 0..n_types {
-            if by_type[t].is_empty() {
+        for (t, atoms) in by_type[..n_types].iter().enumerate() {
+            if atoms.is_empty() {
                 continue;
             }
-            let rows = by_type[t].len();
+            let rows = atoms.len();
             maybe_time(prof, Kernel::Slice, || {
                 fit_x.reuse_shape(rows, d_in);
-                for (r, &a) in by_type[t].iter().enumerate() {
+                for (r, &a) in atoms.iter().enumerate() {
                     fit_x
                         .row_mut(r)
                         .copy_from_slice(&desc[a * d_in..(a + 1) * d_in]);
                 }
             });
             net_forward_into(&model.fittings[t], fit_x, fit_pass, prof);
-            for (r, &a) in by_type[t].iter().enumerate() {
+            for (r, &a) in atoms.iter().enumerate() {
                 per_atom_energy[chunk_start + a] = fit_pass.out[(r, 0)].to_f64() + model.e0[t];
             }
             // ---- 4. fitting backward: dE/dD ----
@@ -457,7 +457,7 @@ fn pipeline<T: Real>(
                 prof,
             );
             maybe_time(prof, Kernel::Slice, || {
-                for (r, &a) in by_type[t].iter().enumerate() {
+                for (r, &a) in atoms.iter().enumerate() {
                     d_desc[a * d_in..(a + 1) * d_in].copy_from_slice(bwd_g.row(r));
                 }
             });

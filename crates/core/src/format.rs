@@ -130,6 +130,8 @@ thread_local! {
         std::cell::RefCell::new(FmtScratch::default());
 }
 
+// one atom's output rows plus the shared inputs, each a different buffer
+#[allow(clippy::too_many_arguments)]
 fn fill_atom_slots(
     out_indices: &mut [i32],
     out_env: &mut [f64],

@@ -114,8 +114,11 @@ pub struct DeepPotential {
     /// stays shared while the buffers mutate; concurrent callers each get
     /// (and warm up) their own arena. The lock is held only for the
     /// pop/push, never during evaluation.
+    // boxed so a pop/push moves a pointer, not the arena's many buffers
+    #[allow(clippy::vec_box)]
     scratch: Mutex<Vec<Box<DpScratch>>>,
     /// Same pooling scheme for the cross-request batch arenas.
+    #[allow(clippy::vec_box)]
     batch_scratch: Mutex<Vec<Box<BatchScratch>>>,
 }
 
