@@ -150,7 +150,7 @@ impl DeepPotential {
     }
 
     fn codec(&self, sys: &System) -> Codec {
-        Codec::auto(self.model64.config.n_types(), sys.len(), self.model64.config.rcut)
+        self.model64.config.codec(sys.len())
     }
 
     /// Evaluate several standalone configurations as ONE forward/backward

@@ -7,7 +7,6 @@
 //! not; the maximum per-atom standard deviation of their force predictions
 //! is the canonical "label this configuration" trigger.
 
-use deepmd_core::codec::Codec;
 use deepmd_core::eval::evaluate;
 use deepmd_core::format::format_optimized;
 use deepmd_core::model::DpModel;
@@ -21,7 +20,7 @@ pub fn max_force_deviation(models: &[DpModel<f64>], sys: &System) -> f64 {
         .iter()
         .map(|m| {
             let nl = NeighborList::build(sys, m.config.rcut);
-            let fmt = format_optimized(sys, &nl, &m.config, Codec::PaperDecimal);
+            let fmt = format_optimized(sys, &nl, &m.config, m.config.codec(sys.len()));
             evaluate(m, &fmt, &sys.types[..sys.n_local], sys.len(), None).forces
         })
         .collect();

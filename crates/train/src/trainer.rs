@@ -2,7 +2,6 @@
 
 use crate::dataset::Frame;
 use crate::graph::{build_frame_graph, build_loss, model_leaves, FrameGeometry};
-use deepmd_core::codec::Codec;
 use deepmd_core::eval::{evaluate_into, EvalOutput};
 use deepmd_core::format::{format_optimized, FormattedEnv};
 use deepmd_core::model::DpModel;
@@ -65,7 +64,7 @@ fn prepare(model: &DpModel<f64>, frames: &[Frame]) -> Vec<PreparedFrame> {
         let f = &frames[i];
         let sys = frame_system(f);
         let nl = dp_md::NeighborList::build(&sys, model.config.rcut);
-        let fmt = format_optimized(&sys, &nl, &model.config, Codec::PaperDecimal);
+        let fmt = format_optimized(&sys, &nl, &model.config, model.config.codec(sys.len()));
         PreparedFrame {
             fmt,
             types: f.types.clone(),
@@ -288,7 +287,7 @@ mod tests {
     use super::*;
     use crate::dataset::perturbed_frames;
     use deepmd_core::config::DpConfig;
-    use dp_md::potential::pair::LennardJones;
+    use dp_md::potential::pair::{LennardJones, PairKind, PairTable};
     use dp_md::CounterRng;
     use dp_md::{lattice, units};
 
@@ -392,6 +391,34 @@ mod tests {
 
         let ckpt = Trainer::new(other_model, &frames, 0.01, LossWeights::default()).checkpoint();
         Trainer::new(model, &frames, 0.01, LossWeights::default()).restore(&ckpt);
+    }
+
+    #[test]
+    fn eleven_species_frames_train_and_deviate() {
+        // more types than the decimal neighbor codec holds (ten): the
+        // frames must be formatted with the binary codec
+        let fcc = lattice::fcc(4.0, [2, 2, 2], units::MASS_CU);
+        let types = (0..fcc.len()).map(|i| i % 11).collect();
+        let base = System::new(fcc.cell, fcc.positions, types, vec![units::MASS_CU; 11]);
+        let lj = PairTable::new(11, PairKind::LennardJones { eps: 0.2, sigma: 2.6 }, 3.9, "lj");
+        let mut rng = CounterRng::new(57);
+        let frames = perturbed_frames(&base, &lj, 2, 0.2, &mut rng);
+        let cfg = DpConfig {
+            rcut: 4.0,
+            rcut_smth: 1.0,
+            sel: vec![4; 11],
+            embedding: vec![2, 4],
+            fitting: vec![4],
+            axis_neurons: 2,
+        };
+        let models: Vec<_> = (0..2)
+            .map(|_| DpModel::<f64>::new_random(cfg.clone(), &mut rng))
+            .collect();
+        let mut trainer = Trainer::new(models[0].clone(), &frames, 0.01, LossWeights::default());
+        assert!(trainer.step().loss.is_finite());
+        assert!(trainer.rmse().force.is_finite());
+        let dev = crate::deviation::max_force_deviation(&models, &base);
+        assert!(dev.is_finite() && dev > 0.0);
     }
 
     #[test]
