@@ -28,10 +28,11 @@
 //! Atoms are processed in chunks so peak memory stays bounded at paper-size
 //! neighbor counts (the GPU code relies on 16 GB device memory instead).
 //!
-//! [`net_forward_into`] / [`net_backward_into`] are the only non-tape
-//! network code in the workspace: the pipeline runs every embedding and
-//! fitting net through them, and [`crate::compress`] samples its tables
-//! with them. The tabulated model shares the rest of the pipeline and
+//! [`net_forward_into`] / [`net_backward_into`] are the inference net
+//! pass: the pipeline runs every embedding and fitting net through them,
+//! and [`crate::compress`] samples its tables with them. Training
+//! differentiates the same pipeline in [`crate::train_grad`], on the same
+//! kernels. The tabulated model shares the rest of the pipeline and
 //! swaps only stage 1 (table lookup of `G` and `dG/ds`) and the embedding
 //! backward (`dE/ds` as the row-wise dot product of `dE/dG` with `dG/ds`).
 
@@ -72,9 +73,7 @@ pub fn chunk_size(max_sel: usize) -> usize {
 /// paper's fused kernels — GEMM with fused bias (§5.3.1), CONCAT-free skip
 /// (§5.3.2), fused tanh+grad (§5.3.3) — and attributing GEMM and
 /// activation time to their Fig 3 categories. The final activation lands
-/// in `pass.out`; the cached tanh gradients in `pass.tgrads`. The tape
-/// form `dp_nn::NetVars::forward` runs the same kernels (equivalence is
-/// tested below).
+/// in `pass.out`; the cached tanh gradients in `pass.tgrads`.
 pub(crate) fn net_forward_into<T: Real>(
     net: &Net<T>,
     x: &Matrix<T>,
@@ -124,7 +123,7 @@ pub(crate) fn net_forward_into<T: Real>(
 /// Input gradient `dL/dx` given `dL/dy = dy`, using the tanh gradients
 /// cached by [`net_forward_into`] (no tanh is re-evaluated). Parameter
 /// gradients are not computed: forces need input gradients only, and
-/// training uses the tape. Same Fig 3 taxonomy. The input gradient lands
+/// training takes them from [`crate::train_grad`]. Same Fig 3 taxonomy. The input gradient lands
 /// in `g`; `sa` and `sb` are ping-pong scratch.
 pub(crate) fn net_backward_into<T: Real>(
     net: &Net<T>,
@@ -847,45 +846,46 @@ mod tests {
         assert_eq!(net.out_dim(), 8);
     }
 
-    /// The net pass and the training tape (`NetVars::forward`, one
-    /// `Tape::dense` node per layer) agree on the output and on `dL/dx`.
-    fn check_against_tape(net: &Net<f64>, x: &Matrix<f64>) {
-        use dp_autograd::Tape;
-        let pass = forward(net, x);
-        let dx = backward(net, &pass, &Matrix::full(x.rows(), net.out_dim(), 1.0));
-
-        let mut tape = Tape::new();
-        let vars = net.tape_leaves(&mut tape);
-        let xv = tape.leaf(x);
-        let y = vars.forward(&mut tape, xv);
-        assert!(pass.out.max_abs_diff(tape.value(y)) < 1e-12);
-        let s = tape.sum_all(y);
-        let g = tape.grad(s, &[xv])[0];
-        assert!(dx.max_abs_diff(tape.value(g)) < 1e-11);
+    /// Textbook forward of `net` on `x`, one row and one layer at a time.
+    fn reference_forward(net: &Net<f64>, x: &Matrix<f64>) -> Matrix<f64> {
+        let mut y = x.clone();
+        for l in &net.layers {
+            let (k, n) = (l.w.rows(), l.w.cols());
+            y = Matrix::from_fn(y.rows(), l.out_dim(), |r, j| {
+                let z = |j: usize| (0..k).map(|i| y[(r, i)] * l.w[(i, j)]).sum::<f64>() + l.b[j];
+                match l.kind {
+                    LayerKind::Linear => z(j),
+                    LayerKind::Plain => z(j).tanh(),
+                    LayerKind::Residual => y[(r, j)] + z(j).tanh(),
+                    LayerKind::Growth => y[(r, j % k)] + z(j).tanh(),
+                }
+            });
+            assert_eq!(y.cols(), if l.kind == LayerKind::Growth { 2 * k } else { n });
+        }
+        y
     }
 
+    /// The net pass against the textbook forward, and its input gradient
+    /// against central differences, through multi-layer nets that hold
+    /// all four layer kinds between them.
     #[test]
-    fn net_pass_matches_tape_fitting() {
+    fn net_pass_matches_reference_and_fd_over_every_layer_kind() {
         let mut rng = CounterRng::new(11);
-        let net = Net::<f64>::fitting(5, &[10, 10, 10], &mut || rng.gauss());
-        let x = Matrix::from_fn(4, 5, |i, j| 0.1 * (i as f64) - 0.07 * (j as f64));
-        check_against_tape(&net, &x);
-    }
-
-    #[test]
-    fn net_pass_matches_tape_embedding() {
-        let mut rng = CounterRng::new(12);
-        let net = Net::<f64>::embedding(&[6, 12, 24], &mut || rng.gauss());
-        let x = Matrix::from_fn(7, 1, |i, _| 0.15 * i as f64 + 0.02);
-        check_against_tape(&net, &x);
-    }
-
-    #[test]
-    fn net_backward_matches_tape_grad() {
-        let mut rng = CounterRng::new(13);
-        let net = Net::<f64>::fitting(4, &[8, 8], &mut || rng.gauss());
-        let x = Matrix::from_fn(3, 4, |i, j| 0.2 * (i as f64) - 0.15 * (j as f64));
-        check_against_tape(&net, &x);
+        let fitting = Net::<f64>::fitting(5, &[10, 10, 10], &mut || rng.gauss());
+        let embedding = Net::<f64>::embedding(&[6, 12, 24], &mut || rng.gauss());
+        let kinds = [LayerKind::Plain, LayerKind::Growth, LayerKind::Residual, LayerKind::Linear];
+        let nets = [fitting, embedding];
+        assert!(kinds
+            .iter()
+            .all(|k| nets.iter().any(|n| n.layers.iter().any(|l| l.kind == *k))));
+        let inputs = [
+            Matrix::from_fn(4, 5, |i, j| 0.1 * (i as f64) - 0.07 * (j as f64)),
+            Matrix::from_fn(7, 1, |i, _| 0.15 * i as f64 + 0.02),
+        ];
+        for (net, x) in nets.iter().zip(&inputs) {
+            assert!(forward(net, x).out.max_abs_diff(&reference_forward(net, x)) < 1e-12);
+            check_backward(net, x);
+        }
     }
 
     #[test]

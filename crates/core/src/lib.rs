@@ -15,8 +15,7 @@
 //!   fitting nets per center type) in any precision,
 //! * [`eval`] — the optimized batched forward/backward: one tall GEMM per
 //!   (neighbor-type, layer) instead of per-atom small kernels, fused
-//!   bias/tanh/skip kernels, and the ProdForce / ProdVirial operators; its
-//!   net pass is the only non-tape network code in the workspace,
+//!   bias/tanh/skip kernels, and the ProdForce / ProdVirial operators,
 //! * [`baseline`] — the unoptimized per-atom reference implementation
 //!   standing in for the 2018 serial DeePMD-kit (the paper's baseline),
 //! * [`batch`] — cross-request concatenation of formatted tables: the

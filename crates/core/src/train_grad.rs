@@ -32,7 +32,7 @@ use crate::model::DpModel;
 use crate::workspace::{reuse_uninit, reuse_zeroed, EvalWorkspace};
 use dp_linalg::batch::{gemm_batch_nn, gemm_batch_nt, gemm_batch_tn, Acc, Panel};
 use dp_linalg::fused::{dup_sum_fused_into, tanh_fused_into};
-use dp_linalg::gemm::{gemm_bias_into, matmul_nt_into};
+use dp_linalg::gemm::{gemm_bias_into, gemm_ex, matmul_nt_into, Transpose};
 use dp_linalg::{simd, Matrix};
 use dp_nn::layer::LayerKind;
 use dp_nn::net::Net;
@@ -66,19 +66,6 @@ pub struct LossGrad {
     pub energy: f64,
     /// `Ė = w·∂E/∂r`, the directional derivative the sweep carries.
     pub energy_dot: f64,
-}
-
-/// Row-major operand of one unbatched GEMM.
-fn one(ld: usize) -> Panel {
-    Panel { ld, stride: 0 }
-}
-
-/// `c = a × b` on the panel kernel (no transpose, no allocation).
-fn matmul_into(a: &Matrix<f64>, b: &Matrix<f64>, c: &mut Matrix<f64>) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    c.reuse_shape(m, n);
-    let (a, b) = (a.as_slice(), b.as_slice());
-    gemm_batch_nn(1, m, k, n, 1.0, a, one(k), b, one(n), c.as_mut_slice(), one(n), Acc::Overwrite);
 }
 
 /// `(&v[l], &mut v[l + 1])`.
@@ -144,17 +131,19 @@ impl PairPass {
             let (xd, yd) = step_pair(&mut self.xds, l);
             let (h, c, zd) = (&mut self.h[l], &mut self.c[l], &mut self.zd[l]);
             gemm_bias_into(x, &layer.w, &layer.b, pre);
-            matmul_into(xd, &layer.w, zd);
-            if layer.kind == LayerKind::Linear {
-                std::mem::swap(y, pre);
-                yd.copy_from(zd);
-                continue;
+            zd.reuse_shape(xd.rows(), layer.w.cols());
+            gemm_ex(Transpose::No, Transpose::No, 1.0, xd, &layer.w, 0.0, zd);
+            if layer.kind != LayerKind::Linear {
+                tanh_fused_into(pre, h, c);
+                // ḣ = (1 − h²) ⊙ ż, built in `pre` (z is no longer needed)
+                pre.copy_from(zd);
+                pre.hadamard_assign(c);
             }
-            tanh_fused_into(pre, h, c);
-            // ḣ = (1 − h²) ⊙ ż, built in `pre` (z is no longer needed)
-            pre.copy_from(zd);
-            pre.hadamard_assign(c);
             match layer.kind {
+                LayerKind::Linear => {
+                    std::mem::swap(y, pre);
+                    yd.copy_from(zd);
+                }
                 LayerKind::Plain => {
                     y.copy_from(h);
                     std::mem::swap(yd, pre);
@@ -169,9 +158,14 @@ impl PairPass {
                     dup_sum_fused_into(x, h, y);
                     dup_sum_fused_into(xd, pre, yd);
                 }
-                LayerKind::Linear => unreachable!(),
             }
         }
+    }
+
+    /// The output of [`forward`](Self::forward) and its tangent.
+    fn output(&self, net: &Net<f64>) -> (&[f64], &[f64]) {
+        let n = net.layers.len();
+        (self.xs[n].as_slice(), self.xds[n].as_slice())
     }
 
     /// Reverse over the pair after [`forward`](Self::forward): `s.yb` /
@@ -206,7 +200,7 @@ impl PairPass {
             let (wg, bg) = params.split_at_mut(layer.w.len());
             for (x, z) in [(x, &*zb), (xd, &*zdb)] {
                 let (x, z) = (x.as_slice(), z.as_slice());
-                let (pi, po) = (one(n_in), one(n_out));
+                let (pi, po) = (Panel { ld: n_in, stride: 0 }, Panel { ld: n_out, stride: 0 });
                 gemm_batch_tn(1, n_in, rows, n_out, 1.0, x, pi, z, po, wg, po, Acc::Add);
             }
             for r in 0..rows {
@@ -246,7 +240,7 @@ impl PairPass {
 pub struct TrainWorkspace {
     eval: EvalWorkspace<f64>,
     /// Energy and forces of the last frame, from the ordinary pass.
-    pub out: EvalOutput,
+    pub(crate) out: EvalOutput,
     /// Force-loss weights `w`, one per atom.
     w: Vec<[f64; 3]>,
     emb: Vec<PairPass>,
@@ -315,8 +309,7 @@ impl TrainWorkspace {
 }
 
 /// Loss of one frame against `labels`, and its parameter gradient *added*
-/// to `grad` (in `DpModel::flat_params` order). `ws.out` is left holding
-/// the frame's energy and forces.
+/// to `grad` (in `DpModel::flat_params` order).
 pub fn loss_grad_into(
     model: &DpModel<f64>,
     fmt: &FormattedEnv,
@@ -446,9 +439,6 @@ fn sweep(
         for t in 0..n_types {
             let sel_t = cfg.sel[t];
             let rows = nc * sel_t;
-            if rows == 0 {
-                continue;
-            }
             reuse_uninit(&mut env[t], rows * 4, 0.0);
             reuse_uninit(&mut env_d[t], rows * 4, 0.0);
             fmt.gather_env_block(chunk_start, nc, t, &mut env[t]);
@@ -460,10 +450,10 @@ fn sweep(
                     *s = row[0];
                 }
             }
-            pass.forward(&model.embeddings[t], &mut rev.pre);
+            let net = &model.embeddings[t];
+            pass.forward(net, &mut rev.pre);
 
-            let g = pass.xs[model.embeddings[t].layers.len()].as_slice();
-            let gd = pass.xds[model.embeddings[t].layers.len()].as_slice();
+            let (g, gd) = pass.output(net);
             let (e, ed) = (env[t].as_slice(), env_d[t].as_slice());
             let pg = Panel { ld: m_w, stride: sel_t * m_w };
             let pe = Panel { ld: 4, stride: sel_t * 4 };
@@ -509,9 +499,9 @@ fn sweep(
             }
             let net = &model.fittings[t];
             fit.forward(net, &mut rev.pre);
-            let last = net.layers.len();
-            energy += fit.xs[last].sum() + model.e0[t] * rows as f64;
-            energy_dot += fit.xds[last].sum();
+            let (e_atoms, e_dot) = fit.output(net);
+            energy += e_atoms.iter().sum::<f64>() + model.e0[t] * rows as f64;
+            energy_dot += e_dot.iter().sum::<f64>();
 
             rev.yb.reuse_shape(rows, 1);
             rev.yb.as_mut_slice().fill(a);
@@ -543,9 +533,6 @@ fn sweep(
         for t in 0..n_types {
             let sel_t = cfg.sel[t];
             let rows = nc * sel_t;
-            if rows == 0 {
-                continue;
-            }
             let (e, ed) = (env[t].as_slice(), env_d[t].as_slice());
             let pg = Panel { ld: m_w, stride: sel_t * m_w };
             let pe = Panel { ld: 4, stride: sel_t * 4 };

@@ -1,6 +1,6 @@
-//! The weights of a single network layer. Its arithmetic lives in two
-//! places only: `deepmd_core::eval`'s net pass (inference) and the tape's
-//! `dense` op (training, [`crate::net::NetVars`]).
+//! The weights of a single network layer. Its arithmetic lives in
+//! `deepmd_core` only: `eval`'s net pass (inference) and `train_grad`'s
+//! pass on primal/tangent pairs (training).
 
 use dp_linalg::{Matrix, Real};
 

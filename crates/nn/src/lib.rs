@@ -9,13 +9,12 @@
 //!   net's hidden layers,
 //! * **linear head** `y = xW + b` — the scalar atomic-energy output.
 //!
-//! The crate holds the parameters ([`net::Net`], generic over precision),
-//! their tape leaves ([`net::Net::tape_leaves`] / [`net::NetVars::forward`]
-//! on `dp-autograd`, for training, where parameter gradients and
-//! grad-of-grad for the force loss are required) and [`Adam`]. Inference —
-//! MD, serve, the ensemble engine and the tabulated embeddings — runs
-//! `deepmd_core::eval`'s net pass over these parameters. Both run the
-//! same fused `dp-linalg` kernels: a tape layer is one `Tape::dense` node.
+//! The crate holds the parameters ([`net::Net`], generic over precision)
+//! and [`Adam`], nothing that computes with them. Every network pass —
+//! inference in MD, serve, the ensemble engine and the tabulated
+//! embeddings, and the training gradient — runs in `deepmd_core`
+//! (`eval`'s net pass and `train_grad`'s tangent + reverse pass) over
+//! these parameters.
 
 pub mod adam;
 pub mod layer;
@@ -23,4 +22,4 @@ pub mod net;
 
 pub use adam::{Adam, AdamState};
 pub use layer::{Layer, LayerKind};
-pub use net::{Net, NetVars};
+pub use net::Net;

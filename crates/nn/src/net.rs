@@ -1,7 +1,6 @@
 //! Stacks of layers: the embedding net and the fitting net.
 
 use crate::layer::{Layer, LayerKind};
-use dp_autograd::{Tape, Var};
 use dp_linalg::{Matrix, Real};
 
 /// A feed-forward network: an ordered stack of [`Layer`]s.
@@ -110,8 +109,8 @@ impl<T: Real> Net<T> {
     }
 
     /// Flatten all parameters (row-major weights then biases, layer order)
-    /// into an `f64` vector — the canonical order shared with the tape
-    /// leaves and the optimizer.
+    /// into an `f64` vector — the canonical order shared with the
+    /// training gradient and the optimizer.
     pub fn flat_params(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.num_params());
         self.extend_flat_params(&mut out);
@@ -151,82 +150,10 @@ impl<T: Real> Net<T> {
     }
 }
 
-/// Tape leaves holding one net's parameters: `(weights, bias row)` per
-/// layer, in `Net::layers` order.
-///
-/// Training needs parameter gradients and — for the force-matching loss —
-/// gradients of gradients, so the training graph lives on `dp-autograd`
-/// (always in f64, as does the paper's). Each layer is the tape's fused
-/// [`Tape::dense`] op, i.e. the same `gemm_bias_into` + `tanh_fused_into`
-/// kernels `deepmd_core::eval`'s net pass runs.
-#[derive(Debug, Clone)]
-pub struct NetVars {
-    layers: Vec<(LayerKind, Var, Var)>,
-}
-
-impl Net<f64> {
-    /// Create tape leaves holding the net's current parameters.
-    pub fn tape_leaves(&self, tape: &mut Tape) -> NetVars {
-        let layers = self
-            .layers
-            .iter()
-            .map(|l| {
-                let w = tape.leaf(&l.w);
-                (l.kind, w, tape.leaf_slice(1, l.b.len(), &l.b))
-            })
-            .collect();
-        NetVars { layers }
-    }
-}
-
-impl NetVars {
-    /// All parameter vars in [`Net::flat_params`] order (w then b per layer).
-    pub fn param_vars(&self) -> impl Iterator<Item = Var> + '_ {
-        self.layers.iter().flat_map(|&(_, w, b)| [w, b])
-    }
-
-    /// Forward the network on the tape: input var `x` (rows × in_dim) to
-    /// the output var (rows × out_dim).
-    pub fn forward(&self, tape: &mut Tape, x: Var) -> Var {
-        let mut h = x;
-        for &(kind, w, b) in &self.layers {
-            let y = tape.dense(h, w, b, kind != LayerKind::Linear);
-            h = match kind {
-                LayerKind::Linear | LayerKind::Plain => y,
-                LayerKind::Residual => tape.add(h, y),
-                LayerKind::Growth => tape.dup_add(h, y),
-            };
-        }
-        h
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dp_md::CounterRng;
-
-    #[test]
-    fn tape_param_grads_follow_flat_param_order() {
-        let mut rng = CounterRng::new(14);
-        let net = Net::<f64>::fitting(3, &[6, 6], &mut || rng.gauss());
-        let x = Matrix::from_fn(2, 3, |i, j| 0.1 * (i + j) as f64);
-
-        let mut tape = Tape::new();
-        let vars = net.tape_leaves(&mut tape);
-        let xv = tape.leaf(&x);
-        let out = vars.forward(&mut tape, xv);
-        let s = tape.sum_all(out);
-        let pv: Vec<Var> = vars.param_vars().collect();
-        let grads = tape.grad(s, &pv);
-        let flat: Vec<f64> = grads
-            .iter()
-            .flat_map(|&g| tape.value(g).as_slice().to_vec())
-            .collect();
-        assert_eq!(flat.len(), net.num_params());
-        // the last parameter is the linear head's bias: d sum(out)/db = rows
-        assert_eq!(*flat.last().unwrap(), 2.0);
-    }
 
     #[test]
     fn embedding_shapes() {

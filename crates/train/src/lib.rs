@@ -6,13 +6,11 @@
 //!
 //! * [`dataset`] — frame generation: perturbed-lattice and short-MD
 //!   sampling labelled by any `dp_md::Potential`,
-//! * [`graph`] — the training graph on `dp-autograd`: descriptor, fitting,
-//!   atomic energies, and *forces as tape nodes* (via constant sparse
-//!   contractions), so the force-matching loss
-//!   `L = p_e |ΔE/N|² + p_f Σ|ΔF|²/(3N)` is differentiable in the
-//!   parameters through the force term (grad-of-grad),
 //! * [`trainer`] — Adam loop with exponential learning-rate decay and
-//!   energy/force RMSE reporting,
+//!   energy/force RMSE reporting; each step takes the gradient of the
+//!   force-matching loss `L = p_e |ΔE/N|² + p_f Σ|ΔF|²/(3N)` from
+//!   `deepmd_core::train_grad`, which differentiates through the forces
+//!   on the inference pipeline's kernels,
 //! * [`deviation`] — ensemble force deviation, the selection criterion of
 //!   the concurrent-learning scheme (DP-GEN) the paper's models come from.
 //!   The loop itself (train ensemble → explore with MD → flag
@@ -22,7 +20,6 @@
 pub mod checkpoint;
 pub mod dataset;
 pub mod deviation;
-pub mod graph;
 pub mod trainer;
 
 pub use checkpoint::TrainCheckpoint;

@@ -1,31 +1,17 @@
 //! Adam training loop with energy + force matching.
 
 use crate::dataset::Frame;
-use crate::graph::{build_frame_graph, build_loss, model_leaves, FrameGeometry};
 use deepmd_core::eval::{evaluate_into, EvalOutput};
 use deepmd_core::format::{format_optimized, FormattedEnv};
 use deepmd_core::model::DpModel;
+use deepmd_core::train_grad::{loss_grad_into, Labels, TrainWorkspace};
 use deepmd_core::EvalWorkspace;
-use dp_autograd::Tape;
-use dp_linalg::Matrix;
 use dp_md::System;
 use dp_nn::Adam;
 use dp_obs::par;
 use std::time::{Duration, Instant};
 
-/// Loss prefactors. DeePMD-kit ramps the energy prefactor up and the force
-/// prefactor down over training; constants work fine at our scale.
-#[derive(Debug, Clone, Copy)]
-pub struct LossWeights {
-    pub pe: f64,
-    pub pf: f64,
-}
-
-impl Default for LossWeights {
-    fn default() -> Self {
-        Self { pe: 1.0, pf: 10.0 }
-    }
-}
+pub use deepmd_core::train_grad::LossWeights;
 
 /// Progress report of one training step.
 #[derive(Debug, Clone, Copy)]
@@ -55,8 +41,7 @@ struct PreparedFrame {
     fmt: FormattedEnv,
     types: Vec<usize>,
     energy: f64,
-    /// Reference forces, `n_atoms × 3` (the leaf the loss subtracts).
-    forces: Matrix<f64>,
+    forces: Vec<[f64; 3]>,
 }
 
 fn prepare(model: &DpModel<f64>, frames: &[Frame]) -> Vec<PreparedFrame> {
@@ -69,7 +54,7 @@ fn prepare(model: &DpModel<f64>, frames: &[Frame]) -> Vec<PreparedFrame> {
             fmt,
             types: f.types.clone(),
             energy: f.energy,
-            forces: Matrix::from_fn(f.forces.len(), 3, |i, k| f.forces[i][k]),
+            forces: f.forces.clone(),
         }
     })
 }
@@ -80,13 +65,12 @@ pub struct Trainer {
     pub weights: LossWeights,
     adam: Adam,
     prepared: Vec<PreparedFrame>,
-    /// Per-type graph inputs of each prepared frame; like the frames they
-    /// depend on geometry alone, so they are built here, not every step.
-    geoms: Vec<FrameGeometry>,
     steps: usize,
     /// Flat parameter and mean-gradient buffers, refilled every step.
     params: Vec<f64>,
     grads: Vec<f64>,
+    /// The gradient pass's buffers, reused by every frame and step.
+    ws: TrainWorkspace,
 }
 
 impl Trainer {
@@ -101,63 +85,44 @@ impl Trainer {
             *e = mean_e;
         }
         let prepared = prepare(&model, frames);
-        let geoms = prepared
-            .iter()
-            .map(|pf| FrameGeometry::new(&model.config, &pf.fmt, &pf.types))
-            .collect();
         let n_params = model.num_params();
         Self {
+            ws: TrainWorkspace::new(&model.config),
             model,
             weights,
             adam: Adam::new(n_params, lr),
             prepared,
-            geoms,
             steps: 0,
             params: Vec::with_capacity(n_params),
             grads: vec![0.0; n_params],
         }
     }
 
-    /// Loss and flat parameter gradient of one frame on a fresh tape (whose
-    /// buffers come from, and return to, this thread's pool).
-    fn frame_loss_grad(&self, pf: &PreparedFrame, geom: &FrameGeometry) -> (f64, Vec<f64>) {
-        let mut tape = Tape::new();
-        let mv = model_leaves(&mut tape, &self.model);
-        let fg = build_frame_graph(&mut tape, &mv, &self.model.config, geom, &self.model.e0);
-        let loss = build_loss(
-            &mut tape,
-            &fg,
-            pf.energy,
-            &pf.forces,
-            self.weights.pe,
-            self.weights.pf,
-        );
-        let grads = tape.grad(loss, &mv.param_vars());
-        let mut flat = Vec::with_capacity(self.grads.len());
-        for &g in &grads {
-            flat.extend_from_slice(tape.value(g).as_slice());
-        }
-        (tape.value(loss)[(0, 0)], flat)
-    }
-
     /// One full-batch Adam step; returns the mean loss before the update.
     pub fn step(&mut self) -> TrainReport {
         let span = dp_obs::span("train_step");
         let start = Instant::now();
-        // Frames are differentiated in parallel but summed in frame order,
-        // so the step is bit-reproducible whatever the thread schedule.
-        let per_frame: Vec<(f64, Vec<f64>)> = par::map(self.prepared.len(), |i| {
-            self.frame_loss_grad(&self.prepared[i], &self.geoms[i])
-        });
-        let nf = per_frame.len() as f64;
-        let mut total_loss = 0.0;
+        // Frames add their gradients in frame order, so the step is
+        // bit-reproducible.
         self.grads.fill(0.0);
-        for (loss, grad) in &per_frame {
-            total_loss += loss;
-            for (a, b) in self.grads.iter_mut().zip(grad) {
-                *a += b;
-            }
+        let mut total_loss = 0.0;
+        for pf in &self.prepared {
+            let labels = Labels {
+                energy: pf.energy,
+                forces: &pf.forces,
+            };
+            total_loss += loss_grad_into(
+                &self.model,
+                &pf.fmt,
+                &pf.types,
+                labels,
+                self.weights,
+                &mut self.ws,
+                &mut self.grads,
+            )
+            .loss;
         }
+        let nf = self.prepared.len() as f64;
         let mean_loss = total_loss / nf;
         for g in &mut self.grads {
             *g /= nf;
@@ -264,7 +229,7 @@ fn rmse_of(model: &DpModel<f64>, frames: &[PreparedFrame]) -> Rmse {
         );
         let n = pf.types.len() as f64;
         se_e += ((out.energy - pf.energy) / n).powi(2);
-        for (f, f_ref) in out.forces.iter().zip(pf.forces.as_slice().chunks_exact(3)) {
+        for (f, f_ref) in out.forces.iter().zip(&pf.forces) {
             for (a, b) in f.iter().zip(f_ref) {
                 se_f += (a - b).powi(2);
                 n_f += 1;

@@ -10,7 +10,6 @@ pub use deepmd_core as core;
 pub use dp_replica as replica;
 pub use dp_serve as serve;
 pub use dp_obs as obs;
-pub use dp_autograd as autograd;
 pub use dp_linalg as linalg;
 pub use dp_md as md;
 pub use dp_nn as nn;

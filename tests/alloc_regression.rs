@@ -201,12 +201,9 @@ fn steady_state_neighbor_rebuild_is_allocation_free() {
 
 #[test]
 fn steady_state_train_step_stays_within_allocation_budget() {
-    // The training tape draws every node value from a per-thread buffer
-    // pool that outlives the tape, so once one step has filled the pool a
-    // step allocates only its per-frame bookkeeping (node lists, gradient
-    // vectors), not its 345 node values per frame. perfbench's
-    // train_step_8f shape; the per-atom graph this replaced made 345 654
-    // allocations per step.
+    // The training-gradient pass keeps every buffer in the trainer's
+    // workspace, so once one step has sized it a step allocates nothing.
+    // perfbench's train_step_8f shape.
     let cfg = DpConfig {
         rcut: 4.5,
         rcut_smth: 1.0,

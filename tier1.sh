@@ -29,9 +29,10 @@ if [ "${1:-}" != "--skip-tests" ]; then
     cargo test -q --offline --workspace
     # the scalar fallback stays a tested baseline on hosts that always
     # dispatch to the SIMD path: linalg's unit tests and property suite,
-    # deepmd-core's net pass tests and scalar golden folds, and the tape's
-    # property and gradcheck suites (its bmm and dense run the linalg panels)
-    DPMD_SIMD=off cargo test -q --offline -p dp-linalg -p deepmd-core -p dp-autograd
+    # deepmd-core's net pass tests, scalar golden folds and training-gradient
+    # finite-difference checks, and the nn and train suites (the trainer's
+    # steps run that gradient pass on the linalg panels)
+    DPMD_SIMD=off cargo test -q --offline -p dp-linalg -p deepmd-core -p dp-nn -p dp-train
 fi
 
 # Benchmark smoke: all six perfbench workloads, both passes, at a twentieth
