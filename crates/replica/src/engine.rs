@@ -690,6 +690,59 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A torn newest generation falls back to the previous complete one,
+    /// and the run resumed from it replays the uninterrupted run bit for
+    /// bit.
+    #[test]
+    fn torn_newest_generation_resumes_from_the_previous_one() {
+        let pot = small_potential();
+        let systems = replica_systems(2, 5);
+        let temps = [100.0, 160.0];
+        let mut opts = opts();
+        opts.exchange_every = 4;
+
+        let dir = std::env::temp_dir().join(format!("dp-replica-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("ens.ckpt");
+
+        let mut straight = EnsembleEngine::new(pot.clone(), systems, &temps, opts);
+        straight.run(6);
+        straight.save_checkpoint(&base, 2).unwrap();
+        straight.run(6);
+        straight.save_checkpoint(&base, 2).unwrap();
+
+        let newest = dir.join("ens.ckpt.r1");
+        let len = std::fs::metadata(&newest).unwrap().len();
+        let f = std::fs::OpenOptions::new().write(true).open(&newest).unwrap();
+        f.set_len(len / 2).unwrap();
+        drop(f);
+
+        let mut resumed = EnsembleEngine::resume(pot, opts, &base, 2).unwrap();
+        assert_eq!(resumed.step, 6);
+        resumed.run(6);
+
+        for (a, b) in straight.replicas.iter().zip(&resumed.replicas) {
+            assert_eq!(a.target_t.to_bits(), b.target_t.to_bits());
+            for i in 0..a.sys.len() {
+                for d in 0..3 {
+                    assert_eq!(a.sys.positions[i][d].to_bits(), b.sys.positions[i][d].to_bits());
+                    assert_eq!(
+                        a.sys.velocities[i][d].to_bits(),
+                        b.sys.velocities[i][d].to_bits()
+                    );
+                }
+            }
+        }
+        let tail: Vec<_> = straight.swap_log.iter().filter(|e| e.step > 6).collect();
+        assert!(!tail.is_empty());
+        assert_eq!(tail.len(), resumed.swap_log.len());
+        for (a, b) in tail.iter().zip(&resumed.swap_log) {
+            assert_eq!((a.step, a.i, a.j, a.accepted), (b.step, b.i, b.j, b.accepted));
+            assert_eq!(a.delta.to_bits(), b.delta.to_bits());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn hot_swap_changes_the_potential_surface() {
         let pot = small_potential();
