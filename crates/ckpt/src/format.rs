@@ -42,8 +42,12 @@ pub const FORMAT_VERSION: u32 = 1;
 pub const KIND_MD: u32 = 1;
 /// Payload kind for training state (net weights + Adam moments).
 pub const KIND_TRAIN: u32 = 2;
-/// Payload kind for one rank's domain shard (localized recovery).
+/// Payload kind for one rank's domain shard (localized recovery): a rank
+/// label, the owned atoms' global ids and one nested [`KIND_MD`] payload.
 pub const KIND_SHARD: u32 = 3;
+/// Payload kind for one ensemble generation: engine state plus every
+/// replica's nested [`KIND_MD`] payload.
+pub const KIND_ENSEMBLE: u32 = 4;
 
 /// In-memory builder for one checkpoint file.
 #[derive(Debug, Clone)]
@@ -269,6 +273,24 @@ mod tests {
         assert!(matches!(
             CkptReader::from_bytes(&bytes),
             Err(CkptError::UnsupportedVersion(_))
+        ));
+    }
+
+    #[test]
+    fn kinds_are_distinct_and_checked() {
+        let kinds = [KIND_MD, KIND_TRAIN, KIND_SHARD, KIND_ENSEMBLE];
+        for (i, a) in kinds.iter().enumerate() {
+            for b in &kinds[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        let shard = CkptReader::from_bytes(&CkptWriter::new(KIND_SHARD).to_bytes()).unwrap();
+        assert!(matches!(
+            shard.expect_kind(KIND_ENSEMBLE),
+            Err(CkptError::WrongKind {
+                expected: KIND_ENSEMBLE,
+                found: KIND_SHARD
+            })
         ));
     }
 

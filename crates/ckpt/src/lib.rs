@@ -13,20 +13,25 @@
 //!   trajectory continues on the identical floating-point path,
 //! * [`crc32`] — the self-contained checksum.
 //!
-//! Domain payloads (MD [`System`] snapshots, Adam training state) are
-//! defined next to their owners in `dp-md` and `dp-train`; this crate is
-//! deliberately dependency-free so every layer of the workspace can use it.
+//! Domain payloads are defined next to their owners: the MD atom-state
+//! payload in `dp-md` (`dp_md::checkpoint::MdCheckpoint`), Adam training
+//! state in `dp-train`. A rank shard (`dp-parallel`) and an ensemble
+//! generation (`dp-replica`) each nest `MdCheckpoint` payloads inside
+//! their own container kind, and every checkpoint file of every kind
+//! reaches disk through a [`Rotation`]. The kinds are the `KIND_*`
+//! constants of [`format`]. This crate is deliberately dependency-free so
+//! every layer of the workspace can use it.
 
 pub mod codec;
 pub mod crc32;
 pub mod format;
 pub mod rotation;
-pub mod shard;
 
 pub use codec::{Dec, Enc};
-pub use format::{CkptReader, CkptWriter, FORMAT_VERSION, KIND_MD, KIND_SHARD, KIND_TRAIN, MAGIC};
+pub use format::{
+    CkptReader, CkptWriter, FORMAT_VERSION, KIND_ENSEMBLE, KIND_MD, KIND_SHARD, KIND_TRAIN, MAGIC,
+};
 pub use rotation::Rotation;
-pub use shard::ShardSet;
 
 /// Everything that can go wrong loading a checkpoint.
 #[derive(Debug)]

@@ -7,6 +7,10 @@
 //! velocities, forces, species, masses, the cell, the step counter and the
 //! thermostat RNG draw counter — everything `run_md_resumable` needs to
 //! continue the identical floating-point path.
+//!
+//! It is the workspace's one atom-state codec: a rank shard (`dp-parallel`)
+//! and an ensemble generation (`dp-replica`) carry their atoms as nested
+//! payloads of this kind ([`MdCheckpoint::put_nested`]).
 
 use crate::cell::Cell;
 use crate::integrate::MdProgress;
@@ -149,6 +153,18 @@ impl MdCheckpoint {
             types,
             masses,
         })
+    }
+
+    /// Append this checkpoint as one length-prefixed nested container: the
+    /// way a rank shard or an ensemble generation carries atom state.
+    pub fn put_nested(&self, e: &mut Enc) {
+        e.put_bytes(&self.to_writer().to_bytes());
+    }
+
+    /// Read one [`Self::put_nested`] payload back; the nested container is
+    /// validated (magic, version, CRCs, kind) exactly like a file.
+    pub fn get_nested(d: &mut Dec) -> Result<Self, CkptError> {
+        Self::from_reader(&CkptReader::from_bytes(d.get_bytes()?)?)
     }
 
     /// Write into the next rotation slot (atomic, shifts older generations).

@@ -59,7 +59,7 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::grid::DomainGrid;
 use crate::rank::{run_epoch, EpochOutcome};
 use crate::shard::{assemble, RankShard};
-use dp_ckpt::{CkptError, Rotation, ShardSet};
+use dp_ckpt::{CkptError, Rotation};
 use dp_md::checkpoint::MdCheckpoint;
 use dp_md::integrate::{MdOptions, MdProgress, ThermoSample};
 use dp_md::{Potential, System};
@@ -532,10 +532,10 @@ fn shard_checkpoint(
     let (Some(dead), None) = (dead.next(), dead.next()) else {
         return Err("not exactly one rank failed on its own".into());
     };
-    let set = ShardSet::new(ck.rotation.base());
-    let shard =
-        RankShard::load(&set, dead.rank).map_err(|e| format!("rank {}'s shard: {e}", dead.rank))?;
-    let s = shard.step as usize;
+    let shard = RankShard::load(ck.rotation.base(), dead.rank)
+        .map_err(|e| format!("rank {}'s shard: {e}", dead.rank))?;
+    let progress = shard.state.progress;
+    let s = progress.step;
     if s <= start_step || s >= end_step {
         return Err(format!(
             "shard step {s} outside the epoch window {start_step}..{end_step}"
@@ -544,14 +544,10 @@ fn shard_checkpoint(
     let mut pieces = vec![&shard];
     for o in epoch.outcomes.iter().filter(|o| o.rank != dead.rank) {
         match &o.snap {
-            Some(snap) if snap.step == shard.step => pieces.push(snap),
+            Some(snap) if snap.state.progress.step == s => pieces.push(snap),
             _ => return Err(format!("rank {}'s snapshot is not at step {s}", o.rank)),
         }
     }
-    let progress = MdProgress {
-        step: s,
-        rng_draws: shard.rng_draws,
-    };
     let atoms = pieces.into_iter().flat_map(RankShard::atoms);
     assemble(atoms, sys.len(), sys.cell, &sys.masses, progress)
         .ok_or_else(|| format!("the step-{s} shards do not hold every atom once"))

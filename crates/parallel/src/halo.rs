@@ -15,6 +15,8 @@ use crate::comm::{CommError, GhostAtom, Msg, OwnedAtom, RankComm};
 use crate::driver::RankStats;
 use crate::grid::DomainGrid;
 use crate::shard::RankShard;
+use dp_md::checkpoint::MdCheckpoint;
+use dp_md::integrate::MdProgress;
 use dp_md::{Cell, System};
 
 pub(crate) struct RankState {
@@ -80,18 +82,12 @@ impl RankState {
     }
 
     /// Clone the owned atoms (locals are in global-id order at the capture
-    /// point) into a shard payload.
+    /// point, and no ghosts are present) into a shard payload.
     pub fn capture_shard(&self, step: usize, rng_draws: u64) -> RankShard {
-        let n = self.ids.len();
         RankShard {
-            step: step as u64,
-            rng_draws,
-            rank: self.rank as u64,
-            ids: self.ids.clone(),
-            types: self.sys.types[..n].to_vec(),
-            positions: self.sys.positions[..n].to_vec(),
-            velocities: self.sys.velocities[..n].to_vec(),
-            forces: self.sys.forces[..n].to_vec(),
+            rank: self.rank,
+            ids: self.ids.iter().map(|&id| id as usize).collect(),
+            state: MdCheckpoint::capture(&self.sys, MdProgress { step, rng_draws }),
         }
     }
 

@@ -8,12 +8,12 @@ use crate::driver::{AuditFailure, ParallelCkpt, ParallelOptions, RankStats};
 use crate::fault::{self, FaultState};
 use crate::grid::DomainGrid;
 use crate::halo::{add_reverse_forces, exchange, forward_comm, migrate, reverse_comm, RankState};
-use crate::shard::{assemble, RankShard};
-use dp_ckpt::ShardSet;
+use crate::shard::{assemble, shard_rotation, RankShard};
 use dp_md::integrate::{self, MdProgress, ThermoSample};
 use dp_md::{units, NeighborList, NlScratch, Potential, PotentialOutput, System};
 use dp_obs::{ImbalanceReport, Registry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -118,7 +118,8 @@ pub(crate) struct RankCtx<'a> {
     stats_gather: &'a Allreduce,
     pub(crate) audit_reduce: &'a Allreduce,
     pub(crate) faults: Option<&'a FaultState>,
-    shards: Option<&'a ShardSet>,
+    /// Base path of the per-rank shard files (shards on only).
+    shards: Option<&'a Path>,
 }
 
 fn poison_all(ctx: &RankCtx<'_>, rank: usize) {
@@ -247,14 +248,14 @@ pub(crate) fn run_epoch(
     // per-rank shards next to the rotation; any shard files left over
     // from a previous (failed) epoch are stale relative to this epoch's
     // replay position, so clear them first
-    let shard_set = opts
+    let shard_base = opts
         .checkpoint
         .as_ref()
         .filter(|c| c.every > 0 && c.shards)
-        .map(|c| ShardSet::new(c.rotation.base()));
-    if let Some(set) = &shard_set {
+        .map(|c| c.rotation.base());
+    if let Some(base) = shard_base {
         for r in 0..n_ranks {
-            let _ = std::fs::remove_file(set.path(r));
+            let _ = std::fs::remove_file(shard_rotation(base, r).base());
         }
     }
     // dedicated barrier for the invariant audit (width 4) so it never
@@ -273,7 +274,7 @@ pub(crate) fn run_epoch(
         stats_gather: &stats_gather,
         audit_reduce: &audit_reduce,
         faults: faults.as_deref(),
-        shards: shard_set.as_ref(),
+        shards: shard_base,
     };
     let start = Instant::now();
 
@@ -475,9 +476,9 @@ fn rank_loop(
                     // per-rank shard at the realigned instant. The same
                     // payload stays in memory: if a peer dies, this
                     // rank's piece of the shard source needs no disk.
-                    if let Some(set) = ctx.shards {
+                    if let Some(base) = ctx.shards {
                         let shard = st.capture_shard(step, start_rng);
-                        let ((), d) = dp_obs::timed("io", || match shard.save(set) {
+                        let ((), d) = dp_obs::timed("io", || match shard.save(base) {
                             Ok(path) => {
                                 let torn = faults
                                     .is_some_and(|f| f.shard_sabotage(st.rank, step));

@@ -1,5 +1,5 @@
-//! One rank's domain payload for per-rank checkpoint shards, and the one
-//! assembly of per-rank atoms into a global checkpoint.
+//! One rank's checkpoint shard, and the one assembly of per-rank atoms
+//! into a global checkpoint.
 //!
 //! Written by each rank at every checkpoint step, right after the
 //! post-checkpoint realignment (migrate → sort-by-id) — the instant at
@@ -7,12 +7,25 @@
 //! global checkpoint would scatter onto this rank. The shards of all ranks
 //! at one step therefore [`assemble`] into that step's global checkpoint,
 //! and a restart from it replays the trajectory bit-exactly.
+//!
+//! A shard file is a [`KIND_SHARD`] container at `<base>.rank<r>`, written
+//! and loaded through a one-generation [`Rotation`] like every other
+//! checkpoint. It holds the rank label, the owned atoms' global ids and
+//! one nested [`MdCheckpoint`] of those atoms. Shards are a cache, not the
+//! system of record: a torn or corrupt shard only fails localized
+//! recovery, and the supervisor escalates to the global rotation. Hence a
+//! single generation.
 
 use crate::comm::OwnedAtom;
-use dp_ckpt::{CkptError, CkptReader, CkptWriter, Dec, Enc, ShardSet, KIND_SHARD};
+use dp_ckpt::{CkptError, CkptWriter, Dec, Enc, Rotation, KIND_SHARD};
 use dp_md::checkpoint::MdCheckpoint;
 use dp_md::integrate::MdProgress;
 use dp_md::Cell;
+use std::path::{Path, PathBuf};
+
+const SEC_RANK: [u8; 4] = *b"RANK";
+const SEC_IDS: [u8; 4] = *b"IDS ";
+const SEC_STATE: [u8; 4] = *b"MDCK";
 
 /// Lay atoms gathered from any number of ranks out by global id: the
 /// assembly behind the checkpoint gather, the shard source and the
@@ -48,116 +61,72 @@ pub(crate) fn assemble(
     seen.iter().all(|&s| s).then_some(ck)
 }
 
+/// Rank `rank`'s shard file, `<base>.rank<r>`, as a one-generation
+/// rotation.
+pub(crate) fn shard_rotation(base: &Path, rank: usize) -> Rotation {
+    let mut name = base.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".rank{rank}"));
+    Rotation::new(base.with_file_name(name), 1)
+}
+
 /// The locally-owned atoms of one rank at one checkpoint step (no
-/// ghosts), in global-id order, plus the progress labels every other
-/// checkpoint carries.
+/// ghosts), in global-id order: `ids[k]` is the global id of atom `k` of
+/// `state`, whose progress labels the step.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RankShard {
-    pub step: u64,
-    pub rng_draws: u64,
-    pub rank: u64,
-    pub ids: Vec<u64>,
-    pub types: Vec<usize>,
-    pub positions: Vec<[f64; 3]>,
-    pub velocities: Vec<[f64; 3]>,
-    pub forces: Vec<[f64; 3]>,
+    pub rank: usize,
+    pub ids: Vec<usize>,
+    pub state: MdCheckpoint,
 }
 
 impl RankShard {
     pub fn atoms(&self) -> impl Iterator<Item = OwnedAtom> + '_ {
-        (0..self.ids.len()).map(|k| OwnedAtom {
-            id: self.ids[k],
-            ty: self.types[k] as u32,
-            position: self.positions[k],
-            velocity: self.velocities[k],
-            force: self.forces[k],
+        let s = &self.state;
+        self.ids.iter().enumerate().map(|(k, &id)| OwnedAtom {
+            id: id as u64,
+            ty: s.types[k] as u32,
+            position: s.positions[k],
+            velocity: s.velocities[k],
+            force: s.forces[k],
         })
     }
 
-    pub fn to_writer(&self) -> CkptWriter {
+    /// Atomically write this shard to `<base>.rank<r>`.
+    pub fn save(&self, base: &Path) -> std::io::Result<PathBuf> {
         let mut w = CkptWriter::new(KIND_SHARD);
-        let mut meta = Enc::new();
-        meta.put_u64(self.step);
-        meta.put_u64(self.rng_draws);
-        meta.put_u64(self.rank);
-        meta.put_u64(self.ids.len() as u64);
-        w.add_section(*b"META", meta.into_bytes());
-        let mut ids = Enc::new();
-        ids.put_u64(self.ids.len() as u64);
-        for &id in &self.ids {
-            ids.put_u64(id);
-        }
-        w.add_section(*b"IDS ", ids.into_bytes());
         let mut e = Enc::new();
-        e.put_usizes(&self.types);
-        w.add_section(*b"TYP ", e.into_bytes());
+        e.put_u64(self.rank as u64);
+        w.add_section(SEC_RANK, e.into_bytes());
         let mut e = Enc::new();
-        e.put_vec3s(&self.positions);
-        w.add_section(*b"POS ", e.into_bytes());
+        e.put_usizes(&self.ids);
+        w.add_section(SEC_IDS, e.into_bytes());
         let mut e = Enc::new();
-        e.put_vec3s(&self.velocities);
-        w.add_section(*b"VEL ", e.into_bytes());
-        let mut e = Enc::new();
-        e.put_vec3s(&self.forces);
-        w.add_section(*b"FRC ", e.into_bytes());
-        w
+        self.state.put_nested(&mut e);
+        w.add_section(SEC_STATE, e.into_bytes());
+        shard_rotation(base, self.rank).save(&w)
     }
 
-    pub fn from_reader(r: &CkptReader) -> Result<Self, CkptError> {
-        let mut meta = Dec::new(r.section(*b"META")?);
-        let step = meta.get_u64()?;
-        let rng_draws = meta.get_u64()?;
-        let rank = meta.get_u64()?;
-        let n = meta.get_u64()? as usize;
-        let mut d = Dec::new(r.section(*b"IDS ")?);
-        let len = d.get_u64()? as usize;
-        let mut ids = Vec::with_capacity(len.min(n));
-        for _ in 0..len {
-            ids.push(d.get_u64()?);
-        }
-        let types = Dec::new(r.section(*b"TYP ")?).get_usizes()?;
-        let positions = Dec::new(r.section(*b"POS ")?).get_vec3s()?;
-        let velocities = Dec::new(r.section(*b"VEL ")?).get_vec3s()?;
-        let forces = Dec::new(r.section(*b"FRC ")?).get_vec3s()?;
-        let shard = Self {
-            step,
-            rng_draws,
-            rank,
-            ids,
-            types,
-            positions,
-            velocities,
-            forces,
-        };
-        if shard.ids.len() != n
-            || shard.types.len() != n
-            || shard.positions.len() != n
-            || shard.velocities.len() != n
-            || shard.forces.len() != n
-        {
+    /// Load and validate rank `rank`'s shard from `<base>.rank<r>`. Any
+    /// failure is typed; the caller decides whether to escalate to the
+    /// global rotation.
+    pub fn load(base: &Path, rank: usize) -> Result<Self, CkptError> {
+        let (r, _) = shard_rotation(base, rank).load_newest_valid(KIND_SHARD)?;
+        let label = Dec::new(r.section(SEC_RANK)?).get_u64()?;
+        if label != rank as u64 {
             return Err(CkptError::Malformed(format!(
-                "shard for rank {rank} declares {n} atoms but section lengths disagree"
+                "shard file for rank {rank} carries rank {label}"
             )));
         }
-        Ok(shard)
-    }
-
-    /// Atomically write this shard into `set` under its own rank slot.
-    pub fn save(&self, set: &ShardSet) -> std::io::Result<std::path::PathBuf> {
-        set.save(self.rank as usize, &self.to_writer())
-    }
-
-    /// Load + validate rank `rank`'s shard from `set`.
-    pub fn load(set: &ShardSet, rank: usize) -> Result<Self, CkptError> {
-        let r = set.load(rank)?;
-        let shard = Self::from_reader(&r)?;
-        if shard.rank as usize != rank {
+        let ids = Dec::new(r.section(SEC_IDS)?).get_usizes()?;
+        let state = MdCheckpoint::get_nested(&mut Dec::new(r.section(SEC_STATE)?))?;
+        if ids.len() != state.positions.len() {
             return Err(CkptError::Malformed(format!(
-                "shard file for rank {rank} carries rank {}",
-                shard.rank
+                "shard for rank {rank} has {} ids for {} atoms",
+                ids.len(),
+                state.positions.len()
             )));
         }
-        Ok(shard)
+        Ok(Self { rank, ids, state })
     }
 }
 
@@ -165,40 +134,51 @@ impl RankShard {
 mod tests {
     use super::*;
 
-    fn sample(rank: u64) -> RankShard {
+    fn sample(rank: usize) -> RankShard {
         RankShard {
-            step: 40,
-            rng_draws: 3,
             rank,
             ids: vec![5, 9, 12],
-            types: vec![0, 0, 1],
-            positions: vec![[1.0, 2.0, 3.0]; 3],
-            velocities: vec![[0.1, -0.2, 0.3]; 3],
-            forces: vec![[-1.5, 0.0, 2.5]; 3],
+            state: MdCheckpoint {
+                progress: MdProgress {
+                    step: 40,
+                    rng_draws: 3,
+                },
+                cell: Cell::orthorhombic(10.0, 11.0, 12.0),
+                positions: vec![[1.0, 2.0, 3.0]; 3],
+                velocities: vec![[0.1, -0.2, 0.3]; 3],
+                forces: vec![[-1.5, 0.0, 2.5]; 3],
+                types: vec![0, 0, 1],
+                masses: vec![63.546, 1.008],
+            },
         }
     }
 
     #[test]
-    fn roundtrip_is_bit_exact() {
-        let s = sample(1);
-        let bytes = s.to_writer().to_bytes();
-        let r = CkptReader::from_bytes(&bytes).unwrap();
-        let back = RankShard::from_reader(&r).unwrap();
-        assert_eq!(back, s);
+    fn shard_paths_are_per_rank_beside_the_base() {
+        let base = Path::new("/tmp/run.ckpt");
+        assert_eq!(
+            shard_rotation(base, 0).slot_path(0),
+            PathBuf::from("/tmp/run.ckpt.rank0")
+        );
+        assert_eq!(
+            shard_rotation(base, 12).slot_path(0),
+            PathBuf::from("/tmp/run.ckpt.rank12")
+        );
+        assert_eq!(shard_rotation(base, 3).keep(), 1);
     }
 
     #[test]
-    fn save_load_through_shard_set() {
+    fn save_load_roundtrip_and_rank_label() {
         let dir = std::env::temp_dir().join("dp-parallel-rankshard");
         let _ = std::fs::remove_dir_all(&dir);
-        let set = ShardSet::new(dir.join("run.ckpt"));
-        sample(2).save(&set).unwrap();
-        let back = RankShard::load(&set, 2).unwrap();
-        assert_eq!(back, sample(2));
-        // a shard saved under the wrong slot is rejected by the rank label
-        sample(2).to_writer().write_atomic(&set.path(0)).unwrap();
+        let base = dir.join("run.ckpt");
+        let path = sample(2).save(&base).unwrap();
+        assert_eq!(path, shard_rotation(&base, 2).slot_path(0));
+        assert_eq!(RankShard::load(&base, 2).unwrap(), sample(2));
+        // a shard copied under the wrong rank's name is rejected by its label
+        std::fs::copy(&path, shard_rotation(&base, 0).slot_path(0)).unwrap();
         assert!(matches!(
-            RankShard::load(&set, 0),
+            RankShard::load(&base, 0),
             Err(CkptError::Malformed(_))
         ));
     }

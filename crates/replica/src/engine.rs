@@ -16,17 +16,13 @@
 use crate::exchange;
 use crate::metrics;
 use deepmd_core::{BatchItem, BatchOutput, DeepPotential, PrecisionMode};
-use dp_ckpt::{CkptError, CkptWriter, Dec, Enc, Rotation};
+use dp_ckpt::{CkptError, CkptWriter, Dec, Enc, Rotation, KIND_ENSEMBLE};
 use dp_md::checkpoint::MdCheckpoint;
 use dp_md::integrate::{Berendsen, Langevin, MdOptions, Stepper};
 use dp_md::{CounterRng, Potential, System};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Checkpoint kind of the ensemble metadata container (per-replica state
-/// reuses `dp_ckpt::KIND_MD` files alongside it).
-pub const KIND_ENSEMBLE: u32 = 3;
 
 /// Derive replica `k`'s Langevin seed from the deck seed — the same
 /// splitmix64 odd-constant stride the RNG itself uses, so replica streams
@@ -144,8 +140,8 @@ impl Replica {
     }
 }
 
-/// The scheduler: owns the replicas, the shared potential, the flat batch
-/// output arena, and the exchange state.
+/// The scheduler: owns the replicas, the shared potential, the batch
+/// output arenas, and the exchange state.
 pub struct EnsembleEngine {
     pub opts: EnsembleOptions,
     pub replicas: Vec<Replica>,
@@ -157,9 +153,8 @@ pub struct EnsembleEngine {
     pub exchange_accepted: u64,
     pot: Arc<DeepPotential>,
     swap_rng: CounterRng,
-    batch_out: BatchOutput,
-    /// Per-worker outputs for the threaded sub-batch dispatch, kept so
-    /// steady-state ticks reuse the same buffers.
+    /// One output per eval worker's sub-batch, kept so steady-state ticks
+    /// reuse the same buffers.
     thread_outs: Vec<BatchOutput>,
     evaluations: u64,
 }
@@ -207,7 +202,6 @@ impl EnsembleEngine {
             exchange_accepted: 0,
             pot,
             swap_rng: CounterRng::new(exchange::swap_seed(opts.seed)),
-            batch_out: BatchOutput::new(),
             thread_outs: Vec::new(),
             evaluations: 0,
         };
@@ -250,63 +244,46 @@ impl EnsembleEngine {
     }
 
     /// One cross-replica batched force evaluation; forces and energies
-    /// land back on the replicas. With more than one eval worker the
-    /// batch splits into contiguous sub-batches evaluated on scoped OS
-    /// threads — each replica's slice of the joined table is independent
-    /// of how the batch is grouped, so the results are bit-identical to
-    /// the single-threaded dispatch (asserted by the unit tests).
+    /// land back on the replicas. The batch splits into one contiguous
+    /// sub-batch per eval worker; with more than one worker each runs on a
+    /// scoped OS thread, with one it runs on the calling thread. Each
+    /// replica's slice of the joined table is independent of how the batch
+    /// is grouped, so the results are bit-identical for any worker count
+    /// (asserted by the unit tests).
     fn batched_eval_and_store(&mut self) {
         let n = self.replicas.len();
         let workers = self.eval_workers();
-        if workers <= 1 {
-            let items: Vec<BatchItem> = self
-                .replicas
+        let chunk = n.div_ceil(workers);
+        if self.thread_outs.len() < workers {
+            self.thread_outs.resize_with(workers, BatchOutput::new);
+        }
+        let (pot, mode) = (&self.pot, self.opts.mode);
+        let eval = |slice: &[Replica], out: &mut BatchOutput| {
+            let items: Vec<BatchItem> = slice
                 .iter()
                 .map(|r| BatchItem {
                     sys: &r.sys,
                     nl: r.stepper.neighbor_list(),
                 })
                 .collect();
-            self.pot
-                .compute_batch_into(&items, self.opts.mode, &mut self.batch_out);
-            for (k, r) in self.replicas.iter_mut().enumerate() {
-                r.sys.forces.clear();
-                r.sys.forces.extend_from_slice(self.batch_out.forces_of(k));
-                r.potential_energy = self.batch_out.energies[k];
-            }
+            pot.compute_batch_into(&items, mode, out);
+        };
+        let sub_batches = self.replicas.chunks(chunk).zip(&mut self.thread_outs);
+        if workers == 1 {
+            sub_batches.for_each(|(slice, out)| eval(slice, out));
         } else {
-            let chunk = n.div_ceil(workers);
-            while self.thread_outs.len() < workers {
-                self.thread_outs.push(BatchOutput::new());
-            }
-            let pot = &self.pot;
-            let mode = self.opts.mode;
-            let replicas = &self.replicas;
+            let eval = &eval;
             std::thread::scope(|s| {
-                for (w, out) in self.thread_outs.iter_mut().take(workers).enumerate() {
-                    let slice = &replicas[(w * chunk).min(n)..((w + 1) * chunk).min(n)];
-                    if slice.is_empty() {
-                        continue;
-                    }
-                    s.spawn(move || {
-                        let items: Vec<BatchItem> = slice
-                            .iter()
-                            .map(|r| BatchItem {
-                                sys: &r.sys,
-                                nl: r.stepper.neighbor_list(),
-                            })
-                            .collect();
-                        pot.compute_batch_into(&items, mode, out);
-                    });
+                for (slice, out) in sub_batches {
+                    s.spawn(move || eval(slice, out));
                 }
             });
-            for (w, out) in self.thread_outs.iter().take(workers).enumerate() {
-                let lo = (w * chunk).min(n);
-                for (j, r) in self.replicas[lo..(lo + chunk).min(n)].iter_mut().enumerate() {
-                    r.sys.forces.clear();
-                    r.sys.forces.extend_from_slice(out.forces_of(j));
-                    r.potential_energy = out.energies[j];
-                }
+        }
+        for (slice, out) in self.replicas.chunks_mut(chunk).zip(&self.thread_outs) {
+            for (j, r) in slice.iter_mut().enumerate() {
+                r.sys.forces.clear();
+                r.sys.forces.extend_from_slice(out.forces_of(j));
+                r.potential_energy = out.energies[j];
             }
         }
         dp_obs::hist::record(metrics::BATCH_OCCUPANCY, n as u64);
@@ -339,7 +316,7 @@ impl EnsembleEngine {
             let md = opts.md_options_for(r.target_t, k);
             r.stepper.finish(&mut r.sys, &md);
             r.step = step;
-            if step % opts.thermo_every == 0 {
+            if step.is_multiple_of(opts.thermo_every) {
                 r.record_thermo();
             }
         }
@@ -347,7 +324,7 @@ impl EnsembleEngine {
         self.step = step;
         dp_obs::counter(metrics::TICKS).add(1);
 
-        if opts.exchange_every > 0 && step % opts.exchange_every == 0 {
+        if opts.exchange_every > 0 && step.is_multiple_of(opts.exchange_every) {
             exchange::attempt_round(self);
         }
     }
@@ -387,18 +364,18 @@ impl EnsembleEngine {
         dp_obs::counter(metrics::MODEL_SWAPS).add(1);
     }
 
-    /// Write one rotation generation per replica (`<base>.rK`, reusing the
-    /// MD checkpoint format) plus an ensemble metadata container
-    /// (`<base>.meta`: step, swap-RNG position, ladder temperatures,
-    /// per-replica energies, exchange tallies). `Stepper::checkpoint`
-    /// rebuilds each neighbor list first, so the saving engine and a
-    /// resumed engine continue from identical state.
+    /// Write one generation into the rotation at `base`: a single
+    /// [`KIND_ENSEMBLE`] container holding the engine state (step,
+    /// swap-RNG position, exchange tallies, ladder temperatures,
+    /// per-replica energies) and every replica's nested MD checkpoint in
+    /// replica order, so a generation is whole or absent.
+    /// `Stepper::checkpoint` rebuilds each neighbor list first, so the
+    /// saving engine and a resumed engine continue from identical state.
     pub fn save_checkpoint(&mut self, base: &Path, keep: usize) -> Result<(), CkptError> {
-        for (k, r) in self.replicas.iter_mut().enumerate() {
+        let mut states = Enc::new();
+        for r in &mut self.replicas {
             let progress = r.stepper.checkpoint(&r.sys, r.step);
-            let ck = MdCheckpoint::capture(&r.sys, progress);
-            ck.save(&Rotation::new(replica_path(base, k), keep))
-                .map_err(CkptError::Io)?;
+            MdCheckpoint::capture(&r.sys, progress).put_nested(&mut states);
         }
         let mut meta = Enc::new();
         meta.put_u64(self.replicas.len() as u64);
@@ -420,24 +397,24 @@ impl EnsembleEngine {
         w.add_section(*b"META", meta.into_bytes());
         w.add_section(*b"TEMP", temps.into_bytes());
         w.add_section(*b"PE  ", energies.into_bytes());
-        Rotation::new(meta_path(base), keep)
-            .save(&w)
-            .map_err(CkptError::Io)?;
+        w.add_section(*b"REPS", states.into_bytes());
+        Rotation::new(base, keep).save(&w).map_err(CkptError::Io)?;
         Ok(())
     }
 
-    /// Rebuild an engine from [`Self::save_checkpoint`] artifacts. Stored
-    /// forces are reused (never recomputed) for the first half-kick, the
-    /// Langevin and swap RNG streams resume at their exact draw counters,
-    /// and no thermo samples are re-emitted — the same resume semantics
-    /// as `run_md_resumable`.
+    /// Rebuild an engine from the newest valid [`Self::save_checkpoint`]
+    /// generation (a torn or corrupt newest one falls back to the one
+    /// before). Stored forces are reused (never recomputed) for the first
+    /// half-kick, the Langevin and swap RNG streams resume at their exact
+    /// draw counters, and no thermo samples are re-emitted — the same
+    /// resume semantics as `run_md_resumable`.
     pub fn resume(
         pot: Arc<DeepPotential>,
         opts: EnsembleOptions,
         base: &Path,
         keep: usize,
     ) -> Result<Self, CkptError> {
-        let (reader, _) = Rotation::new(meta_path(base), keep).load_newest_valid(KIND_ENSEMBLE)?;
+        let (reader, _) = Rotation::new(base, keep).load_newest_valid(KIND_ENSEMBLE)?;
         let mut meta = Dec::new(reader.section(*b"META")?);
         let n = meta.get_u64()? as usize;
         let step = meta.get_u64()? as usize;
@@ -453,13 +430,13 @@ impl EnsembleEngine {
                 energies.len()
             )));
         }
+        let mut states = Dec::new(reader.section(*b"REPS")?);
         let mut replicas = Vec::with_capacity(n);
         for k in 0..n {
-            let (ck, _) = MdCheckpoint::load(&Rotation::new(replica_path(base, k), keep))?;
-            let (sys, progress) = ck.restore();
+            let (sys, progress) = MdCheckpoint::get_nested(&mut states)?.restore();
             if progress.step != step {
                 return Err(CkptError::Malformed(format!(
-                    "replica {k} checkpoint at step {} but ensemble meta at step {step}",
+                    "replica {k} state at step {} but ensemble meta at step {step}",
                     progress.step
                 )));
             }
@@ -482,7 +459,6 @@ impl EnsembleEngine {
             exchange_accepted,
             pot,
             swap_rng: CounterRng::with_draws(exchange::swap_seed(opts.seed), swap_draws),
-            batch_out: BatchOutput::new(),
             thread_outs: Vec::new(),
             evaluations: 0,
         })
@@ -491,18 +467,6 @@ impl EnsembleEngine {
     pub(crate) fn swap_rng_mut(&mut self) -> &mut CounterRng {
         &mut self.swap_rng
     }
-}
-
-fn replica_path(base: &Path, k: usize) -> std::path::PathBuf {
-    let mut os = base.as_os_str().to_os_string();
-    os.push(format!(".r{k}"));
-    std::path::PathBuf::from(os)
-}
-
-fn meta_path(base: &Path) -> std::path::PathBuf {
-    let mut os = base.as_os_str().to_os_string();
-    os.push(".meta");
-    std::path::PathBuf::from(os)
 }
 
 #[cfg(test)]
@@ -711,9 +675,8 @@ mod tests {
         straight.run(6);
         straight.save_checkpoint(&base, 2).unwrap();
 
-        let newest = dir.join("ens.ckpt.r1");
-        let len = std::fs::metadata(&newest).unwrap().len();
-        let f = std::fs::OpenOptions::new().write(true).open(&newest).unwrap();
+        let len = std::fs::metadata(&base).unwrap().len();
+        let f = std::fs::OpenOptions::new().write(true).open(&base).unwrap();
         f.set_len(len / 2).unwrap();
         drop(f);
 

@@ -433,8 +433,13 @@ impl Deck {
         if run.metrics_path.is_some() {
             run.metrics_path = Some(inside("metrics.jsonl"));
         }
+        // a save exists when the checkpoint rotation's newest slot does,
+        // for MD and ensemble jobs alike
         let every = run.checkpoint_every;
-        let saved = run.checkpoint_path.clone().filter(|_| every > 0);
+        let saved = run
+            .checkpoint_path
+            .clone()
+            .filter(|base| every > 0 && Path::new(base).exists());
         match self {
             Deck::Md(cfg) => {
                 confine(&mut cfg.trajectory);
@@ -442,13 +447,12 @@ impl Deck {
                     cfg.trace_path = Some(inside("trace.json"));
                 }
                 if cfg.resume.is_none() {
-                    cfg.resume = saved.filter(|base| Path::new(base).exists());
+                    cfg.resume = saved;
                 }
             }
             Deck::Ensemble(cfg) => {
                 confine(&mut cfg.swap_log);
-                // the ensemble's meta container marks a valid save
-                cfg.resume |= saved.is_some_and(|base| Path::new(&format!("{base}.meta")).exists());
+                cfg.resume |= saved.is_some();
             }
         }
     }
