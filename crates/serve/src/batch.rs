@@ -22,7 +22,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Executes one batch of requests. Implementations group by whatever the
-/// request encodes (model, precision) and may split a batch internally;
+/// request encodes (e.g. precision) and may split a batch internally;
 /// they must return exactly one response per request, in order.
 pub trait BatchBackend: Send + Sync + 'static {
     type Req: Send + 'static;
@@ -42,8 +42,6 @@ pub struct BatchOptions {
     /// How long a worker holding a non-full batch waits for more arrivals
     /// before evaluating what it has.
     pub linger: Duration,
-    /// Worker threads draining the queue.
-    pub workers: usize,
 }
 
 impl Default for BatchOptions {
@@ -52,7 +50,6 @@ impl Default for BatchOptions {
             max_batch: 32,
             max_depth: 256,
             linger: Duration::from_millis(2),
-            workers: 1,
         }
     }
 }
@@ -92,17 +89,16 @@ struct QueueState<B: BatchBackend> {
     draining: bool,
 }
 
-/// The coalescing scheduler: submit requests from any thread, workers
-/// evaluate them in batches.
+/// The coalescing scheduler: submit requests from any thread, its one
+/// worker evaluates them in batches.
 pub struct Batcher<B: BatchBackend> {
     shared: Arc<Shared<B>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    worker: Option<std::thread::JoinHandle<()>>,
 }
 
 impl<B: BatchBackend> Batcher<B> {
     pub fn new(backend: B, opts: BatchOptions) -> Self {
         assert!(opts.max_batch >= 1, "max_batch must be at least 1");
-        assert!(opts.workers >= 1, "need at least one batch worker");
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
                 pending: VecDeque::new(),
@@ -112,16 +108,17 @@ impl<B: BatchBackend> Batcher<B> {
             backend,
             opts,
         });
-        let workers = (0..shared.opts.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("dp-batch-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn batch worker")
-            })
-            .collect();
-        Self { shared, workers }
+        let worker = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("dp-batch".into())
+                .spawn(move || worker_loop(&shared))
+                .expect("spawn batch worker")
+        };
+        Self {
+            shared,
+            worker: Some(worker),
+        }
     }
 
     /// Enqueue a request and block until its response is ready.
@@ -185,11 +182,11 @@ impl<B: BatchBackend> Batcher<B> {
     }
 
     /// Stop accepting work, evaluate everything already queued, and join
-    /// the workers. Idempotent by construction: called once from drop or
+    /// the worker. Idempotent by construction: called once from drop or
     /// explicitly.
     pub fn drain(mut self) {
         self.begin_drain();
-        for w in self.workers.drain(..) {
+        if let Some(w) = self.worker.take() {
             let _ = w.join();
         }
     }
@@ -204,7 +201,7 @@ impl<B: BatchBackend> Batcher<B> {
 impl<B: BatchBackend> Drop for Batcher<B> {
     fn drop(&mut self) {
         self.begin_drain();
-        for w in self.workers.drain(..) {
+        if let Some(w) = self.worker.take() {
             let _ = w.join();
         }
     }
@@ -314,7 +311,6 @@ mod tests {
                 max_batch: 16,
                 max_depth: 64,
                 linger: Duration::from_millis(200),
-                workers: 1,
             },
         ));
         let handles: Vec<_> = (0..8u64)
@@ -345,7 +341,6 @@ mod tests {
                 max_batch: 3,
                 max_depth: 64,
                 linger: Duration::from_millis(100),
-                workers: 1,
             },
         ));
         let handles: Vec<_> = (0..9u64)
@@ -370,7 +365,6 @@ mod tests {
                 max_batch: 1,
                 max_depth: 2,
                 linger: Duration::ZERO,
-                workers: 1,
             },
         ));
         // Occupy the worker…
@@ -414,7 +408,6 @@ mod tests {
                 max_batch: 1,
                 max_depth: 8,
                 linger: Duration::ZERO,
-                workers: 1,
             },
         ));
         // Empty queue admits regardless of the histogram — the only wait
@@ -461,7 +454,6 @@ mod tests {
                 max_batch: 4,
                 max_depth: 16,
                 linger: Duration::ZERO,
-                workers: 2,
             },
         );
         let batcher = Arc::new(batcher);

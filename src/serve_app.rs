@@ -387,8 +387,9 @@ fn parse_eval(
     })
 }
 
-/// The batcher's backend: group a drained batch by (model, precision)
-/// and run each group through one `compute_batch` call.
+/// The batcher's backend: group a drained batch by precision and run each
+/// group through one `compute_batch` call. Each batcher serves one model,
+/// so every request of a batch carries the same one.
 struct EvalBackend;
 
 impl BatchBackend for EvalBackend {
@@ -396,21 +397,18 @@ impl BatchBackend for EvalBackend {
     type Resp = String;
 
     fn run_batch(&self, requests: Vec<EvalJob>) -> Vec<String> {
-        // Group indices by model identity + precision; within a group the
-        // requests' padded environment tables concatenate into one §5.2.1
-        // fixed-shape evaluation.
-        let mut groups: Vec<(usize, u8, Vec<usize>)> = Vec::new();
+        // Within a precision group the requests' padded environment tables
+        // concatenate into one §5.2.1 fixed-shape evaluation.
+        let mut groups: Vec<(PrecisionMode, Vec<usize>)> = Vec::new();
         for (i, req) in requests.iter().enumerate() {
-            let key = (Arc::as_ptr(&req.model) as usize, req.mode as u8);
-            match groups.iter_mut().find(|(m, p, _)| (*m, *p) == key) {
-                Some((_, _, idxs)) => idxs.push(i),
-                None => groups.push((key.0, key.1, vec![i])),
+            match groups.iter_mut().find(|(mode, _)| *mode == req.mode) {
+                Some((_, idxs)) => idxs.push(i),
+                None => groups.push((req.mode, vec![i])),
             }
         }
         let mut out: Vec<Option<String>> = (0..requests.len()).map(|_| None).collect();
-        for (_, _, idxs) in groups {
+        for (mode, idxs) in groups {
             let model = Arc::clone(&requests[idxs[0]].model);
-            let mode = requests[idxs[0]].mode;
             let nls: Vec<NeighborList> = idxs
                 .iter()
                 .map(|&i| NeighborList::build(&requests[i].sys, model.rcut))
@@ -710,7 +708,6 @@ pub fn run_serve(opts: &ServeOptions, mut log: impl FnMut(&str)) -> Result<(), A
                             max_batch: opts.max_batch,
                             max_depth: opts.queue_depth,
                             linger: opts.linger,
-                            workers: 1,
                         },
                     )),
                 )
