@@ -98,8 +98,8 @@ pub(crate) fn attempt_round(engine: &mut EnsembleEngine) {
 fn rescale(engine: &mut EnsembleEngine, k: usize, s: f64) {
     let r = &mut engine.replicas[k];
     for v in &mut r.sys.velocities[..r.sys.n_local] {
-        for d in 0..3 {
-            v[d] *= s;
+        for x in v {
+            *x *= s;
         }
     }
 }
