@@ -82,7 +82,7 @@ impl RankState {
     }
 
     /// Clone the owned atoms (locals are in global-id order at the capture
-    /// point, and no ghosts are present) into a shard payload.
+    /// point) into a shard payload.
     pub fn capture_shard(&self, step: usize, rng_draws: u64) -> RankShard {
         RankShard {
             rank: self.rank,

@@ -254,9 +254,7 @@ impl EnsembleEngine {
         let n = self.replicas.len();
         let workers = self.eval_workers();
         let chunk = n.div_ceil(workers);
-        if self.thread_outs.len() < workers {
-            self.thread_outs.resize_with(workers, BatchOutput::new);
-        }
+        self.thread_outs.resize_with(workers, BatchOutput::new);
         let (pot, mode) = (&self.pot, self.opts.mode);
         let eval = |slice: &[Replica], out: &mut BatchOutput| {
             let items: Vec<BatchItem> = slice
@@ -688,7 +686,10 @@ mod tests {
             assert_eq!(a.target_t.to_bits(), b.target_t.to_bits());
             for i in 0..a.sys.len() {
                 for d in 0..3 {
-                    assert_eq!(a.sys.positions[i][d].to_bits(), b.sys.positions[i][d].to_bits());
+                    assert_eq!(
+                        a.sys.positions[i][d].to_bits(),
+                        b.sys.positions[i][d].to_bits()
+                    );
                     assert_eq!(
                         a.sys.velocities[i][d].to_bits(),
                         b.sys.velocities[i][d].to_bits()
@@ -700,7 +701,10 @@ mod tests {
         assert!(!tail.is_empty());
         assert_eq!(tail.len(), resumed.swap_log.len());
         for (a, b) in tail.iter().zip(&resumed.swap_log) {
-            assert_eq!((a.step, a.i, a.j, a.accepted), (b.step, b.i, b.j, b.accepted));
+            assert_eq!(
+                (a.step, a.i, a.j, a.accepted),
+                (b.step, b.i, b.j, b.accepted)
+            );
             assert_eq!(a.delta.to_bits(), b.delta.to_bits());
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -182,13 +182,9 @@ impl<B: BatchBackend> Batcher<B> {
     }
 
     /// Stop accepting work, evaluate everything already queued, and join
-    /// the worker. Idempotent by construction: called once from drop or
-    /// explicitly.
-    pub fn drain(mut self) {
-        self.begin_drain();
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
+    /// the worker: what dropping the batcher does, made explicit.
+    pub fn drain(self) {
+        drop(self);
     }
 
     fn begin_drain(&self) {

@@ -433,8 +433,7 @@ impl Deck {
         if run.metrics_path.is_some() {
             run.metrics_path = Some(inside("metrics.jsonl"));
         }
-        // a save exists when the checkpoint rotation's newest slot does,
-        // for MD and ensemble jobs alike
+        // MD and ensemble jobs alike: a save exists once the rotation's newest slot does
         let every = run.checkpoint_every;
         let saved = run
             .checkpoint_path
