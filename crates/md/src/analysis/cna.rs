@@ -113,10 +113,10 @@ pub fn classify(sys: &System, nl: &NeighborList) -> Vec<CnaClass> {
     // ghosts themselves get empty lists and classify as Other).
     let n = sys.len();
     let mut bonds: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for i in 0..nl.len() {
+    for (i, b) in bonds.iter_mut().enumerate().take(nl.len()) {
         let mut v = nl.neighbors_of(i).to_vec();
         v.sort_unstable();
-        bonds[i] = v;
+        *b = v;
     }
 
     par::map(sys.n_local, |i| {

@@ -37,8 +37,8 @@ impl Msd {
         let mut acc = 0.0;
         for i in 0..n {
             let step = sys.cell.displacement(self.last[i], sys.positions[i]);
-            for d in 0..3 {
-                self.unwrapped[i][d] += step[d];
+            for (u, s) in self.unwrapped[i].iter_mut().zip(step) {
+                *u += s;
             }
             self.last[i] = sys.positions[i];
             let dx = [

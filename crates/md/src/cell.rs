@@ -39,15 +39,14 @@ impl Cell {
             return r;
         }
         let mut out = r;
-        for d in 0..3 {
-            let l = self.lengths[d];
-            out[d] -= l * (out[d] / l).floor();
+        for (x, &l) in out.iter_mut().zip(&self.lengths) {
+            *x -= l * (*x / l).floor();
             // Guard against -0.0 and the r == l edge after rounding.
-            if out[d] >= l {
-                out[d] -= l;
+            if *x >= l {
+                *x -= l;
             }
-            if out[d] < 0.0 {
-                out[d] += l;
+            if *x < 0.0 {
+                *x += l;
             }
         }
         out
@@ -58,9 +57,8 @@ impl Cell {
     pub fn displacement(&self, a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
         let mut d = [b[0] - a[0], b[1] - a[1], b[2] - a[2]];
         if self.periodic {
-            for k in 0..3 {
-                let l = self.lengths[k];
-                d[k] -= l * (d[k] / l).round();
+            for (dk, &l) in d.iter_mut().zip(&self.lengths) {
+                *dk -= l * (*dk / l).round();
             }
         }
         d

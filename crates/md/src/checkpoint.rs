@@ -113,7 +113,8 @@ impl MdCheckpoint {
         let lengths = [c.get_f64()?, c.get_f64()?, c.get_f64()?];
         let periodic = c.get_u8()? != 0;
         for &l in &lengths {
-            if !(l > 0.0) {
+            // NaN fails too
+            if l.is_nan() || l <= 0.0 {
                 return Err(CkptError::Malformed(format!("cell length {l}")));
             }
         }

@@ -168,10 +168,8 @@ pub fn kick(sys: &mut System, dt: f64) {
 pub fn berendsen_rescale(sys: &mut System, b: Berendsen, dt: f64, temperature: f64) {
     if temperature > 0.0 {
         let lambda = (1.0 + dt / b.tau * (b.target_t / temperature - 1.0)).sqrt();
-        for v in &mut sys.velocities[..sys.n_local] {
-            for d in 0..3 {
-                v[d] *= lambda;
-            }
+        for v in sys.velocities[..sys.n_local].iter_mut().flatten() {
+            *v *= lambda;
         }
     }
 }
@@ -256,7 +254,7 @@ impl Stepper {
             let _span = dp_obs::span("integrate");
             kick_drift(sys, opts.dt);
         }
-        let due = step % opts.rebuild_every == 0 && self.nl.needs_rebuild(sys, opts.skin);
+        let due = step.is_multiple_of(opts.rebuild_every) && self.nl.needs_rebuild(sys, opts.skin);
         if due {
             self.rebuild(sys, self.cutoff);
         }

@@ -72,7 +72,7 @@ impl NeighborList {
         } else {
             Self::fill_binned(sys, cutoff, nbins, scratch);
         }
-        self.from_per_atom_into(sys, cutoff, &scratch.per_atom[..sys.n_local]);
+        self.fill_from_per_atom(sys, cutoff, &scratch.per_atom[..sys.n_local]);
     }
 
     /// Reference O(N²) construction, used for small systems and as the
@@ -81,7 +81,7 @@ impl NeighborList {
         let mut per_atom = Vec::new();
         Self::fill_brute_force(sys, cutoff, &mut per_atom);
         let mut nl = Self::empty();
-        nl.from_per_atom_into(sys, cutoff, &per_atom[..sys.n_local]);
+        nl.fill_from_per_atom(sys, cutoff, &per_atom[..sys.n_local]);
         nl
     }
 
@@ -109,13 +109,13 @@ impl NeighborList {
     fn bin_counts(sys: &System, cutoff: f64) -> [usize; 3] {
         let mut nbins = [1usize; 3];
         if sys.cell.periodic {
-            for d in 0..3 {
-                nbins[d] = (sys.cell.lengths[d] / cutoff).floor().max(1.0) as usize;
+            for (n, l) in nbins.iter_mut().zip(sys.cell.lengths) {
+                *n = (l / cutoff).floor().max(1.0) as usize;
             }
         } else {
             let (lo, hi) = Self::extent(sys);
-            for d in 0..3 {
-                nbins[d] = (((hi[d] - lo[d]) / cutoff).floor().max(1.0) as usize).max(1);
+            for (d, n) in nbins.iter_mut().enumerate() {
+                *n = (((hi[d] - lo[d]) / cutoff).floor().max(1.0) as usize).max(1);
             }
         }
         nbins
@@ -213,7 +213,7 @@ impl NeighborList {
         });
     }
 
-    fn from_per_atom_into(&mut self, sys: &System, cutoff: f64, per_atom: &[Vec<u32>]) {
+    fn fill_from_per_atom(&mut self, sys: &System, cutoff: f64, per_atom: &[Vec<u32>]) {
         self.offsets.clear();
         self.offsets.push(0usize);
         self.neighbors.clear();

@@ -167,8 +167,8 @@ impl Potential for PairTable {
         for (i, (e, f, w)) in results.into_iter().enumerate() {
             out.energy += e;
             out.forces[i] = f;
-            for k in 0..6 {
-                out.virial[k] += w[k];
+            for (v, wk) in out.virial.iter_mut().zip(w) {
+                *v += wk;
             }
         }
         out

@@ -76,10 +76,8 @@ impl System {
         let cur = self.temperature();
         if cur > 0.0 {
             let s = (t / cur).sqrt();
-            for v in &mut self.velocities[..n] {
-                for d in 0..3 {
-                    v[d] *= s;
-                }
+            for v in self.velocities[..n].iter_mut().flatten() {
+                *v *= s;
             }
         }
     }
@@ -92,16 +90,16 @@ impl System {
         for i in 0..n {
             let m = self.masses[self.types[i]];
             mtot += m;
-            for d in 0..3 {
-                p[d] += m * self.velocities[i][d];
+            for (pd, vd) in p.iter_mut().zip(self.velocities[i]) {
+                *pd += m * vd;
             }
         }
         if mtot == 0.0 {
             return;
         }
-        for i in 0..n {
-            for d in 0..3 {
-                self.velocities[i][d] -= p[d] / mtot;
+        for v in &mut self.velocities[..n] {
+            for (vd, pd) in v.iter_mut().zip(p) {
+                *vd -= pd / mtot;
             }
         }
     }
@@ -141,10 +139,8 @@ impl System {
     /// Randomly displace local atoms by up to `amp` in each coordinate —
     /// used to generate off-lattice training configurations.
     pub fn perturb(&mut self, amp: f64, rng: &mut CounterRng) {
-        for p in self.positions[..self.n_local].iter_mut() {
-            for d in 0..3 {
-                p[d] += rng.unit() * (2.0 * amp) - amp;
-            }
+        for x in self.positions[..self.n_local].iter_mut().flatten() {
+            *x += rng.unit() * (2.0 * amp) - amp;
         }
         self.wrap_positions();
     }
