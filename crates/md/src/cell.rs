@@ -53,12 +53,19 @@ impl Cell {
     }
 
     /// Minimum-image displacement `b - a`.
+    ///
+    /// Per axis this is `d − l·round(d/l)`. When `|d| ≤ l/4` the quotient
+    /// lies in `[−¼, ¼]` and rounds to a zero of `d`'s sign, so the
+    /// expression is `d − (±0)`: `d` itself, except that `−0.0` becomes
+    /// `+0.0`. `d + 0.0` gives exactly those bits without the divide and
+    /// the round — the common case, since most listed pairs are far
+    /// closer than a quarter box.
     #[inline]
     pub fn displacement(&self, a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
         let mut d = [b[0] - a[0], b[1] - a[1], b[2] - a[2]];
         if self.periodic {
             for (dk, &l) in d.iter_mut().zip(&self.lengths) {
-                *dk -= l * (*dk / l).round();
+                *dk = min_image_axis(*dk, l);
             }
         }
         d
@@ -90,9 +97,59 @@ impl Cell {
     }
 }
 
+/// `d − l·round(d/l)`, bit for bit, skipping the divide when `|d| ≤ l/4`
+/// (see [`Cell::displacement`]).
+#[inline]
+fn min_image_axis(d: f64, l: f64) -> f64 {
+    if d.abs() <= 0.25 * l {
+        d + 0.0
+    } else {
+        d - l * (d / l).round()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::for_cases;
+
+    /// The fast path returns the bits of the full expression, signed
+    /// zeros included: random displacements at several box lengths plus
+    /// the edges — `±0`, one ulp either side of `±l/4`, around `±l/2`.
+    #[test]
+    fn minimum_image_fast_path_is_bit_exact() {
+        let full = |d: f64, l: f64| d - l * (d / l).round();
+        let next = |x: f64, up: bool| {
+            let b = x.to_bits();
+            // toward larger magnitude when `up`, for either sign
+            f64::from_bits(if up { b + 1 } else { b - 1 })
+        };
+        for_cases(
+            0x3ca1,
+            64,
+            |rng| {
+                let l = rng.range(0.5, 200.0);
+                let mut ds: Vec<f64> = (0..64).map(|_| rng.range(-l, l)).collect();
+                for q in [0.25 * l, 0.5 * l] {
+                    for x in [q, -q] {
+                        ds.extend([x, next(x, true), next(x, false)]);
+                    }
+                }
+                ds.extend([0.0, -0.0, f64::MIN_POSITIVE, -f64::MIN_POSITIVE]);
+                (l, ds)
+            },
+            |(l, ds)| {
+                for &d in ds {
+                    let (fast, want) = (min_image_axis(d, *l), full(d, *l));
+                    assert_eq!(
+                        fast.to_bits(),
+                        want.to_bits(),
+                        "d {d:e} l {l}: {fast:e} vs {want:e}"
+                    );
+                }
+            },
+        );
+    }
 
     #[test]
     fn wrap_into_box() {
