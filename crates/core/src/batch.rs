@@ -1,14 +1,18 @@
-//! Cross-request batching of formatted environments (§5.2.1 across
-//! systems).
+//! Cross-request batching (§5.2.1 across systems).
 //!
 //! The fixed-shape padded layout makes every atom contribute exactly
 //! `Nm = Σ sel[t]` rows to the environment matrix, independent of which
-//! *system* the atom belongs to. Concatenating the formatted tables of
-//! several standalone configurations therefore yields one taller table of
-//! the same shape class, and a single [`crate::eval::evaluate_into`] call
-//! over it runs the same tall GEMMs the paper uses to batch atoms within
-//! one system — now amortized across requests (the serving scheduler's
-//! coalescing primitive).
+//! *system* the atom belongs to. The local atoms of several standalone
+//! configurations, laid end to end, therefore form one taller table of the
+//! same shape class, and one evaluation over it runs the same tall GEMMs
+//! the paper uses to batch atoms within one system — now amortized across
+//! requests (the serving scheduler's coalescing primitive).
+//!
+//! That table is never built whole. The force call's chunk loop
+//! ([`crate::eval`]) asks [`format_chunk`] for the rows of one chunk at a
+//! time; a chunk may straddle requests, and each request's part comes from
+//! the one range formatter ([`crate::format`]) with the request's neighbor
+//! indices shifted by its atom offset. A solo force call is a batch of one.
 //!
 //! Correctness argument for bit-identical per-request results: every
 //! pipeline stage is per-atom-row independent (embedding GEMM rows,
@@ -19,18 +23,57 @@
 //! and a request's energy is the left-to-right sum of its contiguous
 //! `per_atom_energy` slice — the same summation the solo evaluation
 //! performs. The one global quantity is the virial, which is accumulated
-//! across the whole table and is therefore *not* attributable to a single
+//! across the whole batch and is therefore *not* attributable to a single
 //! request; batched results omit it.
 //!
 //! Only standalone configurations batch: every atom must be local
-//! (`n_local == len`), because the joined table indexes one flat atom
-//! array and a ghost region would interleave the offsets.
+//! (`n_local == len`), because the batch indexes one flat atom array and a
+//! ghost region would interleave the offsets. A solo call may carry ghosts.
 
 use crate::config::DpConfig;
-use crate::format::{FormattedEnv, NONE};
+use crate::format::{format_rows_into, FormattedEnv, NONE};
+use crate::potential_impl::BatchItem;
+use std::ops::Range;
+
+/// Format rows `rows` of the items' local atoms, laid end to end, into
+/// `out` (resized to `rows.len()` atoms) and their species into `types`.
+/// Item `k`'s neighbor indices shift by the atoms (`len`, ghosts included)
+/// of the items before it.
+pub(crate) fn format_chunk(
+    items: &[BatchItem],
+    rows: Range<usize>,
+    cfg: &DpConfig,
+    out: &mut FormattedEnv,
+    types: &mut Vec<usize>,
+) {
+    out.resize(rows.len(), cfg);
+    out.overflowed = 0;
+    types.clear();
+    let (mut row0, mut atom0) = (0, 0);
+    for it in items {
+        let n = it.sys.n_local;
+        let (lo, hi) = (rows.start.max(row0), rows.end.min(row0 + n));
+        if lo < hi {
+            let atoms = lo - row0..hi - row0;
+            types.extend_from_slice(&it.sys.types[atoms.clone()]);
+            let codec = cfg.codec(it.sys.len());
+            out.overflowed +=
+                format_rows_into(out, lo - rows.start, it.sys, it.nl, cfg, codec, atoms, atom0);
+        }
+        row0 += n;
+        atom0 += it.sys.len();
+        if row0 >= rows.end {
+            break;
+        }
+    }
+}
 
 /// Reset a table to an empty batch accumulator for `cfg`, keeping the
 /// backing capacity (steady-state appends never reallocate).
+///
+/// Not on the force call's path, which formats requests chunk by chunk
+/// ([`format_chunk`]): perfbench's `core.batch.join_us` probe is the only
+/// caller.
 pub fn reset_joined(dst: &mut FormattedEnv, cfg: &DpConfig) {
     dst.sel.clear();
     dst.sel.extend_from_slice(&cfg.sel);
@@ -43,9 +86,12 @@ pub fn reset_joined(dst: &mut FormattedEnv, cfg: &DpConfig) {
     dst.overflowed = 0;
 }
 
-/// Append one request's formatted table to the joined batch table,
-/// shifting its neighbor indices into the batch's flat atom numbering
+/// Append one request's formatted table to a joined table, shifting its
+/// neighbor indices into the joined table's flat atom numbering
 /// (`atom_offset` = atoms appended so far). Padding slots stay `NONE`.
+///
+/// Like [`reset_joined`], only perfbench's `core.batch.join_us` probe
+/// calls it.
 pub fn append_joined(dst: &mut FormattedEnv, src: &FormattedEnv, atom_offset: usize) {
     assert_eq!(dst.sel, src.sel, "batched requests must share one model config");
     assert_eq!(dst.nm, src.nm);

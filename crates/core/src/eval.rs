@@ -25,8 +25,12 @@
 //! converting the per-slot force gradients back to `f64` before
 //! accumulation — exactly the paper's conversion points.
 //!
-//! Atoms are processed in chunks so peak memory stays bounded at paper-size
-//! neighbor counts (the GPU code relies on 16 GB device memory instead).
+//! Atoms are processed in chunks ([`chunk_size`]) so peak memory stays
+//! bounded at paper-size neighbor counts (the GPU code relies on 16 GB
+//! device memory instead). The force call formats each chunk's neighbors
+//! right before its embedding stage, so its memory is O(chunk), not
+//! O(system); [`evaluate_into`] runs the same chunk loop on views of a
+//! table formatted beforehand.
 //!
 //! [`net_forward_into`] / [`net_backward_into`] are the inference net
 //! pass: the pipeline runs every embedding and fitting net through them,
@@ -39,6 +43,7 @@
 use crate::compress::EmbeddingTable;
 use crate::format::{FormattedEnv, NONE};
 use crate::model::DpModel;
+use crate::potential_impl::BatchItem;
 use crate::profile::{maybe_time, Kernel, Profiler};
 use crate::workspace::{reuse_uninit, reuse_zeroed, EvalWorkspace, NetPass};
 use dp_linalg::batch::{gemm_batch_nn, gemm_batch_nt, gemm_batch_tn, Acc, Panel};
@@ -61,11 +66,26 @@ pub struct EvalOutput {
 /// Upper bound on atoms per pipeline chunk.
 pub const CHUNK: usize = 256;
 
-/// Atoms per pipeline chunk: targets ~32k embedding rows per neighbor
-/// type so the GEMMs stay tall while activation memory stays bounded even
-/// at the paper's sel=500 copper setting.
+/// Embedding rows per neighbor type that one chunk aims for.
+const CHUNK_ROWS: usize = 4096;
+
+/// Atoms per pipeline chunk: [`CHUNK_ROWS`] embedding rows of the widest
+/// neighbor type, between 16 and [`CHUNK`] atoms.
+///
+/// Every per-chunk buffer — embedding activations and cached tanh
+/// gradients, backward scratch, the chunk's formatted rows — scales with
+/// this, so it sets the force call's working set. On the paper's water
+/// model (`sel` 46/92, 25×50×100 embedding, f64) one chunk of 44 atoms
+/// holds about 40 MB; at the former 32 768-row target (256 atoms) it held
+/// about 250 MB. Sweeping the target over 8 192, 4 096 and 2 048 rows put
+/// `water_paper_f64`'s peak RSS at 110.9, 59.6 and 34.6 MB and
+/// `copper_small_f32`'s at 18.7, 14.6 and 12.6 MB, with no step-time
+/// cost measurable at 4 096. 4 096 is the smallest target that keeps the
+/// training sweep's chunks ([`crate::train_grad`] groups its parameter
+/// sums by chunk) where they were: every `sel` ≤ 16 stays at 256 atoms and
+/// 81-atom frames at `sel` 24 stay one chunk.
 pub fn chunk_size(max_sel: usize) -> usize {
-    (32_768 / max_sel.max(1)).clamp(16, CHUNK)
+    (CHUNK_ROWS / max_sel.max(1)).clamp(16, CHUNK)
 }
 
 /// Network forward pass (Fig 1 (e)–(g) layers) over the rows of `x`,
@@ -197,6 +217,10 @@ pub fn evaluate<T: Real>(
 /// §5.2.2 "trunk of memory" hot path. After a few warm-up calls at a fixed
 /// problem size this performs zero heap allocations; results are identical
 /// to [`evaluate`] regardless of what the workspace previously held.
+///
+/// Each chunk reads a view of `fmt`'s rows; the force call
+/// ([`crate::DeepPotential`]) runs the same chunk loop but formats each
+/// chunk itself, so the two give the same bits.
 pub fn evaluate_into<T: Real>(
     model: &DpModel<T>,
     fmt: &FormattedEnv,
@@ -206,7 +230,27 @@ pub fn evaluate_into<T: Real>(
     ws: &mut EvalWorkspace<T>,
     out: &mut EvalOutput,
 ) {
-    pipeline(model, Embedding::Nets, fmt, types, n_total, prof, ws, out);
+    let src = Source::Table { fmt, types, n_total };
+    pipeline(model, Embedding::Nets, src, prof, ws, out);
+}
+
+/// The force call's evaluation: `items` are formatted chunk by chunk into
+/// `ws`'s chunk-sized table (inside a `span` span, timed as
+/// [`Kernel::Custom`]), so no table of the whole system is ever built.
+/// Item `k`'s local atoms are rows `Σ_{i<k} n_local_i ..`; its neighbor
+/// indices shift by `Σ_{i<k} len_i`. The two agree, as the center atoms'
+/// force slots require, for a single item (ghosts allowed) and for any run
+/// of standalone items (`n_local == len`).
+pub(crate) fn evaluate_items_into<T: Real>(
+    model: &DpModel<T>,
+    items: &[BatchItem],
+    span: &'static str,
+    prof: Option<&Profiler>,
+    ws: &mut EvalWorkspace<T>,
+    out: &mut EvalOutput,
+) {
+    let src = Source::Items { items, span };
+    pipeline(model, Embedding::Nets, src, prof, ws, out);
 }
 
 /// How stage 1 produces the embedding matrix `G` of each neighbor type.
@@ -216,6 +260,21 @@ pub(crate) enum Embedding<'a, T> {
     Nets,
     /// Look `G` and `dG/ds` up in one table per neighbor type.
     Tables(&'a [EmbeddingTable<T>]),
+}
+
+/// Where the chunk loop takes each chunk's formatted rows from.
+enum Source<'a> {
+    /// Views of an already formatted table.
+    Table {
+        fmt: &'a FormattedEnv,
+        types: &'a [usize],
+        n_total: usize,
+    },
+    /// Systems formatted one chunk at a time (see [`evaluate_items_into`]).
+    Items {
+        items: &'a [BatchItem<'a>],
+        span: &'static str,
+    },
 }
 
 /// The pipeline on a fresh workspace and output.
@@ -234,31 +293,36 @@ pub(crate) fn evaluate_fresh<T: Real>(
         forces: Vec::new(),
         virial: [0.0; 6],
     };
-    pipeline(
-        model, embedding, fmt, types, n_total, prof, &mut ws, &mut out,
-    );
+    let src = Source::Table { fmt, types, n_total };
+    pipeline(model, embedding, src, prof, &mut ws, &mut out);
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn pipeline<T: Real>(
     model: &DpModel<T>,
     embedding: Embedding<T>,
-    fmt: &FormattedEnv,
-    types: &[usize],
-    n_total: usize,
+    src: Source,
     prof: Option<&Profiler>,
     ws: &mut EvalWorkspace<T>,
     out: &mut EvalOutput,
 ) {
-    assert_eq!(types.len(), fmt.n_atoms);
-    assert!(n_total >= fmt.n_atoms);
     let cfg = &model.config;
+    let (n_rows, n_total) = match src {
+        Source::Table { fmt, types, n_total } => {
+            assert_eq!(types.len(), fmt.n_atoms);
+            assert_eq!(fmt.sel, cfg.sel, "table formatted for another config");
+            (fmt.n_atoms, n_total)
+        }
+        Source::Items { items, .. } => items
+            .iter()
+            .fold((0, 0), |(r, n), it| (r + it.sys.n_local, n + it.sys.len())),
+    };
+    assert!(n_total >= n_rows);
     let n_types = cfg.n_types();
     let m_w = cfg.emb_width();
     let m2 = cfg.axis_neurons;
     let d_in = cfg.descriptor_dim();
-    let nm = fmt.nm;
+    let nm = cfg.nm();
     let inv_nm = T::from_f64(1.0 / nm as f64);
 
     // Grow per-type slots if the workspace was built for a smaller model.
@@ -304,6 +368,8 @@ fn pipeline<T: Real>(
         by_type,
         block_off,
         slot_grads,
+        chunk_env,
+        chunk_types,
     } = ws;
 
     let EvalOutput {
@@ -312,7 +378,7 @@ fn pipeline<T: Real>(
         forces,
         virial,
     } = out;
-    reuse_zeroed(per_atom_energy, fmt.n_atoms, 0.0);
+    reuse_zeroed(per_atom_energy, n_rows, 0.0);
     reuse_zeroed(forces, n_total, [0.0; 3]);
     *virial = [0.0; 6];
 
@@ -325,9 +391,29 @@ fn pipeline<T: Real>(
 
     let chunk = chunk_size(cfg.sel.iter().copied().max().unwrap_or(1));
     let mut chunk_start = 0usize;
-    while chunk_start < fmt.n_atoms {
-        let chunk_end = (chunk_start + chunk).min(fmt.n_atoms);
+    while chunk_start < n_rows {
+        let chunk_end = (chunk_start + chunk).min(n_rows);
         let nc = chunk_end - chunk_start;
+
+        // ---- 0. this chunk's formatted rows and center types ----
+        let (fmt, types) = match src {
+            Source::Table { fmt, types, .. } => {
+                (fmt.rows(chunk_start..chunk_end), &types[chunk_start..chunk_end])
+            }
+            Source::Items { items, span } => {
+                let _span = dp_obs::span(span);
+                maybe_time(prof, Kernel::Custom, || {
+                    crate::batch::format_chunk(
+                        items,
+                        chunk_start..chunk_end,
+                        cfg,
+                        chunk_env,
+                        chunk_types,
+                    )
+                });
+                (chunk_env.rows(0..nc), &chunk_types[..])
+            }
+        };
 
         // ---- 1. batched embedding per neighbor type ----
         let emb_span = dp_obs::span("embedding_gemm");
@@ -338,7 +424,7 @@ fn pipeline<T: Real>(
                 // doubles as the R̃ operand of the batched descriptor
                 // GEMMs in stages 2 and 5
                 reuse_uninit(&mut envm[t], rows * 4, T::ZERO);
-                fmt.gather_env_block(chunk_start, nc, t, &mut envm[t]);
+                fmt.gather_env_block(t, &mut envm[t]);
                 s_col.reuse_shape(rows, 1);
                 let data = s_col.as_mut_slice();
                 let e = &envm[t];
@@ -420,8 +506,8 @@ fn pipeline<T: Real>(
         for v in by_type.iter_mut() {
             v.clear();
         }
-        for a in 0..nc {
-            by_type[types[chunk_start + a]].push(a);
+        for (a, &t) in types.iter().enumerate() {
+            by_type[t].push(a);
         }
         // dE/dD per atom (filled from fitting backward; every chunk atom
         // belongs to exactly one center type, so every row is written)
@@ -579,48 +665,46 @@ fn pipeline<T: Real>(
             let denv_blocks = &*denv_blocks;
             let block_off = &*block_off;
             par::chunks_mut(slot_grads, nm, |a, sg| {
-                let atom = chunk_start + a;
-                for (within, out_g) in sg.iter_mut().enumerate() {
-                    let slot = atom * nm + within;
-                    if fmt.indices[slot] == NONE {
-                        *out_g = [0.0; 3];
-                        continue;
+                // the atom's slots, one type block after another
+                for t in 0..n_types {
+                    let sel_t = cfg.sel[t];
+                    for k in 0..sel_t {
+                        let within = block_off[t] + k;
+                        let slot = a * nm + within;
+                        let out_g = &mut sg[within];
+                        if fmt.indices[slot] == NONE {
+                            *out_g = [0.0; 3];
+                            continue;
+                        }
+                        let ds = ds_cols[t][(a * sel_t + k, 0)].to_f64();
+                        let base = (a * sel_t + k) * 4;
+                        let denv_atom = &denv_blocks[t];
+                        let gw = [
+                            denv_atom[base] + ds,
+                            denv_atom[base + 1],
+                            denv_atom[base + 2],
+                            denv_atom[base + 3],
+                        ];
+                        let jac = &fmt.denv[slot * 12..slot * 12 + 12];
+                        let mut g = [0.0; 3];
+                        for kk in 0..3 {
+                            g[kk] = gw[0] * jac[kk]
+                                + gw[1] * jac[3 + kk]
+                                + gw[2] * jac[6 + kk]
+                                + gw[3] * jac[9 + kk];
+                        }
+                        *out_g = g;
                     }
-                    // which type block is this slot in?
-                    let t = block_off[1..=n_types]
-                        .iter()
-                        .position(|&end| within < end)
-                        .expect("slot outside type blocks");
-                    let k = within - block_off[t];
-                    let ds = ds_cols[t][(a * cfg.sel[t] + k, 0)].to_f64();
-                    let base = (a * cfg.sel[t] + k) * 4;
-                    let denv_atom = &denv_blocks[t];
-                    let gw = [
-                        denv_atom[base] + ds,
-                        denv_atom[base + 1],
-                        denv_atom[base + 2],
-                        denv_atom[base + 3],
-                    ];
-                    let jac = &fmt.denv[slot * 12..slot * 12 + 12];
-                    let mut g = [0.0; 3];
-                    for kk in 0..3 {
-                        g[kk] = gw[0] * jac[kk]
-                            + gw[1] * jac[3 + kk]
-                            + gw[2] * jac[6 + kk]
-                            + gw[3] * jac[9 + kk];
-                    }
-                    *out_g = g;
                 }
             });
             drop(force_span);
             let _virial_span = dp_obs::span("prod_virial");
-            for (local_slot, g) in slot_grads.iter().enumerate() {
-                let atom = chunk_start + local_slot / nm;
-                let slot = atom * nm + local_slot % nm;
+            for (slot, g) in slot_grads.iter().enumerate() {
                 let j = fmt.indices[slot];
                 if j == NONE {
                     continue;
                 }
+                let atom = chunk_start + slot / nm;
                 let j = j as usize;
                 let d = &fmt.disp[slot * 3..slot * 3 + 3];
                 for kk in 0..3 {
@@ -641,6 +725,7 @@ fn pipeline<T: Real>(
 
     *energy = per_atom_energy.iter().sum();
 }
+
 
 #[cfg(test)]
 mod tests {
@@ -897,30 +982,83 @@ mod tests {
         assert!(y64.max_abs_diff(&y32) < 1e-5);
     }
 
+    fn assert_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}[{i}]: {x} vs {y}");
+        }
+    }
+
+    /// The force call formats each chunk inside the chunk loop. That must
+    /// give the bits of formatting the whole table first and evaluating
+    /// views of it, with and without ghosts, in both precisions; and a
+    /// batch of three systems, whose chunks straddle the systems, must
+    /// give the bits of each solo call.
     #[test]
-    fn chunking_is_invisible() {
-        // a system larger than one chunk gives identical energies to a
-        // manual per-chunk evaluation — i.e. chunk boundaries don't leak
-        let cfg = DpConfig::small(1, 4.5, 16);
+    fn per_chunk_formatting_matches_the_whole_table_bit_for_bit() {
+        use crate::format::format_optimized_into;
+        use crate::potential_impl::{BatchOutput, DeepPotential, PrecisionMode};
+        use dp_md::Potential;
+
+        let cfg = DpConfig::small(1, 4.5, 48);
+        let chunk = chunk_size(48);
         let mut rng = CounterRng::new(12);
         let model = DpModel::<f64>::new_random(cfg.clone(), &mut rng);
-        let mut sys = lattice::fcc(3.615, [5, 5, 5], units::MASS_CU); // 500 atoms > CHUNK
-        sys.perturb(0.05, &mut rng);
-        let nl = NeighborList::build(&sys, cfg.rcut);
-        let fmt = format_optimized(&sys, &nl, &cfg, Codec::PaperDecimal);
-        let out = evaluate(&model, &fmt, &sys.types, sys.len(), None);
-        // reference: evaluate per single atom via baseline-like loop is in
-        // baseline.rs tests; here check translation invariance + finiteness
-        assert!(out.energy.is_finite());
-        assert_eq!(out.forces.len(), 500);
-        let mut total = [0.0; 3];
-        for f in &out.forces {
-            for k in 0..3 {
-                total[k] += f[k];
+        let systems: Vec<System> = [[4, 4, 4], [3, 3, 4], [4, 3, 3]]
+            .into_iter()
+            .map(|reps| {
+                let mut s = lattice::fcc(3.615, reps, units::MASS_CU);
+                s.perturb(0.05, &mut rng);
+                s
+            })
+            .collect();
+        // the last 40 atoms become ghosts: sources, not centers
+        let mut ghosted = systems[0].clone();
+        ghosted.n_local -= 40;
+        assert!(ghosted.n_local > 2 * chunk, "the ghosted system must span three chunks");
+        let lists: Vec<NeighborList> =
+            systems.iter().map(|s| NeighborList::build(s, cfg.rcut)).collect();
+        let ghosted_nl = NeighborList::build(&ghosted, cfg.rcut);
+
+        for mode in [PrecisionMode::Double, PrecisionMode::Mixed] {
+            let pot = DeepPotential::new(model.clone(), mode);
+            let model32 = model.cast::<f32>();
+            for (s, nl) in [(&systems[0], &lists[0]), (&ghosted, &ghosted_nl)] {
+                let what = format!("{mode:?}, {} of {} atoms local", s.n_local, s.len());
+                let solo = pot.compute(s, nl);
+                let mut fmt = FormattedEnv::alloc(0, &cfg);
+                format_optimized_into(&mut fmt, s, nl, &cfg, cfg.codec(s.len()));
+                let types = &s.types[..s.n_local];
+                let whole = match mode {
+                    PrecisionMode::Double => evaluate(&model, &fmt, types, s.len(), None),
+                    PrecisionMode::Mixed => evaluate(&model32, &fmt, types, s.len(), None),
+                };
+                assert_bits(&[solo.energy], &[whole.energy], &format!("{what}: energy"));
+                assert_bits(
+                    solo.forces.as_flattened(),
+                    whole.forces.as_flattened(),
+                    &format!("{what}: forces"),
+                );
+                assert_bits(&solo.virial, &whole.virial, &format!("{what}: virial"));
             }
-        }
-        for k in 0..3 {
-            assert!(total[k].abs() < 1e-8);
+
+            let items: Vec<BatchItem> = systems
+                .iter()
+                .zip(&lists)
+                .map(|(sys, nl)| BatchItem { sys, nl })
+                .collect();
+            let mut batch = BatchOutput::new();
+            pot.compute_batch_into(&items, mode, &mut batch);
+            for (k, (s, nl)) in systems.iter().zip(&lists).enumerate() {
+                let what = format!("{mode:?}, batch item {k}");
+                let solo = pot.compute(s, nl);
+                assert_bits(&[batch.energies[k]], &[solo.energy], &format!("{what}: energy"));
+                assert_bits(
+                    batch.forces_of(k).as_flattened(),
+                    solo.forces.as_flattened(),
+                    &format!("{what}: forces"),
+                );
+            }
         }
     }
 }

@@ -14,11 +14,19 @@
 //!
 //! Both produce identical tables (tested); the Table 3 ablation times them
 //! against each other.
+//!
+//! The optimized path has one formatter, [`format_rows_into`]: atoms `a..b`
+//! of one system into consecutive rows of a table, neighbor indices shifted
+//! by the system's atom offset. [`format_optimized_into`] runs it over every
+//! local atom; the force call ([`crate::eval`]) runs it once per chunk into a
+//! chunk-sized table right before the embedding stage, so a force call never
+//! holds more than one chunk of formatted rows (§5.2.2 "trunk of memory").
 
 use crate::codec::Codec;
 use crate::config::DpConfig;
 use crate::env::{env_row, smooth_weight};
 use dp_md::{NeighborList, System};
+use std::ops::Range;
 
 /// Slot marker for padding.
 pub const NONE: i32 = -1;
@@ -62,6 +70,35 @@ impl FormattedEnv {
         }
     }
 
+    /// Size the table for `n_atoms` rows of `cfg`, keeping its capacity
+    /// (no allocation when it shrinks or regrows within what it held).
+    /// Row contents are left for the formatter to overwrite.
+    pub(crate) fn resize(&mut self, n_atoms: usize, cfg: &DpConfig) {
+        assert_eq!(self.nm, cfg.nm(), "workspace sized for another config");
+        let nm = self.nm;
+        self.n_atoms = n_atoms;
+        self.indices.resize(n_atoms * nm, NONE);
+        self.env.resize(n_atoms * nm * 4, 0.0);
+        self.denv.resize(n_atoms * nm * 12, 0.0);
+        self.disp.resize(n_atoms * nm * 3, 0.0);
+        self.sel.clone_from(&cfg.sel);
+    }
+
+    /// The rows of atoms `atoms`, borrowed: what one eval chunk reads.
+    pub(crate) fn rows(&self, atoms: Range<usize>) -> EnvRows<'_> {
+        let nm = self.nm;
+        let (a, b) = (atoms.start * nm, atoms.end * nm);
+        EnvRows {
+            sel: &self.sel,
+            nm,
+            n_atoms: atoms.len(),
+            indices: &self.indices[a..b],
+            env: &self.env[a * 4..b * 4],
+            denv: &self.denv[a * 12..b * 12],
+            disp: &self.disp[a * 3..b * 3],
+        }
+    }
+
     /// Base slot offset of (atom, type) block.
     #[inline]
     pub fn block_start(&self, atom: usize, ty: usize) -> usize {
@@ -75,14 +112,7 @@ impl FormattedEnv {
     }
 
     /// Gather the type-`ty` environment block of `nc` atoms starting at
-    /// `chunk_start` into `out` (`nc·sel[ty]` rows × 4, row-major, items
-    /// back-to-back), converting to the evaluation precision `T`.
-    ///
-    /// This is the §5.2.1 payoff: each atom's type block is contiguous in
-    /// `env`, so the whole chunk lands as one dense operand for the
-    /// strided batched descriptor GEMMs in `eval`. Padded slots carry
-    /// all-zero rows (re-zeroed on every format call), so batched kernels
-    /// may include them — they contribute exact zeros.
+    /// `chunk_start` into `out`; see [`EnvRows::gather_env_block`].
     pub fn gather_env_block<T: dp_linalg::Real>(
         &self,
         chunk_start: usize,
@@ -90,11 +120,41 @@ impl FormattedEnv {
         ty: usize,
         out: &mut [T],
     ) {
+        self.rows(chunk_start..chunk_start + nc)
+            .gather_env_block(ty, out);
+    }
+}
+
+/// Borrowed rows of consecutive atoms of a [`FormattedEnv`], slot-major
+/// like the table itself: slot `s` of row `a` is entry `a·nm + s`.
+#[derive(Clone, Copy)]
+pub(crate) struct EnvRows<'a> {
+    pub sel: &'a [usize],
+    pub nm: usize,
+    pub n_atoms: usize,
+    pub indices: &'a [i32],
+    pub env: &'a [f64],
+    pub denv: &'a [f64],
+    pub disp: &'a [f64],
+}
+
+impl EnvRows<'_> {
+    /// Gather the type-`ty` environment block of every row into `out`
+    /// (`rows·sel[ty]` rows × 4, row-major, atoms back-to-back), converting
+    /// to the evaluation precision `T`.
+    ///
+    /// This is the §5.2.1 payoff: each atom's type block is contiguous in
+    /// `env`, so the whole chunk lands as one dense operand for the
+    /// strided batched descriptor GEMMs in `eval`. Padded slots carry
+    /// all-zero rows (re-zeroed on every format call), so batched kernels
+    /// may include them — they contribute exact zeros.
+    pub fn gather_env_block<T: dp_linalg::Real>(&self, ty: usize, out: &mut [T]) {
+        let nc = self.n_atoms;
         let sel_t = self.sel[ty];
         let before: usize = self.sel[..ty].iter().sum();
         assert!(out.len() >= nc * sel_t * 4, "gather output too short");
         for a in 0..nc {
-            let src0 = ((chunk_start + a) * self.nm + before) * 4;
+            let src0 = (a * self.nm + before) * 4;
             let src = &self.env[src0..src0 + sel_t * 4];
             let dst = &mut out[a * sel_t * 4..(a + 1) * sel_t * 4];
             for (d, &s) in dst.iter_mut().zip(src) {
@@ -130,7 +190,9 @@ thread_local! {
         std::cell::RefCell::new(FmtScratch::default());
 }
 
-// one atom's output rows plus the shared inputs, each a different buffer
+// one atom's output rows plus the shared inputs, each a different buffer;
+// neighbor indices are shifted by `offset` (the system's first atom in the
+// table's atom numbering)
 #[allow(clippy::too_many_arguments)]
 fn fill_atom_slots(
     out_indices: &mut [i32],
@@ -140,6 +202,7 @@ fn fill_atom_slots(
     sel: &[usize],
     sorted: &[RawNeighbor],
     cfg: &DpConfig,
+    offset: usize,
     cursor: &mut Vec<usize>,
     limit: &mut Vec<usize>,
 ) -> usize {
@@ -161,7 +224,7 @@ fn fill_atom_slots(
         }
         let slot = cursor[t];
         cursor[t] += 1;
-        out_indices[slot] = n.j as i32;
+        out_indices[slot] = (n.j as usize + offset) as i32;
         let (s, ds) = smooth_weight(n.r, cfg.rcut_smth, cfg.rcut);
         let (w, dw) = env_row(n.d, n.r, s, ds);
         out_env[slot * 4..slot * 4 + 4].copy_from_slice(&w);
@@ -217,39 +280,50 @@ pub fn format_optimized_into(
     cfg: &DpConfig,
     codec: Codec,
 ) {
+    out.resize(sys.n_local, cfg);
+    out.overflowed = format_rows_into(out, 0, sys, nl, cfg, codec, 0..sys.n_local, 0);
+}
+
+/// The optimized formatter: local atoms `atoms` of `sys` into the rows of
+/// `out` from `row0` on (u64-compress, scalar sort, decode; §5.2.2), every
+/// neighbor index shifted by `offset`. The rows are cleared first, so
+/// whatever they held before never shows. Returns the neighbors dropped by
+/// `sel` overflow.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn format_rows_into(
+    out: &mut FormattedEnv,
+    row0: usize,
+    sys: &System,
+    nl: &NeighborList,
+    cfg: &DpConfig,
+    codec: Codec,
+    atoms: Range<usize>,
+    offset: usize,
+) -> usize {
     assert!(sys.num_types() <= cfg.n_types(), "model has too few types");
-    assert_eq!(out.nm, cfg.nm(), "workspace sized for another config");
+    assert!(atoms.end <= sys.n_local, "only local atoms are formatted");
     let nm = out.nm;
-    if out.n_atoms != sys.n_local {
-        out.n_atoms = sys.n_local;
-        out.indices.resize(sys.n_local * nm, NONE);
-        out.env.resize(sys.n_local * nm * 4, 0.0);
-        out.denv.resize(sys.n_local * nm * 12, 0.0);
-        out.disp.resize(sys.n_local * nm * 3, 0.0);
-    }
-    out.sel.clone_from(&cfg.sel);
+    let (a, b) = (row0 * nm, (row0 + atoms.len()) * nm);
     let FormattedEnv {
         sel,
         indices,
         env,
         denv,
         disp,
-        overflowed,
         ..
     } = out;
-    indices.fill(NONE);
-    env.fill(0.0);
-    denv.fill(0.0);
-    disp.fill(0.0);
     let sel: &[usize] = sel;
-
-    let overflow: usize = indices
+    indices[a..b]
         .chunks_mut(nm)
-        .zip(env.chunks_mut(nm * 4))
-        .zip(denv.chunks_mut(nm * 12))
-        .zip(disp.chunks_mut(nm * 3))
-        .enumerate()
-        .map(|(i, (((idx, env), denv), disp))| {
+        .zip(env[a * 4..b * 4].chunks_mut(nm * 4))
+        .zip(denv[a * 12..b * 12].chunks_mut(nm * 12))
+        .zip(disp[a * 3..b * 3].chunks_mut(nm * 3))
+        .zip(atoms)
+        .map(|((((idx, env), denv), disp), i)| {
+            idx.fill(NONE);
+            env.fill(0.0);
+            denv.fill(0.0);
+            disp.fill(0.0);
             FMT_SCRATCH.with(|cell| {
                 let s = &mut *cell.borrow_mut();
                 gather_raw_into(&mut s.raw, sys, nl, cfg, i);
@@ -276,13 +350,13 @@ pub fn format_optimized_into(
                     sel,
                     &s.sorted,
                     cfg,
+                    offset,
                     &mut s.cursor,
                     &mut s.limit,
                 )
             })
         })
-        .sum();
-    *overflowed = overflow;
+        .sum()
 }
 
 /// Baseline formatter: sort an array of structs with a three-field
@@ -308,7 +382,7 @@ pub fn format_baseline(sys: &System, nl: &NeighborList, cfg: &DpConfig) -> Forma
         let env = &mut out.env[i * nm * 4..(i + 1) * nm * 4];
         let denv = &mut out.denv[i * nm * 12..(i + 1) * nm * 12];
         let disp = &mut out.disp[i * nm * 3..(i + 1) * nm * 3];
-        overflow += fill_atom_slots(idx, env, denv, disp, &sel, &raw, cfg, &mut cursor, &mut limit);
+        overflow += fill_atom_slots(idx, env, denv, disp, &sel, &raw, cfg, 0, &mut cursor, &mut limit);
     }
     out.overflowed = overflow;
     out

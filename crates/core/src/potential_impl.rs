@@ -1,9 +1,7 @@
 //! [`DeepPotential`]: the `dp_md::Potential` implementation with the
 //! paper's precision modes (§5.2.3).
 
-use crate::codec::Codec;
-use crate::eval::{evaluate_into, EvalOutput};
-use crate::format::{format_optimized_into, FormattedEnv};
+use crate::eval::{evaluate_items_into, EvalOutput};
 use crate::model::DpModel;
 use crate::profile::Profiler;
 use crate::workspace::EvalWorkspace;
@@ -22,10 +20,10 @@ pub enum PrecisionMode {
 }
 
 /// One caller's complete evaluation arena (§5.2.2 "trunk of memory"):
-/// the formatted environment, the precision-specific eval workspaces, and
-/// the raw evaluation output. Boxed so pool pushes move a pointer.
-struct DpScratch {
-    fmt: FormattedEnv,
+/// the precision-specific eval workspaces (each holding one chunk of
+/// formatted rows) and the raw evaluation output. Solo and batched calls
+/// share it. Boxed so pool pushes move a pointer.
+struct Arena {
     ws64: EvalWorkspace<f64>,
     ws32: EvalWorkspace<f32>,
     out: EvalOutput,
@@ -91,18 +89,6 @@ impl BatchOutput {
     }
 }
 
-/// Arena for [`DeepPotential::compute_batch`]: one per-request formatting
-/// table, the joined batch table, and the per-mode workspaces.
-struct BatchScratch {
-    item: FormattedEnv,
-    joined: FormattedEnv,
-    types: Vec<usize>,
-    offsets: Vec<usize>,
-    ws64: EvalWorkspace<f64>,
-    ws32: EvalWorkspace<f32>,
-    out: EvalOutput,
-}
-
 /// A trained Deep Potential usable as an interatomic potential in MD.
 pub struct DeepPotential {
     model64: DpModel<f64>,
@@ -110,16 +96,13 @@ pub struct DeepPotential {
     pub mode: PrecisionMode,
     /// Optional Fig 3 profiler shared with the caller.
     pub profiler: Option<Arc<Profiler>>,
-    /// Pool of evaluation arenas, popped per `compute` call so `&self`
-    /// stays shared while the buffers mutate; concurrent callers each get
-    /// (and warm up) their own arena. The lock is held only for the
-    /// pop/push, never during evaluation.
+    /// Pool of evaluation arenas, popped per call (solo or batched) so
+    /// `&self` stays shared while the buffers mutate; concurrent callers
+    /// each get (and warm up) their own arena. The lock is held only for
+    /// the pop/push, never during evaluation.
     // boxed so a pop/push moves a pointer, not the arena's many buffers
     #[allow(clippy::vec_box)]
-    scratch: Mutex<Vec<Box<DpScratch>>>,
-    /// Same pooling scheme for the cross-request batch arenas.
-    #[allow(clippy::vec_box)]
-    batch_scratch: Mutex<Vec<Box<BatchScratch>>>,
+    scratch: Mutex<Vec<Box<Arena>>>,
 }
 
 impl DeepPotential {
@@ -131,7 +114,6 @@ impl DeepPotential {
             mode,
             profiler: None,
             scratch: Mutex::new(Vec::new()),
-            batch_scratch: Mutex::new(Vec::new()),
         }
     }
 
@@ -149,12 +131,59 @@ impl DeepPotential {
         self.mode = mode;
     }
 
-    fn codec(&self, sys: &System) -> Codec {
-        self.model64.config.codec(sys.len())
+    /// Evaluate `items` as one batch on a pooled arena (see
+    /// [`crate::batch`]); `span` names the per-chunk formatting span. The
+    /// forces, and the per-atom energies when asked for, are evaluated
+    /// straight into the caller's buffers (swapped in, not copied), so the
+    /// arena keeps no per-atom force buffer between calls. Returns the
+    /// energy and the virial.
+    fn eval_items(
+        &self,
+        items: &[BatchItem],
+        mode: PrecisionMode,
+        span: &'static str,
+        forces: &mut Vec<[f64; 3]>,
+        mut per_atom_energy: Option<&mut Vec<f64>>,
+    ) -> (f64, [f64; 6]) {
+        let prof = self.profiler.as_deref();
+        // keep the lock only for the pop so concurrent callers never
+        // serialize on the evaluation itself
+        let mut sc = self.scratch.lock().unwrap().pop().unwrap_or_else(|| {
+            Box::new(Arena {
+                ws64: EvalWorkspace::new(&self.model64.config),
+                ws32: EvalWorkspace::new(&self.model32.config),
+                out: EvalOutput {
+                    energy: 0.0,
+                    per_atom_energy: Vec::new(),
+                    forces: Vec::new(),
+                    virial: [0.0; 6],
+                },
+            })
+        });
+        let Arena { ws64, ws32, out } = &mut *sc;
+        std::mem::swap(forces, &mut out.forces);
+        if let Some(pe) = per_atom_energy.as_deref_mut() {
+            std::mem::swap(pe, &mut out.per_atom_energy);
+        }
+        match mode {
+            PrecisionMode::Double => {
+                evaluate_items_into(&self.model64, items, span, prof, ws64, out)
+            }
+            PrecisionMode::Mixed => {
+                evaluate_items_into(&self.model32, items, span, prof, ws32, out)
+            }
+        }
+        std::mem::swap(forces, &mut out.forces);
+        if let Some(pe) = per_atom_energy {
+            std::mem::swap(pe, &mut out.per_atom_energy);
+        }
+        let result = (out.energy, out.virial);
+        self.scratch.lock().unwrap().push(sc);
+        result
     }
 
     /// Evaluate several standalone configurations as ONE forward/backward
-    /// pass over their concatenated §5.2.1 tables (see [`crate::batch`]).
+    /// pass over their atoms laid end to end (see [`crate::batch`]).
     /// Per-request energies and forces are bit-identical to evaluating
     /// each system alone in the same `mode`. The serving scheduler uses
     /// this to coalesce concurrent `/v1/eval` requests.
@@ -193,70 +222,15 @@ impl DeepPotential {
                 it.sys.len(),
                 "only standalone configurations (no ghost region) can batch"
             );
+            res.offsets.push(res.offsets.last().unwrap() + it.sys.len());
         }
-        let prof = self.profiler.as_deref();
-        let cfg = &self.model64.config;
-        let mut sc = self.batch_scratch.lock().unwrap().pop().unwrap_or_else(|| {
-            Box::new(BatchScratch {
-                item: FormattedEnv::alloc(0, cfg),
-                joined: FormattedEnv::alloc(0, cfg),
-                types: Vec::new(),
-                offsets: Vec::new(),
-                ws64: EvalWorkspace::new(cfg),
-                ws32: EvalWorkspace::new(&self.model32.config),
-                out: EvalOutput {
-                    energy: 0.0,
-                    per_atom_energy: Vec::new(),
-                    forces: Vec::new(),
-                    virial: [0.0; 6],
-                },
-            })
-        });
-        crate::batch::reset_joined(&mut sc.joined, cfg);
-        sc.types.clear();
-        sc.offsets.clear();
-        sc.offsets.push(0);
-        {
-            let _span = dp_obs::span("batch_environment");
-            for it in items {
-                let off = *sc.offsets.last().unwrap();
-                crate::profile::maybe_time(prof, crate::profile::Kernel::Custom, || {
-                    format_optimized_into(&mut sc.item, it.sys, it.nl, cfg, self.codec(it.sys));
-                });
-                crate::batch::append_joined(&mut sc.joined, &sc.item, off);
-                sc.types.extend_from_slice(&it.sys.types[..it.sys.n_local]);
-                sc.offsets.push(off + it.sys.len());
-            }
+        let pe = Some(&mut res.per_atom_energy);
+        self.eval_items(items, mode, "batch_environment", &mut res.forces, pe);
+        for w in res.offsets.windows(2) {
+            // left-to-right sum over the request's contiguous slice — the
+            // same order the solo evaluation uses
+            res.energies.push(res.per_atom_energy[w[0]..w[1]].iter().sum());
         }
-        let n_total = *sc.offsets.last().unwrap();
-        let BatchScratch {
-            joined,
-            types,
-            offsets,
-            ws64,
-            ws32,
-            out,
-            ..
-        } = &mut *sc;
-        match mode {
-            PrecisionMode::Double => {
-                evaluate_into(&self.model64, joined, types, n_total, prof, ws64, out)
-            }
-            PrecisionMode::Mixed => {
-                evaluate_into(&self.model32, joined, types, n_total, prof, ws32, out)
-            }
-        }
-        res.offsets.clone_from(offsets);
-        res.per_atom_energy
-            .extend_from_slice(&out.per_atom_energy[..n_total]);
-        res.forces.extend_from_slice(&out.forces[..n_total]);
-        for k in 0..items.len() {
-            let (a, b) = (offsets[k], offsets[k + 1]);
-            // left-to-right sum over the request's contiguous slice —
-            // the same order the solo evaluation uses
-            res.energies.push(out.per_atom_energy[a..b].iter().sum());
-        }
-        self.batch_scratch.lock().unwrap().push(sc);
     }
 }
 
@@ -267,49 +241,13 @@ impl Potential for DeepPotential {
         out
     }
 
+    /// A batch of one: the atoms are formatted chunk by chunk inside the
+    /// evaluation, so the call holds one chunk of formatted rows, never a
+    /// table of the whole system. Ghosts (`n_local < len`) are allowed.
     fn compute_into(&self, sys: &System, nl: &NeighborList, out: &mut PotentialOutput) {
-        let prof = self.profiler.as_deref();
-        // Pop an arena; keep the lock only for the pop so concurrent
-        // callers never serialize on the evaluation itself.
-        let mut sc = self.scratch.lock().unwrap().pop().unwrap_or_else(|| {
-            Box::new(DpScratch {
-                fmt: FormattedEnv::alloc(0, &self.model64.config),
-                ws64: EvalWorkspace::new(&self.model64.config),
-                ws32: EvalWorkspace::new(&self.model32.config),
-                out: EvalOutput {
-                    energy: 0.0,
-                    per_atom_energy: Vec::new(),
-                    forces: Vec::new(),
-                    virial: [0.0; 6],
-                },
-            })
-        });
-        {
-            let _span = dp_obs::span("environment");
-            crate::profile::maybe_time(prof, crate::profile::Kernel::Custom, || {
-                format_optimized_into(&mut sc.fmt, sys, nl, &self.model64.config, self.codec(sys));
-            });
-        }
-        let types = &sys.types[..sys.n_local];
-        let DpScratch {
-            fmt,
-            ws64,
-            ws32,
-            out: eval_out,
-        } = &mut *sc;
-        match self.mode {
-            PrecisionMode::Double => {
-                evaluate_into(&self.model64, fmt, types, sys.len(), prof, ws64, eval_out)
-            }
-            PrecisionMode::Mixed => {
-                evaluate_into(&self.model32, fmt, types, sys.len(), prof, ws32, eval_out)
-            }
-        }
-        out.energy = eval_out.energy;
-        out.virial = eval_out.virial;
-        out.forces.clear();
-        out.forces.extend_from_slice(&eval_out.forces);
-        self.scratch.lock().unwrap().push(sc);
+        let items = [BatchItem { sys, nl }];
+        (out.energy, out.virial) =
+            self.eval_items(&items, self.mode, "environment", &mut out.forces, None);
     }
 
     fn cutoff(&self) -> f64 {

@@ -7,9 +7,11 @@
 //! per-layer network activations and cached tanh gradients, descriptor
 //! contraction scratch, backward buffers, per-slot force gradients — lives
 //! in one struct whose buffers grow to the steady-state problem size on the
-//! first call and are never re-allocated afterwards. `evaluate_into`
-//! borrows it; `evaluate` remains the convenience wrapper that builds a
-//! fresh one per call.
+//! first call and are never re-allocated afterwards. Every buffer is sized
+//! by one chunk of atoms ([`crate::eval::chunk_size`]), the formatted rows
+//! of the force call included, so the workspace does not grow with the
+//! system. `evaluate_into` borrows it; `evaluate` remains the convenience
+//! wrapper that builds a fresh one per call.
 //!
 //! Buffer rotation inside a network pass uses `std::mem::swap` of matrices,
 //! so capacities migrate between roles but are never dropped; after a few
@@ -18,6 +20,7 @@
 //! `tests/alloc_regression.rs` at the workspace root).
 
 use crate::config::DpConfig;
+use crate::format::FormattedEnv;
 use dp_linalg::{Matrix, Real};
 
 /// Buffers for one network forward/backward pass: the final activation,
@@ -109,6 +112,11 @@ pub struct EvalWorkspace<T> {
     pub block_off: Vec<usize>,
     /// Per-slot force gradient from ProdForce.
     pub slot_grads: Vec<[f64; 3]>,
+    /// The current chunk's formatted rows and center types, when the
+    /// force call formats its atoms chunk by chunk: the only formatted
+    /// table a force call holds (§5.2.2).
+    pub chunk_env: FormattedEnv,
+    pub chunk_types: Vec<usize>,
 }
 
 impl<T: Real> EvalWorkspace<T> {
@@ -137,6 +145,8 @@ impl<T: Real> EvalWorkspace<T> {
             by_type: vec![Vec::new(); n_types],
             block_off: vec![0; n_types + 1],
             slot_grads: Vec::new(),
+            chunk_env: FormattedEnv::alloc(0, cfg),
+            chunk_types: Vec::new(),
         }
     }
 }

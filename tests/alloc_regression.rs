@@ -6,6 +6,10 @@
 //! must not move across repeated `compute_into` calls on the same
 //! configuration.
 //!
+//! The same allocator tracks live and peak bytes per thread, which gates
+//! the force call's memory without timing anything: its working set is
+//! one chunk of atoms plus O(N) outputs, so it must not grow with N.
+//!
 //! Every data-parallel loop (`dp_obs::par`) runs on the calling thread, so
 //! the thread-local formatter scratch warmed by the first calls serves
 //! the measured ones. The counter is per thread because the other tests
@@ -15,7 +19,9 @@
 use deepmd_repro::core::{DeepPotential, DpConfig, DpModel, PrecisionMode};
 use deepmd_repro::md::integrate::{run_md_resumable, Berendsen, MdOptions, MdProgress};
 use deepmd_repro::md::potential::pair::PairTable;
-use deepmd_repro::md::{lattice, units, NeighborList, NlScratch, Potential, PotentialOutput};
+use deepmd_repro::md::{
+    lattice, units, NeighborList, NlScratch, Potential, PotentialOutput, System,
+};
 use deepmd_repro::train::dataset::perturbed_frames;
 use deepmd_repro::train::{LossWeights, Trainer};
 use dp_md::CounterRng;
@@ -28,26 +34,41 @@ thread_local! {
     // const-initialised and without a destructor, so touching it from
     // inside the allocator can neither allocate nor outlive the thread
     static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    // bytes this thread allocated minus bytes it freed, and their maximum
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_one() {
     let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
 }
 
+fn add_live(bytes: i64) {
+    let _ = LIVE_BYTES.try_with(|live| {
+        let now = live.get() + bytes;
+        live.set(now);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        add_live(layout.size() as i64);
         SystemAlloc.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_one();
+        add_live(layout.size() as i64);
         SystemAlloc.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        add_live(new_size as i64 - layout.size() as i64);
         SystemAlloc.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add_live(-(layout.size() as i64));
         SystemAlloc.dealloc(ptr, layout)
     }
 }
@@ -58,6 +79,73 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
     ALLOC_CALLS.with(Cell::get)
+}
+
+/// Peak bytes the calling thread held while `f` ran, above what it held
+/// when `f` started.
+fn transient_peak(f: impl FnOnce()) -> u64 {
+    let before = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|p| p.set(before));
+    f();
+    (PEAK_BYTES.with(Cell::get) - before) as u64
+}
+
+/// The working set of one force call: the transient peak of a call on a
+/// fresh `DeepPotential`, so the call must build the arena it evaluates
+/// in, with everything else warm — the system, its neighbor list, the
+/// output buffer and the thread's formatter scratch, all sized by a first
+/// call on another potential of the same model.
+fn force_call_bytes(cfg: DpConfig, mode: PrecisionMode, sys: &System) -> u64 {
+    let model = DpModel::<f64>::new_random(cfg, &mut CounterRng::new(3));
+    let nl = NeighborList::build(sys, model.config.rcut);
+    let mut out = PotentialOutput::zeros(sys.len());
+    DeepPotential::new(model.clone(), mode).compute_into(sys, &nl, &mut out);
+    let pot = DeepPotential::new(model, mode);
+    let bytes = transient_peak(|| pot.compute_into(sys, &nl, &mut out));
+    assert!(out.energy.is_finite());
+    bytes
+}
+
+#[test]
+fn force_call_memory_does_not_grow_with_atoms() {
+    // perfbench's copper_small_f32 model: sel 52, 8×16 embedding, mixed
+    let cfg = DpConfig {
+        rcut: 4.8,
+        rcut_smth: 1.2,
+        sel: vec![52],
+        embedding: vec![8, 16],
+        fitting: vec![32, 32, 32],
+        axis_neurons: 4,
+    };
+    let small = lattice::copper([10, 10, 10]);
+    let large = lattice::copper([20, 20, 20]);
+    assert_eq!((small.len(), large.len()), (4_000, 32_000));
+    let at_small = force_call_bytes(cfg.clone(), PrecisionMode::Mixed, &small);
+    let at_large = force_call_bytes(cfg, PrecisionMode::Mixed, &large);
+    eprintln!(
+        "force call working set: {at_small} B at 4 000 atoms ({} B/atom), \
+         {at_large} B at 32 000 atoms ({} B/atom)",
+        at_small / 4_000,
+        at_large / 32_000
+    );
+    assert!(
+        at_large as f64 <= 1.25 * at_small as f64,
+        "the force call's working set grew from {at_small} B at 4 000 atoms \
+         to {at_large} B at 32 000"
+    );
+}
+
+#[test]
+fn paper_water_force_call_stays_under_its_memory_bound() {
+    // the paper's water model on 375 atoms, f64 (perfbench's
+    // water_paper_f64); a whole-system table and 256-atom chunks held
+    // about 250 MB
+    const BOUND: u64 = 56 << 20;
+    let sys = lattice::water_box([5, 5, 5], 3.104);
+    assert_eq!(sys.len(), 375);
+    let bytes = force_call_bytes(DpConfig::water_paper(), PrecisionMode::Double, &sys);
+    eprintln!("paper water force call working set: {bytes} B");
+    assert!(bytes <= BOUND, "working set {bytes} B exceeds {BOUND} B");
 }
 
 #[test]
