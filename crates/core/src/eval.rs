@@ -69,21 +69,28 @@ pub const CHUNK: usize = 256;
 /// Embedding rows per neighbor type that one chunk aims for.
 const CHUNK_ROWS: usize = 4096;
 
-/// Atoms per pipeline chunk: [`CHUNK_ROWS`] embedding rows of the widest
-/// neighbor type, between 16 and [`CHUNK`] atoms.
+/// Atoms per pipeline chunk: `CHUNK_ROWS` (4 096) embedding rows of the
+/// widest neighbor type, between 16 and [`CHUNK`] atoms.
 ///
 /// Every per-chunk buffer — embedding activations and cached tanh
 /// gradients, backward scratch, the chunk's formatted rows — scales with
-/// this, so it sets the force call's working set. On the paper's water
-/// model (`sel` 46/92, 25×50×100 embedding, f64) one chunk of 44 atoms
-/// holds about 40 MB; at the former 32 768-row target (256 atoms) it held
-/// about 250 MB. Sweeping the target over 8 192, 4 096 and 2 048 rows put
-/// `water_paper_f64`'s peak RSS at 110.9, 59.6 and 34.6 MB and
-/// `copper_small_f32`'s at 18.7, 14.6 and 12.6 MB, with no step-time
-/// cost measurable at 4 096. 4 096 is the smallest target that keeps the
+/// this, so it sets the force call's working set: on the paper's water
+/// model (`sel` 46/92, 25×50×100 embedding, f64) a 44-atom chunk puts the
+/// whole force call at about 48 MB of heap. Peak RSS at 2 048, 4 096 and
+/// 8 192 rows, measured with perfbench on a 2-core x86-64 host:
+///
+/// | rows | `water_paper_f64` | `copper_small_f32` |
+/// |---|---|---|
+/// | 2 048 | 34.4 MB | 10.5–12.3 MB |
+/// | 4 096 | 59.5 MB | 12.6–14.5 MB |
+/// | 8 192 | 110.6 MB | 16.7–18.5 MB |
+///
+/// Step time does not pick a side: in six alternating pairs, 2 048 rows
+/// beat 4 096 on water (median 640 vs 736 µs per atom-step) and lost on
+/// copper (19.2 vs 15.6 µs). 4 096 is the smallest budget that leaves the
 /// training sweep's chunks ([`crate::train_grad`] groups its parameter
-/// sums by chunk) where they were: every `sel` ≤ 16 stays at 256 atoms and
-/// 81-atom frames at `sel` 24 stay one chunk.
+/// sums by chunk) where they were: every `sel` ≤ 16 stays at 256 atoms
+/// and 81-atom frames at `sel` 24 stay one chunk.
 pub fn chunk_size(max_sel: usize) -> usize {
     (CHUNK_ROWS / max_sel.max(1)).clamp(16, CHUNK)
 }

@@ -110,19 +110,6 @@ impl FormattedEnv {
     pub fn real_neighbors(&self) -> usize {
         self.indices.iter().filter(|&&i| i != NONE).count()
     }
-
-    /// Gather the type-`ty` environment block of `nc` atoms starting at
-    /// `chunk_start` into `out`; see [`EnvRows::gather_env_block`].
-    pub fn gather_env_block<T: dp_linalg::Real>(
-        &self,
-        chunk_start: usize,
-        nc: usize,
-        ty: usize,
-        out: &mut [T],
-    ) {
-        self.rows(chunk_start..chunk_start + nc)
-            .gather_env_block(ty, out);
-    }
 }
 
 /// Borrowed rows of consecutive atoms of a [`FormattedEnv`], slot-major

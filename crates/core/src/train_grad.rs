@@ -346,7 +346,7 @@ pub fn loss_grad_into(
 }
 
 /// `Ṙ = (∂R̃/∂r)·w` of the type-`ty` block of `nc` atoms from
-/// `chunk_start`, laid out like `FormattedEnv::gather_env_block`. A slot
+/// `chunk_start`, laid out like `EnvRows::gather_env_block`. A slot
 /// whose displacement is `d = r_j − r_i` moves by `w_j − w_i`; padded
 /// slots have a zero Jacobian and stay zero.
 fn env_tangent(
@@ -441,7 +441,8 @@ fn sweep(
             let rows = nc * sel_t;
             reuse_uninit(&mut env[t], rows * 4, 0.0);
             reuse_uninit(&mut env_d[t], rows * 4, 0.0);
-            fmt.gather_env_block(chunk_start, nc, t, &mut env[t]);
+            fmt.rows(chunk_start..chunk_start + nc)
+                .gather_env_block(t, &mut env[t]);
             env_tangent(fmt, w, chunk_start, nc, t, &mut env_d[t]);
             let pass = &mut emb[t];
             for (x, e) in [(&mut pass.xs[0], &env[t]), (&mut pass.xds[0], &env_d[t])] {
