@@ -30,7 +30,8 @@ struct Arena {
 }
 
 /// One request in a cross-request batch: a standalone configuration
-/// (every atom local — `n_local == len`) plus its neighbor list.
+/// (every atom local — `n_local == len`) plus its neighbor list. A solo
+/// force call evaluates itself as the one item of a batch, ghosts allowed.
 pub struct BatchItem<'a> {
     pub sys: &'a System,
     pub nl: &'a NeighborList,
