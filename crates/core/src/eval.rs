@@ -733,7 +733,6 @@ fn pipeline<T: Real>(
     *energy = per_atom_energy.iter().sum();
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
