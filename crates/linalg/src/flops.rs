@@ -116,7 +116,7 @@ mod tests {
         add(10);
         let snap = dp_obs::counters();
         let flops = snap.iter().find(|&&(n, _)| n == FLOPS_COUNTER);
-        assert!(flops.map_or(false, |&(_, v)| v >= 10), "{snap:?}");
+        assert!(flops.is_some_and(|&(_, v)| v >= 10), "{snap:?}");
         assert!(std::ptr::eq(handle(), dp_obs::counter(FLOPS_COUNTER)));
     }
 }

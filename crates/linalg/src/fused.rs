@@ -77,13 +77,16 @@ pub fn concat_sum_baseline<T: Real>(x: &Matrix<T>, h: &Matrix<T>) -> Matrix<T> {
     out
 }
 
+/// `(element TypeId, k, (I,I) matrix)` entries of [`II_CACHE`].
+type IiCache = Vec<(TypeId, usize, Box<dyn Any>)>;
+
 thread_local! {
     /// `(element TypeId, k) → (I,I)` matrices for `concat_sum_gemm`. The
     /// identity operand depends only on the layer width, which is fixed
     /// per net, so rebuilding it every call (as an earlier revision did)
     /// wasted an O(k²) fill + allocation in the hot loop. Thread-local:
     /// the kernel is called from rank and serve-worker threads.
-    static II_CACHE: RefCell<Vec<(TypeId, usize, Box<dyn Any>)>> =
+    static II_CACHE: RefCell<IiCache> =
         const { RefCell::new(Vec::new()) };
 }
 

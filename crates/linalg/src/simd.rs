@@ -161,6 +161,10 @@ unsafe fn cast_mut<T, U>(s: &mut [T]) -> &mut [U] {
 /// output element, `p` ascending — bit-identical across backends. The
 /// panels inline the same per-backend row kernels; this entry point
 /// stays public as the per-row reference their tests compare against.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "public API: the per-row reference every panel test calls"
+)]
 pub fn row_gemm_strided_with<T: Real>(
     backend: Backend,
     c: &mut [T],
@@ -174,7 +178,7 @@ pub fn row_gemm_strided_with<T: Real>(
     if k == 0 || c.is_empty() {
         return;
     }
-    debug_assert!(a.len() >= (k - 1) * a_stride + 1, "A panel too short");
+    debug_assert!(a.len() > (k - 1) * a_stride, "A panel too short");
     debug_assert!(b.len() >= (k - 1) * ldb + c.len(), "B panel too short");
     match backend {
         Backend::Scalar => row_gemm_scalar(c, k, a, a_stride, b, ldb, alpha),
@@ -1156,7 +1160,8 @@ mod x86 {
         // Cephes rational coefficients: exp(r) = 1 + 2r·P(r²)/(Q(r²) − r·P(r²)).
         const P0: f64 = 1.261_771_930_748_105_9e-4;
         const P1: f64 = 3.029_944_077_074_419_6e-2;
-        const P2: f64 = 9.999_999_999_999_999_9e-1;
+        // Cephes' 9.999_999_999_999_999_9e-1, which rounds to 1.0
+        const P2: f64 = 1.0;
         const Q0: f64 = 3.001_985_051_386_644_6e-6;
         const Q1: f64 = 2.524_483_403_496_841e-3;
         const Q2: f64 = 2.272_655_482_081_550_3e-1;
@@ -1234,14 +1239,16 @@ mod x86 {
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn exp_ps(x: __m256) -> __m256 {
         const LOG2E: f32 = std::f32::consts::LOG2_E;
-        const C1: f32 = 0.693_359_375;
+        // 0.693_359_375 (= 355/512) to the nearest shorter literal
+        const C1: f32 = 0.693_359_4;
         const C2: f32 = -2.121_944_4e-4;
         const P0: f32 = 1.987_569_2e-4;
         const P1: f32 = 1.398_199_9e-3;
         const P2: f32 = 8.333_452e-3;
         const P3: f32 = 4.166_579_6e-2;
         const P4: f32 = 1.666_666_6e-1;
-        const P5: f32 = 5.000_000_2e-1;
+        // the classic 5.000_000_2e-1, which rounds to 0.5 in f32
+        const P5: f32 = 0.5;
 
         let half = _mm256_set1_ps(0.5);
         let one = _mm256_set1_ps(1.0);
@@ -1692,6 +1699,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The `exp` constants shortened for clippy's `excessive_precision`
+    /// parse to the same bits as the literals they replaced.
+    #[test]
+    fn shortened_exp_constants_keep_their_bits() {
+        let f64_of = |s: &str| s.replace('_', "").parse::<f64>().unwrap();
+        let f32_of = |s: &str| s.replace('_', "").parse::<f32>().unwrap();
+        assert_eq!(f64_of("9.999_999_999_999_999_9e-1").to_bits(), 1.0f64.to_bits());
+        assert_eq!(f32_of("0.693_359_375").to_bits(), 0.693_359_4f32.to_bits());
+        assert_eq!(f32_of("5.000_000_2e-1").to_bits(), 0.5f32.to_bits());
     }
 
     #[test]
