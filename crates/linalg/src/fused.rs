@@ -150,21 +150,27 @@ pub fn dup_sum_fused<T: Real>(x: &Matrix<T>, h: &Matrix<T>) -> Matrix<T> {
 }
 
 /// `dup_sum_fused` writing into a caller-provided buffer (§5.2.2 arena
-/// reuse): `out = h + (x,x)` with no intermediate and no allocation.
+/// reuse): `out = h + (x,x)` in one pass, with no intermediate and no
+/// allocation. Each element is the single-rounded `h + x`, bit-identical
+/// to the `fma(x, 1, h)` of a unit-alpha axpy.
 pub fn dup_sum_fused_into<T: Real>(x: &Matrix<T>, h: &Matrix<T>, out: &mut Matrix<T>) {
     assert_eq!(h.rows(), x.rows(), "skip-connection row mismatch");
     assert_eq!(h.cols(), 2 * x.cols(), "skip-connection shape mismatch");
     flops::add(h.len() as u64);
     let k = x.cols();
-    out.copy_from(h);
-    for i in 0..x.rows() {
-        let x_row = x.row(i);
-        let o_row = out.row_mut(i);
-        // Two unit-alpha axpys: `x·1 + o` is a single-rounded exact add,
-        // so this stays bit-identical to the old scalar `+=` loop.
-        let (lo, hi) = o_row.split_at_mut(k);
-        simd::axpy(T::ONE, x_row, lo);
-        simd::axpy(T::ONE, x_row, &mut hi[..k]);
+    out.reuse_shape(h.rows(), h.cols());
+    if k == 0 {
+        return;
+    }
+    let rows = out.as_mut_slice().chunks_exact_mut(2 * k).zip(h.as_slice().chunks_exact(2 * k));
+    for ((o_row, h_row), x_row) in rows.zip(x.as_slice().chunks_exact(k)) {
+        let (o_lo, o_hi) = o_row.split_at_mut(k);
+        let (h_lo, h_hi) = h_row.split_at(k);
+        let halves = o_lo.iter_mut().zip(o_hi).zip(h_lo.iter().zip(h_hi));
+        for (((lo, hi), (&h_l, &h_h)), &xj) in halves.zip(x_row) {
+            *lo = h_l + xj;
+            *hi = h_h + xj;
+        }
     }
 }
 
@@ -242,6 +248,15 @@ mod tests {
         let h = Matrix::from_vec(1, 4, vec![10.0, 20.0, 30.0, 40.0]);
         let out = dup_sum_fused(&x, &h);
         assert_eq!(out.as_slice(), &[11.0, 22.0, 31.0, 42.0]);
+    }
+
+    #[test]
+    fn skip_connection_zero_width() {
+        let x = Matrix::<f64>::zeros(3, 0);
+        let h = Matrix::<f64>::zeros(3, 0);
+        let mut out = m(2, 5);
+        dup_sum_fused_into(&x, &h, &mut out);
+        assert_eq!(out.shape(), (3, 0));
     }
 
     #[test]

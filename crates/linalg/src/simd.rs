@@ -30,13 +30,23 @@
 //! TN through a column stride on `A`) and [`dot_panel`] (NT). A panel is
 //! a whole batched GEMM — every item of a range, every row — resolved to
 //! a backend once and run inside one `target_feature` function, with the
-//! element kernels inlined. The §5.2.1 fixed-shape layout makes two
-//! shapes ubiquitous, and the AVX2 panels specialise on them by shape
-//! alone: a dot panel with reduction `k = 4` runs its lanes across output
-//! columns (B's four columns transposed per item into a stack tile), and
-//! an f32 row panel with `n = 4` packs two C rows into each 8-lane
-//! register. NEON and the scalar baseline run the same item × row loop
-//! over their per-row kernels.
+//! element kernels inlined. The AVX2 panels specialise by shape alone on
+//! the shapes the §5.2.1 fixed-shape layout and the narrow embedding nets
+//! make common:
+//!
+//! * dot panels with a short reduction — `k = 4` (the 4-wide R̃ axis)
+//!   and, when `n ≥ 4`, `8 ≤ k ≤ 16` (the 8- and 16-wide embedding
+//!   layers) — run their lanes across output columns from B's first `k`
+//!   columns, transposed per item into a stack tile: they repeat the
+//!   vector `dot`'s lane partials, add tree and fma tail column by column
+//!   instead of calling it per element;
+//! * an f32 row panel with `n = 4` packs two C rows into each 8-lane
+//!   register, and a row panel with `n ∈ {8, 16}` runs several C rows
+//!   per pass (four; two for f64 `n = 16`), each row in registers across
+//!   the whole reduction.
+//!
+//! NEON and the scalar baseline run the same item × row loop over their
+//! per-row kernels.
 //!
 //! ## Numerical contract
 //!
@@ -52,13 +62,23 @@
 //! * **Dot** ([`dot`], [`dot_panel`]): the backend's own `dot` of the A
 //!   row with the B row, then `alpha·d` when `alpha ≠ 1`, then `c + d`
 //!   when accumulating. The dot itself:
-//!   - `Scalar`, and `Avx2` in f32 with `k < 8`: an fma chain from `+0`
-//!     in index order;
-//!   - `Avx2` in f64 with `k = 4`: `(p0 + p2) + (p1 + p3)` with
-//!     `p_q = fma(a_q, b_q, +0)`;
-//!   - longer vector dots: 4 (f64) or 2 (f32) lane accumulators, summed
+//!   - `Scalar`, and `Avx2` with `k < 8` in f32 or `k < 4` in f64: an
+//!     fma chain from `+0` in index order;
+//!   - `Avx2` in f64 with `k = 4`: `((p0 + p2) + (p1 + p3)) + 0` with
+//!     `p_q = fma(a_q, b_q, +0)` (the `+ 0` stands for `dot_f64`'s three
+//!     zero accumulators: it turns a sum of four `-0` into `+0`);
+//!   - longer `Avx2` dots: 4 (f64) or 2 (f32) lane accumulators, summed
 //!     as in `x86::dot_f64` / `dot_f32`, then an fma tail — a few ULPs
-//!     from the scalar chain, not bitwise.
+//!     from the scalar chain, not bitwise. With `p_q = fma(a_q, b_q, +0)`:
+//!     for `8 ≤ k ≤ 16`, `dot_f64`'s lane `l` holds the terms
+//!     `q ≡ l (mod 4)` (four accumulators added pairwise when `k = 16`,
+//!     else one fma chain over the 4-blocks plus `+0`s), the lanes fold
+//!     as `(A0 + A2) + (A1 + A3)`, and the last `k mod 4` terms are
+//!     fma-added after; for `8 ≤ k ≤ 16`, `dot_f32`'s lane `l` is
+//!     `l_l = p_l + p_{l+8}` (`+0` for `p_{l+8}` below 16 terms), the
+//!     lanes fold as `(s0 + s2) + (s1 + s3)` with `s_i = l_i + l_{i+4}`,
+//!     and below 16 terms `8..k` are fma-added after. The column-lane
+//!     dot panels repeat these operations, one output column per lane.
 //!
 //! `tanh_fused` uses a Cephes-style polynomial `exp` in the vector path
 //! whose error against `std` `tanh` is a few ULPs (< 1e-13 in f64).
@@ -672,6 +692,7 @@ fn tanh_fused_scalar<T: Real>(x: &[T], t: &mut [T], g: &mut [T]) {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{dot_loop, row_loop, Acc, PanelGemm};
+    use crate::real::Real;
     use std::arch::x86_64::*;
     use std::ops::Range;
 
@@ -882,7 +903,165 @@ mod x86 {
         out
     }
 
-    /// Row panel in f64 (`n = 4` is already one register per row).
+    /// One vector register of `T` lanes, so the narrow panels below are
+    /// written once for both precisions and widths.
+    ///
+    /// # Safety: every method needs avx2+fma; `load` and `store` need
+    /// `L` valid elements at the pointer.
+    trait Lanes: Copy {
+        type T: Real;
+        /// lanes per register
+        const L: usize;
+        unsafe fn zero() -> Self;
+        unsafe fn splat(x: Self::T) -> Self;
+        unsafe fn load(p: *const Self::T) -> Self;
+        unsafe fn store(self, p: *mut Self::T);
+        /// `a·b + c`, one rounding
+        unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
+        unsafe fn add(a: Self, b: Self) -> Self;
+        unsafe fn mul(a: Self, b: Self) -> Self;
+    }
+
+    macro_rules! lanes {
+        ($v:ty, $t:ty, $l:expr, $zero:ident, $splat:ident, $load:ident, $store:ident,
+         $fma:ident, $add:ident, $mul:ident) => {
+            impl Lanes for $v {
+                type T = $t;
+                const L: usize = $l;
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn zero() -> Self {
+                    $zero()
+                }
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn splat(x: $t) -> Self {
+                    $splat(x)
+                }
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn load(p: *const $t) -> Self {
+                    $load(p)
+                }
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn store(self, p: *mut $t) {
+                    $store(p, self)
+                }
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+                    $fma(a, b, c)
+                }
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn add(a: Self, b: Self) -> Self {
+                    $add(a, b)
+                }
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn mul(a: Self, b: Self) -> Self {
+                    $mul(a, b)
+                }
+            }
+        };
+    }
+    lanes!(
+        __m256d, f64, 4, _mm256_setzero_pd, _mm256_set1_pd, _mm256_loadu_pd, _mm256_storeu_pd,
+        _mm256_fmadd_pd, _mm256_add_pd, _mm256_mul_pd
+    );
+    lanes!(
+        __m256, f32, 8, _mm256_setzero_ps, _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps,
+        _mm256_fmadd_ps, _mm256_add_ps, _mm256_mul_ps
+    );
+    lanes!(
+        __m128, f32, 4, _mm_setzero_ps, _mm_set1_ps, _mm_loadu_ps, _mm_storeu_ps, _mm_fmadd_ps,
+        _mm_add_ps, _mm_mul_ps
+    );
+
+    /// C rows per pass of the narrow row panels, where the per-row kernel
+    /// runs one: four rows of one or two registers keep four to eight
+    /// independent FMA chains in flight. An f64 row of `n = 16` spans
+    /// four registers, so it takes half as many rows: sixteen
+    /// accumulators spill, and on a 4 056-row copper-shaped GEMM two rows
+    /// per pass measured about 30 % faster than four.
+    const ROWS: usize = 4;
+
+    /// The narrow row panels (`n = V·L`): per item, `R` C rows at a
+    /// time, then the leftover rows one by one, each row held in `V`
+    /// registers across the whole `p` loop.
+    ///
+    /// # Safety: avx2+fma, and operands covering `items` (asserted by
+    /// `row_panel_with`).
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn narrow_rows<X: Lanes, const R: usize, const V: usize>(
+        g: &PanelGemm<X::T>,
+        step: (usize, usize),
+        items: Range<usize>,
+        a: &[X::T],
+        b: &[X::T],
+        c: &mut [X::T],
+    ) {
+        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        for i in items {
+            let (a_i, b_i, c_i) = (ap.add(i * g.a.stride), bp.add(i * g.b.stride), cp.add(i * g.c.stride));
+            let mut r = 0;
+            while r + R <= g.m {
+                rows_pass::<X, R, V>(g, step, a_i.add(r * step.0), b_i, c_i.add(r * g.c.ld));
+                r += R;
+            }
+            for r in r..g.m {
+                rows_pass::<X, 1, V>(g, step, a_i.add(r * step.0), b_i, c_i.add(r * g.c.ld));
+            }
+        }
+    }
+
+    /// `R` consecutive C rows from A(r, 0) at `a_r` and C(r, 0) at `c_r`:
+    /// every element is `fma(b_p, alpha·a_p, c)` for `p` ascending from
+    /// C's initial value (zero when overwriting), as in the per-row
+    /// [`row_gemm_f32`] and [`row_gemm_f64`].
+    ///
+    /// # Safety: as [`narrow_rows`].
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn rows_pass<X: Lanes, const R: usize, const V: usize>(
+        g: &PanelGemm<X::T>,
+        step: (usize, usize),
+        a_r: *const X::T,
+        b_i: *const X::T,
+        c_r: *mut X::T,
+    ) {
+        let mut acc = [[X::zero(); V]; R];
+        if g.acc == Acc::Add {
+            for (q, row) in acc.iter_mut().enumerate() {
+                for (v, x) in row.iter_mut().enumerate() {
+                    *x = X::load(c_r.add(q * g.c.ld + v * X::L));
+                }
+            }
+        }
+        for p in 0..g.k {
+            let b_p = b_i.add(p * g.b.ld);
+            let mut bv = [X::zero(); V];
+            for (v, b) in bv.iter_mut().enumerate() {
+                *b = X::load(b_p.add(v * X::L));
+            }
+            for (q, row) in acc.iter_mut().enumerate() {
+                let s = X::splat(g.alpha * *a_r.add(q * step.0 + p * step.1));
+                for (x, &b) in row.iter_mut().zip(&bv) {
+                    *x = X::fma(b, s, *x);
+                }
+            }
+        }
+        for (q, row) in acc.iter().enumerate() {
+            for (v, x) in row.iter().enumerate() {
+                x.store(c_r.add(q * g.c.ld + v * X::L));
+            }
+        }
+    }
+
+    /// Row panel in f64: `n = 8` and `16` take [`narrow_rows`] (`n = 4`
+    /// is already one register per row).
     ///
     /// # Safety: caller guarantees avx2+fma and operands covering `items`
     /// (asserted by `row_panel_with`).
@@ -895,14 +1074,19 @@ mod x86 {
         b: &[f64],
         c: &mut [f64],
     ) {
-        row_loop(g, step, items, a, b, c, |c_row, a_r, b_i| {
-            row_gemm_f64(c_row, g.k, a_r, step.1, b_i, g.b.ld, g.alpha)
-        })
+        match g.n {
+            8 => narrow_rows::<__m256d, ROWS, 2>(g, step, items, a, b, c),
+            16 => narrow_rows::<__m256d, { ROWS / 2 }, 4>(g, step, items, a, b, c),
+            _ => row_loop(g, step, items, a, b, c, |c_row, a_r, b_i| {
+                row_gemm_f64(c_row, g.k, a_r, step.1, b_i, g.b.ld, g.alpha)
+            }),
+        }
     }
 
-    /// Row panel in f32. With `n = 4`, rows `r` and `r+1` share one
-    /// register as `[row r | row r+1]`; each lane is still one FMA chain
-    /// over `p` ascending, as in [`row_gemm_f32`].
+    /// Row panel in f32: `n = 8` and `16` take [`narrow_rows`]. With
+    /// `n = 4`, rows `r` and `r+1` share one register as
+    /// `[row r | row r+1]`; each lane is still one FMA chain over `p`
+    /// ascending, as in [`row_gemm_f32`].
     ///
     /// # Safety: as [`row_panel_f64`].
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -914,10 +1098,15 @@ mod x86 {
         b: &[f32],
         c: &mut [f32],
     ) {
-        if g.n != 4 {
-            return row_loop(g, step, items, a, b, c, |c_row, a_r, b_i| {
-                row_gemm_f32(c_row, g.k, a_r, step.1, b_i, g.b.ld, g.alpha)
-            });
+        match g.n {
+            4 => {}
+            8 => return narrow_rows::<__m256, ROWS, 1>(g, step, items, a, b, c),
+            16 => return narrow_rows::<__m256, ROWS, 2>(g, step, items, a, b, c),
+            _ => {
+                return row_loop(g, step, items, a, b, c, |c_row, a_r, b_i| {
+                    row_gemm_f32(c_row, g.k, a_r, step.1, b_i, g.b.ld, g.alpha)
+                })
+            }
         }
         let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
         let (ldb, ldc, alpha, add) = (g.b.ld, g.c.ld, g.alpha, g.acc == Acc::Add);
@@ -951,76 +1140,168 @@ mod x86 {
         }
     }
 
-    /// Output columns per transposed B tile of the `k = 4` dot panels.
+    /// Output columns per transposed B tile of the column-lane dot panels.
     const TILE: usize = 64;
 
-    /// The frame of the `k = 4` dot panels: per item, B's four columns
-    /// are transposed `TILE` output columns at a time into a stack tile,
-    /// and `cols(x, tile, w, c_r)` writes the `w` C elements at `c_r`
-    /// from the A row `x`, lanes running across columns.
+    /// The frame of the column-lane dot panels (`k ≤ K`): per item, B's
+    /// first `k` columns are transposed `TILE` output columns at a time
+    /// into a stack tile, and `cols(x, tile, w, c_r)` writes the `w` C
+    /// elements at `c_r` from the `k` entries of the A row at `x`, lanes
+    /// running across columns.
     ///
     /// # Safety: operands cover `items` (asserted by `dot_panel_with`).
-    #[inline(always)]
-    unsafe fn k4_tiles<T: Copy + Default>(
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn col_tiles<T: Copy + Default, const K: usize>(
         g: &PanelGemm<T>,
         items: Range<usize>,
         a: &[T],
         b: &[T],
         c: &mut [T],
-        mut cols: impl FnMut([T; 4], &[[T; TILE]; 4], usize, *mut T),
+        mut cols: impl FnMut(*const T, &[[T; TILE]; K], usize, *mut T),
     ) {
+        let k = g.k;
         let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-        let mut tile = [[T::default(); TILE]; 4];
+        let mut tile = [[T::default(); TILE]; K];
         for i in items {
             let (a_i, b_i, c_i) = (ap.add(i * g.a.stride), bp.add(i * g.b.stride), cp.add(i * g.c.stride));
             for j0 in (0..g.n).step_by(TILE) {
                 let w = TILE.min(g.n - j0);
                 for j in 0..w {
                     let b_j = b_i.add((j0 + j) * g.b.ld);
-                    for (q, t) in tile.iter_mut().enumerate() {
+                    for (q, t) in tile[..k].iter_mut().enumerate() {
                         t[j] = *b_j.add(q);
                     }
                 }
                 for r in 0..g.m {
-                    let a_r = a_i.add(r * g.a.ld);
-                    let x = [*a_r, *a_r.add(1), *a_r.add(2), *a_r.add(3)];
-                    cols(x, &tile, w, c_i.add(r * g.c.ld + j0));
+                    cols(a_i.add(r * g.a.ld), &tile, w, c_i.add(r * g.c.ld + j0));
                 }
             }
         }
     }
 
+    /// The dot panels' epilogue on a register of output columns at `c`:
+    /// `alpha·d` when `alpha ≠ 1`, then `c + d` when accumulating, stored.
+    ///
+    /// # Safety: avx2+fma; `c` covers `X::L` elements.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn finish_cols<X: Lanes>(g: &PanelGemm<X::T>, mut d: X, c: *mut X::T) {
+        if g.alpha != X::T::ONE {
+            d = X::mul(X::splat(g.alpha), d);
+        }
+        if g.acc == Acc::Add {
+            d = X::add(X::load(c), d);
+        }
+        d.store(c);
+    }
+
+    /// [`dot_f64`]'s expression for one length `8 ≤ k ≤ 16`, one output
+    /// column per lane: `x` points at the A row, `col(q)` loads entry `q`
+    /// of the register's B columns. Its four accumulators hold the
+    /// terms `q ≡ l (mod 4)` (one 16-term pass when `k = 16`, else an fma
+    /// chain over the 4-blocks), added pairwise, then the fma tail.
+    ///
+    /// # Safety: avx2+fma.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn dot_cols_f64<X: Lanes<T = f64>>(k: usize, x: *const f64, col: impl Fn(usize) -> X) -> X {
+        let zero = X::zero();
+        let term = |q: usize, acc| X::fma(X::splat(*x.add(q)), col(q), acc);
+        let mut acc = [zero; 4];
+        for (l, acc_l) in acc.iter_mut().enumerate() {
+            *acc_l = if k == 16 {
+                let (t0, t1) = (term(l, zero), term(4 + l, zero));
+                let (t2, t3) = (term(8 + l, zero), term(12 + l, zero));
+                X::add(X::add(t0, t1), X::add(t2, t3))
+            } else {
+                let mut t = zero;
+                for q in (l..k & !3).step_by(4) {
+                    t = term(q, t);
+                }
+                X::add(X::add(t, zero), X::add(zero, zero))
+            };
+        }
+        let mut d = X::add(X::add(acc[0], acc[2]), X::add(acc[1], acc[3]));
+        for q in k & !3..k {
+            d = term(q, d);
+        }
+        d
+    }
+
+    /// [`dot_f32`]'s expression for one length `8 ≤ k ≤ 16`, one output
+    /// column per lane of `X` (as [`dot_cols_f64`]): eight lane partials
+    /// (two terms each when `k = 16`), the 8 → 4 → 2 → 1 add tree, then
+    /// the fma tail.
+    ///
+    /// # Safety: avx2+fma.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn dot_cols_f32<X: Lanes<T = f32>>(k: usize, x: *const f32, col: impl Fn(usize) -> X) -> X {
+        let zero = X::zero();
+        let term = |q: usize, acc| X::fma(X::splat(*x.add(q)), col(q), acc);
+        let head = if k == 16 { 16 } else { 8 };
+        let mut part = [zero; 8];
+        for (q, p) in part.iter_mut().enumerate() {
+            let hi = if k == 16 { term(q + 8, zero) } else { zero };
+            *p = X::add(term(q, zero), hi);
+        }
+        let mut s = [zero; 4];
+        for (i, s_i) in s.iter_mut().enumerate() {
+            *s_i = X::add(part[i], part[i + 4]);
+        }
+        let mut d = X::add(X::add(s[0], s[2]), X::add(s[1], s[3]));
+        for q in head..k {
+            d = term(q, d);
+        }
+        d
+    }
+
     /// Dot panel in f64. With `k = 4` every element is
-    /// `(p0 + p2) + (p1 + p3)`, `p_q = fma(a_q, b_q, +0)` — [`dot_f64`]'s
-    /// expression for that length — four output columns per register.
+    /// `((p0 + p2) + (p1 + p3)) + 0`, `p_q = fma(a_q, b_q, +0)`, and with
+    /// `8 ≤ k ≤ 16` and `n ≥ 4` it is [`dot_cols_f64`] — [`dot_f64`]'s
+    /// expressions for those lengths — four output columns per register.
+    /// (`dot_cols_f64` also covers `k = 4`, but its general lane loops
+    /// made water's `dG = R̃·dT1ᵀ` about twice as slow.)
     ///
     /// # Safety: as [`row_panel_f64`] (asserted by `dot_panel_with`).
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn dot_panel_f64(g: &PanelGemm<f64>, items: Range<usize>, a: &[f64], b: &[f64], c: &mut [f64]) {
-        if g.k != 4 {
+        let k = g.k;
+        if (8..=16).contains(&k) && g.n >= 4 {
+            return col_tiles::<f64, 16>(g, items, a, b, c, |x, t, w, c_r| {
+                let mut j = 0;
+                while j + 4 <= w {
+                    let d = dot_cols_f64(k, x, |q| __m256d::load(t[q].as_ptr().add(j)));
+                    finish_cols(g, d, c_r.add(j));
+                    j += 4;
+                }
+                while j < w {
+                    let col: [f64; 16] = std::array::from_fn(|q| t[q][j]);
+                    *c_r.add(j) = g.finish(dot_f64(std::slice::from_raw_parts(x, k), &col[..k]), *c_r.add(j));
+                    j += 1;
+                }
+            });
+        }
+        if k != 4 {
             return dot_loop(g, items, a, b, c, |x, y| dot_f64(x, y));
         }
-        let (alpha, zero) = (_mm256_set1_pd(g.alpha), _mm256_setzero_pd());
-        k4_tiles(g, items, a, b, c, |x, t, w, c_r| {
+        let zero = _mm256_setzero_pd();
+        col_tiles::<f64, 4>(g, items, a, b, c, |x, t, w, c_r| {
             let mut j = 0;
             while j + 4 <= w {
                 let mut p = [zero; 4];
-                for q in 0..4 {
-                    p[q] = _mm256_fmadd_pd(_mm256_set1_pd(x[q]), _mm256_loadu_pd(t[q].as_ptr().add(j)), zero);
+                for (q, p_q) in p.iter_mut().enumerate() {
+                    let t_q = _mm256_loadu_pd(t[q].as_ptr().add(j));
+                    *p_q = _mm256_fmadd_pd(_mm256_set1_pd(*x.add(q)), t_q, zero);
                 }
-                let mut d = _mm256_add_pd(_mm256_add_pd(p[0], p[2]), _mm256_add_pd(p[1], p[3]));
-                if g.alpha != 1.0 {
-                    d = _mm256_mul_pd(alpha, d);
-                }
-                if g.acc == Acc::Add {
-                    d = _mm256_add_pd(_mm256_loadu_pd(c_r.add(j)), d);
-                }
-                _mm256_storeu_pd(c_r.add(j), d);
+                let d = _mm256_add_pd(_mm256_add_pd(p[0], p[2]), _mm256_add_pd(p[1], p[3]));
+                finish_cols(g, _mm256_add_pd(d, zero), c_r.add(j));
                 j += 4;
             }
             while j < w {
-                let p: [f64; 4] = std::array::from_fn(|q| x[q].mul_add(t[q][j], 0.0));
-                *c_r.add(j) = g.finish((p[0] + p[2]) + (p[1] + p[3]), *c_r.add(j));
+                let p: [f64; 4] = std::array::from_fn(|q| (*x.add(q)).mul_add(t[q][j], 0.0));
+                *c_r.add(j) = g.finish(((p[0] + p[2]) + (p[1] + p[3])) + 0.0, *c_r.add(j));
                 j += 1;
             }
         })
@@ -1028,51 +1309,66 @@ mod x86 {
 
     /// Dot panel in f32. With `k = 4` every element is an fma chain from
     /// `+0` in index order — [`dot_f32`]'s expression below eight terms —
-    /// eight (then four) output columns per register.
+    /// and with `8 ≤ k ≤ 16` and `n ≥ 4` it is [`dot_cols_f32`]; eight
+    /// (then four) output columns per register.
     ///
     /// # Safety: as [`dot_panel_f64`].
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn dot_panel_f32(g: &PanelGemm<f32>, items: Range<usize>, a: &[f32], b: &[f32], c: &mut [f32]) {
-        if g.k != 4 {
+        let k = g.k;
+        if (8..=16).contains(&k) && g.n >= 4 {
+            return col_tiles::<f32, 16>(g, items, a, b, c, |x, t, w, c_r| {
+                let mut j = 0;
+                while j + 8 <= w {
+                    let d = dot_cols_f32(k, x, |q| __m256::load(t[q].as_ptr().add(j)));
+                    finish_cols(g, d, c_r.add(j));
+                    j += 8;
+                }
+                if j + 4 <= w {
+                    let d = dot_cols_f32(k, x, |q| __m128::load(t[q].as_ptr().add(j)));
+                    finish_cols(g, d, c_r.add(j));
+                    j += 4;
+                }
+                while j < w {
+                    let col: [f32; 16] = std::array::from_fn(|q| t[q][j]);
+                    *c_r.add(j) = g.finish(dot_f32(std::slice::from_raw_parts(x, k), &col[..k]), *c_r.add(j));
+                    j += 1;
+                }
+            });
+        }
+        if k != 4 {
             return dot_loop(g, items, a, b, c, |x, y| dot_f32(x, y));
         }
-        let add = g.acc == Acc::Add;
-        k4_tiles(g, items, a, b, c, |x, t, w, c_r| {
+        col_tiles::<f32, 4>(g, items, a, b, c, |x, t, w, c_r| {
             let mut j = 0;
             while j + 8 <= w {
-                let mut d = _mm256_setzero_ps();
-                for q in 0..4 {
-                    d = _mm256_fmadd_ps(_mm256_set1_ps(x[q]), _mm256_loadu_ps(t[q].as_ptr().add(j)), d);
-                }
-                if g.alpha != 1.0 {
-                    d = _mm256_mul_ps(_mm256_set1_ps(g.alpha), d);
-                }
-                if add {
-                    d = _mm256_add_ps(_mm256_loadu_ps(c_r.add(j)), d);
-                }
-                _mm256_storeu_ps(c_r.add(j), d);
+                finish_cols(g, chain4(x, |q| __m256::load(t[q].as_ptr().add(j))), c_r.add(j));
                 j += 8;
             }
             if j + 4 <= w {
-                let mut d = _mm_setzero_ps();
-                for q in 0..4 {
-                    d = _mm_fmadd_ps(_mm_set1_ps(x[q]), _mm_loadu_ps(t[q].as_ptr().add(j)), d);
-                }
-                if g.alpha != 1.0 {
-                    d = _mm_mul_ps(_mm_set1_ps(g.alpha), d);
-                }
-                if add {
-                    d = _mm_add_ps(_mm_loadu_ps(c_r.add(j)), d);
-                }
-                _mm_storeu_ps(c_r.add(j), d);
+                finish_cols(g, chain4(x, |q| __m128::load(t[q].as_ptr().add(j))), c_r.add(j));
                 j += 4;
             }
             while j < w {
-                let d = (0..4).fold(0.0f32, |d, q| x[q].mul_add(t[q][j], d));
+                let d = (0..4).fold(0.0f32, |d, q| (*x.add(q)).mul_add(t[q][j], d));
                 *c_r.add(j) = g.finish(d, *c_r.add(j));
                 j += 1;
             }
         })
+    }
+
+    /// The fma chain from `+0` over four terms, one output column per
+    /// lane (as [`dot_cols_f32`]).
+    ///
+    /// # Safety: avx2+fma.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn chain4<X: Lanes>(x: *const X::T, col: impl Fn(usize) -> X) -> X {
+        let mut d = X::zero();
+        for q in 0..4 {
+            d = X::fma(X::splat(*x.add(q)), col(q), d);
+        }
+        d
     }
 
     /// # Safety: caller guarantees avx2+fma and `x.len() == y.len()`.
@@ -1684,18 +1980,22 @@ mod tests {
 
     #[test]
     fn dot_panel_matches_per_dot() {
-        // k = 4 takes the AVX2 column-lane path, k = 13 the per-element one
-        for k in [4, 13] {
-            let a = vec_f64(k, 41);
-            let b = vec_f64(6 * k, 42);
+        // k = 4 and 12 take the AVX2 column-lane paths, k = 17 the
+        // per-element one; the second operand pair has every product
+        // underflow to -0, which the f64 vector dot sums to +0
+        for k in [4, 12, 17] {
+            let random = (vec_f64(k, 41), vec_f64(6 * k, 42));
+            let underflow = (vec![-1e-200; k], vec![1e-200; 6 * k]);
             let tight = |ld| Panel { ld, stride: 0 };
             let g = PanelGemm { m: 1, k, n: 6, alpha: 1.0, a: tight(k), b: tight(k), c: tight(6), acc: Acc::Overwrite };
-            for backend in available() {
-                let mut c = vec![0.0; 6];
-                dot_panel_with(backend, &g, 0..1, &a, &b, &mut c);
-                for j in 0..6 {
-                    let want = dot_with(backend, &a, &b[j * k..(j + 1) * k]);
-                    assert_eq!(c[j].to_bits(), want.to_bits(), "{backend:?} k={k} j={j}");
+            for (a, b) in [random, underflow] {
+                for backend in available() {
+                    let mut c = vec![0.0; 6];
+                    dot_panel_with(backend, &g, 0..1, &a, &b, &mut c);
+                    for j in 0..6 {
+                        let want = dot_with(backend, &a, &b[j * k..(j + 1) * k]);
+                        assert_eq!(c[j].to_bits(), want.to_bits(), "{backend:?} k={k} j={j}");
+                    }
                 }
             }
         }

@@ -106,9 +106,14 @@ fn fused_tanh_equals_baseline() {
 fn skip_connection_fused_equals_concat() {
     for_cases(0x6E07, CASES, any_matrix(8), |x| {
         let h = Matrix::from_fn(x.rows(), 2 * x.cols(), |i, j| (i + j) as f64 * 0.25 - 1.0);
+        // bit for bit: the one-pass `h + x` against CONCAT then `fma(h, 1, xx)`
         let base = concat_sum_baseline(x, &h);
         let fused = dup_sum_fused(x, &h);
-        assert!(base.max_abs_diff(&fused) < 1e-14);
+        assert_eq!(bits(fused.as_slice()), bits(base.as_slice()));
+        let (x, h) = (x.cast::<f32>(), h.cast::<f32>());
+        let base = concat_sum_baseline(&x, &h);
+        let fused = dup_sum_fused(&x, &h);
+        assert_eq!(bits(fused.as_slice()), bits(base.as_slice()));
     });
 }
 
@@ -169,16 +174,46 @@ struct PanelCase {
 
 fn panel_case(rng: &mut CounterRng) -> PanelCase {
     let op = [Op::Nn, Op::Tn, Op::Nt][rng.below(3) as usize];
-    // the §5.2.1 width 4 a third of the time; odd sizes otherwise
-    let width = |rng: &mut CounterRng, max| if rng.below(3) == 0 { 4 } else { dim(rng, max) };
     let m = dim(rng, 9);
     let k = width(rng, 20);
-    // now and then wider than one 64-column tile of the k = 4 dot panels
-    let n = if rng.below(6) == 0 {
+    let n = dot_width(rng);
+    case(rng, op, m, k, n)
+}
+
+/// The narrow-layer shapes of the AVX2 panels: row GEMMs with
+/// `n ∈ {8, 16}` over two four-row groups and a remainder, dots with
+/// `8 ≤ k ≤ 16`.
+fn narrow_case(rng: &mut CounterRng) -> PanelCase {
+    let op = [Op::Nn, Op::Tn, Op::Nt][rng.below(3) as usize];
+    let (m, k, n) = if op == Op::Nt {
+        (dim(rng, 9), 7 + dim(rng, 9), dot_width(rng))
+    } else {
+        (8 + dim(rng, 3), width(rng, 20), [8, 16][rng.below(2) as usize])
+    };
+    case(rng, op, m, k, n)
+}
+
+/// The §5.2.1 width 4 a third of the time; odd sizes up to `max` otherwise.
+fn width(rng: &mut CounterRng, max: usize) -> usize {
+    if rng.below(3) == 0 {
+        4
+    } else {
+        dim(rng, max)
+    }
+}
+
+/// One time in six past a 64-column dot tile, else `width(rng, 40)`.
+fn dot_width(rng: &mut CounterRng) -> usize {
+    if rng.below(6) == 0 {
         60 + dim(rng, 90)
     } else {
         width(rng, 40)
-    };
+    }
+}
+
+/// The rest of a case of shape `m×k×n`: precision, batch, α, `Acc`,
+/// padding and data.
+fn case(rng: &mut CounterRng, op: Op, m: usize, k: usize, n: usize) -> PanelCase {
     PanelCase {
         op,
         f32: rng.below(2) == 0,
@@ -308,51 +343,62 @@ fn check_panel_case<T: Real>(case: &PanelCase) {
     assert_eq!(bits(&c), bits(&want), "gemm_batch_{:?}", case.op);
 }
 
+fn check_any_panel_case(case: &PanelCase) {
+    if case.f32 {
+        check_panel_case::<f32>(case)
+    } else {
+        check_panel_case::<f64>(case)
+    }
+}
+
 #[test]
 fn batched_panels_match_the_per_row_composition_bitwise() {
-    for_cases(0x6E0A, CASES, panel_case, |case| {
-        if case.f32 {
-            check_panel_case::<f32>(case)
-        } else {
-            check_panel_case::<f64>(case)
-        }
-    });
+    for_cases(0x6E0A, CASES, panel_case, check_any_panel_case);
+    for_cases(0x6E0C, CASES / 2, narrow_case, check_any_panel_case);
+}
+
+/// `gemm_bias_into` and `matmul_nt_into` in `T` against the per-row
+/// composition on the active backend.
+fn check_bias_and_nt<T: Real>(m: usize, k: usize, n: usize, data: u64) {
+    let mut rng = CounterRng::new(data);
+    let a = matrix(&mut rng, m, k).cast::<T>();
+    let w = matrix(&mut rng, k, n).cast::<T>();
+    let bias: Vec<T> = (0..n).map(|_| T::from_f64(rng.range(-1.0, 1.0))).collect();
+    let backend = simd::active();
+
+    let mut c = matrix(&mut rng, 3, 2).cast::<T>();
+    gemm_bias_into(&a, &w, &bias, &mut c);
+    let mut want = Matrix::from_fn(m, n, |_, j| bias[j]);
+    for r in 0..m {
+        simd::row_gemm_strided_with(backend, want.row_mut(r), k, a.row(r), 1, w.as_slice(), n, T::ONE);
+    }
+    assert_eq!(bits(c.as_slice()), bits(want.as_slice()), "gemm_bias_into");
+
+    let bt = w.transpose(); // n × k, rows contiguous
+    matmul_nt_into(&a, &bt, &mut c);
+    let want = Matrix::from_fn(m, n, |r, j| simd::dot_with(backend, a.row(r), bt.row(j)));
+    assert_eq!(bits(c.as_slice()), bits(want.as_slice()), "matmul_nt_into");
 }
 
 #[test]
 fn gemm_bias_and_nt_into_match_the_per_row_composition_bitwise() {
+    // a third of the cases on the narrow shapes: n ∈ {8, 16} over more
+    // than one 32-row bias block, and k ∈ 8..=16
     let draw = |rng: &mut CounterRng| {
-        let width = |rng: &mut CounterRng, max| if rng.below(3) == 0 { 4 } else { dim(rng, max) };
-        (dim(rng, 9), width(rng, 20), width(rng, 40), rng.next_u64())
-    };
-    for_cases(0x6E0B, CASES, draw, |&(m, k, n, data)| {
-        let mut rng = CounterRng::new(data);
-        let a = matrix(&mut rng, m, k);
-        let w = matrix(&mut rng, k, n);
-        let bias: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
-        let backend = simd::active();
-
-        let mut c = matrix(&mut rng, 3, 2);
-        gemm_bias_into(&a, &w, &bias, &mut c);
-        let mut want = Matrix::from_fn(m, n, |_, j| bias[j]);
-        for r in 0..m {
-            simd::row_gemm_strided_with(
-                backend,
-                want.row_mut(r),
-                k,
-                a.row(r),
-                1,
-                w.as_slice(),
-                n,
-                1.0,
-            );
+        let f32 = rng.below(2) == 0;
+        if rng.below(3) == 0 {
+            let (m, k) = (dim(rng, 40), 7 + dim(rng, 9));
+            (f32, m, k, [8, 16][rng.below(2) as usize], rng.next_u64())
+        } else {
+            (f32, dim(rng, 9), width(rng, 20), width(rng, 40), rng.next_u64())
         }
-        assert_eq!(bits(c.as_slice()), bits(want.as_slice()), "gemm_bias_into");
-
-        let bt = w.transpose(); // n × k, rows contiguous
-        matmul_nt_into(&a, &bt, &mut c);
-        let want = Matrix::from_fn(m, n, |r, j| simd::dot_with(backend, a.row(r), bt.row(j)));
-        assert_eq!(bits(c.as_slice()), bits(want.as_slice()), "matmul_nt_into");
+    };
+    for_cases(0x6E0B, CASES, draw, |&(f32, m, k, n, data)| {
+        if f32 {
+            check_bias_and_nt::<f32>(m, k, n, data)
+        } else {
+            check_bias_and_nt::<f64>(m, k, n, data)
+        }
     });
 }
 
@@ -406,4 +452,82 @@ fn zero_row_times_nan<T: Real>() {
 fn zero_env_row_against_nan_gives_nan_on_width_4_paths() {
     zero_row_times_nan::<f32>();
     zero_row_times_nan::<f64>();
+}
+
+/// The same contract on the narrow-layer paths: a zero A row against a
+/// NaN in B through the `8 ≤ k ≤ 16` column-lane dots and the
+/// `n ∈ {8, 16}` row GEMMs, with zero rows inside a four-row group (1)
+/// and in the remainder (8).
+fn zero_row_times_nan_narrow<T: Real>() {
+    let ld = |ld| Panel { ld, stride: 0 };
+    let m = 9;
+    let a_of = |k: usize| -> Vec<T> {
+        (0..m * k)
+            .map(|i| match i / k {
+                1 | 8 => T::ZERO,
+                _ => T::from_f64(0.25 + i as f64 * 0.01),
+            })
+            .collect()
+    };
+    for backend in simd::available() {
+        // dot: C (m × n) = A × Bᵀ, B stored n × k; NaN in a lane partial
+        // of column 1 and in the last term of column n − 2
+        for (k, n) in [(8, 8), (13, 12), (16, 8), (11, 70)] {
+            let g = PanelGemm {
+                m,
+                k,
+                n,
+                alpha: T::ONE,
+                a: ld(k),
+                b: ld(k),
+                c: ld(n),
+                acc: Acc::Overwrite,
+            };
+            let mut b = vec![T::from_f64(0.5); n * k];
+            b[k + 2] = T::from_f64(f64::NAN);
+            b[(n - 2) * k + k - 1] = T::from_f64(f64::NAN);
+            let mut c = vec![T::ONE; m * n];
+            simd::dot_panel_with(backend, &g, 0..1, &a_of(k), &b, &mut c);
+            for r in [1, 8] {
+                for j in [1, n - 2] {
+                    assert!(
+                        c[r * n + j].to_f64().is_nan(),
+                        "{backend:?} k = {k} dot ({r}, {j}): 0·NaN must be NaN"
+                    );
+                }
+                assert_eq!(c[r * n].to_f64(), 0.0, "{backend:?} k = {k} dot");
+            }
+        }
+        // row: C (m × n) = A × B, B stored 3 × n with the NaN at (1, n − 3)
+        for n in [8, 16] {
+            let k = 3;
+            let g = PanelGemm {
+                m,
+                k,
+                n,
+                alpha: T::ONE,
+                a: ld(k),
+                b: ld(n),
+                c: ld(n),
+                acc: Acc::Add,
+            };
+            let mut b = vec![T::from_f64(0.5); k * n];
+            b[n + n - 3] = T::from_f64(f64::NAN);
+            let mut c = vec![T::ZERO; m * n];
+            simd::row_panel_with(backend, &g, false, 0..1, &a_of(k), &b, &mut c);
+            for r in [1, 8] {
+                assert!(
+                    c[r * n + n - 3].to_f64().is_nan(),
+                    "{backend:?} n = {n} row {r}: 0·NaN must be NaN"
+                );
+                assert_eq!(c[r * n].to_f64(), 0.0, "{backend:?} n = {n} row");
+            }
+        }
+    }
+}
+
+#[test]
+fn zero_row_against_nan_gives_nan_on_narrow_paths() {
+    zero_row_times_nan_narrow::<f32>();
+    zero_row_times_nan_narrow::<f64>();
 }
