@@ -49,7 +49,7 @@ pub struct StepRecord {
 }
 
 impl StepRecord {
-    fn to_json(&self) -> String {
+    fn to_json(self) -> String {
         format!(
             "{{\"step\":{},\"wall_us\":{},\"compute_us\":{},\"comm_us\":{},\"wait_us\":{},\
              \"neigh_us\":{},\"io_us\":{},\"ghost_atoms\":{},\"bytes\":{},\"flops\":{}}}",
@@ -144,7 +144,7 @@ pub fn reset() {
 }
 
 fn dump_line(reason: &str, rank: usize, window: &[StepRecord]) -> String {
-    let steps: Vec<String> = window.iter().map(StepRecord::to_json).collect();
+    let steps: Vec<String> = window.iter().copied().map(StepRecord::to_json).collect();
     format!(
         "{{\"event\":\"flight_recorder\",\"reason\":{},\"rank\":{rank},\"n_steps\":{},\"steps\":[{}]}}",
         json::str(reason),

@@ -83,10 +83,13 @@ fn fmt_value(v: f64) -> String {
 
 // ---- published labeled series ----
 
+/// `(name, value)` label pairs in exposition order.
+type Labels = Vec<(String, String)>;
+
 #[derive(Debug, Clone)]
 enum Published {
     Gauge(f64),
-    Hist(HistSnapshot),
+    Hist(Box<HistSnapshot>),
 }
 
 #[derive(Debug, Clone)]
@@ -135,7 +138,7 @@ pub fn publish_gauge(name: &str, labels: &[(&str, &str)], value: f64) {
 /// Publish (upsert) a labeled histogram snapshot (e.g. one rank's
 /// `step_wall_ns` with a `rank="3"` label).
 pub fn publish_hist(name: &str, labels: &[(&str, &str)], snap: HistSnapshot) {
-    upsert(name, labels, Published::Hist(snap));
+    upsert(name, labels, Published::Hist(Box::new(snap)));
 }
 
 // ---- rendering ----
@@ -301,7 +304,7 @@ fn parse_value(tok: &str) -> Result<f64, String> {
 
 /// Parse `{k="v",...}` starting at the `{`; returns the labels and the
 /// rest of the line after the closing `}`.
-fn parse_labels(line: &str) -> Result<(Vec<(String, String)>, &str), String> {
+fn parse_labels(line: &str) -> Result<(Labels, &str), String> {
     let mut rest = &line[1..]; // past '{'
     let mut labels = Vec::new();
     loop {
@@ -357,8 +360,10 @@ fn parse_labels(line: &str) -> Result<(Vec<(String, String)>, &str), String> {
 /// counts never decrease, a `+Inf` bucket exists, and it agrees with the
 /// family's `_count` sample when one is present.
 fn validate_histograms(exp: &Exposition) -> Result<(), String> {
-    // group key: (base name, labels minus le) — compared structurally
-    let mut groups: Vec<(String, Vec<(String, String)>, Vec<(f64, f64)>)> = Vec::new();
+    // group key: (base name, labels minus le) — compared structurally;
+    // the buckets are `(le, cumulative count)`
+    type Group = (String, Labels, Vec<(f64, f64)>);
+    let mut groups: Vec<Group> = Vec::new();
     for s in &exp.samples {
         let Some(base) = s.name.strip_suffix("_bucket") else {
             continue;
@@ -455,7 +460,7 @@ pub fn parse(text: &str) -> Result<Exposition, String> {
         }
         let rest = &line[name_end..];
         let (labels, rest) = if rest.starts_with('{') {
-            parse_labels(rest).map_err(|e| at(e))?
+            parse_labels(rest).map_err(&at)?
         } else {
             (Vec::new(), rest)
         };
@@ -463,7 +468,7 @@ pub fn parse(text: &str) -> Result<Exposition, String> {
         let value_tok = toks
             .next()
             .ok_or_else(|| at(format!("sample '{name}' without value")))?;
-        let value = parse_value(value_tok).map_err(|e| at(e))?;
+        let value = parse_value(value_tok).map_err(&at)?;
         if let Some(ts) = toks.next() {
             // optional millisecond timestamp
             ts.parse::<i64>()

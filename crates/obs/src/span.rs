@@ -121,7 +121,7 @@ pub fn stats() -> Vec<SpanStat> {
         .iter()
         .map(|(&name, &(count, total))| SpanStat { name, count, total })
         .collect();
-    out.sort_by(|a, b| b.total.cmp(&a.total));
+    out.sort_by_key(|s| std::cmp::Reverse(s.total));
     out
 }
 
