@@ -2,8 +2,8 @@
 //! unfused / struct baseline it replaced, plus the SIMD-backend and
 //! tabulated-embedding comparisons (EXPERIMENTS.md "Ablations").
 //!
-//! Every row is the median of `REPS` timed calls after one warm-up, on
-//! `std::time::Instant`.
+//! Every row is the median of `REPS` timed calls after one warm-up
+//! ([`dp_bench::report::median_ms`]).
 //!
 //! Run with: `cargo run --release -p dp-bench --bin ablations`
 
@@ -12,7 +12,7 @@ use deepmd_core::compress::{evaluate_compressed, CompressedModel};
 use deepmd_core::eval::evaluate;
 use deepmd_core::format::format_optimized;
 use deepmd_core::{DpConfig, DpModel};
-use dp_bench::report::print_table;
+use dp_bench::report::{median_ms, print_table};
 use dp_linalg::fused::{
     concat_sum_baseline, concat_sum_gemm, dup_sum_fused, tanh_fused, tanh_then_grad_baseline,
 };
@@ -21,22 +21,8 @@ use dp_linalg::simd::{self, Acc, Backend, Panel, PanelGemm};
 use dp_linalg::Matrix;
 use dp_md::{lattice, CounterRng, NeighborList};
 use std::hint::black_box;
-use std::time::Instant;
 
 const REPS: usize = 9;
-
-fn median_ms(mut f: impl FnMut()) -> f64 {
-    f();
-    let mut ms: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    ms.sort_by(f64::total_cmp);
-    ms[REPS / 2]
-}
 
 fn tall_matrix(rows: usize, cols: usize) -> Matrix<f64> {
     Matrix::from_fn(rows, cols, |i, j| {
@@ -63,14 +49,14 @@ fn main() {
     row(
         g,
         "baseline: MATMUL then SUM",
-        median_ms(|| {
+        median_ms(REPS, || {
             black_box(matmul_then_sum(&x, &w, &bias));
         }),
     );
     row(
         g,
         "optimized: fused GEMM+bias",
-        median_ms(|| {
+        median_ms(REPS, || {
             black_box(gemm_bias(&x, &w, &bias));
         }),
     );
@@ -81,21 +67,21 @@ fn main() {
     row(
         g,
         "baseline: CONCAT then SUM",
-        median_ms(|| {
+        median_ms(REPS, || {
             black_box(concat_sum_baseline(&x, &h));
         }),
     );
     row(
         g,
         "paper: GEMM with (I,I)",
-        median_ms(|| {
+        median_ms(REPS, || {
             black_box(concat_sum_gemm(&x, &h));
         }),
     );
     row(
         g,
         "fused: direct dup+sum",
-        median_ms(|| {
+        median_ms(REPS, || {
             black_box(dup_sum_fused(&x, &h));
         }),
     );
@@ -105,14 +91,14 @@ fn main() {
     row(
         g,
         "baseline: TANH + TANHGrad",
-        median_ms(|| {
+        median_ms(REPS, || {
             black_box(tanh_then_grad_baseline(&h));
         }),
     );
     row(
         g,
         "fused: one pass",
-        median_ms(|| {
+        median_ms(REPS, || {
             black_box(tanh_fused(&h));
         }),
     );
@@ -145,12 +131,12 @@ fn main() {
             c: ld(n),
             acc: Acc::Overwrite,
         };
-        let ms = median_ms(|| {
+        let ms = median_ms(REPS, || {
             simd::row_panel_with(backend, &g, false, 0..1, &a, &b_op, &mut out);
             black_box(&mut out);
         });
         row("simd row_gemm 2048x64x64", backend.name(), ms);
-        let ms = median_ms(|| {
+        let ms = median_ms(REPS, || {
             simd::tanh_fused_with(backend, &act, &mut t, &mut grad);
             black_box((&mut t, &mut grad));
         });
@@ -164,7 +150,7 @@ fn main() {
         .collect();
     let g = "§5.2.2 neighbor_sort";
     for codec in [Codec::PaperDecimal, Codec::Binary] {
-        let ms = median_ms(|| {
+        let ms = median_ms(REPS, || {
             let mut keys: Vec<u64> = raw
                 .iter()
                 .map(|&(t, r, j)| codec.encode(t as usize, r, j as usize))
@@ -177,7 +163,7 @@ fn main() {
     row(
         g,
         "struct sort (3-field comparator)",
-        median_ms(|| {
+        median_ms(REPS, || {
             let mut v = raw.clone();
             v.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
             black_box(v);
@@ -198,14 +184,14 @@ fn main() {
     row(
         g,
         "exact embedding nets",
-        median_ms(|| {
+        median_ms(REPS, || {
             black_box(evaluate(&model, &fmt, &sys.types, sys.len(), None).energy);
         }),
     );
     row(
         g,
         "tabulated embeddings",
-        median_ms(|| {
+        median_ms(REPS, || {
             black_box(evaluate_compressed(&cm, &fmt, &sys.types, sys.len()).energy);
         }),
     );

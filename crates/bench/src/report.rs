@@ -1,4 +1,38 @@
-//! Table/series printing shared by the harness binaries.
+//! Table/series printing and timing shared by the harness binaries.
+
+use std::time::Instant;
+
+/// Median wall time of `reps` calls to `f` after one warm-up call, in ms
+/// (the upper median when `reps` is even).
+pub fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+    assert!(reps > 0, "median of no runs");
+    f();
+    let mut ms: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[reps / 2]
+}
+
+/// Print what a results file was measured on: the commit (`-dirty` when
+/// tracked files differ from it), the SIMD backend in use, and the thread
+/// count, which is 1 because every `dp_obs::par` loop runs on the calling
+/// thread.
+pub fn print_provenance() {
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--exclude=*"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let simd = dp_linalg::simd::active().name();
+    println!("commit {commit}, simd backend {simd}, threads 1");
+}
 
 /// Print a fixed-width table: header row plus data rows.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {

@@ -16,9 +16,10 @@
 //!    fused GEMM+bias and fused tanh+grad.
 //! 4. **Backward** through fitting, descriptor and embedding using the
 //!    cached tanh gradients (no recomputation, §5.3.3).
-//! 5. **ProdForce / ProdVirial** (custom ops): chain `∂E/∂R̃` and the
-//!    embedding-input gradient through the geometric Jacobian and scatter
-//!    into per-atom forces and the virial.
+//! 5. **ProdForce / ProdVirial** ([`crate::ops`]): fold the
+//!    embedding-input gradient `∂E/∂s` into `∂E/∂R̃` (`s` is `R̃`'s first
+//!    column), chain it through the geometric Jacobian and scatter into
+//!    per-atom forces and the virial.
 //!
 //! The whole pipeline is generic over precision `T`; the mixed-precision
 //! mode (§5.2.3) runs it in `f32` on an environment matrix built in `f64`,
@@ -41,8 +42,9 @@
 //! backward (`dE/ds` as the row-wise dot product of `dE/dG` with `dG/ds`).
 
 use crate::compress::EmbeddingTable;
-use crate::format::{FormattedEnv, NONE};
+use crate::format::FormattedEnv;
 use crate::model::DpModel;
+use crate::ops::{prod_force_into, prod_virial_into};
 use crate::potential_impl::BatchItem;
 use crate::profile::{maybe_time, Kernel, Profiler};
 use crate::workspace::{reuse_uninit, reuse_zeroed, EvalWorkspace, NetPass};
@@ -52,7 +54,6 @@ use dp_linalg::gemm::{gemm_bias_into, matmul_nt_into};
 use dp_linalg::{simd, Matrix, Real};
 use dp_nn::layer::LayerKind;
 use dp_nn::net::Net;
-use dp_obs::par;
 
 /// Result of one evaluation.
 #[derive(Debug, Clone)]
@@ -373,7 +374,6 @@ fn pipeline<T: Real>(
         denv_t,
         envm,
         by_type,
-        block_off,
         slot_grads,
         chunk_env,
         chunk_types,
@@ -388,13 +388,6 @@ fn pipeline<T: Real>(
     reuse_zeroed(per_atom_energy, n_rows, 0.0);
     reuse_zeroed(forces, n_total, [0.0; 3]);
     *virial = [0.0; 6];
-
-    // type-block offsets within an atom's slot range
-    reuse_uninit(block_off, n_types + 1, 0);
-    block_off[0] = 0;
-    for t in 0..n_types {
-        block_off[t + 1] = block_off[t] + cfg.sel[t];
-    }
 
     let chunk = chunk_size(cfg.sel.iter().copied().max().unwrap_or(1));
     let mut chunk_start = 0usize;
@@ -664,67 +657,19 @@ fn pipeline<T: Real>(
         drop(emb_bwd_span);
 
         // ---- 7/8. ProdForce + ProdVirial (custom ops, f64) ----
-        reuse_uninit(slot_grads, nc * nm, [0.0; 3]);
         maybe_time(prof, Kernel::Custom, || {
-            // per-slot total gradient dE/dd (parallel), then scatter (serial)
             let force_span = dp_obs::span("prod_force");
-            let ds_cols = &*ds_cols;
-            let denv_blocks = &*denv_blocks;
-            let block_off = &*block_off;
-            par::chunks_mut(slot_grads, nm, |a, sg| {
-                // the atom's slots, one type block after another
-                for t in 0..n_types {
-                    let sel_t = cfg.sel[t];
-                    for k in 0..sel_t {
-                        let within = block_off[t] + k;
-                        let slot = a * nm + within;
-                        let out_g = &mut sg[within];
-                        if fmt.indices[slot] == NONE {
-                            *out_g = [0.0; 3];
-                            continue;
-                        }
-                        let ds = ds_cols[t][(a * sel_t + k, 0)].to_f64();
-                        let base = (a * sel_t + k) * 4;
-                        let denv_atom = &denv_blocks[t];
-                        let gw = [
-                            denv_atom[base] + ds,
-                            denv_atom[base + 1],
-                            denv_atom[base + 2],
-                            denv_atom[base + 3],
-                        ];
-                        let jac = &fmt.denv[slot * 12..slot * 12 + 12];
-                        let mut g = [0.0; 3];
-                        for kk in 0..3 {
-                            g[kk] = gw[0] * jac[kk]
-                                + gw[1] * jac[3 + kk]
-                                + gw[2] * jac[6 + kk]
-                                + gw[3] * jac[9 + kk];
-                        }
-                        *out_g = g;
-                    }
+            // s is R̃'s first column, so dE/ds joins dE/dR̃ there
+            let denv_blocks = &mut denv_blocks[..n_types];
+            for (denv, ds) in denv_blocks.iter_mut().zip(&*ds_cols) {
+                for (row, s) in denv.chunks_exact_mut(4).zip(ds.as_slice()) {
+                    row[0] += s.to_f64();
                 }
-            });
+            }
+            prod_force_into(fmt, denv_blocks, slot_grads);
             drop(force_span);
             let _virial_span = dp_obs::span("prod_virial");
-            for (slot, g) in slot_grads.iter().enumerate() {
-                let j = fmt.indices[slot];
-                if j == NONE {
-                    continue;
-                }
-                let atom = chunk_start + slot / nm;
-                let j = j as usize;
-                let d = &fmt.disp[slot * 3..slot * 3 + 3];
-                for kk in 0..3 {
-                    forces[atom][kk] += g[kk];
-                    forces[j][kk] -= g[kk];
-                }
-                virial[0] -= d[0] * g[0];
-                virial[1] -= d[1] * g[1];
-                virial[2] -= d[2] * g[2];
-                virial[3] -= d[0] * g[1];
-                virial[4] -= d[0] * g[2];
-                virial[5] -= d[1] * g[2];
-            }
+            prod_virial_into(fmt, chunk_start, slot_grads, forces, virial);
         });
 
         chunk_start = chunk_end;

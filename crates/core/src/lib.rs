@@ -15,7 +15,10 @@
 //!   fitting nets per center type) in any precision,
 //! * [`eval`] — the optimized batched forward/backward: one tall GEMM per
 //!   (neighbor-type, layer) instead of per-atom small kernels, fused
-//!   bias/tanh/skip kernels, and the ProdForce / ProdVirial operators,
+//!   bias/tanh/skip kernels,
+//! * [`ops`] — the customized operators of Table 3 (Environment,
+//!   ProdForce, ProdVirial, and ProdForce's transpose for training), one
+//!   copy each, called by [`eval`], [`train_grad`] and the `table3` bench,
 //! * [`baseline`] — the unoptimized per-atom reference implementation
 //!   standing in for the 2018 serial DeePMD-kit (the paper's baseline),
 //! * [`batch`] — cross-request concatenation of formatted tables: the
@@ -41,6 +44,7 @@ pub mod env;
 pub mod eval;
 pub mod format;
 pub mod model;
+pub mod ops;
 pub mod potential_impl;
 pub mod profile;
 pub mod train_grad;

@@ -9,11 +9,11 @@
 //! `∂L/∂θ = ∂/∂θ (a·E + Ė)`, where `Ė = w·∂E/∂r` is the derivative of the
 //! energy along `w`. One more sweep over the frame gives it:
 //!
-//! 1. **Tangent forward.** `Ṙ = (∂R̃/∂r)·w` is read straight from
-//!    `fmt.denv` (ProdForce transposed). Every net carries the pair
-//!    `(x, ẋ)` through each layer — `z = xW + b`, `ż = ẋW`, `h = tanh z`,
-//!    `ḣ = (1−h²)⊙ż`, plus the skip — and the descriptor carries
-//!    `Ṫ1`, `Ṫ2` and `Ḋ = Ṫ1·T2 + T1·Ṫ2`.
+//! 1. **Tangent forward.** `Ṙ = (∂R̃/∂r)·w` comes from
+//!    [`crate::ops::env_tangent_into`] (ProdForce transposed). Every net
+//!    carries the pair `(x, ẋ)` through each layer — `z = xW + b`,
+//!    `ż = ẋW`, `h = tanh z`, `ḣ = (1−h²)⊙ż`, plus the skip — and the
+//!    descriptor carries `Ṫ1`, `Ṫ2` and `Ḋ = Ṫ1·T2 + T1·Ṫ2`.
 //! 2. **Reverse over the pair `(E, Ė)`.** Every value `x` gets two
 //!    adjoints, `x̄ = ∂J/∂x` and `ẋ̄ = ∂J/∂ẋ` for `J = a·E + Ė`. Through a
 //!    tanh layer `ż̄ = (1−h²)⊙ḣ̄` and `z̄ = (1−h²)⊙(h̄ − 2h⊙ż⊙ḣ̄)`; the
@@ -27,8 +27,9 @@
 
 use crate::config::DpConfig;
 use crate::eval::{chunk_size, evaluate_into, EvalOutput};
-use crate::format::{FormattedEnv, NONE};
+use crate::format::FormattedEnv;
 use crate::model::DpModel;
+use crate::ops::env_tangent_into;
 use crate::workspace::{reuse_uninit, reuse_zeroed, EvalWorkspace};
 use dp_linalg::batch::{gemm_batch_nn, gemm_batch_nt, gemm_batch_tn, Acc, Panel};
 use dp_linalg::fused::{dup_sum_fused_into, tanh_fused_into};
@@ -345,40 +346,6 @@ pub fn loss_grad_into(
     }
 }
 
-/// `Ṙ = (∂R̃/∂r)·w` of the type-`ty` block of `nc` atoms from
-/// `chunk_start`, laid out like `EnvRows::gather_env_block`. A slot
-/// whose displacement is `d = r_j − r_i` moves by `w_j − w_i`; padded
-/// slots have a zero Jacobian and stay zero.
-fn env_tangent(
-    fmt: &FormattedEnv,
-    w: &[[f64; 3]],
-    chunk_start: usize,
-    nc: usize,
-    ty: usize,
-    out: &mut [f64],
-) {
-    let sel_t = fmt.sel[ty];
-    for a in 0..nc {
-        let i = chunk_start + a;
-        let block = fmt.block_start(i, ty);
-        for k in 0..sel_t {
-            let slot = block + k;
-            let dst = &mut out[(a * sel_t + k) * 4..(a * sel_t + k + 1) * 4];
-            let j = fmt.indices[slot];
-            if j == NONE {
-                dst.fill(0.0);
-                continue;
-            }
-            let (wi, wj) = (w[i], w[j as usize]);
-            let dd = [wj[0] - wi[0], wj[1] - wi[1], wj[2] - wi[2]];
-            let jac = &fmt.denv[slot * 12..slot * 12 + 12];
-            for (m, r) in dst.iter_mut().enumerate() {
-                *r = jac[m * 3] * dd[0] + jac[m * 3 + 1] * dd[1] + jac[m * 3 + 2] * dd[2];
-            }
-        }
-    }
-}
-
 /// Tangent forward and pair reverse over every chunk; returns `(E, Ė)`.
 fn sweep(
     model: &DpModel<f64>,
@@ -436,14 +403,13 @@ fn sweep(
         reuse_zeroed(t2, nc * 4 * m2, 0.0);
         reuse_zeroed(t1d, nc * m_w * 4, 0.0);
         reuse_zeroed(t2d, nc * 4 * m2, 0.0);
+        let chunk_rows = fmt.rows(chunk_start..chunk_start + nc);
+        env_tangent_into(chunk_rows, chunk_start, w, env_d);
         for t in 0..n_types {
             let sel_t = cfg.sel[t];
             let rows = nc * sel_t;
             reuse_uninit(&mut env[t], rows * 4, 0.0);
-            reuse_uninit(&mut env_d[t], rows * 4, 0.0);
-            fmt.rows(chunk_start..chunk_start + nc)
-                .gather_env_block(t, &mut env[t]);
-            env_tangent(fmt, w, chunk_start, nc, t, &mut env_d[t]);
+            chunk_rows.gather_env_block(t, &mut env[t]);
             let pass = &mut emb[t];
             for (x, e) in [(&mut pass.xs[0], &env[t]), (&mut pass.xds[0], &env_d[t])] {
                 x.reuse_shape(rows, 1);

@@ -84,9 +84,11 @@ pub struct EvalWorkspace<T> {
     pub ones: Matrix<T>,
     /// dE/dG per neighbor type (descriptor backward → embedding backward).
     pub dg_mats: Vec<Matrix<T>>,
-    /// dE/ds per neighbor type (embedding backward → ProdForce).
+    /// dE/ds per neighbor type (embedding backward), folded into
+    /// `denv_blocks`' first column before ProdForce.
     pub ds_cols: Vec<Matrix<T>>,
-    /// dE/dR̃ per neighbor type, 4 per slot, f64 for the f64 ProdForce.
+    /// dE/dR̃ per neighbor type, 4 per slot, f64: the input of
+    /// [`crate::ops::prod_force_into`].
     pub denv_blocks: Vec<Vec<f64>>,
     /// dE/dR̃ scratch in evaluation precision (one type at a time),
     /// filled by the batched descriptor-backward GEMMs before the f64
@@ -108,8 +110,6 @@ pub struct EvalWorkspace<T> {
     pub d_desc: Vec<T>,
     /// Chunk atoms grouped by center type.
     pub by_type: Vec<Vec<usize>>,
-    /// Slot offsets of each neighbor-type block within an atom's row.
-    pub block_off: Vec<usize>,
     /// Per-slot force gradient from ProdForce.
     pub slot_grads: Vec<[f64; 3]>,
     /// The current chunk's formatted rows and center types, when the
@@ -143,7 +143,6 @@ impl<T: Real> EvalWorkspace<T> {
             dt2: Vec::new(),
             d_desc: Vec::new(),
             by_type: vec![Vec::new(); n_types],
-            block_off: vec![0; n_types + 1],
             slot_grads: Vec::new(),
             chunk_env: FormattedEnv::alloc(0, cfg),
             chunk_types: Vec::new(),
