@@ -20,6 +20,7 @@ use deepmd_core::ops::{format_optimized_into, prod_force_into, prod_virial_into}
 use dp_bench::report::{median_ms, print_provenance, print_table};
 use dp_bench::workloads;
 use dp_md::{CounterRng, NeighborList};
+use std::collections::BTreeSet;
 use std::hint::black_box;
 
 const REPS: usize = 9;
@@ -30,16 +31,8 @@ const REPS: usize = 9;
 /// these plus the geometry.
 fn synthetic_gw(fmt: &FormattedEnv, seed: u64) -> Vec<[f64; 4]> {
     let mut rng = CounterRng::new(seed);
-    (0..fmt.n_atoms * fmt.nm)
-        .map(|_| {
-            [
-                rng.range(-1.0, 1.0),
-                rng.range(-1.0, 1.0),
-                rng.range(-1.0, 1.0),
-                rng.range(-1.0, 1.0),
-            ]
-        })
-        .collect()
+    let n_slots = fmt.n_atoms * fmt.nm;
+    (0..n_slots).map(|_| [(); 4].map(|_| rng.range(-1.0, 1.0))).collect()
 }
 
 /// `gw` regrouped into the per-neighbor-type blocks the shipped operators
@@ -126,15 +119,8 @@ fn main() {
     format_optimized_into(&mut fmt, &sys, &nl, &cfg, codec);
     // the same neighbors per atom; slots whose distances tie to within the
     // codec's 1e-8 Å may come in another order
-    let neighbor_sets = |f: &FormattedEnv| -> Vec<Vec<i32>> {
-        f.indices
-            .chunks(f.nm)
-            .map(|r| {
-                let mut r = r.to_vec();
-                r.sort_unstable();
-                r
-            })
-            .collect()
+    let neighbor_sets = |f: &FormattedEnv| -> Vec<BTreeSet<i32>> {
+        f.indices.chunks(f.nm).map(|r| r.iter().copied().collect()).collect()
     };
     assert!(
         neighbor_sets(&format_baseline(&sys, &nl, &cfg)) == neighbor_sets(&fmt),

@@ -1,4 +1,4 @@
-//! Table/series printing and timing shared by the harness binaries.
+//! Table printing, timing and provenance shared by the harness binaries.
 
 use std::time::Instant;
 
@@ -23,15 +23,11 @@ pub fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 /// count, which is 1 because every `dp_obs::par` loop runs on the calling
 /// thread.
 pub fn print_provenance() {
-    let commit = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--exclude=*"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into());
+    let git = ["describe", "--always", "--dirty", "--exclude=*"];
+    let out = std::process::Command::new("git").args(git).output();
+    let commit = out.map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
     let simd = dp_linalg::simd::active().name();
-    println!("commit {commit}, simd backend {simd}, threads 1");
+    println!("commit {}, simd backend {simd}, threads 1", commit.unwrap_or_default());
 }
 
 /// Print a fixed-width table: header row plus data rows.
@@ -86,20 +82,6 @@ pub fn eng(x: f64) -> String {
     format!("{scaled:.3}{suffix}")
 }
 
-/// Simple ASCII series plot: one line per (label, y) with a bar.
-pub fn print_series(title: &str, points: &[(String, f64)], unit: &str) {
-    println!("\n-- {title} --");
-    let max = points.iter().map(|p| p.1).fold(f64::MIN, f64::max);
-    for (label, y) in points {
-        let bar_len = if max > 0.0 {
-            ((y / max) * 50.0).round() as usize
-        } else {
-            0
-        };
-        println!("{label:>16}  {:>10} {unit}  {}", eng(*y), "#".repeat(bar_len));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,6 +101,5 @@ mod tests {
             &["a", "b"],
             &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
         );
-        print_series("s", &[("x".into(), 1.0), ("y".into(), 2.0)], "u");
     }
 }

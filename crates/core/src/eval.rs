@@ -334,24 +334,13 @@ fn pipeline<T: Real>(
     let inv_nm = T::from_f64(1.0 / nm as f64);
 
     // Grow per-type slots if the workspace was built for a smaller model.
-    while ws.emb_passes.len() < n_types {
-        ws.emb_passes.push(NetPass::default());
-    }
-    while ws.dg_mats.len() < n_types {
-        ws.dg_mats.push(Matrix::zeros(0, 0));
-    }
-    while ws.ds_cols.len() < n_types {
-        ws.ds_cols.push(Matrix::zeros(0, 0));
-    }
-    while ws.denv_blocks.len() < n_types {
-        ws.denv_blocks.push(Vec::new());
-    }
-    while ws.envm.len() < n_types {
-        ws.envm.push(Vec::new());
-    }
-    while ws.by_type.len() < n_types {
-        ws.by_type.push(Vec::new());
-    }
+    let grown = |len: usize| len.max(n_types);
+    ws.emb_passes.resize_with(grown(ws.emb_passes.len()), NetPass::default);
+    ws.dg_mats.resize_with(grown(ws.dg_mats.len()), || Matrix::zeros(0, 0));
+    ws.ds_cols.resize_with(grown(ws.ds_cols.len()), || Matrix::zeros(0, 0));
+    ws.denv_blocks.resize_with(grown(ws.denv_blocks.len()), Vec::new);
+    ws.envm.resize_with(grown(ws.envm.len()), Vec::new);
+    ws.by_type.resize_with(grown(ws.by_type.len()), Vec::new);
 
     let EvalWorkspace {
         emb_passes,

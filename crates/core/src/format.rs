@@ -12,13 +12,10 @@
 //!   ([`crate::codec`]), sort scalars, decode (§5.2.2);
 //! * [`format_baseline`] — the AoS struct sort the baseline code used.
 //!
-//! Both keep the same neighbors in every row, and the Table 3 harness
-//! times them against each other. Slots whose distances tie to within the
-//! codec's 1e-8 Å quantum can come out in another order: the u64 key breaks
-//! such ties by list position, the struct sort by the exact distance. On
-//! the perfect-lattice 12 288-atom water box that reorders 10 385 of the
-//! rows; on a perturbed lattice, which has no such ties, the tables are
-//! identical (tested).
+//! Both keep the same neighbors in every row (Table 3 times them against
+//! each other), but distances tied to within the codec's 1e-8 Å can sort
+//! differently: by list position in the u64 key, by exact distance in the
+//! struct sort. Perturbed lattices have no such ties (tables tested equal).
 //!
 //! The optimized path has one formatter, [`format_rows_into`]: atoms `a..b`
 //! of one system into consecutive rows of a table, neighbor indices shifted
