@@ -26,8 +26,9 @@ pub fn print_provenance() {
     let git = ["describe", "--always", "--dirty", "--exclude=*"];
     let out = std::process::Command::new("git").args(git).output();
     let commit = out.map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
+    let commit = commit.ok().filter(|c| !c.is_empty());
     let simd = dp_linalg::simd::active().name();
-    println!("commit {}, simd backend {simd}, threads 1", commit.unwrap_or_default());
+    println!("commit {}, simd backend {simd}, threads 1", commit.as_deref().unwrap_or("unknown"));
 }
 
 /// Print a fixed-width table: header row plus data rows.

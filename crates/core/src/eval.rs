@@ -15,11 +15,11 @@
 //! 3. **Batched fitting** per center type, 240-wide residual layers with
 //!    fused GEMM+bias and fused tanh+grad.
 //! 4. **Backward** through fitting, descriptor and embedding using the
-//!    cached tanh gradients (no recomputation, §5.3.3).
-//! 5. **ProdForce / ProdVirial** ([`crate::ops`]): fold the
-//!    embedding-input gradient `∂E/∂s` into `∂E/∂R̃` (`s` is `R̃`'s first
-//!    column), chain it through the geometric Jacobian and scatter into
-//!    per-atom forces and the virial.
+//!    cached tanh gradients (no recomputation, §5.3.3); the embedding
+//!    input `s` is `R̃`'s first column, so `∂E/∂s` is added there.
+//! 5. **ProdForce / ProdVirial** ([`crate::ops`]): chain `∂E/∂R̃` through
+//!    the geometric Jacobian and scatter into per-atom forces and the
+//!    virial.
 //!
 //! The whole pipeline is generic over precision `T`; the mixed-precision
 //! mode (§5.2.3) runs it in `f32` on an environment matrix built in `f64`,
@@ -334,13 +334,21 @@ fn pipeline<T: Real>(
     let inv_nm = T::from_f64(1.0 / nm as f64);
 
     // Grow per-type slots if the workspace was built for a smaller model.
-    let grown = |len: usize| len.max(n_types);
-    ws.emb_passes.resize_with(grown(ws.emb_passes.len()), NetPass::default);
-    ws.dg_mats.resize_with(grown(ws.dg_mats.len()), || Matrix::zeros(0, 0));
-    ws.ds_cols.resize_with(grown(ws.ds_cols.len()), || Matrix::zeros(0, 0));
-    ws.denv_blocks.resize_with(grown(ws.denv_blocks.len()), Vec::new);
-    ws.envm.resize_with(grown(ws.envm.len()), Vec::new);
-    ws.by_type.resize_with(grown(ws.by_type.len()), Vec::new);
+    while ws.emb_passes.len() < n_types {
+        ws.emb_passes.push(NetPass::default());
+    }
+    while ws.dg_mats.len() < n_types {
+        ws.dg_mats.push(Matrix::zeros(0, 0));
+    }
+    while ws.denv_blocks.len() < n_types {
+        ws.denv_blocks.push(Vec::new());
+    }
+    while ws.envm.len() < n_types {
+        ws.envm.push(Vec::new());
+    }
+    while ws.by_type.len() < n_types {
+        ws.by_type.push(Vec::new());
+    }
 
     let EvalWorkspace {
         emb_passes,
@@ -352,7 +360,6 @@ fn pipeline<T: Real>(
         fit_x,
         ones,
         dg_mats,
-        ds_cols,
         denv_blocks,
         desc,
         t1,
@@ -618,9 +625,11 @@ fn pipeline<T: Real>(
         });
         drop(desc_bwd_span);
 
-        // ---- 6. embedding backward: dE/ds per slot ----
+        // ---- 6. embedding backward: dE/ds per slot, added to dE/dR̃'s
+        // first column (s is that column) ----
         let emb_bwd_span = dp_obs::span("embedding_backward");
         for t in 0..n_types {
+            let dedr = denv_blocks[t].chunks_exact_mut(4);
             match embedding {
                 Embedding::Nets => {
                     net_backward_into(
@@ -632,13 +641,16 @@ fn pipeline<T: Real>(
                         bwd_b,
                         prof,
                     );
-                    std::mem::swap(bwd_g, &mut ds_cols[t]);
+                    maybe_time(prof, Kernel::Custom, || {
+                        for (row, ds) in dedr.zip(bwd_g.as_slice()) {
+                            row[0] += ds.to_f64();
+                        }
+                    });
                 }
                 Embedding::Tables(_) => maybe_time(prof, Kernel::Custom, || {
                     let (dg, dgds) = (&dg_mats[t], &emb_passes[t].act);
-                    ds_cols[t].reuse_shape(dg.rows(), 1);
-                    for (i, ds) in ds_cols[t].as_mut_slice().iter_mut().enumerate() {
-                        *ds = simd::dot(dg.row(i), dgds.row(i));
+                    for (i, row) in dedr.enumerate() {
+                        row[0] += simd::dot(dg.row(i), dgds.row(i)).to_f64();
                     }
                 }),
             }
@@ -648,14 +660,7 @@ fn pipeline<T: Real>(
         // ---- 7/8. ProdForce + ProdVirial (custom ops, f64) ----
         maybe_time(prof, Kernel::Custom, || {
             let force_span = dp_obs::span("prod_force");
-            // s is R̃'s first column, so dE/ds joins dE/dR̃ there
-            let denv_blocks = &mut denv_blocks[..n_types];
-            for (denv, ds) in denv_blocks.iter_mut().zip(&*ds_cols) {
-                for (row, s) in denv.chunks_exact_mut(4).zip(ds.as_slice()) {
-                    row[0] += s.to_f64();
-                }
-            }
-            prod_force_into(fmt, denv_blocks, slot_grads);
+            prod_force_into(fmt, &denv_blocks[..n_types], slot_grads);
             drop(force_span);
             let _virial_span = dp_obs::span("prod_virial");
             prod_virial_into(fmt, chunk_start, slot_grads, forces, virial);

@@ -84,10 +84,8 @@ pub struct EvalWorkspace<T> {
     pub ones: Matrix<T>,
     /// dE/dG per neighbor type (descriptor backward → embedding backward).
     pub dg_mats: Vec<Matrix<T>>,
-    /// dE/ds per neighbor type (embedding backward), folded into
-    /// `denv_blocks`' first column before ProdForce.
-    pub ds_cols: Vec<Matrix<T>>,
-    /// dE/dR̃ per neighbor type, 4 per slot, f64: the input of
+    /// dE/dR̃ per neighbor type, 4 per slot, f64, with the embedding
+    /// backward's dE/ds added to the first column: the input of
     /// [`crate::ops::prod_force_into`].
     pub denv_blocks: Vec<Vec<f64>>,
     /// dE/dR̃ scratch in evaluation precision (one type at a time),
@@ -132,7 +130,6 @@ impl<T: Real> EvalWorkspace<T> {
             fit_x: Matrix::zeros(0, 0),
             ones: Matrix::zeros(0, 0),
             dg_mats: (0..n_types).map(|_| Matrix::zeros(0, 0)).collect(),
-            ds_cols: (0..n_types).map(|_| Matrix::zeros(0, 0)).collect(),
             denv_blocks: vec![Vec::new(); n_types],
             denv_t: Vec::new(),
             envm: (0..n_types).map(|_| Vec::new()).collect(),
