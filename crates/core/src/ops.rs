@@ -66,7 +66,7 @@ pub fn prod_virial_into(
     forces: &mut [[f64; 3]],
     virial: &mut [f64; 6],
 ) {
-    assert_eq!(slot_grads.len(), rows.n_atoms * rows.nm, "one gradient per slot");
+    assert_eq!(slot_grads.len(), rows.indices.len());
     for (slot, g) in slot_grads.iter().enumerate() {
         let j = rows.indices[slot];
         if j == NONE {
@@ -153,7 +153,11 @@ mod tests {
         let mut rng = CounterRng::new(seed);
         fmt.sel
             .iter()
-            .map(|&s| (0..fmt.n_atoms * s * 4).map(|_| rng.range(-1.0, 1.0)).collect())
+            .map(|&s| {
+                (0..fmt.n_atoms * s * 4)
+                    .map(|_| rng.range(-1.0, 1.0))
+                    .collect()
+            })
             .collect()
     }
 
@@ -231,7 +235,11 @@ mod tests {
                 prod_virial_into(rows, atom0, &slot_grads, &mut forces, &mut virial);
             }
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(forces.as_flattened()), bits(forces_ref.as_flattened()), "{starts:?}");
+            assert_eq!(
+                bits(forces.as_flattened()),
+                bits(forces_ref.as_flattened()),
+                "{starts:?}"
+            );
             assert_eq!(bits(&virial), bits(&virial_ref), "{starts:?}");
         }
     }
@@ -242,7 +250,13 @@ mod tests {
         let dedr = dedr(&fmt, 8);
         let mut rng = CounterRng::new(9);
         let w: Vec<[f64; 3]> = (0..sys.len())
-            .map(|_| [rng.range(-1.0, 1.0), rng.range(-1.0, 1.0), rng.range(-1.0, 1.0)])
+            .map(|_| {
+                [
+                    rng.range(-1.0, 1.0),
+                    rng.range(-1.0, 1.0),
+                    rng.range(-1.0, 1.0),
+                ]
+            })
             .collect();
         let (mut lhs, mut rhs) = (0.0, 0.0);
         let mut tangent = vec![Vec::new(); fmt.sel.len()];
@@ -262,6 +276,9 @@ mod tests {
             rhs += wi[0] * f[0] + wi[1] * f[1] + wi[2] * f[2];
         }
         assert!(lhs.abs() > 1e-3, "degenerate pairing {lhs}");
-        assert!((lhs + rhs).abs() <= 1e-12 * lhs.abs(), "⟨Ṙ, gw⟩ = {lhs}, ⟨w, F⟩ = {rhs}");
+        assert!(
+            (lhs + rhs).abs() <= 1e-12 * lhs.abs(),
+            "⟨Ṙ, gw⟩ = {lhs}, ⟨w, F⟩ = {rhs}"
+        );
     }
 }
