@@ -57,8 +57,16 @@ pub(crate) fn format_chunk(
             let atoms = lo - row0..hi - row0;
             types.extend_from_slice(&it.sys.types[atoms.clone()]);
             let codec = cfg.codec(it.sys.len());
-            out.overflowed +=
-                format_rows_into(out, lo - rows.start, it.sys, it.nl, cfg, codec, atoms, atom0);
+            out.overflowed += format_rows_into(
+                out,
+                lo - rows.start,
+                it.sys,
+                it.nl,
+                cfg,
+                codec,
+                atoms,
+                atom0,
+            );
         }
         row0 += n;
         atom0 += it.sys.len();
@@ -93,12 +101,18 @@ pub fn reset_joined(dst: &mut FormattedEnv, cfg: &DpConfig) {
 /// Like [`reset_joined`], only perfbench's `core.batch.join_us` probe
 /// calls it.
 pub fn append_joined(dst: &mut FormattedEnv, src: &FormattedEnv, atom_offset: usize) {
-    assert_eq!(dst.sel, src.sel, "batched requests must share one model config");
+    assert_eq!(
+        dst.sel, src.sel,
+        "batched requests must share one model config"
+    );
     assert_eq!(dst.nm, src.nm);
     let off = atom_offset as i32;
     dst.n_atoms += src.n_atoms;
-    dst.indices
-        .extend(src.indices.iter().map(|&j| if j == NONE { NONE } else { j + off }));
+    dst.indices.extend(
+        src.indices
+            .iter()
+            .map(|&j| if j == NONE { NONE } else { j + off }),
+    );
     dst.env.extend_from_slice(&src.env);
     dst.denv.extend_from_slice(&src.denv);
     dst.disp.extend_from_slice(&src.disp);
@@ -108,11 +122,11 @@ pub fn append_joined(dst: &mut FormattedEnv, src: &FormattedEnv, atom_offset: us
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Codec;
     use crate::config::DpConfig;
     use crate::format::format_optimized_into;
-    use crate::potential_impl::{BatchItem, DeepPotential, PrecisionMode};
     use crate::model::DpModel;
-    use crate::codec::Codec;
+    use crate::potential_impl::{BatchItem, DeepPotential, PrecisionMode};
     use dp_md::{lattice, units, CounterRng, NeighborList, Potential, System};
 
     fn sample_systems() -> Vec<System> {
@@ -133,7 +147,10 @@ mod tests {
     fn potential() -> DeepPotential {
         let cfg = DpConfig::small(1, 4.5, 16);
         let mut rng = CounterRng::new(31);
-        DeepPotential::new(DpModel::<f64>::new_random(cfg, &mut rng), PrecisionMode::Double)
+        DeepPotential::new(
+            DpModel::<f64>::new_random(cfg, &mut rng),
+            PrecisionMode::Double,
+        )
     }
 
     #[test]
@@ -147,12 +164,21 @@ mod tests {
         for sys in &systems {
             let nl = NeighborList::build(sys, cfg.rcut);
             let mut fmt = FormattedEnv::alloc(sys.len(), &cfg);
-            format_optimized_into(&mut fmt, sys, &nl, &cfg, Codec::auto(1, sys.len(), cfg.rcut));
+            format_optimized_into(
+                &mut fmt,
+                sys,
+                &nl,
+                &cfg,
+                Codec::auto(1, sys.len(), cfg.rcut),
+            );
             append_joined(&mut joined, &fmt, off);
             parts.push((fmt, off));
             off += sys.len();
         }
-        assert_eq!(joined.n_atoms, systems.iter().map(|s| s.len()).sum::<usize>());
+        assert_eq!(
+            joined.n_atoms,
+            systems.iter().map(|s| s.len()).sum::<usize>()
+        );
         let mut slot = 0usize;
         for (fmt, off) in &parts {
             for (k, &j) in fmt.indices.iter().enumerate() {
@@ -177,8 +203,10 @@ mod tests {
     fn batched_eval_is_bit_identical_to_serial_in_every_mode() {
         let pot = potential();
         let systems = sample_systems();
-        let nls: Vec<NeighborList> =
-            systems.iter().map(|s| NeighborList::build(s, pot.cutoff())).collect();
+        let nls: Vec<NeighborList> = systems
+            .iter()
+            .map(|s| NeighborList::build(s, pot.cutoff()))
+            .collect();
         for mode in [PrecisionMode::Double, PrecisionMode::Mixed] {
             let items: Vec<BatchItem> = systems
                 .iter()
@@ -227,8 +255,10 @@ mod tests {
         use crate::potential_impl::BatchOutput;
         let pot = potential();
         let systems = sample_systems();
-        let nls: Vec<NeighborList> =
-            systems.iter().map(|s| NeighborList::build(s, pot.cutoff())).collect();
+        let nls: Vec<NeighborList> = systems
+            .iter()
+            .map(|s| NeighborList::build(s, pot.cutoff()))
+            .collect();
         let items: Vec<BatchItem> = systems
             .iter()
             .zip(&nls)
@@ -254,7 +284,10 @@ mod tests {
         // flat output (the ensemble engine calls this once per tick)
         let cap = (flat.forces.capacity(), flat.per_atom_energy.capacity());
         pot.compute_batch_into(&items, PrecisionMode::Mixed, &mut flat);
-        assert_eq!(cap, (flat.forces.capacity(), flat.per_atom_energy.capacity()));
+        assert_eq!(
+            cap,
+            (flat.forces.capacity(), flat.per_atom_energy.capacity())
+        );
     }
 
     #[test]
@@ -266,7 +299,13 @@ mod tests {
         for sys in &systems {
             let nl = NeighborList::build(sys, cfg.rcut);
             let mut fmt = FormattedEnv::alloc(sys.len(), &cfg);
-            format_optimized_into(&mut fmt, sys, &nl, &cfg, Codec::auto(1, sys.len(), cfg.rcut));
+            format_optimized_into(
+                &mut fmt,
+                sys,
+                &nl,
+                &cfg,
+                Codec::auto(1, sys.len(), cfg.rcut),
+            );
             fmts.push(fmt);
         }
         let fill = |joined: &mut FormattedEnv| {

@@ -152,11 +152,13 @@ mod tests {
                 .map(|&(t, r, j)| codec.encode(t, r, j))
                 .collect();
             keys.sort_unstable();
-            let decoded: Vec<(usize, usize)> =
-                keys.iter().map(|&k| {
+            let decoded: Vec<(usize, usize)> = keys
+                .iter()
+                .map(|&k| {
                     let (t, _, j) = codec.decode(k);
                     (t, j)
-                }).collect();
+                })
+                .collect();
             structs.sort_by(|a, b| {
                 a.0.cmp(&b.0)
                     .then(a.1.partial_cmp(&b.1).unwrap())

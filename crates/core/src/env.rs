@@ -79,8 +79,8 @@ mod tests {
         for &r in &[1.5, 3.5, 4.7, 5.5] {
             let (_, ds) = smooth_weight(r, 3.0, 6.0);
             let h = 1e-7;
-            let fd = (smooth_weight(r + h, 3.0, 6.0).0 - smooth_weight(r - h, 3.0, 6.0).0)
-                / (2.0 * h);
+            let fd =
+                (smooth_weight(r + h, 3.0, 6.0).0 - smooth_weight(r - h, 3.0, 6.0).0) / (2.0 * h);
             assert!((ds - fd).abs() < 1e-6, "r={r}: {ds} vs {fd}");
         }
     }

@@ -252,7 +252,12 @@ fn gather_raw_into(
 }
 
 /// Optimized formatter: u64-compress, scalar sort, decode (§5.2.2).
-pub fn format_optimized(sys: &System, nl: &NeighborList, cfg: &DpConfig, codec: Codec) -> FormattedEnv {
+pub fn format_optimized(
+    sys: &System,
+    nl: &NeighborList,
+    cfg: &DpConfig,
+    codec: Codec,
+) -> FormattedEnv {
     let mut out = FormattedEnv::alloc(sys.n_local, cfg);
     format_optimized_into(&mut out, sys, nl, cfg, codec);
     out
@@ -372,7 +377,18 @@ pub fn format_baseline(sys: &System, nl: &NeighborList, cfg: &DpConfig) -> Forma
         let env = &mut out.env[i * nm * 4..(i + 1) * nm * 4];
         let denv = &mut out.denv[i * nm * 12..(i + 1) * nm * 12];
         let disp = &mut out.disp[i * nm * 3..(i + 1) * nm * 3];
-        overflow += fill_atom_slots(idx, env, denv, disp, &sel, &raw, cfg, 0, &mut cursor, &mut limit);
+        overflow += fill_atom_slots(
+            idx,
+            env,
+            denv,
+            disp,
+            &sel,
+            &raw,
+            cfg,
+            0,
+            &mut cursor,
+            &mut limit,
+        );
     }
     out.overflowed = overflow;
     out

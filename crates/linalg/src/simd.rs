@@ -205,7 +205,15 @@ pub fn row_gemm_strided_with<T: Real>(
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe {
             if is::<T, f64>() {
-                x86::row_gemm_f64(cast_mut(c), k, cast(a), a_stride, cast(b), ldb, alpha.to_f64())
+                x86::row_gemm_f64(
+                    cast_mut(c),
+                    k,
+                    cast(a),
+                    a_stride,
+                    cast(b),
+                    ldb,
+                    alpha.to_f64(),
+                )
             } else if is::<T, f32>() {
                 x86::row_gemm_f32(
                     cast_mut(c),
@@ -223,7 +231,15 @@ pub fn row_gemm_strided_with<T: Real>(
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => unsafe {
             if is::<T, f64>() {
-                arm::row_gemm_f64(cast_mut(c), k, cast(a), a_stride, cast(b), ldb, alpha.to_f64())
+                arm::row_gemm_f64(
+                    cast_mut(c),
+                    k,
+                    cast(a),
+                    a_stride,
+                    cast(b),
+                    ldb,
+                    alpha.to_f64(),
+                )
             } else if is::<T, f32>() {
                 arm::row_gemm_f32(
                     cast_mut(c),
@@ -352,15 +368,37 @@ impl<T: Real> PanelGemm<T> {
     /// The same problem typed for a kernel (only called with `U == T`, so
     /// `alpha` round-trips exactly).
     fn cast<U: Real>(&self) -> PanelGemm<U> {
-        let Self { m, k, n, a, b, c, acc, .. } = *self;
-        PanelGemm { m, k, n, alpha: U::from_f64(self.alpha.to_f64()), a, b, c, acc }
+        let Self {
+            m,
+            k,
+            n,
+            a,
+            b,
+            c,
+            acc,
+            ..
+        } = *self;
+        PanelGemm {
+            m,
+            k,
+            n,
+            alpha: U::from_f64(self.alpha.to_f64()),
+            a,
+            b,
+            c,
+            acc,
+        }
     }
 
     /// The dot panel's epilogue: `alpha·d` when `alpha ≠ 1`, then `c + d`
     /// when accumulating.
     #[inline(always)]
     fn finish(&self, d: T, c: T) -> T {
-        let d = if self.alpha == T::ONE { d } else { self.alpha * d };
+        let d = if self.alpha == T::ONE {
+            d
+        } else {
+            self.alpha * d
+        };
         match self.acc {
             Acc::Overwrite => d,
             Acc::Add => c + d,
@@ -438,14 +476,30 @@ pub fn row_panel_with<T: Real>(
         Backend::Neon => unsafe {
             if is::<T, f64>() {
                 let g = g.cast::<f64>();
-                return row_loop(&g, step, items, cast(a), cast(b), cast_mut(c), |c_row, a_r, b_i| {
-                    arm::row_gemm_f64(c_row, k, a_r, step.1, b_i, g.b.ld, g.alpha)
-                });
+                return row_loop(
+                    &g,
+                    step,
+                    items,
+                    cast(a),
+                    cast(b),
+                    cast_mut(c),
+                    |c_row, a_r, b_i| {
+                        arm::row_gemm_f64(c_row, k, a_r, step.1, b_i, g.b.ld, g.alpha)
+                    },
+                );
             } else if is::<T, f32>() {
                 let g = g.cast::<f32>();
-                return row_loop(&g, step, items, cast(a), cast(b), cast_mut(c), |c_row, a_r, b_i| {
-                    arm::row_gemm_f32(c_row, k, a_r, step.1, b_i, g.b.ld, g.alpha)
-                });
+                return row_loop(
+                    &g,
+                    step,
+                    items,
+                    cast(a),
+                    cast(b),
+                    cast_mut(c),
+                    |c_row, a_r, b_i| {
+                        arm::row_gemm_f32(c_row, k, a_r, step.1, b_i, g.b.ld, g.alpha)
+                    },
+                );
             }
         },
         _ => {}
@@ -523,10 +577,14 @@ pub fn dot_panel_with<T: Real>(
         Backend::Neon => unsafe {
             if is::<T, f64>() {
                 let g = g.cast::<f64>();
-                return dot_loop(&g, items, cast(a), cast(b), cast_mut(c), |x, y| arm::dot_f64(x, y));
+                return dot_loop(&g, items, cast(a), cast(b), cast_mut(c), |x, y| {
+                    arm::dot_f64(x, y)
+                });
             } else if is::<T, f32>() {
                 let g = g.cast::<f32>();
-                return dot_loop(&g, items, cast(a), cast(b), cast_mut(c), |x, y| arm::dot_f32(x, y));
+                return dot_loop(&g, items, cast(a), cast(b), cast_mut(c), |x, y| {
+                    arm::dot_f32(x, y)
+                });
             }
         },
         _ => {}
@@ -967,16 +1025,40 @@ mod x86 {
         };
     }
     lanes!(
-        __m256d, f64, 4, _mm256_setzero_pd, _mm256_set1_pd, _mm256_loadu_pd, _mm256_storeu_pd,
-        _mm256_fmadd_pd, _mm256_add_pd, _mm256_mul_pd
+        __m256d,
+        f64,
+        4,
+        _mm256_setzero_pd,
+        _mm256_set1_pd,
+        _mm256_loadu_pd,
+        _mm256_storeu_pd,
+        _mm256_fmadd_pd,
+        _mm256_add_pd,
+        _mm256_mul_pd
     );
     lanes!(
-        __m256, f32, 8, _mm256_setzero_ps, _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps,
-        _mm256_fmadd_ps, _mm256_add_ps, _mm256_mul_ps
+        __m256,
+        f32,
+        8,
+        _mm256_setzero_ps,
+        _mm256_set1_ps,
+        _mm256_loadu_ps,
+        _mm256_storeu_ps,
+        _mm256_fmadd_ps,
+        _mm256_add_ps,
+        _mm256_mul_ps
     );
     lanes!(
-        __m128, f32, 4, _mm_setzero_ps, _mm_set1_ps, _mm_loadu_ps, _mm_storeu_ps, _mm_fmadd_ps,
-        _mm_add_ps, _mm_mul_ps
+        __m128,
+        f32,
+        4,
+        _mm_setzero_ps,
+        _mm_set1_ps,
+        _mm_loadu_ps,
+        _mm_storeu_ps,
+        _mm_fmadd_ps,
+        _mm_add_ps,
+        _mm_mul_ps
     );
 
     /// C rows per pass of the narrow row panels, where the per-row kernel
@@ -1005,7 +1087,11 @@ mod x86 {
     ) {
         let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
         for i in items {
-            let (a_i, b_i, c_i) = (ap.add(i * g.a.stride), bp.add(i * g.b.stride), cp.add(i * g.c.stride));
+            let (a_i, b_i, c_i) = (
+                ap.add(i * g.a.stride),
+                bp.add(i * g.b.stride),
+                cp.add(i * g.c.stride),
+            );
             let mut r = 0;
             while r + R <= g.m {
                 rows_pass::<X, R, V>(g, step, a_i.add(r * step.0), b_i, c_i.add(r * g.c.ld));
@@ -1111,12 +1197,20 @@ mod x86 {
         let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
         let (ldb, ldc, alpha, add) = (g.b.ld, g.c.ld, g.alpha, g.acc == Acc::Add);
         for i in items {
-            let (a_i, b_i, c_i) = (ap.add(i * g.a.stride), bp.add(i * g.b.stride), cp.add(i * g.c.stride));
+            let (a_i, b_i, c_i) = (
+                ap.add(i * g.a.stride),
+                bp.add(i * g.b.stride),
+                cp.add(i * g.c.stride),
+            );
             let mut r = 0;
             while r + 2 <= g.m {
                 let (a0, a1) = (a_i.add(r * step.0), a_i.add((r + 1) * step.0));
                 let (c0, c1) = (c_i.add(r * ldc), c_i.add((r + 1) * ldc));
-                let mut acc = if add { _mm256_loadu2_m128(c1, c0) } else { _mm256_setzero_ps() };
+                let mut acc = if add {
+                    _mm256_loadu2_m128(c1, c0)
+                } else {
+                    _mm256_setzero_ps()
+                };
                 for p in 0..g.k {
                     let s = _mm256_set_m128(
                         _mm_set1_ps(alpha * *a1.add(p * step.1)),
@@ -1130,7 +1224,11 @@ mod x86 {
             }
             if r < g.m {
                 let (a0, c0) = (a_i.add(r * step.0), c_i.add(r * ldc));
-                let mut acc = if add { _mm_loadu_ps(c0) } else { _mm_setzero_ps() };
+                let mut acc = if add {
+                    _mm_loadu_ps(c0)
+                } else {
+                    _mm_setzero_ps()
+                };
                 for p in 0..g.k {
                     let s = _mm_set1_ps(alpha * *a0.add(p * step.1));
                     acc = _mm_fmadd_ps(_mm_loadu_ps(b_i.add(p * ldb)), s, acc);
@@ -1164,7 +1262,11 @@ mod x86 {
         let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
         let mut tile = [[T::default(); TILE]; K];
         for i in items {
-            let (a_i, b_i, c_i) = (ap.add(i * g.a.stride), bp.add(i * g.b.stride), cp.add(i * g.c.stride));
+            let (a_i, b_i, c_i) = (
+                ap.add(i * g.a.stride),
+                bp.add(i * g.b.stride),
+                cp.add(i * g.c.stride),
+            );
             for j0 in (0..g.n).step_by(TILE) {
                 let w = TILE.min(g.n - j0);
                 for j in 0..w {
@@ -1205,7 +1307,11 @@ mod x86 {
     /// # Safety: avx2+fma.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dot_cols_f64<X: Lanes<T = f64>>(k: usize, x: *const f64, col: impl Fn(usize) -> X) -> X {
+    unsafe fn dot_cols_f64<X: Lanes<T = f64>>(
+        k: usize,
+        x: *const f64,
+        col: impl Fn(usize) -> X,
+    ) -> X {
         let zero = X::zero();
         let term = |q: usize, acc| X::fma(X::splat(*x.add(q)), col(q), acc);
         let mut acc = [zero; 4];
@@ -1237,7 +1343,11 @@ mod x86 {
     /// # Safety: avx2+fma.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dot_cols_f32<X: Lanes<T = f32>>(k: usize, x: *const f32, col: impl Fn(usize) -> X) -> X {
+    unsafe fn dot_cols_f32<X: Lanes<T = f32>>(
+        k: usize,
+        x: *const f32,
+        col: impl Fn(usize) -> X,
+    ) -> X {
         let zero = X::zero();
         let term = |q: usize, acc| X::fma(X::splat(*x.add(q)), col(q), acc);
         let head = if k == 16 { 16 } else { 8 };
@@ -1266,7 +1376,13 @@ mod x86 {
     ///
     /// # Safety: as [`row_panel_f64`] (asserted by `dot_panel_with`).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_panel_f64(g: &PanelGemm<f64>, items: Range<usize>, a: &[f64], b: &[f64], c: &mut [f64]) {
+    pub unsafe fn dot_panel_f64(
+        g: &PanelGemm<f64>,
+        items: Range<usize>,
+        a: &[f64],
+        b: &[f64],
+        c: &mut [f64],
+    ) {
         let k = g.k;
         if (8..=16).contains(&k) && g.n >= 4 {
             return col_tiles::<f64, 16>(g, items, a, b, c, |x, t, w, c_r| {
@@ -1278,7 +1394,10 @@ mod x86 {
                 }
                 while j < w {
                     let col: [f64; 16] = std::array::from_fn(|q| t[q][j]);
-                    *c_r.add(j) = g.finish(dot_f64(std::slice::from_raw_parts(x, k), &col[..k]), *c_r.add(j));
+                    *c_r.add(j) = g.finish(
+                        dot_f64(std::slice::from_raw_parts(x, k), &col[..k]),
+                        *c_r.add(j),
+                    );
                     j += 1;
                 }
             });
@@ -1314,7 +1433,13 @@ mod x86 {
     ///
     /// # Safety: as [`dot_panel_f64`].
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_panel_f32(g: &PanelGemm<f32>, items: Range<usize>, a: &[f32], b: &[f32], c: &mut [f32]) {
+    pub unsafe fn dot_panel_f32(
+        g: &PanelGemm<f32>,
+        items: Range<usize>,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ) {
         let k = g.k;
         if (8..=16).contains(&k) && g.n >= 4 {
             return col_tiles::<f32, 16>(g, items, a, b, c, |x, t, w, c_r| {
@@ -1331,7 +1456,10 @@ mod x86 {
                 }
                 while j < w {
                     let col: [f32; 16] = std::array::from_fn(|q| t[q][j]);
-                    *c_r.add(j) = g.finish(dot_f32(std::slice::from_raw_parts(x, k), &col[..k]), *c_r.add(j));
+                    *c_r.add(j) = g.finish(
+                        dot_f32(std::slice::from_raw_parts(x, k), &col[..k]),
+                        *c_r.add(j),
+                    );
                     j += 1;
                 }
             });
@@ -1342,11 +1470,19 @@ mod x86 {
         col_tiles::<f32, 4>(g, items, a, b, c, |x, t, w, c_r| {
             let mut j = 0;
             while j + 8 <= w {
-                finish_cols(g, chain4(x, |q| __m256::load(t[q].as_ptr().add(j))), c_r.add(j));
+                finish_cols(
+                    g,
+                    chain4(x, |q| __m256::load(t[q].as_ptr().add(j))),
+                    c_r.add(j),
+                );
                 j += 8;
             }
             if j + 4 <= w {
-                finish_cols(g, chain4(x, |q| __m128::load(t[q].as_ptr().add(j))), c_r.add(j));
+                finish_cols(
+                    g,
+                    chain4(x, |q| __m128::load(t[q].as_ptr().add(j))),
+                    c_r.add(j),
+                );
                 j += 4;
             }
             while j < w {
@@ -1740,7 +1876,10 @@ mod arm {
         let s = vdupq_n_f64(alpha);
         let mut i = 0;
         while i + 2 <= n {
-            vst1q_f64(yp.add(i), vfmaq_f64(vld1q_f64(yp.add(i)), vld1q_f64(xp.add(i)), s));
+            vst1q_f64(
+                yp.add(i),
+                vfmaq_f64(vld1q_f64(yp.add(i)), vld1q_f64(xp.add(i)), s),
+            );
             i += 2;
         }
         while i < n {
@@ -1758,7 +1897,10 @@ mod arm {
         let s = vdupq_n_f32(alpha);
         let mut i = 0;
         while i + 4 <= n {
-            vst1q_f32(yp.add(i), vfmaq_f32(vld1q_f32(yp.add(i)), vld1q_f32(xp.add(i)), s));
+            vst1q_f32(
+                yp.add(i),
+                vfmaq_f32(vld1q_f32(yp.add(i)), vld1q_f32(xp.add(i)), s),
+            );
             i += 4;
         }
         while i < n {
@@ -1819,7 +1961,14 @@ mod tests {
     }
 
     /// [`row_gemm_strided_with`] on a contiguous `A` row.
-    fn row_gemm_with<T: Real>(backend: Backend, c: &mut [T], a: &[T], b: &[T], ldb: usize, alpha: T) {
+    fn row_gemm_with<T: Real>(
+        backend: Backend,
+        c: &mut [T],
+        a: &[T],
+        b: &[T],
+        ldb: usize,
+        alpha: T,
+    ) {
         row_gemm_strided_with(backend, c, a.len(), a, 1, b, ldb, alpha)
     }
 
@@ -1838,7 +1987,14 @@ mod tests {
     fn feature_matrix_scalar_vs_vector_f64() {
         for backend in available() {
             // Odd k and n hit the 16/4/1 (f64) tile remainders.
-            for &(k, n) in &[(1usize, 1usize), (3, 5), (7, 16), (13, 17), (31, 37), (64, 64)] {
+            for &(k, n) in &[
+                (1usize, 1usize),
+                (3, 5),
+                (7, 16),
+                (13, 17),
+                (31, 37),
+                (64, 64),
+            ] {
                 let a = vec_f64(k, 1 + k as u64);
                 let b = vec_f64(k * n, 2 + n as u64);
                 let mut c_s = vec_f64(n, 3);
@@ -1916,7 +2072,11 @@ mod tests {
                     t_v[i],
                     t_s[i]
                 );
-                assert!((g_s[i] - g_v[i]).abs() < 1e-12, "{backend:?} grad({})", x[i]);
+                assert!(
+                    (g_s[i] - g_v[i]).abs() < 1e-12,
+                    "{backend:?} grad({})",
+                    x[i]
+                );
             }
             // f32 lanes too.
             let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
@@ -1935,7 +2095,16 @@ mod tests {
 
     #[test]
     fn tanh_propagates_non_finite() {
-        let x = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.5, -0.5, 1.0, 2.0, -3.0];
+        let x = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.5,
+            -0.5,
+            1.0,
+            2.0,
+            -3.0,
+        ];
         for backend in available() {
             let mut t = vec![0.0; x.len()];
             let mut g = vec![0.0; x.len()];
@@ -1987,7 +2156,16 @@ mod tests {
             let random = (vec_f64(k, 41), vec_f64(6 * k, 42));
             let underflow = (vec![-1e-200; k], vec![1e-200; 6 * k]);
             let tight = |ld| Panel { ld, stride: 0 };
-            let g = PanelGemm { m: 1, k, n: 6, alpha: 1.0, a: tight(k), b: tight(k), c: tight(6), acc: Acc::Overwrite };
+            let g = PanelGemm {
+                m: 1,
+                k,
+                n: 6,
+                alpha: 1.0,
+                a: tight(k),
+                b: tight(k),
+                c: tight(6),
+                acc: Acc::Overwrite,
+            };
             for (a, b) in [random, underflow] {
                 for backend in available() {
                     let mut c = vec![0.0; 6];
@@ -2007,7 +2185,10 @@ mod tests {
     fn shortened_exp_constants_keep_their_bits() {
         let f64_of = |s: &str| s.replace('_', "").parse::<f64>().unwrap();
         let f32_of = |s: &str| s.replace('_', "").parse::<f32>().unwrap();
-        assert_eq!(f64_of("9.999_999_999_999_999_9e-1").to_bits(), 1.0f64.to_bits());
+        assert_eq!(
+            f64_of("9.999_999_999_999_999_9e-1").to_bits(),
+            1.0f64.to_bits()
+        );
         assert_eq!(f32_of("0.693_359_375").to_bits(), 0.693_359_4f32.to_bits());
         assert_eq!(f32_of("5.000_000_2e-1").to_bits(), 0.5f32.to_bits());
     }

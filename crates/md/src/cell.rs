@@ -9,7 +9,10 @@ pub struct Cell {
 
 impl Cell {
     pub fn orthorhombic(lx: f64, ly: f64, lz: f64) -> Self {
-        assert!(lx > 0.0 && ly > 0.0 && lz > 0.0, "cell lengths must be positive");
+        assert!(
+            lx > 0.0 && ly > 0.0 && lz > 0.0,
+            "cell lengths must be positive"
+        );
         Self {
             lengths: [lx, ly, lz],
             periodic: true,
