@@ -33,12 +33,15 @@
 use crate::config::DpConfig;
 use crate::format::{format_rows_into, FormattedEnv, NONE};
 use crate::potential_impl::BatchItem;
+use dp_obs::Counter;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Format rows `rows` of the items' local atoms, laid end to end, into
 /// `out` (resized to `rows.len()` atoms) and their species into `types`.
 /// Item `k`'s neighbor indices shift by the atoms (`len`, ghosts included)
-/// of the items before it.
+/// of the items before it. Neighbors dropped by `sel` overflow are added to
+/// the `format.overflowed` counter, so truncation shows in telemetry.
 pub(crate) fn format_chunk(
     items: &[BatchItem],
     rows: Range<usize>,
@@ -73,6 +76,12 @@ pub(crate) fn format_chunk(
         if row0 >= rows.end {
             break;
         }
+    }
+    if out.overflowed > 0 {
+        static OVERFLOWED: OnceLock<&'static Counter> = OnceLock::new();
+        OVERFLOWED
+            .get_or_init(|| dp_obs::counter("format.overflowed"))
+            .add(out.overflowed as u64);
     }
 }
 
@@ -324,5 +333,70 @@ mod tests {
             (joined.indices.capacity(), joined.env.capacity()),
             "re-filling the same batch must not grow the joined table"
         );
+    }
+
+    /// A chunk table that held a denser chunk (42 neighbors per atom)
+    /// reformatted with a sparser one (18) equals a fresh table: every
+    /// padding tail the dense rows had filled is cleared.
+    #[test]
+    fn chunk_table_reused_after_a_denser_chunk_equals_a_fresh_one() {
+        let cfg = DpConfig::small(1, 4.5, 64);
+        let mut rng = CounterRng::new(5);
+        let mut lattice_at = |a0: f64| {
+            let mut s = lattice::fcc(a0, [3, 3, 3], units::MASS_CU);
+            s.perturb(0.05, &mut rng);
+            let nl = NeighborList::build(&s, cfg.rcut);
+            (s, nl)
+        };
+        let (dense, dense_nl) = lattice_at(3.3);
+        let (sparse, sparse_nl) = lattice_at(3.9);
+        let n = sparse.len();
+        let mut types = Vec::new();
+        let mut reused = FormattedEnv::alloc(0, &cfg);
+        let dense_item = [BatchItem {
+            sys: &dense,
+            nl: &dense_nl,
+        }];
+        format_chunk(&dense_item, 0..n, &cfg, &mut reused, &mut types);
+        assert!(
+            reused.real_neighbors() >= 42 * n,
+            "the first chunk must be the denser"
+        );
+        let sparse_item = [BatchItem {
+            sys: &sparse,
+            nl: &sparse_nl,
+        }];
+        format_chunk(&sparse_item, 0..n, &cfg, &mut reused, &mut types);
+        let mut fresh = FormattedEnv::alloc(0, &cfg);
+        format_chunk(&sparse_item, 0..n, &cfg, &mut fresh, &mut types);
+        assert!(fresh.real_neighbors() <= 18 * n);
+        assert_eq!(reused.indices, fresh.indices);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&reused.env), bits(&fresh.env));
+        assert_eq!(bits(&reused.denv), bits(&fresh.denv));
+        assert_eq!(bits(&reused.disp), bits(&fresh.disp));
+    }
+
+    /// `sel = [4]` on fcc drops 38 of 42 neighbors per atom; the force call
+    /// reports them on the `format.overflowed` counter.
+    #[test]
+    fn sel_overflow_moves_the_counter() {
+        let mut cfg = DpConfig::small(1, 4.5, 16);
+        cfg.sel = vec![4];
+        let sys = lattice::fcc(3.615, [3, 3, 3], units::MASS_CU);
+        let nl = NeighborList::build(&sys, cfg.rcut);
+        let dropped =
+            crate::format::format_optimized(&sys, &nl, &cfg, Codec::PaperDecimal).overflowed;
+        assert_eq!(dropped, 38 * sys.len());
+        let mut rng = CounterRng::new(3);
+        let pot = DeepPotential::new(
+            DpModel::<f64>::new_random(cfg, &mut rng),
+            PrecisionMode::Double,
+        );
+        let counter = dp_obs::counter("format.overflowed");
+        let before = counter.get();
+        pot.compute(&sys, &nl);
+        // other tests of this binary may add to the counter meanwhile
+        assert!(counter.get() - before >= dropped as u64);
     }
 }

@@ -76,10 +76,46 @@ impl Codec {
     /// Pick the decimal codec whenever its ranges allow, mirroring the
     /// paper; fall back to binary otherwise.
     pub fn auto(n_types: usize, n_atoms: usize, rcut: f64) -> Codec {
-        if n_types < 10 && n_atoms < 100_000 && rcut < 92.0 {
+        if Codec::PaperDecimal.fits(n_types, n_atoms, rcut).is_ok() {
             Codec::PaperDecimal
         } else {
             Codec::Binary
+        }
+    }
+
+    /// Whether keys of a system with `n_types` species and `n_atoms` atoms
+    /// (ghosts included), neighbors within `rcut`, fit this codec's
+    /// fields; the error names the bound crossed. Decimal: fewer than 10
+    /// species, 100 000 atoms and 92 Å; binary: 64 species, 2³¹ atoms and
+    /// 128 Å.
+    pub fn fits(self, n_types: usize, n_atoms: usize, rcut: f64) -> Result<(), String> {
+        let (types, atoms, r_max) = match self {
+            Codec::PaperDecimal => (10, 100_000, 92.0),
+            Codec::Binary => (64, 1 << 31, 128.0),
+        };
+        if n_types >= types {
+            Err(format!(
+                "{self:?} codec holds < {types} types, the system has {n_types}"
+            ))
+        } else if n_atoms >= atoms {
+            Err(format!(
+                "{self:?} codec holds < {atoms} atoms, the system has {n_atoms}"
+            ))
+        } else if rcut >= r_max || rcut.is_nan() {
+            Err(format!(
+                "{self:?} codec holds distances < {r_max} Å, the cutoff is {rcut}"
+            ))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// [`Codec::fits`], panicking with the bound crossed. The encoders
+    /// check their ranges in debug builds only, and a key outside them
+    /// aliases another, so a formatter calls this once per call.
+    pub fn check(self, n_types: usize, n_atoms: usize, rcut: f64) {
+        if let Err(e) = self.fits(n_types, n_atoms, rcut) {
+            panic!("{e}");
         }
     }
 

@@ -6,44 +6,14 @@
 //! switched to zero between `rcut_smth` and `rcut`. This module also
 //! supplies the geometric Jacobian `∂row/∂d` consumed by the ProdForce and
 //! ProdVirial operators.
+//!
+//! The definitions live beside their vector twin in
+//! [`dp_linalg::simd::env`]: the optimized formatter sweeps whole type
+//! blocks with [`dp_linalg::simd::env::env_rows_with`], which gives the bits
+//! of these scalar functions on every backend, and the baseline formatter
+//! calls them slot by slot.
 
-/// `s(r)` and `ds/dr` (DeepPot-SE cosine switch).
-#[inline]
-pub fn smooth_weight(r: f64, rcut_smth: f64, rcut: f64) -> (f64, f64) {
-    debug_assert!(r > 0.0);
-    if r >= rcut {
-        (0.0, 0.0)
-    } else if r <= rcut_smth {
-        (1.0 / r, -1.0 / (r * r))
-    } else {
-        let x = (r - rcut_smth) / (rcut - rcut_smth);
-        let u = 0.5 * (std::f64::consts::PI * x).cos() + 0.5;
-        let du =
-            -0.5 * std::f64::consts::PI * (std::f64::consts::PI * x).sin() / (rcut - rcut_smth);
-        (u / r, du / r - u / (r * r))
-    }
-}
-
-/// Environment row `w = (s, s·d/r)` and its Jacobian `dw[m]/dd[k]`.
-#[inline]
-pub fn env_row(d: [f64; 3], r: f64, s: f64, ds: f64) -> ([f64; 4], [[f64; 3]; 4]) {
-    let inv_r = 1.0 / r;
-    let u = [d[0] * inv_r, d[1] * inv_r, d[2] * inv_r]; // unit vector
-    let w = [s, s * u[0], s * u[1], s * u[2]];
-    let mut dw = [[0.0; 3]; 4];
-    // dw0/dd_k = ds * u_k
-    for k in 0..3 {
-        dw[0][k] = ds * u[k];
-    }
-    // d(s·u_m)/dd_k = ds·u_k·u_m + s·(δ_mk − u_m·u_k)/r
-    for m in 0..3 {
-        for k in 0..3 {
-            let delta = if m == k { 1.0 } else { 0.0 };
-            dw[m + 1][k] = ds * u[k] * u[m] + s * (delta - u[m] * u[k]) * inv_r;
-        }
-    }
-    (w, dw)
-}
+pub use dp_linalg::simd::env::{env_row, smooth_weight};
 
 #[cfg(test)]
 mod tests {

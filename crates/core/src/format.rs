@@ -27,6 +27,7 @@
 use crate::codec::Codec;
 use crate::config::DpConfig;
 use crate::env::{env_row, smooth_weight};
+use dp_linalg::simd::{self, env::Gathered};
 use dp_md::{NeighborList, System};
 use std::ops::Range;
 
@@ -154,23 +155,17 @@ impl EnvRows<'_> {
     }
 }
 
-/// Scratch entry used by both formatters.
-#[derive(Clone, Copy)]
-struct RawNeighbor {
-    ty: u32,
-    r: f64,
-    j: u32,
-    d: [f64; 3],
-}
-
-/// Per-thread formatter scratch (raw neighbors, sort keys, type cursors),
-/// reused across atoms and steps so the per-atom formatting closure is
-/// allocation-free in steady state (§5.2.2).
+/// Per-thread scratch of the optimized formatter, borrowed once per
+/// call and reused across atoms and steps, so formatting allocates
+/// nothing in steady state (§5.2.2): the kept neighbors of the current
+/// atom, their sort keys, and the slot-ordered geometry the row sweep
+/// reads (`stage[0..3]` displacement, `stage[3]` distance, `nm` each),
+/// and the type blocks' fill cursors and ends.
 #[derive(Default)]
 struct FmtScratch {
-    raw: Vec<RawNeighbor>,
+    kept: Gathered,
     keys: Vec<u64>,
-    sorted: Vec<RawNeighbor>,
+    stage: [Vec<f64>; 4],
     cursor: Vec<usize>,
     limit: Vec<usize>,
 }
@@ -180,9 +175,159 @@ thread_local! {
         std::cell::RefCell::new(FmtScratch::default());
 }
 
-// one atom's output rows plus the shared inputs, each a different buffer;
-// neighbor indices are shifted by `offset` (the system's first atom in the
-// table's atom numbering)
+/// Optimized formatter: u64-compress, scalar sort, decode (§5.2.2).
+pub fn format_optimized(
+    sys: &System,
+    nl: &NeighborList,
+    cfg: &DpConfig,
+    codec: Codec,
+) -> FormattedEnv {
+    let mut out = FormattedEnv::alloc(sys.n_local, cfg);
+    format_optimized_into(&mut out, sys, nl, cfg, codec);
+    out
+}
+
+/// In-place variant reusing an existing [`FormattedEnv`]'s buffers — the
+/// paper's "allocate a trunk of GPU memory at the initialization stage and
+/// re-use it throughout the MD simulation" (§5.2.2). If the atom count
+/// changed (migration between domains), the buffers resize in place; in the
+/// steady state (same count, same config) no heap allocation occurs.
+pub fn format_optimized_into(
+    out: &mut FormattedEnv,
+    sys: &System,
+    nl: &NeighborList,
+    cfg: &DpConfig,
+    codec: Codec,
+) {
+    out.resize(sys.n_local, cfg);
+    out.overflowed = format_rows_into(out, 0, sys, nl, cfg, codec, 0..sys.n_local, 0);
+}
+
+/// The optimized formatter: local atoms `atoms` of `sys` into the rows of
+/// `out` from `row0` on, every neighbor index shifted by `offset`. Per
+/// atom: the branch-free gather of kept neighbors
+/// ([`dp_linalg::simd::env::gather_with`]), one u64 key per kept neighbor
+/// carrying its gather position, a scalar sort, the kept slots' geometry
+/// in slot order, then one switch + row sweep per type block
+/// ([`dp_linalg::simd::env::env_rows_with`]) straight into the table. Only
+/// each block's padding tail is cleared, so whatever the rows held before
+/// never shows. Returns the neighbors dropped by `sel` overflow.
+///
+/// Panics if the system is outside `codec`'s ranges ([`Codec::check`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn format_rows_into(
+    out: &mut FormattedEnv,
+    row0: usize,
+    sys: &System,
+    nl: &NeighborList,
+    cfg: &DpConfig,
+    codec: Codec,
+    atoms: Range<usize>,
+    offset: usize,
+) -> usize {
+    assert!(sys.num_types() <= cfg.n_types(), "model has too few types");
+    assert!(atoms.end <= sys.n_local, "only local atoms are formatted");
+    codec.check(sys.num_types(), sys.len(), cfg.rcut);
+    let backend = simd::active();
+    let periodic = sys.cell.periodic.then_some(sys.cell.lengths);
+    let nm = out.nm;
+    let FormattedEnv {
+        sel,
+        indices,
+        env,
+        denv,
+        disp,
+        ..
+    } = out;
+    FMT_SCRATCH.with(|cell| {
+        let FmtScratch {
+            kept,
+            keys,
+            stage,
+            cursor,
+            limit,
+        } = &mut *cell.borrow_mut();
+        for v in stage.iter_mut() {
+            v.resize(nm, 0.0);
+        }
+        limit.clear();
+        limit.extend(sel.iter().scan(0, |end, &s| {
+            *end += s;
+            Some(*end)
+        }));
+        let mut overflow = 0;
+        for (row, i) in (row0..).zip(atoms) {
+            let base = row * nm;
+            simd::env::gather_with(
+                backend,
+                kept,
+                sys.positions[i],
+                &sys.positions,
+                nl.neighbors_of(i),
+                periodic,
+                cfg.rcut,
+            );
+            keys.clear();
+            keys.extend(
+                kept.j()
+                    .iter()
+                    .zip(kept.r())
+                    .enumerate()
+                    .map(|(k, (&j, &r))| codec.encode(sys.types[j as usize], r, k)),
+            );
+            keys.sort_unstable();
+            // cursor[t] runs from type block t's start to its end limit[t]
+            cursor.clear();
+            cursor.extend(limit.iter().zip(sel.iter()).map(|(&e, &s)| e - s));
+            for &key in keys.iter() {
+                let (t, _, k) = codec.decode(key);
+                if cursor[t] == limit[t] {
+                    overflow += 1;
+                    continue;
+                }
+                let slot = cursor[t];
+                cursor[t] += 1;
+                let d = kept.d(k);
+                indices[base + slot] = (kept.j()[k] as usize + offset) as i32;
+                disp[(base + slot) * 3..(base + slot) * 3 + 3].copy_from_slice(&d);
+                for (v, x) in stage.iter_mut().zip([d[0], d[1], d[2], kept.r()[k]]) {
+                    v[slot] = x;
+                }
+            }
+            let mut start = 0;
+            for (&fill, &s) in cursor.iter().zip(sel.iter()) {
+                let (a, b, c) = (base + start, base + fill, base + start + s);
+                let [x, y, z, r] = stage.each_ref().map(|v| &v[start..fill]);
+                simd::env::env_rows_with(
+                    backend,
+                    cfg.rcut_smth,
+                    cfg.rcut,
+                    [x, y, z],
+                    r,
+                    &mut env[a * 4..b * 4],
+                    &mut denv[a * 12..b * 12],
+                );
+                indices[b..c].fill(NONE);
+                env[b * 4..c * 4].fill(0.0);
+                denv[b * 12..c * 12].fill(0.0);
+                disp[b * 3..c * 3].fill(0.0);
+                start += s;
+            }
+        }
+        overflow
+    })
+}
+
+/// One neighbor of the baseline formatter's array of structs.
+#[derive(Clone, Copy)]
+struct RawNeighbor {
+    ty: u32,
+    r: f64,
+    j: u32,
+    d: [f64; 3],
+}
+
+// one atom's output rows from its sorted neighbors, slot by slot
 #[allow(clippy::too_many_arguments)]
 fn fill_atom_slots(
     out_indices: &mut [i32],
@@ -192,7 +337,6 @@ fn fill_atom_slots(
     sel: &[usize],
     sorted: &[RawNeighbor],
     cfg: &DpConfig,
-    offset: usize,
     cursor: &mut Vec<usize>,
     limit: &mut Vec<usize>,
 ) -> usize {
@@ -214,7 +358,7 @@ fn fill_atom_slots(
         }
         let slot = cursor[t];
         cursor[t] += 1;
-        out_indices[slot] = (n.j as usize + offset) as i32;
+        out_indices[slot] = n.j as i32;
         let (s, ds) = smooth_weight(n.r, cfg.rcut_smth, cfg.rcut);
         let (w, dw) = env_row(n.d, n.r, s, ds);
         out_env[slot * 4..slot * 4 + 4].copy_from_slice(&w);
@@ -251,109 +395,6 @@ fn gather_raw_into(
     }
 }
 
-/// Optimized formatter: u64-compress, scalar sort, decode (§5.2.2).
-pub fn format_optimized(
-    sys: &System,
-    nl: &NeighborList,
-    cfg: &DpConfig,
-    codec: Codec,
-) -> FormattedEnv {
-    let mut out = FormattedEnv::alloc(sys.n_local, cfg);
-    format_optimized_into(&mut out, sys, nl, cfg, codec);
-    out
-}
-
-/// In-place variant reusing an existing [`FormattedEnv`]'s buffers — the
-/// paper's "allocate a trunk of GPU memory at the initialization stage and
-/// re-use it throughout the MD simulation" (§5.2.2). If the atom count
-/// changed (migration between domains), the buffers resize in place; in the
-/// steady state (same count, same config) no heap allocation occurs.
-pub fn format_optimized_into(
-    out: &mut FormattedEnv,
-    sys: &System,
-    nl: &NeighborList,
-    cfg: &DpConfig,
-    codec: Codec,
-) {
-    out.resize(sys.n_local, cfg);
-    out.overflowed = format_rows_into(out, 0, sys, nl, cfg, codec, 0..sys.n_local, 0);
-}
-
-/// The optimized formatter: local atoms `atoms` of `sys` into the rows of
-/// `out` from `row0` on (u64-compress, scalar sort, decode; §5.2.2), every
-/// neighbor index shifted by `offset`. The rows are cleared first, so
-/// whatever they held before never shows. Returns the neighbors dropped by
-/// `sel` overflow.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn format_rows_into(
-    out: &mut FormattedEnv,
-    row0: usize,
-    sys: &System,
-    nl: &NeighborList,
-    cfg: &DpConfig,
-    codec: Codec,
-    atoms: Range<usize>,
-    offset: usize,
-) -> usize {
-    assert!(sys.num_types() <= cfg.n_types(), "model has too few types");
-    assert!(atoms.end <= sys.n_local, "only local atoms are formatted");
-    let nm = out.nm;
-    let (a, b) = (row0 * nm, (row0 + atoms.len()) * nm);
-    let FormattedEnv {
-        sel,
-        indices,
-        env,
-        denv,
-        disp,
-        ..
-    } = out;
-    let sel: &[usize] = sel;
-    indices[a..b]
-        .chunks_mut(nm)
-        .zip(env[a * 4..b * 4].chunks_mut(nm * 4))
-        .zip(denv[a * 12..b * 12].chunks_mut(nm * 12))
-        .zip(disp[a * 3..b * 3].chunks_mut(nm * 3))
-        .zip(atoms)
-        .map(|((((idx, env), denv), disp), i)| {
-            idx.fill(NONE);
-            env.fill(0.0);
-            denv.fill(0.0);
-            disp.fill(0.0);
-            FMT_SCRATCH.with(|cell| {
-                let s = &mut *cell.borrow_mut();
-                gather_raw_into(&mut s.raw, sys, nl, cfg, i);
-                // compress -> sort scalars -> decode
-                s.keys.clear();
-                s.keys.extend(
-                    s.raw
-                        .iter()
-                        .enumerate()
-                        .map(|(k, n)| codec.encode(n.ty as usize, n.r, k)),
-                );
-                s.keys.sort_unstable();
-                s.sorted.clear();
-                let raw = &s.raw;
-                s.sorted.extend(s.keys.iter().map(|&key| {
-                    let (_, _, k) = codec.decode(key);
-                    raw[k]
-                }));
-                fill_atom_slots(
-                    idx,
-                    env,
-                    denv,
-                    disp,
-                    sel,
-                    &s.sorted,
-                    cfg,
-                    offset,
-                    &mut s.cursor,
-                    &mut s.limit,
-                )
-            })
-        })
-        .sum()
-}
-
 /// Baseline formatter: sort an array of structs with a three-field
 /// comparator (what the 2018 DeePMD-kit did on the CPU), single-threaded
 /// like the baseline.
@@ -385,7 +426,6 @@ pub fn format_baseline(sys: &System, nl: &NeighborList, cfg: &DpConfig) -> Forma
             &sel,
             &raw,
             cfg,
-            0,
             &mut cursor,
             &mut limit,
         );
@@ -531,5 +571,48 @@ mod tests {
         let f = format_optimized(&sys, &nl, &cfg, Codec::PaperDecimal);
         // cfg cutoff equals list cutoff, capacity is ample -> same count
         assert_eq!(f.real_neighbors() + f.overflowed, nl.num_pairs());
+    }
+
+    /// On an unperturbed lattice distances tie, and the two formatters may
+    /// order tied slots differently (the u64 key breaks ties by gather
+    /// position, the struct sort by exact distance), but with room for
+    /// all 42 neighbors every row holds the same ones. (Under overflow a
+    /// tied shell cut by `sel` may keep different members.)
+    #[test]
+    fn tied_distances_keep_the_baseline_neighbor_sets() {
+        let sys = lattice::fcc(3.615, [3, 3, 3], units::MASS_CU);
+        let nl = NeighborList::build(&sys, 4.5);
+        let cfg = DpConfig::small(1, 4.5, 48);
+        let sets = |f: &FormattedEnv| -> Vec<std::collections::BTreeSet<i32>> {
+            f.indices
+                .chunks(f.nm)
+                .map(|r| r.iter().copied().collect())
+                .collect()
+        };
+        let base = format_baseline(&sys, &nl, &cfg);
+        for codec in [Codec::PaperDecimal, Codec::Binary] {
+            let opt = format_optimized(&sys, &nl, &cfg, codec);
+            assert_eq!((opt.overflowed, base.overflowed), (0, 0));
+            assert_eq!(sets(&opt), sets(&base), "{codec:?}");
+        }
+    }
+
+    /// The decimal codec holds fewer than 10 species; the check runs in
+    /// release builds too, where the encoder's own check is compiled out.
+    #[test]
+    #[should_panic(expected = "PaperDecimal codec holds < 10 types, the system has 10")]
+    fn ten_types_overflow_the_decimal_codec() {
+        let mut sys = lattice::fcc(3.615, [3, 3, 3], units::MASS_CU);
+        sys.masses = vec![units::MASS_CU; 10];
+        for (i, t) in sys.types.iter_mut().enumerate() {
+            *t = i % 10;
+        }
+        let nl = NeighborList::build(&sys, 4.5);
+        format_optimized(
+            &sys,
+            &nl,
+            &DpConfig::small(10, 4.5, 16),
+            Codec::PaperDecimal,
+        );
     }
 }

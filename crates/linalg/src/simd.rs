@@ -92,6 +92,8 @@ use std::any::TypeId;
 use std::ops::Range;
 use std::sync::OnceLock;
 
+pub mod env;
+
 /// A vectorization backend. `Scalar` exists everywhere; the SIMD variants
 /// are only *selectable* on hosts that support them (see [`available`]),
 /// but the enum is architecture-independent so tests and diagnostics can
