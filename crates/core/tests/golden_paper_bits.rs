@@ -78,8 +78,8 @@ fn golden_fold() -> u64 {
 #[test]
 fn golden_paper_widths_double_and_mixed() {
     let expect = match simd::active() {
-        Backend::Avx2 => 5_540_654_045_703_809_416,
-        Backend::Scalar => 6_940_710_669_517_821_974,
+        Backend::Avx2 => 2_157_619_017_672_469_010,
+        Backend::Scalar => 4_203_301_101_516_322_682,
         other => {
             eprintln!("no golden constant for the {} backend", other.name());
             return;

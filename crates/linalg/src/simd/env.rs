@@ -150,21 +150,64 @@ fn gather_scalar(
 
 /// `s(r)` and `ds/dr`: `1/r` inside `rcut_smth`, zero from `rcut` on, and
 /// in between `1/r` times the DeepPot-SE cosine switch
-/// `u = ½cos(πx) + ½`, `x = (r − rcut_smth)/(rcut − rcut_smth)`.
+/// `u = ½cos(πx) + ½`, `x = (r − rcut_smth)/(rcut − rcut_smth)`, with
+/// `cos` and `sin` from [`sincos_pi`] and one divide, `1/r` (the window's
+/// reciprocal is a constant of the sweep).
 #[inline]
 pub fn smooth_weight(r: f64, rcut_smth: f64, rcut: f64) -> (f64, f64) {
     debug_assert!(r > 0.0);
+    let inv_r = 1.0 / r;
     if r >= rcut {
         (0.0, 0.0)
     } else if r <= rcut_smth {
-        (1.0 / r, -1.0 / (r * r))
+        (inv_r, -inv_r * inv_r)
     } else {
-        let x = (r - rcut_smth) / (rcut - rcut_smth);
-        let u = 0.5 * (std::f64::consts::PI * x).cos() + 0.5;
-        let du =
-            -0.5 * std::f64::consts::PI * (std::f64::consts::PI * x).sin() / (rcut - rcut_smth);
-        (u / r, du / r - u / (r * r))
+        let inv_w = 1.0 / (rcut - rcut_smth);
+        let x = (r - rcut_smth) * inv_w;
+        let (sin, cos) = sincos_pi(x);
+        let u = 0.5 * cos + 0.5;
+        let du = -0.5 * std::f64::consts::PI * inv_w * sin;
+        (u * inv_r, (du - u * inv_r) * inv_r)
     }
+}
+
+/// Cephes `sin.c` minimax polynomials on `[0, π/4]`: `sin z = z + z³·S(z²)`,
+/// `cos z = 1 − z²/2 + z⁴·C(z²)`, highest degree first.
+const SIN: [f64; 6] = [
+    1.589_623_015_765_465_6e-10,
+    -2.505_074_776_285_780_7e-8,
+    2.755_731_362_138_572_2e-6,
+    -1.984_126_982_958_954e-4,
+    8.333_333_333_322_118e-3,
+    -1.666_666_666_666_663e-1,
+];
+const COS: [f64; 6] = [
+    -1.135_853_652_138_768_2e-11,
+    2.087_570_084_197_473e-9,
+    -2.755_731_417_929_674e-7,
+    2.480_158_728_885_170_4e-5,
+    -1.388_888_888_887_305_6e-3,
+    4.166_666_666_666_659_5e-2,
+];
+
+/// `(sin πx, cos πx)` for `x ∈ [0, 1]`, within a few ulp of 1 of libm,
+/// in plain multiplies and adds (no FMA, no table), so that a vector
+/// lane reproduces it bit for bit. `sin π(1−x) = sin πx` and
+/// `cos π(1−x) = −cos πx` fold `x` into `[0, ½]`, then
+/// `sin π(½−a) = cos πa` into `[0, ¼]`; both subtractions are exact there.
+#[inline]
+pub fn sincos_pi(x: f64) -> (f64, f64) {
+    let hi = x > 0.5;
+    let a = if hi { 1.0 - x } else { x };
+    let swap = a > 0.25;
+    let b = if swap { 0.5 - a } else { a };
+    let z = std::f64::consts::PI * b;
+    let zz = z * z;
+    let horner = |p: &[f64; 6]| p.iter().fold(0.0, |acc, &c| acc * zz + c);
+    let sin = z + z * zz * horner(&SIN);
+    let cos = 1.0 - 0.5 * zz + zz * zz * horner(&COS);
+    let (sin, cos) = if swap { (cos, sin) } else { (sin, cos) };
+    (sin, if hi { -cos } else { cos })
 }
 
 /// Environment row `w = (s, s·d/r)` and its Jacobian `dw[m]/dd[k]`.
@@ -241,7 +284,7 @@ fn env_rows_scalar(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{keep, min_image, smooth_weight, Gathered};
+    use super::{keep, min_image, Gathered, COS, SIN};
     use std::arch::x86_64::*;
 
     /// Left-pack permutations for `_mm256_permutevar8x32_*`, by keep mask
@@ -397,6 +440,59 @@ mod x86 {
         _mm256_storeu_pd(dst.add(3 * stride), _mm256_permute2f128_pd::<0x31>(t1, t3));
     }
 
+    /// `sincos_pi` on four lanes: the same operations, selects as blends.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn sincos_pi4(x: __m256d) -> (__m256d, __m256d) {
+        let (one, half) = (_mm256_set1_pd(1.0), _mm256_set1_pd(0.5));
+        let hi = _mm256_cmp_pd::<_CMP_GT_OQ>(x, half);
+        let a = _mm256_blendv_pd(x, _mm256_sub_pd(one, x), hi);
+        let swap = _mm256_cmp_pd::<_CMP_GT_OQ>(a, _mm256_set1_pd(0.25));
+        let b = _mm256_blendv_pd(a, _mm256_sub_pd(half, a), swap);
+        let z = _mm256_mul_pd(_mm256_set1_pd(std::f64::consts::PI), b);
+        let zz = _mm256_mul_pd(z, z);
+        let horner = |p: &[f64; 6]| {
+            p.iter().fold(_mm256_setzero_pd(), |acc, &c| {
+                _mm256_add_pd(_mm256_mul_pd(acc, zz), _mm256_set1_pd(c))
+            })
+        };
+        let sin = _mm256_add_pd(z, _mm256_mul_pd(_mm256_mul_pd(z, zz), horner(&SIN)));
+        let cos = _mm256_add_pd(
+            _mm256_sub_pd(one, _mm256_mul_pd(half, zz)),
+            _mm256_mul_pd(_mm256_mul_pd(zz, zz), horner(&COS)),
+        );
+        let (sin, cos) = (
+            _mm256_blendv_pd(sin, cos, swap),
+            _mm256_blendv_pd(cos, sin, swap),
+        );
+        let neg = _mm256_and_pd(hi, _mm256_set1_pd(-0.0));
+        (sin, _mm256_xor_pd(cos, neg))
+    }
+
+    /// `smooth_weight` on four lanes, `inv_r = 1/r`: every branch computed,
+    /// then blended in the scalar's order of precedence.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn switch(r: __m256d, inv_r: __m256d, rcut_smth: f64, rcut: f64) -> (__m256d, __m256d) {
+        let inv_w = 1.0 / (rcut - rcut_smth);
+        let x = _mm256_mul_pd(
+            _mm256_sub_pd(r, _mm256_set1_pd(rcut_smth)),
+            _mm256_set1_pd(inv_w),
+        );
+        let (sin, cos) = sincos_pi4(x);
+        let half = _mm256_set1_pd(0.5);
+        let u = _mm256_add_pd(_mm256_mul_pd(half, cos), half);
+        let du = _mm256_mul_pd(_mm256_set1_pd(-0.5 * std::f64::consts::PI * inv_w), sin);
+        let u_r = _mm256_mul_pd(u, inv_r);
+        let mut ds = _mm256_mul_pd(_mm256_sub_pd(du, u_r), inv_r);
+        let inside = _mm256_cmp_pd::<_CMP_LE_OQ>(r, _mm256_set1_pd(rcut_smth));
+        let s = _mm256_blendv_pd(u_r, inv_r, inside);
+        let neg_inv_r = _mm256_xor_pd(inv_r, _mm256_set1_pd(-0.0));
+        ds = _mm256_blendv_pd(ds, _mm256_mul_pd(neg_inv_r, inv_r), inside);
+        let outside = _mm256_cmp_pd::<_CMP_GE_OQ>(r, _mm256_set1_pd(rcut));
+        (_mm256_andnot_pd(outside, s), _mm256_andnot_pd(outside, ds))
+    }
+
     /// # Safety
     /// The host has avx2; `d[k]` and `r` hold `n` entries, `env` `4n` and
     /// `denv` `12n`.
@@ -415,12 +511,8 @@ mod x86 {
         let mut s0 = 0;
         while s0 + 4 <= n {
             let rv = _mm256_loadu_pd(r.as_ptr().add(s0));
-            let mut rs = [0.0; 4];
-            _mm256_storeu_pd(rs.as_mut_ptr(), rv);
-            let sw = rs.map(|x| smooth_weight(x, rcut_smth, rcut));
-            let s = _mm256_set_pd(sw[3].0, sw[2].0, sw[1].0, sw[0].0);
-            let ds = _mm256_set_pd(sw[3].1, sw[2].1, sw[1].1, sw[0].1);
             let inv_r = _mm256_div_pd(one, rv);
+            let (s, ds) = switch(rv, inv_r, rcut_smth, rcut);
             let u = [0, 1, 2].map(|k| _mm256_mul_pd(_mm256_loadu_pd(d[k].as_ptr().add(s0)), inv_r));
             let w = [
                 s,
@@ -677,6 +769,34 @@ mod tests {
                         .map(|x| x.to_bits())
                         .collect::<Vec<_>>(),
                     flat
+                );
+            }
+        }
+    }
+
+    /// The polynomial switch against libm on a dense grid of each window
+    /// `[rcut_smth, rcut]` the models here use: `u` and `du·(rcut −
+    /// rcut_smth)` within 4 ulp of 1.
+    #[test]
+    fn polynomial_switch_matches_libm() {
+        use std::f64::consts::PI;
+        let tol = 4.0 * f64::EPSILON;
+        for (rcs, rc) in [(0.5, 6.0), (1.2, 4.8), (1.0, 4.5), (0.5, 4.5), (1.125, 4.5)] {
+            let n = 200_000;
+            for i in 0..=n {
+                let r = rcs + (rc - rcs) * i as f64 / n as f64;
+                let x = (r - rcs) / (rc - rcs);
+                let (sin, cos) = sincos_pi(x);
+                let u = 0.5 * cos + 0.5;
+                let du_w = -0.5 * PI * sin;
+                let (u_ref, du_w_ref) = (0.5 * (PI * x).cos() + 0.5, -0.5 * PI * (PI * x).sin());
+                assert!(
+                    (u - u_ref).abs() <= tol,
+                    "u at r {r} ({rcs}, {rc}): {u} vs {u_ref}"
+                );
+                assert!(
+                    (du_w - du_w_ref).abs() <= tol,
+                    "du at r {r} ({rcs}, {rc}): {du_w} vs {du_w_ref}"
                 );
             }
         }
