@@ -29,7 +29,9 @@ pub fn encode_paper(ty: usize, r: f64, j: usize) -> Key {
     debug_assert!(ty < 10, "decimal codec supports < 10 types");
     debug_assert!((0.0..92.0).contains(&r), "decimal codec distance range");
     debug_assert!(j < 100_000, "decimal codec index range");
-    ty as u64 * 1_000_000_000_000_000 + (r * 1.0e8).floor() as u64 * 100_000 + j as u64
+    // `as` truncates toward zero and saturates below at 0, so for any `r`
+    // (NaN included) it gives `floor`'s key without the libm call
+    ty as u64 * 1_000_000_000_000_000 + (r * 1.0e8) as u64 * 100_000 + j as u64
 }
 
 /// Decode the paper's decimal encoding into (type, distance, index). The

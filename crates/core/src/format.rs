@@ -158,9 +158,9 @@ impl EnvRows<'_> {
 /// Per-thread scratch of the optimized formatter, borrowed once per
 /// call and reused across atoms and steps, so formatting allocates
 /// nothing in steady state (§5.2.2): the kept neighbors of the current
-/// atom, their sort keys, and the slot-ordered geometry the row sweep
-/// reads (`stage[0..3]` displacement, `stage[3]` distance, `nm` each),
-/// and the type blocks' fill cursors and ends.
+/// atom, their sort keys, the slot-ordered geometry the row sweep reads
+/// (`stage[0..3]` displacement, `stage[3]` distance, `nm` each), and the
+/// type blocks' fill cursors and ends.
 #[derive(Default)]
 struct FmtScratch {
     kept: Gathered,
@@ -267,11 +267,11 @@ pub(crate) fn format_rows_into(
                 periodic,
                 cfg.rcut,
             );
+            let ([dx, dy, dz], r, j) = (kept.d(), kept.r(), kept.j());
             keys.clear();
             keys.extend(
-                kept.j()
-                    .iter()
-                    .zip(kept.r())
+                j.iter()
+                    .zip(r)
                     .enumerate()
                     .map(|(k, (&j, &r))| codec.encode(sys.types[j as usize], r, k)),
             );
@@ -279,20 +279,20 @@ pub(crate) fn format_rows_into(
             // cursor[t] runs from type block t's start to its end limit[t]
             cursor.clear();
             cursor.extend(limit.iter().zip(sel.iter()).map(|(&e, &s)| e - s));
+            let row_idx = &mut indices[base..base + nm];
+            let row_disp = &mut disp[base * 3..(base + nm) * 3];
+            let [sx, sy, sz, sr] = stage;
             for &key in keys.iter() {
                 let (t, _, k) = codec.decode(key);
-                if cursor[t] == limit[t] {
+                let slot = cursor[t];
+                if slot == limit[t] {
                     overflow += 1;
                     continue;
                 }
-                let slot = cursor[t];
-                cursor[t] += 1;
-                let d = kept.d(k);
-                indices[base + slot] = (kept.j()[k] as usize + offset) as i32;
-                disp[(base + slot) * 3..(base + slot) * 3 + 3].copy_from_slice(&d);
-                for (v, x) in stage.iter_mut().zip([d[0], d[1], d[2], kept.r()[k]]) {
-                    v[slot] = x;
-                }
+                cursor[t] = slot + 1;
+                row_idx[slot] = (j[k] as usize + offset) as i32;
+                row_disp[slot * 3..slot * 3 + 3].copy_from_slice(&[dx[k], dy[k], dz[k]]);
+                (sx[slot], sy[slot], sz[slot], sr[slot]) = (dx[k], dy[k], dz[k], r[k]);
             }
             let mut start = 0;
             for (&fill, &s) in cursor.iter().zip(sel.iter()) {

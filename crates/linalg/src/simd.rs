@@ -48,6 +48,13 @@
 //! NEON and the scalar baseline run the same item × row loop over their
 //! per-row kernels.
 //!
+//! ## Environment
+//!
+//! [`env`] holds the Environment operator's per-center primitives: the
+//! candidate gather and the switch + environment-row sweep (§5.2.1). Their
+//! AVX2 lanes are independent neighbors running the scalar expression with
+//! plain multiplies and adds, so every backend gives the same bits.
+//!
 //! ## Numerical contract
 //!
 //! Every output element has one floating-point expression per backend,

@@ -41,11 +41,10 @@ impl Gathered {
         self.n == 0
     }
 
-    /// Displacement of kept neighbor `k`.
-    #[inline]
-    pub fn d(&self, k: usize) -> [f64; 3] {
-        assert!(k < self.n, "kept neighbor {k} of {}", self.n);
-        [self.x[k], self.y[k], self.z[k]]
+    /// Displacement components, one of each per kept neighbor.
+    pub fn d(&self) -> [&[f64]; 3] {
+        let n = self.n;
+        [&self.x[..n], &self.y[..n], &self.z[..n]]
     }
 
     /// Distances, one per kept neighbor.
@@ -75,7 +74,7 @@ impl Gathered {
 /// with `−0.0` made `+0.0`, which `d + 0.0` gives. The per-axis minimum
 /// image of `dp_md::Cell::displacement`.
 #[inline]
-pub fn min_image(d: f64, l: f64) -> f64 {
+fn min_image(d: f64, l: f64) -> f64 {
     if d.abs() <= 0.25 * l {
         d + 0.0
     } else {
@@ -196,7 +195,7 @@ const COS: [f64; 6] = [
 /// `cos π(1−x) = −cos πx` fold `x` into `[0, ½]`, then
 /// `sin π(½−a) = cos πa` into `[0, ¼]`; both subtractions are exact there.
 #[inline]
-pub fn sincos_pi(x: f64) -> (f64, f64) {
+fn sincos_pi(x: f64) -> (f64, f64) {
     let hi = x > 0.5;
     let a = if hi { 1.0 - x } else { x };
     let swap = a > 0.25;
@@ -260,11 +259,11 @@ pub fn env_rows_with(
             // SAFETY: avx2 is detected; the lengths were checked above.
             unsafe { x86::env_rows(rcut_smth, rcut, d, r, env, denv) }
         }
-        _ => env_rows_scalar(rcut_smth, rcut, d, r, env, denv, 0),
+        _ => env_rows_scalar(rcut_smth, rcut, d, r, env, denv),
     }
 }
 
-// rows `from..` of `env_rows_with`, one slot at a time
+// `env_rows_with`, one slot at a time
 fn env_rows_scalar(
     rcut_smth: f64,
     rcut: f64,
@@ -272,9 +271,8 @@ fn env_rows_scalar(
     r: &[f64],
     env: &mut [f64],
     denv: &mut [f64],
-    from: usize,
 ) {
-    for s in from..r.len() {
+    for s in 0..r.len() {
         let (sw, dsw) = smooth_weight(r[s], rcut_smth, rcut);
         let (w, dw) = env_row([d[0][s], d[1][s], d[2][s]], r[s], sw, dsw);
         env[4 * s..4 * s + 4].copy_from_slice(&w);
@@ -507,40 +505,85 @@ mod x86 {
     ) {
         let n = r.len();
         let (ep, jp) = (env.as_mut_ptr(), denv.as_mut_ptr());
-        let (one, zero) = (_mm256_set1_pd(1.0), _mm256_setzero_pd());
         let mut s0 = 0;
         while s0 + 4 <= n {
-            let rv = _mm256_loadu_pd(r.as_ptr().add(s0));
-            let inv_r = _mm256_div_pd(one, rv);
-            let (s, ds) = switch(rv, inv_r, rcut_smth, rcut);
-            let u = [0, 1, 2].map(|k| _mm256_mul_pd(_mm256_loadu_pd(d[k].as_ptr().add(s0)), inv_r));
-            let w = [
-                s,
-                _mm256_mul_pd(s, u[0]),
-                _mm256_mul_pd(s, u[1]),
-                _mm256_mul_pd(s, u[2]),
-            ];
-            store_transposed(w, ep.add(4 * s0), 4);
-            // dw[0][k] = ds·u_k; dw[m+1][k] = ds·u_k·u_m + s·(δ_mk − u_m·u_k)/r
-            let dw0 = [0, 1, 2].map(|k| _mm256_mul_pd(ds, u[k]));
-            let mut dw = [zero; 12];
-            dw[..3].copy_from_slice(&dw0);
-            for m in 0..3 {
-                for k in 0..3 {
-                    let delta = if m == k { one } else { zero };
-                    let geo = _mm256_sub_pd(delta, _mm256_mul_pd(u[m], u[k]));
-                    dw[3 + 3 * m + k] = _mm256_add_pd(
-                        _mm256_mul_pd(dw0[k], u[m]),
-                        _mm256_mul_pd(_mm256_mul_pd(s, geo), inv_r),
-                    );
-                }
-            }
-            for (g, q) in dw.chunks_exact(4).enumerate() {
-                store_transposed([q[0], q[1], q[2], q[3]], jp.add(12 * s0 + 4 * g), 12);
-            }
+            let load = |v: &[f64]| _mm256_loadu_pd(v.as_ptr().add(s0));
+            let dv = [load(d[0]), load(d[1]), load(d[2])];
+            rows4(
+                load(r),
+                dv,
+                rcut_smth,
+                rcut,
+                ep.add(4 * s0),
+                jp.add(12 * s0),
+            );
             s0 += 4;
         }
-        super::env_rows_scalar(rcut_smth, rcut, d, r, env, denv, s0);
+        if s0 < n {
+            // the last 1–3 rows as a block of four padded with r = 1,
+            // through a stack buffer: lanes are independent, so the bits
+            // are those of a full block
+            let m = n - s0;
+            let pad = |v: &[f64], fill: f64| {
+                let mut x = [fill; 4];
+                x[..m].copy_from_slice(&v[s0..]);
+                _mm256_loadu_pd(x.as_ptr())
+            };
+            let dv = [pad(d[0], 0.0), pad(d[1], 0.0), pad(d[2], 0.0)];
+            let (mut e, mut j) = ([0.0; 16], [0.0; 48]);
+            rows4(
+                pad(r, 1.0),
+                dv,
+                rcut_smth,
+                rcut,
+                e.as_mut_ptr(),
+                j.as_mut_ptr(),
+            );
+            env[4 * s0..].copy_from_slice(&e[..4 * m]);
+            denv[12 * s0..].copy_from_slice(&j[..12 * m]);
+        }
+    }
+
+    /// Four consecutive rows: distances `r`, displacements `d`, rows to
+    /// `env` (16 values) and Jacobians to `denv` (48).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn rows4(
+        r: __m256d,
+        d: [__m256d; 3],
+        rcut_smth: f64,
+        rcut: f64,
+        env: *mut f64,
+        denv: *mut f64,
+    ) {
+        let (one, zero) = (_mm256_set1_pd(1.0), _mm256_setzero_pd());
+        let inv_r = _mm256_div_pd(one, r);
+        let (s, ds) = switch(r, inv_r, rcut_smth, rcut);
+        let u = d.map(|x| _mm256_mul_pd(x, inv_r));
+        let w = [
+            s,
+            _mm256_mul_pd(s, u[0]),
+            _mm256_mul_pd(s, u[1]),
+            _mm256_mul_pd(s, u[2]),
+        ];
+        store_transposed(w, env, 4);
+        // dw[0][k] = ds·u_k; dw[m+1][k] = ds·u_k·u_m + s·(δ_mk − u_m·u_k)/r
+        let dw0 = u.map(|x| _mm256_mul_pd(ds, x));
+        let mut dw = [zero; 12];
+        dw[..3].copy_from_slice(&dw0);
+        for m in 0..3 {
+            for k in 0..3 {
+                let delta = if m == k { one } else { zero };
+                let geo = _mm256_sub_pd(delta, _mm256_mul_pd(u[m], u[k]));
+                dw[3 + 3 * m + k] = _mm256_add_pd(
+                    _mm256_mul_pd(dw0[k], u[m]),
+                    _mm256_mul_pd(_mm256_mul_pd(s, geo), inv_r),
+                );
+            }
+        }
+        for (g, q) in dw.chunks_exact(4).enumerate() {
+            store_transposed([q[0], q[1], q[2], q[3]], denv.add(4 * g), 12);
+        }
     }
 }
 
@@ -636,9 +679,10 @@ mod tests {
     }
 
     fn bits(g: &Gathered) -> Vec<u64> {
-        let mut v: Vec<u64> = (0..g.len())
-            .flat_map(|k| g.d(k))
-            .map(f64::to_bits)
+        let mut v: Vec<u64> = g
+            .d()
+            .iter()
+            .flat_map(|c| c.iter().map(|x| x.to_bits()))
             .collect();
         v.extend(g.r().iter().map(|r| r.to_bits()));
         v.extend(g.j().iter().map(|&j| j as u64));
@@ -669,7 +713,8 @@ mod tests {
                         continue;
                     }
                     assert_eq!(want.j()[n], j, "{}: atom {i}", c.what);
-                    assert_eq!(want.d(n).map(f64::to_bits), d.map(f64::to_bits));
+                    let got = want.d().map(|c| c[n].to_bits());
+                    assert_eq!(got, d.map(f64::to_bits), "{}: atom {i}", c.what);
                     assert_eq!(want.r()[n].to_bits(), r2.sqrt().to_bits());
                     seen[0] += d
                         .iter()
@@ -679,22 +724,13 @@ mod tests {
                 }
                 assert_eq!(want.len(), n, "{}: atom {i}", c.what);
                 let rows = |backend: Backend, m: usize| {
-                    let (x, y, z): (Vec<f64>, Vec<f64>, Vec<f64>) =
-                        (0..m).map(|k| want.d(k)).map(|d| (d[0], d[1], d[2])).fold(
-                            (vec![], vec![], vec![]),
-                            |(mut x, mut y, mut z), (a, b, e)| {
-                                x.push(a);
-                                y.push(b);
-                                z.push(e);
-                                (x, y, z)
-                            },
-                        );
+                    let [x, y, z] = want.d().map(|c| &c[..m]);
                     let (mut env, mut denv) = (vec![0.0; 4 * m], vec![0.0; 12 * m]);
                     env_rows_with(
                         backend,
                         1.0,
                         c.rcut,
-                        [&x, &y, &z],
+                        [x, y, z],
                         &want.r()[..m],
                         &mut env,
                         &mut denv,
