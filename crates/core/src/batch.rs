@@ -33,9 +33,7 @@
 use crate::config::DpConfig;
 use crate::format::{format_rows_into, FormattedEnv, NONE};
 use crate::potential_impl::BatchItem;
-use dp_obs::Counter;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 /// Format rows `rows` of the items' local atoms, laid end to end, into
 /// `out` (resized to `rows.len()` atoms) and their species into `types`.
@@ -78,10 +76,7 @@ pub(crate) fn format_chunk(
         }
     }
     if out.overflowed > 0 {
-        static OVERFLOWED: OnceLock<&'static Counter> = OnceLock::new();
-        OVERFLOWED
-            .get_or_init(|| dp_obs::counter("format.overflowed"))
-            .add(out.overflowed as u64);
+        dp_obs::counter("format.overflowed").add(out.overflowed as u64);
     }
 }
 

@@ -18,6 +18,14 @@
 //! per-GPU sub-regions and on ours. For serial runs beyond 100k atoms we
 //! provide an equivalent *binary* layout (6 type bits / 27 distance bits /
 //! 31 index bits) with the same ordering semantics.
+//!
+//! The formatter's keys carry a neighbor's position in its atom's gather
+//! list where the paper's carry the atom index `j`; that position is below
+//! the system's atom count, so the index field's bound is the same. A key
+//! outside a codec's fields aliases another, and the encoders only check
+//! in debug builds: [`Codec::check`] tests a whole system (species, atoms
+//! with ghosts, cutoff) once per formatting call, in release builds too,
+//! and [`Codec::auto`] picks the decimal codec exactly when it fits.
 
 /// Packed neighbor key. Ordering = (type, quantized distance, index).
 pub type Key = u64;

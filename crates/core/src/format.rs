@@ -10,12 +10,15 @@
 //! Two implementations are kept deliberately:
 //! * [`format_optimized`] — compress each neighbor into a `u64` key
 //!   ([`crate::codec`]), sort scalars, decode (§5.2.2);
-//! * [`format_baseline`] — the AoS struct sort the baseline code used.
+//! * [`format_baseline`] — the AoS struct sort the baseline code used,
+//!   kept only as Table 3's baseline and the tests' reference.
 //!
 //! Both keep the same neighbors in every row (Table 3 times them against
 //! each other), but distances tied to within the codec's 1e-8 Å can sort
-//! differently: by list position in the u64 key, by exact distance in the
-//! struct sort. Perturbed lattices have no such ties (tables tested equal).
+//! differently: by gather position in the u64 key, by exact distance in
+//! the struct sort. Perturbed lattices have no such ties (tables tested
+//! equal); on an unperturbed one the rows hold the same neighbor sets
+//! unless `sel` cuts a tied shell.
 //!
 //! The optimized path has one formatter, [`format_rows_into`]: atoms `a..b`
 //! of one system into consecutive rows of a table, neighbor indices shifted
@@ -23,6 +26,13 @@
 //! local atom; the force call ([`crate::eval`]) runs it once per chunk into a
 //! chunk-sized table right before the embedding stage, so a force call never
 //! holds more than one chunk of formatted rows (§5.2.2 "trunk of memory").
+//! Per atom it is one pass over struct-of-arrays scratch borrowed once per
+//! call: the branch-free SIMD gather of kept neighbors
+//! ([`dp_linalg::simd::env::gather_with`]), keys carrying each neighbor's
+//! gather position (the sort permutes indices, never neighbor records), the
+//! kept slots' geometry in slot order, one switch + row sweep per type
+//! block straight into the table ([`dp_linalg::simd::env::env_rows_with`]),
+//! and zeros written to each block's padding tail only.
 
 use crate::codec::Codec;
 use crate::config::DpConfig;

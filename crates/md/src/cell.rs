@@ -101,7 +101,9 @@ impl Cell {
 }
 
 /// `d − l·round(d/l)`, bit for bit, skipping the divide when `|d| ≤ l/4`
-/// (see [`Cell::displacement`]).
+/// (see [`Cell::displacement`]). The formatter's SIMD gather
+/// (`dp_linalg::simd::env`) repeats this expression, since dp-md does not
+/// depend on dp-linalg; its tests compare the two bit for bit.
 #[inline]
 fn min_image_axis(d: f64, l: f64) -> f64 {
     if d.abs() <= 0.25 * l {
