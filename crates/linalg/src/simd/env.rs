@@ -13,8 +13,9 @@
 //! [`smooth_weight`] and [`env_row`] are the scalar definitions both
 //! backends reproduce. `Scalar` and `Avx2` give the same bits: the vector
 //! lanes are independent slots running the scalar expression, with no FMA
-//! and no reordered sum. A lane whose displacement exceeds a quarter box
-//! takes [`min_image`]'s exact `d − l·round(d/l)` in scalar.
+//! and no reordered sum. Lanes whose displacement exceeds a quarter box
+//! take the minimum image's long form `d − l·round(d/l)`, four at a time
+//! with `round` as LLVM lowers it.
 
 use super::Backend;
 
