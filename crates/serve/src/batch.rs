@@ -223,10 +223,7 @@ fn worker_loop<B: BatchBackend>(shared: &Shared<B>) {
                 if now >= deadline {
                     break;
                 }
-                let (guard, timeout) = shared
-                    .arrived
-                    .wait_timeout(q, deadline - now)
-                    .unwrap();
+                let (guard, timeout) = shared.arrived.wait_timeout(q, deadline - now).unwrap();
                 q = guard;
                 if timeout.timed_out() {
                     break;
@@ -251,10 +248,8 @@ fn worker_loop<B: BatchBackend>(shared: &Shared<B>) {
         }
         dp_obs::hist::global(dp_obs::serve::EVAL_BATCH_SIZE).record(batch.len() as u64);
 
-        let (requests, replies): (Vec<_>, Vec<_>) = batch
-            .into_iter()
-            .map(|t| (t.request, t.reply))
-            .unzip();
+        let (requests, replies): (Vec<_>, Vec<_>) =
+            batch.into_iter().map(|t| (t.request, t.reply)).unzip();
         let responses = shared.backend.run_batch(requests);
         assert_eq!(
             responses.len(),

@@ -83,7 +83,9 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Request, ParseError> {
         .next()
         .ok_or_else(|| ParseError::Malformed("missing HTTP version".into()))?;
     if !version.starts_with("HTTP/1.") {
-        return Err(ParseError::Malformed(format!("unsupported version {version}")));
+        return Err(ParseError::Malformed(format!(
+            "unsupported version {version}"
+        )));
     }
     if method.is_empty() || !method.bytes().all(|b| b.is_ascii_uppercase()) {
         return Err(ParseError::Malformed(format!("bad method '{method}'")));
@@ -223,7 +225,10 @@ mod tests {
     #[test]
     fn rejects_malformed_requests() {
         assert!(matches!(parse(""), Err(ParseError::ConnectionClosed)));
-        assert!(matches!(parse("GET\r\n\r\n"), Err(ParseError::Malformed(_))));
+        assert!(matches!(
+            parse("GET\r\n\r\n"),
+            Err(ParseError::Malformed(_))
+        ));
         assert!(matches!(
             parse("GET / SPDY/3\r\n\r\n"),
             Err(ParseError::Malformed(_))
@@ -244,7 +249,10 @@ mod tests {
 
     #[test]
     fn rejects_oversized_bodies_before_reading_them() {
-        let huge = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
+        let huge = format!(
+            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
         assert!(matches!(parse(&huge), Err(ParseError::TooLarge)));
     }
 
@@ -267,6 +275,9 @@ mod tests {
     fn error_payload_is_json() {
         let r = Response::error(404, "no such job");
         assert_eq!(r.status, 404);
-        assert_eq!(String::from_utf8(r.body).unwrap(), "{\"error\":\"no such job\"}");
+        assert_eq!(
+            String::from_utf8(r.body).unwrap(),
+            "{\"error\":\"no such job\"}"
+        );
     }
 }

@@ -226,8 +226,7 @@ fn parse_eval(
     body: &[u8],
     models: &HashMap<String, Arc<ModelEntry>>,
 ) -> Result<EvalJob, (u16, String)> {
-    let text =
-        std::str::from_utf8(body).map_err(|_| (400u16, "body is not UTF-8".to_string()))?;
+    let text = std::str::from_utf8(body).map_err(|_| (400u16, "body is not UTF-8".to_string()))?;
     let doc = Json::parse(text).map_err(|e| (400, format!("bad eval request: {e}")))?;
 
     let model_name = match doc.get("model") {
@@ -274,7 +273,12 @@ fn parse_eval(
     let positions_doc = doc
         .get("positions")
         .and_then(|v| v.as_arr())
-        .ok_or_else(|| (400, "\"positions\" must be an array of [x, y, z]".to_string()))?;
+        .ok_or_else(|| {
+            (
+                400,
+                "\"positions\" must be an array of [x, y, z]".to_string(),
+            )
+        })?;
     if positions_doc.is_empty() {
         return Err((400, "\"positions\" must not be empty".to_string()));
     }
@@ -311,11 +315,7 @@ fn parse_eval(
     if types.len() != positions.len() {
         return Err((
             400,
-            format!(
-                "{} types for {} positions",
-                types.len(),
-                positions.len()
-            ),
+            format!("{} types for {} positions", types.len(), positions.len()),
         ));
     }
     let max_type = types.iter().copied().max().unwrap_or(0);
@@ -454,7 +454,9 @@ impl BatchBackend for EvalBackend {
                 out[i] = Some(json::obj(fields).to_string());
             }
         }
-        out.into_iter().map(|o| o.expect("every request answered")).collect()
+        out.into_iter()
+            .map(|o| o.expect("every request answered"))
+            .collect()
     }
 }
 
@@ -678,11 +680,7 @@ pub fn run_serve(opts: &ServeOptions, mut log: impl FnMut(&str)) -> Result<(), A
         }
         dp_obs::hist::global(rm::BATCH_OCCUPANCY);
         for phase in ["compute", "comm", "wait"] {
-            dp_obs::prom::publish_gauge(
-                "roofline.achieved_gflops",
-                &[("phase", phase)],
-                0.0,
-            );
+            dp_obs::prom::publish_gauge("roofline.achieved_gflops", &[("phase", phase)], 0.0);
         }
     }
 
@@ -800,11 +798,7 @@ fn handle(
             // before rendering either format, so both expositions see
             // the same snapshot (per-model queue depths become labeled
             // series).
-            dp_obs::prom::publish_gauge(
-                "serve.uptime_secs",
-                &[],
-                started.elapsed().as_secs_f64(),
-            );
+            dp_obs::prom::publish_gauge("serve.uptime_secs", &[], started.elapsed().as_secs_f64());
             dp_obs::prom::publish_gauge("serve.jobs.queued", &[], queued as f64);
             dp_obs::prom::publish_gauge("serve.jobs.running", &[], running as f64);
             for (name, b) in batchers.iter() {
@@ -865,11 +859,8 @@ fn handle(
             match store.submit(text.to_string()) {
                 Some(id) => Response::json(
                     202,
-                    json::obj(vec![
-                        ("id", json::str(&id)),
-                        ("state", json::str("queued")),
-                    ])
-                    .to_string(),
+                    json::obj(vec![("id", json::str(&id)), ("state", json::str("queued"))])
+                        .to_string(),
                 ),
                 None => Response::error(503, "daemon is draining"),
             }
@@ -1019,8 +1010,14 @@ mod tests {
             );
             parse_eval(body.as_bytes(), &models)
         };
-        assert_eq!(with_precision("\"double\"").unwrap().mode, PrecisionMode::Double);
-        assert_eq!(with_precision("\"mixed\"").unwrap().mode, PrecisionMode::Mixed);
+        assert_eq!(
+            with_precision("\"double\"").unwrap().mode,
+            PrecisionMode::Double
+        );
+        assert_eq!(
+            with_precision("\"mixed\"").unwrap().mode,
+            PrecisionMode::Mixed
+        );
         for bad in ["\"half\"", "16"] {
             let (status, msg) = with_precision(bad).unwrap_err();
             assert_eq!(status, 400, "{bad}");
@@ -1028,15 +1025,19 @@ mod tests {
         }
 
         // Unknown model is 404, not 400.
-        let (status, _) =
-            parse_eval(b"{\"model\": \"nope\", \"cell\": [20,12,12], \"positions\": [[1,1,1]]}", &models)
-                .unwrap_err();
+        let (status, _) = parse_eval(
+            b"{\"model\": \"nope\", \"cell\": [20,12,12], \"positions\": [[1,1,1]]}",
+            &models,
+        )
+        .unwrap_err();
         assert_eq!(status, 404);
 
         // Cutoff bigger than the minimum-image limit of the cell.
-        let (status, msg) =
-            parse_eval(b"{\"cell\": [6.0, 6.0, 6.0], \"positions\": [[1,1,1]]}", &models)
-                .unwrap_err();
+        let (status, msg) = parse_eval(
+            b"{\"cell\": [6.0, 6.0, 6.0], \"positions\": [[1,1,1]]}",
+            &models,
+        )
+        .unwrap_err();
         assert_eq!(status, 400);
         assert!(msg.contains("minimum-image"), "{msg}");
 

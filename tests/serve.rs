@@ -37,7 +37,8 @@ impl Daemon {
     /// Start `dpmd serve` on an ephemeral port and wait until it
     /// publishes its address.
     fn start(name: &str, extra: &[&str]) -> Daemon {
-        let dir = std::env::temp_dir().join(format!("dpmd-serve-e2e-{}-{}", name, std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("dpmd-serve-e2e-{}-{}", name, std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let addr_file = dir.join("addr");
@@ -67,7 +68,10 @@ impl Daemon {
                     break text;
                 }
             }
-            assert!(Instant::now() < deadline, "daemon never published its address");
+            assert!(
+                Instant::now() < deadline,
+                "daemon never published its address"
+            );
             std::thread::sleep(Duration::from_millis(20));
         };
         Daemon {
@@ -108,7 +112,10 @@ impl Daemon {
                     break;
                 }
                 None => {
-                    assert!(Instant::now() < deadline, "daemon never exited after shutdown");
+                    assert!(
+                        Instant::now() < deadline,
+                        "daemon never exited after shutdown"
+                    );
                     std::thread::sleep(Duration::from_millis(20));
                 }
             }
@@ -148,7 +155,10 @@ fn metric_counter(metrics: &str, name: &str) -> u64 {
 fn concurrent_evals_coalesce_and_match_sequential_bit_for_bit() {
     // A generous linger so the concurrent burst reliably lands in one
     // batch even on a loaded CI machine.
-    let d = Daemon::start("coalesce", &["--batch-linger-ms", "150", "--max-batch", "16"]);
+    let d = Daemon::start(
+        "coalesce",
+        &["--batch-linger-ms", "150", "--max-batch", "16"],
+    );
     let sizes: Vec<usize> = (2..10).collect();
 
     // Sequential pass: one request at a time. Each runs as its own batch.
@@ -297,7 +307,10 @@ fn prometheus_scrape_round_trips_with_ensemble_and_roofline_series() {
         "dpmd_replica_exchange_attempts",
         "dpmd_replica_exchange_accepted",
     ] {
-        assert!(exp.sample(name).is_some(), "missing {name} in scrape:\n{text}");
+        assert!(
+            exp.sample(name).is_some(),
+            "missing {name} in scrape:\n{text}"
+        );
     }
     assert!(
         exp.has_prefix("dpmd_replica_batch_occupancy"),
@@ -371,15 +384,24 @@ fn job_lifecycle_submit_poll_result() {
     let settled = poll_job(&d, &id);
     assert!(settled.contains("\"state\":\"done\""), "{settled}");
     assert!(settled.contains("\"steps\":40"), "{settled}");
-    assert!(settled.contains("\"potential\":\"lennard-jones\""), "{settled}");
+    assert!(
+        settled.contains("\"potential\":\"lennard-jones\""),
+        "{settled}"
+    );
     assert!(settled.contains("\"final_temperature\":"), "{settled}");
 
     // The job shows up in the listing and in the metrics counts.
     let (_, list) = d.http("GET", "/v1/jobs", "");
     assert!(list.contains(&format!("\"id\":\"{id}\"")), "{list}");
     let (_, metrics) = d.http("GET", "/metrics", "");
-    assert!(metric_counter(&metrics, "serve.jobs.completed") >= 1, "{metrics}");
-    assert!(metric_counter(&metrics, "serve.jobs.submitted") >= 1, "{metrics}");
+    assert!(
+        metric_counter(&metrics, "serve.jobs.completed") >= 1,
+        "{metrics}"
+    );
+    assert!(
+        metric_counter(&metrics, "serve.jobs.submitted") >= 1,
+        "{metrics}"
+    );
 
     // Unknown job id: 404.
     let (status, _) = d.http("GET", "/v1/jobs/job-999", "");
