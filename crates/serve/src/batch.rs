@@ -11,10 +11,15 @@
 //!
 //! The queue is bounded: once `max_depth` requests are waiting, further
 //! submissions fail fast with [`SubmitError::QueueFull`] and the HTTP
-//! layer answers 429, which is the backpressure contract. A short
-//! `linger` lets a worker that found only one request wait for peers to
-//! arrive before evaluating, trading a bounded latency bump for a much
-//! higher coalescing rate under concurrent load.
+//! layer answers 429, which is the backpressure contract.
+//!
+//! The worker is work-conserving: it sleeps only while the queue is
+//! empty, and on waking takes `min(pending, max_batch)` at once. A batch
+//! is therefore whatever queued while the previous one ran — requests
+//! coalesce exactly when they would otherwise have waited, and a request
+//! never waits on a timer for peers that may not come. A caller that
+//! cannot start its next step before this answer (an MD driver) pays no
+//! idle time for the batching.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -39,9 +44,6 @@ pub struct BatchOptions {
     /// Most requests waiting in the queue; beyond this, submissions are
     /// rejected (429).
     pub max_depth: usize,
-    /// How long a worker holding a non-full batch waits for more arrivals
-    /// before evaluating what it has.
-    pub linger: Duration,
 }
 
 impl Default for BatchOptions {
@@ -49,7 +51,6 @@ impl Default for BatchOptions {
         Self {
             max_batch: 32,
             max_depth: 256,
-            linger: Duration::from_millis(2),
         }
     }
 }
@@ -135,8 +136,9 @@ impl<B: BatchBackend> Batcher<B> {
     /// [`SubmitError::DeadlineExceeded`] if the queue is non-empty and
     /// the recent batch-wait histogram (`serve.eval.wait_us`, p90)
     /// predicts a longer wait than the deadline allows. An empty queue
-    /// always admits — the only wait then is the bounded linger — and so
-    /// does an empty histogram (no evidence beats no admission).
+    /// always admits — the request then waits at most for the batch in
+    /// flight — and so does an empty histogram (no evidence beats no
+    /// admission).
     pub fn submit_with_deadline(
         &self,
         request: B::Req,
@@ -207,34 +209,17 @@ fn worker_loop<B: BatchBackend>(shared: &Shared<B>) {
     loop {
         let batch = {
             let mut q = shared.queue.lock().unwrap();
-            // Wait for work (or the drain signal).
+            // Sleep only while nothing waits (or until the drain signal),
+            // then take what queued while the last batch ran.
             while q.pending.is_empty() {
                 if q.draining {
                     return;
                 }
                 q = shared.arrived.wait(q).unwrap();
             }
-            // Linger: a lone request waits briefly for company so that a
-            // concurrent burst coalesces instead of racing through one
-            // at a time. Full batches and draining skip the wait.
-            let deadline = Instant::now() + shared.opts.linger;
-            while q.pending.len() < shared.opts.max_batch && !q.draining {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, timeout) = shared.arrived.wait_timeout(q, deadline - now).unwrap();
-                q = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
             let take = q.pending.len().min(shared.opts.max_batch);
             q.pending.drain(..take).collect::<Vec<_>>()
         };
-        if batch.is_empty() {
-            continue;
-        }
 
         let now = Instant::now();
         for t in &batch {
@@ -273,6 +258,13 @@ mod tests {
     struct Recorder {
         batches: AtomicUsize,
         delay: Duration,
+        /// When set, the first batch holds the worker until it is opened.
+        gate: Mutex<Option<Gate>>,
+    }
+
+    struct Gate {
+        entered: mpsc::Sender<()>,
+        open: mpsc::Receiver<()>,
     }
 
     impl BatchBackend for Recorder {
@@ -281,6 +273,11 @@ mod tests {
 
         fn run_batch(&self, requests: Vec<u64>) -> Vec<Self::Resp> {
             let seq = self.batches.fetch_add(1, Ordering::SeqCst);
+            let gate = self.gate.lock().unwrap().take();
+            if let Some(gate) = gate {
+                gate.entered.send(()).unwrap();
+                gate.open.recv().unwrap();
+            }
             std::thread::sleep(self.delay);
             let size = requests.len();
             requests.into_iter().map(|r| (r * 2, seq, size)).collect()
@@ -291,37 +288,49 @@ mod tests {
         Recorder {
             batches: AtomicUsize::new(0),
             delay: Duration::from_millis(delay_ms),
+            gate: Mutex::new(None),
         }
     }
 
     #[test]
     fn concurrent_submissions_coalesce_into_one_batch() {
+        let (entered_tx, entered) = mpsc::channel();
+        let (open, open_rx) = mpsc::channel();
+        let backend = Recorder {
+            gate: Mutex::new(Some(Gate {
+                entered: entered_tx,
+                open: open_rx,
+            })),
+            ..recorder(0)
+        };
         let batcher = Arc::new(Batcher::new(
-            recorder(0),
+            backend,
             BatchOptions {
                 max_batch: 16,
                 max_depth: 64,
-                linger: Duration::from_millis(200),
             },
         ));
+        // A first request holds the worker inside its batch…
+        let b = Arc::clone(&batcher);
+        let first = std::thread::spawn(move || b.submit(100).unwrap());
+        entered.recv().unwrap();
+        // …while eight more queue behind it…
         let handles: Vec<_> = (0..8u64)
             .map(|i| {
                 let b = Arc::clone(&batcher);
                 std::thread::spawn(move || b.submit(i).unwrap())
             })
             .collect();
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for (i, (doubled, _, _)) in results.iter().enumerate() {
-            assert_eq!(*doubled, (i as u64) * 2);
+        while batcher.depth() < 8 {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        // The linger is generous relative to thread spawn time, so all 8
-        // requests land in one batch.
-        let batch_of_first = results[0].1;
-        assert!(
-            results.iter().all(|(_, seq, _)| *seq == batch_of_first),
-            "expected one coalesced batch, got {results:?}"
-        );
-        assert_eq!(results[0].2, 8);
+        // …and the worker, once free, takes all eight as one batch.
+        open.send(()).unwrap();
+        assert_eq!(first.join().unwrap(), (200, 0, 1));
+        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        for (i, r) in results.iter().enumerate() {
+            assert_eq!(*r, ((i as u64) * 2, 1, 8), "{results:?}");
+        }
     }
 
     #[test]
@@ -331,7 +340,6 @@ mod tests {
             BatchOptions {
                 max_batch: 3,
                 max_depth: 64,
-                linger: Duration::from_millis(100),
             },
         ));
         let handles: Vec<_> = (0..9u64)
@@ -355,7 +363,6 @@ mod tests {
             BatchOptions {
                 max_batch: 1,
                 max_depth: 2,
-                linger: Duration::ZERO,
             },
         ));
         // Occupy the worker…
@@ -398,11 +405,10 @@ mod tests {
             BatchOptions {
                 max_batch: 1,
                 max_depth: 8,
-                linger: Duration::ZERO,
             },
         ));
-        // Empty queue admits regardless of the histogram — the only wait
-        // is the (zero) linger.
+        // Empty queue admits regardless of the histogram — the idle
+        // worker starts the request at once.
         let b0 = Arc::clone(&batcher);
         let first = std::thread::spawn(move || {
             b0.submit_with_deadline(1, Some(Duration::from_millis(1)))
@@ -444,7 +450,6 @@ mod tests {
             BatchOptions {
                 max_batch: 4,
                 max_depth: 16,
-                linger: Duration::ZERO,
             },
         );
         let batcher = Arc::new(batcher);

@@ -98,11 +98,11 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Request, ParseError> {
         return Err(ParseError::Malformed(format!("bad path '{path}'")));
     }
 
-    let mut content_length = 0usize;
+    let mut content_length = None;
     for _ in 0..MAX_HEADERS {
         let line = read_line(r)?;
         if line.is_empty() {
-            let mut body = vec![0u8; content_length];
+            let mut body = vec![0u8; content_length.unwrap_or(0)];
             std::io::Read::read_exact(r, &mut body)
                 .map_err(|e| ParseError::Malformed(format!("short body: {e}")))?;
             return Ok(Request {
@@ -115,14 +115,28 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Request, ParseError> {
         let Some((name, value)) = line.split_once(':') else {
             return Err(ParseError::Malformed(format!("bad header '{line}'")));
         };
+        // RFC 9112 §5.1: whitespace before the colon (or a folded line)
+        // would hide a framing header from this match but not from a proxy.
+        if name.is_empty() || name.contains([' ', '\t']) {
+            return Err(ParseError::Malformed(format!("bad header name '{name}'")));
+        }
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .trim()
+            // RFC 9112 §6.3: `1*DIGIT` only (no sign, no list), and
+            // repeats must agree — anything else is a smuggling vector.
+            let value = value.trim_matches([' ', '\t']);
+            let digits = value.bytes().all(|b| b.is_ascii_digit());
+            let n = value
                 .parse::<usize>()
-                .map_err(|_| ParseError::Malformed("bad content-length".into()))?;
-            if content_length > MAX_BODY {
+                .ok()
+                .filter(|_| digits)
+                .ok_or_else(|| ParseError::Malformed("bad content-length".into()))?;
+            if content_length.is_some_and(|prev| prev != n) {
+                return Err(ParseError::Malformed("conflicting content-length".into()));
+            }
+            if n > MAX_BODY {
                 return Err(ParseError::TooLarge);
             }
+            content_length = Some(n);
         }
         if name.eq_ignore_ascii_case("transfer-encoding") {
             return Err(ParseError::Malformed(
@@ -254,6 +268,32 @@ mod tests {
             MAX_BODY + 1
         );
         assert!(matches!(parse(&huge), Err(ParseError::TooLarge)));
+    }
+
+    #[test]
+    fn rejects_conflicting_content_lengths() {
+        let conflicting = "POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello";
+        assert!(matches!(parse(conflicting), Err(ParseError::Malformed(_))));
+        // Repeats that agree frame the body the same way and are allowed.
+        let agreeing = "POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello";
+        assert_eq!(parse(agreeing).unwrap().body, b"hello");
+    }
+
+    #[test]
+    fn content_length_must_be_digits_only() {
+        for value in ["+5", "-5", " 5x", "5,5", "0x5", ""] {
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello");
+            assert!(
+                matches!(parse(&raw), Err(ParseError::Malformed(_))),
+                "Content-Length '{value}' accepted"
+            );
+        }
+        let padded = "POST / HTTP/1.1\r\nContent-Length: \t5 \r\n\r\nhello";
+        assert_eq!(parse(padded).unwrap().body, b"hello");
+        // A name hiding behind whitespace before the colon is no header
+        // this reader can frame by; reject it instead of ignoring it.
+        let spaced = "POST / HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello";
+        assert!(matches!(parse(spaced), Err(ParseError::Malformed(_))));
     }
 
     #[test]

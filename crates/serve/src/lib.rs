@@ -20,7 +20,8 @@
 //!   requests against one model are drained into a single backend call
 //!   that concatenates their fixed-shape padded environment tables
 //!   (§5.2.1) and evaluates once, with bounded queue depth (429 on
-//!   overflow) and a short linger to catch concurrent bursts.
+//!   overflow). The worker is work-conserving: a batch is whatever
+//!   queued while the previous one ran, so no request waits on a timer.
 //! * [`job`] — asynchronous deck jobs: FIFO store, worker pool,
 //!   `queued → running → done | failed`, panic containment, drain.
 //! * [`server`] — accept loop over TCP or Unix sockets, thread per

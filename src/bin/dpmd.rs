@@ -19,10 +19,9 @@
 //!   vs. modeled GFLOPS, arithmetic intensity, memory/compute verdict).
 //! * `dpmd serve [--addr host:port | --unix path] [--addr-file path]
 //!   [--model NAME=model.json | NAME=synthetic:SEED]... [--workers N]
-//!   [--max-batch N] [--queue-depth N] [--batch-linger-ms MS]
-//!   [--state-dir DIR]` — start the inference daemon; see
-//!   `deepmd_repro::serve_app`. Runs until `POST /v1/admin/shutdown`
-//!   drains it, then exits 0.
+//!   [--max-batch N] [--queue-depth N] [--state-dir DIR]` — start the
+//!   inference daemon; see `deepmd_repro::serve_app`. Runs until
+//!   `POST /v1/admin/shutdown` drains it, then exits 0.
 //! * `dpmd ensemble <deck.json> [--resume]` — advance a ladder of
 //!   replicas against one shared model with cross-replica batched
 //!   evaluation, replica exchange, and optional active learning; see

@@ -59,8 +59,6 @@ pub struct ServeOptions {
     pub max_batch: usize,
     /// Most `/v1/eval` requests queued before 429.
     pub queue_depth: usize,
-    /// How long a lone eval request waits for peers to coalesce with.
-    pub linger: Duration,
     /// Job state directories (checkpoints, traces, logs) live here.
     pub state_dir: PathBuf,
 }
@@ -75,7 +73,6 @@ impl Default for ServeOptions {
             workers: 2,
             max_batch: 32,
             queue_depth: 256,
-            linger: Duration::from_millis(2),
             state_dir: PathBuf::from("dpmd-serve-state"),
         }
     }
@@ -125,12 +122,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
                 opts.queue_depth = value("--queue-depth")?
                     .parse()
                     .map_err(|_| "--queue-depth wants a positive integer".to_string())?;
-            }
-            "--batch-linger-ms" => {
-                let ms: u64 = value("--batch-linger-ms")?
-                    .parse()
-                    .map_err(|_| "--batch-linger-ms wants milliseconds".to_string())?;
-                opts.linger = Duration::from_millis(ms);
             }
             "--state-dir" => opts.state_dir = PathBuf::from(value("--state-dir")?),
             other => return Err(format!("unknown serve flag '{other}'")),
@@ -705,7 +696,6 @@ pub fn run_serve(opts: &ServeOptions, mut log: impl FnMut(&str)) -> Result<(), A
                         BatchOptions {
                             max_batch: opts.max_batch,
                             max_depth: opts.queue_depth,
-                            linger: opts.linger,
                         },
                     )),
                 )
@@ -970,8 +960,6 @@ mod tests {
             "8".into(),
             "--queue-depth".into(),
             "16".into(),
-            "--batch-linger-ms".into(),
-            "50".into(),
             "--workers".into(),
             "4".into(),
         ])
@@ -980,7 +968,6 @@ mod tests {
         assert_eq!(opts.models, vec![("cu".into(), "models/cu.json".into())]);
         assert_eq!(opts.max_batch, 8);
         assert_eq!(opts.queue_depth, 16);
-        assert_eq!(opts.linger, Duration::from_millis(50));
         assert_eq!(opts.workers, 4);
 
         assert!(parse_serve_args(&["--model".into(), "noequals".into()]).is_err());

@@ -134,6 +134,21 @@ fn eval_body(n: usize) -> String {
     )
 }
 
+/// A body whose evaluation holds the batch worker for ≥ 150 ms: 5000
+/// atoms 2 Å apart on a line, whose thin box sends the neighbor search
+/// down its all-pairs path.
+fn busy_body() -> String {
+    let n = 5000;
+    let positions: Vec<String> = (0..n)
+        .map(|i| format!("[{}.0, 5.0, 5.0]", 1 + 2 * i))
+        .collect();
+    format!(
+        "{{\"cell\": [{}.0, 12.0, 12.0], \"positions\": [{}]}}",
+        2 * n + 2,
+        positions.join(", ")
+    )
+}
+
 /// Pull a numeric counter out of the /metrics JSON (string matching keeps
 /// this test independent of any JSON parser). Counters are interned on
 /// first use, so a name that has not fired yet is simply absent — that
@@ -153,12 +168,7 @@ fn metric_counter(metrics: &str, name: &str) -> u64 {
 
 #[test]
 fn concurrent_evals_coalesce_and_match_sequential_bit_for_bit() {
-    // A generous linger so the concurrent burst reliably lands in one
-    // batch even on a loaded CI machine.
-    let d = Daemon::start(
-        "coalesce",
-        &["--batch-linger-ms", "150", "--max-batch", "16"],
-    );
+    let d = Daemon::start("coalesce", &["--max-batch", "16"]);
     let sizes: Vec<usize> = (2..10).collect();
 
     // Sequential pass: one request at a time. Each runs as its own batch.
@@ -172,11 +182,23 @@ fn concurrent_evals_coalesce_and_match_sequential_bit_for_bit() {
         .collect();
 
     let (_, metrics) = d.http("GET", "/metrics", "");
-    let batches_before = metric_counter(&metrics, "serve.eval.batches");
+    let idle_batches = metric_counter(&metrics, "serve.eval.batches");
     let coalesced_before = metric_counter(&metrics, "serve.eval.coalesced");
 
-    // Concurrent pass: all N at once against the same model.
-    let concurrent: Vec<String> = std::thread::scope(|scope| {
+    // Concurrent pass: all N at once against the same model, fired while
+    // the batch worker is busy with one long evaluation, so they queue up
+    // together behind it however slowly the burst's threads start.
+    let (batches_before, concurrent) = std::thread::scope(|scope| {
+        let busy = scope.spawn(|| d.http("POST", "/v1/eval", &busy_body()));
+        // The worker counts a batch when it takes it off the queue.
+        let batches_before = loop {
+            let (_, metrics) = d.http("GET", "/metrics", "");
+            let batches = metric_counter(&metrics, "serve.eval.batches");
+            if batches > idle_batches {
+                break batches;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
         let handles: Vec<_> = sizes
             .iter()
             .map(|&n| {
@@ -188,7 +210,10 @@ fn concurrent_evals_coalesce_and_match_sequential_bit_for_bit() {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let concurrent: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let (status, body) = busy.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+        (batches_before, concurrent)
     });
 
     // Bit-identity: batched responses are byte-equal to sequential ones.
@@ -249,8 +274,8 @@ fn eval_errors_are_typed_and_do_not_kill_the_daemon() {
     assert_eq!(status, 400);
     assert!(body.contains("minimum-image"), "{body}");
 
-    // A deadline on an idle daemon always admits: the queue is empty, so
-    // the only wait is the bounded linger.
+    // A deadline on an idle daemon always admits: the queue is empty and
+    // the idle batch worker starts the request at once.
     let (status, body) = d.http(
         "POST",
         "/v1/eval",
