@@ -259,6 +259,12 @@ mod tests {
             parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
             Err(ParseError::Malformed(_))
         ));
+        // Whitespace before the colon hides a framing header from this
+        // reader but not from every proxy in front of it.
+        assert!(matches!(
+            parse("POST / HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello"),
+            Err(ParseError::Malformed(_))
+        ));
     }
 
     #[test]
@@ -290,10 +296,6 @@ mod tests {
         }
         let padded = "POST / HTTP/1.1\r\nContent-Length: \t5 \r\n\r\nhello";
         assert_eq!(parse(padded).unwrap().body, b"hello");
-        // A name hiding behind whitespace before the colon is no header
-        // this reader can frame by; reject it instead of ignoring it.
-        let spaced = "POST / HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello";
-        assert!(matches!(parse(spaced), Err(ParseError::Malformed(_))));
     }
 
     #[test]
