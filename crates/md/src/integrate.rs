@@ -697,9 +697,9 @@ mod tests {
         let mut sys = argon_crystal();
         let mut rng = CounterRng::new(2020);
         for v in &mut sys.velocities {
-            for d in 0..3 {
+            for vd in v.iter_mut() {
                 let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-                v[d] = 3.0 * (u - 0.5);
+                *vd = 3.0 * (u - 0.5);
             }
         }
         sys.zero_momentum();

@@ -173,8 +173,8 @@ mod tests {
         sys.init_velocities(300.0, &mut rng);
         let mut p = [0.0; 3];
         for i in 0..sys.len() {
-            for d in 0..3 {
-                p[d] += sys.masses[sys.types[i]] * sys.velocities[i][d];
+            for (d, pd) in p.iter_mut().enumerate() {
+                *pd += sys.masses[sys.types[i]] * sys.velocities[i][d];
             }
         }
         for d in 0..3 {
@@ -215,8 +215,8 @@ mod tests {
         let mut rng = CounterRng::new(3);
         sys.perturb(5.0, &mut rng);
         for p in &sys.positions {
-            for d in 0..3 {
-                assert!((0.0..20.0).contains(&p[d]));
+            for x in p {
+                assert!((0.0..20.0).contains(x));
             }
         }
     }

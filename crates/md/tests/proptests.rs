@@ -24,8 +24,8 @@ fn wrap_is_idempotent_and_in_box() {
         |&p| {
             let c = Cell::cubic(13.7);
             let w = c.wrap(p);
-            for d in 0..3 {
-                assert!((0.0..13.7).contains(&w[d]));
+            for x in w {
+                assert!((0.0..13.7).contains(&x));
             }
             let w2 = c.wrap(w);
             for d in 0..3 {
@@ -137,8 +137,8 @@ fn momentum_conserved_by_zeroing() {
                     p[k] += 39.9 * v[k];
                 }
             }
-            for k in 0..3 {
-                assert!(p[k].abs() < 1e-9);
+            for pk in p {
+                assert!(pk.abs() < 1e-9);
             }
         },
     );
