@@ -192,7 +192,11 @@ impl NeighborList {
                                 nb[d] = nb[d].rem_euclid(nbins[d] as isize);
                             }
                         } else {
-                            if nb.iter().zip(&nbins).any(|(&b, &n)| b < 0 || b >= n as isize) {
+                            if nb
+                                .iter()
+                                .zip(&nbins)
+                                .any(|(&b, &n)| b < 0 || b >= n as isize)
+                            {
                                 continue;
                             }
                         }

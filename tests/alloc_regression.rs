@@ -247,19 +247,36 @@ fn full_md_step_is_allocation_free_at_steady_state() {
     // warm up: grows the potential's internal workspace to its fixed
     // point (the run-local buffers are per-call and cancel below)
     let mut warm = sys0.clone();
-    run_md_resumable(&mut warm, &pot, &opts, 20, MdProgress::default(), |_| {}, None);
+    run_md_resumable(
+        &mut warm,
+        &pot,
+        &opts,
+        20,
+        MdProgress::default(),
+        |_| {},
+        None,
+    );
 
     let measure = |steps: usize| {
         let mut s = sys0.clone();
         let before = allocs();
-        let run = run_md_resumable(&mut s, &pot, &opts, steps, MdProgress::default(), |_| {}, None);
+        let run = run_md_resumable(
+            &mut s,
+            &pot,
+            &opts,
+            steps,
+            MdProgress::default(),
+            |_| {},
+            None,
+        );
         assert!(run.thermo.last().unwrap().total_energy().is_finite());
         allocs() - before
     };
     let short = measure(12);
     let long = measure(62);
     assert_eq!(
-        short, long,
+        short,
+        long,
         "50 extra MD steps allocated {} extra times",
         long.saturating_sub(short)
     );
