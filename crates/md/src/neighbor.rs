@@ -10,9 +10,23 @@
 //! DP descriptor needs every atom's complete environment, and are stored in
 //! CSR form: one offsets array plus one flat `u32` neighbor array — the
 //! cache-friendly analogue of the paper's contiguous GPU layout.
+//!
+//! One search serves every cell, periodic or open, whatever its shape.
+//! Positions are wrapped once and counting-sorted into bins at least the
+//! cutoff wide, at most one bin per atom, so a dilute box costs O(N), not
+//! its volume. Each atom visits each neighboring bin exactly once: per
+//! axis `{b−1, b, b+1}` (mod `n` in a periodic cell) when the axis has
+//! three or more bins, otherwise every bin on it. No pair is seen twice
+//! and no box falls back to all-pairs. A candidate is tested on a
+//! compare-and-subtract minimum image of the wrapped coordinates, and only
+//! a pair within rounding of the cutoff consults [`Cell::distance2`], whose
+//! verdict alone decides membership: a list holds exactly the pairs
+//! [`NeighborList::build_brute_force`] (the test oracle) holds, each row in
+//! ascending atom order.
+//!
+//! [`Cell::distance2`]: crate::Cell::distance2
 
 use crate::system::System;
-use dp_obs::par;
 
 /// CSR full neighbor list for the first `n_local` atoms of a system.
 #[derive(Debug, Clone)]
@@ -26,13 +40,105 @@ pub struct NeighborList {
 }
 
 /// Reusable construction scratch for [`NeighborList::build_into`]: the
-/// cell-list bins and the variable-length per-atom rows, each of which
-/// keeps its capacity across rebuilds so the steady-state rebuild performs
-/// no heap allocation (§5.2.2 arena reuse).
+/// wrapped positions and the counting-sorted bins, flat arrays that keep
+/// their capacity across rebuilds so the steady-state rebuild performs no
+/// heap allocation (§5.2.2 arena reuse).
 #[derive(Debug, Default, Clone)]
 pub struct NlScratch {
-    bins: Vec<Vec<u32>>,
-    per_atom: Vec<Vec<u32>>,
+    /// Per atom, in atom order: wrapped position and flat bin index.
+    wrapped: Vec<[f64; 3]>,
+    bin: Vec<u32>,
+    /// `start[b]..start[b + 1]` is bin `b`'s range of `by_bin` and
+    /// `ids`.
+    start: Vec<u32>,
+    /// Wrapped coordinates, one array per axis, and atom indices, grouped
+    /// by bin, ascending index within a bin.
+    by_bin: [Vec<f64>; 3],
+    ids: Vec<u32>,
+    /// One atom's candidates (the kept ones compacted to the front) and
+    /// their cheap squared distances.
+    cand: Vec<u32>,
+    cand_d2: Vec<f64>,
+}
+
+/// The bin grid of one build.
+struct Grid {
+    n: [usize; 3],
+    origin: [f64; 3],
+    /// Bins per unit length.
+    inv_w: [f64; 3],
+    periodic: bool,
+}
+
+impl Grid {
+    /// Bins of width at least `reach` plus rounding slack over `ext`, at
+    /// most one per atom.
+    ///
+    /// Bin coordinates `(q − origin)·n/ext` carry an absolute error of a
+    /// few `ε·n`, and two coordinates less than `reach` apart (as the
+    /// candidate test computes them, to within `ε·ext`) differ by less
+    /// than `reach·n/ext` in it; `8ε·ext` of extra width keeps that sum
+    /// below one bin, so such a pair always lands in the same or adjacent
+    /// bins. Wider bins stay correct, which is what lets the cap merge
+    /// them.
+    fn new(periodic: bool, origin: [f64; 3], ext: [f64; 3], reach: f64, atoms: usize) -> Self {
+        let mut n: [f64; 3] = std::array::from_fn(|d| {
+            (ext[d] / (reach + 8.0 * f64::EPSILON * ext[d]))
+                .floor()
+                .max(1.0)
+        });
+        // Without the cap the grid grows with the box volume, not with N
+        // (and its size overflows `usize` past about 1e7 Å of edge).
+        // Shrink all axes alike first, then the longest until it fits.
+        let cap = atoms.max(1) as f64;
+        let total = |n: &[f64; 3]| n[0] * n[1] * n[2];
+        if total(&n) > cap {
+            let s = (cap / total(&n)).cbrt();
+            n = n.map(|x| (x * s).floor().max(1.0));
+        }
+        while total(&n) > cap {
+            let d = (0..3).fold(0, |a, b| if n[b] > n[a] { b } else { a });
+            n[d] = (n[d] * cap / total(&n)).floor().max(1.0);
+        }
+        let n = n.map(|x| x as usize);
+        Self {
+            n,
+            origin,
+            inv_w: std::array::from_fn(|d| n[d] as f64 / ext[d]),
+            periodic,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.n[0] * self.n[1] * self.n[2]
+    }
+
+    /// Flat bin of a wrapped position. `as` truncates toward zero and
+    /// saturates, and the `min` keeps a coordinate that rounds up to the
+    /// far edge in the last bin.
+    fn flat(&self, q: [f64; 3]) -> usize {
+        let b: [usize; 3] = std::array::from_fn(|d| {
+            (((q[d] - self.origin[d]) * self.inv_w[d]) as usize).min(self.n[d] - 1)
+        });
+        (b[0] * self.n[1] + b[1]) * self.n[2] + b[2]
+    }
+
+    /// The bins on axis `d` that neighbor bin `b` (itself included), each
+    /// once: the first `len` entries of the array.
+    fn axis(&self, d: usize, b: usize) -> ([usize; 3], usize) {
+        let n = self.n[d];
+        if n < 3 {
+            ([0, 1, 2], n)
+        } else if self.periodic {
+            ([(b + n - 1) % n, b, (b + 1) % n], 3)
+        } else if b == 0 {
+            ([0, 1, 0], 2)
+        } else if b == n - 1 {
+            ([b - 1, b, 0], 2)
+        } else {
+            ([b - 1, b, b + 1], 3)
+        }
+    }
 }
 
 impl NeighborList {
@@ -46,8 +152,7 @@ impl NeighborList {
         }
     }
 
-    /// Build with a cell-list (falls back to brute force when the box is
-    /// too small to bin at this cutoff).
+    /// Build with the cell list, for any box (see the module doc).
     pub fn build(sys: &System, cutoff: f64) -> Self {
         let mut nl = Self::empty();
         nl.build_into(sys, cutoff, &mut NlScratch::default());
@@ -59,174 +164,177 @@ impl NeighborList {
     /// allocate nothing.
     pub fn build_into(&mut self, sys: &System, cutoff: f64, scratch: &mut NlScratch) {
         assert!(cutoff > 0.0, "cutoff must be positive");
-        if sys.cell.periodic {
+        let cell = &sys.cell;
+        if cell.periodic {
             assert!(
-                cutoff <= sys.cell.max_cutoff() + 1e-9,
+                cutoff <= cell.max_cutoff() + 1e-9,
                 "cutoff {cutoff} exceeds minimum-image limit {}",
-                sys.cell.max_cutoff()
+                cell.max_cutoff()
             );
         }
-        let nbins = Self::bin_counts(sys, cutoff);
-        if sys.cell.periodic && nbins.iter().any(|&b| b < 3) {
-            Self::fill_brute_force(sys, cutoff, &mut scratch.per_atom);
-        } else {
-            Self::fill_binned(sys, cutoff, nbins, scratch);
-        }
-        self.fill_from_per_atom(sys, cutoff, &scratch.per_atom[..sys.n_local]);
-    }
+        let NlScratch {
+            wrapped,
+            bin,
+            start,
+            by_bin,
+            ids,
+            cand,
+            cand_d2,
+        } = scratch;
 
-    /// Reference O(N²) construction, used for small systems and as the
-    /// oracle the cell-list implementation is tested against.
-    pub fn build_brute_force(sys: &System, cutoff: f64) -> Self {
-        let mut per_atom = Vec::new();
-        Self::fill_brute_force(sys, cutoff, &mut per_atom);
-        let mut nl = Self::empty();
-        nl.fill_from_per_atom(sys, cutoff, &per_atom[..sys.n_local]);
-        nl
-    }
-
-    fn ensure_rows(rows: &mut Vec<Vec<u32>>, n: usize) {
-        if rows.len() < n {
-            rows.resize_with(n, Vec::new);
-        }
-    }
-
-    fn fill_brute_force(sys: &System, cutoff: f64, per_atom: &mut Vec<Vec<u32>>) {
-        let n = sys.len();
-        let c2 = cutoff * cutoff;
-        Self::ensure_rows(per_atom, sys.n_local);
-        par::chunks_mut(&mut per_atom[..sys.n_local], 1, |i, row| {
-            let list = &mut row[0];
-            list.clear();
-            for j in 0..n {
-                if j != i && sys.cell.distance2(sys.positions[i], sys.positions[j]) < c2 {
-                    list.push(j as u32);
-                }
-            }
-        });
-    }
-
-    fn bin_counts(sys: &System, cutoff: f64) -> [usize; 3] {
-        let mut nbins = [1usize; 3];
-        if sys.cell.periodic {
-            for (n, l) in nbins.iter_mut().zip(sys.cell.lengths) {
-                *n = (l / cutoff).floor().max(1.0) as usize;
-            }
-        } else {
-            let (lo, hi) = Self::extent(sys);
-            for (d, n) in nbins.iter_mut().enumerate() {
-                *n = (((hi[d] - lo[d]) / cutoff).floor().max(1.0) as usize).max(1);
-            }
-        }
-        nbins
-    }
-
-    fn extent(sys: &System) -> ([f64; 3], [f64; 3]) {
-        let mut lo = [f64::INFINITY; 3];
-        let mut hi = [f64::NEG_INFINITY; 3];
-        for p in &sys.positions {
+        // Wrap once. The extent bins an open cell; the largest coordinate
+        // sizes the rounding band below.
+        wrapped.clear();
+        let (mut lo, mut hi) = ([f64::INFINITY; 3], [f64::NEG_INFINITY; 3]);
+        let mut x_max = 0.0f64;
+        for &p in &sys.positions {
+            let q = cell.wrap(p);
             for d in 0..3 {
-                lo[d] = lo[d].min(p[d]);
-                hi[d] = hi[d].max(p[d]);
+                x_max = x_max.max(p[d].abs());
+                lo[d] = lo[d].min(q[d]);
+                hi[d] = hi[d].max(q[d]);
             }
+            wrapped.push(q);
         }
-        for d in 0..3 {
-            // Avoid zero-width extents for planar/degenerate inputs.
-            if hi[d] - lo[d] < 1e-9 {
-                hi[d] = lo[d] + 1e-9;
-            }
-        }
-        (lo, hi)
-    }
-
-    fn fill_binned(sys: &System, cutoff: f64, nbins: [usize; 3], scratch: &mut NlScratch) {
-        let c2 = cutoff * cutoff;
-        let periodic = sys.cell.periodic;
-        let (lo, hi) = if periodic {
-            ([0.0; 3], sys.cell.lengths)
+        let (origin, ext) = if cell.periodic {
+            ([0.0; 3], cell.lengths)
         } else {
-            Self::extent(sys)
+            // a planar or single-atom extent still gets its one bin
+            (lo, std::array::from_fn(|d| (hi[d] - lo[d]).max(1e-9)))
         };
-        let width = [
-            (hi[0] - lo[0]) / nbins[0] as f64,
-            (hi[1] - lo[1]) / nbins[1] as f64,
-            (hi[2] - lo[2]) / nbins[2] as f64,
-        ];
 
-        let bin_of = |p: [f64; 3]| -> [isize; 3] {
-            let q = if periodic { sys.cell.wrap(p) } else { p };
-            let mut b = [0isize; 3];
+        // The rounding band. Per axis the cheap displacement below (a
+        // difference of `Cell::wrap`ped coordinates, each within about
+        // 3u·X of an exact image, u = ε/2, X = the largest |coordinate|
+        // plus the longest edge) and `Cell::displacement`'s (a raw
+        // difference up to 2X less `l·round(d/l)`) each land within about
+        // 8u·X of the exact minimum-image length, which is continuous
+        // where the two pick different images at a half-box tie. So they
+        // differ by at most δ = 8ε·X (2× spare), their lengths by √3·δ,
+        // and each computed square sum is within 2ε of its own: a cheap d²
+        // below r_c² − tol has the exact expression below r_c², above
+        // r_c² + tol not, for tol = 4r_c·δ + 4δ² + 8ε·r_c² (≥ 2√3·r_c·δ +
+        // 3δ² + 4ε·r_c²). That is about 1e-13·r_c² for atoms near the
+        // box, 1e-8·r_c² a million boxes out; in an open cell the cheap
+        // and the exact expression are the same bits anyway.
+        let c2 = cutoff * cutoff;
+        let eps = f64::EPSILON;
+        let delta = 8.0 * eps * (x_max + ext.iter().fold(0.0, |a: f64, &b| a.max(b)));
+        let tol = 4.0 * cutoff * delta + 4.0 * delta * delta + 8.0 * eps * c2;
+        let (inside, outside) = (c2 - tol, c2 + tol);
+        let grid = Grid::new(cell.periodic, origin, ext, outside.sqrt(), sys.len());
+
+        // Counting sort by bin: count, prefix sum, scatter (which leaves
+        // each `start[b]` at bin b's end), shift back.
+        let nbins = grid.len();
+        start.clear();
+        start.resize(nbins + 1, 0);
+        bin.clear();
+        for &q in wrapped.iter() {
+            let b = grid.flat(q);
+            bin.push(b as u32);
+            start[b + 1] += 1;
+        }
+        for b in 0..nbins {
+            start[b + 1] += start[b];
+        }
+        let n_atoms = wrapped.len();
+        for c in by_bin.iter_mut() {
+            c.resize(n_atoms, 0.0);
+        }
+        ids.resize(n_atoms, 0);
+        for (i, (&q, &b)) in wrapped.iter().zip(bin.iter()).enumerate() {
+            let slot = &mut start[b as usize];
+            let t = *slot as usize;
             for d in 0..3 {
-                let idx = ((q[d] - lo[d]) / width[d]).floor() as isize;
-                b[d] = idx.clamp(0, nbins[d] as isize - 1);
+                by_bin[d][t] = q[d];
             }
-            b
-        };
-        let flat = |b: [isize; 3]| -> usize {
-            (b[0] as usize * nbins[1] + b[1] as usize) * nbins[2] + b[2] as usize
-        };
-
-        // Bucket every atom (locals and ghosts both act as sources).
-        let nbin_total = nbins[0] * nbins[1] * nbins[2];
-        Self::ensure_rows(&mut scratch.bins, nbin_total);
-        for b in &mut scratch.bins[..nbin_total] {
-            b.clear();
+            ids[t] = i as u32;
+            *slot += 1;
         }
-        for (i, &p) in sys.positions.iter().enumerate() {
-            scratch.bins[flat(bin_of(p))].push(i as u32);
-        }
-        let bins = &scratch.bins;
+        start.copy_within(0..nbins, 1);
+        start[0] = 0;
 
-        Self::ensure_rows(&mut scratch.per_atom, sys.n_local);
-        par::chunks_mut(&mut scratch.per_atom[..sys.n_local], 1, |i, row| {
-            let list = &mut row[0];
-            list.clear();
-            let pi = sys.positions[i];
-            let bi = bin_of(pi);
-            for dx in -1..=1isize {
-                for dy in -1..=1isize {
-                    for dz in -1..=1isize {
-                        let mut nb = [bi[0] + dx, bi[1] + dy, bi[2] + dz];
-                        if periodic {
-                            for d in 0..3 {
-                                nb[d] = nb[d].rem_euclid(nbins[d] as isize);
-                            }
-                        } else {
-                            if nb
-                                .iter()
-                                .zip(&nbins)
-                                .any(|(&b, &n)| b < 0 || b >= n as isize)
-                            {
-                                continue;
-                            }
+        let (half, len) = if cell.periodic {
+            (cell.lengths.map(|l| 0.5 * l), cell.lengths)
+        } else {
+            ([f64::INFINITY; 3], [0.0; 3])
+        };
+        let (ny, nz) = (grid.n[1], grid.n[2]);
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.neighbors.clear();
+        for i in 0..sys.n_local {
+            let pi = wrapped[i];
+            let b = bin[i] as usize;
+            let (xs, kx) = grid.axis(0, b / (ny * nz));
+            let (ys, ky) = grid.axis(1, b / nz % ny);
+            let (zs, kz) = grid.axis(2, b % nz);
+            // Gather the candidates' indices and cheap squared distances
+            // (a loop the compiler vectorizes), then keep the near ones.
+            let mut m = 0;
+            for &bx in &xs[..kx] {
+                for &by in &ys[..ky] {
+                    let base = (bx * ny + by) * nz;
+                    for &bz in &zs[..kz] {
+                        let (s, e) = (start[base + bz] as usize, start[base + bz + 1] as usize);
+                        if cand.len() < m + e - s {
+                            cand.resize(m + e - s, 0);
+                            cand_d2.resize(m + e - s, 0.0);
                         }
-                        for &j in &bins[flat(nb)] {
-                            if j as usize != i
-                                && sys.cell.distance2(pi, sys.positions[j as usize]) < c2
-                            {
-                                list.push(j);
-                            }
+                        cand[m..m + e - s].copy_from_slice(&ids[s..e]);
+                        let out = &mut cand_d2[m..m + e - s];
+                        let [cx, cy, cz] = by_bin;
+                        for (((o, &x), &y), &z) in
+                            out.iter_mut().zip(&cx[s..e]).zip(&cy[s..e]).zip(&cz[s..e])
+                        {
+                            let d = [x - pi[0], y - pi[1], z - pi[2]];
+                            // minimum image as two selects, not branches
+                            let d: [f64; 3] = std::array::from_fn(|a| {
+                                let up = if d[a] > half[a] { len[a] } else { 0.0 };
+                                let down = if d[a] < -half[a] { len[a] } else { 0.0 };
+                                d[a] - up + down
+                            });
+                            *o = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
                         }
+                        m += e - s;
                     }
                 }
             }
-            // Deduplicate: with <3 bins along an axis in the open case a
-            // neighbor bin can be visited twice.
-            list.sort_unstable();
-            list.dedup();
-        });
-    }
-
-    fn fill_from_per_atom(&mut self, sys: &System, cutoff: f64, per_atom: &[Vec<u32>]) {
-        self.offsets.clear();
-        self.offsets.push(0usize);
-        self.neighbors.clear();
-        for list in per_atom {
-            self.neighbors.extend_from_slice(list);
+            let row = self.neighbors.len();
+            for (&j, &d2) in cand[..m].iter().zip(&cand_d2[..m]) {
+                if d2 < outside
+                    && j as usize != i
+                    && (d2 < inside
+                        || cell.distance2(sys.positions[i], sys.positions[j as usize]) < c2)
+                {
+                    self.neighbors.push(j);
+                }
+            }
+            self.neighbors[row..].sort_unstable();
             self.offsets.push(self.neighbors.len());
         }
         self.cutoff = cutoff;
         self.ref_positions.clone_from(&sys.positions);
+    }
+
+    /// Reference O(N²) construction: every pair through
+    /// [`Cell::distance2`](crate::Cell::distance2). It is the oracle the
+    /// cell list is tested against, and nothing else builds with it.
+    pub fn build_brute_force(sys: &System, cutoff: f64) -> Self {
+        let c2 = cutoff * cutoff;
+        let mut nl = Self::empty();
+        for i in 0..sys.n_local {
+            for j in 0..sys.len() {
+                if j != i && sys.cell.distance2(sys.positions[i], sys.positions[j]) < c2 {
+                    nl.neighbors.push(j as u32);
+                }
+            }
+            nl.offsets.push(nl.neighbors.len());
+        }
+        nl.cutoff = cutoff;
+        nl.ref_positions.clone_from(&sys.positions);
+        nl
     }
 
     /// Number of atoms that have lists (the local atoms at build time).
@@ -284,19 +392,19 @@ mod tests {
         System::new(Cell::cubic(l), positions, vec![0; n], vec![units::MASS_CU])
     }
 
-    #[test]
-    fn cell_list_matches_brute_force() {
-        let sys = random_system(400, 24.0, 5);
-        let fast = NeighborList::build(&sys, 6.0);
-        let slow = NeighborList::build_brute_force(&sys, 6.0);
+    /// Same rows in the same order as the all-pairs oracle.
+    fn assert_matches_brute_force(sys: &System, cutoff: f64) {
+        let fast = NeighborList::build(sys, cutoff);
+        let slow = NeighborList::build_brute_force(sys, cutoff);
         assert_eq!(fast.len(), slow.len());
         for i in 0..fast.len() {
-            let mut a = fast.neighbors_of(i).to_vec();
-            let mut b = slow.neighbors_of(i).to_vec();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "atom {i}");
+            assert_eq!(fast.neighbors_of(i), slow.neighbors_of(i), "atom {i}");
         }
+    }
+
+    #[test]
+    fn cell_list_matches_brute_force() {
+        assert_matches_brute_force(&random_system(400, 24.0, 5), 6.0);
     }
 
     #[test]
@@ -314,18 +422,15 @@ mod tests {
     }
 
     #[test]
-    fn small_box_brute_force_fallback() {
-        // 2 bins per axis would alias images; must still be correct.
-        let sys = random_system(50, 10.0, 7);
-        let nl = NeighborList::build(&sys, 5.0);
-        let slow = NeighborList::build_brute_force(&sys, 5.0);
-        for i in 0..nl.len() {
-            let mut a = nl.neighbors_of(i).to_vec();
-            let mut b = slow.neighbors_of(i).to_vec();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+    fn few_bins_per_axis_match_brute_force() {
+        // one or two bins on an axis: every bin on it is visited, once
+        assert_matches_brute_force(&random_system(50, 10.0, 7), 5.0);
+        let mut line = random_system(200, 12.0, 13);
+        line.cell = Cell::orthorhombic(12.0, 12.0, 240.0);
+        for p in &mut line.positions {
+            p[2] *= 20.0;
         }
+        assert_matches_brute_force(&line, 5.5);
     }
 
     #[test]

@@ -48,27 +48,74 @@ fn min_image_distance_below_half_diagonal() {
     });
 }
 
+/// A random box for the cell list: per axis one bin (edge exactly 2·r_c,
+/// the minimum-image limit), two, or three to four; open cells keep some
+/// atoms as ghosts. Coordinates are shifted by whole edges, up to 10⁶ of
+/// them, and some pairs are placed at r_c·(1 ± 1e-12).
+///
+/// Those magnitudes straddle the list's rounding band. Near the box its
+/// half-width is ~1e-13·r_c², so a pair 1e-12 off the cutoff (2e-12 in
+/// r²) is decided by the cheap minimum image alone and must still agree
+/// with `Cell::distance2`. At 10⁶ edges (coordinates ~1e7 Å, ulp ~2e-9
+/// Å) the band widens to ~1e-8·r_c², and the shifted pair, now ~1e-9 off
+/// the cutoff, is decided by `Cell::distance2` inside it.
+fn cell_list_case(rng: &mut CounterRng) -> (System, f64) {
+    let cut = rng.range(2.0, 5.0);
+    let lengths: [f64; 3] = std::array::from_fn(|_| match rng.below(3) {
+        0 => 2.0 * cut,
+        1 => cut * rng.range(2.05, 2.95),
+        _ => cut * rng.range(3.05, 4.5),
+    });
+    let n = 80 + rng.below(60) as usize;
+    let mut positions: Vec<[f64; 3]> = (0..n)
+        .map(|_| std::array::from_fn(|d| rng.range(0.0, lengths[d])))
+        .collect();
+    for a in 0..8 {
+        let stretch = if a % 2 == 0 { 1.0 - 1e-12 } else { 1.0 + 1e-12 };
+        let u = [rng.gauss(), rng.gauss(), rng.gauss()];
+        let norm = (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]).sqrt();
+        let p = positions[a];
+        positions.push(std::array::from_fn(|d| p[d] + cut * stretch * u[d] / norm));
+    }
+    let periodic = rng.below(3) != 0;
+    let far = rng.below(2) == 0;
+    let shift = |rng: &mut CounterRng| -> [f64; 3] {
+        let k = |rng: &mut CounterRng| match far {
+            true => rng.below(2_000_001) as f64 - 1e6,
+            false => rng.below(5) as f64 - 2.0,
+        };
+        std::array::from_fn(|d| lengths[d] * k(rng))
+    };
+    // a periodic atom sits in an image of its own, an open cell moves whole
+    let common = shift(rng);
+    for p in &mut positions {
+        let s = if periodic { shift(rng) } else { common };
+        *p = std::array::from_fn(|d| p[d] + s[d]);
+    }
+    let [lx, ly, lz] = lengths;
+    let cell = match periodic {
+        true => Cell::orthorhombic(lx, ly, lz),
+        false => Cell::open(lx, ly, lz),
+    };
+    let len = positions.len();
+    let mut sys = System::new(cell, positions, vec![0; len], vec![63.5]);
+    if !periodic {
+        sys.n_local = 1 + rng.below(len as u64 - 1) as usize;
+    }
+    (sys, cut)
+}
+
 #[test]
 fn cell_list_equals_brute_force() {
-    let draw = |rng: &mut CounterRng| {
-        let positions: Vec<[f64; 3]> = (0..60).map(|_| point(rng, 0.0, 16.0)).collect();
-        (positions, rng.range(2.0, 5.0))
-    };
-    for_cases(0x3D03, CASES, draw, |(positions, cut)| {
-        let sys = System::new(
-            Cell::cubic(16.0),
-            positions.clone(),
-            vec![0; 60],
-            vec![63.5],
-        );
-        let fast = NeighborList::build(&sys, *cut);
-        let slow = NeighborList::build_brute_force(&sys, *cut);
+    // Exact sequences, not sets: list order is part of the contract (the
+    // formatter breaks distance ties by list position).
+    for_cases(0x3D03, 96, cell_list_case, |(sys, cut)| {
+        let fast = NeighborList::build(sys, *cut);
+        let slow = NeighborList::build_brute_force(sys, *cut);
+        assert_eq!(fast.len(), sys.n_local);
+        assert_eq!(slow.len(), sys.n_local);
         for i in 0..fast.len() {
-            let mut a = fast.neighbors_of(i).to_vec();
-            let mut b = slow.neighbors_of(i).to_vec();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+            assert_eq!(fast.neighbors_of(i), slow.neighbors_of(i), "atom {i}");
         }
     });
 }

@@ -20,7 +20,7 @@ use deepmd_repro::core::{DeepPotential, DpConfig, DpModel, PrecisionMode};
 use deepmd_repro::md::integrate::{run_md_resumable, Berendsen, MdOptions, MdProgress};
 use deepmd_repro::md::potential::pair::PairTable;
 use deepmd_repro::md::{
-    lattice, units, NeighborList, NlScratch, Potential, PotentialOutput, System,
+    cell, lattice, units, NeighborList, NlScratch, Potential, PotentialOutput, System,
 };
 use deepmd_repro::train::dataset::perturbed_frames;
 use deepmd_repro::train::{LossWeights, Trainer};
@@ -286,22 +286,56 @@ fn full_md_step_is_allocation_free_at_steady_state() {
 fn steady_state_neighbor_rebuild_is_allocation_free() {
     // The companion invariant for the rebuild step: `build_into` with a
     // warmed scratch must not touch the heap when the geometry is stable.
-    let mut sys = lattice::fcc(3.615, [4, 4, 4], units::MASS_CU);
+    // fcc 4×4×4 at 6 Å has two bins per axis, 6×6×6 at 6 Å three; the open
+    // cell keeps 300 of its 500 atoms as ghosts.
     let mut rng = CounterRng::new(5);
-    sys.perturb(0.05, &mut rng);
+    let mut small = lattice::fcc(3.615, [4, 4, 4], units::MASS_CU);
+    small.perturb(0.05, &mut rng);
+    let mut large = lattice::fcc(3.615, [6, 6, 6], units::MASS_CU);
+    large.perturb(0.05, &mut rng);
+    let mut open = lattice::fcc(3.615, [5, 5, 5], units::MASS_CU);
+    open.perturb(0.05, &mut rng);
+    open.cell = cell::Cell::open(18.075, 18.075, 18.075);
+    open.n_local = 200;
 
-    let mut scratch = NlScratch::default();
+    for sys in [&small, &large, &open] {
+        let mut scratch = NlScratch::default();
+        let mut nl = NeighborList::empty();
+        for _ in 0..4 {
+            nl.build_into(sys, 6.0, &mut scratch);
+        }
+        let before = allocs();
+        for _ in 0..3 {
+            nl.build_into(sys, 6.0, &mut scratch);
+        }
+        let delta = allocs() - before;
+        assert_eq!(
+            delta,
+            0,
+            "steady-state build_into allocated {delta} times ({} atoms)",
+            sys.len()
+        );
+        assert_eq!(nl.len(), sys.n_local);
+        assert!(nl.num_pairs() > 0);
+    }
+}
+
+#[test]
+fn dilute_box_neighbor_list_stays_small() {
+    // The bin grid is capped at one bin per atom: three atoms in a 1e9 Å
+    // cell (about 1e25 bins by volume) cost a few hundred bytes.
+    let sys = System::new(
+        cell::Cell::cubic(1e9),
+        vec![[1.0, 1.0, 1.0], [3.0, 1.0, 1.0], [1e9 - 1.0, 1.0, 1.0]],
+        vec![0; 3],
+        vec![units::MASS_CU],
+    );
     let mut nl = NeighborList::empty();
-    for _ in 0..4 {
-        nl.build_into(&sys, 6.0, &mut scratch);
-    }
-    let before = allocs();
-    for _ in 0..3 {
-        nl.build_into(&sys, 6.0, &mut scratch);
-    }
-    let delta = allocs() - before;
-    assert_eq!(delta, 0, "steady-state build_into allocated {delta} times");
-    assert!(nl.num_pairs() > 0);
+    let bytes = transient_peak(|| nl = NeighborList::build(&sys, 4.5));
+    assert!(bytes < 4096, "a 3-atom build held {bytes} bytes");
+    assert_eq!(nl.neighbors_of(0), [1, 2]);
+    assert_eq!(nl.neighbors_of(1), [0, 2]);
+    assert_eq!(nl.neighbors_of(2), [0, 1]);
 }
 
 #[test]

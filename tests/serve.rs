@@ -134,11 +134,10 @@ fn eval_body(n: usize) -> String {
     )
 }
 
-/// A body whose evaluation holds the batch worker for ≥ 150 ms: 5000
-/// atoms 2 Å apart on a line, whose thin box sends the neighbor search
-/// down its all-pairs path.
+/// A body whose evaluation holds the batch worker for about 200 ms (on a
+/// 2-core x86-64 host): 16 000 atoms 2 Å apart on a line.
 fn busy_body() -> String {
-    let n = 5000;
+    let n = 16_000;
     let positions: Vec<String> = (0..n)
         .map(|i| format!("[{}.0, 5.0, 5.0]", 1 + 2 * i))
         .collect();
@@ -283,6 +282,18 @@ fn eval_errors_are_typed_and_do_not_kill_the_daemon() {
     );
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"energy\":"), "{body}");
+
+    // A vast cell is no error: the neighbor grid is sized by the atoms,
+    // not the volume, and the daemon goes on serving.
+    let (status, body) = d.http(
+        "POST",
+        "/v1/eval",
+        "{\"cell\": [1e9, 1e9, 1e9], \"positions\": [[1,1,1], [3,1,1]]}",
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"natoms\":2"), "{body}");
+    let (status, body) = d.http("POST", "/v1/eval", &eval_body(4));
+    assert_eq!(status, 200, "{body}");
 
     // A non-positive deadline is a request error.
     let (status, body) = d.http(
