@@ -55,8 +55,7 @@ pub struct NlScratch {
     /// by bin, ascending index within a bin.
     by_bin: [Vec<f64>; 3],
     ids: Vec<u32>,
-    /// One atom's candidates (the kept ones compacted to the front) and
-    /// their cheap squared distances.
+    /// One atom's candidates and their cheap squared distances.
     cand: Vec<u32>,
     cand_d2: Vec<f64>,
 }
