@@ -218,7 +218,7 @@ impl NeighborList {
         // and the exact expression are the same bits anyway.
         let c2 = cutoff * cutoff;
         let eps = f64::EPSILON;
-        let delta = 8.0 * eps * (x_max + ext.iter().fold(0.0, |a: f64, &b| a.max(b)));
+        let delta = 8.0 * eps * (x_max + ext[0].max(ext[1]).max(ext[2]));
         let tol = 4.0 * cutoff * delta + 4.0 * delta * delta + 8.0 * eps * c2;
         let (inside, outside) = (c2 - tol, c2 + tol);
         let grid = Grid::new(cell.periodic, origin, ext, outside.sqrt(), sys.len());
@@ -260,6 +260,7 @@ impl NeighborList {
             ([f64::INFINITY; 3], [0.0; 3])
         };
         let (ny, nz) = (grid.n[1], grid.n[2]);
+        let [cx, cy, cz] = &*by_bin;
         self.offsets.clear();
         self.offsets.push(0);
         self.neighbors.clear();
@@ -277,13 +278,13 @@ impl NeighborList {
                     let base = (bx * ny + by) * nz;
                     for &bz in &zs[..kz] {
                         let (s, e) = (start[base + bz] as usize, start[base + bz + 1] as usize);
-                        if cand.len() < m + e - s {
-                            cand.resize(m + e - s, 0);
-                            cand_d2.resize(m + e - s, 0.0);
+                        let next = m + e - s;
+                        if cand.len() < next {
+                            cand.resize(next, 0);
+                            cand_d2.resize(next, 0.0);
                         }
-                        cand[m..m + e - s].copy_from_slice(&ids[s..e]);
-                        let out = &mut cand_d2[m..m + e - s];
-                        let [cx, cy, cz] = by_bin;
+                        cand[m..next].copy_from_slice(&ids[s..e]);
+                        let out = &mut cand_d2[m..next];
                         for (((o, &x), &y), &z) in
                             out.iter_mut().zip(&cx[s..e]).zip(&cy[s..e]).zip(&cz[s..e])
                         {
@@ -296,7 +297,7 @@ impl NeighborList {
                             });
                             *o = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
                         }
-                        m += e - s;
+                        m = next;
                     }
                 }
             }
