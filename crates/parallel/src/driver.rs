@@ -1043,22 +1043,24 @@ mod tests {
         assert!((shares - 1.0).abs() < 1e-9, "phase shares sum to {shares}");
     }
 
-    /// Absolute result pinned at the commit before `rank_loop` moved onto
-    /// `dp_md::integrate`: 20 NVE steps on 2×1×1 from uniform `CounterRng`
-    /// velocities (raw `next_u64`), with a rebuild (migrate + exchange) and
-    /// a sharded checkpoint realignment on the way. The 5.0 Å cutoff keeps
-    /// every pair out of the cosine switch window, so the run touches no
-    /// libm beyond `sqrt` and one constant holds on any host.
-    #[test]
-    fn golden_bits_2x1x1_nve() {
-        let dir = std::env::temp_dir().join(format!("dp-parallel-golden-{}", std::process::id()));
+    /// 20 steps on 2×1×1 from uniform `CounterRng` velocities (raw
+    /// `next_u64`), with a rebuild (migrate + exchange) and a sharded
+    /// checkpoint realignment on the way; returns the FNV-1a fold of
+    /// `to_bits` over the final positions then velocities. The 5.0 Å cutoff
+    /// keeps every pair out of the cosine switch window, so the run touches
+    /// no libm beyond `sqrt` and one constant holds on any host.
+    fn golden_run_2x1x1(tag: &str, thermostat: Option<dp_md::integrate::Berendsen>) -> u64 {
+        let dir = std::env::temp_dir().join(format!(
+            "dp-parallel-golden-{tag}-{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let mut sys = lattice::fcc(5.26, [4, 4, 4], 39.948);
         let mut rng = dp_md::CounterRng::new(2020);
         for v in &mut sys.velocities {
-            for d in 0..3 {
+            for vd in v.iter_mut() {
                 let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-                v[d] = 4.0 * (u - 0.5);
+                *vd = 4.0 * (u - 0.5);
             }
         }
         sys.zero_momentum();
@@ -1068,6 +1070,7 @@ mod tests {
                 skin: 0.1,
                 rebuild_every: 5,
                 thermo_every: 10,
+                thermostat,
                 ..MdOptions::default()
             },
             checkpoint: Some(ParallelCkpt {
@@ -1087,7 +1090,26 @@ mod tests {
         for x in s.positions.iter().chain(&s.velocities).flatten() {
             h = (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
         }
-        assert_eq!(h, 15_030_932_595_364_496_346);
+        h
+    }
+
+    /// Absolute result pinned at the commit before `rank_loop` moved onto
+    /// `dp_md::integrate`.
+    #[test]
+    fn golden_bits_2x1x1_nve() {
+        assert_eq!(golden_run_2x1x1("nve", None), 15_030_932_595_364_496_346);
+    }
+
+    /// Absolute result pinned at the commit before `rank_loop` moved onto
+    /// the shared `Stepper`: the global Berendsen rescale from the
+    /// all-reduced kinetic energy.
+    #[test]
+    fn golden_bits_2x1x1_berendsen() {
+        let b = dp_md::integrate::Berendsen {
+            target_t: 60.0,
+            tau: 0.05,
+        };
+        assert_eq!(golden_run_2x1x1("berendsen", Some(b)), 7_647_254_443_535_553_548);
     }
 
     #[test]
