@@ -4,26 +4,29 @@
 //! energy, potential energy, temperature and pressure every 20 steps,
 //! §6.1).
 //!
-//! This module is the only place the step arithmetic lives. The paper
-//! runs one integrator under every configuration and changes only the
-//! force provider and the halo around it (§5.1, §5.4); here that is two
-//! layers:
+//! This module is the only place the step arithmetic and the step
+//! schedule live. The paper runs one integrator under every configuration
+//! and changes only the force provider and the halo around it (§5.1,
+//! §5.4); here that is three pieces:
 //!
-//! 1. [`kick_drift`], [`kick`], [`berendsen_rescale`] and
-//!    [`langevin_kick`] — plain functions over the owned atoms
-//!    (`..n_local`) of a [`System`]. The rank-parallel driver calls these
-//!    directly, because its list maintenance is collective.
-//! 2. [`Stepper`] — one standalone trajectory's neighbor list, list
-//!    scratch and Langevin stream, split *around* the force call. The
-//!    serial loop below and the ensemble engine drive it and differ only
-//!    in how they evaluate forces (solo `compute_into` vs one cross-replica
-//!    batch).
+//! 1. [`Schedule`] — when a step checks the list, records thermo, writes
+//!    a checkpoint, audits, reports or exchanges replicas. Every loop asks
+//!    it; none tests a stride itself.
+//! 2. [`Stepper`] — one trajectory's neighbor list, list scratch and
+//!    Langevin stream, split *around* the force call. The serial loop
+//!    below, the ensemble engine and every rank of the parallel driver
+//!    drive it and differ only in how they evaluate forces.
+//! 3. [`Domain`] — where the stepper's atoms live. A standalone
+//!    [`System`] is its own domain; a rank of the parallel driver is one
+//!    whose skin test and temperature are all-reduced and whose list
+//!    builds are wrapped in halo traffic.
 
 use crate::neighbor::{NeighborList, NlScratch};
 use crate::potential::Potential;
 use crate::rng::CounterRng;
 use crate::system::System;
 use crate::units;
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 /// Berendsen weak-coupling thermostat.
@@ -139,58 +142,118 @@ pub struct CheckpointSink<'a> {
     pub save: &'a mut dyn FnMut(&System, MdProgress),
 }
 
-/// First half of a Velocity–Verlet step over the owned atoms: half kick
-/// from the stored forces, drift, wrap into the primary cell.
-pub fn kick_drift(sys: &mut System, dt: f64) {
-    for i in 0..sys.n_local {
-        let inv_m = units::FORCE_TO_ACCEL / sys.masses[sys.types[i]];
-        for d in 0..3 {
-            sys.velocities[i][d] += 0.5 * dt * sys.forces[i][d] * inv_m;
-            sys.positions[i][d] += dt * sys.velocities[i][d];
+/// When each periodic action of a trajectory falls, on the absolute step
+/// number, so a resumed or recovered run keeps the original cadence. The
+/// rebuild-check and thermo strides are positive; the others are off at 0.
+#[derive(Debug, Clone, Copy)]
+pub struct Schedule {
+    rebuild_every: usize,
+    thermo_every: usize,
+    /// Last step of the run, a thermo step whatever the stride
+    /// (`usize::MAX`: none).
+    pub end: usize,
+    pub checkpoint_every: usize,
+    /// Invariant audits and load-balance heartbeats of the parallel driver.
+    pub audit_every: usize,
+    pub report_every: usize,
+    /// Replica-exchange rounds of the ensemble engine.
+    pub exchange_every: usize,
+}
+
+impl Schedule {
+    /// These rebuild-check and thermo strides, no last step, every other
+    /// stride off; refuses a zero rebuild-check or thermo stride.
+    pub fn new(rebuild_every: usize, thermo_every: usize) -> Result<Self, String> {
+        if rebuild_every == 0 || thermo_every == 0 {
+            return Err(format!(
+                "rebuild_every ({rebuild_every}) and thermo_every ({thermo_every}) must be positive"
+            ));
         }
-        sys.positions[i] = sys.cell.wrap(sys.positions[i]);
+        Ok(Self {
+            rebuild_every,
+            thermo_every,
+            end: usize::MAX,
+            checkpoint_every: 0,
+            audit_every: 0,
+            report_every: 0,
+            exchange_every: 0,
+        })
+    }
+
+    /// Check the skin displacement (the list is rebuilt only if it says so).
+    pub fn rebuild_check(&self, step: usize) -> bool {
+        step.is_multiple_of(self.rebuild_every)
+    }
+
+    pub fn thermo(&self, step: usize) -> bool {
+        step.is_multiple_of(self.thermo_every) || step == self.end
+    }
+
+    pub fn checkpoint(&self, step: usize) -> bool {
+        due(self.checkpoint_every, step)
+    }
+
+    pub fn audit(&self, step: usize) -> bool {
+        due(self.audit_every, step)
+    }
+
+    pub fn heartbeat(&self, step: usize) -> bool {
+        due(self.report_every, step)
+    }
+
+    pub fn exchange(&self, step: usize) -> bool {
+        due(self.exchange_every, step)
     }
 }
 
-/// Second half kick over the owned atoms, from the freshly stored forces.
-pub fn kick(sys: &mut System, dt: f64) {
-    for i in 0..sys.n_local {
-        let inv_m = units::FORCE_TO_ACCEL / sys.masses[sys.types[i]];
-        for d in 0..3 {
-            sys.velocities[i][d] += 0.5 * dt * sys.forces[i][d] * inv_m;
-        }
+fn due(every: usize, step: usize) -> bool {
+    every > 0 && step.is_multiple_of(every)
+}
+
+/// Where a [`Stepper`]'s atoms live: what the skin test, the halo around a
+/// list build and the thermostat's temperature span.
+pub trait Domain {
+    /// Why a collective step failed.
+    type Error;
+    /// The atoms: owned `..n_local`, then any ghosts.
+    fn sys(&mut self) -> &mut System;
+    /// Before the force call: whether the list `nl` must be rebuilt (only
+    /// ever on a rebuild-check step, `check`) with the atoms made ready for
+    /// the build, or else the ghosts of `nl` refreshed.
+    fn refresh(&mut self, nl: &NeighborList, skin: f64, check: bool) -> Result<bool, Self::Error>;
+    /// The trajectory's temperature (K), for the Berendsen thermostat.
+    fn temperature(&mut self) -> Result<f64, Self::Error>;
+    /// After the step-`step` checkpoint was written: put the atoms into
+    /// the state a restart from it reconstructs, ahead of a list build.
+    fn realign(&mut self, _step: usize) -> Result<(), Self::Error> {
+        Ok(())
+    }
+    /// One list build took `d`.
+    fn built(&mut self, _d: Duration) {}
+}
+
+/// A standalone system: local skin test, no halo, its own temperature.
+impl Domain for System {
+    type Error = Infallible;
+
+    fn sys(&mut self) -> &mut System {
+        self
+    }
+
+    fn refresh(&mut self, nl: &NeighborList, skin: f64, check: bool) -> Result<bool, Infallible> {
+        Ok(check && nl.needs_rebuild(self, skin))
+    }
+
+    fn temperature(&mut self) -> Result<f64, Infallible> {
+        Ok(System::temperature(self))
     }
 }
 
-/// Berendsen weak-coupling rescale of the owned atoms' velocities toward
-/// `b.target_t`, given the current `temperature`: a standalone system
-/// passes `sys.temperature()`, a rank passes the all-reduced global one.
-pub fn berendsen_rescale(sys: &mut System, b: Berendsen, dt: f64, temperature: f64) {
-    if temperature > 0.0 {
-        let lambda = (1.0 + dt / b.tau * (b.target_t / temperature - 1.0)).sqrt();
-        for v in sys.velocities[..sys.n_local].iter_mut().flatten() {
-            *v *= lambda;
-        }
-    }
-}
-
-/// Langevin O-step (BAOAB-style) over the owned atoms:
-/// `v <- c v + sqrt((1-c²) kB T / m) ξ`, ξ drawn by Box–Muller from `rng`.
-pub fn langevin_kick(sys: &mut System, l: Langevin, dt: f64, rng: &mut CounterRng) {
-    let c = (-l.gamma * dt).exp();
-    let amp_base = (1.0 - c * c) * units::KB * l.target_t * units::FORCE_TO_ACCEL;
-    for i in 0..sys.n_local {
-        let amp = (amp_base / sys.masses[sys.types[i]]).sqrt();
-        for d in 0..3 {
-            sys.velocities[i][d] = c * sys.velocities[i][d] + amp * rng.gauss();
-        }
-    }
-}
-
-/// One standalone trajectory's stepping state: neighbor list, list scratch
-/// (both allocated once and reused, §5.2.2 arena reuse) and the Langevin
-/// stream. A step is `advance_to_force` → the caller's force evaluation
-/// over [`Stepper::neighbor_list`] into `sys.forces` → `finish`.
+/// One trajectory's stepping state: neighbor list, list scratch (both
+/// allocated once and reused, §5.2.2 arena reuse), the Langevin stream
+/// and the rebuild-check stride. A step is `advance_to_force` → the
+/// caller's force evaluation over [`Stepper::neighbor_list`] into the
+/// domain's forces → `finish`.
 pub struct Stepper {
     nl: NeighborList,
     scratch: NlScratch,
@@ -198,12 +261,13 @@ pub struct Stepper {
     cutoff: f64,
     rng: Option<CounterRng>,
     rebuilds: usize,
+    schedule: Schedule,
 }
 
 impl Stepper {
-    /// Build the first list for `sys` at `pot_cutoff + opts.skin` and
+    /// Build the first list for `dom` at `pot_cutoff + opts.skin` and
     /// position the Langevin stream (if any) at draw `rng_draws`.
-    pub fn new(sys: &System, pot_cutoff: f64, opts: &MdOptions, rng_draws: u64) -> Self {
+    pub fn new<D: Domain>(dom: &mut D, pot_cutoff: f64, opts: &MdOptions, rng_draws: u64) -> Self {
         assert!(opts.dt > 0.0, "time step must be positive");
         assert!(
             !(opts.thermostat.is_some() && opts.langevin.is_some()),
@@ -217,8 +281,10 @@ impl Stepper {
                 .langevin
                 .map(|l| CounterRng::with_draws(l.seed, rng_draws)),
             rebuilds: 0,
+            schedule: Schedule::new(opts.rebuild_every, opts.thermo_every)
+                .unwrap_or_else(|e| panic!("{e}")),
         };
-        stepper.rebuild(sys, pot_cutoff + opts.skin);
+        stepper.rebuild(dom, pot_cutoff + opts.skin);
         stepper
     }
 
@@ -232,61 +298,99 @@ impl Stepper {
         self.rebuilds
     }
 
-    /// Rebuild the list at `cutoff` (potential cutoff + skin), e.g. after
-    /// the potential was swapped for one with a different range.
-    pub fn rebuild(&mut self, sys: &System, cutoff: f64) {
-        let _span = dp_obs::span("neighbor_rebuild");
+    /// Rebuild the list at `cutoff` (potential cutoff + skin): the
+    /// stepper's own, or a new one after the potential was swapped for one
+    /// with a different range.
+    pub fn rebuild<D: Domain>(&mut self, dom: &mut D, cutoff: f64) {
         self.cutoff = cutoff;
-        self.build(sys);
-    }
-
-    fn build(&mut self, sys: &System) {
-        self.nl.build_into(sys, self.cutoff, &mut self.scratch);
+        let ((), d) = dp_obs::timed("neighbor_rebuild", || {
+            self.nl.build_into(dom.sys(), cutoff, &mut self.scratch)
+        });
         self.rebuilds += 1;
+        dom.built(d);
     }
 
     /// Everything of step `step` that precedes the force evaluation: half
-    /// kick + drift, then neighbor maintenance on the paper's schedule (a
-    /// displacement check every `rebuild_every` steps). Returns whether
-    /// the list was rebuilt.
-    pub fn advance_to_force(&mut self, sys: &mut System, opts: &MdOptions, step: usize) -> bool {
+    /// kick from the stored forces, drift and wrap of the owned atoms, then
+    /// neighbor maintenance. Returns whether the list was rebuilt.
+    pub fn advance_to_force<D: Domain>(
+        &mut self,
+        dom: &mut D,
+        opts: &MdOptions,
+        step: usize,
+    ) -> Result<bool, D::Error> {
         {
             let _span = dp_obs::span("integrate");
-            kick_drift(sys, opts.dt);
+            let (sys, dt) = (dom.sys(), opts.dt);
+            for i in 0..sys.n_local {
+                let inv_m = units::FORCE_TO_ACCEL / sys.masses[sys.types[i]];
+                for d in 0..3 {
+                    sys.velocities[i][d] += 0.5 * dt * sys.forces[i][d] * inv_m;
+                    sys.positions[i][d] += dt * sys.velocities[i][d];
+                }
+                sys.positions[i] = sys.cell.wrap(sys.positions[i]);
+            }
         }
-        let due = step.is_multiple_of(opts.rebuild_every) && self.nl.needs_rebuild(sys, opts.skin);
-        if due {
-            self.rebuild(sys, self.cutoff);
+        let rebuild = dom.refresh(&self.nl, opts.skin, self.schedule.rebuild_check(step))?;
+        if rebuild {
+            self.rebuild(dom, self.cutoff);
         }
-        due
+        Ok(rebuild)
     }
 
-    /// Everything that follows the force evaluation: second half kick,
-    /// then the thermostat `opts` selects.
-    pub fn finish(&mut self, sys: &mut System, opts: &MdOptions) {
+    /// Everything that follows the force evaluation: second half kick of
+    /// the owned atoms from the fresh forces, then the thermostat `opts`
+    /// selects.
+    pub fn finish<D: Domain>(&mut self, dom: &mut D, opts: &MdOptions) -> Result<(), D::Error> {
         let _span = dp_obs::span("integrate");
-        kick(sys, opts.dt);
+        let dt = opts.dt;
+        let sys = dom.sys();
+        for i in 0..sys.n_local {
+            let inv_m = units::FORCE_TO_ACCEL / sys.masses[sys.types[i]];
+            for d in 0..3 {
+                sys.velocities[i][d] += 0.5 * dt * sys.forces[i][d] * inv_m;
+            }
+        }
+        // Berendsen weak coupling toward `b.target_t`
         if let Some(b) = opts.thermostat {
-            let t = sys.temperature();
-            berendsen_rescale(sys, b, opts.dt, t);
+            let t = dom.temperature()?;
+            if t > 0.0 {
+                let lambda = (1.0 + dt / b.tau * (b.target_t / t - 1.0)).sqrt();
+                let sys = dom.sys();
+                for v in sys.velocities[..sys.n_local].iter_mut().flatten() {
+                    *v *= lambda;
+                }
+            }
         }
+        // Langevin O-step (BAOAB-style): `v <- c v + sqrt((1-c²) kB T / m) ξ`,
+        // ξ drawn by Box–Muller
         if let (Some(l), Some(rng)) = (opts.langevin, self.rng.as_mut()) {
-            langevin_kick(sys, l, opts.dt, rng);
+            let sys = dom.sys();
+            let c = (-l.gamma * dt).exp();
+            let amp_base = (1.0 - c * c) * units::KB * l.target_t * units::FORCE_TO_ACCEL;
+            for i in 0..sys.n_local {
+                let amp = (amp_base / sys.masses[sys.types[i]]).sqrt();
+                for d in 0..3 {
+                    sys.velocities[i][d] = c * sys.velocities[i][d] + amp * rng.gauss();
+                }
+            }
         }
+        Ok(())
     }
 
-    /// Call when checkpointing after step `step`: rebuilds the list, so
-    /// this trajectory and any one resumed from the checkpoint (which
-    /// necessarily starts with a fresh list) continue from identical
-    /// state — force summation order, and therefore the trajectory, stays
-    /// bit-exact across the restart — and returns what the checkpoint
-    /// must carry beside the `System`.
-    pub fn checkpoint(&mut self, sys: &System, step: usize) -> MdProgress {
-        self.build(sys);
-        MdProgress {
+    /// Call when checkpointing after step `step`: realigns the domain and
+    /// rebuilds the list, so this trajectory and any one resumed from the
+    /// checkpoint (which necessarily starts with a fresh list) continue
+    /// from identical state — force summation order, and therefore the
+    /// trajectory, stays bit-exact across the restart — and returns what
+    /// the checkpoint must carry beside the `System`.
+    pub fn checkpoint<D: Domain>(&mut self, dom: &mut D, step: usize) -> Result<MdProgress, D::Error> {
+        dom.realign(step)?;
+        self.rebuild(dom, self.cutoff);
+        Ok(MdProgress {
             step,
             rng_draws: self.rng.as_ref().map_or(0, |r| r.draws()),
-        }
+        })
     }
 }
 
@@ -301,7 +405,7 @@ pub fn run_md(
     n_steps: usize,
     observer: impl FnMut(&ThermoSample),
 ) -> MdRun {
-    run_md_resumable(sys, pot, opts, n_steps, MdProgress::default(), observer, None)
+    run_md_resumable(sys, pot, opts, n_steps, Default::default(), observer, None)
 }
 
 /// Velocity–Verlet from `resume.step` up to `end_step` (absolute step
@@ -331,7 +435,11 @@ pub fn run_md_resumable(
     let resuming = resume.step > 0;
     let start = Instant::now();
     let mut stepper = Stepper::new(sys, pot.cutoff(), opts, resume.rng_draws);
-    let mut evaluations = 0usize;
+    let schedule = Schedule {
+        end: end_step,
+        checkpoint_every: checkpoint.as_ref().map_or(0, |ck| ck.every),
+        ..stepper.schedule
+    };
     // The force output is allocated once here and reused by every step.
     let mut out = crate::potential::PotentialOutput::zeros(sys.len());
     if resuming {
@@ -341,54 +449,48 @@ pub fn run_md_resumable(
         let _span = dp_obs::span("force_eval");
         pot.compute_into(sys, stepper.neighbor_list(), &mut out);
         sys.forces.clone_from(&out.forces);
-        evaluations += 1;
     }
 
     let n_steps = end_step - resume.step;
-    let mut thermo = Vec::with_capacity(n_steps / opts.thermo_every.max(1) + 1);
-    let record =
-        |step: usize, sys: &System, out: &crate::potential::PotentialOutput,
-         thermo: &mut Vec<ThermoSample>,
-         observer: &mut dyn FnMut(&ThermoSample)| {
-            let s = ThermoSample {
-                step,
-                potential_energy: out.energy,
-                kinetic_energy: sys.kinetic_energy(),
-                temperature: sys.temperature(),
-                pressure: out.pressure(sys),
-            };
-            observer(&s);
-            thermo.push(s);
+    let mut thermo = Vec::with_capacity(n_steps / opts.thermo_every + 1);
+    let mut record = |step: usize, sys: &System, out: &crate::potential::PotentialOutput| {
+        let s = ThermoSample {
+            step,
+            potential_energy: out.energy,
+            kinetic_energy: sys.kinetic_energy(),
+            temperature: sys.temperature(),
+            pressure: out.pressure(sys),
         };
+        observer(&s);
+        thermo.push(s);
+    };
     if !resuming {
-        record(0, sys, &out, &mut thermo, &mut observer);
+        record(0, sys, &out);
     }
 
     for step in resume.step + 1..=end_step {
         // per-step metrics (s/step/atom, GFLOPS) when a sink is installed
         let step_start = dp_obs::metrics::active().then(Instant::now);
 
-        if stepper.advance_to_force(sys, opts, step) {
+        let Ok(rebuilt) = stepper.advance_to_force(sys, opts, step);
+        if rebuilt {
             dp_obs::counter("neighbor_rebuilds").add(1);
         }
         {
             let _span = dp_obs::span("force_eval");
             pot.compute_into(sys, stepper.neighbor_list(), &mut out);
         }
-        evaluations += 1;
         sys.forces.clone_from(&out.forces);
-        stepper.finish(sys, opts);
+        let Ok(()) = stepper.finish(sys, opts);
 
-        if step % opts.thermo_every == 0 || step == end_step {
-            record(step, sys, &out, &mut thermo, &mut observer);
+        if schedule.thermo(step) {
+            record(step, sys, &out);
         }
 
-        if let Some(ck) = checkpoint.as_mut() {
-            if ck.every > 0 && step % ck.every == 0 {
-                let _span = dp_obs::span("io");
-                let progress = stepper.checkpoint(sys, step);
-                (ck.save)(sys, progress);
-            }
+        if let Some(ck) = checkpoint.as_mut().filter(|_| schedule.checkpoint(step)) {
+            let _span = dp_obs::span("io");
+            let Ok(progress) = stepper.checkpoint(sys, step);
+            (ck.save)(sys, progress);
         }
 
         if let Some(t0) = step_start {
@@ -401,7 +503,7 @@ pub fn run_md_resumable(
         steps: n_steps,
         neighbor_rebuilds: stepper.rebuilds(),
         loop_time: start.elapsed(),
-        evaluations,
+        evaluations: n_steps + usize::from(!resuming),
     }
 }
 
@@ -544,6 +646,39 @@ mod tests {
             ..Default::default()
         };
         run_md(&mut sys, &lj, &opts, 1, |_| {});
+    }
+
+    #[test]
+    fn schedule_answers_each_stride() {
+        let mut s = Schedule::new(5, 10).unwrap();
+        s.end = 23;
+        s.checkpoint_every = 4;
+        assert!(s.rebuild_check(0) && s.rebuild_check(15) && !s.rebuild_check(7));
+        let thermo: Vec<usize> = (0..=23).filter(|&k| s.thermo(k)).collect();
+        assert_eq!(thermo, [0, 10, 20, 23]);
+        assert!(s.checkpoint(8) && !s.checkpoint(10));
+        // strides left at 0 are off
+        assert!((1..=23).all(|k| !s.audit(k) && !s.heartbeat(k) && !s.exchange(k)));
+    }
+
+    /// A zero rebuild-check or thermo stride is refused up front: the serial
+    /// loop used to read a zero rebuild stride as "never rebuild" and panic
+    /// on `step % 0` for a zero thermo stride.
+    #[test]
+    fn zero_strides_rejected() {
+        for (rebuild_every, thermo_every) in [(0, 20), (50, 0)] {
+            let opts = MdOptions {
+                rebuild_every,
+                thermo_every,
+                ..Default::default()
+            };
+            let err = std::panic::catch_unwind(|| {
+                run_md(&mut argon_crystal(), &argon_lj(), &opts, 1, |_| {})
+            })
+            .unwrap_err();
+            let msg = err.downcast_ref::<String>().unwrap();
+            assert!(msg.contains("must be positive"), "{msg}");
+        }
     }
 
     /// 2N straight vs N + checkpoint + resume + N must agree bitwise.

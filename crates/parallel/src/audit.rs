@@ -1,9 +1,7 @@
 //! The periodic invariant audit a rank runs on the `audit_every` stride.
 
-use crate::comm::RankComm;
-use crate::driver::{AuditFailure, RankStats};
-use crate::halo::RankState;
-use crate::rank::{RankCtx, RankError};
+use crate::driver::AuditFailure;
+use crate::rank::{Rank, RankError};
 
 /// One collective conservation audit over the dedicated width-4 barrier:
 /// `[owned atoms, ghost violations, step, seq gaps]` per rank. Checks
@@ -12,14 +10,11 @@ use crate::rank::{RankCtx, RankError};
 /// message sequencing. Every rank sees the same reduced totals, so a
 /// violation fails all ranks with the same typed report.
 pub(crate) fn audit_step(
-    st: &RankState,
-    comm: &RankComm,
-    ctx: &RankCtx<'_>,
+    r: &mut Rank<'_>,
     step: usize,
     last: &mut Option<usize>,
-    stats: &mut RankStats,
 ) -> Result<(), RankError> {
-    let rank = st.rank;
+    let (st, ctx, rank) = (&r.st, r.ctx, r.st.rank);
     let fail = |check: &'static str, detail: String| {
         Err(RankError::Audit(AuditFailure {
             rank,
@@ -62,15 +57,11 @@ pub(crate) fn audit_step(
         reported_local,
         ghost_violations as f64,
         step as f64,
-        comm.seq_gap_count() as f64,
+        r.comm.seq_gap_count() as f64,
     ];
     let mut tot = [0.0; 4];
-    let (res, d) = dp_obs::timed("reduce", || {
-        ctx.audit_reduce.reduce_into(rank, &payload, &mut tot)
-    });
-    stats.reduce_time += d;
-    res?;
-    let n_ranks = comm.to.len();
+    r.reduce(ctx.audit_reduce, &payload, &mut tot)?;
+    let n_ranks = r.comm.to.len();
     if tot[0] as usize != ctx.n_atoms {
         return fail(
             "atom_count",

@@ -77,6 +77,14 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
+impl CommError {
+    /// `from` broke the message schedule: it sent something other than
+    /// `expected`.
+    pub(crate) fn protocol(from: usize, expected: &'static str) -> Self {
+        CommError::Protocol { from, expected }
+    }
+}
+
 /// One ghost atom shipped at exchange time.
 #[derive(Debug, Clone, Copy)]
 pub struct GhostAtom {
@@ -213,10 +221,8 @@ impl RankComm {
                 SendAction::Delay(d) => std::thread::sleep(d),
             }
         }
-        let tx = self.to[dest].as_ref().ok_or(CommError::Protocol {
-            from: dest,
-            expected: "a non-self destination",
-        })?;
+        let tx = self.to[dest].as_ref();
+        let tx = tx.ok_or(CommError::protocol(dest, "a non-self destination"))?;
         if dp_obs::enabled() {
             dp_obs::hist::record("comm.ghost_bytes", ghost_payload_bytes(&msg));
             let t0 = Instant::now();
@@ -232,10 +238,8 @@ impl RankComm {
     }
 
     pub fn recv(&self, src: usize) -> Result<Msg, CommError> {
-        let rx = self.from[src].as_ref().ok_or(CommError::Protocol {
-            from: src,
-            expected: "a non-self source",
-        })?;
+        let rx = self.from[src].as_ref();
+        let rx = rx.ok_or(CommError::protocol(src, "a non-self source"))?;
         let t0 = dp_obs::enabled().then(Instant::now);
         let envelope = match rx.recv_timeout(self.deadline) {
             Ok(e) => e,
@@ -254,10 +258,8 @@ impl RankComm {
         if envelope.seq != expected {
             dp_obs::counter("comm.seq_gap").add(1);
             self.seq_gaps.fetch_add(1, Ordering::Relaxed);
-            return Err(CommError::Protocol {
-                from: src,
-                expected: "the next message sequence number (a message was lost or reordered)",
-            });
+            let expected = "the next message sequence number (a message was lost or reordered)";
+            return Err(CommError::protocol(src, expected));
         }
         Ok(envelope.msg)
     }

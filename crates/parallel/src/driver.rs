@@ -1,12 +1,12 @@
 //! The parallel Velocity–Verlet driver with supervised fault recovery.
 //!
 //! One OS thread per rank (the rank side lives in `rank.rs`); each step
-//! performs the LAMMPS communication cycle the paper inherits (§5.4):
-//! forward ghost refresh → force evaluation → reverse force
-//! communication → (optionally deferred) global reductions.
-//! Neighbor-list rebuild decisions are collective, so the message
-//! schedule is identical on every rank. This module holds the public
-//! types and the supervisor.
+//! is `dp_md::integrate`'s, with the LAMMPS communication cycle the paper
+//! inherits around the force call (§5.4): forward ghost refresh → force
+//! evaluation → reverse force communication, and global reductions on the
+//! output stride. Neighbor-list rebuild decisions are collective and every
+//! step follows one `Schedule`, so the message schedule is identical on
+//! every rank. This module holds the public types and the supervisor.
 //!
 //! # Supervision
 //!
@@ -61,7 +61,7 @@ use crate::rank::{run_epoch, EpochOutcome};
 use crate::shard::{assemble, RankShard};
 use dp_ckpt::{CkptError, Rotation};
 use dp_md::checkpoint::MdCheckpoint;
-use dp_md::integrate::{MdOptions, MdProgress, ThermoSample};
+use dp_md::integrate::{MdOptions, MdProgress, Schedule, ThermoSample};
 use dp_md::{Potential, System};
 use dp_obs::ImbalanceReport;
 use std::collections::BTreeMap;
@@ -92,12 +92,9 @@ pub struct ParallelCkpt {
 /// Options for a parallel run.
 #[derive(Debug, Clone)]
 pub struct ParallelOptions {
+    /// Integration options. Thermodynamic output is reduced only on the
+    /// thermo steps (the paper's reduced output frequency, §5.4).
     pub md: MdOptions,
-    /// `true`: allreduce thermodynamic output every step (the baseline
-    /// behaviour whose implicit barrier the paper works around);
-    /// `false`: reduce only on output steps (reduced output frequency +
-    /// `MPI_Iallreduce`, §5.4).
-    pub blocking_reduce: bool,
     /// Absolute step number of the input state. Thermo samples and
     /// checkpoints are labelled with absolute steps, so a resumed run
     /// continues the original numbering instead of restarting at zero.
@@ -143,7 +140,6 @@ impl Default for ParallelOptions {
     fn default() -> Self {
         Self {
             md: MdOptions::default(),
-            blocking_reduce: false,
             start_step: 0,
             start_rng_draws: 0,
             checkpoint: None,
@@ -326,6 +322,12 @@ pub fn run_parallel_md(
         ));
     }
     let end_step = opts.start_step + n_steps;
+    let mut schedule =
+        Schedule::new(opts.md.rebuild_every, opts.md.thermo_every).map_err(RunError::Config)?;
+    schedule.end = end_step;
+    schedule.checkpoint_every = opts.checkpoint.as_ref().map_or(0, |c| c.every);
+    schedule.audit_every = opts.audit_every;
+    schedule.report_every = opts.report_every;
     let faults = opts
         .faults
         .as_ref()
@@ -356,7 +358,7 @@ pub fn run_parallel_md(
             opts,
             start_step,
             start_rng,
-            end_step,
+            &schedule,
             halo,
             faults.clone(),
         );
@@ -437,7 +439,7 @@ pub fn run_parallel_md(
         // an invariant-audit violation is evidence of state corruption:
         // fail fast with the typed report instead of recovering — a
         // checkpoint written after the violation cannot be trusted either
-        if let Some(failure) = epoch.audit().cloned() {
+        if let Some(failure) = epoch.outcomes.iter().find_map(|o| o.audit.clone()) {
             dp_obs::counter("audit.failed").add(1);
             emit_flight_lines(dp_obs::flight::dump("audit_failure"));
             return Err(RunError::Audit { failure });
@@ -594,7 +596,8 @@ fn emit_flight_lines(lines: Vec<String>) {
 
 fn record_failed_epoch_metrics(epoch: &EpochOutcome, start_step: usize, n_atoms: usize) {
     if dp_obs::metrics::active() {
-        dp_obs::metrics::record_step(epoch.last_step(start_step) as u64, n_atoms, epoch.wall);
+        let last_step = epoch.best_thermo().last().map_or(start_step, |s| s.step);
+        dp_obs::metrics::record_step(last_step as u64, n_atoms, epoch.wall);
         // The sink's writer is buffered and a failed epoch may be the
         // last thing this process does: flush so the fault/recovery
         // counters and the dying epoch's histogram rows reach disk even
@@ -716,7 +719,6 @@ mod tests {
                 thermo_every: 10,
                 ..MdOptions::default()
             },
-            blocking_reduce: false,
             ..ParallelOptions::default()
         };
         let steps = 30;
@@ -746,7 +748,6 @@ mod tests {
                 thermo_every: 20,
                 ..MdOptions::default()
             },
-            blocking_reduce: false,
             ..ParallelOptions::default()
         };
         let run = run_parallel_md(&test_system(), pot, [2, 2, 2], &opts, 200).unwrap();
@@ -772,7 +773,6 @@ mod tests {
                 rebuild_every: 5,
                 ..MdOptions::default()
             },
-            blocking_reduce: false,
             ..ParallelOptions::default()
         };
         let run = run_parallel_md(&sys, pot, [2, 2, 2], &opts, 100).unwrap();
@@ -782,27 +782,37 @@ mod tests {
         assert!(run.rank_stats.iter().all(|s| s.rebuilds >= 1));
     }
 
+    /// Thermo output is reduced only on the thermo steps (§5.4): 40 NVE
+    /// steps at a stride of 20 reduce at steps 0, 20 and 40, nowhere else.
     #[test]
-    fn deferred_reduce_is_less_chatty() {
-        let pot = lj();
-        let sys = test_system();
-        let mut opts = ParallelOptions {
+    fn thermo_reduces_only_on_output_steps() {
+        let opts = ParallelOptions {
             md: MdOptions {
                 thermo_every: 20,
                 ..MdOptions::default()
             },
-            blocking_reduce: true,
             ..ParallelOptions::default()
         };
-        let blocking = run_parallel_md(&sys, pot.clone(), [2, 1, 1], &opts, 40).unwrap();
-        opts.blocking_reduce = false;
-        let deferred = run_parallel_md(&sys, pot, [2, 1, 1], &opts, 40).unwrap();
-        assert!(
-            deferred.reduce_operations < blocking.reduce_operations,
-            "deferred {} !< blocking {}",
-            deferred.reduce_operations,
-            blocking.reduce_operations
-        );
+        let run = run_parallel_md(&test_system(), lj(), [2, 1, 1], &opts, 40).unwrap();
+        assert_eq!(run.reduce_operations, 3);
+    }
+
+    /// A zero rebuild-check or thermo stride is refused before any rank
+    /// starts, not left to a rank's `step % 0`.
+    #[test]
+    fn zero_stride_is_a_config_error() {
+        for (rebuild_every, thermo_every) in [(0, 20), (50, 0)] {
+            let opts = ParallelOptions {
+                md: MdOptions {
+                    rebuild_every,
+                    thermo_every,
+                    ..MdOptions::default()
+                },
+                ..ParallelOptions::default()
+            };
+            let err = run_parallel_md(&test_system(), lj(), [2, 1, 1], &opts, 1).unwrap_err();
+            assert!(matches!(err, RunError::Config(_)), "got {err:?}");
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! functions here are the LAMMPS communication cycle the paper inherits:
 //! [`migrate`] (owner change), [`exchange`] (full ghost set at a rebuild),
 //! [`forward_comm`] (ghost position refresh between rebuilds) and
-//! [`reverse_comm`] / [`add_reverse_forces`] (ghost forces back to their
-//! owners). Every schedule is static and collective.
+//! [`reverse_comm`] (ghost forces back to their owners). Every schedule is
+//! static and collective.
 
 use crate::comm::{CommError, GhostAtom, Msg, OwnedAtom, RankComm};
 use crate::driver::RankStats;
@@ -107,23 +107,15 @@ impl RankState {
             .any(|(&p, &q)| self.sys.cell.distance2(p, q) > lim2)
     }
 
-    /// Sort the owned atoms into global-id order (no ghosts may be
-    /// present). A checkpoint restart scatters atoms in exactly this
-    /// order, so sorting after a gather puts the live run and any future
-    /// recovery in the same state.
+    /// Sort the owned atoms into global-id order, dropping any ghosts. A
+    /// checkpoint restart scatters atoms in exactly this order, so sorting
+    /// after a gather puts the live run and any future recovery in the
+    /// same state.
     pub fn sort_locals_by_id(&mut self) {
-        let n = self.ids.len();
-        debug_assert_eq!(self.sys.len(), n, "sort requires ghosts truncated");
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&k| self.ids[k as usize]);
-        fn permuted<T: Copy>(v: &[T], order: &[u32]) -> Vec<T> {
-            order.iter().map(|&k| v[k as usize]).collect()
-        }
-        self.ids = permuted(&self.ids, &order);
-        self.sys.types = permuted(&self.sys.types, &order);
-        self.sys.positions = permuted(&self.sys.positions, &order);
-        self.sys.velocities = permuted(&self.sys.velocities, &order);
-        self.sys.forces = permuted(&self.sys.forces, &order);
+        let mut atoms: Vec<OwnedAtom> = self.owned_atoms().collect();
+        atoms.sort_unstable_by_key(|a| a.id);
+        self.truncate(0);
+        atoms.into_iter().for_each(|a| self.push_owned(a));
     }
 }
 
@@ -173,12 +165,7 @@ pub(crate) fn migrate(
         }
         match comm.recv(src)? {
             Msg::Migrants(v) => v.into_iter().for_each(|a| st.push_owned(a)),
-            _ => {
-                return Err(CommError::Protocol {
-                    from: src,
-                    expected: "Migrants",
-                })
-            }
+            _ => return Err(CommError::protocol(src, "Migrants")),
         }
     }
     Ok(())
@@ -200,9 +187,7 @@ pub(crate) fn exchange(
     // send lists are rebuilt in place (inner vectors keep their capacity);
     // the ghost payloads themselves are moved into the channel, so those
     // are the only per-exchange allocations left
-    if st.send_lists.len() != st.partners.len() {
-        st.send_lists.resize_with(st.partners.len(), Vec::new);
-    }
+    st.send_lists.resize_with(st.partners.len(), Vec::new);
     for (slot, &dest) in st.partners.iter().enumerate() {
         let list = &mut st.send_lists[slot];
         list.clear();
@@ -236,12 +221,7 @@ pub(crate) fn exchange(
                     st.sys.types.push(g.ty as usize);
                 }
             }
-            _ => {
-                return Err(CommError::Protocol {
-                    from: src,
-                    expected: "Ghosts",
-                })
-            }
+            _ => return Err(CommError::protocol(src, "Ghosts")),
         }
     }
     let n = st.sys.positions.len();
@@ -267,62 +247,36 @@ pub(crate) fn forward_comm(st: &mut RankState, comm: &RankComm) -> Result<(), Co
     let mut offset = st.ids.len();
     for (slot, &src) in st.partners.iter().enumerate() {
         match comm.recv(src)? {
-            Msg::GhostPositions(v) => {
-                if v.len() != st.recv_counts[slot] {
-                    return Err(CommError::Protocol {
-                        from: src,
-                        expected: "GhostPositions matching the ghost schedule",
-                    });
-                }
+            Msg::GhostPositions(v) if v.len() == st.recv_counts[slot] => {
                 st.sys.positions[offset..offset + v.len()].copy_from_slice(&v);
                 offset += v.len();
             }
-            _ => {
-                return Err(CommError::Protocol {
-                    from: src,
-                    expected: "GhostPositions",
-                })
-            }
+            _ => return Err(CommError::protocol(src, "GhostPositions as scheduled")),
         }
     }
     Ok(())
 }
 
 /// Reverse communication: send the forces accumulated on ghosts (the tail
-/// of `sys.forces`, in partner order) back to their owners.
-pub(crate) fn reverse_comm(st: &RankState, comm: &RankComm) -> Result<(), CommError> {
+/// of `sys.forces`, in partner order) back to their owners, and add the
+/// ones received to the owned atoms.
+pub(crate) fn reverse_comm(st: &mut RankState, comm: &RankComm) -> Result<(), CommError> {
     let mut offset = st.ids.len();
     for (&src, &count) in st.partners.iter().zip(&st.recv_counts) {
         let payload = st.sys.forces[offset..offset + count].to_vec();
         offset += count;
         comm.send(src, Msg::GhostForces(payload))?;
     }
-    Ok(())
-}
-
-/// Receive the reverse-communicated forces and add them to the owned atoms.
-pub(crate) fn add_reverse_forces(st: &mut RankState, comm: &RankComm) -> Result<(), CommError> {
     for (slot, &src) in st.partners.iter().enumerate() {
         match comm.recv(src)? {
-            Msg::GhostForces(v) => {
-                if v.len() != st.send_lists[slot].len() {
-                    return Err(CommError::Protocol {
-                        from: src,
-                        expected: "GhostForces matching the reverse schedule",
-                    });
-                }
+            Msg::GhostForces(v) if v.len() == st.send_lists[slot].len() => {
                 for (f, &k) in v.iter().zip(&st.send_lists[slot]) {
                     for (acc, x) in st.sys.forces[k as usize].iter_mut().zip(f) {
                         *acc += x;
                     }
                 }
             }
-            _ => {
-                return Err(CommError::Protocol {
-                    from: src,
-                    expected: "GhostForces",
-                })
-            }
+            _ => return Err(CommError::protocol(src, "GhostForces as scheduled")),
         }
     }
     Ok(())

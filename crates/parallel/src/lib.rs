@@ -12,9 +12,9 @@
 //! * **reverse (force) communication** — forces accumulated on ghost
 //!   copies are sent back and summed into the owners (the DP force
 //!   decomposition makes this identical to LAMMPS `newton on`),
-//! * **global reductions** — energy/virial/temperature allreduces, either
-//!   blocking every step or deferred to the output stride, reproducing the
-//!   paper's `MPI_Iallreduce` + reduced-output-frequency optimizations,
+//! * **global reductions** — energy/virial/temperature allreduces on the
+//!   output stride only, the paper's reduced-output-frequency
+//!   optimization,
 //! * **parallel setup** (§7.3) — replicated build-and-scatter versus
 //!   rank-local construction ([`setup`]).
 //!

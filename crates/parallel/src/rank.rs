@@ -1,16 +1,22 @@
 //! One rank's side of an epoch: the rank threads [`run_epoch`] spawns,
 //! the Velocity–Verlet step loop each runs, and the outcome each hands
 //! back to the supervisor in [`crate::driver`].
+//!
+//! A rank drives `dp_md::integrate`'s [`Stepper`] on its [`Schedule`];
+//! [`Rank`] is the [`Domain`] that makes the step collective. The loop adds
+//! only the fault hooks, the force call with its reverse comm, the reduced
+//! thermo record, the checkpoint gather, the audit, the heartbeat and the
+//! flight record.
 
 use crate::audit::audit_step;
 use crate::comm::{Allreduce, CommError, Msg, OwnedAtom, RankComm};
 use crate::driver::{AuditFailure, ParallelCkpt, ParallelOptions, RankStats};
 use crate::fault::{self, FaultState};
 use crate::grid::DomainGrid;
-use crate::halo::{add_reverse_forces, exchange, forward_comm, migrate, reverse_comm, RankState};
+use crate::halo::{exchange, forward_comm, migrate, reverse_comm, RankState};
 use crate::shard::{assemble, shard_rotation, RankShard};
-use dp_md::integrate::{self, MdProgress, ThermoSample};
-use dp_md::{units, NeighborList, NlScratch, Potential, PotentialOutput, System};
+use dp_md::integrate::{Domain, MdProgress, Schedule, Stepper, ThermoSample};
+use dp_md::{units, NeighborList, Potential, PotentialOutput, System};
 use dp_obs::{ImbalanceReport, Registry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -62,10 +68,6 @@ impl EpochOutcome {
             .find_map(|o| o.failure.as_deref())
     }
 
-    pub(crate) fn audit(&self) -> Option<&AuditFailure> {
-        self.outcomes.iter().find_map(|o| o.audit.as_ref())
-    }
-
     /// Longest recorded thermo prefix across ranks.
     pub(crate) fn best_thermo(&self) -> &[ThermoSample] {
         self.outcomes
@@ -75,9 +77,6 @@ impl EpochOutcome {
             .unwrap_or(&[])
     }
 
-    pub(crate) fn last_step(&self, fallback: usize) -> usize {
-        self.best_thermo().last().map_or(fallback, |s| s.step)
-    }
 }
 
 /// Why `rank_loop` ended early.
@@ -93,15 +92,6 @@ impl From<CommError> for RankError {
     }
 }
 
-impl std::fmt::Display for RankError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RankError::Comm(e) => write!(f, "{e}"),
-            RankError::Audit(a) => write!(f, "{a}"),
-        }
-    }
-}
-
 /// Everything a rank thread needs besides its own mutable state. All
 /// referents live in `run_epoch`'s frame, which outlives the scope.
 pub(crate) struct RankCtx<'a> {
@@ -109,7 +99,7 @@ pub(crate) struct RankCtx<'a> {
     pot: &'a Arc<dyn Potential>,
     pub(crate) opts: &'a ParallelOptions,
     start_rng: u64,
-    end_step: usize,
+    schedule: &'a Schedule,
     pub(crate) halo: f64,
     /// Global atom count (the atom-count conservation target).
     pub(crate) n_atoms: usize,
@@ -141,25 +131,22 @@ fn rank_thread(
     comm: RankComm,
     start_step: usize,
 ) -> RankOutcome {
+    let _obs_scope = dp_obs::scope(registry);
     let rank = st.rank;
     let mut stats = RankStats {
         rank,
         ..RankStats::default()
     };
-    let mut thermo = Vec::new();
-    let mut snap = None;
-    let _obs_scope = dp_obs::scope(registry);
-    let res = catch_unwind(AssertUnwindSafe(|| {
-        rank_loop(
-            &mut st,
-            &comm,
-            ctx,
-            start_step,
-            &mut stats,
-            &mut thermo,
-            &mut snap,
-        )
-    }));
+    let (mut thermo, mut snap) = (Vec::new(), None);
+    let mut r = Rank {
+        st: &mut st,
+        stats: &mut stats,
+        thermo: &mut thermo,
+        snap: &mut snap,
+        comm: &comm,
+        ctx,
+    };
+    let res = catch_unwind(AssertUnwindSafe(|| rank_loop(&mut r, start_step)));
     let (failure, cascade, audit) = match res {
         Ok(Ok(())) => (None, false, None),
         Ok(Err(RankError::Comm(e))) => (
@@ -201,7 +188,7 @@ pub(crate) fn run_epoch(
     opts: &ParallelOptions,
     start_step: usize,
     start_rng: u64,
-    end_step: usize,
+    schedule: &Schedule,
     halo: f64,
     faults: Option<Arc<FaultState>>,
 ) -> EpochOutcome {
@@ -266,7 +253,7 @@ pub(crate) fn run_epoch(
         pot,
         opts,
         start_rng,
-        end_step,
+        schedule,
         halo,
         n_atoms: sys.len(),
         thermo_reduce: &thermo_reduce,
@@ -315,51 +302,150 @@ pub(crate) fn run_epoch(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rank_loop(
-    st: &mut RankState,
-    comm: &RankComm,
-    ctx: &RankCtx<'_>,
-    start_step: usize,
-    stats: &mut RankStats,
-    thermo: &mut Vec<ThermoSample>,
-    snap: &mut Option<RankShard>,
-) -> Result<(), RankError> {
-    let grid = ctx.grid;
+/// One rank's atoms, statistics and output, with the mesh and the epoch
+/// context: the [`Domain`] the rank's [`Stepper`] advances.
+pub(crate) struct Rank<'a> {
+    pub(crate) st: &'a mut RankState,
+    stats: &'a mut RankStats,
+    /// Thermo samples recorded so far (see [`RankOutcome::thermo`]).
+    thermo: &'a mut Vec<ThermoSample>,
+    /// The shard of the last realignment (see [`RankOutcome::snap`]).
+    snap: &'a mut Option<RankShard>,
+    pub(crate) comm: &'a RankComm,
+    pub(crate) ctx: &'a RankCtx<'a>,
+}
+
+impl Rank<'_> {
+    /// `f` as one communication phase: a `name` span, its time in
+    /// `comm_time` (and in `io_time` too for `"io"`).
+    fn comm_phase<R>(
+        &mut self,
+        name: &'static str,
+        f: impl FnOnce(&mut Self) -> Result<R, CommError>,
+    ) -> Result<R, CommError> {
+        let (res, d) = dp_obs::timed(name, || f(self));
+        self.stats.comm_time += d;
+        if name == "io" {
+            self.stats.io_time += d;
+        }
+        res
+    }
+
+    /// Sum `x` over the ranks into `sum` through `on`.
+    pub(crate) fn reduce(
+        &mut self,
+        on: &Allreduce,
+        x: &[f64],
+        sum: &mut [f64],
+    ) -> Result<(), CommError> {
+        let (res, d) = dp_obs::timed("reduce", || on.reduce_into(self.st.rank, x, sum));
+        self.stats.reduce_time += d;
+        res
+    }
+}
+
+/// A rank of the decomposed box: the skin test and the temperature are
+/// all-reduced, a list build follows a migrate and a full ghost exchange,
+/// every other step refreshes the ghost positions.
+impl Domain for Rank<'_> {
+    type Error = CommError;
+
+    fn sys(&mut self) -> &mut System {
+        &mut self.st.sys
+    }
+
+    fn refresh(&mut self, _nl: &NeighborList, skin: f64, check: bool) -> Result<bool, CommError> {
+        let mut flag = [0.0];
+        if check {
+            let moved = f64::from(u8::from(self.st.needs_rebuild(skin)));
+            self.reduce(self.ctx.flag_reduce, &[moved], &mut flag)?;
+        }
+        let (grid, halo) = (self.ctx.grid, self.ctx.halo);
+        if flag[0] > 0.0 {
+            self.comm_phase("ghost_exchange", |r| {
+                migrate(r.st, r.comm, grid)?;
+                exchange(r.st, r.comm, grid, halo, r.stats)
+            })?;
+        } else {
+            self.comm_phase("comm", |r| forward_comm(r.st, r.comm))?;
+        }
+        Ok(flag[0] > 0.0)
+    }
+
+    fn temperature(&mut self) -> Result<f64, CommError> {
+        let mut payload = [0.0; 9];
+        payload[0] = self.st.sys.kinetic_energy();
+        payload[1] = self.st.ids.len() as f64;
+        let mut tot = [0.0; 9];
+        self.reduce(self.ctx.thermo_reduce, &payload, &mut tot)?;
+        Ok(units::temperature(tot[0], tot[1] as usize))
+    }
+
+    /// Owner = rank_of_position, locals in global-id order (this rank's
+    /// shard written and kept in memory at that instant), fresh exchange:
+    /// the state a restart from the checkpoint reconstructs, bit for bit.
+    fn realign(&mut self, step: usize) -> Result<(), CommError> {
+        let (ctx, grid) = (self.ctx, self.ctx.grid);
+        self.comm_phase("ghost_exchange", |r| {
+            migrate(r.st, r.comm, grid)?;
+            r.st.sort_locals_by_id();
+            Ok(())
+        })?;
+        if let Some(base) = ctx.shards {
+            let (rank, shard) = (self.st.rank, self.st.capture_shard(step, ctx.start_rng));
+            self.comm_phase("io", |_| {
+                match shard.save(base) {
+                    Ok(path) => {
+                        let torn = ctx.faults.is_some_and(|f| f.shard_sabotage(rank, step));
+                        if torn
+                            && fault::sabotage_file(&path, fault::CkptSabotage::TornWrite).is_ok()
+                        {
+                            dp_obs::counter("fault.shard_sabotaged").add(1);
+                        }
+                    }
+                    Err(e) => eprintln!(
+                        "warning: rank {rank} shard write at step {step} failed ({e}); \
+                         localized recovery may fall back"
+                    ),
+                }
+                Ok(())
+            })?;
+            *self.snap = Some(shard);
+        }
+        self.comm_phase("ghost_exchange", |r| {
+            exchange(r.st, r.comm, grid, ctx.halo, r.stats)
+        })
+    }
+
+    fn built(&mut self, d: Duration) {
+        self.stats.neigh_time += d;
+        self.stats.rebuilds += 1;
+    }
+}
+
+fn rank_loop(r: &mut Rank<'_>, start_step: usize) -> Result<(), RankError> {
+    let ctx = r.ctx;
+    let (md, schedule, faults) = (&ctx.opts.md, ctx.schedule, ctx.faults);
     let pot: &dyn Potential = ctx.pot.as_ref();
-    let opts = ctx.opts;
-    let start_rng = ctx.start_rng;
-    let end_step = ctx.end_step;
-    let halo = ctx.halo;
-    let thermo_reduce = ctx.thermo_reduce;
-    let flag_reduce = ctx.flag_reduce;
-    let stats_gather = ctx.stats_gather;
-    let faults = ctx.faults;
-    let dt = opts.md.dt;
-    let n_ranks = comm.to.len();
+    let n_ranks = r.comm.to.len();
     let mut last_audit_step: Option<usize> = None;
-    // heartbeat bookkeeping: phase-time marks at the last report, plus a
-    // reusable allgather buffer (step-determined schedule, so the gather
-    // is collective without extra synchronization)
-    let hb_every = opts.report_every;
-    let mut hb_all = vec![0.0f64; if hb_every > 0 { 4 * n_ranks } else { 0 }];
-    let mut hb_marks = (Duration::ZERO, Duration::ZERO, Duration::ZERO);
-    let mut hb_wall = Instant::now();
+    // heartbeat bookkeeping: the stats and time of the last report, plus
+    // a reusable allgather buffer
+    let mut hb_all = vec![0.0f64; 4 * n_ranks];
+    let (mut hb_mark, mut hb_wall) = (r.stats.clone(), Instant::now());
 
     // initial exchange + list build; the neighbor list (plus scratch) and
     // force output allocated here are reused by every later step (§5.2.2
     // arena reuse), and the force provider reads the rank's own `System`
-    let (res, d) = dp_obs::timed("ghost_exchange", || exchange(st, comm, grid, halo, stats));
-    stats.comm_time += d;
-    res?;
-    let mut nl_scratch = NlScratch::default();
-    let mut nl = NeighborList::empty();
-    rebuild_list(&mut nl, &mut nl_scratch, st, halo, stats);
-    let mut out = PotentialOutput::zeros(st.sys.len());
+    r.comm_phase("ghost_exchange", |r| {
+        exchange(r.st, r.comm, ctx.grid, ctx.halo, r.stats)
+    })?;
+    let mut stepper = Stepper::new(r, pot.cutoff(), md, ctx.start_rng);
+    let mut out = PotentialOutput::zeros(r.st.sys.len());
     if start_step == 0 {
         // fresh run: evaluate initial forces and record the step-0 sample
-        eval_forces(st, comm, pot, &nl, &mut out, stats)?;
-        record(0, st, &out, thermo_reduce, stats, thermo)?;
+        eval_forces(r, pot, stepper.neighbor_list(), &mut out)?;
+        record(r, 0, &out)?;
     }
     // A resumed epoch (start_step > 0) reuses the forces the checkpoint
     // carried (scattered with the atoms) instead of re-evaluating: the
@@ -368,240 +454,104 @@ fn rank_loop(
     // checkpoint step is not re-emitted. The collective schedule stays
     // identical because start_step is rank-uniform.
 
-    for step in start_step + 1..=end_step {
+    for step in start_step + 1..=schedule.end {
         let step_t0 = dp_obs::enabled().then(Instant::now);
-        // phase-time marks for the flight recorder: deltas over this step
-        // become one StepRecord in this rank's post-mortem ring
-        let fr_marks = step_t0.map(|_| {
-            (
-                stats.compute_time,
-                stats.comm_time,
-                stats.reduce_time,
-                stats.neigh_time,
-                stats.io_time,
-                stats.ghost_atoms_sent,
-                dp_obs::counter("flops").get(),
-            )
-        });
-        if let Some(f) = faults {
-            if f.should_kill(st.rank, step) {
-                fault::kill_current_rank(st.rank, step);
+        // marks for the flight recorder: deltas over this step become one
+        // StepRecord in this rank's post-mortem ring
+        let fr_mark = step_t0.map(|_| (r.stats.clone(), dp_obs::counter("flops").get()));
+        if faults.is_some_and(|f| f.should_kill(r.st.rank, step)) {
+            fault::kill_current_rank(r.st.rank, step);
+        }
+
+        stepper.advance_to_force(r, md, step)?;
+        eval_forces(r, pot, stepper.neighbor_list(), &mut out)?;
+        stepper.finish(r, md)?;
+        if schedule.thermo(step) {
+            record(r, step, &out)?;
+        }
+
+        // global checkpoint gather, then the realignment every rank (and a
+        // restart from the checkpoint) shares
+        if let (true, Some(ck)) = (schedule.checkpoint(step), &ctx.opts.checkpoint) {
+            r.comm_phase("io", |r| {
+                gather_checkpoint(r.st, r.comm, step, ctx.start_rng, ck, faults)
+            })?;
+            if step < schedule.end {
+                stepper.checkpoint(r, step)?;
             }
         }
 
-        {
-            let _span = dp_obs::span("integrate");
-            integrate::kick_drift(&mut st.sys, dt);
+        // periodic conservation audit; violations are typed and fail fast
+        if schedule.audit(step) {
+            audit_step(r, step, &mut last_audit_step)?;
+            r.stats.audits_passed += 1;
         }
 
-        // collective rebuild decision on the paper's schedule (absolute
-        // steps, so a recovered epoch keeps the original cadence)
-        let rebuild = if step % opts.md.rebuild_every == 0 {
-            let moved = st.needs_rebuild(opts.md.skin);
-            let mut flag = [0.0];
-            let (res, d) = dp_obs::timed("reduce", || {
-                flag_reduce.reduce_into(st.rank, &[if moved { 1.0 } else { 0.0 }], &mut flag)
-            });
-            stats.reduce_time += d;
-            res?;
-            flag[0] > 0.0
-        } else {
-            false
-        };
-
-        if rebuild {
-            let (res, d) = dp_obs::timed("ghost_exchange", || {
-                migrate(st, comm, grid)?;
-                exchange(st, comm, grid, halo, stats)
-            });
-            stats.comm_time += d;
-            res?;
-            rebuild_list(&mut nl, &mut nl_scratch, st, halo, stats);
-        } else {
-            let (res, d) = dp_obs::timed("comm", || forward_comm(st, comm));
-            stats.comm_time += d;
-            res?;
-        }
-
-        eval_forces(st, comm, pot, &nl, &mut out, stats)?;
-
-        {
-            let _span = dp_obs::span("integrate");
-            integrate::kick(&mut st.sys, dt);
-        }
-
-        // global Berendsen thermostat: the temperature is all-reduced
-        if let Some(b) = opts.md.thermostat {
-            let mut payload = [0.0; 9];
-            payload[0] = st.sys.kinetic_energy();
-            payload[1] = st.ids.len() as f64;
-            let mut tot = [0.0; 9];
-            let (res, d) = dp_obs::timed("reduce", || {
-                thermo_reduce.reduce_into(st.rank, &payload, &mut tot)
-            });
-            stats.reduce_time += d;
-            res?;
-            let temp = units::temperature(tot[0], tot[1] as usize);
-            integrate::berendsen_rescale(&mut st.sys, b, dt, temp);
-        }
-
-        // thermodynamic output: every step in blocking mode, else on stride
-        if opts.blocking_reduce || step % opts.md.thermo_every == 0 || step == end_step {
-            record(step, st, &out, thermo_reduce, stats, thermo)?;
-        }
-
-        // global checkpoint gather: the schedule is step-determined, so
-        // every rank participates without any extra synchronization
-        if let Some(ck) = &opts.checkpoint {
-            if ck.every > 0 && step % ck.every == 0 {
-                let (res, d) = dp_obs::timed("io", || {
-                    gather_checkpoint(st, comm, step, start_rng, ck, faults)
-                });
-                stats.comm_time += d;
-                stats.io_time += d;
-                res?;
-                if step < end_step {
-                    // realign to the exact state a restart from this
-                    // checkpoint reconstructs: owner = rank_of_position,
-                    // locals in global-id order, fresh exchange + list.
-                    // From here the straight run and any recovered run
-                    // traverse identical states, bit for bit.
-                    let (res, d) = dp_obs::timed("ghost_exchange", || {
-                        migrate(st, comm, grid)?;
-                        st.sort_locals_by_id();
-                        Ok::<(), CommError>(())
-                    });
-                    stats.comm_time += d;
-                    res?;
-                    // per-rank shard at the realigned instant. The same
-                    // payload stays in memory: if a peer dies, this
-                    // rank's piece of the shard source needs no disk.
-                    if let Some(base) = ctx.shards {
-                        let shard = st.capture_shard(step, start_rng);
-                        let ((), d) = dp_obs::timed("io", || match shard.save(base) {
-                            Ok(path) => {
-                                let torn = faults
-                                    .is_some_and(|f| f.shard_sabotage(st.rank, step));
-                                if torn
-                                    && fault::sabotage_file(
-                                        &path,
-                                        crate::fault::CkptSabotage::TornWrite,
-                                    )
-                                    .is_ok()
-                                {
-                                    dp_obs::counter("fault.shard_sabotaged").add(1);
-                                }
-                            }
-                            Err(e) => {
-                                eprintln!(
-                                    "warning: rank {} shard write at step {step} failed \
-                                     ({e}); localized recovery may fall back",
-                                    st.rank
-                                );
-                            }
-                        });
-                        stats.comm_time += d;
-                        stats.io_time += d;
-                        *snap = Some(shard);
-                    }
-                    let (res, d) = dp_obs::timed("ghost_exchange", || {
-                        exchange(st, comm, grid, halo, stats)
-                    });
-                    stats.comm_time += d;
-                    res?;
-                    rebuild_list(&mut nl, &mut nl_scratch, st, halo, stats);
-                }
-            }
-        }
-
-        // periodic conservation audit on a step-determined (hence
-        // collective) schedule; violations are typed and fail fast
-        if opts.audit_every > 0 && step % opts.audit_every == 0 {
-            audit_step(st, comm, ctx, step, &mut last_audit_step, stats)?;
-            stats.audits_passed += 1;
-        }
-
-        // live load-balance heartbeat on a step-determined (hence
-        // collective) schedule: allgather this interval's per-phase time
-        // deltas, rank 0 reports
-        if hb_every > 0 && step % hb_every == 0 {
+        // live load-balance heartbeat: allgather this interval's per-phase
+        // time deltas, rank 0 reports
+        if schedule.heartbeat(step) {
+            let (s, m) = (&r.stats, &hb_mark);
             let contribution = [
-                (stats.compute_time - hb_marks.0).as_secs_f64(),
-                (stats.comm_time - hb_marks.1).as_secs_f64(),
-                (stats.reduce_time - hb_marks.2).as_secs_f64(),
+                (s.compute_time - m.compute_time).as_secs_f64(),
+                (s.comm_time - m.comm_time).as_secs_f64(),
+                (s.reduce_time - m.reduce_time).as_secs_f64(),
                 hb_wall.elapsed().as_secs_f64(),
             ];
             let (res, d) = dp_obs::timed("reduce", || {
-                stats_gather.gather_into(st.rank, &contribution, &mut hb_all)
+                ctx.stats_gather
+                    .gather_into(r.st.rank, &contribution, &mut hb_all)
             });
-            stats.reduce_time += d;
+            r.stats.reduce_time += d;
             res?;
-            if st.rank == 0 {
-                emit_heartbeat(step, n_ranks, hb_every, &hb_all);
+            if r.st.rank == 0 {
+                emit_heartbeat(step, n_ranks, schedule.report_every, &hb_all);
             }
-            hb_marks = (stats.compute_time, stats.comm_time, stats.reduce_time);
-            hb_wall = Instant::now();
+            (hb_mark, hb_wall) = (r.stats.clone(), Instant::now());
         }
 
-        if let (Some(t0), Some(m)) = (step_t0, fr_marks) {
+        if let (Some(t0), Some((m, flops))) = (step_t0, fr_mark) {
             dp_obs::hist::record("step_wall_ns", t0.elapsed().as_nanos() as u64);
             let us = |d: Duration| d.as_micros() as u64;
-            let comm_us = us(stats.comm_time - m.1);
-            let io_us = us(stats.io_time - m.4);
-            let ghosts = stats.ghost_atoms_sent - m.5;
+            let s = &r.stats;
+            let comm_us = us(s.comm_time - m.comm_time);
+            let io_us = us(s.io_time - m.io_time);
+            let ghosts = s.ghost_atoms_sent - m.ghost_atoms_sent;
             dp_obs::flight::record(
-                st.rank,
+                r.st.rank,
                 dp_obs::flight::StepRecord {
                     step: step as u64,
                     wall_us: t0.elapsed().as_micros() as u64,
-                    compute_us: us(stats.compute_time - m.0),
+                    compute_us: us(s.compute_time - m.compute_time),
                     // io rides inside comm_time (the §7.3 fold); report
                     // the two disjointly here
                     comm_us: comm_us.saturating_sub(io_us),
-                    wait_us: us(stats.reduce_time - m.2),
-                    neigh_us: us(stats.neigh_time - m.3),
+                    wait_us: us(s.reduce_time - m.reduce_time),
+                    neigh_us: us(s.neigh_time - m.neigh_time),
                     io_us,
                     ghost_atoms: ghosts,
                     // 3 f64 coordinates per ghost atom forwarded
                     bytes: ghosts * 24,
-                    flops: dp_obs::counter("flops").get().saturating_sub(m.6),
+                    flops: dp_obs::counter("flops").get().saturating_sub(flops),
                 },
             );
         }
     }
-
-    stats.final_local = st.ids.len();
     Ok(())
 }
 
-/// Rebuild the rank's neighbor list over its owned atoms + ghosts.
-fn rebuild_list(
-    nl: &mut NeighborList,
-    scratch: &mut NlScratch,
-    st: &RankState,
-    halo: f64,
-    stats: &mut RankStats,
-) {
-    let ((), d) = dp_obs::timed("neighbor_rebuild", || nl.build_into(&st.sys, halo, scratch));
-    stats.neigh_time += d;
-    stats.rebuilds += 1;
-}
-
 /// The rank's force call: evaluate over owned atoms + ghosts, store into
-/// `st.sys.forces`, then reverse-communicate the ghost share to its owners.
+/// the rank's forces, then reverse-communicate the ghost share to its
+/// owners.
 fn eval_forces(
-    st: &mut RankState,
-    comm: &RankComm,
+    r: &mut Rank<'_>,
     pot: &dyn Potential,
     nl: &NeighborList,
     out: &mut PotentialOutput,
-    stats: &mut RankStats,
 ) -> Result<(), CommError> {
-    let ((), d) = dp_obs::timed("force_eval", || pot.compute_into(&st.sys, nl, out));
-    stats.compute_time += d;
-    st.sys.forces.clone_from(&out.forces);
-    reverse_comm(st, comm)?;
-    add_reverse_forces(st, comm)
+    let ((), d) = dp_obs::timed("force_eval", || pot.compute_into(&r.st.sys, nl, out));
+    r.stats.compute_time += d;
+    r.st.sys.forces.clone_from(&out.forces);
+    reverse_comm(r.st, r.comm)
 }
 
 /// Rank 0's heartbeat output: `gathered` holds `[compute, comm, wait,
@@ -629,34 +579,23 @@ fn emit_heartbeat(step: usize, n_ranks: usize, every: usize, gathered: &[f64]) {
 }
 
 /// Reduce `[pe, ke, virial(6), n]` and append one global thermo sample.
-fn record(
-    step: usize,
-    st: &RankState,
-    out: &PotentialOutput,
-    thermo_reduce: &Allreduce,
-    stats: &mut RankStats,
-    thermo: &mut Vec<ThermoSample>,
-) -> Result<(), CommError> {
+fn record(r: &mut Rank<'_>, step: usize, out: &PotentialOutput) -> Result<(), CommError> {
     let mut payload = [0.0; 9];
     payload[0] = out.energy;
-    payload[1] = st.sys.kinetic_energy();
+    payload[1] = r.st.sys.kinetic_energy();
     payload[2..8].copy_from_slice(&out.virial);
-    payload[8] = st.ids.len() as f64;
+    payload[8] = r.st.ids.len() as f64;
     let mut tot = [0.0; 9];
-    let (res, d) = dp_obs::timed("reduce", || {
-        thermo_reduce.reduce_into(st.rank, &payload, &mut tot)
-    });
-    stats.reduce_time += d;
-    res?;
+    r.reduce(r.ctx.thermo_reduce, &payload, &mut tot)?;
     let n = tot[8] as usize;
     let temperature = units::temperature(tot[1], n);
     let virial = [tot[2], tot[3], tot[4], tot[5], tot[6], tot[7]];
-    thermo.push(ThermoSample {
+    r.thermo.push(ThermoSample {
         step,
         potential_energy: tot[0],
         kinetic_energy: tot[1],
         temperature,
-        pressure: units::pressure(n, temperature, &virial, st.sys.cell.volume()),
+        pressure: units::pressure(n, temperature, &virial, r.st.sys.cell.volume()),
     });
     Ok(())
 }
@@ -684,35 +623,24 @@ fn gather_checkpoint(
     for src in 1..n_ranks {
         match comm.recv(src)? {
             Msg::CkptAtoms(v) => atoms.extend(v),
-            _ => {
-                return Err(CommError::Protocol {
-                    from: src,
-                    expected: "CkptAtoms",
-                })
-            }
+            _ => return Err(CommError::protocol(src, "CkptAtoms")),
         }
     }
     let (n, cell) = (atoms.len(), st.sys.cell);
     let progress = MdProgress { step, rng_draws };
-    let snap = assemble(atoms, n, cell, &st.sys.masses, progress).ok_or(CommError::Protocol {
-        from: 0,
-        expected: "gathered atom ids covering 0..n_atoms once",
-    })?;
+    let snap = assemble(atoms, n, cell, &st.sys.masses, progress);
+    let snap = snap.ok_or(CommError::protocol(0, "every atom id exactly once"))?;
     match snap.save(&ck.rotation) {
+        // damage the generation just written — the rotation fallback must
+        // survive this on the next reload
         Ok(path) => {
-            if let Some(f) = faults {
-                if let Some(what) = f.ckpt_sabotage(step) {
-                    // damage the generation just written — the rotation
-                    // fallback must survive this on the next reload
-                    if fault::sabotage_file(&path, what).is_ok() {
-                        dp_obs::counter("fault.ckpt_sabotaged").add(1);
-                    }
+            if let Some(what) = faults.and_then(|f| f.ckpt_sabotage(step)) {
+                if fault::sabotage_file(&path, what).is_ok() {
+                    dp_obs::counter("fault.ckpt_sabotaged").add(1);
                 }
             }
         }
-        Err(e) => {
-            eprintln!("warning: checkpoint write at step {step} failed ({e}); run continues");
-        }
+        Err(e) => eprintln!("warning: checkpoint write at step {step} failed ({e}); run continues"),
     }
     Ok(())
 }

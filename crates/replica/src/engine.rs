@@ -18,7 +18,7 @@ use crate::metrics;
 use deepmd_core::{BatchItem, BatchOutput, DeepPotential, PrecisionMode};
 use dp_ckpt::{CkptError, CkptWriter, Dec, Enc, Rotation, KIND_ENSEMBLE};
 use dp_md::checkpoint::MdCheckpoint;
-use dp_md::integrate::{Berendsen, Langevin, MdOptions, Stepper};
+use dp_md::integrate::{Berendsen, Langevin, MdOptions, Schedule, Stepper};
 use dp_md::{CounterRng, Potential, System};
 use std::path::Path;
 use std::sync::Arc;
@@ -40,9 +40,9 @@ pub struct EnsembleOptions {
     pub dt: f64,
     /// Neighbor-list skin (Å).
     pub skin: f64,
-    /// Steps between displacement checks / forced rebuilds.
+    /// Steps between displacement checks (positive).
     pub rebuild_every: usize,
-    /// Steps between thermodynamic samples.
+    /// Steps between thermodynamic samples (positive).
     pub thermo_every: usize,
     /// Berendsen coupling time (ps); `Some` enables per-replica Berendsen
     /// thermostats at each replica's ladder temperature.
@@ -157,13 +157,16 @@ pub struct EnsembleEngine {
     /// reuse the same buffers.
     thread_outs: Vec<BatchOutput>,
     evaluations: u64,
+    /// Thermo and exchange steps; [`Self::run`] sets the last step.
+    schedule: Schedule,
 }
 
 impl EnsembleEngine {
     /// Build an engine over `systems`, replica `k` thermostatted at
     /// `temps[k]`. Performs the initial batched force evaluation and
     /// records each replica's step-0 thermo sample, exactly as a fresh
-    /// `run_md_resumable` does.
+    /// `run_md_resumable` does. Panics on a zero rebuild-check or thermo
+    /// stride.
     pub fn new(
         pot: Arc<DeepPotential>,
         systems: Vec<System>,
@@ -176,7 +179,7 @@ impl EnsembleEngine {
             .into_iter()
             .zip(temps)
             .enumerate()
-            .map(|(k, (sys, &target_t))| {
+            .map(|(k, (mut sys, &target_t))| {
                 assert_eq!(
                     sys.n_local,
                     sys.len(),
@@ -184,7 +187,7 @@ impl EnsembleEngine {
                 );
                 let md = opts.md_options_for(target_t, k);
                 Replica {
-                    stepper: Stepper::new(&sys, pot.cutoff(), &md, 0),
+                    stepper: Stepper::new(&mut sys, pot.cutoff(), &md, 0),
                     sys,
                     target_t,
                     step: 0,
@@ -193,18 +196,7 @@ impl EnsembleEngine {
                 }
             })
             .collect();
-        let mut engine = Self {
-            opts,
-            replicas,
-            step: 0,
-            swap_log: Vec::new(),
-            exchange_attempts: 0,
-            exchange_accepted: 0,
-            pot,
-            swap_rng: CounterRng::new(exchange::swap_seed(opts.seed)),
-            thread_outs: Vec::new(),
-            evaluations: 0,
-        };
+        let mut engine = Self::assemble(pot, opts, replicas, 0, 0);
         engine.batched_eval_and_store();
         for r in &mut engine.replicas {
             r.record_thermo();
@@ -300,7 +292,8 @@ impl EnsembleEngine {
 
         for (k, r) in self.replicas.iter_mut().enumerate() {
             let md = opts.md_options_for(r.target_t, k);
-            if r.stepper.advance_to_force(&mut r.sys, &md, step) {
+            let Ok(rebuilt) = r.stepper.advance_to_force(&mut r.sys, &md, step);
+            if rebuilt {
                 dp_obs::counter(metrics::NL_REBUILDS).add(1);
             }
         }
@@ -312,9 +305,9 @@ impl EnsembleEngine {
 
         for (k, r) in self.replicas.iter_mut().enumerate() {
             let md = opts.md_options_for(r.target_t, k);
-            r.stepper.finish(&mut r.sys, &md);
+            let Ok(()) = r.stepper.finish(&mut r.sys, &md);
             r.step = step;
-            if step.is_multiple_of(opts.thermo_every) {
+            if self.schedule.thermo(step) {
                 r.record_thermo();
             }
         }
@@ -322,24 +315,19 @@ impl EnsembleEngine {
         self.step = step;
         dp_obs::counter(metrics::TICKS).add(1);
 
-        if opts.exchange_every > 0 && step.is_multiple_of(opts.exchange_every) {
+        if self.schedule.exchange(step) {
             exchange::attempt_round(self);
         }
     }
 
-    /// Run `n_steps` ticks; records each replica's final thermo sample
-    /// (mirroring the serial integrator's `step == end_step` clause) and
-    /// publishes a replica-steps/sec gauge.
+    /// Run `n_steps` ticks, the last one a thermo step for every replica
+    /// (as the serial integrator's last step is), and publish a
+    /// replica-steps/sec gauge.
     pub fn run(&mut self, n_steps: usize) {
         let t0 = Instant::now();
+        self.schedule.end = self.step + n_steps;
         for _ in 0..n_steps {
             self.tick();
-        }
-        let step = self.step;
-        for r in &mut self.replicas {
-            if r.thermo.last().map(|s| s.step) != Some(step) {
-                r.record_thermo();
-            }
         }
         let secs = t0.elapsed().as_secs_f64();
         if secs > 0.0 && n_steps > 0 {
@@ -356,7 +344,7 @@ impl EnsembleEngine {
         self.pot = pot;
         let cutoff = self.pot.cutoff() + self.opts.skin;
         for r in &mut self.replicas {
-            r.stepper.rebuild(&r.sys, cutoff);
+            r.stepper.rebuild(&mut r.sys, cutoff);
         }
         self.batched_eval_and_store();
         dp_obs::counter(metrics::MODEL_SWAPS).add(1);
@@ -372,7 +360,7 @@ impl EnsembleEngine {
     pub fn save_checkpoint(&mut self, base: &Path, keep: usize) -> Result<(), CkptError> {
         let mut states = Enc::new();
         for r in &mut self.replicas {
-            let progress = r.stepper.checkpoint(&r.sys, r.step);
+            let Ok(progress) = r.stepper.checkpoint(&mut r.sys, r.step);
             MdCheckpoint::capture(&r.sys, progress).put_nested(&mut states);
         }
         let mut meta = Enc::new();
@@ -431,7 +419,7 @@ impl EnsembleEngine {
         let mut states = Dec::new(reader.section(*b"REPS")?);
         let mut replicas = Vec::with_capacity(n);
         for k in 0..n {
-            let (sys, progress) = MdCheckpoint::get_nested(&mut states)?.restore();
+            let (mut sys, progress) = MdCheckpoint::get_nested(&mut states)?.restore();
             if progress.step != step {
                 return Err(CkptError::Malformed(format!(
                     "replica {k} state at step {} but ensemble meta at step {step}",
@@ -440,7 +428,7 @@ impl EnsembleEngine {
             }
             let md = opts.md_options_for(temps[k], k);
             replicas.push(Replica {
-                stepper: Stepper::new(&sys, pot.cutoff(), &md, progress.rng_draws),
+                stepper: Stepper::new(&mut sys, pot.cutoff(), &md, progress.rng_draws),
                 sys,
                 target_t: temps[k],
                 step,
@@ -449,17 +437,37 @@ impl EnsembleEngine {
             });
         }
         Ok(Self {
+            exchange_attempts,
+            exchange_accepted,
+            ..Self::assemble(pot, opts, replicas, step, swap_draws)
+        })
+    }
+
+    /// An engine at `step` over `replicas`, its swap stream at draw
+    /// `swap_draws`; panics on a zero rebuild-check or thermo stride.
+    fn assemble(
+        pot: Arc<DeepPotential>,
+        opts: EnsembleOptions,
+        replicas: Vec<Replica>,
+        step: usize,
+        swap_draws: u64,
+    ) -> Self {
+        let mut schedule =
+            Schedule::new(opts.rebuild_every, opts.thermo_every).unwrap_or_else(|e| panic!("{e}"));
+        schedule.exchange_every = opts.exchange_every;
+        Self {
             opts,
             replicas,
             step,
             swap_log: Vec::new(),
-            exchange_attempts,
-            exchange_accepted,
+            exchange_attempts: 0,
+            exchange_accepted: 0,
             pot,
             swap_rng: CounterRng::with_draws(exchange::swap_seed(opts.seed), swap_draws),
             thread_outs: Vec::new(),
             evaluations: 0,
-        })
+            schedule,
+        }
     }
 
     pub(crate) fn swap_rng_mut(&mut self) -> &mut CounterRng {
@@ -733,6 +741,26 @@ mod tests {
         engine.run(2);
         for r in &engine.replicas {
             assert!(r.potential_energy.is_finite());
+        }
+    }
+
+    /// A zero rebuild-check or thermo stride is refused when the engine is
+    /// built (a zero thermo stride used to record nothing after step 0).
+    #[test]
+    fn zero_strides_rejected() {
+        for (rebuild_every, thermo_every) in [(0, 4), (5, 0)] {
+            let o = EnsembleOptions {
+                rebuild_every,
+                thermo_every,
+                ..opts()
+            };
+            let err = std::panic::catch_unwind(|| {
+                EnsembleEngine::new(small_potential(), replica_systems(1, 1), &[100.0], o)
+            })
+            .err()
+            .expect("engine built with a zero stride");
+            let msg = err.downcast_ref::<String>().unwrap();
+            assert!(msg.contains("must be positive"), "{msg}");
         }
     }
 

@@ -40,7 +40,6 @@ fn main() {
             thermo_every: 20,
             ..MdOptions::default()
         },
-        blocking_reduce: false,
         ..ParallelOptions::default()
     };
     println!("running 100 parallel MD steps on a 2x2x2 rank grid...");

@@ -82,9 +82,6 @@ pub struct AppConfig {
     /// Rank grid `[nx, ny, nz]`: run on the fault-tolerant parallel driver
     /// with nx*ny*nz rank threads. Absent = serial integrator.
     pub grid: Option<[usize; 3]>,
-    /// Parallel runs only: allreduce thermo output every step instead of
-    /// deferring reductions to the output stride.
-    pub blocking_reduce: bool,
     /// Fault injection (parallel runs only): kill this rank...
     pub fault_kill_rank: Option<usize>,
     /// ...at this absolute step. Both or neither must be set.
@@ -151,7 +148,6 @@ impl AppConfig {
             resume: f.opt("resume", TEXT)?,
             trace_path: f.opt("trace_path", TEXT)?,
             grid: f.opt("grid", TRIPLE)?,
-            blocking_reduce: f.or("blocking_reduce", FLAG, false)?,
             fault_kill_rank: f.opt("fault_kill_rank", COUNT)?,
             fault_kill_step: f.opt("fault_kill_step", COUNT)?,
             fault_kill_every_epoch: f.or("fault_kill_every_epoch", FLAG, false)?,
@@ -694,7 +690,6 @@ fn run_parallel_deck(
     };
     let popts = ParallelOptions {
         md: *opts,
-        blocking_reduce: cfg.blocking_reduce,
         start_step: progress.step,
         start_rng_draws: progress.rng_draws,
         checkpoint: rotation.map(|rotation| ParallelCkpt {

@@ -52,7 +52,6 @@ fn parallel_dp_trajectory_matches_serial() {
             thermo_every: 10,
             ..MdOptions::default()
         },
-        blocking_reduce: false,
         ..ParallelOptions::default()
     };
     let steps = 20;
@@ -84,7 +83,6 @@ fn parallel_dp_nve_is_stable() {
             thermo_every: 20,
             ..MdOptions::default()
         },
-        blocking_reduce: false,
         ..ParallelOptions::default()
     };
     let run = run_parallel_md(&sys, dp, [2, 2, 2], &opts, 80).unwrap();
