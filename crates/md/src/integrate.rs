@@ -384,7 +384,11 @@ impl Stepper {
     /// from identical state — force summation order, and therefore the
     /// trajectory, stays bit-exact across the restart — and returns what
     /// the checkpoint must carry beside the `System`.
-    pub fn checkpoint<D: Domain>(&mut self, dom: &mut D, step: usize) -> Result<MdProgress, D::Error> {
+    pub fn checkpoint<D: Domain>(
+        &mut self,
+        dom: &mut D,
+        step: usize,
+    ) -> Result<MdProgress, D::Error> {
         dom.realign(step)?;
         self.rebuild(dom, self.cutoff);
         Ok(MdProgress {
@@ -716,15 +720,8 @@ mod tests {
 
         // Resume the second half from the snapshot.
         let mut resumed = snap_sys;
-        let resumed_run = run_md_resumable(
-            &mut resumed,
-            &lj,
-            opts,
-            2 * half,
-            progress,
-            |_| {},
-            None,
-        );
+        let resumed_run =
+            run_md_resumable(&mut resumed, &lj, opts, 2 * half, progress, |_| {}, None);
         assert_eq!(resumed_run.steps, half);
 
         for i in 0..straight.len() {
@@ -801,15 +798,7 @@ mod tests {
         let mut b = argon_crystal();
         let opts = MdOptions::default();
         let ra = run_md(&mut a, &lj, &opts, 40, |_| {});
-        let rb = run_md_resumable(
-            &mut b,
-            &lj,
-            &opts,
-            40,
-            MdProgress::default(),
-            |_| {},
-            None,
-        );
+        let rb = run_md_resumable(&mut b, &lj, &opts, 40, MdProgress::default(), |_| {}, None);
         assert_eq!(ra.evaluations, rb.evaluations);
         assert_eq!(a.positions, b.positions);
     }

@@ -67,8 +67,7 @@ pub(crate) fn audit_step(
             "atom_count",
             format!(
                 "{} atoms owned globally, expected {}",
-                tot[0] as usize,
-                ctx.n_atoms
+                tot[0] as usize, ctx.n_atoms
             ),
         );
     }
@@ -91,7 +90,10 @@ pub(crate) fn audit_step(
     if tot[3] > 0.0 {
         return fail(
             "seq_gap",
-            format!("{} message sequence gaps observed on the mesh", tot[3] as usize),
+            format!(
+                "{} message sequence gaps observed on the mesh",
+                tot[3] as usize
+            ),
         );
     }
     Ok(())

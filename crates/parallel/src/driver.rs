@@ -1060,10 +1060,8 @@ mod tests {
     /// keeps every pair out of the cosine switch window, so the run touches
     /// no libm beyond `sqrt` and one constant holds on any host.
     fn golden_run_2x1x1(tag: &str, thermostat: Option<dp_md::integrate::Berendsen>) -> u64 {
-        let dir = std::env::temp_dir().join(format!(
-            "dp-parallel-golden-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("dp-parallel-golden-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mut sys = lattice::fcc(5.26, [4, 4, 4], 39.948);
         let mut rng = dp_md::CounterRng::new(2020);
@@ -1119,7 +1117,10 @@ mod tests {
             target_t: 60.0,
             tau: 0.05,
         };
-        assert_eq!(golden_run_2x1x1("berendsen", Some(b)), 7_647_254_443_535_553_548);
+        assert_eq!(
+            golden_run_2x1x1("berendsen", Some(b)),
+            7_647_254_443_535_553_548
+        );
     }
 
     #[test]

@@ -50,7 +50,11 @@ impl RankState {
 
     /// Append one owned atom (no ghosts may be present).
     pub fn push_owned(&mut self, a: OwnedAtom) {
-        debug_assert_eq!(self.sys.len(), self.ids.len(), "push requires ghosts truncated");
+        debug_assert_eq!(
+            self.sys.len(),
+            self.ids.len(),
+            "push requires ghosts truncated"
+        );
         self.ids.push(a.id);
         self.sys.types.push(a.ty as usize);
         self.sys.positions.push(a.position);

@@ -76,7 +76,6 @@ impl EpochOutcome {
             .max_by_key(|t| t.len())
             .unwrap_or(&[])
     }
-
 }
 
 /// Why `rank_loop` ended early.

@@ -540,10 +540,7 @@ mod tests {
             assert_eq!(a.to_json(), b.to_json());
         }
         for (ra, rb) in one.replicas.iter().zip(&three.replicas) {
-            assert_eq!(
-                ra.potential_energy.to_bits(),
-                rb.potential_energy.to_bits()
-            );
+            assert_eq!(ra.potential_energy.to_bits(), rb.potential_energy.to_bits());
             for (pa, pb) in ra.sys.positions.iter().zip(&rb.sys.positions) {
                 for d in 0..3 {
                     assert_eq!(pa[d].to_bits(), pb[d].to_bits());
@@ -641,7 +638,10 @@ mod tests {
             assert_eq!(a.target_t.to_bits(), b.target_t.to_bits());
             for i in 0..a.sys.len() {
                 for d in 0..3 {
-                    assert_eq!(a.sys.positions[i][d].to_bits(), b.sys.positions[i][d].to_bits());
+                    assert_eq!(
+                        a.sys.positions[i][d].to_bits(),
+                        b.sys.positions[i][d].to_bits()
+                    );
                     assert_eq!(
                         a.sys.velocities[i][d].to_bits(),
                         b.sys.velocities[i][d].to_bits()

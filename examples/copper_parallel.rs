@@ -10,8 +10,8 @@
 use deepmd_repro::core::{DeepPotential, DpConfig, DpModel, PrecisionMode};
 use deepmd_repro::md::integrate::MdOptions;
 use deepmd_repro::md::lattice;
-use deepmd_repro::parallel::{run_parallel_md, ParallelOptions};
 use deepmd_repro::md::rng::CounterRng;
+use deepmd_repro::parallel::{run_parallel_md, ParallelOptions};
 use std::sync::Arc;
 
 fn main() {

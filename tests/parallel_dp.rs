@@ -31,8 +31,7 @@ fn parallel_dp_energy_matches_serial() {
     let nl = NeighborList::build(&sys, dp.cutoff() + 2.0);
     let serial = dp.compute(&sys, &nl);
 
-    let run =
-        run_parallel_md(&sys, dp.clone(), [2, 2, 2], &ParallelOptions::default(), 0).unwrap();
+    let run = run_parallel_md(&sys, dp.clone(), [2, 2, 2], &ParallelOptions::default(), 0).unwrap();
     let pe = run.thermo[0].potential_energy;
     assert!(
         (pe - serial.energy).abs() < 1e-8,
