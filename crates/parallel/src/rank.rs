@@ -472,9 +472,7 @@ fn rank_loop(r: &mut Rank<'_>, start_step: usize) -> Result<(), RankError> {
         // global checkpoint gather, then the realignment every rank (and a
         // restart from the checkpoint) shares
         if let (true, Some(ck)) = (schedule.checkpoint(step), &ctx.opts.checkpoint) {
-            r.comm_phase("io", |r| {
-                gather_checkpoint(r.st, r.comm, step, ctx.start_rng, ck, faults)
-            })?;
+            r.comm_phase("io", |r| gather_checkpoint(r, step, ck))?;
             if step < schedule.end {
                 stepper.checkpoint(r, step)?;
             }
@@ -605,14 +603,8 @@ fn record(r: &mut Rank<'_>, step: usize, out: &PotentialOutput) -> Result<(), Co
 /// accepts as input, so restarts may re-decompose onto any grid). Write
 /// failures are reported but never abort the run — losing one checkpoint
 /// generation is strictly better than losing the trajectory.
-fn gather_checkpoint(
-    st: &RankState,
-    comm: &RankComm,
-    step: usize,
-    rng_draws: u64,
-    ck: &ParallelCkpt,
-    faults: Option<&FaultState>,
-) -> Result<(), CommError> {
+fn gather_checkpoint(r: &Rank<'_>, step: usize, ck: &ParallelCkpt) -> Result<(), CommError> {
+    let (st, comm) = (&*r.st, r.comm);
     let mine: Vec<_> = st.owned_atoms().collect();
     if st.rank != 0 {
         return comm.send(0, Msg::CkptAtoms(mine));
@@ -626,14 +618,17 @@ fn gather_checkpoint(
         }
     }
     let (n, cell) = (atoms.len(), st.sys.cell);
-    let progress = MdProgress { step, rng_draws };
+    let progress = MdProgress {
+        step,
+        rng_draws: r.ctx.start_rng,
+    };
     let snap = assemble(atoms, n, cell, &st.sys.masses, progress);
     let snap = snap.ok_or(CommError::protocol(0, "every atom id exactly once"))?;
     match snap.save(&ck.rotation) {
         // damage the generation just written — the rotation fallback must
         // survive this on the next reload
         Ok(path) => {
-            if let Some(what) = faults.and_then(|f| f.ckpt_sabotage(step)) {
+            if let Some(what) = r.ctx.faults.and_then(|f| f.ckpt_sabotage(step)) {
                 if fault::sabotage_file(&path, what).is_ok() {
                     dp_obs::counter("fault.ckpt_sabotaged").add(1);
                 }
