@@ -744,6 +744,24 @@ mod tests {
         }
     }
 
+    /// `run(n)` ends on a thermo sample whether or not its last step is on
+    /// the stride, and every sample is taken once.
+    #[test]
+    fn run_ends_on_a_thermo_sample() {
+        let mut engine = EnsembleEngine::new(
+            small_potential(),
+            replica_systems(2, 4),
+            &[90.0, 130.0],
+            opts(),
+        );
+        engine.run(6);
+        engine.run(4);
+        for r in &engine.replicas {
+            let steps: Vec<usize> = r.thermo.iter().map(|t| t.step).collect();
+            assert_eq!(steps, [0, 4, 6, 8, 10]);
+        }
+    }
+
     /// A zero rebuild-check or thermo stride is refused when the engine is
     /// built (a zero thermo stride used to record nothing after step 0).
     #[test]
