@@ -121,8 +121,11 @@ pub fn env_tangent_into(rows: EnvRows, atom0: usize, w: &[[f64; 3]], out: &mut [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Codec;
     use crate::config::DpConfig;
+    use crate::env::smooth_weight;
     use crate::format::{format_optimized, FormattedEnv};
+    use dp_md::rng::for_cases;
     use dp_md::{lattice, CounterRng, NeighborList, System};
 
     /// Two species, the last atoms ghosts, and a cutoff short enough that
@@ -242,6 +245,197 @@ mod tests {
             );
             assert_eq!(bits(&virial), bits(&virial_ref), "{starts:?}");
         }
+    }
+
+    /// One pin-suite input: a perturbed two-species water box whose last
+    /// atoms are ghosts, with two ghost probes around atom 0 placed within
+    /// 1e-6 Å of `rcut_smth` and of `rcut`, and `sel` wide enough that both
+    /// type blocks are mostly padding.
+    struct Pin {
+        sys: System,
+        cfg: DpConfig,
+        codec: Codec,
+        split: usize,
+    }
+
+    impl std::fmt::Debug for Pin {
+        fn fmt(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result {
+            let (n, n_local) = (self.sys.len(), self.sys.n_local);
+            write!(f, "{n} atoms ({n_local} local), {:?}, {:?}, split at {}", self.cfg, self.codec, self.split)
+        }
+    }
+
+    fn draw_pin(rng: &mut CounterRng) -> Pin {
+        let rcut = rng.range(3.0, 4.5);
+        let cfg = DpConfig {
+            rcut,
+            rcut_smth: rng.range(0.5, 0.6 * rcut),
+            sel: vec![24, 48],
+            embedding: vec![4, 8],
+            fitting: vec![12, 12],
+            axis_neurons: 2,
+        };
+        let mut sys = lattice::water_box([3, 3, 3], 3.104);
+        sys.perturb(rng.range(0.05, 0.3), rng);
+        sys.n_local -= 3 * (1 + rng.below(4) as usize);
+        for r in [
+            cfg.rcut_smth + rng.range(-1e-6, 1e-6),
+            cfg.rcut - rng.range(1e-9, 1e-6),
+        ] {
+            let u = [(); 3].map(|_| rng.range(-1.0, 1.0));
+            let n = (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]).sqrt();
+            let p0 = sys.positions[0];
+            let p = [0, 1, 2].map(|k| p0[k] + r * u[k] / n);
+            sys.positions.push(sys.cell.wrap(p));
+            sys.types.push(rng.below(2) as usize);
+            sys.velocities.push([0.0; 3]);
+            sys.forces.push([0.0; 3]);
+        }
+        let codec = [Codec::PaperDecimal, Codec::Binary][rng.below(2) as usize];
+        let split = 1 + rng.below(sys.n_local as u64 - 1) as usize;
+        Pin {
+            sys,
+            cfg,
+            codec,
+            split,
+        }
+    }
+
+    /// `(s, 1/r, s′, d)` of a real slot: `s` from the row, `1/r` and `s′`
+    /// from the displacement, as the row sweep computes them.
+    fn slot_geometry(fmt: &FormattedEnv, cfg: &DpConfig, slot: usize) -> (f64, f64, f64, [f64; 3]) {
+        let d: [f64; 3] = fmt.disp[slot * 3..slot * 3 + 3].try_into().unwrap();
+        let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+        let (_, ds) = smooth_weight(r, cfg.rcut_smth, cfg.rcut);
+        (fmt.env[slot * 4], 1.0 / r, ds, d)
+    }
+
+    /// The closed-form slot gradient: with `u = d/r` and `β = s/r`,
+    /// `g = α·u + β·a_v`, `α = a₀·s′ + (s′ − β)·(a_v·u)`.
+    fn slot_grad(fmt: &FormattedEnv, cfg: &DpConfig, slot: usize, a: &[f64]) -> [f64; 3] {
+        let (s, inv_r, ds, d) = slot_geometry(fmt, cfg, slot);
+        let u = d.map(|x| x * inv_r);
+        let beta = s * inv_r;
+        let au = a[1] * u[0] + a[2] * u[1] + a[3] * u[2];
+        let alpha = a[0] * ds + (ds - beta) * au;
+        [0, 1, 2].map(|k| alpha * u[k] + beta * a[k + 1])
+    }
+
+    /// The closed-form tangent of a slot moved by `δ`: `ẇ₀ = s′·(u·δ)`,
+    /// `ẇ_v = s′·(u·δ)·u + β·(δ − (u·δ)·u)`.
+    fn slot_tangent(fmt: &FormattedEnv, cfg: &DpConfig, slot: usize, dd: [f64; 3]) -> [f64; 4] {
+        let (s, inv_r, ds, d) = slot_geometry(fmt, cfg, slot);
+        let u = d.map(|x| x * inv_r);
+        let beta = s * inv_r;
+        let ud = u[0] * dd[0] + u[1] * dd[1] + u[2] * dd[2];
+        let v = [0, 1, 2].map(|k| ds * ud * u[k] + beta * (dd[k] - ud * u[k]));
+        [ds * ud, v[0], v[1], v[2]]
+    }
+
+    /// ProdForce, the ProdVirial scatter and the tangent of the shipped
+    /// operators against the slot formulas above, on the same slots: the
+    /// 12-value Jacobian contraction and the closed form in `(1/r, s′)`
+    /// agree to 1e-14 of each output's norm, padding and ghosts included,
+    /// at both edges of the switch window and with both codecs.
+    #[test]
+    fn jacobian_contraction_and_closed_form_agree() {
+        let worst = std::cell::Cell::new(0.0f64);
+        for_cases(0x9a11, 24, draw_pin, |c| {
+            let Pin {
+                sys,
+                cfg,
+                codec,
+                split,
+            } = c;
+            let nl = NeighborList::build(sys, cfg.rcut);
+            let fmt = format_optimized(sys, &nl, cfg, *codec);
+            assert!(fmt.real_neighbors() < fmt.n_atoms * fmt.nm * 3 / 4, "no padding");
+            let ghost = |&j: &i32| j != NONE && j as usize >= sys.n_local;
+            assert!(fmt.indices.iter().any(ghost), "no ghost is a neighbor");
+            let mut edges = [false; 2];
+            for slot in 0..fmt.nm {
+                if fmt.indices[slot] != NONE {
+                    let r = 1.0 / slot_geometry(&fmt, cfg, slot).1;
+                    edges[0] |= (r - cfg.rcut_smth).abs() <= 1e-6;
+                    edges[1] |= (cfg.rcut - r).abs() <= 1e-6;
+                }
+            }
+            assert_eq!(edges, [true; 2], "a probe is not a neighbor of atom 0");
+            let types: Vec<usize> = fmt.indices.iter().filter(|&&j| j != NONE).map(|&j| sys.types[j as usize]).collect();
+            assert!(types.contains(&0) && types.contains(&1), "one species block is empty");
+
+            let dedr = dedr(&fmt, 11);
+            let mut rng = CounterRng::new(12);
+            let w: Vec<[f64; 3]> = (0..sys.len())
+                .map(|_| [(); 3].map(|_| rng.range(-1.0, 1.0)))
+                .collect();
+            // the shipped operators, in two chunks
+            let (mut slot_grads, mut grads) = (Vec::new(), Vec::new());
+            let mut tangent = vec![Vec::new(); fmt.sel.len()];
+            let mut tangents = vec![Vec::new(); fmt.sel.len()];
+            let mut forces = vec![[0.0; 3]; sys.len()];
+            let mut virial = [0.0; 6];
+            for (atom0, rows, blocks) in chunks(&fmt, &dedr, &[0, *split]) {
+                prod_force_into(rows, &blocks, &mut slot_grads);
+                prod_virial_into(rows, atom0, &slot_grads, &mut forces, &mut virial);
+                grads.extend_from_slice(&slot_grads);
+                env_tangent_into(rows, atom0, &w, &mut tangent);
+                for (all, t) in tangents.iter_mut().zip(&tangent) {
+                    all.extend_from_slice(t);
+                }
+            }
+            // the slot formulas, scattered the same way
+            let mut grads_ref = vec![[0.0; 3]; grads.len()];
+            let mut tangents_ref: Vec<Vec<f64>> = tangents.iter().map(|t| vec![0.0; t.len()]).collect();
+            let mut forces_ref = vec![[0.0; 3]; sys.len()];
+            let mut virial_ref = [0.0; 6];
+            for atom in 0..fmt.n_atoms {
+                for (t, &sel_t) in fmt.sel.iter().enumerate() {
+                    for k in 0..sel_t {
+                        let slot = fmt.block_start(atom, t) + k;
+                        let j = fmt.indices[slot];
+                        if j == NONE {
+                            continue;
+                        }
+                        let j = j as usize;
+                        let row = (atom * sel_t + k) * 4;
+                        let g = slot_grad(&fmt, cfg, slot, &dedr[t][row..row + 4]);
+                        let d = &fmt.disp[slot * 3..slot * 3 + 3];
+                        for kk in 0..3 {
+                            forces_ref[atom][kk] += g[kk];
+                            forces_ref[j][kk] -= g[kk];
+                        }
+                        virial_ref[0] -= d[0] * g[0];
+                        virial_ref[1] -= d[1] * g[1];
+                        virial_ref[2] -= d[2] * g[2];
+                        virial_ref[3] -= d[0] * g[1];
+                        virial_ref[4] -= d[0] * g[2];
+                        virial_ref[5] -= d[1] * g[2];
+                        grads_ref[slot] = g;
+                        let dd = [0, 1, 2].map(|kk| w[j][kk] - w[atom][kk]);
+                        tangents_ref[t][row..row + 4]
+                            .copy_from_slice(&slot_tangent(&fmt, cfg, slot, dd));
+                    }
+                }
+            }
+            let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
+            let max_diff = |a: &[f64], b: &[f64]| {
+                assert_eq!(a.len(), b.len());
+                a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
+            };
+            let f_norm = norm(forces_ref.as_flattened());
+            let errs = [
+                max_diff(grads.as_flattened(), grads_ref.as_flattened()) / f_norm,
+                max_diff(forces.as_flattened(), forces_ref.as_flattened()) / f_norm,
+                max_diff(&virial, &virial_ref) / norm(&virial_ref),
+                max_diff(&tangents.concat(), &tangents_ref.concat()) / norm(&tangents_ref.concat()),
+            ];
+            for (what, e) in ["slot gradients", "forces", "virial", "tangent"].iter().zip(errs) {
+                assert!(e <= 1e-14, "{what}: relative error {e:e}");
+                worst.set(worst.get().max(e));
+            }
+        });
+        eprintln!("worst relative error {:e}", worst.get());
     }
 
     #[test]
