@@ -8,6 +8,12 @@
 //! on the same workload and network hyper-parameters; the baseline column
 //! is the serial struct-sort formatter and the per-slot loops below.
 //!
+//! The shipped table keeps two numbers of each slot's Jacobian, `(1/r, s′)`,
+//! and the shipped operators build the rest from the row and the
+//! displacement. The baseline loops contract a stored 12-value Jacobian,
+//! as the 2018 code did; it is built for the shipped table's slots before
+//! any timing.
+//!
 //! The shipped ProdForce only contracts each slot's `∂E/∂R̃` with its
 //! Jacobian; the force scatter runs fused with ProdVirial. The baselines
 //! each contract on their own, so the per-operator rows time different
@@ -15,7 +21,9 @@
 //!
 //! Run with: `cargo run --release -p dp-bench --bin table3`
 
+use deepmd_core::env::{env_row_jacobian, smooth_weight};
 use deepmd_core::format::{format_baseline, FormattedEnv, NONE};
+use deepmd_core::DpConfig;
 use deepmd_core::ops::{format_optimized_into, prod_force_into, prod_virial_into};
 use dp_bench::report::{median_ms, print_provenance, print_table};
 use dp_bench::workloads;
@@ -49,8 +57,35 @@ fn type_blocks(fmt: &FormattedEnv, gw: &[[f64; 4]]) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// The 12-value Jacobian `∂row_m/∂d_k` of every slot of `fmt` (zeros on
+/// padding), as the baseline formatter stores it beside its table.
+fn baseline_jacobian(fmt: &FormattedEnv, cfg: &DpConfig) -> Vec<[[f64; 3]; 4]> {
+    let slots = fmt.disp.chunks_exact(3).zip(&fmt.indices);
+    slots
+        .map(|(d, &j)| {
+            if j == NONE {
+                return [[0.0; 3]; 4];
+            }
+            let d = [d[0], d[1], d[2]];
+            let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+            let (s, ds) = smooth_weight(r, cfg.rcut_smth, cfg.rcut);
+            env_row_jacobian(d, r, s, ds)
+        })
+        .collect()
+}
+
+/// One slot's gradient `Σ_m g_m·∂row_m/∂d` from its stored Jacobian.
+fn contract(g: [f64; 4], jac: &[[f64; 3]; 4]) -> [f64; 3] {
+    [0, 1, 2].map(|k| g[0] * jac[0][k] + g[1] * jac[1][k] + g[2] * jac[2][k] + g[3] * jac[3][k])
+}
+
 /// Baseline ProdForce: single-threaded slot loop, scalar scatter.
-fn prod_force_baseline(fmt: &FormattedEnv, gw: &[[f64; 4]], n_total: usize) -> Vec<[f64; 3]> {
+fn prod_force_baseline(
+    fmt: &FormattedEnv,
+    jac: &[[[f64; 3]; 4]],
+    gw: &[[f64; 4]],
+    n_total: usize,
+) -> Vec<[f64; 3]> {
     let mut forces = vec![[0.0f64; 3]; n_total];
     for atom in 0..fmt.n_atoms {
         for s in 0..fmt.nm {
@@ -59,13 +94,10 @@ fn prod_force_baseline(fmt: &FormattedEnv, gw: &[[f64; 4]], n_total: usize) -> V
             if j == NONE {
                 continue;
             }
-            let jac = &fmt.denv[slot * 12..slot * 12 + 12];
-            let g = gw[slot];
+            let grad = contract(gw[slot], &jac[slot]);
             for kk in 0..3 {
-                let grad =
-                    g[0] * jac[kk] + g[1] * jac[3 + kk] + g[2] * jac[6 + kk] + g[3] * jac[9 + kk];
-                forces[atom][kk] += grad;
-                forces[j as usize][kk] -= grad;
+                forces[atom][kk] += grad[kk];
+                forces[j as usize][kk] -= grad[kk];
             }
         }
     }
@@ -73,20 +105,14 @@ fn prod_force_baseline(fmt: &FormattedEnv, gw: &[[f64; 4]], n_total: usize) -> V
 }
 
 /// Baseline ProdVirial: single-threaded.
-fn prod_virial_baseline(fmt: &FormattedEnv, gw: &[[f64; 4]]) -> [f64; 6] {
+fn prod_virial_baseline(fmt: &FormattedEnv, jac: &[[[f64; 3]; 4]], gw: &[[f64; 4]]) -> [f64; 6] {
     let mut w = [0.0f64; 6];
     for slot in 0..fmt.n_atoms * fmt.nm {
         if fmt.indices[slot] == NONE {
             continue;
         }
-        let jac = &fmt.denv[slot * 12..slot * 12 + 12];
-        let g = gw[slot];
+        let grad = contract(gw[slot], &jac[slot]);
         let d = &fmt.disp[slot * 3..slot * 3 + 3];
-        let mut grad = [0.0; 3];
-        for kk in 0..3 {
-            grad[kk] =
-                g[0] * jac[kk] + g[1] * jac[3 + kk] + g[2] * jac[6 + kk] + g[3] * jac[9 + kk];
-        }
         w[0] -= d[0] * grad[0];
         w[1] -= d[1] * grad[1];
         w[2] -= d[2] * grad[2];
@@ -97,13 +123,16 @@ fn prod_virial_baseline(fmt: &FormattedEnv, gw: &[[f64; 4]]) -> [f64; 6] {
     w
 }
 
-fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
+/// `max |a − b|` over `‖b‖₂`.
+fn rel_err(a: &[f64], b: &[f64]) -> f64 {
+    let norm = b.iter().map(|x| x * x).sum::<f64>().sqrt();
+    let diff = a.iter().zip(b).map(|(x, y)| (x - y).abs());
+    diff.fold(0.0, f64::max) / norm
 }
 
 fn main() {
     let sys = workloads::water_12288();
-    let cfg = deepmd_core::DpConfig::water_paper();
+    let cfg = DpConfig::water_paper();
     let codec = cfg.codec(sys.len());
     let nl = NeighborList::build(&sys, cfg.rcut);
     print_provenance();
@@ -123,7 +152,7 @@ fn main() {
         f.indices.chunks(f.nm).map(|r| r.iter().copied().collect()).collect()
     };
     assert!(
-        neighbor_sets(&format_baseline(&sys, &nl, &cfg)) == neighbor_sets(&fmt),
+        neighbor_sets(&format_baseline(&sys, &nl, &cfg).table) == neighbor_sets(&fmt),
         "Environment implementations disagree"
     );
     let t_env_base = median_ms(REPS, || {
@@ -136,32 +165,32 @@ fn main() {
 
     let gw = synthetic_gw(&fmt, 99);
     let dedr = type_blocks(&fmt, &gw);
+    let jac = baseline_jacobian(&fmt, &cfg);
     let rows = fmt.rows(0..fmt.n_atoms);
     let mut slot_grads = Vec::new();
     let mut forces = vec![[0.0f64; 3]; sys.len()];
     let mut virial = [0.0f64; 6];
 
-    // correctness cross-checks before timing: the same sums in the same
-    // order, so the same bits
+    // correctness cross-checks before timing: the stored Jacobian and the
+    // closed form round differently, so the sums agree to rounding
     prod_force_into(rows, &dedr, &mut slot_grads);
     prod_virial_into(rows, 0, &slot_grads, &mut forces, &mut virial);
-    let fb = prod_force_baseline(&fmt, &gw, sys.len());
-    assert!(
-        bits(fb.as_flattened()) == bits(forces.as_flattened()),
-        "ProdForce implementations disagree"
-    );
-    let vb = prod_virial_baseline(&fmt, &gw);
-    assert!(bits(&vb) == bits(&virial), "ProdVirial implementations disagree");
+    let fb = prod_force_baseline(&fmt, &jac, &gw, sys.len());
+    let err = rel_err(forces.as_flattened(), fb.as_flattened());
+    assert!(err <= 1e-12, "ProdForce implementations disagree: {err:e}");
+    let vb = prod_virial_baseline(&fmt, &jac, &gw);
+    let err = rel_err(&virial, &vb);
+    assert!(err <= 1e-12, "ProdVirial implementations disagree: {err:e}");
 
     let t_force_base = median_ms(REPS, || {
-        black_box(prod_force_baseline(&fmt, &gw, sys.len()));
+        black_box(prod_force_baseline(&fmt, &jac, &gw, sys.len()));
     });
     let t_force_opt = median_ms(REPS, || {
         prod_force_into(rows, &dedr, &mut slot_grads);
         black_box(&slot_grads);
     });
     let t_virial_base = median_ms(REPS, || {
-        black_box(prod_virial_baseline(&fmt, &gw));
+        black_box(prod_virial_baseline(&fmt, &jac, &gw));
     });
     let t_virial_opt = median_ms(REPS, || {
         forces.fill([0.0; 3]);

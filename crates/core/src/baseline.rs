@@ -9,7 +9,7 @@
 //! also the strongest correctness check we have on the optimized path.
 
 use crate::eval::EvalOutput;
-use crate::format::{format_baseline, FormattedEnv, NONE};
+use crate::format::{format_baseline, BaselineEnv, NONE};
 use crate::model::DpModel;
 use dp_linalg::fused::{concat_sum_baseline, tanh_forward};
 use dp_linalg::gemm::{matmul, matmul_nt, matmul_then_sum, matmul_tn};
@@ -96,17 +96,18 @@ fn unfused_backward_input(net: &Net<f64>, pres: &[Matrix<f64>], dy: &Matrix<f64>
 
 /// Evaluate with the baseline pipeline (always f64).
 pub fn evaluate_baseline(model: &DpModel<f64>, sys: &System, nl: &NeighborList) -> EvalOutput {
-    let fmt = format_baseline(sys, nl, &model.config);
-    evaluate_baseline_formatted(model, &fmt, &sys.types[..sys.n_local], sys.len())
+    let base = format_baseline(sys, nl, &model.config);
+    evaluate_baseline_formatted(model, &base, &sys.types[..sys.n_local], sys.len())
 }
 
-/// Baseline evaluation from an existing formatted environment.
+/// Baseline evaluation from an existing baseline-formatted environment.
 pub fn evaluate_baseline_formatted(
     model: &DpModel<f64>,
-    fmt: &FormattedEnv,
+    base: &BaselineEnv,
     types: &[usize],
     n_total: usize,
 ) -> EvalOutput {
+    let fmt = &base.table;
     let cfg = &model.config;
     let n_types = cfg.n_types();
     let m_w = cfg.emb_width();
@@ -214,13 +215,13 @@ pub fn evaluate_baseline_formatted(
             }
             let j = j as usize;
             let gw = [dr[(s, 0)] + ds[s], dr[(s, 1)], dr[(s, 2)], dr[(s, 3)]];
-            let jac = &fmt.denv[slot * 12..slot * 12 + 12];
+            let jac = &base.jacobian[slot];
             let mut grad = [0.0; 3];
             for kk in 0..3 {
-                grad[kk] = gw[0] * jac[kk]
-                    + gw[1] * jac[3 + kk]
-                    + gw[2] * jac[6 + kk]
-                    + gw[3] * jac[9 + kk];
+                grad[kk] = gw[0] * jac[0][kk]
+                    + gw[1] * jac[1][kk]
+                    + gw[2] * jac[2][kk]
+                    + gw[3] * jac[3][kk];
             }
             let dvec = &fmt.disp[slot * 3..slot * 3 + 3];
             for kk in 0..3 {

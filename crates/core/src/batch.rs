@@ -93,7 +93,7 @@ pub fn reset_joined(dst: &mut FormattedEnv, cfg: &DpConfig) {
     dst.n_atoms = 0;
     dst.indices.clear();
     dst.env.clear();
-    dst.denv.clear();
+    dst.radial.clear();
     dst.disp.clear();
     dst.overflowed = 0;
 }
@@ -118,7 +118,7 @@ pub fn append_joined(dst: &mut FormattedEnv, src: &FormattedEnv, atom_offset: us
             .map(|&j| if j == NONE { NONE } else { j + off }),
     );
     dst.env.extend_from_slice(&src.env);
-    dst.denv.extend_from_slice(&src.denv);
+    dst.radial.extend_from_slice(&src.radial);
     dst.disp.extend_from_slice(&src.disp);
     dst.overflowed += src.overflowed;
 }
@@ -368,7 +368,7 @@ mod tests {
         assert_eq!(reused.indices, fresh.indices);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&reused.env), bits(&fresh.env));
-        assert_eq!(bits(&reused.denv), bits(&fresh.denv));
+        assert_eq!(bits(&reused.radial), bits(&fresh.radial));
         assert_eq!(bits(&reused.disp), bits(&fresh.disp));
     }
 

@@ -3,17 +3,33 @@
 //!
 //! For a neighbor at displacement `d` (center → neighbor), the environment
 //! matrix row is `(s, s·x/r, s·y/r, s·z/r)` where `s(r)` is `1/r` smoothly
-//! switched to zero between `rcut_smth` and `rcut`. This module also
-//! supplies the geometric Jacobian `∂row/∂d` consumed by the ProdForce and
-//! ProdVirial operators.
+//! switched to zero between `rcut_smth` and `rcut`.
 //!
 //! The definitions live beside their vector twin in
 //! [`dp_linalg::simd::env`]: the optimized formatter sweeps whole type
 //! blocks with [`dp_linalg::simd::env::env_rows_with`], which gives the bits
 //! of these scalar functions on every backend, and the baseline formatter
-//! calls them slot by slot.
+//! calls them slot by slot. The shipped table keeps only `(1/r, s′)` of a
+//! row's Jacobian ([`crate::ops`] builds the rest from `s` and `d`);
+//! [`env_row_jacobian`] is the full `∂row/∂d` the baseline stores.
 
 pub use dp_linalg::simd::env::{env_row, smooth_weight};
+
+/// The Jacobian `∂row_m/∂d_k` of the row at displacement `d`, distance `r`,
+/// with `s(r)` and `s′`: `∂s/∂d_k = s′·u_k` and
+/// `∂(s·u_m)/∂d_k = s′·u_k·u_m + s·(δ_mk − u_m·u_k)/r`, `u = d/r`.
+pub fn env_row_jacobian(d: [f64; 3], r: f64, s: f64, ds: f64) -> [[f64; 3]; 4] {
+    let inv_r = 1.0 / r;
+    let u = d.map(|x| x * inv_r);
+    let mut dw = [u.map(|uk| ds * uk), [0.0; 3], [0.0; 3], [0.0; 3]];
+    for m in 0..3 {
+        for k in 0..3 {
+            let delta = if m == k { 1.0 } else { 0.0 };
+            dw[m + 1][k] = ds * u[k] * u[m] + s * (delta - u[m] * u[k]) * inv_r;
+        }
+    }
+    dw
+}
 
 #[cfg(test)]
 mod tests {
@@ -62,12 +78,11 @@ mod tests {
         let rc = 6.0;
         let row_of = |d: [f64; 3]| {
             let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
-            let (s, ds) = smooth_weight(r, rcs, rc);
-            env_row(d, r, s, ds).0
+            env_row(d, r, smooth_weight(r, rcs, rc).0)
         };
         let r0 = (d0[0] * d0[0] + d0[1] * d0[1] + d0[2] * d0[2]).sqrt();
         let (s0, ds0) = smooth_weight(r0, rcs, rc);
-        let (_, dw) = env_row(d0, r0, s0, ds0);
+        let dw = env_row_jacobian(d0, r0, s0, ds0);
         let h = 1e-7;
         for k in 0..3 {
             let mut dp = d0;
@@ -92,11 +107,11 @@ mod tests {
         // s-part invariant, vector part rotates with d.
         let d: [f64; 3] = [0.5, 1.0, -0.3];
         let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
-        let (s, ds) = smooth_weight(r, 1.0, 6.0);
-        let (w, _) = env_row(d, r, s, ds);
+        let (s, _) = smooth_weight(r, 1.0, 6.0);
+        let w = env_row(d, r, s);
         // rotate 90° about z: (x,y,z) -> (-y,x,z)
         let dr = [-d[1], d[0], d[2]];
-        let (wr, _) = env_row(dr, r, s, ds);
+        let wr = env_row(dr, r, s);
         assert!((w[0] - wr[0]).abs() < 1e-12);
         assert!((wr[1] + w[2]).abs() < 1e-12);
         assert!((wr[2] - w[1]).abs() < 1e-12);

@@ -11,7 +11,8 @@
 //! * [`format_optimized`] — compress each neighbor into a `u64` key
 //!   ([`crate::codec`]), sort scalars, decode (§5.2.2);
 //! * [`format_baseline`] — the AoS struct sort the baseline code used,
-//!   kept only as Table 3's baseline and the tests' reference.
+//!   kept only as Table 3's baseline and the tests' reference; it also
+//!   stores each slot's full 12-value Jacobian, as that code did.
 //!
 //! Both keep the same neighbors in every row (Table 3 times them against
 //! each other), but distances tied to within the codec's 1e-8 Å can sort
@@ -33,10 +34,13 @@
 //! kept slots' geometry in slot order, one switch + row sweep per type
 //! block straight into the table ([`dp_linalg::simd::env::env_rows_with`]),
 //! and zeros written to each block's padding tail only.
+//!
+//! A slot of the table is 76 bytes: a 4-byte index, the 32-byte row, the
+//! 24-byte displacement and the 16-byte pair `(1/r, s′)`.
 
 use crate::codec::Codec;
 use crate::config::DpConfig;
-use crate::env::{env_row, smooth_weight};
+use crate::env::{env_row, env_row_jacobian, smooth_weight};
 use dp_linalg::simd::{self, env::Gathered};
 use dp_md::{NeighborList, System};
 use std::ops::Range;
@@ -54,11 +58,12 @@ pub struct FormattedEnv {
     pub nm: usize,
     /// Neighbor atom index per slot (`NONE` = padding); `n_atoms × nm`.
     pub indices: Vec<i32>,
-    /// Environment matrix rows, 4 per slot; `n_atoms × nm × 4`.
+    /// Environment matrix rows `(s, s·d/r)`, 4 per slot; `n_atoms × nm × 4`.
     pub env: Vec<f64>,
-    /// Jacobian `∂row/∂d`, 12 per slot; `n_atoms × nm × 12` (row-major
-    /// `[m][k]`).
-    pub denv: Vec<f64>,
+    /// `(1/r, s′)` per slot, `s′ = ds/dr`; `n_atoms × nm × 2`. With the
+    /// row's `s` and the displacement they are the Jacobian `∂row/∂d`,
+    /// which [`crate::ops`] applies in closed form.
+    pub radial: Vec<f64>,
     /// Displacement `d = r_j − r_i` per slot; `n_atoms × nm × 3`.
     pub disp: Vec<f64>,
     /// Neighbors dropped because a type exceeded its `sel` capacity
@@ -77,7 +82,7 @@ impl FormattedEnv {
             nm,
             indices: vec![NONE; n_atoms * nm],
             env: vec![0.0; n_atoms * nm * 4],
-            denv: vec![0.0; n_atoms * nm * 12],
+            radial: vec![0.0; n_atoms * nm * 2],
             disp: vec![0.0; n_atoms * nm * 3],
             overflowed: 0,
         }
@@ -92,7 +97,7 @@ impl FormattedEnv {
         self.n_atoms = n_atoms;
         self.indices.resize(n_atoms * nm, NONE);
         self.env.resize(n_atoms * nm * 4, 0.0);
-        self.denv.resize(n_atoms * nm * 12, 0.0);
+        self.radial.resize(n_atoms * nm * 2, 0.0);
         self.disp.resize(n_atoms * nm * 3, 0.0);
         self.sel.clone_from(&cfg.sel);
     }
@@ -108,7 +113,7 @@ impl FormattedEnv {
             n_atoms: atoms.len(),
             indices: &self.indices[a..b],
             env: &self.env[a * 4..b * 4],
-            denv: &self.denv[a * 12..b * 12],
+            radial: &self.radial[a * 2..b * 2],
             disp: &self.disp[a * 3..b * 3],
         }
     }
@@ -135,7 +140,7 @@ pub struct EnvRows<'a> {
     pub n_atoms: usize,
     pub indices: &'a [i32],
     pub env: &'a [f64],
-    pub denv: &'a [f64],
+    pub radial: &'a [f64],
     pub disp: &'a [f64],
 }
 
@@ -245,7 +250,7 @@ pub(crate) fn format_rows_into(
         sel,
         indices,
         env,
-        denv,
+        radial,
         disp,
         ..
     } = out;
@@ -315,11 +320,11 @@ pub(crate) fn format_rows_into(
                     [x, y, z],
                     r,
                     &mut env[a * 4..b * 4],
-                    &mut denv[a * 12..b * 12],
+                    &mut radial[a * 2..b * 2],
                 );
                 indices[b..c].fill(NONE);
                 env[b * 4..c * 4].fill(0.0);
-                denv[b * 12..c * 12].fill(0.0);
+                radial[b * 2..c * 2].fill(0.0);
                 disp[b * 3..c * 3].fill(0.0);
                 start += s;
             }
@@ -337,45 +342,49 @@ struct RawNeighbor {
     d: [f64; 3],
 }
 
+/// The baseline formatter's output: the table, and beside it the full
+/// Jacobian `∂row_m/∂d_k` of every slot (`[m][k]`, zeros on padding) that
+/// the 2018 code stored and its ProdForce and ProdVirial contracted.
+#[derive(Debug, Clone)]
+pub struct BaselineEnv {
+    pub table: FormattedEnv,
+    pub jacobian: Vec<[[f64; 3]; 4]>,
+}
+
 // one atom's output rows from its sorted neighbors, slot by slot
-#[allow(clippy::too_many_arguments)]
 fn fill_atom_slots(
-    out_indices: &mut [i32],
-    out_env: &mut [f64],
-    out_denv: &mut [f64],
-    out_disp: &mut [f64],
-    sel: &[usize],
+    out: &mut BaselineEnv,
+    atom: usize,
     sorted: &[RawNeighbor],
     cfg: &DpConfig,
     cursor: &mut Vec<usize>,
     limit: &mut Vec<usize>,
 ) -> usize {
+    let t = &mut out.table;
     let mut overflow = 0usize;
     // type-block cursors; cursor[t] runs from block start to limit[t]
     cursor.clear();
     limit.clear();
-    let mut start = 0usize;
-    for &s in sel {
+    let mut start = atom * t.nm;
+    for &s in &t.sel {
         cursor.push(start);
         start += s;
         limit.push(start);
     }
     for n in sorted {
-        let t = n.ty as usize;
-        if cursor[t] >= limit[t] {
+        let ty = n.ty as usize;
+        if cursor[ty] >= limit[ty] {
             overflow += 1;
             continue;
         }
-        let slot = cursor[t];
-        cursor[t] += 1;
-        out_indices[slot] = n.j as i32;
+        let slot = cursor[ty];
+        cursor[ty] += 1;
+        t.indices[slot] = n.j as i32;
         let (s, ds) = smooth_weight(n.r, cfg.rcut_smth, cfg.rcut);
-        let (w, dw) = env_row(n.d, n.r, s, ds);
-        out_env[slot * 4..slot * 4 + 4].copy_from_slice(&w);
-        for m in 0..4 {
-            out_denv[slot * 12 + m * 3..slot * 12 + m * 3 + 3].copy_from_slice(&dw[m]);
-        }
-        out_disp[slot * 3..slot * 3 + 3].copy_from_slice(&n.d);
+        t.env[slot * 4..slot * 4 + 4].copy_from_slice(&env_row(n.d, n.r, s));
+        t.radial[slot * 2..slot * 2 + 2].copy_from_slice(&[1.0 / n.r, ds]);
+        t.disp[slot * 3..slot * 3 + 3].copy_from_slice(&n.d);
+        out.jacobian[slot] = env_row_jacobian(n.d, n.r, s, ds);
     }
     overflow
 }
@@ -408,11 +417,11 @@ fn gather_raw_into(
 /// Baseline formatter: sort an array of structs with a three-field
 /// comparator (what the 2018 DeePMD-kit did on the CPU), single-threaded
 /// like the baseline.
-pub fn format_baseline(sys: &System, nl: &NeighborList, cfg: &DpConfig) -> FormattedEnv {
+pub fn format_baseline(sys: &System, nl: &NeighborList, cfg: &DpConfig) -> BaselineEnv {
     assert!(sys.num_types() <= cfg.n_types(), "model has too few types");
-    let mut out = FormattedEnv::alloc(sys.n_local, cfg);
-    let nm = out.nm;
-    let sel = out.sel.clone();
+    let table = FormattedEnv::alloc(sys.n_local, cfg);
+    let jacobian = vec![[[0.0; 3]; 4]; table.indices.len()];
+    let mut out = BaselineEnv { table, jacobian };
     let mut overflow = 0usize;
     let mut raw: Vec<RawNeighbor> = Vec::new();
     let mut cursor: Vec<usize> = Vec::new();
@@ -424,23 +433,9 @@ pub fn format_baseline(sys: &System, nl: &NeighborList, cfg: &DpConfig) -> Forma
                 .then(a.r.partial_cmp(&b.r).unwrap())
                 .then(a.j.cmp(&b.j))
         });
-        let idx = &mut out.indices[i * nm..(i + 1) * nm];
-        let env = &mut out.env[i * nm * 4..(i + 1) * nm * 4];
-        let denv = &mut out.denv[i * nm * 12..(i + 1) * nm * 12];
-        let disp = &mut out.disp[i * nm * 3..(i + 1) * nm * 3];
-        overflow += fill_atom_slots(
-            idx,
-            env,
-            denv,
-            disp,
-            &sel,
-            &raw,
-            cfg,
-            &mut cursor,
-            &mut limit,
-        );
+        overflow += fill_atom_slots(&mut out, i, &raw, cfg, &mut cursor, &mut limit);
     }
-    out.overflowed = overflow;
+    out.table.overflowed = overflow;
     out
 }
 
@@ -469,10 +464,11 @@ mod tests {
         let cfg = small_cfg();
         for codec in [Codec::PaperDecimal, Codec::Binary] {
             let a = format_optimized(&sys, &nl, &cfg, codec);
-            let b = format_baseline(&sys, &nl, &cfg);
+            let b = format_baseline(&sys, &nl, &cfg).table;
             assert_eq!(a.indices, b.indices, "{codec:?}");
             assert_eq!(a.env, b.env);
-            assert_eq!(a.denv, b.denv);
+            assert_eq!(a.radial, b.radial);
+            assert_eq!(a.disp, b.disp);
             assert_eq!(a.overflowed, b.overflowed);
         }
     }
@@ -505,7 +501,7 @@ mod tests {
         for slot in 0..f.n_atoms * f.nm {
             if f.indices[slot] == NONE {
                 assert!(f.env[slot * 4..slot * 4 + 4].iter().all(|&x| x == 0.0));
-                assert!(f.denv[slot * 12..slot * 12 + 12].iter().all(|&x| x == 0.0));
+                assert!(f.radial[slot * 2..slot * 2 + 2].iter().all(|&x| x == 0.0));
             }
         }
     }
@@ -571,7 +567,7 @@ mod tests {
         format_optimized_into(&mut ws, &sys, &nl, &cfg, Codec::Binary);
         assert_eq!(ws.indices, fresh.indices);
         assert_eq!(ws.env, fresh.env);
-        assert_eq!(ws.denv, fresh.denv);
+        assert_eq!(ws.radial, fresh.radial);
     }
 
     #[test]
@@ -599,7 +595,7 @@ mod tests {
                 .map(|r| r.iter().copied().collect())
                 .collect()
         };
-        let base = format_baseline(&sys, &nl, &cfg);
+        let base = format_baseline(&sys, &nl, &cfg).table;
         for codec in [Codec::PaperDecimal, Codec::Binary] {
             let opt = format_optimized(&sys, &nl, &cfg, codec);
             assert_eq!((opt.overflowed, base.overflowed), (0, 0));

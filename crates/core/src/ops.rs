@@ -3,13 +3,20 @@
 //! ([`crate::train_grad`]) and the `table3` harness all call these.
 //!
 //! * **Environment**: [`format_optimized_into`] builds the sorted, padded
-//!   rows of `R̃`, their Jacobians `∂R̃/∂d` and the displacements `d`.
+//!   rows `R̃ = (s, s·d/r)`, the displacements `d` and, per slot, the pair
+//!   `(1/r, s′)` that with `s` and `d` makes the Jacobian `∂R̃/∂d`.
 //! * **ProdForce**: [`prod_force_into`] contracts each slot's `∂E/∂R̃`
 //!   with its Jacobian into the slot gradient `g = (∂R̃/∂d)ᵀ·∂E/∂R̃`.
 //! * **ProdVirial**: [`prod_virial_into`] scatters each `g` onto the slot's
 //!   center (`+g`) and neighbor (`−g`) and adds `−d ⊗ g` to the virial.
 //! * [`env_tangent_into`] is ProdForce's transpose, `Ṙ = (∂R̃/∂d)·ḋ`,
 //!   the tangent the training gradient carries.
+//!
+//! The Jacobian is never stored. With `u = d/r`, `β = s/r` and a slot's
+//! `a = (a₀, a_v) = ∂E/∂R̃`, ProdForce is `g = α·u + β·a_v` with
+//! `α = a₀·s′ + (s′ − β)·(a_v·u)`, and the tangent of a move `δ` is
+//! `ẇ₀ = s′·(u·δ)`, `ẇ_v = s′·(u·δ)·u + β·(δ − (u·δ)·u)`: a slot reads 9
+//! values (row head, `d`, `(1/r, s′)`) instead of a 12-value Jacobian.
 //!
 //! Each works over one chunk's rows of a table (an [`EnvRows`] view) into
 //! buffers the caller owns, and allocates nothing once those have grown.
@@ -23,8 +30,17 @@ use crate::format::{EnvRows, NONE};
 use crate::workspace::reuse_uninit;
 use dp_obs::par;
 
+/// `(u, β, s′)` of slot `slot`: the unit vector `d/r`, `s/r` and `ds/dr`.
+#[inline]
+fn slot_frame(rows: &EnvRows, slot: usize) -> ([f64; 3], f64, f64) {
+    let (inv_r, ds) = (rows.radial[2 * slot], rows.radial[2 * slot + 1]);
+    let d = &rows.disp[3 * slot..3 * slot + 3];
+    let u = [d[0] * inv_r, d[1] * inv_r, d[2] * inv_r];
+    (u, rows.env[4 * slot] * inv_r, ds)
+}
+
 /// ProdForce: `slot_grads[s] = Σ_m dedr[s][m]·∂R̃_m/∂d` for every slot `s`
-/// of `rows`, slot-major (`rows.n_atoms·nm` entries).
+/// of `rows`, slot-major (`rows.n_atoms·nm` entries), in closed form.
 pub fn prod_force_into(rows: EnvRows, dedr: &[Vec<f64>], slot_grads: &mut Vec<[f64; 3]>) {
     let nm = rows.nm;
     assert_eq!(dedr.len(), rows.sel.len(), "one block per neighbor type");
@@ -40,15 +56,14 @@ pub fn prod_force_into(rows: EnvRows, dedr: &[Vec<f64>], slot_grads: &mut Vec<[f
                     *out_g = [0.0; 3];
                     continue;
                 }
-                let jac = &rows.denv[slot * 12..slot * 12 + 12];
-                let mut g = [0.0; 3];
-                for kk in 0..3 {
-                    g[kk] = gw[0] * jac[kk]
-                        + gw[1] * jac[3 + kk]
-                        + gw[2] * jac[6 + kk]
-                        + gw[3] * jac[9 + kk];
-                }
-                *out_g = g;
+                let (u, beta, ds) = slot_frame(&rows, slot);
+                let au = gw[1] * u[0] + gw[2] * u[1] + gw[3] * u[2];
+                let alpha = gw[0] * ds + (ds - beta) * au;
+                *out_g = [
+                    alpha * u[0] + beta * gw[1],
+                    alpha * u[1] + beta * gw[2],
+                    alpha * u[2] + beta * gw[3],
+                ];
             }
             block += sel_t;
         }
@@ -108,9 +123,12 @@ pub fn env_tangent_into(rows: EnvRows, atom0: usize, w: &[[f64; 3]], out: &mut [
                 }
                 let wj = w[j as usize];
                 let dd = [wj[0] - wi[0], wj[1] - wi[1], wj[2] - wi[2]];
-                let jac = &rows.denv[slot * 12..slot * 12 + 12];
-                for (m, r) in dst.iter_mut().enumerate() {
-                    *r = jac[m * 3] * dd[0] + jac[m * 3 + 1] * dd[1] + jac[m * 3 + 2] * dd[2];
+                let (u, beta, ds) = slot_frame(&rows, slot);
+                let ud = u[0] * dd[0] + u[1] * dd[1] + u[2] * dd[2];
+                let w0 = ds * ud;
+                dst[0] = w0;
+                for k in 0..3 {
+                    dst[k + 1] = w0 * u[k] + beta * (dd[k] - ud * u[k]);
                 }
             }
         }
@@ -123,7 +141,7 @@ mod tests {
     use super::*;
     use crate::codec::Codec;
     use crate::config::DpConfig;
-    use crate::env::smooth_weight;
+    use crate::env::{env_row_jacobian, smooth_weight};
     use crate::format::{format_optimized, FormattedEnv};
     use dp_md::rng::for_cases;
     use dp_md::{lattice, CounterRng, NeighborList, System};
@@ -164,7 +182,8 @@ mod tests {
             .collect()
     }
 
-    /// ProdForce and ProdVirial as one naive serial loop over the slots.
+    /// ProdForce (in closed form) and ProdVirial as one naive serial loop
+    /// over the slots.
     fn naive(fmt: &FormattedEnv, dedr: &[Vec<f64>], n_total: usize) -> (Vec<[f64; 3]>, [f64; 6]) {
         let mut forces = vec![[0.0; 3]; n_total];
         let mut virial = [0.0; 6];
@@ -177,14 +196,14 @@ mod tests {
                         continue;
                     }
                     let gw = &dedr[t][(atom * sel_t + k) * 4..][..4];
-                    let jac = &fmt.denv[slot * 12..slot * 12 + 12];
                     let d = &fmt.disp[slot * 3..slot * 3 + 3];
+                    let inv_r = fmt.radial[slot * 2];
+                    let (beta, ds) = (fmt.env[slot * 4] * inv_r, fmt.radial[slot * 2 + 1]);
+                    let u = [d[0] * inv_r, d[1] * inv_r, d[2] * inv_r];
+                    let alpha = gw[0] * ds + (ds - beta) * (gw[1] * u[0] + gw[2] * u[1] + gw[3] * u[2]);
                     let mut g = [0.0; 3];
                     for kk in 0..3 {
-                        g[kk] = gw[0] * jac[kk]
-                            + gw[1] * jac[3 + kk]
-                            + gw[2] * jac[6 + kk]
-                            + gw[3] * jac[9 + kk];
+                        g[kk] = alpha * u[kk] + beta * gw[kk + 1];
                         forces[atom][kk] += g[kk];
                         forces[j as usize][kk] -= g[kk];
                     }
@@ -301,42 +320,32 @@ mod tests {
         }
     }
 
-    /// `(s, 1/r, s′, d)` of a real slot: `s` from the row, `1/r` and `s′`
-    /// from the displacement, as the row sweep computes them.
-    fn slot_geometry(fmt: &FormattedEnv, cfg: &DpConfig, slot: usize) -> (f64, f64, f64, [f64; 3]) {
+    /// `(r, Jacobian)` of a real slot: `r` from the displacement as the
+    /// gather computes it, then the baseline's 12-value `∂row/∂d`.
+    fn slot_jacobian(fmt: &FormattedEnv, cfg: &DpConfig, slot: usize) -> (f64, [[f64; 3]; 4]) {
         let d: [f64; 3] = fmt.disp[slot * 3..slot * 3 + 3].try_into().unwrap();
         let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
-        let (_, ds) = smooth_weight(r, cfg.rcut_smth, cfg.rcut);
-        (fmt.env[slot * 4], 1.0 / r, ds, d)
+        let (s, ds) = smooth_weight(r, cfg.rcut_smth, cfg.rcut);
+        (r, env_row_jacobian(d, r, s, ds))
     }
 
-    /// The closed-form slot gradient: with `u = d/r` and `β = s/r`,
-    /// `g = α·u + β·a_v`, `α = a₀·s′ + (s′ − β)·(a_v·u)`.
+    /// The slot gradient as the 12-value contraction `Σ_m a_m·∂row_m/∂d`.
     fn slot_grad(fmt: &FormattedEnv, cfg: &DpConfig, slot: usize, a: &[f64]) -> [f64; 3] {
-        let (s, inv_r, ds, d) = slot_geometry(fmt, cfg, slot);
-        let u = d.map(|x| x * inv_r);
-        let beta = s * inv_r;
-        let au = a[1] * u[0] + a[2] * u[1] + a[3] * u[2];
-        let alpha = a[0] * ds + (ds - beta) * au;
-        [0, 1, 2].map(|k| alpha * u[k] + beta * a[k + 1])
+        let jac = slot_jacobian(fmt, cfg, slot).1;
+        [0, 1, 2].map(|k| (0..4).map(|m| a[m] * jac[m][k]).sum())
     }
 
-    /// The closed-form tangent of a slot moved by `δ`: `ẇ₀ = s′·(u·δ)`,
-    /// `ẇ_v = s′·(u·δ)·u + β·(δ − (u·δ)·u)`.
+    /// The tangent of a slot moved by `δ` as `(∂row/∂d)·δ`.
     fn slot_tangent(fmt: &FormattedEnv, cfg: &DpConfig, slot: usize, dd: [f64; 3]) -> [f64; 4] {
-        let (s, inv_r, ds, d) = slot_geometry(fmt, cfg, slot);
-        let u = d.map(|x| x * inv_r);
-        let beta = s * inv_r;
-        let ud = u[0] * dd[0] + u[1] * dd[1] + u[2] * dd[2];
-        let v = [0, 1, 2].map(|k| ds * ud * u[k] + beta * (dd[k] - ud * u[k]));
-        [ds * ud, v[0], v[1], v[2]]
+        let jac = slot_jacobian(fmt, cfg, slot).1;
+        jac.map(|row| row[0] * dd[0] + row[1] * dd[1] + row[2] * dd[2])
     }
 
     /// ProdForce, the ProdVirial scatter and the tangent of the shipped
-    /// operators against the slot formulas above, on the same slots: the
-    /// 12-value Jacobian contraction and the closed form in `(1/r, s′)`
-    /// agree to 1e-14 of each output's norm, padding and ghosts included,
-    /// at both edges of the switch window and with both codecs.
+    /// operators (the closed form in `(1/r, s′)`) against the 12-value
+    /// Jacobian contraction above, on the same slots: they agree to 1e-14
+    /// of each output's norm, padding and ghosts included, at both edges
+    /// of the switch window and with both codecs.
     #[test]
     fn jacobian_contraction_and_closed_form_agree() {
         let worst = std::cell::Cell::new(0.0f64);
@@ -355,7 +364,7 @@ mod tests {
             let mut edges = [false; 2];
             for slot in 0..fmt.nm {
                 if fmt.indices[slot] != NONE {
-                    let r = 1.0 / slot_geometry(&fmt, cfg, slot).1;
+                    let r = slot_jacobian(&fmt, cfg, slot).0;
                     edges[0] |= (r - cfg.rcut_smth).abs() <= 1e-6;
                     edges[1] |= (cfg.rcut - r).abs() <= 1e-6;
                 }

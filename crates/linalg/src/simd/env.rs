@@ -7,8 +7,9 @@
 //!   only. No branch depends on a candidate: every candidate is written at
 //!   the kept count, which then grows by the keep bit.
 //! * [`env_rows_with`] is one switch + environment-row sweep over kept
-//!   neighbors in slot order: `s(r)`, `ds/dr`, the row `(s, s·d/r)` and its
-//!   Jacobian `∂row/∂d`, written straight into a table's slots.
+//!   neighbors in slot order: `s(r)`, `s′ = ds/dr`, the row `(s, s·d/r)`
+//!   and the pair `(1/r, s′)` its Jacobian `∂row/∂d` is built from (with
+//!   `s` and `d`), written straight into a table's slots.
 //!
 //! [`smooth_weight`] and [`env_row`] are the scalar definitions both
 //! backends reproduce. `Scalar` and `Avx2` give the same bits: the vector
@@ -210,32 +211,18 @@ fn sincos_pi(x: f64) -> (f64, f64) {
     (sin, if hi { -cos } else { cos })
 }
 
-/// Environment row `w = (s, s·d/r)` and its Jacobian `dw[m]/dd[k]`.
+/// Environment row `w = (s, s·d/r)`.
 #[inline]
-pub fn env_row(d: [f64; 3], r: f64, s: f64, ds: f64) -> ([f64; 4], [[f64; 3]; 4]) {
+pub fn env_row(d: [f64; 3], r: f64, s: f64) -> [f64; 4] {
     let inv_r = 1.0 / r;
-    let u = [d[0] * inv_r, d[1] * inv_r, d[2] * inv_r]; // unit vector
-    let w = [s, s * u[0], s * u[1], s * u[2]];
-    let mut dw = [[0.0; 3]; 4];
-    // dw0/dd_k = ds * u_k
-    for k in 0..3 {
-        dw[0][k] = ds * u[k];
-    }
-    // d(s·u_m)/dd_k = ds·u_k·u_m + s·(δ_mk − u_m·u_k)/r
-    for m in 0..3 {
-        for k in 0..3 {
-            let delta = if m == k { 1.0 } else { 0.0 };
-            dw[m + 1][k] = ds * u[k] * u[m] + s * (delta - u[m] * u[k]) * inv_r;
-        }
-    }
-    (w, dw)
+    [s, s * (d[0] * inv_r), s * (d[1] * inv_r), s * (d[2] * inv_r)]
 }
 
 /// For each neighbor `s` of `r.len()`, at displacement
 /// `(d[0][s], d[1][s], d[2][s])` and distance `r[s]`: the environment row
-/// `(s, s·d/r)` into `env[4s..4s+4]` and its Jacobian `∂row_m/∂d_k` into
-/// `denv[12s + 3m + k]`, with `s(r)` from [`smooth_weight`] — the bits of
-/// [`env_row`] on every backend.
+/// `(s, s·d/r)` into `env[4s..4s+4]` and `(1/r, s′)` into
+/// `radial[2s..2s+2]`, with `s(r)` and `s′` from [`smooth_weight`] — the
+/// bits of [`env_row`] and of `1.0 / r` on every backend.
 pub fn env_rows_with(
     backend: Backend,
     rcut_smth: f64,
@@ -243,7 +230,7 @@ pub fn env_rows_with(
     d: [&[f64]; 3],
     r: &[f64],
     env: &mut [f64],
-    denv: &mut [f64],
+    radial: &mut [f64],
 ) {
     let n = r.len();
     assert!(
@@ -251,16 +238,16 @@ pub fn env_rows_with(
         "one displacement per distance"
     );
     assert!(
-        env.len() == 4 * n && denv.len() == 12 * n,
-        "4 + 12 outputs per row"
+        env.len() == 4 * n && radial.len() == 2 * n,
+        "4 + 2 outputs per row"
     );
     match backend {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 if super::x86::detected() => {
             // SAFETY: avx2 is detected; the lengths were checked above.
-            unsafe { x86::env_rows(rcut_smth, rcut, d, r, env, denv) }
+            unsafe { x86::env_rows(rcut_smth, rcut, d, r, env, radial) }
         }
-        _ => env_rows_scalar(rcut_smth, rcut, d, r, env, denv),
+        _ => env_rows_scalar(rcut_smth, rcut, d, r, env, radial),
     }
 }
 
@@ -271,13 +258,12 @@ fn env_rows_scalar(
     d: [&[f64]; 3],
     r: &[f64],
     env: &mut [f64],
-    denv: &mut [f64],
+    radial: &mut [f64],
 ) {
     for s in 0..r.len() {
         let (sw, dsw) = smooth_weight(r[s], rcut_smth, rcut);
-        let (w, dw) = env_row([d[0][s], d[1][s], d[2][s]], r[s], sw, dsw);
-        env[4 * s..4 * s + 4].copy_from_slice(&w);
-        denv[12 * s..12 * s + 12].copy_from_slice(dw.as_flattened());
+        env[4 * s..4 * s + 4].copy_from_slice(&env_row([d[0][s], d[1][s], d[2][s]], r[s], sw));
+        radial[2 * s..2 * s + 2].copy_from_slice(&[1.0 / r[s], dsw]);
     }
 }
 
@@ -494,7 +480,7 @@ mod x86 {
 
     /// # Safety
     /// The host has avx2; `d[k]` and `r` hold `n` entries, `env` `4n` and
-    /// `denv` `12n`.
+    /// `radial` `2n`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn env_rows(
         rcut_smth: f64,
@@ -502,10 +488,10 @@ mod x86 {
         d: [&[f64]; 3],
         r: &[f64],
         env: &mut [f64],
-        denv: &mut [f64],
+        radial: &mut [f64],
     ) {
         let n = r.len();
-        let (ep, jp) = (env.as_mut_ptr(), denv.as_mut_ptr());
+        let (ep, jp) = (env.as_mut_ptr(), radial.as_mut_ptr());
         let mut s0 = 0;
         while s0 + 4 <= n {
             let load = |v: &[f64]| _mm256_loadu_pd(v.as_ptr().add(s0));
@@ -516,7 +502,7 @@ mod x86 {
                 rcut_smth,
                 rcut,
                 ep.add(4 * s0),
-                jp.add(12 * s0),
+                jp.add(2 * s0),
             );
             s0 += 4;
         }
@@ -531,7 +517,7 @@ mod x86 {
                 _mm256_loadu_pd(x.as_ptr())
             };
             let dv = [pad(d[0], 0.0), pad(d[1], 0.0), pad(d[2], 0.0)];
-            let (mut e, mut j) = ([0.0; 16], [0.0; 48]);
+            let (mut e, mut j) = ([0.0; 16], [0.0; 8]);
             rows4(
                 pad(r, 1.0),
                 dv,
@@ -541,12 +527,12 @@ mod x86 {
                 j.as_mut_ptr(),
             );
             env[4 * s0..].copy_from_slice(&e[..4 * m]);
-            denv[12 * s0..].copy_from_slice(&j[..12 * m]);
+            radial[2 * s0..].copy_from_slice(&j[..2 * m]);
         }
     }
 
     /// Four consecutive rows: distances `r`, displacements `d`, rows to
-    /// `env` (16 values) and Jacobians to `denv` (48).
+    /// `env` (16 values) and `(1/r, s′)` pairs to `radial` (8).
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn rows4(
@@ -555,10 +541,9 @@ mod x86 {
         rcut_smth: f64,
         rcut: f64,
         env: *mut f64,
-        denv: *mut f64,
+        radial: *mut f64,
     ) {
-        let (one, zero) = (_mm256_set1_pd(1.0), _mm256_setzero_pd());
-        let inv_r = _mm256_div_pd(one, r);
+        let inv_r = _mm256_div_pd(_mm256_set1_pd(1.0), r);
         let (s, ds) = switch(r, inv_r, rcut_smth, rcut);
         let u = d.map(|x| _mm256_mul_pd(x, inv_r));
         let w = [
@@ -568,23 +553,10 @@ mod x86 {
             _mm256_mul_pd(s, u[2]),
         ];
         store_transposed(w, env, 4);
-        // dw[0][k] = ds·u_k; dw[m+1][k] = ds·u_k·u_m + s·(δ_mk − u_m·u_k)/r
-        let dw0 = u.map(|x| _mm256_mul_pd(ds, x));
-        let mut dw = [zero; 12];
-        dw[..3].copy_from_slice(&dw0);
-        for m in 0..3 {
-            for k in 0..3 {
-                let delta = if m == k { one } else { zero };
-                let geo = _mm256_sub_pd(delta, _mm256_mul_pd(u[m], u[k]));
-                dw[3 + 3 * m + k] = _mm256_add_pd(
-                    _mm256_mul_pd(dw0[k], u[m]),
-                    _mm256_mul_pd(_mm256_mul_pd(s, geo), inv_r),
-                );
-            }
-        }
-        for (g, q) in dw.chunks_exact(4).enumerate() {
-            store_transposed([q[0], q[1], q[2], q[3]], denv.add(4 * g), 12);
-        }
+        // lanes (0, 2) and (1, 3) interleaved, then halves regrouped
+        let (lo, hi) = (_mm256_unpacklo_pd(inv_r, ds), _mm256_unpackhi_pd(inv_r, ds));
+        _mm256_storeu_pd(radial, _mm256_permute2f128_pd::<0x20>(lo, hi));
+        _mm256_storeu_pd(radial.add(4), _mm256_permute2f128_pd::<0x31>(lo, hi));
     }
 }
 
@@ -726,7 +698,7 @@ mod tests {
                 assert_eq!(want.len(), n, "{}: atom {i}", c.what);
                 let rows = |backend: Backend, m: usize| {
                     let [x, y, z] = want.d().map(|c| &c[..m]);
-                    let (mut env, mut denv) = (vec![0.0; 4 * m], vec![0.0; 12 * m]);
+                    let (mut env, mut radial) = (vec![0.0; 4 * m], vec![0.0; 2 * m]);
                     env_rows_with(
                         backend,
                         1.0,
@@ -734,10 +706,10 @@ mod tests {
                         [x, y, z],
                         &want.r()[..m],
                         &mut env,
-                        &mut denv,
+                        &mut radial,
                     );
                     env.iter()
-                        .chain(&denv)
+                        .chain(&radial)
                         .map(|v| v.to_bits())
                         .collect::<Vec<_>>()
                 };
@@ -767,8 +739,8 @@ mod tests {
         });
     }
 
-    /// The row sweep is `smooth_weight` + `env_row` slot by slot, on both
-    /// sides of the switch window and at its edges.
+    /// The row sweep is `smooth_weight` + `env_row` and `(1/r, s′)` slot by
+    /// slot, on both sides of the switch window and at its edges.
     #[test]
     fn rows_are_the_scalar_definitions() {
         let (rcs, rc) = (1.2, 4.8);
@@ -779,7 +751,7 @@ mod tests {
             vec![0.0; r.len()],
         ];
         for backend in available() {
-            let (mut env, mut denv) = (vec![0.0; 4 * r.len()], vec![0.0; 12 * r.len()]);
+            let (mut env, mut radial) = (vec![0.0; 4 * r.len()], vec![0.0; 2 * r.len()]);
             env_rows_with(
                 backend,
                 rcs,
@@ -787,25 +759,17 @@ mod tests {
                 [&d[0], &d[1], &d[2]],
                 &r,
                 &mut env,
-                &mut denv,
+                &mut radial,
             );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for (s, &rs) in r.iter().enumerate() {
                 let (sw, dsw) = smooth_weight(rs, rcs, rc);
-                let (w, dw) = env_row([d[0][s], d[1][s], d[2][s]], rs, sw, dsw);
+                let w = env_row([d[0][s], d[1][s], d[2][s]], rs, sw);
+                assert_eq!(bits(&env[4 * s..4 * s + 4]), bits(&w), "{backend:?} r {rs}");
                 assert_eq!(
-                    env[4 * s..4 * s + 4]
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect::<Vec<_>>(),
-                    w.map(f64::to_bits)
-                );
-                let flat: Vec<u64> = dw.as_flattened().iter().map(|x| x.to_bits()).collect();
-                assert_eq!(
-                    denv[12 * s..12 * s + 12]
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect::<Vec<_>>(),
-                    flat
+                    bits(&radial[2 * s..2 * s + 2]),
+                    bits(&[1.0 / rs, dsw]),
+                    "{backend:?} r {rs}"
                 );
             }
         }

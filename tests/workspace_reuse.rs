@@ -30,7 +30,7 @@ fn assert_fmt_bits_equal(reused: &FormattedEnv, fresh: &FormattedEnv, what: &str
     assert_eq!(reused.overflowed, fresh.overflowed, "{what}: overflowed");
     for (name, a, b) in [
         ("env", &reused.env, &fresh.env),
-        ("denv", &reused.denv, &fresh.denv),
+        ("radial", &reused.radial, &fresh.radial),
         ("disp", &reused.disp, &fresh.disp),
     ] {
         assert_eq!(a.len(), b.len(), "{what}: {name} length");
