@@ -78,8 +78,8 @@ fn golden_fold() -> u64 {
 #[test]
 fn golden_paper_widths_double_and_mixed() {
     let expect = match simd::active() {
-        Backend::Avx2 => 2_157_619_017_672_469_010,
-        Backend::Scalar => 4_203_301_101_516_322_682,
+        Backend::Avx2 => 14_860_934_407_770_600_584,
+        Backend::Scalar => 1_114_970_082_783_514_709,
         other => {
             eprintln!("no golden constant for the {} backend", other.name());
             return;
