@@ -35,7 +35,7 @@ pub struct NeighborList {
     neighbors: Vec<u32>,
     /// Cutoff (including skin) the list was built with.
     pub cutoff: f64,
-    /// Positions snapshot at build time, used by `needs_rebuild`.
+    /// Owned positions (`..n_local`) at build time, for `needs_rebuild`.
     ref_positions: Vec<[f64; 3]>,
 }
 
@@ -315,7 +315,8 @@ impl NeighborList {
             self.offsets.push(self.neighbors.len());
         }
         self.cutoff = cutoff;
-        self.ref_positions.clone_from(&sys.positions);
+        self.ref_positions.clear();
+        self.ref_positions.extend_from_slice(&sys.positions[..sys.n_local]);
     }
 
     /// Reference O(N²) construction: every pair through
@@ -333,7 +334,7 @@ impl NeighborList {
             nl.offsets.push(nl.neighbors.len());
         }
         nl.cutoff = cutoff;
-        nl.ref_positions.clone_from(&sys.positions);
+        nl.ref_positions.extend_from_slice(&sys.positions[..sys.n_local]);
         nl
     }
 
@@ -366,11 +367,20 @@ impl NeighborList {
         }
     }
 
-    /// True when some atom has moved more than `skin/2` since the list was
-    /// built, i.e. a pair could have entered the bare cutoff unseen.
+    /// True when some owned atom (`..n_local`) has moved more than
+    /// `skin/2` since the list was built, i.e. a pair could have entered
+    /// the bare cutoff unseen.
+    ///
+    /// Owned atoms suffice on a domain-decomposed rank too, when the halo is
+    /// `cutoff + skin` and the verdict is all-reduced over the ranks: every
+    /// ghost is an image of an atom some rank owns, so "no owned atom on
+    /// any rank moved more than skin/2" bounds every atom's motion. An atom
+    /// that was no ghost at the build lay beyond `cutoff + skin` of the
+    /// domain, which held every owned atom then, so it is still at least
+    /// `cutoff + skin − skin/2 − skin/2 = cutoff` from each of them.
     pub fn needs_rebuild(&self, sys: &System, skin: f64) -> bool {
         let lim2 = (0.5 * skin) * (0.5 * skin);
-        sys.positions
+        sys.positions[..sys.n_local]
             .iter()
             .zip(self.ref_positions.iter())
             .any(|(&p, &q)| sys.cell.distance2(p, q) > lim2)
@@ -462,6 +472,13 @@ mod tests {
         let nl = NeighborList::build(&sys, 6.0);
         assert!(!nl.needs_rebuild(&sys, 2.0));
         sys.positions[3][0] += 1.5; // > skin/2 = 1.0
+        assert!(nl.needs_rebuild(&sys, 2.0));
+        // a ghost's motion is its owner's business
+        sys.n_local = 10;
+        let nl = NeighborList::build(&sys, 6.0);
+        sys.positions[13][0] += 1.5;
+        assert!(!nl.needs_rebuild(&sys, 2.0));
+        sys.positions[3][0] += 1.5;
         assert!(nl.needs_rebuild(&sys, 2.0));
     }
 

@@ -35,8 +35,8 @@ pub(crate) fn audit_step(
     *last = Some(step);
     // local: every ghost lies within the halo shell of our own domain,
     // with slack for drift since the last exchange (the rebuild trigger
-    // bounds local movement to ~skin/4, and ghosts move symmetrically on
-    // their owners)
+    // bounds every owner's movement since the exchange, and with it its
+    // ghosts', to about skin/2)
     let n_local = st.ids.len();
     let slack = ctx.opts.md.skin;
     let mut ghost_violations = 0usize;

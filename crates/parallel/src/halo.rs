@@ -31,8 +31,6 @@ pub(crate) struct RankState {
     send_lists: Vec<Vec<u32>>,
     /// per partner: number of ghosts received (appended in partner order)
     recv_counts: Vec<usize>,
-    /// owned positions at the last exchange (rebuild trigger reference)
-    ref_positions: Vec<[f64; 3]>,
 }
 
 impl RankState {
@@ -44,7 +42,6 @@ impl RankState {
             partners,
             send_lists: Vec::new(),
             recv_counts: Vec::new(),
-            ref_positions: Vec::new(),
         }
     }
 
@@ -98,17 +95,6 @@ impl RankState {
     /// The owned atoms as records.
     pub fn owned_atoms(&self) -> impl Iterator<Item = OwnedAtom> + '_ {
         (0..self.ids.len()).map(|k| self.owned(k))
-    }
-
-    /// Conservative rebuild trigger: any OWNED atom moved > skin/4 since
-    /// the last exchange (skin/2 shared between the mover and its
-    /// neighbors, which may be ghosts whose motion we don't see directly).
-    pub fn needs_rebuild(&self, skin: f64) -> bool {
-        let lim2 = (0.25 * skin) * (0.25 * skin);
-        self.sys.positions[..self.ids.len()]
-            .iter()
-            .zip(&self.ref_positions)
-            .any(|(&p, &q)| self.sys.cell.distance2(p, q) > lim2)
     }
 
     /// Sort the owned atoms into global-id order, dropping any ghosts. A
@@ -233,9 +219,6 @@ pub(crate) fn exchange(
     st.sys.forces.resize(n, [0.0; 3]);
     stats.last_ghosts = n - n_local;
     stats.max_ghosts = stats.max_ghosts.max(n - n_local);
-    st.ref_positions.clear();
-    st.ref_positions
-        .extend_from_slice(&st.sys.positions[..n_local]);
     Ok(())
 }
 

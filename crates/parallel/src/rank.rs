@@ -343,9 +343,10 @@ impl Rank<'_> {
     }
 }
 
-/// A rank of the decomposed box: the skin test and the temperature are
-/// all-reduced, a list build follows a migrate and a full ghost exchange,
-/// every other step refreshes the ghost positions.
+/// A rank of the decomposed box: the skin test (the serial skin/2 rule over
+/// the owned atoms, see [`NeighborList::needs_rebuild`]) and the
+/// temperature are all-reduced, a list build follows a migrate and a full
+/// ghost exchange, every other step refreshes the ghost positions.
 impl Domain for Rank<'_> {
     type Error = CommError;
 
@@ -353,10 +354,10 @@ impl Domain for Rank<'_> {
         &mut self.st.sys
     }
 
-    fn refresh(&mut self, _nl: &NeighborList, skin: f64, check: bool) -> Result<bool, CommError> {
+    fn refresh(&mut self, nl: &NeighborList, skin: f64, check: bool) -> Result<bool, CommError> {
         let mut flag = [0.0];
         if check {
-            let moved = f64::from(u8::from(self.st.needs_rebuild(skin)));
+            let moved = f64::from(u8::from(nl.needs_rebuild(&self.st.sys, skin)));
             self.reduce(self.ctx.flag_reduce, &[moved], &mut flag)?;
         }
         let (grid, halo) = (self.ctx.grid, self.ctx.halo);
