@@ -1101,16 +1101,16 @@ mod tests {
         h
     }
 
-    /// Absolute result pinned at the commit before `rank_loop` moved onto
-    /// `dp_md::integrate`.
+    /// Absolute result, re-pinned when the rank's rebuild trigger became
+    /// the serial skin/2 rule.
     #[test]
     fn golden_bits_2x1x1_nve() {
-        assert_eq!(golden_run_2x1x1("nve", None), 15_030_932_595_364_496_346);
+        assert_eq!(golden_run_2x1x1("nve", None), 16_291_711_637_411_177_287);
     }
 
-    /// Absolute result pinned at the commit before `rank_loop` moved onto
-    /// the shared `Stepper`: the global Berendsen rescale from the
-    /// all-reduced kinetic energy.
+    /// Absolute result of the global Berendsen rescale from the all-reduced
+    /// kinetic energy, re-pinned when the rank's rebuild trigger became the
+    /// serial skin/2 rule.
     #[test]
     fn golden_bits_2x1x1_berendsen() {
         let b = dp_md::integrate::Berendsen {
@@ -1119,7 +1119,7 @@ mod tests {
         };
         assert_eq!(
             golden_run_2x1x1("berendsen", Some(b)),
-            7_647_254_443_535_553_548
+            2_112_133_884_823_662_884
         );
     }
 
