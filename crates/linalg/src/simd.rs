@@ -207,12 +207,12 @@ pub fn row_gemm_strided_with<T: Real>(
     if k == 0 || c.is_empty() {
         return;
     }
-    debug_assert!(a.len() > (k - 1) * a_stride, "A panel too short");
-    debug_assert!(b.len() >= (k - 1) * ldb + c.len(), "B panel too short");
+    assert!(a.len() > (k - 1) * a_stride, "A panel too short");
+    assert!(b.len() >= (k - 1) * ldb + c.len(), "B panel too short");
     match backend {
         Backend::Scalar => row_gemm_scalar(c, k, a, a_stride, b, ldb, alpha),
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe {
+        Backend::Avx2 if x86::detected() => unsafe {
             if is::<T, f64>() {
                 x86::row_gemm_f64(
                     cast_mut(c),
@@ -301,11 +301,11 @@ pub fn dot<T: Real>(a: &[T], b: &[T]) -> T {
 
 /// [`dot`] on an explicit backend.
 pub fn dot_with<T: Real>(backend: Backend, a: &[T], b: &[T]) -> T {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len());
     match backend {
         Backend::Scalar => dot_scalar(a, b),
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe {
+        Backend::Avx2 if x86::detected() => unsafe {
             if is::<T, f64>() {
                 T::from_f64(x86::dot_f64(cast(a), cast(b)))
             } else if is::<T, f32>() {
@@ -637,11 +637,11 @@ pub fn axpy<T: Real>(alpha: T, x: &[T], y: &mut [T]) {
 
 /// [`axpy`] on an explicit backend.
 pub fn axpy_with<T: Real>(backend: Backend, alpha: T, x: &[T], y: &mut [T]) {
-    debug_assert_eq!(x.len(), y.len());
+    assert_eq!(x.len(), y.len());
     match backend {
         Backend::Scalar => axpy_scalar(alpha, x, y),
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe {
+        Backend::Avx2 if x86::detected() => unsafe {
             if is::<T, f64>() {
                 x86::axpy_f64(alpha.to_f64(), cast(x), cast_mut(y))
             } else if is::<T, f32>() {
@@ -686,7 +686,7 @@ pub fn scale_with<T: Real>(backend: Backend, x: &mut [T], alpha: T) {
             }
         }
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe {
+        Backend::Avx2 if x86::detected() => unsafe {
             if is::<T, f64>() {
                 x86::scale_f64(cast_mut(x), alpha.to_f64())
             } else if is::<T, f32>() {
@@ -727,11 +727,10 @@ pub fn tanh_fused<T: Real>(x: &[T], t: &mut [T], g: &mut [T]) {
 
 /// [`tanh_fused`] on an explicit backend.
 pub fn tanh_fused_with<T: Real>(backend: Backend, x: &[T], t: &mut [T], g: &mut [T]) {
-    debug_assert_eq!(x.len(), t.len());
-    debug_assert_eq!(x.len(), g.len());
+    assert!(x.len() == t.len() && x.len() == g.len());
     match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe {
+        Backend::Avx2 if x86::detected() => unsafe {
             if is::<T, f64>() {
                 x86::tanh_fused_f64(cast(x), cast_mut(t), cast_mut(g))
             } else if is::<T, f32>() {
