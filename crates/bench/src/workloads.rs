@@ -59,26 +59,6 @@ pub fn copper_864() -> System {
     lattice::copper([6, 6, 6])
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn workload_sizes() {
-        assert_eq!(water_12288().len(), 12_288);
-        assert_eq!(water_1536().len(), 1_536);
-        assert_eq!(copper_864().len(), 864);
-        water_config_small().check();
-        copper_config_small().check();
-    }
-
-    #[test]
-    fn training_boxes_fit_their_cutoffs() {
-        assert!(water_training_base().cell.max_cutoff() >= water_config_small().rcut);
-        assert!(copper_training_base().cell.max_cutoff() >= copper_config_small().rcut);
-    }
-}
-
 /// Partition a periodic system into rank-local systems (locals first,
 /// ghosts appended), exactly as the parallel driver's exchange does — used
 /// by the scaling harnesses to time each rank's work serially on a
@@ -112,4 +92,24 @@ pub fn partition_with_ghosts(
             part
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn workload_sizes() {
+        assert_eq!(water_12288().len(), 12_288);
+        assert_eq!(water_1536().len(), 1_536);
+        assert_eq!(copper_864().len(), 864);
+        water_config_small().check();
+        copper_config_small().check();
+    }
+
+    #[test]
+    fn training_boxes_fit_their_cutoffs() {
+        assert!(water_training_base().cell.max_cutoff() >= water_config_small().rcut);
+        assert!(copper_training_base().cell.max_cutoff() >= copper_config_small().rcut);
+    }
 }
