@@ -13,10 +13,9 @@
 //!   the tangent the training gradient carries.
 //!
 //! The Jacobian is never stored. With `u = d/r`, `β = s/r` and a slot's
-//! `a = (a₀, a_v) = ∂E/∂R̃`, ProdForce is `g = α·u + β·a_v` with
+//! `a = (a₀, a_v) = ∂E/∂R̃`, ProdForce is `g = α·u + β·a_v`,
 //! `α = a₀·s′ + (s′ − β)·(a_v·u)`, and the tangent of a move `δ` is
-//! `ẇ₀ = s′·(u·δ)`, `ẇ_v = s′·(u·δ)·u + β·(δ − (u·δ)·u)`: a slot reads 9
-//! values (row head, `d`, `(1/r, s′)`) instead of a 12-value Jacobian.
+//! `ẇ₀ = s′·(u·δ)`, `ẇ_v = s′·(u·δ)·u + β·(δ − (u·δ)·u)`.
 //!
 //! Each works over one chunk's rows of a table (an [`EnvRows`] view) into
 //! buffers the caller owns, and allocates nothing once those have grown.
@@ -126,10 +125,8 @@ pub fn env_tangent_into(rows: EnvRows, atom0: usize, w: &[[f64; 3]], out: &mut [
                 let (u, beta, ds) = slot_frame(&rows, slot);
                 let ud = u[0] * dd[0] + u[1] * dd[1] + u[2] * dd[2];
                 let w0 = ds * ud;
-                dst[0] = w0;
-                for k in 0..3 {
-                    dst[k + 1] = w0 * u[k] + beta * (dd[k] - ud * u[k]);
-                }
+                let v = |k: usize| w0 * u[k] + beta * (dd[k] - ud * u[k]);
+                dst.copy_from_slice(&[w0, v(0), v(1), v(2)]);
             }
         }
         before += sel_t;
