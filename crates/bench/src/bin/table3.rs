@@ -23,8 +23,8 @@
 
 use deepmd_core::env::{env_row_jacobian, smooth_weight};
 use deepmd_core::format::{format_baseline, FormattedEnv, NONE};
-use deepmd_core::DpConfig;
 use deepmd_core::ops::{format_optimized_into, prod_force_into, prod_virial_into};
+use deepmd_core::DpConfig;
 use dp_bench::report::{median_ms, print_provenance, print_table};
 use dp_bench::workloads;
 use dp_md::{CounterRng, NeighborList};
@@ -40,7 +40,9 @@ const REPS: usize = 9;
 fn synthetic_gw(fmt: &FormattedEnv, seed: u64) -> Vec<[f64; 4]> {
     let mut rng = CounterRng::new(seed);
     let n_slots = fmt.n_atoms * fmt.nm;
-    (0..n_slots).map(|_| [(); 4].map(|_| rng.range(-1.0, 1.0))).collect()
+    (0..n_slots)
+        .map(|_| [(); 4].map(|_| rng.range(-1.0, 1.0)))
+        .collect()
 }
 
 /// `gw` regrouped into the per-neighbor-type blocks the shipped operators
@@ -149,7 +151,10 @@ fn main() {
     // the same neighbors per atom; slots whose distances tie to within the
     // codec's 1e-8 Å may come in another order
     let neighbor_sets = |f: &FormattedEnv| -> Vec<BTreeSet<i32>> {
-        f.indices.chunks(f.nm).map(|r| r.iter().copied().collect()).collect()
+        f.indices
+            .chunks(f.nm)
+            .map(|r| r.iter().copied().collect())
+            .collect()
     };
     assert!(
         neighbor_sets(&format_baseline(&sys, &nl, &cfg).table) == neighbor_sets(&fmt),
@@ -210,7 +215,13 @@ fn main() {
     };
     print_table(
         &format!("Table 3: customized operators, baseline vs shipped [ms, median of {REPS}]"),
-        &["operator", "baseline", "shipped", "speedup", "paper speedup"],
+        &[
+            "operator",
+            "baseline",
+            "shipped",
+            "speedup",
+            "paper speedup",
+        ],
         &[
             row("Environment", t_env_base, t_env_opt, "130x"),
             row("ProdViral", t_virial_base, t_virial_opt, "38x"),

@@ -132,9 +132,8 @@ pub fn evaluate_baseline_formatted(
         let mut g = Matrix::<f64>::zeros(nm, m_w);
         let mut caches_per_type = Vec::with_capacity(n_types);
         for (t, &sel_t) in cfg.sel.iter().enumerate() {
-            let s_col = Matrix::from_fn(sel_t, 1, |k, _| {
-                fmt.env[(atom * nm + block_off[t] + k) * 4]
-            });
+            let s_col =
+                Matrix::from_fn(sel_t, 1, |k, _| fmt.env[(atom * nm + block_off[t] + k) * 4]);
             let (g_t, caches) = unfused_forward(&model.embeddings[t], &s_col);
             for k in 0..sel_t {
                 g.row_mut(block_off[t] + k).copy_from_slice(g_t.row(k));

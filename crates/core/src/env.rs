@@ -22,7 +22,8 @@ pub fn env_row_jacobian(d: [f64; 3], r: f64, s: f64, ds: f64) -> [[f64; 3]; 4] {
     let inv_r = 1.0 / r;
     let u = d.map(|x| x * inv_r);
     let delta = |m: usize, k: usize| if m == k { 1.0 } else { 0.0 };
-    let row = |m: usize| [0, 1, 2].map(|k| ds * u[k] * u[m] + s * (delta(m, k) - u[m] * u[k]) * inv_r);
+    let row =
+        |m: usize| [0, 1, 2].map(|k| ds * u[k] * u[m] + s * (delta(m, k) - u[m] * u[k]) * inv_r);
     [u.map(|uk| ds * uk), row(0), row(1), row(2)]
 }
 

@@ -197,7 +197,8 @@ mod tests {
                     let inv_r = fmt.radial[slot * 2];
                     let (beta, ds) = (fmt.env[slot * 4] * inv_r, fmt.radial[slot * 2 + 1]);
                     let u = [d[0] * inv_r, d[1] * inv_r, d[2] * inv_r];
-                    let alpha = gw[0] * ds + (ds - beta) * (gw[1] * u[0] + gw[2] * u[1] + gw[3] * u[2]);
+                    let alpha =
+                        gw[0] * ds + (ds - beta) * (gw[1] * u[0] + gw[2] * u[1] + gw[3] * u[2]);
                     let mut g = [0.0; 3];
                     for kk in 0..3 {
                         g[kk] = alpha * u[kk] + beta * gw[kk + 1];
@@ -277,7 +278,11 @@ mod tests {
     impl std::fmt::Debug for Pin {
         fn fmt(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result {
             let (n, n_local) = (self.sys.len(), self.sys.n_local);
-            write!(f, "{n} atoms ({n_local} local), {:?}, {:?}, split at {}", self.cfg, self.codec, self.split)
+            write!(
+                f,
+                "{n} atoms ({n_local} local), {:?}, {:?}, split at {}",
+                self.cfg, self.codec, self.split
+            )
         }
     }
 
@@ -355,7 +360,10 @@ mod tests {
             } = c;
             let nl = NeighborList::build(sys, cfg.rcut);
             let fmt = format_optimized(sys, &nl, cfg, *codec);
-            assert!(fmt.real_neighbors() < fmt.n_atoms * fmt.nm * 3 / 4, "no padding");
+            assert!(
+                fmt.real_neighbors() < fmt.n_atoms * fmt.nm * 3 / 4,
+                "no padding"
+            );
             let ghost = |&j: &i32| j != NONE && j as usize >= sys.n_local;
             assert!(fmt.indices.iter().any(ghost), "no ghost is a neighbor");
             let mut edges = [false; 2];
@@ -367,8 +375,16 @@ mod tests {
                 }
             }
             assert_eq!(edges, [true; 2], "a probe is not a neighbor of atom 0");
-            let types: Vec<usize> = fmt.indices.iter().filter(|&&j| j != NONE).map(|&j| sys.types[j as usize]).collect();
-            assert!(types.contains(&0) && types.contains(&1), "one species block is empty");
+            let types: Vec<usize> = fmt
+                .indices
+                .iter()
+                .filter(|&&j| j != NONE)
+                .map(|&j| sys.types[j as usize])
+                .collect();
+            assert!(
+                types.contains(&0) && types.contains(&1),
+                "one species block is empty"
+            );
 
             let dedr = dedr(&fmt, 11);
             let mut rng = CounterRng::new(12);
@@ -392,7 +408,8 @@ mod tests {
             }
             // the slot formulas, scattered the same way
             let mut grads_ref = vec![[0.0; 3]; grads.len()];
-            let mut tangents_ref: Vec<Vec<f64>> = tangents.iter().map(|t| vec![0.0; t.len()]).collect();
+            let mut tangents_ref: Vec<Vec<f64>> =
+                tangents.iter().map(|t| vec![0.0; t.len()]).collect();
             let mut forces_ref = vec![[0.0; 3]; sys.len()];
             let mut virial_ref = [0.0; 6];
             for atom in 0..fmt.n_atoms {
@@ -427,7 +444,10 @@ mod tests {
             let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
             let max_diff = |a: &[f64], b: &[f64]| {
                 assert_eq!(a.len(), b.len());
-                a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
+                a.iter()
+                    .zip(b)
+                    .map(|(x, y)| (x - y).abs())
+                    .fold(0.0, f64::max)
             };
             let f_norm = norm(forces_ref.as_flattened());
             let errs = [
@@ -436,7 +456,10 @@ mod tests {
                 max_diff(&virial, &virial_ref) / norm(&virial_ref),
                 max_diff(&tangents.concat(), &tangents_ref.concat()) / norm(&tangents_ref.concat()),
             ];
-            for (what, e) in ["slot gradients", "forces", "virial", "tangent"].iter().zip(errs) {
+            for (what, e) in ["slot gradients", "forces", "virial", "tangent"]
+                .iter()
+                .zip(errs)
+            {
                 assert!(e <= 1e-14, "{what}: relative error {e:e}");
                 worst.set(worst.get().max(e));
             }

@@ -215,7 +215,12 @@ fn sincos_pi(x: f64) -> (f64, f64) {
 #[inline]
 pub fn env_row(d: [f64; 3], r: f64, s: f64) -> [f64; 4] {
     let inv_r = 1.0 / r;
-    [s, s * (d[0] * inv_r), s * (d[1] * inv_r), s * (d[2] * inv_r)]
+    [
+        s,
+        s * (d[0] * inv_r),
+        s * (d[1] * inv_r),
+        s * (d[2] * inv_r),
+    ]
 }
 
 /// For each neighbor `s` of `r.len()`, at displacement
@@ -496,14 +501,7 @@ mod x86 {
         while s0 + 4 <= n {
             let load = |v: &[f64]| _mm256_loadu_pd(v.as_ptr().add(s0));
             let dv = [load(d[0]), load(d[1]), load(d[2])];
-            rows4(
-                load(r),
-                dv,
-                rcut_smth,
-                rcut,
-                ep.add(4 * s0),
-                jp.add(2 * s0),
-            );
+            rows4(load(r), dv, rcut_smth, rcut, ep.add(4 * s0), jp.add(2 * s0));
             s0 += 4;
         }
         if s0 < n {

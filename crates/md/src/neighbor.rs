@@ -316,7 +316,8 @@ impl NeighborList {
         }
         self.cutoff = cutoff;
         self.ref_positions.clear();
-        self.ref_positions.extend_from_slice(&sys.positions[..sys.n_local]);
+        self.ref_positions
+            .extend_from_slice(&sys.positions[..sys.n_local]);
     }
 
     /// Reference O(N²) construction: every pair through
@@ -334,7 +335,8 @@ impl NeighborList {
             nl.offsets.push(nl.neighbors.len());
         }
         nl.cutoff = cutoff;
-        nl.ref_positions.extend_from_slice(&sys.positions[..sys.n_local]);
+        nl.ref_positions
+            .extend_from_slice(&sys.positions[..sys.n_local]);
         nl
     }
 

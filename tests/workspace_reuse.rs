@@ -8,9 +8,9 @@
 //! an order that forces both grow-in-place and shrink-in-place reuse,
 //! always comparing against a freshly allocated reference.
 
+use deepmd_repro::core::codec::Codec;
 use deepmd_repro::core::eval::{evaluate, evaluate_into, EvalOutput};
 use deepmd_repro::core::format::{format_optimized, format_optimized_into, FormattedEnv};
-use deepmd_repro::core::codec::Codec;
 use deepmd_repro::core::{DpConfig, DpModel, EvalWorkspace};
 use deepmd_repro::md::{lattice, units, NeighborList, System};
 use dp_md::CounterRng;
@@ -65,7 +65,11 @@ fn assert_eval_bits_equal(reused: &EvalOutput, fresh: &EvalOutput, what: &str) {
     {
         assert_eq!(a.to_bits(), b.to_bits(), "{what}: per_atom_energy[{i}]");
     }
-    assert_eq!(reused.forces.len(), fresh.forces.len(), "{what}: forces length");
+    assert_eq!(
+        reused.forces.len(),
+        fresh.forces.len(),
+        "{what}: forces length"
+    );
     for (i, (a, b)) in reused.forces.iter().zip(&fresh.forces).enumerate() {
         for k in 0..3 {
             assert_eq!(a[k].to_bits(), b[k].to_bits(), "{what}: forces[{i}][{k}]");
@@ -179,7 +183,15 @@ fn two_type_system_reuses_workspace_bit_identically() {
         let fresh_fmt = format_optimized(&sys, &nl, &cfg, Codec::PaperDecimal);
         assert_fmt_bits_equal(&fmt_ws, &fresh_fmt, &format!("two-type reps {reps:?}"));
 
-        evaluate_into(&model, &fmt_ws, &sys.types, sys.len(), None, &mut ws, &mut out);
+        evaluate_into(
+            &model,
+            &fmt_ws,
+            &sys.types,
+            sys.len(),
+            None,
+            &mut ws,
+            &mut out,
+        );
         let fresh = evaluate(&model, &fresh_fmt, &sys.types, sys.len(), None);
         assert_eval_bits_equal(&out, &fresh, &format!("two-type reps {reps:?}"));
     }
