@@ -342,7 +342,8 @@ struct RawNeighbor {
     d: [f64; 3],
 }
 
-/// The baseline formatter's output: the table, and beside it the full
+/// The baseline formatter's output: the table's indices, rows and
+/// displacements, and in place of its `radial` pairs (left zero) the full
 /// Jacobian `∂row_m/∂d_k` of every slot (`[m][k]`, zeros on padding) that
 /// the 2018 code stored and its ProdForce and ProdVirial contracted.
 #[derive(Debug, Clone)]
@@ -382,7 +383,6 @@ fn fill_atom_slots(
         t.indices[slot] = n.j as i32;
         let (s, ds) = smooth_weight(n.r, cfg.rcut_smth, cfg.rcut);
         t.env[slot * 4..slot * 4 + 4].copy_from_slice(&env_row(n.d, n.r, s));
-        t.radial[slot * 2..slot * 2 + 2].copy_from_slice(&[1.0 / n.r, ds]);
         t.disp[slot * 3..slot * 3 + 3].copy_from_slice(&n.d);
         out.jacobian[slot] = env_row_jacobian(n.d, n.r, s, ds);
     }
@@ -467,7 +467,6 @@ mod tests {
             let b = format_baseline(&sys, &nl, &cfg).table;
             assert_eq!(a.indices, b.indices, "{codec:?}");
             assert_eq!(a.env, b.env);
-            assert_eq!(a.radial, b.radial);
             assert_eq!(a.disp, b.disp);
             assert_eq!(a.overflowed, b.overflowed);
         }
