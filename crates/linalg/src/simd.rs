@@ -51,9 +51,11 @@
 //! ## Environment
 //!
 //! [`env`] holds the Environment operator's per-center primitives: the
-//! candidate gather and the switch + environment-row sweep (§5.2.1). Their
-//! AVX2 lanes are independent neighbors running the scalar expression with
-//! plain multiplies and adds, so every backend gives the same bits.
+//! candidate gather and the switch + environment-row sweep (§5.2.1), which
+//! writes each slot's row `(s, s·d/r)` and the pair `(1/r, s′)` its
+//! Jacobian is built from. Their AVX2 lanes are independent neighbors
+//! running the scalar expression with plain multiplies and adds, so every
+//! backend gives the same bits.
 //!
 //! ## Numerical contract
 //!
