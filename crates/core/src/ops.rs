@@ -266,8 +266,8 @@ mod tests {
 
     /// One pin-suite input: a perturbed two-species water box whose last
     /// atoms are ghosts, with two ghost probes around atom 0 placed within
-    /// 1e-6 Å of `rcut_smth` and of `rcut`, and `sel` wide enough that both
-    /// type blocks are mostly padding.
+    /// 1e-6 Å of `rcut_smth` and of `rcut`, and `sel` wide enough that at
+    /// least a quarter of the slots are padding.
     struct Pin {
         sys: System,
         cfg: DpConfig,
