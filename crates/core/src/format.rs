@@ -361,29 +361,29 @@ fn fill_atom_slots(
     cursor: &mut Vec<usize>,
     limit: &mut Vec<usize>,
 ) -> usize {
-    let t = &mut out.table;
+    let table = &mut out.table;
     let mut overflow = 0usize;
     // type-block cursors; cursor[t] runs from block start to limit[t]
     cursor.clear();
     limit.clear();
-    let mut start = atom * t.nm;
-    for &s in &t.sel {
+    let mut start = atom * table.nm;
+    for &s in &table.sel {
         cursor.push(start);
         start += s;
         limit.push(start);
     }
     for n in sorted {
-        let ty = n.ty as usize;
-        if cursor[ty] >= limit[ty] {
+        let t = n.ty as usize;
+        if cursor[t] >= limit[t] {
             overflow += 1;
             continue;
         }
-        let slot = cursor[ty];
-        cursor[ty] += 1;
-        t.indices[slot] = n.j as i32;
+        let slot = cursor[t];
+        cursor[t] += 1;
+        table.indices[slot] = n.j as i32;
         let (s, ds) = smooth_weight(n.r, cfg.rcut_smth, cfg.rcut);
-        t.env[slot * 4..slot * 4 + 4].copy_from_slice(&env_row(n.d, n.r, s));
-        t.disp[slot * 3..slot * 3 + 3].copy_from_slice(&n.d);
+        table.env[slot * 4..slot * 4 + 4].copy_from_slice(&env_row(n.d, n.r, s));
+        table.disp[slot * 3..slot * 3 + 3].copy_from_slice(&n.d);
         out.jacobian[slot] = env_row_jacobian(n.d, n.r, s, ds);
     }
     overflow
