@@ -37,7 +37,10 @@ impl Gen {
     }
 }
 
-fn random_writer(g: &mut Gen) -> (CkptWriter, Vec<([u8; 4], Vec<u8>)>) {
+/// The `(tag, payload)` sections a writer was given, in order.
+type Sections = Vec<([u8; 4], Vec<u8>)>;
+
+fn random_writer(g: &mut Gen) -> (CkptWriter, Sections) {
     let kind = if g.below(2) == 0 { KIND_MD } else { KIND_TRAIN };
     let mut w = CkptWriter::new(kind);
     let n_sections = 1 + g.below(6) as usize;

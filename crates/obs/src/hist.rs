@@ -336,7 +336,7 @@ mod tests {
         let p50 = s.quantile(0.50);
         let p95 = s.quantile(0.95);
         assert!((100..200).contains(&p50), "p50 = {p50}");
-        assert!(p95 >= 65_536 && p95 <= 131_072, "p95 = {p95}");
+        assert!((65_536..=131_072).contains(&p95), "p95 = {p95}");
         assert_eq!(s.quantile(1.0), 100_000); // clamped to exact max
         assert_eq!(s.quantile(0.0), s.quantile(1e-9));
     }

@@ -515,11 +515,13 @@ mod tests {
             &[("model", "water\"v\\1\n")],
             2.5,
         );
-        let mut snap = HistSnapshot::default();
-        snap.count = 2;
-        snap.sum = 12;
-        snap.min = 4;
-        snap.max = 8;
+        let mut snap = HistSnapshot {
+            count: 2,
+            sum: 12,
+            min: 4,
+            max: 8,
+            ..Default::default()
+        };
         snap.buckets[3] = 1; // 4..8
         snap.buckets[4] = 1; // 8..16
         publish_hist("prom.test.rankhist", &[("rank", "3")], snap);

@@ -43,8 +43,8 @@ fn trained_model_generalizes_to_held_out_frames() {
     let mut n = 0usize;
     for f in &held_out {
         for row in &f.forces {
-            for k in 0..3 {
-                f2 += row[k] * row[k];
+            for x in row {
+                f2 += x * x;
                 n += 1;
             }
         }

@@ -12,8 +12,8 @@ fn scaled(sys: &System, lambda: f64) -> System {
     let mut out = sys.clone();
     out.cell = out.cell.scaled([lambda, lambda, lambda]);
     for p in &mut out.positions {
-        for d in 0..3 {
-            p[d] *= lambda;
+        for x in p {
+            *x *= lambda;
         }
     }
     out

@@ -170,7 +170,7 @@ fn two_type_system_reuses_workspace_bit_identically() {
             let n = base.len();
             let types: Vec<usize> = (0..n).map(|i| i % 2).collect();
             System::new(
-                base.cell.clone(),
+                base.cell,
                 base.positions.clone(),
                 types,
                 vec![units::MASS_CU, 58.693],
