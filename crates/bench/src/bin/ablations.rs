@@ -1,6 +1,7 @@
 //! §5.3 / §5.2.2 ablations — each paper optimization timed against the
-//! unfused / struct baseline it replaced, plus the SIMD-backend and
-//! tabulated-embedding comparisons (EXPERIMENTS.md "Ablations").
+//! unfused / struct baseline it replaced (`dp_bench::baseline::linalg`),
+//! plus the SIMD-backend and tabulated-embedding comparisons
+//! (EXPERIMENTS.md "Ablations").
 //!
 //! Every row is the median of `REPS` timed calls after one warm-up
 //! ([`dp_bench::report::median_ms`]).
@@ -12,11 +13,11 @@ use deepmd_core::compress::{evaluate_compressed, CompressedModel};
 use deepmd_core::eval::evaluate;
 use deepmd_core::format::format_optimized;
 use deepmd_core::{DpConfig, DpModel};
-use dp_bench::report::{median_ms, print_table};
-use dp_linalg::fused::{
-    concat_sum_baseline, concat_sum_gemm, dup_sum_fused, tanh_fused, tanh_then_grad_baseline,
+use dp_bench::baseline::linalg::{
+    concat_sum_baseline, concat_sum_gemm, dup_sum_fused, gemm_bias, identity_pair,
+    matmul_then_sum, tanh_fused, tanh_then_grad_baseline,
 };
-use dp_linalg::gemm::{gemm_bias, matmul_then_sum};
+use dp_bench::report::{median_ms, print_provenance, print_table};
 use dp_linalg::simd::{self, Acc, Backend, Panel, PanelGemm};
 use dp_linalg::Matrix;
 use dp_md::{lattice, CounterRng, NeighborList};
@@ -31,6 +32,7 @@ fn tall_matrix(rows: usize, cols: usize) -> Matrix<f64> {
 }
 
 fn main() {
+    print_provenance();
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut row = |group: &str, variant: &str, ms: f64| {
         rows.push(vec![
@@ -63,6 +65,7 @@ fn main() {
 
     // §5.3.2: CONCAT+SUM vs GEMM-with-(I,I) vs direct fused write.
     let h = tall_matrix(47_104, 100);
+    let ii = identity_pair(50);
     let g = "§5.3.2 concat_sum_vs_gemm";
     row(
         g,
@@ -75,7 +78,7 @@ fn main() {
         g,
         "paper: GEMM with (I,I)",
         median_ms(REPS, || {
-            black_box(concat_sum_gemm(&x, &h));
+            black_box(concat_sum_gemm(&x, &ii, &h));
         }),
     );
     row(

@@ -4,16 +4,16 @@
 //! custom-operator optimization (6.2× on the MD loop), TensorFlow-graph
 //! fusion (×1.21), and mixed precision (×1.5) — 7.5× double / 11.3× mixed
 //! overall against the 2018 baseline. Our baseline is the faithful serial
-//! per-atom pipeline (`deepmd_core::baseline`); the optimized path adds
+//! per-atom pipeline (`dp_bench::baseline::eval`); the optimized path adds
 //! the sorted/padded layout, batched tall GEMMs, fused kernels and the
 //! reusable formatting workspace.
 //!
 //! Run with: `cargo run --release -p dp-bench --bin speedup`
 
-use deepmd_core::baseline::evaluate_baseline;
 use deepmd_core::codec::Codec;
 use deepmd_core::eval::evaluate;
 use deepmd_core::format::{format_optimized, format_optimized_into};
+use dp_bench::baseline::eval::evaluate_baseline;
 use dp_bench::{models, report::print_table};
 use dp_md::{lattice, NeighborList};
 use std::time::Instant;

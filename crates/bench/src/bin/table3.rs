@@ -6,7 +6,8 @@
 //! reporting 130× / 38× / 17× speedups. Here the optimized column is the
 //! shipped operators of `deepmd_core::ops`, the code every force call runs,
 //! on the same workload and network hyper-parameters; the baseline column
-//! is the serial struct-sort formatter and the per-slot loops below.
+//! is `dp_bench::baseline`'s serial struct-sort formatter and per-slot
+//! ProdForce / ProdVirial loops.
 //!
 //! The shipped table keeps two numbers of each slot's Jacobian, `(1/r, s′)`,
 //! and the shipped operators build the rest from the row and the
@@ -21,10 +22,10 @@
 //!
 //! Run with: `cargo run --release -p dp-bench --bin table3`
 
-use deepmd_core::env::{env_row_jacobian, smooth_weight};
-use deepmd_core::format::{format_baseline, FormattedEnv, NONE};
+use deepmd_core::format::FormattedEnv;
 use deepmd_core::ops::{format_optimized_into, prod_force_into, prod_virial_into};
 use deepmd_core::DpConfig;
+use dp_bench::baseline::{self, format::format_baseline};
 use dp_bench::report::{median_ms, print_provenance, print_table};
 use dp_bench::workloads;
 use dp_md::{CounterRng, NeighborList};
@@ -57,72 +58,6 @@ fn type_blocks(fmt: &FormattedEnv, gw: &[[f64; 4]]) -> Vec<Vec<f64>> {
             slots.flat_map(|s| gw[s]).collect()
         })
         .collect()
-}
-
-/// The 12-value Jacobian `∂row_m/∂d_k` of every slot of `fmt` (zeros on
-/// padding), as the baseline formatter stores it beside its table.
-fn baseline_jacobian(fmt: &FormattedEnv, cfg: &DpConfig) -> Vec<[[f64; 3]; 4]> {
-    let slots = fmt.disp.chunks_exact(3).zip(&fmt.indices);
-    slots
-        .map(|(d, &j)| {
-            if j == NONE {
-                return [[0.0; 3]; 4];
-            }
-            let d = [d[0], d[1], d[2]];
-            let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
-            let (s, ds) = smooth_weight(r, cfg.rcut_smth, cfg.rcut);
-            env_row_jacobian(d, r, s, ds)
-        })
-        .collect()
-}
-
-/// One slot's gradient `Σ_m g_m·∂row_m/∂d` from its stored Jacobian.
-fn contract(g: [f64; 4], jac: &[[f64; 3]; 4]) -> [f64; 3] {
-    [0, 1, 2].map(|k| g[0] * jac[0][k] + g[1] * jac[1][k] + g[2] * jac[2][k] + g[3] * jac[3][k])
-}
-
-/// Baseline ProdForce: single-threaded slot loop, scalar scatter.
-fn prod_force_baseline(
-    fmt: &FormattedEnv,
-    jac: &[[[f64; 3]; 4]],
-    gw: &[[f64; 4]],
-    n_total: usize,
-) -> Vec<[f64; 3]> {
-    let mut forces = vec![[0.0f64; 3]; n_total];
-    for atom in 0..fmt.n_atoms {
-        for s in 0..fmt.nm {
-            let slot = atom * fmt.nm + s;
-            let j = fmt.indices[slot];
-            if j == NONE {
-                continue;
-            }
-            let grad = contract(gw[slot], &jac[slot]);
-            for kk in 0..3 {
-                forces[atom][kk] += grad[kk];
-                forces[j as usize][kk] -= grad[kk];
-            }
-        }
-    }
-    forces
-}
-
-/// Baseline ProdVirial: single-threaded.
-fn prod_virial_baseline(fmt: &FormattedEnv, jac: &[[[f64; 3]; 4]], gw: &[[f64; 4]]) -> [f64; 6] {
-    let mut w = [0.0f64; 6];
-    for slot in 0..fmt.n_atoms * fmt.nm {
-        if fmt.indices[slot] == NONE {
-            continue;
-        }
-        let grad = contract(gw[slot], &jac[slot]);
-        let d = &fmt.disp[slot * 3..slot * 3 + 3];
-        w[0] -= d[0] * grad[0];
-        w[1] -= d[1] * grad[1];
-        w[2] -= d[2] * grad[2];
-        w[3] -= d[0] * grad[1];
-        w[4] -= d[0] * grad[2];
-        w[5] -= d[1] * grad[2];
-    }
-    w
 }
 
 /// `max |a − b|` over `‖b‖₂`.
@@ -170,7 +105,7 @@ fn main() {
 
     let gw = synthetic_gw(&fmt, 99);
     let dedr = type_blocks(&fmt, &gw);
-    let jac = baseline_jacobian(&fmt, &cfg);
+    let jac = baseline::jacobian(&fmt, &cfg);
     let rows = fmt.rows(0..fmt.n_atoms);
     let mut slot_grads = Vec::new();
     let mut forces = vec![[0.0f64; 3]; sys.len()];
@@ -180,22 +115,22 @@ fn main() {
     // closed form round differently, so the sums agree to rounding
     prod_force_into(rows, &dedr, &mut slot_grads);
     prod_virial_into(rows, 0, &slot_grads, &mut forces, &mut virial);
-    let fb = prod_force_baseline(&fmt, &jac, &gw, sys.len());
+    let fb = baseline::prod_force(&fmt, &jac, &gw, sys.len());
     let err = rel_err(forces.as_flattened(), fb.as_flattened());
     assert!(err <= 1e-12, "ProdForce implementations disagree: {err:e}");
-    let vb = prod_virial_baseline(&fmt, &jac, &gw);
+    let vb = baseline::prod_virial(&fmt, &jac, &gw);
     let err = rel_err(&virial, &vb);
     assert!(err <= 1e-12, "ProdVirial implementations disagree: {err:e}");
 
     let t_force_base = median_ms(REPS, || {
-        black_box(prod_force_baseline(&fmt, &jac, &gw, sys.len()));
+        black_box(baseline::prod_force(&fmt, &jac, &gw, sys.len()));
     });
     let t_force_opt = median_ms(REPS, || {
         prod_force_into(rows, &dedr, &mut slot_grads);
         black_box(&slot_grads);
     });
     let t_virial_base = median_ms(REPS, || {
-        black_box(prod_virial_baseline(&fmt, &jac, &gw));
+        black_box(baseline::prod_virial(&fmt, &jac, &gw));
     });
     let t_virial_opt = median_ms(REPS, || {
         forces.fill([0.0; 3]);

@@ -7,19 +7,9 @@
 //! zero — so the embedding computation contains *no per-neighbor
 //! branching* and can run as a handful of tall GEMMs.
 //!
-//! Two implementations are kept deliberately:
-//! * [`format_optimized`] — compress each neighbor into a `u64` key
-//!   ([`crate::codec`]), sort scalars, decode (§5.2.2);
-//! * [`format_baseline`] — the AoS struct sort the baseline code used,
-//!   kept only as Table 3's baseline and the tests' reference; it also
-//!   stores each slot's full 12-value Jacobian, as that code did.
-//!
-//! Both keep the same neighbors in every row (Table 3 times them against
-//! each other), but distances tied to within the codec's 1e-8 Å can sort
-//! differently: by gather position in the u64 key, by exact distance in
-//! the struct sort. Perturbed lattices have no such ties (tables tested
-//! equal); on an unperturbed one the rows hold the same neighbor sets
-//! unless `sel` cuts a tied shell.
+//! Each neighbor is compressed into a `u64` key ([`crate::codec`]); the
+//! keys are sorted as scalars and decoded (§5.2.2). Table 3 times this
+//! against the 2018 AoS struct sort, `dp_bench::baseline::format`.
 //!
 //! The optimized path has one formatter, [`format_rows_into`]: atoms `a..b`
 //! of one system into consecutive rows of a table, neighbor indices shifted
@@ -40,7 +30,6 @@
 
 use crate::codec::Codec;
 use crate::config::DpConfig;
-use crate::env::{env_row, env_row_jacobian, smooth_weight};
 use dp_linalg::simd::{self, env::Gathered};
 use dp_md::{NeighborList, System};
 use std::ops::Range;
@@ -333,112 +322,6 @@ pub(crate) fn format_rows_into(
     })
 }
 
-/// One neighbor of the baseline formatter's array of structs.
-#[derive(Clone, Copy)]
-struct RawNeighbor {
-    ty: u32,
-    r: f64,
-    j: u32,
-    d: [f64; 3],
-}
-
-/// The baseline formatter's output: the table's indices, rows and
-/// displacements, and in place of its `radial` pairs (left zero) the full
-/// Jacobian `∂row_m/∂d_k` of every slot (`[m][k]`, zeros on padding) that
-/// the 2018 code stored and its ProdForce and ProdVirial contracted.
-#[derive(Debug, Clone)]
-pub struct BaselineEnv {
-    pub table: FormattedEnv,
-    pub jacobian: Vec<[[f64; 3]; 4]>,
-}
-
-// one atom's output rows from its sorted neighbors, slot by slot
-fn fill_atom_slots(
-    out: &mut BaselineEnv,
-    atom: usize,
-    sorted: &[RawNeighbor],
-    cfg: &DpConfig,
-    cursor: &mut Vec<usize>,
-    limit: &mut Vec<usize>,
-) -> usize {
-    let table = &mut out.table;
-    let mut overflow = 0usize;
-    // type-block cursors; cursor[t] runs from block start to limit[t]
-    cursor.clear();
-    limit.clear();
-    let mut start = atom * table.nm;
-    for &s in &table.sel {
-        cursor.push(start);
-        start += s;
-        limit.push(start);
-    }
-    for n in sorted {
-        let t = n.ty as usize;
-        if cursor[t] >= limit[t] {
-            overflow += 1;
-            continue;
-        }
-        let slot = cursor[t];
-        cursor[t] += 1;
-        table.indices[slot] = n.j as i32;
-        let (s, ds) = smooth_weight(n.r, cfg.rcut_smth, cfg.rcut);
-        table.env[slot * 4..slot * 4 + 4].copy_from_slice(&env_row(n.d, n.r, s));
-        table.disp[slot * 3..slot * 3 + 3].copy_from_slice(&n.d);
-        out.jacobian[slot] = env_row_jacobian(n.d, n.r, s, ds);
-    }
-    overflow
-}
-
-fn gather_raw_into(
-    raw: &mut Vec<RawNeighbor>,
-    sys: &System,
-    nl: &NeighborList,
-    cfg: &DpConfig,
-    i: usize,
-) {
-    let c2 = cfg.rcut * cfg.rcut;
-    raw.clear();
-    for &j in nl.neighbors_of(i) {
-        let j = j as usize;
-        let d = sys.cell.displacement(sys.positions[i], sys.positions[j]);
-        let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-        if r2 >= c2 || r2 < 1e-12 {
-            continue;
-        }
-        raw.push(RawNeighbor {
-            ty: sys.types[j] as u32,
-            r: r2.sqrt(),
-            j: j as u32,
-            d,
-        });
-    }
-}
-
-/// Baseline formatter: sort an array of structs with a three-field
-/// comparator (what the 2018 DeePMD-kit did on the CPU), single-threaded
-/// like the baseline.
-pub fn format_baseline(sys: &System, nl: &NeighborList, cfg: &DpConfig) -> BaselineEnv {
-    assert!(sys.num_types() <= cfg.n_types(), "model has too few types");
-    let table = FormattedEnv::alloc(sys.n_local, cfg);
-    let jacobian = vec![[[0.0; 3]; 4]; table.indices.len()];
-    let mut out = BaselineEnv { table, jacobian };
-    let mut overflow = 0usize;
-    let mut raw: Vec<RawNeighbor> = Vec::new();
-    let mut cursor: Vec<usize> = Vec::new();
-    let mut limit: Vec<usize> = Vec::new();
-    for i in 0..sys.n_local {
-        gather_raw_into(&mut raw, sys, nl, cfg, i);
-        raw.sort_by(|a, b| {
-            a.ty.cmp(&b.ty)
-                .then(a.r.partial_cmp(&b.r).unwrap())
-                .then(a.j.cmp(&b.j))
-        });
-        overflow += fill_atom_slots(&mut out, i, &raw, cfg, &mut cursor, &mut limit);
-    }
-    out.table.overflowed = overflow;
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,20 +339,6 @@ mod tests {
         sys.perturb(0.1, &mut rng);
         let nl = NeighborList::build(&sys, 4.5);
         (sys, nl)
-    }
-
-    #[test]
-    fn optimized_equals_baseline() {
-        let (sys, nl) = copper_test_system();
-        let cfg = small_cfg();
-        for codec in [Codec::PaperDecimal, Codec::Binary] {
-            let a = format_optimized(&sys, &nl, &cfg, codec);
-            let b = format_baseline(&sys, &nl, &cfg).table;
-            assert_eq!(a.indices, b.indices, "{codec:?}");
-            assert_eq!(a.env, b.env);
-            assert_eq!(a.disp, b.disp);
-            assert_eq!(a.overflowed, b.overflowed);
-        }
     }
 
     #[test]
@@ -576,30 +445,6 @@ mod tests {
         let f = format_optimized(&sys, &nl, &cfg, Codec::PaperDecimal);
         // cfg cutoff equals list cutoff, capacity is ample -> same count
         assert_eq!(f.real_neighbors() + f.overflowed, nl.num_pairs());
-    }
-
-    /// On an unperturbed lattice distances tie, and the two formatters may
-    /// order tied slots differently (the u64 key breaks ties by gather
-    /// position, the struct sort by exact distance), but with room for
-    /// all 42 neighbors every row holds the same ones. (Under overflow a
-    /// tied shell cut by `sel` may keep different members.)
-    #[test]
-    fn tied_distances_keep_the_baseline_neighbor_sets() {
-        let sys = lattice::fcc(3.615, [3, 3, 3], units::MASS_CU);
-        let nl = NeighborList::build(&sys, 4.5);
-        let cfg = DpConfig::small(1, 4.5, 48);
-        let sets = |f: &FormattedEnv| -> Vec<std::collections::BTreeSet<i32>> {
-            f.indices
-                .chunks(f.nm)
-                .map(|r| r.iter().copied().collect())
-                .collect()
-        };
-        let base = format_baseline(&sys, &nl, &cfg).table;
-        for codec in [Codec::PaperDecimal, Codec::Binary] {
-            let opt = format_optimized(&sys, &nl, &cfg, codec);
-            assert_eq!((opt.overflowed, base.overflowed), (0, 0));
-            assert_eq!(sets(&opt), sets(&base), "{codec:?}");
-        }
     }
 
     /// The decimal codec holds fewer than 10 species; the check runs in

@@ -7,10 +7,9 @@
 //!   `type·10¹⁵ + ⌊r·10⁸⌋·10⁵ + j` (§5.2.2), plus a binary-split variant
 //!   for systems larger than the decimal layout allows,
 //! * `format` — the type-sorted, distance-sorted, padded neighbor layout
-//!   that removes branching from the embedding computation (§5.2.1); the
-//!   unsorted AoS baseline is kept for the Table 3 ablation,
-//! * `env` — the Environment operator: smoothed environment matrices
-//!   `R̃` and the geometric derivatives the force pass consumes,
+//!   that removes branching from the embedding computation (§5.2.1), with
+//!   the smoothed environment rows `R̃` and the `(1/r, s′)` pairs the force
+//!   pass consumes (from `dp_linalg::simd::env`),
 //! * [`model`] — model parameters (embedding nets per neighbor type,
 //!   fitting nets per center type) in any precision,
 //! * [`eval`] — the optimized batched forward/backward: one tall GEMM per
@@ -19,8 +18,6 @@
 //! * [`ops`] — the customized operators of Table 3 (Environment,
 //!   ProdForce, ProdVirial, and ProdForce's transpose for training), one
 //!   copy each, called by [`eval`], [`train_grad`] and the `table3` bench,
-//! * [`baseline`] — the unoptimized per-atom reference implementation
-//!   standing in for the 2018 serial DeePMD-kit (the paper's baseline),
 //! * [`batch`] — cross-request concatenation of formatted tables: the
 //!   serving scheduler's coalescing primitive (§5.2.1 applied across
 //!   systems, bit-identical per-request results),
@@ -34,13 +31,14 @@
 //!   paper's future-work direction that became DeePMD-kit's model
 //!   compression: no embedding GEMMs or tanh in the MD hot path; tables
 //!   are sampled and evaluated on [`eval`]'s pipeline.
+//!
+//! The 2018 serial baseline that Table 3 and §7.1 compare against lives in
+//! `dp_bench::baseline`, outside the shipped crates.
 
-pub mod baseline;
 pub mod batch;
 pub mod codec;
 pub mod compress;
 pub mod config;
-pub mod env;
 pub mod eval;
 pub mod format;
 pub mod model;

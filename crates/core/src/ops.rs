@@ -138,8 +138,8 @@ mod tests {
     use super::*;
     use crate::codec::Codec;
     use crate::config::DpConfig;
-    use crate::env::{env_row_jacobian, smooth_weight};
     use crate::format::{format_optimized, FormattedEnv};
+    use dp_linalg::simd::env::smooth_weight;
     use dp_md::rng::for_cases;
     use dp_md::{lattice, CounterRng, NeighborList, System};
 
@@ -322,8 +322,22 @@ mod tests {
         }
     }
 
+    /// The 12-value Jacobian `∂row_m/∂d_k` of the row at displacement
+    /// `d`, distance `r`, with `s(r)` and `s′`: `∂s/∂d_k = s′·u_k` and
+    /// `∂(s·u_m)/∂d_k = s′·u_k·u_m + s·(δ_mk − u_m·u_k)/r`, `u = d/r`.
+    /// The pin's own copy, independent of the closed form under test.
+    fn env_row_jacobian(d: [f64; 3], r: f64, s: f64, ds: f64) -> [[f64; 3]; 4] {
+        let inv_r = 1.0 / r;
+        let u = d.map(|x| x * inv_r);
+        let delta = |m: usize, k: usize| if m == k { 1.0 } else { 0.0 };
+        let row = |m: usize| {
+            [0, 1, 2].map(|k| ds * u[k] * u[m] + s * (delta(m, k) - u[m] * u[k]) * inv_r)
+        };
+        [u.map(|uk| ds * uk), row(0), row(1), row(2)]
+    }
+
     /// `(r, Jacobian)` of a real slot: `r` from the displacement as the
-    /// gather computes it, then the baseline's 12-value `∂row/∂d`.
+    /// gather computes it, then the 12-value `∂row/∂d`.
     fn slot_jacobian(fmt: &FormattedEnv, cfg: &DpConfig, slot: usize) -> (f64, [[f64; 3]; 4]) {
         let d: [f64; 3] = fmt.disp[slot * 3..slot * 3 + 3].try_into().unwrap();
         let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();

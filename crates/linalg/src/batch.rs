@@ -99,7 +99,7 @@ pub fn gemm_batch_nt<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::naive_gemm;
+    use crate::gemm::tests::naive_gemm;
     use crate::matrix::Matrix;
 
     fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {

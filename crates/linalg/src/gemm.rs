@@ -5,8 +5,8 @@
 //! module provides the CPU equivalent: a single-threaded GEMM on the
 //! vectorised panels of [`crate::simd`] (one backend dispatch per call,
 //! AVX2/NEON with a scalar fallback), with transpose variants (needed by
-//! back-propagation), plus the textbook triple loop kept as the
-//! correctness baseline and as the "unoptimized" side of ablation benches.
+//! back-propagation). The unfused MATMUL + SUM it replaces, timed against
+//! it in the §5.3.1 ablation, is `dp_bench::baseline::linalg`.
 //!
 //! Multiply-adds are never skipped on zero operands: `0 · inf` and
 //! `0 · NaN` must produce NaN per IEEE-754, exactly as cuBLAS would (an
@@ -25,25 +25,6 @@ pub enum Transpose {
     No,
     /// Use the mathematical transpose of the stored matrix.
     Yes,
-}
-
-/// Textbook `C = A x B` (no vectorisation, no accounting).
-///
-/// This is the reference the fast kernels are tested against, and the
-/// baseline side of the GEMM ablation bench.
-pub fn naive_gemm<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    assert_eq!(a.cols(), b.rows(), "gemm inner dimension mismatch");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c = Matrix::zeros(m, n);
-    for i in 0..m {
-        for p in 0..k {
-            let aip = a[(i, p)];
-            for j in 0..n {
-                c[(i, j)] += aip * b[(p, j)];
-            }
-        }
-    }
-    c
 }
 
 /// `C = alpha * op(A) x op(B) + beta * C`.
@@ -101,27 +82,6 @@ pub fn gemm_ex<T: Real>(
     gemm_nn(alpha, a_nn, b_nn, beta, c);
 }
 
-/// Convenience: allocate and return `A x B`.
-pub fn matmul<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    gemm_ex(Transpose::No, Transpose::No, T::ONE, a, b, T::ZERO, &mut c);
-    c
-}
-
-/// Convenience: allocate and return `A^T x B`.
-pub fn matmul_tn<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    let mut c = Matrix::zeros(a.cols(), b.cols());
-    gemm_ex(Transpose::Yes, Transpose::No, T::ONE, a, b, T::ZERO, &mut c);
-    c
-}
-
-/// Convenience: allocate and return `A x B^T`.
-pub fn matmul_nt<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    let mut c = Matrix::zeros(a.rows(), b.rows());
-    gemm_ex(Transpose::No, Transpose::Yes, T::ONE, a, b, T::ZERO, &mut c);
-    c
-}
-
 /// One `m×k×n` problem as a single-item panel: row-major operands at
 /// their natural leading dimensions.
 fn single<T>(m: usize, k: usize, n: usize, alpha: T, lda: usize, ldb: usize, acc: Acc) -> PanelGemm<T> {
@@ -147,16 +107,10 @@ fn gemm_nn<T: Real>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Mat
 }
 
 /// Fused `C = A x B + 1 ⊗ bias`: GEMM with the bias row broadcast-added,
-/// replacing the separate MATMUL and SUM operators (§5.3.1, Fig 2 (g1)).
-pub fn gemm_bias<T: Real>(a: &Matrix<T>, b: &Matrix<T>, bias: &[T]) -> Matrix<T> {
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    gemm_bias_into(a, b, bias, &mut c);
-    c
-}
-
-/// `gemm_bias` writing into a caller-provided output matrix (§5.2.2 arena
-/// reuse): `c` is re-shaped in place and never re-allocates once its
-/// capacity covers the steady-state problem size.
+/// replacing the separate MATMUL and SUM operators (§5.3.1, Fig 2 (g1)),
+/// into a caller-provided output matrix (§5.2.2 arena reuse): `c` is
+/// re-shaped in place and never re-allocates once its capacity covers the
+/// steady-state problem size.
 pub fn gemm_bias_into<T: Real>(a: &Matrix<T>, b: &Matrix<T>, bias: &[T], c: &mut Matrix<T>) {
     assert_eq!(a.cols(), b.rows(), "gemm inner dimension mismatch");
     assert_eq!(bias.len(), b.cols(), "bias length mismatch");
@@ -192,25 +146,46 @@ pub fn matmul_nt_into<T: Real>(a: &Matrix<T>, b: &Matrix<T>, c: &mut Matrix<T>) 
     simd::dot_panel(&g, 0..1, a.as_slice(), b.as_slice(), c.as_mut_slice());
 }
 
-/// Baseline for the §5.3.1 ablation: separate MATMUL then row-broadcast SUM,
-/// the way a stock TensorFlow graph executes `x·W + b`.
-pub fn matmul_then_sum<T: Real>(a: &Matrix<T>, b: &Matrix<T>, bias: &[T]) -> Matrix<T> {
-    let mut c = matmul(a, b);
-    let n = c.cols();
-    assert_eq!(bias.len(), n);
-    flops::add(c.len() as u64);
-    for i in 0..c.rows() {
-        let row = c.row_mut(i);
-        for (x, &bb) in row.iter_mut().zip(bias.iter()) {
-            *x += bb;
-        }
-    }
-    c
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Textbook `C = A x B` (no vectorisation, no accounting): the
+    /// reference the fast kernels are tested against.
+    pub(crate) fn naive_gemm<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+        assert_eq!(a.cols(), b.rows(), "gemm inner dimension mismatch");
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let mut c = Matrix::zeros(m, n);
+        for i in 0..m {
+            for p in 0..k {
+                let aip = a[(i, p)];
+                for j in 0..n {
+                    c[(i, j)] += aip * b[(p, j)];
+                }
+            }
+        }
+        c
+    }
+
+    /// `op(A) x op(B)` into a fresh matrix through [`gemm_ex`].
+    fn product<T: Real>(ta: Transpose, tb: Transpose, a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+        let rows = if ta == Transpose::No { a.rows() } else { a.cols() };
+        let cols = if tb == Transpose::No { b.cols() } else { b.rows() };
+        let mut c = Matrix::zeros(rows, cols);
+        gemm_ex(ta, tb, T::ONE, a, b, T::ZERO, &mut c);
+        c
+    }
+
+    fn matmul<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+        product(Transpose::No, Transpose::No, a, b)
+    }
+
+    /// [`gemm_bias_into`] into a fresh matrix.
+    fn gemm_bias<T: Real>(a: &Matrix<T>, b: &Matrix<T>, bias: &[T]) -> Matrix<T> {
+        let mut c = Matrix::zeros(a.rows(), b.cols());
+        gemm_bias_into(a, b, bias, &mut c);
+        c
+    }
 
     fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
         // Small deterministic LCG so tests need no rand dependency here.
@@ -237,14 +212,14 @@ mod tests {
         let a = rand_matrix(7, 5, 3);
         let b = rand_matrix(7, 4, 4);
         // A^T (5x7) x B (7x4) = 5x4
-        let tn = matmul_tn(&a, &b);
+        let tn = product(Transpose::Yes, Transpose::No, &a, &b);
         let reference = naive_gemm(&a.transpose(), &b);
         assert!(tn.max_abs_diff(&reference) < 1e-12);
 
         let c = rand_matrix(6, 5, 5);
         let d = rand_matrix(9, 5, 6);
         // C (6x5) x D^T (5x9) = 6x9
-        let nt = matmul_nt(&c, &d);
+        let nt = product(Transpose::No, Transpose::Yes, &c, &d);
         let reference = naive_gemm(&c, &d.transpose());
         assert!(nt.max_abs_diff(&reference) < 1e-12);
     }
@@ -265,20 +240,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_bias_matches_unfused() {
-        let a = rand_matrix(33, 25, 10);
-        let w = rand_matrix(25, 50, 11);
-        let bias: Vec<f64> = (0..50).map(|i| i as f64 * 0.01).collect();
-        let fused = gemm_bias(&a, &w, &bias);
-        let unfused = matmul_then_sum(&a, &w, &bias);
-        assert!(fused.max_abs_diff(&unfused) < 1e-12);
-    }
-
-    #[test]
     fn nt_into_matches_nt() {
         let a = rand_matrix(6, 5, 40);
         let b = rand_matrix(9, 5, 41);
-        let want = matmul_nt(&a, &b);
+        let want = product(Transpose::No, Transpose::Yes, &a, &b);
         // Deliberately dirty + wrongly-shaped output buffer.
         let mut c = rand_matrix(2, 17, 42);
         matmul_nt_into(&a, &b, &mut c);

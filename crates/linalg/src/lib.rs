@@ -7,6 +7,10 @@
 //! CONCAT-free skip connections, fused `tanh`/`tanh`-gradient), and global
 //! FLOP accounting used by the benchmark harnesses to report
 //! peak/sustained FLOPS the same way the paper does with NVPROF.
+//!
+//! Only the shipped kernels live here. The unfused operators they replace
+//! (MATMUL then SUM, CONCAT then SUM, TANH + recomputing TANHGrad), which
+//! the `ablations` bench times against them, are `dp_bench::baseline::linalg`.
 
 pub mod batch;
 pub mod flops;

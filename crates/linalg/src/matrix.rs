@@ -35,15 +35,6 @@ impl<T: Real> Matrix<T> {
         }
     }
 
-    /// Identity matrix of size `n × n`.
-    pub fn eye(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = T::ONE;
-        }
-        m
-    }
-
     /// Build from a row-major data vector. Panics if the length mismatches.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
         assert_eq!(
@@ -120,14 +111,6 @@ impl<T: Real> Matrix<T> {
     /// Consume into the backing vector.
     pub fn into_vec(self) -> Vec<T> {
         self.data
-    }
-
-    /// Reinterpret as a different shape with the same element count.
-    pub fn reshape(mut self, rows: usize, cols: usize) -> Self {
-        assert_eq!(self.data.len(), rows * cols, "reshape element mismatch");
-        self.rows = rows;
-        self.cols = cols;
-        self
     }
 
     /// Out-of-place transpose.
@@ -207,30 +190,6 @@ impl<T: Real> Matrix<T> {
         self.data.iter().copied().sum()
     }
 
-    /// Elementwise (Hadamard) product into a new matrix.
-    pub fn hadamard(&self, other: &Self) -> Self {
-        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| a * b)
-                .collect(),
-        }
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> T {
-        self.data
-            .iter()
-            .map(|&x| x * x)
-            .fold(T::ZERO, |acc, x| acc + x)
-            .sqrt()
-    }
-
     /// Maximum absolute difference to another matrix of the same shape.
     pub fn max_abs_diff(&self, other: &Self) -> T {
         assert_eq!(self.shape(), other.shape());
@@ -247,23 +206,6 @@ impl<T: Real> Matrix<T> {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| U::from_f64(x.to_f64())).collect(),
-        }
-    }
-
-    /// Horizontal concatenation `[self | other]` (the CONCAT operator the
-    /// paper replaces; kept as the baseline for the §5.3.2 ablation).
-    pub fn hcat(&self, other: &Self) -> Self {
-        assert_eq!(self.rows, other.rows, "hcat row mismatch");
-        let cols = self.cols + other.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
-        for i in 0..self.rows {
-            data.extend_from_slice(self.row(i));
-            data.extend_from_slice(other.row(i));
-        }
-        Self {
-            rows: self.rows,
-            cols,
-            data,
         }
     }
 }
@@ -316,16 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn eye_is_identity() {
-        let i3 = Matrix::<f64>::eye(3);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(i3[(i, j)], if i == j { 1.0 } else { 0.0 });
-            }
-        }
-    }
-
-    #[test]
     fn transpose_roundtrip() {
         let m = Matrix::from_fn(37, 53, |i, j| (i * 53 + j) as f64);
         let t = m.transpose();
@@ -345,16 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn hcat_layout() {
-        let a = Matrix::from_fn(2, 2, |i, j| (i * 2 + j) as f64);
-        let b = Matrix::full(2, 1, 9.0_f64);
-        let c = a.hcat(&b);
-        assert_eq!(c.shape(), (2, 3));
-        assert_eq!(c.row(0), &[0.0, 1.0, 9.0]);
-        assert_eq!(c.row(1), &[2.0, 3.0, 9.0]);
-    }
-
-    #[test]
     fn cast_f64_to_f32_and_back() {
         let m = Matrix::from_fn(4, 4, |i, j| (i + j) as f64 + 0.125);
         let s: Matrix<f32> = m.cast();
@@ -364,25 +286,10 @@ mod tests {
     }
 
     #[test]
-    fn norm_and_diff() {
+    fn max_abs_diff_reads_the_largest_gap() {
         let a = Matrix::from_vec(1, 2, vec![3.0_f64, 4.0]);
-        assert!((a.norm() - 5.0).abs() < 1e-12);
         let b = Matrix::from_vec(1, 2, vec![3.0_f64, 4.5]);
         assert!((a.max_abs_diff(&b) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let m = Matrix::from_fn(2, 6, |i, j| (i * 6 + j) as f64);
-        let r = m.clone().reshape(3, 4);
-        assert_eq!(r.as_slice(), m.as_slice());
-        assert_eq!(r.shape(), (3, 4));
-    }
-
-    #[test]
-    #[should_panic(expected = "reshape element mismatch")]
-    fn reshape_wrong_size_panics() {
-        let _ = Matrix::<f64>::zeros(2, 2).reshape(3, 2);
     }
 
     #[test]

@@ -800,4 +800,56 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn weight_is_inverse_r_inside() {
+        let (s, ds) = smooth_weight(2.0, 3.0, 6.0);
+        assert!((s - 0.5).abs() < 1e-12);
+        assert!((ds + 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn weight_vanishes_at_cutoff() {
+        let (s, ds) = smooth_weight(6.0, 3.0, 6.0);
+        assert_eq!(s, 0.0);
+        assert_eq!(ds, 0.0);
+        // approaching the cutoff from inside: continuous to 0
+        let (s, _) = smooth_weight(5.999, 3.0, 6.0);
+        assert!(s.abs() < 1e-3);
+    }
+
+    #[test]
+    fn weight_is_continuous_at_smth() {
+        let (s_in, ds_in) = smooth_weight(3.0 - 1e-9, 3.0, 6.0);
+        let (s_out, ds_out) = smooth_weight(3.0 + 1e-9, 3.0, 6.0);
+        assert!((s_in - s_out).abs() < 1e-8);
+        assert!((ds_in - ds_out).abs() < 1e-6);
+    }
+
+    #[test]
+    fn weight_derivative_matches_fd() {
+        for &r in &[1.5, 3.5, 4.7, 5.5] {
+            let (_, ds) = smooth_weight(r, 3.0, 6.0);
+            let h = 1e-7;
+            let fd =
+                (smooth_weight(r + h, 3.0, 6.0).0 - smooth_weight(r - h, 3.0, 6.0).0) / (2.0 * h);
+            assert!((ds - fd).abs() < 1e-6, "r={r}: {ds} vs {fd}");
+        }
+    }
+
+    #[test]
+    fn rotation_covariance_of_row() {
+        // s-part invariant, vector part rotates with d.
+        let d: [f64; 3] = [0.5, 1.0, -0.3];
+        let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+        let (s, _) = smooth_weight(r, 1.0, 6.0);
+        let w = env_row(d, r, s);
+        // rotate 90° about z: (x,y,z) -> (-y,x,z)
+        let dr = [-d[1], d[0], d[2]];
+        let wr = env_row(dr, r, s);
+        assert!((w[0] - wr[0]).abs() < 1e-12);
+        assert!((wr[1] + w[2]).abs() < 1e-12);
+        assert!((wr[2] - w[1]).abs() < 1e-12);
+        assert!((wr[3] - w[3]).abs() < 1e-12);
+    }
 }

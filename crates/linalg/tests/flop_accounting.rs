@@ -4,7 +4,7 @@
 
 use dp_linalg::batch::{gemm_batch_nn, Acc, Panel};
 use dp_linalg::flops::{self, FlopCounter};
-use dp_linalg::gemm::{gemm_ex, matmul, Transpose};
+use dp_linalg::gemm::{gemm_ex, Transpose};
 use dp_linalg::Matrix;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -31,8 +31,9 @@ fn counter_accumulates_and_scopes() {
 #[test]
 fn matmul_charges_two_mnk() {
     let _only = exclusive();
+    let mut c = Matrix::zeros(10, 30);
     flops::reset();
-    let _ = matmul(&matrix(10, 20), &matrix(20, 30));
+    gemm_ex(Transpose::No, Transpose::No, 1.0, &matrix(10, 20), &matrix(20, 30), 0.0, &mut c);
     assert_eq!(flops::reset(), 2 * 10 * 20 * 30);
 }
 

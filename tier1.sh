@@ -30,9 +30,11 @@ if [ "${1:-}" != "--skip-tests" ]; then
     # the scalar fallback stays a tested baseline on hosts that always
     # dispatch to the SIMD path: linalg's unit tests and property suite,
     # deepmd-core's net pass tests, scalar golden folds and training-gradient
-    # finite-difference checks, and the nn and train suites (the trainer's
-    # steps run that gradient pass on the linalg panels)
+    # finite-difference checks, the nn and train suites (the trainer's
+    # steps run that gradient pass on the linalg panels), and the shipped
+    # path against the 2018 baseline and the §5.3 variants (dp-bench)
     DPMD_SIMD=off cargo test -q --offline -p dp-linalg -p deepmd-core -p dp-nn -p dp-train
+    DPMD_SIMD=off cargo test -q --offline -p dp-bench --test baseline
 fi
 
 # Benchmark smoke: all six perfbench workloads, both passes, at a twentieth
