@@ -14,9 +14,11 @@ use deepmd_core::codec::Codec;
 use deepmd_core::eval::evaluate;
 use deepmd_core::format::{format_optimized, format_optimized_into};
 use dp_bench::baseline::eval::evaluate_baseline;
-use dp_bench::{models, report::print_table};
+use dp_bench::models;
+use dp_bench::report::{median_ms, print_provenance, print_table};
 use dp_md::{lattice, NeighborList};
-use std::time::Instant;
+
+const REPS: usize = 3;
 
 fn main() {
     // Paper hyper-parameters on a 192-atom water slice: the baseline is
@@ -26,6 +28,7 @@ fn main() {
     let model = models::water_model_paper_size(7);
     let model32 = model.cast::<f32>();
     let nl = NeighborList::build(&sys, model.config.rcut);
+    print_provenance();
     println!(
         "Speedup harness: water, {} atoms, paper nets (emb 25x50x100, fit 240^3)",
         sys.len()
@@ -40,37 +43,27 @@ fn main() {
         "pipelines disagree"
     );
 
-    let reps = 3;
-    let time = |f: &mut dyn FnMut()| {
-        f(); // warm-up
-        let t = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        t.elapsed().as_secs_f64() * 1000.0 / reps as f64
-    };
-
     // 1. baseline: struct-sort formatting + per-atom small-matrix pipeline
-    let t_baseline = time(&mut || {
+    let t_baseline = median_ms(REPS, || {
         std::hint::black_box(evaluate_baseline(&model, &sys, &nl));
     });
 
     // 2. optimized double: sorted/padded/compressed + batched + fused,
     //    formatting workspace reused across steps
     let mut ws = format_optimized(&sys, &nl, &model.config, Codec::PaperDecimal);
-    let t_opt = time(&mut || {
+    let t_opt = median_ms(REPS, || {
         format_optimized_into(&mut ws, &sys, &nl, &model.config, Codec::PaperDecimal);
         std::hint::black_box(evaluate(&model, &ws, &sys.types, sys.len(), None));
     });
 
     // 3. optimized mixed precision
-    let t_mixed = time(&mut || {
+    let t_mixed = median_ms(REPS, || {
         format_optimized_into(&mut ws, &sys, &nl, &model.config, Codec::PaperDecimal);
         std::hint::black_box(evaluate(&model32, &ws, &sys.types, sys.len(), None));
     });
 
     print_table(
-        "End-to-end evaluation time per step [ms]",
+        &format!("End-to-end evaluation time per step [ms, median of {REPS}]"),
         &["pipeline", "time", "speedup vs baseline", "paper"],
         &[
             vec![
