@@ -766,7 +766,7 @@ mod x86 {
 
     /// Whether this host can run the kernels below (avx2 + fma).
     pub fn detected() -> bool {
-        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+        !super::avx2_hidden() && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
     }
 
     /// # Safety: caller guarantees avx2+fma and the panel bounds checked
@@ -1954,9 +1954,29 @@ mod arm {
     }
 }
 
+/// Outside tests nothing hides AVX2 from [`x86::detected`].
+#[cfg(all(not(test), target_arch = "x86_64"))]
+#[inline(always)]
+fn avx2_hidden() -> bool {
+    false
+}
+
+/// Test builds: whether this thread set `tests::HIDE_AVX2`, so that an
+/// AVX2 host reaches the `*_with` entry points' fallback arms.
+#[cfg(all(test, target_arch = "x86_64"))]
+fn avx2_hidden() -> bool {
+    tests::HIDE_AVX2.get()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[cfg(target_arch = "x86_64")]
+    thread_local! {
+        /// While set, `x86::detected` answers false on this thread.
+        pub(super) static HIDE_AVX2: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
 
     fn lcg(seed: &mut u64) -> f64 {
         *seed = seed
@@ -2214,5 +2234,71 @@ mod tests {
             let forced = matches!(req.as_str(), "off" | "0" | "scalar");
             assert!(forced);
         }
+    }
+
+    /// Every `*_with` entry point, called with `Backend::Avx2` while
+    /// detection answers false, gives the `Backend::Scalar` bits.
+    #[cfg(target_arch = "x86_64")]
+    fn undetected_avx2_gives_scalar_bits<T: Real>() {
+        let v = |n: usize, seed: u64| -> Vec<T> {
+            vec_f64(n, seed).into_iter().map(T::from_f64).collect()
+        };
+        let check = |name: &str, f: &dyn Fn(Backend) -> Vec<T>| {
+            let bits = |x: Vec<T>| -> Vec<u64> { x.iter().map(|y| y.to_f64().to_bits()).collect() };
+            assert_eq!(bits(f(Backend::Avx2)), bits(f(Backend::Scalar)), "{name}");
+        };
+        // past every specialised width, with remainder lanes
+        let (m, k, n) = (5, 37, 21);
+        let (a, b, bt) = (v(m * k, 1), v(k * n, 2), v(n * k, 3));
+        let half = T::from_f64(0.5);
+        check("row_gemm_strided_with", &|be| {
+            let mut c = v(n, 4);
+            row_gemm_strided_with(be, &mut c, k, &a, 1, &b, n, half);
+            c
+        });
+        check("dot_with", &|be| {
+            let rows = a.chunks_exact(k).zip(bt.chunks_exact(k));
+            rows.map(|(x, y)| dot_with(be, x, y)).collect()
+        });
+        let ld = |ld| Panel { ld, stride: 0 };
+        let g = PanelGemm { m, k, n, alpha: half, a: ld(k), b: ld(n), c: ld(n), acc: Acc::Add };
+        check("row_panel_with", &|be| {
+            let mut c = v(m * n, 5);
+            row_panel_with(be, &g, false, 0..1, &a, &b, &mut c);
+            c
+        });
+        let g = PanelGemm { b: ld(k), ..g };
+        check("dot_panel_with", &|be| {
+            let mut c = v(m * n, 6);
+            dot_panel_with(be, &g, 0..1, &a, &bt, &mut c);
+            c
+        });
+        check("axpy_with", &|be| {
+            let mut y = v(m * k, 7);
+            axpy_with(be, half, &a, &mut y);
+            y
+        });
+        check("scale_with", &|be| {
+            let mut x = a.clone();
+            scale_with(be, &mut x, T::from_f64(1.7));
+            x
+        });
+        check("tanh_fused_with", &|be| {
+            let (mut t, mut g) = (vec![T::ZERO; a.len()], vec![T::ZERO; a.len()]);
+            tanh_fused_with(be, &a, &mut t, &mut g);
+            [t, g].concat()
+        });
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn undetected_avx2_falls_back_to_scalar() {
+        // resolve the process-wide backend before this thread hides AVX2
+        active();
+        HIDE_AVX2.set(true);
+        assert!(!x86::detected());
+        undetected_avx2_gives_scalar_bits::<f64>();
+        undetected_avx2_gives_scalar_bits::<f32>();
+        HIDE_AVX2.set(false);
     }
 }
