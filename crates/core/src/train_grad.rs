@@ -38,8 +38,9 @@ use dp_linalg::{simd, Matrix};
 use dp_nn::layer::LayerKind;
 use dp_nn::net::Net;
 
-/// Loss prefactors. DeePMD-kit ramps the energy prefactor up and the force
-/// prefactor down over training; constants work fine at our scale.
+/// Loss prefactors, constant over training. DeePMD-kit ramps the energy
+/// prefactor up and the force prefactor down with the learning rate; how
+/// the constants compare with that schedule is unmeasured (ROADMAP item 24).
 #[derive(Debug, Clone, Copy)]
 pub struct LossWeights {
     pub pe: f64,
