@@ -8,7 +8,9 @@
 //! the shipped `deepmd_core::eval` to machine precision.
 
 use super::format::format_baseline;
-use super::linalg::{concat_sum_baseline, matmul, matmul_nt, matmul_then_sum, matmul_tn, tanh_forward};
+use super::linalg::{
+    concat_sum_baseline, matmul, matmul_nt, matmul_then_sum, matmul_tn, tanh_forward,
+};
 use deepmd_core::eval::EvalOutput;
 use deepmd_core::format::NONE;
 use deepmd_core::DpModel;

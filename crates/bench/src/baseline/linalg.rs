@@ -21,8 +21,16 @@ use dp_linalg::{Matrix, Real};
 
 /// `op(A) x op(B)` into a fresh matrix.
 fn product<T: Real>(ta: Transpose, tb: Transpose, a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    let rows = if ta == Transpose::No { a.rows() } else { a.cols() };
-    let cols = if tb == Transpose::No { b.cols() } else { b.rows() };
+    let rows = if ta == Transpose::No {
+        a.rows()
+    } else {
+        a.cols()
+    };
+    let cols = if tb == Transpose::No {
+        b.cols()
+    } else {
+        b.rows()
+    };
     let mut c = Matrix::zeros(rows, cols);
     gemm_ex(ta, tb, T::ONE, a, b, T::ZERO, &mut c);
     c
@@ -117,7 +125,13 @@ pub fn concat_sum_baseline<T: Real>(x: &Matrix<T>, h: &Matrix<T>) -> Matrix<T> {
 
 /// The `k x 2k` matrix `(I, I)`, so that `x·(I, I) = (x, x)`.
 pub fn identity_pair<T: Real>(k: usize) -> Matrix<T> {
-    Matrix::from_fn(k, 2 * k, |i, j| if j == i || j == i + k { T::ONE } else { T::ZERO })
+    Matrix::from_fn(k, 2 * k, |i, j| {
+        if j == i || j == i + k {
+            T::ONE
+        } else {
+            T::ZERO
+        }
+    })
 }
 
 /// The paper's §5.3.2 replacement: `h + (x,x) = h + x × (I,I)` as one
@@ -126,7 +140,15 @@ pub fn identity_pair<T: Real>(k: usize) -> Matrix<T> {
 pub fn concat_sum_gemm<T: Real>(x: &Matrix<T>, ii: &Matrix<T>, h: &Matrix<T>) -> Matrix<T> {
     assert_eq!(h.cols(), 2 * x.cols(), "skip-connection shape mismatch");
     let mut out = h.clone();
-    gemm_ex(Transpose::No, Transpose::No, T::ONE, x, ii, T::ONE, &mut out);
+    gemm_ex(
+        Transpose::No,
+        Transpose::No,
+        T::ONE,
+        x,
+        ii,
+        T::ONE,
+        &mut out,
+    );
     out
 }
 

@@ -14,8 +14,8 @@ use deepmd_core::eval::evaluate;
 use deepmd_core::format::format_optimized;
 use deepmd_core::{DpConfig, DpModel};
 use dp_bench::baseline::linalg::{
-    concat_sum_baseline, concat_sum_gemm, dup_sum_fused, gemm_bias, identity_pair,
-    matmul_then_sum, tanh_fused, tanh_then_grad_baseline,
+    concat_sum_baseline, concat_sum_gemm, dup_sum_fused, gemm_bias, identity_pair, matmul_then_sum,
+    tanh_fused, tanh_then_grad_baseline,
 };
 use dp_bench::report::{median_ms, print_provenance, print_table};
 use dp_linalg::simd::{self, Acc, Backend, Panel, PanelGemm};

@@ -156,7 +156,13 @@ fn prod_force_and_virial_match_the_shipped_operators() {
     let mut forces = vec![[0.0f64; 3]; sys.len()];
     let mut virial = [0.0f64; 6];
     prod_force_into(fmt.rows(0..fmt.n_atoms), &dedr, &mut slot_grads);
-    prod_virial_into(fmt.rows(0..fmt.n_atoms), 0, &slot_grads, &mut forces, &mut virial);
+    prod_virial_into(
+        fmt.rows(0..fmt.n_atoms),
+        0,
+        &slot_grads,
+        &mut forces,
+        &mut virial,
+    );
 
     let jac = jacobian(&fmt, &cfg);
     let rel_err = |a: &[f64], b: &[f64]| {
@@ -294,7 +300,9 @@ fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
     // Small deterministic LCG.
     let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
     Matrix::from_fn(rows, cols, |_, _| {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
     })
 }

@@ -50,5 +50,5 @@ pub mod workspace;
 
 pub use config::DpConfig;
 pub use model::DpModel;
-pub use workspace::EvalWorkspace;
 pub use potential_impl::{BatchItem, BatchOutput, BatchResult, DeepPotential, PrecisionMode};
+pub use workspace::EvalWorkspace;

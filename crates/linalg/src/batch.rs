@@ -46,7 +46,16 @@ pub fn gemm_batch_nn<T: Real>(
     acc: Acc,
 ) {
     charge(batch, m, n, k, acc);
-    let g = PanelGemm { m, k, n, alpha, a: pa, b: pb, c: pc, acc };
+    let g = PanelGemm {
+        m,
+        k,
+        n,
+        alpha,
+        a: pa,
+        b: pb,
+        c: pc,
+        acc,
+    };
     simd::row_panel(&g, false, 0..batch, a, b, c);
 }
 
@@ -69,7 +78,16 @@ pub fn gemm_batch_tn<T: Real>(
     acc: Acc,
 ) {
     charge(batch, m, n, k, acc);
-    let g = PanelGemm { m, k, n, alpha, a: pa, b: pb, c: pc, acc };
+    let g = PanelGemm {
+        m,
+        k,
+        n,
+        alpha,
+        a: pa,
+        b: pb,
+        c: pc,
+        acc,
+    };
     simd::row_panel(&g, true, 0..batch, a, b, c);
 }
 
@@ -92,7 +110,16 @@ pub fn gemm_batch_nt<T: Real>(
     acc: Acc,
 ) {
     charge(batch, m, n, k, acc);
-    let g = PanelGemm { m, k, n, alpha, a: pa, b: pb, c: pc, acc };
+    let g = PanelGemm {
+        m,
+        k,
+        n,
+        alpha,
+        a: pa,
+        b: pb,
+        c: pc,
+        acc,
+    };
     simd::dot_panel(&g, 0..batch, a, b, c);
 }
 
@@ -146,7 +173,10 @@ mod tests {
             for r in 0..m {
                 for j in 0..n {
                     let got = c[i * m * n + r * n + j];
-                    assert!((got - 2.0 * want[(r, j)]).abs() < 1e-12, "item {i} ({r},{j})");
+                    assert!(
+                        (got - 2.0 * want[(r, j)]).abs() < 1e-12,
+                        "item {i} ({r},{j})"
+                    );
                 }
             }
         }

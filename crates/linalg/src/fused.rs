@@ -54,7 +54,10 @@ pub fn dup_sum_fused_into<T: Real>(x: &Matrix<T>, h: &Matrix<T>, out: &mut Matri
     if k == 0 {
         return;
     }
-    let rows = out.as_mut_slice().chunks_exact_mut(2 * k).zip(h.as_slice().chunks_exact(2 * k));
+    let rows = out
+        .as_mut_slice()
+        .chunks_exact_mut(2 * k)
+        .zip(h.as_slice().chunks_exact(2 * k));
     for ((o_row, h_row), x_row) in rows.zip(x.as_slice().chunks_exact(k)) {
         let (o_lo, o_hi) = o_row.split_at_mut(k);
         let (h_lo, h_hi) = h_row.split_at(k);

@@ -84,9 +84,26 @@ pub fn gemm_ex<T: Real>(
 
 /// One `m×k×n` problem as a single-item panel: row-major operands at
 /// their natural leading dimensions.
-fn single<T>(m: usize, k: usize, n: usize, alpha: T, lda: usize, ldb: usize, acc: Acc) -> PanelGemm<T> {
+fn single<T>(
+    m: usize,
+    k: usize,
+    n: usize,
+    alpha: T,
+    lda: usize,
+    ldb: usize,
+    acc: Acc,
+) -> PanelGemm<T> {
     let ld = |ld| Panel { ld, stride: 0 };
-    PanelGemm { m, k, n, alpha, a: ld(lda), b: ld(ldb), c: ld(n), acc }
+    PanelGemm {
+        m,
+        k,
+        n,
+        alpha,
+        a: ld(lda),
+        b: ld(ldb),
+        c: ld(n),
+        acc,
+    }
 }
 
 /// Core NN kernel: `C = alpha * A x B + beta * C`.
@@ -103,7 +120,14 @@ fn gemm_nn<T: Real>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Mat
     // No zero-skip: every A element contributes a multiply-add so
     // non-finite B values propagate per IEEE-754.
     let g = single(m, k, n, alpha, k, n, acc);
-    simd::row_panel(&g, false, 0..1, a.as_slice(), b.as_slice(), c.as_mut_slice());
+    simd::row_panel(
+        &g,
+        false,
+        0..1,
+        a.as_slice(),
+        b.as_slice(),
+        c.as_mut_slice(),
+    );
 }
 
 /// Fused `C = A x B + 1 ⊗ bias`: GEMM with the bias row broadcast-added,
@@ -129,7 +153,14 @@ pub fn gemm_bias_into<T: Real>(a: &Matrix<T>, b: &Matrix<T>, bias: &[T], c: &mut
         }
         let g = single(rows, k, n, T::ONE, k, n, Acc::Add);
         let c_blk = &mut c.as_mut_slice()[r0 * n..(r0 + rows) * n];
-        simd::row_panel(&g, false, 0..1, &a.as_slice()[r0 * k..], b.as_slice(), c_blk);
+        simd::row_panel(
+            &g,
+            false,
+            0..1,
+            &a.as_slice()[r0 * k..],
+            b.as_slice(),
+            c_blk,
+        );
     }
 }
 
@@ -169,8 +200,16 @@ pub(crate) mod tests {
 
     /// `op(A) x op(B)` into a fresh matrix through [`gemm_ex`].
     fn product<T: Real>(ta: Transpose, tb: Transpose, a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-        let rows = if ta == Transpose::No { a.rows() } else { a.cols() };
-        let cols = if tb == Transpose::No { b.cols() } else { b.rows() };
+        let rows = if ta == Transpose::No {
+            a.rows()
+        } else {
+            a.cols()
+        };
+        let cols = if tb == Transpose::No {
+            b.cols()
+        } else {
+            b.rows()
+        };
         let mut c = Matrix::zeros(rows, cols);
         gemm_ex(ta, tb, T::ONE, a, b, T::ZERO, &mut c);
         c
@@ -191,14 +230,22 @@ pub(crate) mod tests {
         // Small deterministic LCG so tests need no rand dependency here.
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
         Matrix::from_fn(rows, cols, |_, _| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
         })
     }
 
     #[test]
     fn blocked_matches_naive() {
-        for &(m, k, n) in &[(1, 1, 1), (3, 4, 5), (17, 31, 13), (64, 25, 50), (130, 7, 3)] {
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (3, 4, 5),
+            (17, 31, 13),
+            (64, 25, 50),
+            (130, 7, 3),
+        ] {
             let a = rand_matrix(m, k, 1);
             let b = rand_matrix(k, n, 2);
             let fast = matmul(&a, &b);
@@ -271,11 +318,7 @@ pub(crate) mod tests {
         // inf and NaN. Column 2 of B stays finite everywhere so outputs
         // mixing finite and poisoned columns are both covered.
         let a = Matrix::from_vec(2, 2, vec![0.0, 1.0, 2.0, 0.0]);
-        let b = Matrix::from_vec(
-            2,
-            3,
-            vec![f64::INFINITY, f64::NAN, 1.0, 2.0, 3.0, 4.0],
-        );
+        let b = Matrix::from_vec(2, 3, vec![f64::INFINITY, f64::NAN, 1.0, 2.0, 3.0, 4.0]);
         let slow = naive_gemm(&a, &b);
         let fast = matmul(&a, &b);
         for i in 0..2 {

@@ -2261,7 +2261,16 @@ mod tests {
             rows.map(|(x, y)| dot_with(be, x, y)).collect()
         });
         let ld = |ld| Panel { ld, stride: 0 };
-        let g = PanelGemm { m, k, n, alpha: half, a: ld(k), b: ld(n), c: ld(n), acc: Acc::Add };
+        let g = PanelGemm {
+            m,
+            k,
+            n,
+            alpha: half,
+            a: ld(k),
+            b: ld(n),
+            c: ld(n),
+            acc: Acc::Add,
+        };
         check("row_panel_with", &|be| {
             let mut c = v(m * n, 5);
             row_panel_with(be, &g, false, 0..1, &a, &b, &mut c);

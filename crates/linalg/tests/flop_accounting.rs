@@ -33,7 +33,15 @@ fn matmul_charges_two_mnk() {
     let _only = exclusive();
     let mut c = Matrix::zeros(10, 30);
     flops::reset();
-    gemm_ex(Transpose::No, Transpose::No, 1.0, &matrix(10, 20), &matrix(20, 30), 0.0, &mut c);
+    gemm_ex(
+        Transpose::No,
+        Transpose::No,
+        1.0,
+        &matrix(10, 20),
+        &matrix(20, 30),
+        0.0,
+        &mut c,
+    );
     assert_eq!(flops::reset(), 2 * 10 * 20 * 30);
 }
 

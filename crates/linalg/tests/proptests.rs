@@ -53,8 +53,16 @@ fn naive_gemm(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
 
 /// `op(A) x op(B)` into a fresh matrix through `gemm_ex`.
 fn product(ta: Transpose, tb: Transpose, a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
-    let rows = if ta == Transpose::No { a.rows() } else { a.cols() };
-    let cols = if tb == Transpose::No { b.cols() } else { b.rows() };
+    let rows = if ta == Transpose::No {
+        a.rows()
+    } else {
+        a.cols()
+    };
+    let cols = if tb == Transpose::No {
+        b.cols()
+    } else {
+        b.rows()
+    };
     let mut c = Matrix::zeros(rows, cols);
     gemm_ex(ta, tb, 1.0, a, b, 0.0, &mut c);
     c
@@ -160,7 +168,11 @@ fn narrow_case(rng: &mut CounterRng) -> PanelCase {
     let (m, k, n) = if op == Op::Nt {
         (dim(rng, 9), 7 + dim(rng, 9), dot_width(rng))
     } else {
-        (8 + dim(rng, 3), width(rng, 20), [8, 16][rng.below(2) as usize])
+        (
+            8 + dim(rng, 3),
+            width(rng, 20),
+            [8, 16][rng.below(2) as usize],
+        )
     };
     case(rng, op, m, k, n)
 }
@@ -342,7 +354,16 @@ fn check_bias_and_nt<T: Real>(m: usize, k: usize, n: usize, data: u64) {
     gemm_bias_into(&a, &w, &bias, &mut c);
     let mut want = Matrix::from_fn(m, n, |_, j| bias[j]);
     for r in 0..m {
-        simd::row_gemm_strided_with(backend, want.row_mut(r), k, a.row(r), 1, w.as_slice(), n, T::ONE);
+        simd::row_gemm_strided_with(
+            backend,
+            want.row_mut(r),
+            k,
+            a.row(r),
+            1,
+            w.as_slice(),
+            n,
+            T::ONE,
+        );
     }
     assert_eq!(bits(c.as_slice()), bits(want.as_slice()), "gemm_bias_into");
 
@@ -362,7 +383,13 @@ fn gemm_bias_and_nt_into_match_the_per_row_composition_bitwise() {
             let (m, k) = (dim(rng, 40), 7 + dim(rng, 9));
             (f32, m, k, [8, 16][rng.below(2) as usize], rng.next_u64())
         } else {
-            (f32, dim(rng, 9), width(rng, 20), width(rng, 40), rng.next_u64())
+            (
+                f32,
+                dim(rng, 9),
+                width(rng, 20),
+                width(rng, 40),
+                rng.next_u64(),
+            )
         }
     };
     for_cases(0x6E0B, CASES, draw, |&(f32, m, k, n, data)| {

@@ -378,10 +378,7 @@ fn validate_histograms(exp: &Exposition) -> Result<(), String> {
             .filter(|(k, _)| k != "le")
             .cloned()
             .collect();
-        match groups
-            .iter_mut()
-            .find(|(b, l, _)| *b == base && *l == rest)
-        {
+        match groups.iter_mut().find(|(b, l, _)| *b == base && *l == rest) {
             Some((_, _, buckets)) => buckets.push((le, s.value)),
             None => groups.push((base.to_string(), rest, vec![(le, s.value)])),
         }
@@ -441,7 +438,10 @@ pub fn parse(text: &str) -> Result<Exposition, String> {
                 if !valid_metric_name(name) {
                     return Err(at(format!("bad metric name '{name}' in TYPE")));
                 }
-                if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
+                if !matches!(
+                    kind,
+                    "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                ) {
                     return Err(at(format!("unknown TYPE kind '{kind}'")));
                 }
                 if exp.types.iter().any(|(n, _)| n == name) {
@@ -510,11 +510,7 @@ mod tests {
         for v in [3u64, 90, 90, 4000] {
             h.record(v);
         }
-        publish_gauge(
-            "prom.test.gauge",
-            &[("model", "water\"v\\1\n")],
-            2.5,
-        );
+        publish_gauge("prom.test.gauge", &[("model", "water\"v\\1\n")], 2.5);
         let mut snap = HistSnapshot {
             count: 2,
             sum: 12,
@@ -568,13 +564,13 @@ mod tests {
         let exp = parse(&text).unwrap();
         let series = exp.samples_named("dpmd_prom_test_upsert");
         assert_eq!(series.len(), 2);
-        let r0 = series.iter().find(|s| s.label("rank") == Some("0")).unwrap();
+        let r0 = series
+            .iter()
+            .find(|s| s.label("rank") == Some("0"))
+            .unwrap();
         assert_eq!(r0.value, 3.0, "second publish overwrites");
         // one TYPE line for the whole family
-        assert_eq!(
-            text.matches("# TYPE dpmd_prom_test_upsert ").count(),
-            1
-        );
+        assert_eq!(text.matches("# TYPE dpmd_prom_test_upsert ").count(), 1);
     }
 
     #[test]
