@@ -12,6 +12,10 @@
 //! The shipped table keeps two numbers of a slot's Jacobian, `(1/r, s′)`,
 //! and `deepmd_core::ops` builds the rest from the row and the
 //! displacement; the baseline stores and contracts all twelve.
+//!
+//! The contraction loops are `#[inline]`, so `table3` compiles them in its
+//! own crate as it did when it carried its own copy: called across the
+//! crate boundary, its ProdVirial baseline read about 20 % slower.
 
 pub mod eval;
 pub mod format;
@@ -51,6 +55,7 @@ pub fn jacobian(fmt: &FormattedEnv, cfg: &DpConfig) -> Vec<[[f64; 3]; 4]> {
 }
 
 /// One slot's gradient `Σ_m g_m·∂row_m/∂d` from its stored Jacobian.
+#[inline]
 fn contract(g: [f64; 4], jac: &[[f64; 3]; 4]) -> [f64; 3] {
     [0, 1, 2].map(|k| g[0] * jac[0][k] + g[1] * jac[1][k] + g[2] * jac[2][k] + g[3] * jac[3][k])
 }
@@ -58,6 +63,7 @@ fn contract(g: [f64; 4], jac: &[[f64; 3]; 4]) -> [f64; 3] {
 /// Baseline ProdForce: single-threaded slot loop over `∂E/∂R̃` rows `gw`
 /// (one per slot, the embedding-input gradient folded into the first),
 /// scalar scatter.
+#[inline]
 pub fn prod_force(
     fmt: &FormattedEnv,
     jac: &[[[f64; 3]; 4]],
@@ -83,6 +89,7 @@ pub fn prod_force(
 }
 
 /// Baseline ProdVirial: single-threaded.
+#[inline]
 pub fn prod_virial(fmt: &FormattedEnv, jac: &[[[f64; 3]; 4]], gw: &[[f64; 4]]) -> [f64; 6] {
     let mut w = [0.0f64; 6];
     for slot in 0..fmt.n_atoms * fmt.nm {
