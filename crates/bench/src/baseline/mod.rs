@@ -54,6 +54,20 @@ pub fn jacobian(fmt: &FormattedEnv, cfg: &DpConfig) -> Vec<[[f64; 3]; 4]> {
         .collect()
 }
 
+/// Per-slot `∂E/∂R̃` rows `gw` regrouped into the per-neighbor-type
+/// blocks the shipped `deepmd_core::ops` operators read.
+pub fn type_blocks(fmt: &FormattedEnv, gw: &[[f64; 4]]) -> Vec<Vec<f64>> {
+    (0..fmt.sel.len())
+        .map(|t| {
+            let slots = (0..fmt.n_atoms).flat_map(|a| {
+                let b = fmt.block_start(a, t);
+                b..b + fmt.sel[t]
+            });
+            slots.flat_map(|s| gw[s]).collect()
+        })
+        .collect()
+}
+
 /// One slot's gradient `Σ_m g_m·∂row_m/∂d` from its stored Jacobian.
 #[inline]
 fn contract(g: [f64; 4], jac: &[[f64; 3]; 4]) -> [f64; 3] {

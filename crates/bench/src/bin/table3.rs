@@ -46,20 +46,6 @@ fn synthetic_gw(fmt: &FormattedEnv, seed: u64) -> Vec<[f64; 4]> {
         .collect()
 }
 
-/// `gw` regrouped into the per-neighbor-type blocks the shipped operators
-/// read.
-fn type_blocks(fmt: &FormattedEnv, gw: &[[f64; 4]]) -> Vec<Vec<f64>> {
-    (0..fmt.sel.len())
-        .map(|t| {
-            let slots = (0..fmt.n_atoms).flat_map(|a| {
-                let b = fmt.block_start(a, t);
-                b..b + fmt.sel[t]
-            });
-            slots.flat_map(|s| gw[s]).collect()
-        })
-        .collect()
-}
-
 /// `max |a − b|` over `‖b‖₂`.
 fn rel_err(a: &[f64], b: &[f64]) -> f64 {
     let norm = b.iter().map(|x| x * x).sum::<f64>().sqrt();
@@ -104,7 +90,7 @@ fn main() {
     });
 
     let gw = synthetic_gw(&fmt, 99);
-    let dedr = type_blocks(&fmt, &gw);
+    let dedr = baseline::type_blocks(&fmt, &gw);
     let jac = baseline::jacobian(&fmt, &cfg);
     let rows = fmt.rows(0..fmt.n_atoms);
     let mut slot_grads = Vec::new();

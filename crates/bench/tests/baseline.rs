@@ -15,7 +15,7 @@ use dp_bench::baseline::linalg::{
     concat_sum_baseline, concat_sum_gemm, dup_sum_fused, gemm_bias, hcat, identity_pair,
     matmul_then_sum, tanh_fused, tanh_then_grad_baseline,
 };
-use dp_bench::baseline::{env_row_jacobian, jacobian, prod_force, prod_virial};
+use dp_bench::baseline::{env_row_jacobian, jacobian, prod_force, prod_virial, type_blocks};
 use dp_linalg::simd::env::{env_row, smooth_weight};
 use dp_linalg::{Matrix, Real};
 use dp_md::rng::for_cases;
@@ -142,16 +142,7 @@ fn prod_force_and_virial_match_the_shipped_operators() {
     let gw: Vec<[f64; 4]> = (0..fmt.n_atoms * fmt.nm)
         .map(|_| [(); 4].map(|_| rng.range(-1.0, 1.0)))
         .collect();
-    // gw regrouped into the per-type blocks the shipped operators read
-    let dedr: Vec<Vec<f64>> = (0..fmt.sel.len())
-        .map(|t| {
-            let slots = (0..fmt.n_atoms).flat_map(|a| {
-                let b = fmt.block_start(a, t);
-                b..b + fmt.sel[t]
-            });
-            slots.flat_map(|s| gw[s]).collect()
-        })
-        .collect();
+    let dedr = type_blocks(&fmt, &gw);
     let mut slot_grads = Vec::new();
     let mut forces = vec![[0.0f64; 3]; sys.len()];
     let mut virial = [0.0f64; 6];
