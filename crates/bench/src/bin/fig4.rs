@@ -69,10 +69,8 @@ fn main() {
 
     for (k, name) in ["gOO", "gOH", "gHH"].iter().enumerate() {
         println!("\n# {name}(r): r, double, mixed, reference");
-        for ((&(r, gd), &(_, gm)), &(_, gr)) in rdf_double[k]
-            .iter()
-            .zip(&rdf_mixed[k])
-            .zip(&rdf_ref[k])
+        for ((&(r, gd), &(_, gm)), &(_, gr)) in
+            rdf_double[k].iter().zip(&rdf_mixed[k]).zip(&rdf_ref[k])
         {
             println!("{r:6.3}  {gd:8.4}  {gm:8.4}  {gr:8.4}");
         }

@@ -74,7 +74,14 @@ fn main() {
     }
     print_table(
         "Emulated strong scaling (per-rank work measured, step = max over ranks)",
-        &["ranks", "atoms/rank", "max ghosts", "step [ms]", "efficiency", "achieved/rank"],
+        &[
+            "ranks",
+            "atoms/rank",
+            "max ghosts",
+            "step [ms]",
+            "efficiency",
+            "achieved/rank",
+        ],
         &rows,
     );
 

@@ -58,7 +58,13 @@ fn main() {
     }
     print_table(
         "Emulated weak scaling (per-rank work measured, step = max over ranks)",
-        &["ranks", "atoms", "step [ms]", "weak efficiency", "aggregate"],
+        &[
+            "ranks",
+            "atoms",
+            "step [ms]",
+            "weak efficiency",
+            "aggregate",
+        ],
         &rows,
     );
 
@@ -66,8 +72,16 @@ fn main() {
     let spec = pm::SummitSpec::default();
     let nodes = [285usize, 570, 1140, 2280, 4560];
     for (label, m, atoms_per_node) in [
-        ("water (25M -> 403M atoms)", pm::SystemModel::water(), 402_653_184usize / 4560),
-        ("copper (7M -> 113M atoms)", pm::SystemModel::copper(), 113_246_208 / 4560),
+        (
+            "water (25M -> 403M atoms)",
+            pm::SystemModel::water(),
+            402_653_184usize / 4560,
+        ),
+        (
+            "copper (7M -> 113M atoms)",
+            pm::SystemModel::copper(),
+            113_246_208 / 4560,
+        ),
     ] {
         for precision in [pm::Precision::Double, pm::Precision::Mixed] {
             let series = pm::weak_scaling(&spec, &m, atoms_per_node, &nodes, precision);

@@ -79,7 +79,10 @@ fn deform_protocol(pot: &dyn Potential, label: &str) -> Vec<Vec<String>> {
 
     println!("\n# {label}: stress-strain (strain, stress_GPa, T)");
     for p in &curve {
-        println!("{:7.4}  {:8.3}  {:6.0}", p.strain, p.stress_gpa, p.temperature);
+        println!(
+            "{:7.4}  {:8.3}  {:6.0}",
+            p.strain, p.stress_gpa, p.temperature
+        );
     }
     let peak = curve.iter().map(|p| p.stress_gpa).fold(f64::MIN, f64::max);
     println!("# {label}: peak tensile stress {peak:.2} GPa");
@@ -118,7 +121,13 @@ fn main() {
 
     print_table(
         "Fig 7: CNA structure fractions through the tensile protocol [%]",
-        &["driver", "stage", "fcc (grains)", "hcp (stacking faults)", "other (boundaries)"],
+        &[
+            "driver",
+            "stage",
+            "fcc (grains)",
+            "hcp (stacking faults)",
+            "other (boundaries)",
+        ],
         &rows,
     );
     println!(

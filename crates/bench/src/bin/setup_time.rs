@@ -43,7 +43,10 @@ fn main() {
     let (_, t_broadcast) = stage_model_broadcast(n_ranks, parse);
 
     print_table(
-        &format!("Setup time, {n_ranks} ranks, {} atoms", 4 * reps * reps * reps),
+        &format!(
+            "Setup time, {n_ranks} ranks, {} atoms",
+            4 * reps * reps * reps
+        ),
         &["phase", "baseline [ms]", "optimized [ms]", "speedup"],
         &[
             vec![

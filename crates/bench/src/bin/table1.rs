@@ -34,14 +34,42 @@ fn measure_tts(model: &deepmd_core::DpModel<f64>, sys: &dp_md::System) -> f64 {
 fn main() {
     let lit: [[&str; 6]; 10] = [
         ["Qbox (2006)", "DFT", "Mo", "1K", "BlueGene/L", "2.8e-1"],
-        ["LS3DF (2008)", "LS-DFT", "ZnTeO", "16K", "BlueGene/P", "1.8e-2"],
+        [
+            "LS3DF (2008)",
+            "LS-DFT",
+            "ZnTeO",
+            "16K",
+            "BlueGene/P",
+            "1.8e-2",
+        ],
         ["RSDFT (2011)", "DFT", "Si", "107K", "K computer", "2.6e0"],
         ["DFT-FE (2019)", "DFT", "Mg", "11K", "Summit", "6.5e-2"],
-        ["CONQUEST (2020)", "LS-DFT", "Si", "1M", "K computer", "4.0e-3"],
+        [
+            "CONQUEST (2020)",
+            "LS-DFT",
+            "Si",
+            "1M",
+            "K computer",
+            "4.0e-3",
+        ],
         ["Simple-NN (2019)", "BP", "SiO2", "14K", "VSC", "3.6e-5"],
         ["Singraber (2019)", "BP", "H2O", "9K", "cluster", "1.3e-6"],
-        ["Baseline DeePMD-kit (2018)", "DP", "H2O", "25K", "Summit (1 GPU)", "5.6e-5"],
-        ["This paper (2020)", "DP", "H2O", "403M", "Summit", "2.7e-10"],
+        [
+            "Baseline DeePMD-kit (2018)",
+            "DP",
+            "H2O",
+            "25K",
+            "Summit (1 GPU)",
+            "5.6e-5",
+        ],
+        [
+            "This paper (2020)",
+            "DP",
+            "H2O",
+            "403M",
+            "Summit",
+            "2.7e-10",
+        ],
         ["This paper (2020)", "DP", "Cu", "113M", "Summit", "7.3e-10"],
     ];
     let mut rows: Vec<Vec<String>> = lit

@@ -61,7 +61,14 @@ fn main() {
     }
     print_table(
         "Measured (emulated ranks): water strong scaling",
-        &["ranks", "atoms/rank", "ghosts/rank", "step [ms]", "efficiency", "per-rank perf"],
+        &[
+            "ranks",
+            "atoms/rank",
+            "ghosts/rank",
+            "step [ms]",
+            "efficiency",
+            "per-rank perf",
+        ],
         &rows,
     );
 
@@ -89,7 +96,15 @@ fn main() {
     }
     print_table(
         "Projected Table 4: 12,582,912-atom water on Summit (double precision)",
-        &["#GPUs", "#atoms", "#ghosts", "MD time [s]", "efficiency", "PFLOPS", "% of peak"],
+        &[
+            "#GPUs",
+            "#atoms",
+            "#ghosts",
+            "MD time [s]",
+            "efficiency",
+            "PFLOPS",
+            "% of peak",
+        ],
         &rows,
     );
     println!(

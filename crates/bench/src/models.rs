@@ -15,8 +15,7 @@ use dp_train::{LossWeights, Trainer};
 use std::path::PathBuf;
 
 fn cache_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/dp-models");
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/dp-models");
     std::fs::create_dir_all(&dir).expect("create model cache dir");
     dir
 }

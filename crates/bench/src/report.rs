@@ -28,7 +28,10 @@ pub fn print_provenance() {
     let commit = out.map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
     let commit = commit.ok().filter(|c| !c.is_empty());
     let simd = dp_linalg::simd::active().name();
-    println!("commit {}, simd backend {simd}, threads 1", commit.as_deref().unwrap_or("unknown"));
+    println!(
+        "commit {}, simd backend {simd}, threads 1",
+        commit.as_deref().unwrap_or("unknown")
+    );
 }
 
 /// Print a fixed-width table: header row plus data rows.
@@ -48,12 +51,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
         println!("{}", s.trim_end());
     };
     line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
-    line(
-        &widths
-            .iter()
-            .map(|w| "-".repeat(*w))
-            .collect::<Vec<_>>(),
-    );
+    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
     for row in rows {
         line(row);
     }

@@ -71,11 +71,7 @@ impl CkptWriter {
 
     /// Serialize header + sections to a single buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let body: usize = self
-            .sections
-            .iter()
-            .map(|(_, p)| 4 + 8 + 4 + p.len())
-            .sum();
+        let body: usize = self.sections.iter().map(|(_, p)| 4 + 8 + 4 + p.len()).sum();
         let mut out = Vec::with_capacity(8 + 4 + 4 + 4 + body);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -236,10 +232,7 @@ mod tests {
         let bytes = sample().to_bytes();
         for cut in 0..bytes.len() {
             let err = CkptReader::from_bytes(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(err, CkptError::Truncated),
-                "cut at {cut}: {err:?}"
-            );
+            assert!(matches!(err, CkptError::Truncated), "cut at {cut}: {err:?}");
         }
     }
 

@@ -43,17 +43,24 @@ pub enum CkptError {
     UnsupportedVersion(u32),
     /// Valid container, wrong payload (e.g. a training checkpoint passed
     /// to `--resume` of an MD run).
-    WrongKind { expected: u32, found: u32 },
+    WrongKind {
+        expected: u32,
+        found: u32,
+    },
     /// File or section ends early (torn write).
     Truncated,
     /// Section checksum mismatch (bit rot / partial overwrite).
-    BadCrc { tag: [u8; 4] },
+    BadCrc {
+        tag: [u8; 4],
+    },
     /// Payload lacks a required section.
     MissingSection([u8; 4]),
     /// Payload sections decoded, but the content is inconsistent.
     Malformed(String),
     /// Every retained rotation slot failed validation.
-    NoValidCheckpoint { tried: String },
+    NoValidCheckpoint {
+        tried: String,
+    },
 }
 
 fn tag_str(tag: &[u8; 4]) -> String {
@@ -66,7 +73,10 @@ impl std::fmt::Display for CkptError {
             CkptError::Io(e) => write!(f, "checkpoint I/O: {e}"),
             CkptError::BadMagic => write!(f, "not a checkpoint file (bad magic)"),
             CkptError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint format version {v} (expected {FORMAT_VERSION})")
+                write!(
+                    f,
+                    "unsupported checkpoint format version {v} (expected {FORMAT_VERSION})"
+                )
             }
             CkptError::WrongKind { expected, found } => {
                 write!(f, "wrong checkpoint kind {found} (expected {expected})")

@@ -238,7 +238,11 @@ pub fn evaluate_into<T: Real>(
     ws: &mut EvalWorkspace<T>,
     out: &mut EvalOutput,
 ) {
-    let src = Source::Table { fmt, types, n_total };
+    let src = Source::Table {
+        fmt,
+        types,
+        n_total,
+    };
     pipeline(model, Embedding::Nets, src, prof, ws, out);
 }
 
@@ -301,7 +305,11 @@ pub(crate) fn evaluate_fresh<T: Real>(
         forces: Vec::new(),
         virial: [0.0; 6],
     };
-    let src = Source::Table { fmt, types, n_total };
+    let src = Source::Table {
+        fmt,
+        types,
+        n_total,
+    };
     pipeline(model, embedding, src, prof, &mut ws, &mut out);
     out
 }
@@ -316,7 +324,11 @@ fn pipeline<T: Real>(
 ) {
     let cfg = &model.config;
     let (n_rows, n_total) = match src {
-        Source::Table { fmt, types, n_total } => {
+        Source::Table {
+            fmt,
+            types,
+            n_total,
+        } => {
             assert_eq!(types.len(), fmt.n_atoms);
             assert_eq!(fmt.sel, cfg.sel, "table formatted for another config");
             (fmt.n_atoms, n_total)
@@ -393,9 +405,10 @@ fn pipeline<T: Real>(
 
         // ---- 0. this chunk's formatted rows and center types ----
         let (fmt, types) = match src {
-            Source::Table { fmt, types, .. } => {
-                (fmt.rows(chunk_start..chunk_end), &types[chunk_start..chunk_end])
-            }
+            Source::Table { fmt, types, .. } => (
+                fmt.rows(chunk_start..chunk_end),
+                &types[chunk_start..chunk_end],
+            ),
             Source::Items { items, span } => {
                 let _span = dp_obs::span(span);
                 maybe_time(prof, Kernel::Custom, || {
@@ -464,22 +477,48 @@ fn pipeline<T: Real>(
                 }
                 let g = emb_passes[t].out.as_slice();
                 let e = envm[t].as_slice();
-                let pg = Panel { ld: m_w, stride: sel_t * m_w };
-                let pe = Panel { ld: 4, stride: sel_t * 4 };
+                let pg = Panel {
+                    ld: m_w,
+                    stride: sel_t * m_w,
+                };
+                let pe = Panel {
+                    ld: 4,
+                    stride: sel_t * 4,
+                };
                 // T1 += Ḡᵀ × R̃ (A stored sel_t×m_w, read with column stride)
                 gemm_batch_tn(
-                    nc, m_w, sel_t, 4, T::ONE,
-                    g, pg,
-                    e, pe,
-                    t1, Panel { ld: 4, stride: m_w * 4 },
+                    nc,
+                    m_w,
+                    sel_t,
+                    4,
+                    T::ONE,
+                    g,
+                    pg,
+                    e,
+                    pe,
+                    t1,
+                    Panel {
+                        ld: 4,
+                        stride: m_w * 4,
+                    },
                     Acc::Add,
                 );
                 // T2 += R̃ᵀ × G⁻ (the m2-column prefix of the m_w-wide G)
                 gemm_batch_tn(
-                    nc, 4, sel_t, m2, T::ONE,
-                    e, pe,
-                    g, pg,
-                    t2, Panel { ld: m2, stride: 4 * m2 },
+                    nc,
+                    4,
+                    sel_t,
+                    m2,
+                    T::ONE,
+                    e,
+                    pe,
+                    g,
+                    pg,
+                    t2,
+                    Panel {
+                        ld: m2,
+                        stride: 4 * m2,
+                    },
                     Acc::Add,
                 );
             }
@@ -487,10 +526,26 @@ fn pipeline<T: Real>(
             simd::scale(t2, inv_nm);
             // D = T1 (m_w × 4) × T2 (4 × m2) per atom
             gemm_batch_nn(
-                nc, m_w, 4, m2, T::ONE,
-                t1, Panel { ld: 4, stride: m_w * 4 },
-                t2, Panel { ld: m2, stride: 4 * m2 },
-                desc, Panel { ld: m2, stride: m_w * m2 },
+                nc,
+                m_w,
+                4,
+                m2,
+                T::ONE,
+                t1,
+                Panel {
+                    ld: 4,
+                    stride: m_w * 4,
+                },
+                t2,
+                Panel {
+                    ld: m2,
+                    stride: 4 * m2,
+                },
+                desc,
+                Panel {
+                    ld: m2,
+                    stride: m_w * m2,
+                },
                 Acc::Overwrite,
             );
         });
@@ -553,21 +608,44 @@ fn pipeline<T: Real>(
         reuse_uninit(dt1, nc * m_w * 4, T::ZERO);
         reuse_uninit(dt2, nc * 4 * m2, T::ZERO);
         maybe_time(prof, Kernel::Custom, || {
-            let pd = Panel { ld: m2, stride: m_w * m2 };
-            let p1 = Panel { ld: 4, stride: m_w * 4 };
-            let p2 = Panel { ld: m2, stride: 4 * m2 };
+            let pd = Panel {
+                ld: m2,
+                stride: m_w * m2,
+            };
+            let p1 = Panel {
+                ld: 4,
+                stride: m_w * 4,
+            };
+            let p2 = Panel {
+                ld: m2,
+                stride: 4 * m2,
+            };
             gemm_batch_nt(
-                nc, m_w, m2, 4, T::ONE,
-                d_desc, pd,
-                t2, p2,
-                dt1, p1,
+                nc,
+                m_w,
+                m2,
+                4,
+                T::ONE,
+                d_desc,
+                pd,
+                t2,
+                p2,
+                dt1,
+                p1,
                 Acc::Overwrite,
             );
             gemm_batch_tn(
-                nc, 4, m_w, m2, T::ONE,
-                t1, p1,
-                d_desc, pd,
-                dt2, p2,
+                nc,
+                4,
+                m_w,
+                m2,
+                T::ONE,
+                t1,
+                p1,
+                d_desc,
+                pd,
+                dt2,
+                p2,
                 Acc::Overwrite,
             );
             for t in 0..n_types {
@@ -579,24 +657,44 @@ fn pipeline<T: Real>(
                 }
                 let e = envm[t].as_slice();
                 let g = emb_passes[t].out.as_slice();
-                let pe = Panel { ld: 4, stride: sel_t * 4 };
-                let pg = Panel { ld: m_w, stride: sel_t * m_w };
+                let pe = Panel {
+                    ld: 4,
+                    stride: sel_t * 4,
+                };
+                let pg = Panel {
+                    ld: m_w,
+                    stride: sel_t * m_w,
+                };
                 // dG = (R̃ × dT1ᵀ + R̃ × dT2 on the m2 prefix) / Nm.
                 // Padded slots have zero R̃ rows, so their dG rows come
                 // out zero exactly as the old slot-skipping loop left
                 // them.
                 gemm_batch_nt(
-                    nc, sel_t, 4, m_w, inv_nm,
-                    e, pe,
-                    dt1, p1,
-                    dg_mats[t].as_mut_slice(), pg,
+                    nc,
+                    sel_t,
+                    4,
+                    m_w,
+                    inv_nm,
+                    e,
+                    pe,
+                    dt1,
+                    p1,
+                    dg_mats[t].as_mut_slice(),
+                    pg,
                     Acc::Overwrite,
                 );
                 gemm_batch_nn(
-                    nc, sel_t, 4, m2, inv_nm,
-                    e, pe,
-                    dt2, p2,
-                    dg_mats[t].as_mut_slice(), pg,
+                    nc,
+                    sel_t,
+                    4,
+                    m2,
+                    inv_nm,
+                    e,
+                    pe,
+                    dt2,
+                    p2,
+                    dg_mats[t].as_mut_slice(),
+                    pg,
                     Acc::Add,
                 );
                 // dE/dR̃ = (G × dT1 + G⁻ × dT2ᵀ) / Nm, in evaluation
@@ -605,17 +703,31 @@ fn pipeline<T: Real>(
                 // not zero) but ProdForce never reads NONE slots.
                 reuse_uninit(denv_t, nc * sel_t * 4, T::ZERO);
                 gemm_batch_nn(
-                    nc, sel_t, m_w, 4, inv_nm,
-                    g, pg,
-                    dt1, p1,
-                    denv_t, pe,
+                    nc,
+                    sel_t,
+                    m_w,
+                    4,
+                    inv_nm,
+                    g,
+                    pg,
+                    dt1,
+                    p1,
+                    denv_t,
+                    pe,
                     Acc::Overwrite,
                 );
                 gemm_batch_nt(
-                    nc, sel_t, m2, 4, inv_nm,
-                    g, pg,
-                    dt2, p2,
-                    denv_t, pe,
+                    nc,
+                    sel_t,
+                    m2,
+                    4,
+                    inv_nm,
+                    g,
+                    pg,
+                    dt2,
+                    p2,
+                    denv_t,
+                    pe,
                     Acc::Add,
                 );
                 for (d, &s) in denv_blocks[t].iter_mut().zip(denv_t.iter()) {
@@ -792,13 +904,13 @@ mod tests {
     fn one_layer(kind: LayerKind, rows: usize, cols: usize) -> Net<f64> {
         let layer = dp_nn::Layer {
             kind,
-            w: Matrix::from_fn(rows, cols, |i, j| {
-                0.3 * ((i * cols + j) as f64 % 7.0) - 0.9
-            }),
+            w: Matrix::from_fn(rows, cols, |i, j| 0.3 * ((i * cols + j) as f64 % 7.0) - 0.9),
             b: (0..cols).map(|j| 0.1 * j as f64 - 0.2).collect(),
         };
         layer.check();
-        Net { layers: vec![layer] }
+        Net {
+            layers: vec![layer],
+        }
     }
 
     fn input(rows: usize, cols: usize) -> Matrix<f64> {
@@ -824,7 +936,10 @@ mod tests {
             xm.as_mut_slice()[idx] -= eps;
             let fd = (f(&xp) - f(&xm)) / (2.0 * eps);
             let analytic = dx.as_slice()[idx];
-            assert!((fd - analytic).abs() < 1e-6, "idx {idx}: fd {fd} analytic {analytic}");
+            assert!(
+                (fd - analytic).abs() < 1e-6,
+                "idx {idx}: fd {fd} analytic {analytic}"
+            );
         }
     }
 
@@ -902,7 +1017,12 @@ mod tests {
         let mut rng = CounterRng::new(11);
         let fitting = Net::<f64>::fitting(5, &[10, 10, 10], &mut || rng.gauss());
         let embedding = Net::<f64>::embedding(&[6, 12, 24], &mut || rng.gauss());
-        let kinds = [LayerKind::Plain, LayerKind::Growth, LayerKind::Residual, LayerKind::Linear];
+        let kinds = [
+            LayerKind::Plain,
+            LayerKind::Growth,
+            LayerKind::Residual,
+            LayerKind::Linear,
+        ];
         let nets = [fitting, embedding];
         assert!(kinds
             .iter()
@@ -960,9 +1080,14 @@ mod tests {
         // the last 40 atoms become ghosts: sources, not centers
         let mut ghosted = systems[0].clone();
         ghosted.n_local -= 40;
-        assert!(ghosted.n_local > 2 * chunk, "the ghosted system must span three chunks");
-        let lists: Vec<NeighborList> =
-            systems.iter().map(|s| NeighborList::build(s, cfg.rcut)).collect();
+        assert!(
+            ghosted.n_local > 2 * chunk,
+            "the ghosted system must span three chunks"
+        );
+        let lists: Vec<NeighborList> = systems
+            .iter()
+            .map(|s| NeighborList::build(s, cfg.rcut))
+            .collect();
         let ghosted_nl = NeighborList::build(&ghosted, cfg.rcut);
 
         for mode in [PrecisionMode::Double, PrecisionMode::Mixed] {
@@ -997,7 +1122,11 @@ mod tests {
             for (k, (s, nl)) in systems.iter().zip(&lists).enumerate() {
                 let what = format!("{mode:?}, batch item {k}");
                 let solo = pot.compute(s, nl);
-                assert_bits(&[batch.energies[k]], &[solo.energy], &format!("{what}: energy"));
+                assert_bits(
+                    &[batch.energies[k]],
+                    &[solo.energy],
+                    &format!("{what}: energy"),
+                );
                 assert_bits(
                     batch.forces_of(k).as_flattened(),
                     solo.forces.as_flattened(),

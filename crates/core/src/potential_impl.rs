@@ -230,7 +230,8 @@ impl DeepPotential {
         for w in res.offsets.windows(2) {
             // left-to-right sum over the request's contiguous slice — the
             // same order the solo evaluation uses
-            res.energies.push(res.per_atom_energy[w[0]..w[1]].iter().sum());
+            res.energies
+                .push(res.per_atom_energy[w[0]..w[1]].iter().sum());
         }
     }
 }

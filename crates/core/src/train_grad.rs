@@ -176,7 +176,15 @@ impl PairPass {
     /// `Net::flat_params` order. With `input`, the input adjoints `x̄` /
     /// `ẋ̄` are left in `s.yb` / `s.ydb`.
     fn reverse(&self, net: &Net<f64>, grad: &mut [f64], s: &mut RevScratch, input: bool) {
-        let RevScratch { yb, ydb, zb, zdb, xb, xdb, .. } = s;
+        let RevScratch {
+            yb,
+            ydb,
+            zb,
+            zdb,
+            xb,
+            xdb,
+            ..
+        } = s;
         let mut off = net.num_params();
         for (l, layer) in net.layers.iter().enumerate().rev() {
             off -= layer.num_params();
@@ -202,7 +210,16 @@ impl PairPass {
             let (wg, bg) = params.split_at_mut(layer.w.len());
             for (x, z) in [(x, &*zb), (xd, &*zdb)] {
                 let (x, z) = (x.as_slice(), z.as_slice());
-                let (pi, po) = (Panel { ld: n_in, stride: 0 }, Panel { ld: n_out, stride: 0 });
+                let (pi, po) = (
+                    Panel {
+                        ld: n_in,
+                        stride: 0,
+                    },
+                    Panel {
+                        ld: n_out,
+                        stride: 0,
+                    },
+                );
                 gemm_batch_tn(1, n_in, rows, n_out, 1.0, x, pi, z, po, wg, po, Acc::Add);
             }
             for r in 0..rows {
@@ -324,7 +341,11 @@ pub fn loss_grad_into(
     let n = fmt.n_atoms;
     assert_eq!(labels.forces.len(), n, "one reference force per atom");
     assert_eq!(grad.len(), model.num_params(), "flat gradient length");
-    assert_eq!(ws.emb.len(), model.config.n_types(), "workspace sized for another config");
+    assert_eq!(
+        ws.emb.len(),
+        model.config.n_types(),
+        "workspace sized for another config"
+    );
     evaluate_into(model, fmt, types, n, None, &mut ws.eval, &mut ws.out);
 
     let nf = n as f64;
@@ -390,9 +411,18 @@ fn sweep(
         off..off + nets[t].num_params()
     };
 
-    let p1 = Panel { ld: 4, stride: m_w * 4 };
-    let p2 = Panel { ld: m2, stride: 4 * m2 };
-    let pd = Panel { ld: m2, stride: m_w * m2 };
+    let p1 = Panel {
+        ld: 4,
+        stride: m_w * 4,
+    };
+    let p2 = Panel {
+        ld: m2,
+        stride: 4 * m2,
+    };
+    let pd = Panel {
+        ld: m2,
+        stride: m_w * m2,
+    };
     let (mut energy, mut energy_dot) = (0.0, 0.0);
     let chunk = chunk_size(cfg.sel.iter().copied().max().unwrap_or(1));
     let mut chunk_start = 0;
@@ -423,8 +453,14 @@ fn sweep(
 
             let (g, gd) = pass.output(net);
             let (e, ed) = (env[t].as_slice(), env_d[t].as_slice());
-            let pg = Panel { ld: m_w, stride: sel_t * m_w };
-            let pe = Panel { ld: 4, stride: sel_t * 4 };
+            let pg = Panel {
+                ld: m_w,
+                stride: sel_t * m_w,
+            };
+            let pe = Panel {
+                ld: 4,
+                stride: sel_t * 4,
+            };
             // T1 += GᵀR̃ ; Ṫ1 += ĠᵀR̃ + GᵀṘ
             gemm_batch_tn(nc, m_w, sel_t, 4, 1.0, g, pg, e, pe, t1, p1, Acc::Add);
             gemm_batch_tn(nc, m_w, sel_t, 4, 1.0, gd, pg, e, pe, t1d, p1, Acc::Add);
@@ -440,8 +476,34 @@ fn sweep(
         // D = T1·T2 ; Ḋ = Ṫ1·T2 + T1·Ṫ2
         reuse_uninit(desc, nc * d_in, 0.0);
         reuse_uninit(desc_d, nc * d_in, 0.0);
-        gemm_batch_nn(nc, m_w, 4, m2, 1.0, t1, p1, t2, p2, desc, pd, Acc::Overwrite);
-        gemm_batch_nn(nc, m_w, 4, m2, 1.0, t1d, p1, t2, p2, desc_d, pd, Acc::Overwrite);
+        gemm_batch_nn(
+            nc,
+            m_w,
+            4,
+            m2,
+            1.0,
+            t1,
+            p1,
+            t2,
+            p2,
+            desc,
+            pd,
+            Acc::Overwrite,
+        );
+        gemm_batch_nn(
+            nc,
+            m_w,
+            4,
+            m2,
+            1.0,
+            t1d,
+            p1,
+            t2,
+            p2,
+            desc_d,
+            pd,
+            Acc::Overwrite,
+        );
         gemm_batch_nn(nc, m_w, 4, m2, 1.0, t1, p1, t2d, p2, desc_d, pd, Acc::Add);
 
         // ---- fitting nets forward on (D, Ḋ), then reverse from (a, 1) ----
@@ -490,34 +552,136 @@ fn sweep(
         for v in [&mut *t2b, &mut *t2db] {
             reuse_uninit(v, nc * 4 * m2, 0.0);
         }
-        gemm_batch_nt(nc, m_w, m2, 4, 1.0, desc_b, pd, t2, p2, t1b, p1, Acc::Overwrite);
+        gemm_batch_nt(
+            nc,
+            m_w,
+            m2,
+            4,
+            1.0,
+            desc_b,
+            pd,
+            t2,
+            p2,
+            t1b,
+            p1,
+            Acc::Overwrite,
+        );
         gemm_batch_nt(nc, m_w, m2, 4, 1.0, desc_db, pd, t2d, p2, t1b, p1, Acc::Add);
-        gemm_batch_tn(nc, 4, m_w, m2, 1.0, t1, p1, desc_b, pd, t2b, p2, Acc::Overwrite);
+        gemm_batch_tn(
+            nc,
+            4,
+            m_w,
+            m2,
+            1.0,
+            t1,
+            p1,
+            desc_b,
+            pd,
+            t2b,
+            p2,
+            Acc::Overwrite,
+        );
         gemm_batch_tn(nc, 4, m_w, m2, 1.0, t1d, p1, desc_db, pd, t2b, p2, Acc::Add);
-        gemm_batch_nt(nc, m_w, m2, 4, 1.0, desc_db, pd, t2, p2, t1db, p1, Acc::Overwrite);
-        gemm_batch_tn(nc, 4, m_w, m2, 1.0, t1, p1, desc_db, pd, t2db, p2, Acc::Overwrite);
+        gemm_batch_nt(
+            nc,
+            m_w,
+            m2,
+            4,
+            1.0,
+            desc_db,
+            pd,
+            t2,
+            p2,
+            t1db,
+            p1,
+            Acc::Overwrite,
+        );
+        gemm_batch_tn(
+            nc,
+            4,
+            m_w,
+            m2,
+            1.0,
+            t1,
+            p1,
+            desc_db,
+            pd,
+            t2db,
+            p2,
+            Acc::Overwrite,
+        );
 
         // ---- embedding nets reverse from (Ḡ, Ġ̄) ----
         for t in 0..n_types {
             let sel_t = cfg.sel[t];
             let rows = nc * sel_t;
             let (e, ed) = (env[t].as_slice(), env_d[t].as_slice());
-            let pg = Panel { ld: m_w, stride: sel_t * m_w };
-            let pe = Panel { ld: 4, stride: sel_t * 4 };
+            let pg = Panel {
+                ld: m_w,
+                stride: sel_t * m_w,
+            };
+            let pe = Panel {
+                ld: 4,
+                stride: sel_t * 4,
+            };
             // Ḡ = (R̃T̄1ᵀ + ṘṪ̄1ᵀ)/Nm, and on the m2 prefix + (R̃T̄2 + ṘṪ̄2)/Nm
             rev.yb.reuse_shape(rows, m_w);
             let gb = rev.yb.as_mut_slice();
-            gemm_batch_nt(nc, sel_t, 4, m_w, inv_nm, e, pe, t1b, p1, gb, pg, Acc::Overwrite);
-            gemm_batch_nt(nc, sel_t, 4, m_w, inv_nm, ed, pe, t1db, p1, gb, pg, Acc::Add);
+            gemm_batch_nt(
+                nc,
+                sel_t,
+                4,
+                m_w,
+                inv_nm,
+                e,
+                pe,
+                t1b,
+                p1,
+                gb,
+                pg,
+                Acc::Overwrite,
+            );
+            gemm_batch_nt(
+                nc,
+                sel_t,
+                4,
+                m_w,
+                inv_nm,
+                ed,
+                pe,
+                t1db,
+                p1,
+                gb,
+                pg,
+                Acc::Add,
+            );
             gemm_batch_nn(nc, sel_t, 4, m2, inv_nm, e, pe, t2b, p2, gb, pg, Acc::Add);
             gemm_batch_nn(nc, sel_t, 4, m2, inv_nm, ed, pe, t2db, p2, gb, pg, Acc::Add);
             // Ġ̄ = R̃Ṫ̄1ᵀ/Nm, and on the m2 prefix + R̃Ṫ̄2/Nm
             rev.ydb.reuse_shape(rows, m_w);
             let gdb = rev.ydb.as_mut_slice();
-            gemm_batch_nt(nc, sel_t, 4, m_w, inv_nm, e, pe, t1db, p1, gdb, pg, Acc::Overwrite);
+            gemm_batch_nt(
+                nc,
+                sel_t,
+                4,
+                m_w,
+                inv_nm,
+                e,
+                pe,
+                t1db,
+                p1,
+                gdb,
+                pg,
+                Acc::Overwrite,
+            );
             gemm_batch_nn(nc, sel_t, 4, m2, inv_nm, e, pe, t2db, p2, gdb, pg, Acc::Add);
             let net = &model.embeddings[t];
-            emb[t].reverse(net, &mut emb_grad[net_slice(&model.embeddings, t)], rev, false);
+            emb[t].reverse(
+                net,
+                &mut emb_grad[net_slice(&model.embeddings, t)],
+                rev,
+                false,
+            );
         }
 
         chunk_start += nc;
@@ -571,7 +735,10 @@ mod tests {
         };
         let c = case(cfg, lattice::water_box([2, 2, 2], 3.104), 43);
         let slots = c.fmt.n_atoms * c.fmt.nm;
-        assert!(c.fmt.real_neighbors() < slots * 3 / 4, "frame has no padding");
+        assert!(
+            c.fmt.real_neighbors() < slots * 3 / 4,
+            "frame has no padding"
+        );
         c
     }
 
@@ -614,7 +781,10 @@ mod tests {
         // differences of the loss
         for mut c in [copper(), water()] {
             let forces = vec![[0.0; 3]; c.sys.len()];
-            let labels = Labels { energy: -1.0, forces: &forces };
+            let labels = Labels {
+                energy: -1.0,
+                forces: &forces,
+            };
             let weights = LossWeights { pe: 1.0, pf: 1.0 };
             let (lg, grad, _) = grad_of(&c, labels, weights);
             assert!((lg.loss - loss(&c, labels, weights)).abs() <= 1e-12 * lg.loss);
@@ -651,11 +821,19 @@ mod tests {
             let n = c.sys.len();
             let fast = evaluate(&c.model, &c.fmt, &c.sys.types, n, None);
             let forces = ref_forces(n);
-            let labels = Labels { energy: 0.0, forces: &forces };
+            let labels = Labels {
+                energy: 0.0,
+                forces: &forces,
+            };
             let weights = LossWeights::default();
             let (lg, _, ws) = grad_of(&c, labels, weights);
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0);
-            assert!(close(lg.energy, fast.energy), "{} vs {}", lg.energy, fast.energy);
+            assert!(
+                close(lg.energy, fast.energy),
+                "{} vs {}",
+                lg.energy,
+                fast.energy
+            );
             assert!(close(ws.out.energy, fast.energy));
             for (f, g) in ws.out.forces.iter().zip(&fast.forces) {
                 assert!((0..3).all(|k| close(f[k], g[k])), "{f:?} vs {g:?}");
@@ -666,7 +844,12 @@ mod tests {
                 .flat_map(|i| (0..3).map(move |k| (i, k)))
                 .map(|(i, k)| wf * (fast.forces[i][k] - forces[i][k]) * fast.forces[i][k])
                 .sum();
-            assert!(close(lg.energy_dot, -w_dot_f), "{} vs {}", lg.energy_dot, -w_dot_f);
+            assert!(
+                close(lg.energy_dot, -w_dot_f),
+                "{} vs {}",
+                lg.energy_dot,
+                -w_dot_f
+            );
         }
     }
 
@@ -675,7 +858,10 @@ mod tests {
         let c = copper();
         let n = c.sys.len();
         let out = evaluate(&c.model, &c.fmt, &c.sys.types, n, None);
-        let labels = Labels { energy: out.energy, forces: &out.forces };
+        let labels = Labels {
+            energy: out.energy,
+            forces: &out.forces,
+        };
         let (lg, grad, _) = grad_of(&c, labels, LossWeights::default());
         assert!(lg.loss.abs() < 1e-16);
         assert!(grad.iter().all(|&g| g == 0.0));
@@ -686,7 +872,10 @@ mod tests {
         // ∂L/∂θ is linear in (p_e, p_f): each term alone sums to both
         let c = water();
         let forces = ref_forces(c.sys.len());
-        let labels = Labels { energy: 2.0, forces: &forces };
+        let labels = Labels {
+            energy: 2.0,
+            forces: &forces,
+        };
         let (_, both, _) = grad_of(&c, labels, LossWeights { pe: 1.0, pf: 10.0 });
         let (_, e, _) = grad_of(&c, labels, LossWeights { pe: 1.0, pf: 0.0 });
         let (_, f, _) = grad_of(&c, labels, LossWeights { pe: 0.0, pf: 10.0 });
@@ -700,23 +889,58 @@ mod tests {
     fn dirty_workspace_gives_the_same_bits_and_grad_accumulates() {
         let c = water();
         let forces = ref_forces(c.sys.len());
-        let labels = Labels { energy: 1.0, forces: &forces };
+        let labels = Labels {
+            energy: 1.0,
+            forces: &forces,
+        };
         let weights = LossWeights::default();
         let (_, fresh, _) = grad_of(&c, labels, weights);
         // dirty the workspace with another geometry of the same model
         let mut other = c.sys.clone();
         other.perturb(0.1, &mut CounterRng::new(46));
         let nl = NeighborList::build(&other, c.model.config.rcut);
-        let fmt = format_optimized(&other, &nl, &c.model.config, c.model.config.codec(other.len()));
+        let fmt = format_optimized(
+            &other,
+            &nl,
+            &c.model.config,
+            c.model.config.codec(other.len()),
+        );
         let mut ws = TrainWorkspace::new(&c.model.config);
         let mut scratch = vec![0.0; c.model.num_params()];
-        loss_grad_into(&c.model, &fmt, &other.types, labels, weights, &mut ws, &mut scratch);
+        loss_grad_into(
+            &c.model,
+            &fmt,
+            &other.types,
+            labels,
+            weights,
+            &mut ws,
+            &mut scratch,
+        );
 
         let mut grad = vec![0.0; c.model.num_params()];
-        loss_grad_into(&c.model, &c.fmt, &c.sys.types, labels, weights, &mut ws, &mut grad);
-        assert!(grad.iter().zip(&fresh).all(|(a, b)| a.to_bits() == b.to_bits()));
+        loss_grad_into(
+            &c.model,
+            &c.fmt,
+            &c.sys.types,
+            labels,
+            weights,
+            &mut ws,
+            &mut grad,
+        );
+        assert!(grad
+            .iter()
+            .zip(&fresh)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
         // a second call adds its gradient to the first
-        loss_grad_into(&c.model, &c.fmt, &c.sys.types, labels, weights, &mut ws, &mut grad);
+        loss_grad_into(
+            &c.model,
+            &c.fmt,
+            &c.sys.types,
+            labels,
+            weights,
+            &mut ws,
+            &mut grad,
+        );
         let scale = fresh.iter().fold(0.0f64, |m, g| m.max(g.abs()));
         for (g, f) in grad.iter().zip(&fresh) {
             assert!((g - 2.0 * f).abs() <= 1e-14 * scale);

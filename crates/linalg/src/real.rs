@@ -223,10 +223,7 @@ mod tests {
         for i in 1..1000 {
             let x = i as f64 * 0.37;
             let t = truncate_to_f16(x);
-            assert!(
-                (t - x).abs() <= x.abs() * 4.9e-4 + 1e-12,
-                "x={x} t={t}"
-            );
+            assert!((t - x).abs() <= x.abs() * 4.9e-4 + 1e-12, "x={x} t={t}");
         }
     }
 }

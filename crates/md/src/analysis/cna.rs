@@ -184,7 +184,11 @@ mod tests {
         for iz in 0..nz {
             for layer in 0..2 {
                 let z = (iz * 2 + layer) as f64 * c_over_2;
-                let (ox, oy) = if layer == 0 { (0.0, 0.0) } else { (a / 2.0, row_h / 3.0) };
+                let (ox, oy) = if layer == 0 {
+                    (0.0, 0.0)
+                } else {
+                    (a / 2.0, row_h / 3.0)
+                };
                 for iy in 0..ny {
                     for ix in 0..nx {
                         let x = ix as f64 * a + (iy % 2) as f64 * (a / 2.0) + ox;

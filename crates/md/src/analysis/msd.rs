@@ -61,10 +61,12 @@ impl Msd {
             return None;
         }
         let n = self.series.len() as f64;
-        let (st, sm, stt, stm) = self.series.iter().fold(
-            (0.0, 0.0, 0.0, 0.0),
-            |(st, sm, stt, stm), &(t, m)| (st + t, sm + m, stt + t * t, stm + t * m),
-        );
+        let (st, sm, stt, stm) = self
+            .series
+            .iter()
+            .fold((0.0, 0.0, 0.0, 0.0), |(st, sm, stt, stm), &(t, m)| {
+                (st + t, sm + m, stt + t * t, stm + t * m)
+            });
         let denom = n * stt - st * st;
         if denom.abs() < 1e-30 {
             return None;
@@ -82,7 +84,12 @@ mod tests {
 
     fn drifting_system(v: f64) -> (System, Msd) {
         let positions = vec![[5.0, 5.0, 5.0], [2.0, 8.0, 3.0]];
-        let sys = System::new(Cell::cubic(10.0), positions, vec![0, 0], vec![units::MASS_CU]);
+        let sys = System::new(
+            Cell::cubic(10.0),
+            positions,
+            vec![0, 0],
+            vec![units::MASS_CU],
+        );
         let msd = Msd::new(&sys);
         let _ = v;
         (sys, msd)

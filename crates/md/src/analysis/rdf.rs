@@ -149,7 +149,10 @@ mod tests {
             .copied()
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .unwrap();
-        assert!((r_peak - 3.615 / 2f64.sqrt()).abs() < 0.06, "peak at {r_peak}");
+        assert!(
+            (r_peak - 3.615 / 2f64.sqrt()).abs() < 0.06,
+            "peak at {r_peak}"
+        );
     }
 
     #[test]

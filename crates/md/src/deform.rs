@@ -93,8 +93,8 @@ pub fn tensile_test(
         let mut kinetic_zz = 0.0;
         for i in 0..sys.n_local {
             let m = sys.masses[sys.types[i]];
-            kinetic_zz += m * sys.velocities[i][opts.axis] * sys.velocities[i][opts.axis]
-                * units::MV2E;
+            kinetic_zz +=
+                m * sys.velocities[i][opts.axis] * sys.velocities[i][opts.axis] * units::MV2E;
         }
         let stress_ev_a3 = (kinetic_zz + out.virial[opts.axis]) / v;
         let stress_gpa = -stress_ev_a3 * units::EV_PER_A3_TO_BAR * 1.0e-4;

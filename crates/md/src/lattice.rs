@@ -147,9 +147,10 @@ mod tests {
         assert_eq!(sys.len(), 12_288);
         assert_eq!(sys.type_counts()[0], 4096);
         // density ≈ 1 g/cm³: 18.015 amu per 3.104³ Å³ -> 0.997 g/cm³
-        let g_per_cm3 =
-            (4096.0 * (units::MASS_O + 2.0 * units::MASS_H)) * 1.66053906660
-                / sys.cell.volume() / 1.0e3 * 1.0e3;
+        let g_per_cm3 = (4096.0 * (units::MASS_O + 2.0 * units::MASS_H)) * 1.66053906660
+            / sys.cell.volume()
+            / 1.0e3
+            * 1.0e3;
         assert!((g_per_cm3 - 1.0).abs() < 0.05, "density {g_per_cm3}");
     }
 }

@@ -71,12 +71,7 @@ pub fn voronoi_fcc(
 }
 
 /// Deterministic variant of [`voronoi_fcc`] with caller-supplied grains.
-pub fn voronoi_fcc_with_grains(
-    box_len: f64,
-    grains: &[Grain],
-    a0: f64,
-    merge_dist: f64,
-) -> System {
+pub fn voronoi_fcc_with_grains(box_len: f64, grains: &[Grain], a0: f64, merge_dist: f64) -> System {
     assert!(!grains.is_empty());
     let cell = Cell::cubic(box_len);
 

@@ -292,9 +292,6 @@ mod tests {
             let nl = NeighborList::build(&part, sc.r_cut);
             half_total += sc.compute(&part, &nl).energy;
         }
-        assert!(
-            (full - half_total).abs() < 1e-8,
-            "{full} vs {half_total}"
-        );
+        assert!((full - half_total).abs() < 1e-8, "{full} vs {half_total}");
     }
 }

@@ -42,7 +42,12 @@ impl PotentialOutput {
     /// Instantaneous pressure (bar) combining the virial with kinetic
     /// contributions of the system.
     pub fn pressure(&self, sys: &System) -> f64 {
-        crate::units::pressure(sys.n_local, sys.temperature(), &self.virial, sys.cell.volume())
+        crate::units::pressure(
+            sys.n_local,
+            sys.temperature(),
+            &self.virial,
+            sys.cell.volume(),
+        )
     }
 }
 

@@ -109,11 +109,7 @@ impl PairTable {
         // steep enough that H–H fusion is excluded even for a model that
         // extrapolates: ~2.7 eV at 0.5 Å, negligible at the 1.51 Å
         // intramolecular H–H distance
-        t.set(
-            1,
-            1,
-            PairKind::SoftRepulsion { a: 20.0, rho: 0.25 },
-        );
+        t.set(1, 1, PairKind::SoftRepulsion { a: 20.0, rho: 0.25 });
         t
     }
 
@@ -231,7 +227,10 @@ mod tests {
 
     #[test]
     fn lj_minimum_at_r0() {
-        let lj = PairKind::LennardJones { eps: 1.0, sigma: 1.0 };
+        let lj = PairKind::LennardJones {
+            eps: 1.0,
+            sigma: 1.0,
+        };
         let r0 = 2f64.powf(1.0 / 6.0);
         let (e, de) = lj.energy_deriv(r0);
         assert!((e + 1.0).abs() < 1e-12);
@@ -240,7 +239,11 @@ mod tests {
 
     #[test]
     fn morse_minimum_at_r0() {
-        let m = PairKind::Morse { d: 0.8, a: 2.5, r0: 0.9572 };
+        let m = PairKind::Morse {
+            d: 0.8,
+            a: 2.5,
+            r0: 0.9572,
+        };
         let (e, de) = m.energy_deriv(0.9572);
         assert!((e + 0.8).abs() < 1e-12);
         assert!(de.abs() < 1e-12);
@@ -249,8 +252,15 @@ mod tests {
     #[test]
     fn pair_derivatives_match_fd() {
         for kind in [
-            PairKind::LennardJones { eps: 0.3, sigma: 2.5 },
-            PairKind::Morse { d: 0.8, a: 2.5, r0: 0.96 },
+            PairKind::LennardJones {
+                eps: 0.3,
+                sigma: 2.5,
+            },
+            PairKind::Morse {
+                d: 0.8,
+                a: 2.5,
+                r0: 0.96,
+            },
             PairKind::SoftRepulsion { a: 2.0, rho: 0.4 },
         ] {
             for &r in &[0.8, 1.5, 3.0, 4.5] {
@@ -343,7 +353,12 @@ mod tests {
             .collect();
         let lj = LennardJones::new(0.2, 2.8, 6.0);
 
-        let sys = System::new(Cell::cubic(l), positions.clone(), vec![0; n], vec![units::MASS_CU]);
+        let sys = System::new(
+            Cell::cubic(l),
+            positions.clone(),
+            vec![0; n],
+            vec![units::MASS_CU],
+        );
         let nl = NeighborList::build(&sys, 6.0);
         let full = lj.compute(&sys, &nl).energy;
 

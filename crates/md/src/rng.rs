@@ -47,10 +47,9 @@ impl CounterRng {
     }
 
     pub fn next_u64(&mut self) -> u64 {
-        let out = mix(
-            self.seed
-                .wrapping_add((self.draws.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        );
+        let out = mix(self
+            .seed
+            .wrapping_add((self.draws.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
         self.draws += 1;
         out
     }

@@ -64,12 +64,12 @@ pub fn read_frame(
         let name = it
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing species"))?;
-        let ty = type_names
-            .iter()
-            .position(|&t| t == name)
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("unknown species {name}"))
-            })?;
+        let ty = type_names.iter().position(|&t| t == name).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unknown species {name}"),
+            )
+        })?;
         let mut p = [0.0; 3];
         for x in &mut p {
             *x = it
@@ -116,13 +116,9 @@ mod tests {
         write_frame(&mut buf, &sys, &["O", "H"], "step=0").unwrap();
 
         let mut reader = BufReader::new(buf.as_slice());
-        let back = read_frame(
-            &mut reader,
-            &["O", "H"],
-            vec![units::MASS_O, units::MASS_H],
-        )
-        .unwrap()
-        .unwrap();
+        let back = read_frame(&mut reader, &["O", "H"], vec![units::MASS_O, units::MASS_H])
+            .unwrap()
+            .unwrap();
         assert_eq!(back.len(), sys.len());
         assert_eq!(back.types, sys.types);
         for (a, b) in back.positions.iter().zip(&sys.positions) {

@@ -50,7 +50,10 @@ impl Adam {
 
     /// Current learning rate after decay.
     pub fn lr(&self) -> f64 {
-        self.lr0 * self.decay_rate.powf(self.step as f64 / self.decay_steps as f64)
+        self.lr0
+            * self
+                .decay_rate
+                .powf(self.step as f64 / self.decay_steps as f64)
     }
 
     pub fn steps_taken(&self) -> usize {

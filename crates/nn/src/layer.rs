@@ -78,9 +78,7 @@ mod tests {
     fn layer(kind: LayerKind, rows: usize, cols: usize) -> Layer<f64> {
         Layer {
             kind,
-            w: Matrix::from_fn(rows, cols, |i, j| {
-                0.3 * ((i * cols + j) as f64 % 7.0) - 0.9
-            }),
+            w: Matrix::from_fn(rows, cols, |i, j| 0.3 * ((i * cols + j) as f64 % 7.0) - 0.9),
             b: (0..cols).map(|j| 0.1 * j as f64 - 0.2).collect(),
         }
     }

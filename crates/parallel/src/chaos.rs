@@ -227,12 +227,15 @@ mod tests {
     #[test]
     fn kills_land_after_the_first_checkpoint_and_before_the_end() {
         for seed in 0..50 {
-            let plan =
-                expand_chaos(&ChaosSpec { seed, ..spec() }, 3, 80, 10).unwrap();
+            let plan = expand_chaos(&ChaosSpec { seed, ..spec() }, 3, 80, 10).unwrap();
             assert_eq!(plan.kills.len(), 3);
             let mut steps: Vec<usize> = plan.kills.iter().map(|k| k.step).collect();
             for k in &plan.kills {
-                assert!(k.step > 10 && k.step < 80, "kill step {} out of range", k.step);
+                assert!(
+                    k.step > 10 && k.step < 80,
+                    "kill step {} out of range",
+                    k.step
+                );
                 assert!(k.rank < 3);
                 assert!(!k.every_epoch);
             }
@@ -244,10 +247,13 @@ mod tests {
     #[test]
     fn drops_cannot_fire_before_the_first_checkpoint() {
         for seed in 0..50 {
-            let plan =
-                expand_chaos(&ChaosSpec { seed, ..spec() }, 4, 200, 15).unwrap();
+            let plan = expand_chaos(&ChaosSpec { seed, ..spec() }, 4, 200, 15).unwrap();
             for d in &plan.drops {
-                assert!(d.seq >= MSGS_PER_STEP_BOUND * 16, "drop seq {} too early", d.seq);
+                assert!(
+                    d.seq >= MSGS_PER_STEP_BOUND * 16,
+                    "drop seq {} too early",
+                    d.seq
+                );
                 assert_ne!(d.from, d.to);
             }
             for d in &plan.delays {
@@ -260,19 +266,47 @@ mod tests {
 
     #[test]
     fn infeasible_schedules_are_rejected() {
-        assert!(expand_chaos(&spec(), 4, 100, 0).is_err(), "kills without checkpointing");
         assert!(
-            expand_chaos(&ChaosSpec { kills: 5, drops: 0, delays: 0, ..spec() }, 4, 6, 10)
-                .is_err(),
+            expand_chaos(&spec(), 4, 100, 0).is_err(),
+            "kills without checkpointing"
+        );
+        assert!(
+            expand_chaos(
+                &ChaosSpec {
+                    kills: 5,
+                    drops: 0,
+                    delays: 0,
+                    ..spec()
+                },
+                4,
+                6,
+                10
+            )
+            .is_err(),
             "no eligible kill steps"
         );
         assert!(
-            expand_chaos(&ChaosSpec { kills: 0, drops: 1, delays: 0, ..spec() }, 1, 100, 10)
-                .is_err(),
+            expand_chaos(
+                &ChaosSpec {
+                    kills: 0,
+                    drops: 1,
+                    delays: 0,
+                    ..spec()
+                },
+                1,
+                100,
+                10
+            )
+            .is_err(),
             "drops need 2+ ranks"
         );
         let none = expand_chaos(
-            &ChaosSpec { kills: 0, drops: 0, delays: 0, ..ChaosSpec::default() },
+            &ChaosSpec {
+                kills: 0,
+                drops: 0,
+                delays: 0,
+                ..ChaosSpec::default()
+            },
             1,
             10,
             0,
@@ -315,20 +349,39 @@ mod tests {
     #[test]
     fn soak_shard_tears_land_on_checkpoint_steps() {
         for seed in 0..50 {
-            let plan =
-                expand_chaos(&ChaosSpec { seed, ..soak_spec() }, 3, 80, 10).unwrap();
+            let plan = expand_chaos(
+                &ChaosSpec {
+                    seed,
+                    ..soak_spec()
+                },
+                3,
+                80,
+                10,
+            )
+            .unwrap();
             for t in &plan.torn_shards {
                 assert!(t.rank < 3);
-                assert!(t.step % 10 == 0 && t.step > 0 && t.step <= 80,
-                    "shard tear step {} is not a checkpoint step", t.step);
+                assert!(
+                    t.step % 10 == 0 && t.step > 0 && t.step <= 80,
+                    "shard tear step {} is not a checkpoint step",
+                    t.step
+                );
             }
         }
     }
 
     #[test]
     fn soak_shard_tears_require_checkpointing() {
-        let s = ChaosSpec { kills: 0, drops: 0, delays: 0, ..soak_spec() };
+        let s = ChaosSpec {
+            kills: 0,
+            drops: 0,
+            delays: 0,
+            ..soak_spec()
+        };
         assert!(expand_chaos(&s, 4, 100, 0).is_err());
-        assert!(expand_chaos(&s, 4, 5, 10).is_err(), "no checkpoint step in range");
+        assert!(
+            expand_chaos(&s, 4, 5, 10).is_err(),
+            "no checkpoint step in range"
+        );
     }
 }

@@ -434,7 +434,10 @@ mod tests {
 
         assert!(!st.break_invariant(1, 15), "wrong rank fired");
         assert!(!st.break_invariant(0, 10), "fired before the planned step");
-        assert!(st.break_invariant(0, 20), "must fire at first audit >= step");
+        assert!(
+            st.break_invariant(0, 20),
+            "must fire at first audit >= step"
+        );
         assert!(!st.break_invariant(0, 25), "invariant sabotage fired twice");
     }
 

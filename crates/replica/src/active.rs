@@ -112,7 +112,8 @@ pub fn run_active_learning(
             .collect();
 
         // --- screen by ensemble force deviation, label the candidates ---
-        let (accurate, selected, failed) = select_candidates(&models, &candidates, opts.lo, opts.hi);
+        let (accurate, selected, failed) =
+            select_candidates(&models, &candidates, opts.lo, opts.hi);
         let max_dev = if candidates.is_empty() {
             0.0
         } else {
@@ -203,8 +204,7 @@ mod tests {
             lr: 0.02,
             seed: 3,
         };
-        let (dataset, reports) =
-            run_active_learning(&mut engine, &cfg, &reference, frames, 2, &al);
+        let (dataset, reports) = run_active_learning(&mut engine, &cfg, &reference, frames, 2, &al);
 
         assert_eq!(reports.len(), 2);
         assert!(dataset.len() >= n0);

@@ -158,8 +158,9 @@ mod tests {
         // a different seed must eventually produce a different schedule
         let c = run(12);
         assert!(
-            a.iter().zip(&c).any(|(x, y)| x.delta.to_bits() != y.delta.to_bits()
-                || x.accepted != y.accepted),
+            a.iter()
+                .zip(&c)
+                .any(|(x, y)| x.delta.to_bits() != y.delta.to_bits() || x.accepted != y.accepted),
             "swap schedule ignored the seed"
         );
     }
@@ -188,7 +189,10 @@ mod tests {
         let mut after: Vec<f64> = e.replicas.iter().map(|r| r.target_t).collect();
         before.sort_by(f64::total_cmp);
         after.sort_by(f64::total_cmp);
-        assert_eq!(before, after, "exchange must permute, not invent, temperatures");
+        assert_eq!(
+            before, after,
+            "exchange must permute, not invent, temperatures"
+        );
         assert!(e.exchange_attempts >= e.exchange_accepted);
         assert_eq!(
             e.exchange_attempts as usize,

@@ -251,20 +251,21 @@ pub fn spawn_workers(
                     while let Some((id, deck)) = store.claim_next() {
                         // A panicking deck must not take the worker down:
                         // report it as a failed job and keep serving.
-                        let outcome = std::panic::catch_unwind(
-                            std::panic::AssertUnwindSafe(|| runner.run(&id, &deck)),
-                        )
-                        .unwrap_or_else(|p| {
-                            let msg = p
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| p.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "job panicked".into());
-                            Err(JobFailure {
-                                class: "panic",
-                                message: msg,
-                            })
-                        });
+                        let outcome =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                runner.run(&id, &deck)
+                            }))
+                            .unwrap_or_else(|p| {
+                                let msg = p
+                                    .downcast_ref::<&str>()
+                                    .map(|s| s.to_string())
+                                    .or_else(|| p.downcast_ref::<String>().cloned())
+                                    .unwrap_or_else(|| "job panicked".into());
+                                Err(JobFailure {
+                                    class: "panic",
+                                    message: msg,
+                                })
+                            });
                         store.finish(&id, outcome);
                     }
                 })
@@ -313,9 +314,12 @@ mod tests {
         let bad = store.submit("nope".into()).unwrap();
         let boom = store.submit("boom".into()).unwrap();
 
-        assert_eq!(settle(&store, &ok).state, JobState::Done {
-            result: "{\"steps\":10}".into()
-        });
+        assert_eq!(
+            settle(&store, &ok).state,
+            JobState::Done {
+                result: "{\"steps\":10}".into()
+            }
+        );
         match settle(&store, &bad).state {
             JobState::Failed { failure } => {
                 assert_eq!(failure.class, "deck");

@@ -92,9 +92,7 @@ pub fn route(method: &str, path: &str) -> Result<Route, RouteError> {
                 return match (method, tail) {
                     ("GET", None) => Ok(Route::JobStatus(id.to_string())),
                     ("GET", Some("trace")) => Ok(Route::JobTrace(id.to_string())),
-                    (_, None) | (_, Some("trace")) => {
-                        Err(RouteError::MethodNotAllowed("GET"))
-                    }
+                    (_, None) | (_, Some("trace")) => Err(RouteError::MethodNotAllowed("GET")),
                     _ => Err(RouteError::NotFound),
                 };
             }
@@ -155,9 +153,15 @@ mod tests {
     fn unknown_paths_and_bad_ids_are_not_found() {
         assert_eq!(route("GET", "/"), Err(RouteError::NotFound));
         assert_eq!(route("GET", "/v2/jobs"), Err(RouteError::NotFound));
-        assert_eq!(route("GET", "/v1/jobs/job-1/logs"), Err(RouteError::NotFound));
+        assert_eq!(
+            route("GET", "/v1/jobs/job-1/logs"),
+            Err(RouteError::NotFound)
+        );
         // Path traversal shapes never become ids.
-        assert_eq!(route("GET", "/v1/jobs/..%2f..%2fetc"), Err(RouteError::NotFound));
+        assert_eq!(
+            route("GET", "/v1/jobs/..%2f..%2fetc"),
+            Err(RouteError::NotFound)
+        );
         assert_eq!(route("GET", "/v1/jobs/a.b"), Err(RouteError::NotFound));
     }
 }

@@ -286,8 +286,7 @@ fn handle_conn(mut conn: Conn, handler: &Handler) {
         dp_obs::counter(dp_obs::serve::HTTP_ERRORS).add(1);
     }
     let _ = response.write_to(&mut conn);
-    dp_obs::hist::global(dp_obs::serve::HTTP_LATENCY_US)
-        .record(start.elapsed().as_micros() as u64);
+    dp_obs::hist::global(dp_obs::serve::HTTP_LATENCY_US).record(start.elapsed().as_micros() as u64);
 }
 
 #[cfg(test)]
@@ -315,9 +314,8 @@ mod tests {
 
     #[test]
     fn serves_requests_and_shuts_down_gracefully() {
-        let handler: Handler = Arc::new(|req: &Request| {
-            Response::json(200, format!("{{\"path\":\"{}\"}}", req.path))
-        });
+        let handler: Handler =
+            Arc::new(|req: &Request| Response::json(200, format!("{{\"path\":\"{}\"}}", req.path)));
         let (addr, shutdown, join) = start(handler);
 
         let reply = roundtrip(addr, "GET /healthz HTTP/1.1\r\n\r\n");

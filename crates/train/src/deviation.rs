@@ -174,11 +174,7 @@ mod tests {
                 );
                 for (a, b) in res.forces.iter().zip(&solo.forces) {
                     for d in 0..3 {
-                        assert_eq!(
-                            a[d].to_bits(),
-                            b[d].to_bits(),
-                            "force diverged in {mode:?}"
-                        );
+                        assert_eq!(a[d].to_bits(), b[d].to_bits(), "force diverged in {mode:?}");
                     }
                 }
             }

@@ -201,7 +201,12 @@ impl Trainer {
 fn frame_system(f: &Frame) -> System {
     // masses are irrelevant for labelling; use unit masses per type
     let n_types = f.types.iter().copied().max().unwrap_or(0) + 1;
-    System::new(f.cell, f.positions.clone(), f.types.clone(), vec![1.0; n_types])
+    System::new(
+        f.cell,
+        f.positions.clone(),
+        f.types.clone(),
+        vec![1.0; n_types],
+    )
 }
 
 fn rmse_of(model: &DpModel<f64>, frames: &[PreparedFrame]) -> Rmse {
@@ -278,10 +283,7 @@ mod tests {
         let first = first_report.loss;
         let reports = trainer.run(40);
         let last = reports.last().unwrap().loss;
-        assert!(
-            last < first * 0.5,
-            "loss did not halve: {first} -> {last}"
-        );
+        assert!(last < first * 0.5, "loss did not halve: {first} -> {last}");
     }
 
     #[test]
@@ -365,7 +367,15 @@ mod tests {
         let fcc = lattice::fcc(4.0, [2, 2, 2], units::MASS_CU);
         let types = (0..fcc.len()).map(|i| i % 11).collect();
         let base = System::new(fcc.cell, fcc.positions, types, vec![units::MASS_CU; 11]);
-        let lj = PairTable::new(11, PairKind::LennardJones { eps: 0.2, sigma: 2.6 }, 3.9, "lj");
+        let lj = PairTable::new(
+            11,
+            PairKind::LennardJones {
+                eps: 0.2,
+                sigma: 2.6,
+            },
+            3.9,
+            "lj",
+        );
         let mut rng = CounterRng::new(57);
         let frames = perturbed_frames(&base, &lj, 2, 0.2, &mut rng);
         let cfg = DpConfig {

@@ -10,8 +10,8 @@ use deepmd_repro::md::deform::{tensile_test, TensileOptions};
 use deepmd_repro::md::integrate::{run_md, Berendsen, MdOptions};
 use deepmd_repro::md::polycrystal::voronoi_fcc;
 use deepmd_repro::md::potential::eam::SuttonChen;
-use deepmd_repro::md::NeighborList;
 use deepmd_repro::md::rng::CounterRng;
+use deepmd_repro::md::NeighborList;
 
 fn main() {
     let mut rng = CounterRng::new(2718);
@@ -63,7 +63,5 @@ fn main() {
         println!("{:6.3}  {:7.3}", p.strain, p.stress_gpa);
     }
     let peak = curve.iter().map(|p| p.stress_gpa).fold(f64::MIN, f64::max);
-    println!(
-        "\npeak tensile stress {peak:.2} GPa (nanocrystalline Cu experiments/MD: ~2-4 GPa)"
-    );
+    println!("\npeak tensile stress {peak:.2} GPa (nanocrystalline Cu experiments/MD: ~2-4 GPa)");
 }

@@ -12,11 +12,11 @@
 use deepmd_repro::core::{DeepPotential, DpConfig, DpModel, PrecisionMode};
 use deepmd_repro::md::integrate::{run_md, MdOptions};
 use deepmd_repro::md::potential::pair::LennardJones;
+use deepmd_repro::md::rng::CounterRng;
 use deepmd_repro::md::{lattice, Potential};
 use deepmd_repro::train::dataset::perturbed_frames;
 use deepmd_repro::train::trainer::rmse_on_frames;
 use deepmd_repro::train::{LossWeights, Trainer};
-use deepmd_repro::md::rng::CounterRng;
 
 fn main() {
     let mut rng = CounterRng::new(1);
@@ -26,7 +26,11 @@ fn main() {
     let base = lattice::fcc(5.26, [2, 2, 2], 39.948); // 32 argon atoms
     let frames = perturbed_frames(&base, &reference, 10, 0.35, &mut rng);
     let held_out = perturbed_frames(&base, &reference, 4, 0.30, &mut rng);
-    println!("labelled {} training + {} held-out frames", frames.len(), held_out.len());
+    println!(
+        "labelled {} training + {} held-out frames",
+        frames.len(),
+        held_out.len()
+    );
 
     // --- 2. train a Deep Potential ---
     let cfg = DpConfig {

@@ -10,10 +10,10 @@ use deepmd_repro::core::{DeepPotential, DpConfig, DpModel, PrecisionMode};
 use deepmd_repro::md::analysis::rdf::Rdf;
 use deepmd_repro::md::integrate::{run_md, Berendsen, MdOptions};
 use deepmd_repro::md::potential::pair::PairTable;
+use deepmd_repro::md::rng::CounterRng;
 use deepmd_repro::md::{lattice, NeighborList, Potential, System};
 use deepmd_repro::train::dataset::{md_frames, perturbed_frames};
 use deepmd_repro::train::{LossWeights, Trainer};
-use deepmd_repro::md::rng::CounterRng;
 
 fn rdf_oo(pot: &dyn Potential, label: &str) -> Vec<(f64, f64)> {
     let mut sys: System = lattice::water_box([5, 5, 5], 3.104);

@@ -184,36 +184,35 @@ fn run_request(args: &[String]) -> ! {
     };
 
     // `http://host:port/path` over TCP, or `unix:/sock/path:/http/path`.
-    let (stream, path): (Box<dyn ReadWrite>, String) = if let Some(rest) =
-        url.strip_prefix("http://")
-    {
-        let (host, path) = match rest.find('/') {
-            Some(i) => (&rest[..i], rest[i..].to_string()),
-            None => (rest, "/".to_string()),
-        };
-        match std::net::TcpStream::connect(host) {
-            Ok(s) => (Box::new(s), path),
-            Err(e) => {
-                eprintln!("dpmd request: cannot connect to {host}: {e}");
-                std::process::exit(3);
+    let (stream, path): (Box<dyn ReadWrite>, String) =
+        if let Some(rest) = url.strip_prefix("http://") {
+            let (host, path) = match rest.find('/') {
+                Some(i) => (&rest[..i], rest[i..].to_string()),
+                None => (rest, "/".to_string()),
+            };
+            match std::net::TcpStream::connect(host) {
+                Ok(s) => (Box::new(s), path),
+                Err(e) => {
+                    eprintln!("dpmd request: cannot connect to {host}: {e}");
+                    std::process::exit(3);
+                }
             }
-        }
-    } else if let Some(rest) = url.strip_prefix("unix:") {
-        let Some((sock, path)) = rest.split_once(':') else {
-            eprintln!("dpmd request: unix URL must be unix:<socket>:<path>");
+        } else if let Some(rest) = url.strip_prefix("unix:") {
+            let Some((sock, path)) = rest.split_once(':') else {
+                eprintln!("dpmd request: unix URL must be unix:<socket>:<path>");
+                std::process::exit(2);
+            };
+            match std::os::unix::net::UnixStream::connect(sock) {
+                Ok(s) => (Box::new(s), path.to_string()),
+                Err(e) => {
+                    eprintln!("dpmd request: cannot connect to {sock}: {e}");
+                    std::process::exit(3);
+                }
+            }
+        } else {
+            eprintln!("dpmd request: URL must start with http:// or unix:");
             std::process::exit(2);
         };
-        match std::os::unix::net::UnixStream::connect(sock) {
-            Ok(s) => (Box::new(s), path.to_string()),
-            Err(e) => {
-                eprintln!("dpmd request: cannot connect to {sock}: {e}");
-                std::process::exit(3);
-            }
-        }
-    } else {
-        eprintln!("dpmd request: URL must start with http:// or unix:");
-        std::process::exit(2);
-    };
 
     match roundtrip(stream, &method, &path, &body) {
         Ok((status, response)) => {

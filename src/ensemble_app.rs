@@ -184,7 +184,11 @@ pub fn temperature_ladder(t_min: f64, t_max: f64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn engine_options(cfg: &EnsembleConfig, skin: f64, mode: PrecisionMode) -> Result<EnsembleOptions, AppError> {
+fn engine_options(
+    cfg: &EnsembleConfig,
+    skin: f64,
+    mode: PrecisionMode,
+) -> Result<EnsembleOptions, AppError> {
     let mut opts = EnsembleOptions {
         dt: cfg.run.dt_fs * 1e-3,
         skin,
@@ -208,7 +212,10 @@ pub fn run(cfg: &EnsembleConfig, mut log: impl FnMut(&str)) -> Result<EnsembleSu
     if cfg.replicas == 0 {
         return Err(AppError::Deck("\"replicas\" must be at least 1".into()));
     }
-    if !(cfg.t_min.is_finite() && cfg.t_min > 0.0 && cfg.t_max.is_finite() && cfg.t_max >= cfg.t_min)
+    if !(cfg.t_min.is_finite()
+        && cfg.t_min > 0.0
+        && cfg.t_max.is_finite()
+        && cfg.t_max >= cfg.t_min)
     {
         return Err(AppError::Deck(format!(
             "bad ladder: need 0 < t_min <= t_max, got t_min {} t_max {}",
@@ -316,10 +323,14 @@ fn run_engine(
     let mut dataset_size = None;
     if let Some(al) = &cfg.active_learning {
         if al.opts.n_models < 2 {
-            return Err(AppError::Deck("active_learning.n_models must be >= 2".into()));
+            return Err(AppError::Deck(
+                "active_learning.n_models must be >= 2".into(),
+            ));
         }
         if al.opts.sample_every == 0 {
-            return Err(AppError::Deck("active_learning.sample_every must be positive".into()));
+            return Err(AppError::Deck(
+                "active_learning.sample_every must be positive".into(),
+            ));
         }
         let reference = app::build_potential(&al.reference)?;
         let mut frame_rng = CounterRng::new(cfg.run.seed ^ 0xF4A3);
@@ -386,7 +397,10 @@ fn run_engine(
             writeln!(f, "{}", ev.to_json())
                 .map_err(|e| AppError::Io(format!("swap log write failed: {e}")))?;
         }
-        log(&format!("swap log: {} events -> {path}", engine.swap_log.len()));
+        log(&format!(
+            "swap log: {} events -> {path}",
+            engine.swap_log.len()
+        ));
     }
 
     if dp_obs::metrics::active() {

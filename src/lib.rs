@@ -7,12 +7,12 @@ pub mod deck;
 pub mod ensemble_app;
 pub mod serve_app;
 pub use deepmd_core as core;
-pub use dp_replica as replica;
-pub use dp_serve as serve;
-pub use dp_obs as obs;
 pub use dp_linalg as linalg;
 pub use dp_md as md;
 pub use dp_nn as nn;
+pub use dp_obs as obs;
 pub use dp_parallel as parallel;
 pub use dp_perfmodel as perfmodel;
+pub use dp_replica as replica;
+pub use dp_serve as serve;
 pub use dp_train as train;

@@ -105,9 +105,14 @@ fn killed_rank_recovers_bit_exact() {
     let dir = test_dir("dpft-kill-recover");
     let sys = argon();
 
-    let straight =
-        run_parallel_md(&sys, lj(), [2, 2, 1], &opts(Some(ckpt(&dir, "a.ckpt")), None), 60)
-            .unwrap();
+    let straight = run_parallel_md(
+        &sys,
+        lj(),
+        [2, 2, 1],
+        &opts(Some(ckpt(&dir, "a.ckpt")), None),
+        60,
+    )
+    .unwrap();
     assert_eq!(straight.recoveries, 0);
 
     let plan = FaultPlan {
@@ -120,8 +125,14 @@ fn killed_rank_recovers_bit_exact() {
     };
     let faulted_ckpt = ckpt(&dir, "b.ckpt");
     let newest = faulted_ckpt.rotation.slot_path(0);
-    let faulted =
-        run_parallel_md(&sys, lj(), [2, 2, 1], &opts(Some(faulted_ckpt), Some(plan)), 60).unwrap();
+    let faulted = run_parallel_md(
+        &sys,
+        lj(),
+        [2, 2, 1],
+        &opts(Some(faulted_ckpt), Some(plan)),
+        60,
+    )
+    .unwrap();
 
     assert_eq!(faulted.recoveries, 1, "expected exactly one recovery");
     assert_eq!(
@@ -137,9 +148,14 @@ fn corrupted_newest_generation_falls_back() {
     let dir = test_dir("dpft-corrupt-fallback");
     let sys = argon();
 
-    let straight =
-        run_parallel_md(&sys, lj(), [2, 2, 1], &opts(Some(ckpt(&dir, "a.ckpt")), None), 60)
-            .unwrap();
+    let straight = run_parallel_md(
+        &sys,
+        lj(),
+        [2, 2, 1],
+        &opts(Some(ckpt(&dir, "a.ckpt")), None),
+        60,
+    )
+    .unwrap();
 
     // The generation written at step 30 gets a flipped byte, then the kill
     // at 33: the CRC rejects the newest generation and the rotation falls
@@ -158,8 +174,14 @@ fn corrupted_newest_generation_falls_back() {
     };
     let faulted_ckpt = ckpt(&dir, "b.ckpt");
     let fallback = faulted_ckpt.rotation.slot_path(1);
-    let faulted =
-        run_parallel_md(&sys, lj(), [2, 2, 1], &opts(Some(faulted_ckpt), Some(plan)), 60).unwrap();
+    let faulted = run_parallel_md(
+        &sys,
+        lj(),
+        [2, 2, 1],
+        &opts(Some(faulted_ckpt), Some(plan)),
+        60,
+    )
+    .unwrap();
 
     assert_eq!(faulted.recoveries, 1);
     assert_eq!(
@@ -175,9 +197,14 @@ fn torn_checkpoint_write_falls_back() {
     let dir = test_dir("dpft-torn-fallback");
     let sys = argon();
 
-    let straight =
-        run_parallel_md(&sys, lj(), [2, 2, 1], &opts(Some(ckpt(&dir, "a.ckpt")), None), 60)
-            .unwrap();
+    let straight = run_parallel_md(
+        &sys,
+        lj(),
+        [2, 2, 1],
+        &opts(Some(ckpt(&dir, "a.ckpt")), None),
+        60,
+    )
+    .unwrap();
 
     let plan = FaultPlan {
         kills: vec![KillSpec {
@@ -193,8 +220,14 @@ fn torn_checkpoint_write_falls_back() {
     };
     let faulted_ckpt = ckpt(&dir, "b.ckpt");
     let fallback = faulted_ckpt.rotation.slot_path(1);
-    let faulted =
-        run_parallel_md(&sys, lj(), [2, 2, 1], &opts(Some(faulted_ckpt), Some(plan)), 60).unwrap();
+    let faulted = run_parallel_md(
+        &sys,
+        lj(),
+        [2, 2, 1],
+        &opts(Some(faulted_ckpt), Some(plan)),
+        60,
+    )
+    .unwrap();
 
     assert_eq!(faulted.recoveries, 1);
     assert_eq!(
@@ -210,9 +243,14 @@ fn dropped_message_is_detected_and_recovered() {
     let dir = test_dir("dpft-drop-recover");
     let sys = argon();
 
-    let straight =
-        run_parallel_md(&sys, lj(), [2, 2, 1], &opts(Some(ckpt(&dir, "a.ckpt")), None), 60)
-            .unwrap();
+    let straight = run_parallel_md(
+        &sys,
+        lj(),
+        [2, 2, 1],
+        &opts(Some(ckpt(&dir, "a.ckpt")), None),
+        60,
+    )
+    .unwrap();
 
     // Message seq 60 on the 1->0 pair lands well after the first checkpoint
     // (>= 2 messages per pair per step) and well before the run ends. The
@@ -274,9 +312,14 @@ fn chaos_schedule_recovers_bit_exact() {
     let dir = test_dir("dpft-chaos");
     let sys = argon();
 
-    let straight =
-        run_parallel_md(&sys, lj(), [2, 1, 1], &opts(Some(ckpt(&dir, "a.ckpt")), None), 60)
-            .unwrap();
+    let straight = run_parallel_md(
+        &sys,
+        lj(),
+        [2, 1, 1],
+        &opts(Some(ckpt(&dir, "a.ckpt")), None),
+        60,
+    )
+    .unwrap();
 
     let spec = ChaosSpec {
         seed: 7,
@@ -288,7 +331,11 @@ fn chaos_schedule_recovers_bit_exact() {
         audit_every: 0,
     };
     let plan = expand_chaos(&spec, 2, 60, 10).unwrap();
-    assert_eq!(plan, expand_chaos(&spec, 2, 60, 10).unwrap(), "schedule must replay");
+    assert_eq!(
+        plan,
+        expand_chaos(&spec, 2, 60, 10).unwrap(),
+        "schedule must replay"
+    );
     let mut o = opts(Some(ckpt(&dir, "b.ckpt")), Some(plan.clone()));
     o.comm_deadline = Duration::from_secs(2);
     o.max_recoveries = plan.max_failures();
@@ -386,8 +433,14 @@ fn torn_shard_escalates_to_global_reload() {
     };
     let faulted_ckpt = ckpt_sharded(&dir, "b.ckpt");
     let newest = faulted_ckpt.rotation.slot_path(0);
-    let recovered =
-        run_parallel_md(&sys, lj(), [2, 2, 1], &opts(Some(faulted_ckpt), Some(plan)), 60).unwrap();
+    let recovered = run_parallel_md(
+        &sys,
+        lj(),
+        [2, 2, 1],
+        &opts(Some(faulted_ckpt), Some(plan)),
+        60,
+    )
+    .unwrap();
 
     assert_eq!(
         recovered.local_recoveries, 0,
@@ -436,7 +489,10 @@ fn two_kills_are_both_repaired_from_shards() {
         &sys,
         lj(),
         [2, 2, 1],
-        &opts(Some(ckpt_sharded(&dir, "b.ckpt")), Some(kills_at(&[33, 45]))),
+        &opts(
+            Some(ckpt_sharded(&dir, "b.ckpt")),
+            Some(kills_at(&[33, 45])),
+        ),
         60,
     )
     .unwrap();
@@ -541,7 +597,11 @@ fn chaos_soak_recovers_bit_exact_with_audits() {
     assert!(
         soaked.rank_stats.iter().any(|s| s.audits_passed > 0),
         "auditor never ran: {:?}",
-        soaked.rank_stats.iter().map(|s| s.audits_passed).collect::<Vec<_>>()
+        soaked
+            .rank_stats
+            .iter()
+            .map(|s| s.audits_passed)
+            .collect::<Vec<_>>()
     );
     assert!(soaked.recoveries + soaked.local_recoveries >= 1);
     assert_bit_exact(&straight, &soaked, "chaos soak seed 11 on [2,1,1]");
@@ -564,7 +624,10 @@ fn broken_invariant_fails_fast_typed() {
     let err = run_parallel_md(&sys, lj(), [2, 1, 1], &o, 60).unwrap_err();
     match &err {
         RunError::Audit { failure } => {
-            assert_eq!(failure.check, "atom_count", "wrong check tripped: {failure}");
+            assert_eq!(
+                failure.check, "atom_count",
+                "wrong check tripped: {failure}"
+            );
             assert_eq!(
                 failure.step, 20,
                 "sabotage planned at 15 must trip the first audit at/after it"
@@ -761,7 +824,10 @@ fn flight_recorder_dumps_steps_before_rank_death() {
     dp_obs::disable();
     dp_obs::metrics::uninstall().unwrap().unwrap();
     let run = run.unwrap();
-    assert_eq!(run.local_recoveries, 1, "kill at 33 must be repaired in place");
+    assert_eq!(
+        run.local_recoveries, 1,
+        "kill at 33 must be repaired in place"
+    );
 
     let jsonl = std::fs::read_to_string(&metrics_path).unwrap();
     let dump = jsonl
@@ -776,10 +842,20 @@ fn flight_recorder_dumps_steps_before_rank_death() {
     // the window must reach back >= 16 steps and end just before the kill.
     let n_steps = dump.matches("\"step\":").count();
     assert!(n_steps >= 16, "window covers only {n_steps} steps: {dump}");
-    assert!(dump.contains("\"step\":32,"), "window missing step 32: {dump}");
+    assert!(
+        dump.contains("\"step\":32,"),
+        "window missing step 32: {dump}"
+    );
     for key in [
-        "wall_us", "compute_us", "comm_us", "wait_us", "neigh_us", "io_us", "ghost_atoms",
-        "bytes", "flops",
+        "wall_us",
+        "compute_us",
+        "comm_us",
+        "wait_us",
+        "neigh_us",
+        "io_us",
+        "ghost_atoms",
+        "bytes",
+        "flops",
     ] {
         assert!(
             dump.contains(&format!("\"{key}\":")),
@@ -921,7 +997,10 @@ fn recovery_tiers_reach_metrics_jsonl() {
         "\"recovery.latency_us\"",
         "\"tier\":\"local\"",
     ] {
-        assert!(jsonl.contains(needle), "{needle} missing from metrics:\n{jsonl}");
+        assert!(
+            jsonl.contains(needle),
+            "{needle} missing from metrics:\n{jsonl}"
+        );
     }
     assert!(
         !jsonl.contains("\"recovery.local.fallback\""),

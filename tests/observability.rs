@@ -79,7 +79,10 @@ fn dp_deck_with_trace_and_metrics_produces_valid_artifacts() {
     assert_eq!(lines.len(), 12, "one metrics line per step");
     for v in &lines {
         let tts = float(v, "s_per_step_per_atom").expect("tts present");
-        assert!(tts > 0.0 && tts.is_finite(), "bad s_per_step_per_atom {tts}");
+        assert!(
+            tts > 0.0 && tts.is_finite(),
+            "bad s_per_step_per_atom {tts}"
+        );
         assert_eq!(int(v, "n_atoms"), Some(108));
         assert!(float(v, "gflops").is_some(), "gflops missing");
         assert!(int(v, "flops").is_some(), "flops missing");
@@ -141,10 +144,7 @@ fn deck_level_fault_run_dumps_flight_recorder_and_prometheus() {
         .expect("spawn dpmd");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        out.status.success(),
-        "stdout:\n{stdout}\nstderr:\n{stderr}"
-    );
+    assert!(out.status.success(), "stdout:\n{stdout}\nstderr:\n{stderr}");
 
     // flight-recorder post-mortem rode the metrics stream
     let jsonl = std::fs::read_to_string(&metrics).unwrap();

@@ -51,7 +51,10 @@ fn energy_is_translation_invariant() {
     shifted.wrap_positions();
     let nl = NeighborList::build(&shifted, dp.cutoff());
     let e1 = dp.compute(&shifted, &nl).energy;
-    assert!((e0 - e1).abs() < 1e-9, "translation changed E: {e0} vs {e1}");
+    assert!(
+        (e0 - e1).abs() < 1e-9,
+        "translation changed E: {e0} vs {e1}"
+    );
 }
 
 #[test]
@@ -67,7 +70,10 @@ fn energy_is_permutation_invariant() {
     permuted.types.reverse();
     let nl = NeighborList::build(&permuted, dp.cutoff());
     let e1 = dp.compute(&permuted, &nl).energy;
-    assert!((e0 - e1).abs() < 1e-9, "permutation changed E: {e0} vs {e1}");
+    assert!(
+        (e0 - e1).abs() < 1e-9,
+        "permutation changed E: {e0} vs {e1}"
+    );
 }
 
 #[test]
@@ -91,7 +97,12 @@ fn energy_is_rotation_invariant() {
         }
     }
     let n = positions.len();
-    let mut sys = System::new(Cell::open(60.0, 60.0, 60.0), positions, vec![0; n], vec![63.5]);
+    let mut sys = System::new(
+        Cell::open(60.0, 60.0, 60.0),
+        positions,
+        vec![0; n],
+        vec![63.5],
+    );
     sys.perturb(0.1, &mut rng);
     let nl = NeighborList::build(&sys, dp.cutoff());
     let e0 = dp.compute(&sys, &nl).energy;
