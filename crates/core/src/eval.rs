@@ -34,29 +34,29 @@
 //! table formatted beforehand.
 //!
 //! [`net_forward_into`] / [`net_backward_into`] are the inference net
-//! pass: the pipeline runs every embedding and fitting net through them,
-//! and [`crate::compress`] samples its tables with them. Training
-//! differentiates the same pipeline in [`crate::train_grad`], on the same
-//! kernels. The tabulated model shares the rest of the pipeline and
-//! swaps only stage 1 (table lookup of `G` and `dG/ds`) and the embedding
-//! backward (`dE/ds` as the row-wise dot product of `dE/dG` with `dG/ds`).
+//! pass, loops over the layer operator [`crate::layer_op`]: the pipeline
+//! runs every embedding and fitting net through them, and
+//! [`crate::compress`] samples its tables with them. Training
+//! differentiates the same pipeline in [`crate::train_grad`], whose pass on
+//! primal/tangent pairs loops over the same operator. The tabulated model
+//! shares the rest of the pipeline and swaps only stage 1 (table lookup of
+//! `G` and `dG/ds`) and the embedding backward (`dE/ds` as the row-wise dot
+//! product of `dE/dG` with `dG/ds`).
 
 use crate::compress::EmbeddingTable;
 use crate::format::FormattedEnv;
+use crate::layer_op;
 use crate::model::DpModel;
 use crate::ops::{prod_force_into, prod_virial_into};
 use crate::potential_impl::BatchItem;
 use crate::profile::{maybe_time, Kernel, Profiler};
 use crate::workspace::{reuse_uninit, reuse_zeroed, EvalWorkspace, NetPass};
 use dp_linalg::batch::{gemm_batch_nn, gemm_batch_nt, gemm_batch_tn, Acc, Panel};
-use dp_linalg::fused::{dup_sum_fused_into, tanh_fused_into};
-use dp_linalg::gemm::{gemm_bias_into, matmul_nt_into};
 use dp_linalg::{simd, Matrix, Real};
-use dp_nn::layer::LayerKind;
 use dp_nn::net::Net;
 
 /// Result of one evaluation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EvalOutput {
     pub energy: f64,
     pub per_atom_energy: Vec<f64>,
@@ -96,12 +96,11 @@ pub fn chunk_size(max_sel: usize) -> usize {
     (CHUNK_ROWS / max_sel.max(1)).clamp(16, CHUNK)
 }
 
-/// Network forward pass (Fig 1 (e)–(g) layers) over the rows of `x`,
-/// writing into a [`NetPass`] (no allocation in steady state) with the
-/// paper's fused kernels — GEMM with fused bias (§5.3.1), CONCAT-free skip
-/// (§5.3.2), fused tanh+grad (§5.3.3) — and attributing GEMM and
-/// activation time to their Fig 3 categories. The final activation lands
-/// in `pass.out`; the cached tanh gradients in `pass.tgrads`.
+/// Network forward pass (Fig 1 (e)–(g) layers) over the rows of `x`: the
+/// layer operator's [`forward`](layer_op::forward) layer after layer,
+/// writing into a [`NetPass`] (no allocation in steady state). The final
+/// activation lands in `pass.out`, the cached tanh gradients in
+/// `pass.tgrads`; no other per-layer activation is kept.
 pub(crate) fn net_forward_into<T: Real>(
     net: &Net<T>,
     x: &Matrix<T>,
@@ -114,45 +113,22 @@ pub(crate) fn net_forward_into<T: Real>(
         tgrads,
         pre,
         act,
-        skip,
+        next,
     } = pass;
     out.copy_from(x);
-    for (li, l) in net.layers.iter().enumerate() {
-        maybe_time(prof, Kernel::Gemm, || gemm_bias_into(out, &l.w, &l.b, pre));
-        match l.kind {
-            LayerKind::Linear => {
-                tgrads[li].reuse_shape(0, 0);
-                std::mem::swap(out, pre);
-            }
-            LayerKind::Plain => {
-                maybe_time(prof, Kernel::Tanh, || {
-                    tanh_fused_into(pre, act, &mut tgrads[li])
-                });
-                std::mem::swap(out, act);
-            }
-            LayerKind::Growth => {
-                maybe_time(prof, Kernel::Tanh, || {
-                    tanh_fused_into(pre, act, &mut tgrads[li])
-                });
-                maybe_time(prof, Kernel::Other, || dup_sum_fused_into(out, act, skip));
-                std::mem::swap(out, skip);
-            }
-            LayerKind::Residual => {
-                maybe_time(prof, Kernel::Tanh, || {
-                    tanh_fused_into(pre, act, &mut tgrads[li])
-                });
-                act.axpy(T::ONE, out);
-                std::mem::swap(out, act);
-            }
-        }
+    for (l, c) in net.layers.iter().zip(tgrads.iter_mut()) {
+        layer_op::forward(l, out, pre, act, c, next, prof);
+        std::mem::swap(out, next);
     }
 }
 
 /// Input gradient `dL/dx` given `dL/dy = dy`, using the tanh gradients
-/// cached by [`net_forward_into`] (no tanh is re-evaluated). Parameter
-/// gradients are not computed: forces need input gradients only, and
-/// training takes them from [`crate::train_grad`]. Same Fig 3 taxonomy.
-/// The input gradient lands in `g`; `sa` and `sb` are ping-pong scratch.
+/// cached by [`net_forward_into`] (no tanh is re-evaluated): per layer
+/// `z̄ = (1 − h²)⊙ȳ`, then the operator's
+/// [`input_adjoint`](layer_op::input_adjoint). Parameter gradients are not
+/// computed: forces need input gradients only, and training takes them
+/// from [`crate::train_grad`]. Same Fig 3 taxonomy. The input gradient
+/// lands in `g`; `sa` and `sb` are scratch.
 pub(crate) fn net_backward_into<T: Real>(
     net: &Net<T>,
     tgrads: &[Matrix<T>],
@@ -164,42 +140,17 @@ pub(crate) fn net_backward_into<T: Real>(
 ) {
     g.copy_from(dy);
     for (l, c) in net.layers.iter().zip(&tgrads[..net.layers.len()]).rev() {
-        match l.kind {
-            LayerKind::Linear => {
-                maybe_time(prof, Kernel::Gemm, || matmul_nt_into(g, &l.w, sa));
-                std::mem::swap(g, sa);
-            }
-            LayerKind::Plain => {
-                maybe_time(prof, Kernel::Tanh, || g.hadamard_assign(c));
-                maybe_time(prof, Kernel::Gemm, || matmul_nt_into(g, &l.w, sa));
-                std::mem::swap(g, sa);
-            }
-            LayerKind::Residual => {
-                maybe_time(prof, Kernel::Tanh, || {
-                    sa.copy_from(g);
-                    sa.hadamard_assign(c);
-                });
-                maybe_time(prof, Kernel::Gemm, || matmul_nt_into(sa, &l.w, sb));
-                sb.axpy(T::ONE, g);
-                std::mem::swap(g, sb);
-            }
-            LayerKind::Growth => {
-                maybe_time(prof, Kernel::Tanh, || {
-                    sa.copy_from(g);
-                    sa.hadamard_assign(c);
-                });
-                maybe_time(prof, Kernel::Gemm, || matmul_nt_into(sa, &l.w, sb));
-                let k = l.w.rows();
-                for i in 0..g.rows() {
-                    let g_row = g.row(i);
-                    let dx_row = sb.row_mut(i);
-                    for j in 0..k {
-                        dx_row[j] += g_row[j] + g_row[j + k];
-                    }
-                }
-                std::mem::swap(g, sb);
-            }
-        }
+        let zb = if layer_op::is_tanh(l) {
+            maybe_time(prof, Kernel::Tanh, || {
+                sa.copy_from(g);
+                sa.hadamard_assign(c);
+            });
+            &*sa
+        } else {
+            &*g
+        };
+        layer_op::input_adjoint(l, zb, g, sb, prof);
+        std::mem::swap(g, sb);
     }
 }
 
@@ -299,12 +250,7 @@ pub(crate) fn evaluate_fresh<T: Real>(
     prof: Option<&Profiler>,
 ) -> EvalOutput {
     let mut ws = EvalWorkspace::new(&model.config);
-    let mut out = EvalOutput {
-        energy: 0.0,
-        per_atom_energy: Vec::new(),
-        forces: Vec::new(),
-        virial: [0.0; 6],
-    };
+    let mut out = EvalOutput::default();
     let src = Source::Table {
         fmt,
         types,
@@ -346,21 +292,14 @@ fn pipeline<T: Real>(
     let inv_nm = T::from_f64(1.0 / nm as f64);
 
     // Grow per-type slots if the workspace was built for a smaller model.
-    while ws.emb_passes.len() < n_types {
-        ws.emb_passes.push(NetPass::default());
-    }
-    while ws.dg_mats.len() < n_types {
-        ws.dg_mats.push(Matrix::zeros(0, 0));
-    }
-    while ws.denv_blocks.len() < n_types {
-        ws.denv_blocks.push(Vec::new());
-    }
-    while ws.envm.len() < n_types {
-        ws.envm.push(Vec::new());
-    }
-    while ws.by_type.len() < n_types {
-        ws.by_type.push(Vec::new());
-    }
+    let n = |len: usize| len.max(n_types);
+    ws.emb_passes
+        .resize_with(n(ws.emb_passes.len()), NetPass::default);
+    ws.dg_mats.resize_with(n(ws.dg_mats.len()), Matrix::default);
+    ws.denv_blocks
+        .resize_with(n(ws.denv_blocks.len()), Vec::new);
+    ws.envm.resize_with(n(ws.envm.len()), Vec::new);
+    ws.by_type.resize_with(n(ws.by_type.len()), Vec::new);
 
     let EvalWorkspace {
         emb_passes,
@@ -792,6 +731,7 @@ mod tests {
     use crate::format::format_optimized;
     use dp_md::CounterRng;
     use dp_md::{lattice, units, NeighborList, System};
+    use dp_nn::layer::LayerKind;
 
     fn test_setup() -> (DpModel<f64>, System, FormattedEnv) {
         let cfg = DpConfig::small(1, 4.5, 16);
@@ -917,8 +857,25 @@ mod tests {
         Matrix::from_fn(rows, cols, |i, j| 0.2 * ((i + 2 * j) as f64 % 5.0) - 0.4)
     }
 
+    /// `ẏ` of the net pass at `x` along `xd`: the layer operator's forward
+    /// and tangent, layer after layer.
+    fn tangent(net: &Net<f64>, x: &Matrix<f64>, xd: &Matrix<f64>) -> Matrix<f64> {
+        let (mut x, mut xd) = (x.clone(), xd.clone());
+        let [mut z, mut h, mut c, mut zd, mut y, mut yd] =
+            std::array::from_fn(|_| Matrix::zeros(0, 0));
+        for l in &net.layers {
+            layer_op::forward(l, &x, &mut z, &mut h, &mut c, &mut y, None);
+            layer_op::tangent(l, &xd, &c, &mut zd, &mut z, &mut yd);
+            std::mem::swap(&mut x, &mut y);
+            std::mem::swap(&mut xd, &mut yd);
+        }
+        xd
+    }
+
     /// Central differences of `f(x) = Σ y²` against the net pass's input
-    /// gradient.
+    /// gradient; then the tangent `ẏ` along a direction `ẋ` against central
+    /// differences of the forward, and against the input gradient:
+    /// `⟨ȳ, ẏ⟩ = ⟨x̄, ẋ⟩`.
     fn check_backward(net: &Net<f64>, x0: &Matrix<f64>) {
         let pass = forward(net, x0);
         let mut dy = pass.out.clone();
@@ -941,6 +898,29 @@ mod tests {
                 "idx {idx}: fd {fd} analytic {analytic}"
             );
         }
+
+        let xd = Matrix::from_fn(x0.rows(), x0.cols(), |i, j| {
+            0.5 - 0.3 * ((2 * i + j) % 3) as f64
+        });
+        let yd = tangent(net, x0, &xd);
+        let along = |s: f64| {
+            let mut x = x0.clone();
+            x.axpy(s, &xd);
+            forward(net, &x).out
+        };
+        let mut fd = along(eps);
+        fd.axpy(-1.0, &along(-eps));
+        fd.scale(0.5 / eps);
+        assert!(fd.max_abs_diff(&yd) < 1e-6, "tangent {yd:?} vs fd {fd:?}");
+        let dot = |a: &Matrix<f64>, b: &Matrix<f64>| {
+            let terms = a.as_slice().iter().zip(b.as_slice());
+            terms.map(|(p, q)| p * q).sum::<f64>()
+        };
+        let (lhs, rhs) = (dot(&dy, &yd), dot(&dx, &xd));
+        assert!(
+            (lhs - rhs).abs() <= 1e-12 * lhs.abs().max(rhs.abs()),
+            "<ybar, ydot> {lhs} vs <xbar, xdot> {rhs}"
+        );
     }
 
     #[test]

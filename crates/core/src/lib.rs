@@ -13,8 +13,11 @@
 //! * [`model`] — model parameters (embedding nets per neighbor type,
 //!   fitting nets per center type) in any precision,
 //! * [`eval`] — the optimized batched forward/backward: one tall GEMM per
-//!   (neighbor-type, layer) instead of per-atom small kernels, fused
-//!   bias/tanh/skip kernels,
+//!   (neighbor-type, layer) instead of per-atom small kernels,
+//! * `layer_op` — the network layer operator, the only code that knows the
+//!   four layer kinds: forward (fused bias/tanh/skip kernels), tangent,
+//!   input adjoint and parameter gradient, under both [`eval`] and
+//!   [`train_grad`],
 //! * [`ops`] — the customized operators of Table 3 (Environment,
 //!   ProdForce, ProdVirial, and ProdForce's transpose for training), one
 //!   copy each, called by [`eval`], [`train_grad`] and the `table3` bench,
@@ -41,6 +44,7 @@ pub mod compress;
 pub mod config;
 pub mod eval;
 pub mod format;
+mod layer_op;
 pub mod model;
 pub mod ops;
 pub mod potential_impl;

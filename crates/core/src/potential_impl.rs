@@ -153,12 +153,7 @@ impl DeepPotential {
             Box::new(Arena {
                 ws64: EvalWorkspace::new(&self.model64.config),
                 ws32: EvalWorkspace::new(&self.model32.config),
-                out: EvalOutput {
-                    energy: 0.0,
-                    per_atom_energy: Vec::new(),
-                    forces: Vec::new(),
-                    virial: [0.0; 6],
-                },
+                out: EvalOutput::default(),
             })
         });
         let Arena { ws64, ws32, out } = &mut *sc;

@@ -11,31 +11,32 @@
 //!
 //! 1. **Tangent forward.** `Ṙ = (∂R̃/∂r)·w` comes from
 //!    [`crate::ops::env_tangent_into`] (ProdForce transposed). Every net
-//!    carries the pair `(x, ẋ)` through each layer — `z = xW + b`,
-//!    `ż = ẋW`, `h = tanh z`, `ḣ = (1−h²)⊙ż`, plus the skip — and the
+//!    carries the pair `(x, ẋ)` through each layer — the layer operator's
+//!    forward (`z = xW + b`, `h = tanh z`, the skip), which is inference's,
+//!    and its tangent (`ż = ẋW`, `ḣ = (1−h²)⊙ż`, the skip) — and the
 //!    descriptor carries `Ṫ1`, `Ṫ2` and `Ḋ = Ṫ1·T2 + T1·Ṫ2`.
 //! 2. **Reverse over the pair `(E, Ė)`.** Every value `x` gets two
 //!    adjoints, `x̄ = ∂J/∂x` and `ẋ̄ = ∂J/∂ẋ` for `J = a·E + Ė`. Through a
-//!    tanh layer `ż̄ = (1−h²)⊙ḣ̄` and `z̄ = (1−h²)⊙(h̄ − 2h⊙ż⊙ḣ̄)`; the
-//!    parameters collect `W̄ = xᵀz̄ + ẋᵀż̄` and `b̄ = Σ_rows z̄`.
+//!    tanh layer `ż̄ = (1−h²)⊙ḣ̄` and `z̄ = (1−h²)⊙(h̄ − 2h⊙ż⊙ḣ̄)`, the
+//!    second-order term that is this module's own; the operator's input
+//!    adjoint and parameter gradient then take `(z̄, ż̄)` to `(x̄, ẋ̄)` and to
+//!    `W̄ = xᵀz̄ + ẋᵀż̄`, `b̄ = Σ_rows z̄`.
 //!
 //! Every stage has a fixed shape the inference pipeline already runs, so
-//! the sweep uses its fused layer kernels and strided batched descriptor
-//! GEMMs, works through the frame in the same atom chunks, and keeps every
-//! buffer in a reusable [`TrainWorkspace`]. Training is f64 throughout, as
-//! in the paper.
+//! the sweep uses the same layer operator ([`crate::layer_op`]) and strided
+//! batched descriptor GEMMs, works through the frame in the same atom
+//! chunks, and keeps every buffer in a reusable [`TrainWorkspace`].
+//! Training is f64 throughout, as in the paper.
 
 use crate::config::DpConfig;
 use crate::eval::{chunk_size, evaluate_into, EvalOutput};
 use crate::format::FormattedEnv;
+use crate::layer_op;
 use crate::model::DpModel;
 use crate::ops::env_tangent_into;
 use crate::workspace::{reuse_uninit, reuse_zeroed, EvalWorkspace};
 use dp_linalg::batch::{gemm_batch_nn, gemm_batch_nt, gemm_batch_tn, Acc, Panel};
-use dp_linalg::fused::{dup_sum_fused_into, tanh_fused_into};
-use dp_linalg::gemm::{gemm_bias_into, gemm_ex, matmul_nt_into, Transpose};
 use dp_linalg::{simd, Matrix};
-use dp_nn::layer::LayerKind;
 use dp_nn::net::Net;
 
 /// Loss prefactors, constant over training. DeePMD-kit ramps the energy
@@ -76,10 +77,6 @@ fn step_pair<T>(v: &mut [T], l: usize) -> (&T, &mut T) {
     (&lo[l], &mut hi[0])
 }
 
-fn empty() -> Matrix<f64> {
-    Matrix::zeros(0, 0)
-}
-
 /// One net run on a primal/tangent pair, keeping what its reverse reads.
 struct PairPass {
     /// `xs[l]` / `xds[l]`: the input of layer `l` and its tangent; the
@@ -94,6 +91,7 @@ struct PairPass {
 }
 
 /// The reverse sweep's ping-pong adjoints.
+#[derive(Default)]
 struct RevScratch {
     /// `ȳ` / `ẏ̄` of the current layer's output.
     yb: Matrix<f64>,
@@ -109,58 +107,31 @@ struct RevScratch {
 impl PairPass {
     fn new() -> Self {
         Self {
-            xs: vec![empty()],
-            xds: vec![empty()],
+            xs: vec![Matrix::default()],
+            xds: vec![Matrix::default()],
             h: Vec::new(),
             c: Vec::new(),
             zd: Vec::new(),
         }
     }
 
-    /// Run `net` on `xs[0]` / `xds[0]`, which the caller has filled.
-    /// The primal values are those of `eval::net_forward_into`, bit for
-    /// bit: the same kernels in the same order.
+    /// Run `net` on `xs[0]` / `xds[0]`, which the caller has filled: the
+    /// layer operator's forward, which is the inference pass's, then its
+    /// tangent, layer after layer.
     fn forward(&mut self, net: &Net<f64>, pre: &mut Matrix<f64>) {
         let n = net.layers.len();
         for v in [&mut self.xs, &mut self.xds] {
-            v.resize_with(v.len().max(n + 1), empty);
+            v.resize_with(v.len().max(n + 1), Matrix::default);
         }
         for v in [&mut self.h, &mut self.c, &mut self.zd] {
-            v.resize_with(v.len().max(n), empty);
+            v.resize_with(v.len().max(n), Matrix::default);
         }
         for (l, layer) in net.layers.iter().enumerate() {
             let (x, y) = step_pair(&mut self.xs, l);
             let (xd, yd) = step_pair(&mut self.xds, l);
             let (h, c, zd) = (&mut self.h[l], &mut self.c[l], &mut self.zd[l]);
-            gemm_bias_into(x, &layer.w, &layer.b, pre);
-            zd.reuse_shape(xd.rows(), layer.w.cols());
-            gemm_ex(Transpose::No, Transpose::No, 1.0, xd, &layer.w, 0.0, zd);
-            if layer.kind != LayerKind::Linear {
-                tanh_fused_into(pre, h, c);
-                // ḣ = (1 − h²) ⊙ ż, built in `pre` (z is no longer needed)
-                pre.copy_from(zd);
-                pre.hadamard_assign(c);
-            }
-            match layer.kind {
-                LayerKind::Linear => {
-                    std::mem::swap(y, pre);
-                    yd.copy_from(zd);
-                }
-                LayerKind::Plain => {
-                    y.copy_from(h);
-                    std::mem::swap(yd, pre);
-                }
-                LayerKind::Residual => {
-                    y.copy_from(h);
-                    y.axpy(1.0, x);
-                    pre.axpy(1.0, xd);
-                    std::mem::swap(yd, pre);
-                }
-                LayerKind::Growth => {
-                    dup_sum_fused_into(x, h, y);
-                    dup_sum_fused_into(xd, pre, yd);
-                }
-            }
+            layer_op::forward(layer, x, pre, h, c, y, None);
+            layer_op::tangent(layer, xd, c, zd, pre, yd);
         }
     }
 
@@ -188,11 +159,7 @@ impl PairPass {
         let mut off = net.num_params();
         for (l, layer) in net.layers.iter().enumerate().rev() {
             off -= layer.num_params();
-            let (x, xd) = (&self.xs[l], &self.xds[l]);
-            if layer.kind == LayerKind::Linear {
-                zb.copy_from(yb);
-                zdb.copy_from(ydb);
-            } else {
+            let (zb, zdb) = if layer_op::is_tanh(layer) {
                 let (h, c, zd) = (&self.h[l], &self.c[l], &self.zd[l]);
                 // ż̄ = (1−h²)⊙ḣ̄ ; z̄ = (1−h²)⊙(h̄ − 2h⊙ż⊙ḣ̄)
                 zdb.copy_from(ydb);
@@ -203,51 +170,17 @@ impl PairPass {
                 for (z, ((((&hb, &hdb), &h), &c), &zd)) in zb.as_mut_slice().iter_mut().zip(terms) {
                     *z = c * (hb - 2.0 * h * zd * hdb);
                 }
-            }
-            // W̄ += xᵀz̄ + ẋᵀż̄ ; b̄ += Σ_rows z̄
-            let (rows, n_in, n_out) = (x.rows(), layer.w.rows(), layer.w.cols());
+                (&*zb, &*zdb)
+            } else {
+                (&*yb, &*ydb)
+            };
             let params = &mut grad[off..off + layer.num_params()];
-            let (wg, bg) = params.split_at_mut(layer.w.len());
-            for (x, z) in [(x, &*zb), (xd, &*zdb)] {
-                let (x, z) = (x.as_slice(), z.as_slice());
-                let (pi, po) = (
-                    Panel {
-                        ld: n_in,
-                        stride: 0,
-                    },
-                    Panel {
-                        ld: n_out,
-                        stride: 0,
-                    },
-                );
-                gemm_batch_tn(1, n_in, rows, n_out, 1.0, x, pi, z, po, wg, po, Acc::Add);
-            }
-            for r in 0..rows {
-                simd::axpy(1.0, zb.row(r), bg);
-            }
+            layer_op::param_grad(layer, &self.xs[l], &self.xds[l], zb, zdb, params);
             if l == 0 && !input {
                 break;
             }
-            // x̄ = z̄Wᵀ, ẋ̄ = ż̄Wᵀ, plus the skip
-            matmul_nt_into(zb, &layer.w, xb);
-            matmul_nt_into(zdb, &layer.w, xdb);
-            match layer.kind {
-                LayerKind::Residual => {
-                    xb.axpy(1.0, yb);
-                    xdb.axpy(1.0, ydb);
-                }
-                LayerKind::Growth => {
-                    for (xa, ya) in [(&mut *xb, &*yb), (&mut *xdb, &*ydb)] {
-                        for r in 0..rows {
-                            let (lo, hi) = ya.row(r).split_at(n_in);
-                            let dx = xa.row_mut(r);
-                            simd::axpy(1.0, lo, dx);
-                            simd::axpy(1.0, hi, dx);
-                        }
-                    }
-                }
-                LayerKind::Plain | LayerKind::Linear => {}
-            }
+            layer_op::input_adjoint(layer, zb, yb, xb, None);
+            layer_op::input_adjoint(layer, zdb, ydb, xdb, None);
             std::mem::swap(yb, xb);
             std::mem::swap(ydb, xdb);
         }
@@ -290,24 +223,11 @@ impl TrainWorkspace {
         let n_types = cfg.n_types();
         Self {
             eval: EvalWorkspace::new(cfg),
-            out: EvalOutput {
-                energy: 0.0,
-                per_atom_energy: Vec::new(),
-                forces: Vec::new(),
-                virial: [0.0; 6],
-            },
+            out: EvalOutput::default(),
             w: Vec::new(),
             emb: (0..n_types).map(|_| PairPass::new()).collect(),
             fit: PairPass::new(),
-            rev: RevScratch {
-                yb: empty(),
-                ydb: empty(),
-                zb: empty(),
-                zdb: empty(),
-                xb: empty(),
-                xdb: empty(),
-                pre: empty(),
-            },
+            rev: RevScratch::default(),
             env: vec![Vec::new(); n_types],
             env_d: vec![Vec::new(); n_types],
             t1: Vec::new(),
@@ -850,6 +770,46 @@ mod tests {
                 lg.energy_dot,
                 -w_dot_f
             );
+        }
+    }
+
+    /// `PairPass`'s primal is the inference pass: the same output and
+    /// cached tanh gradients, bit for bit, through all four layer kinds.
+    #[test]
+    fn pair_pass_primal_is_the_inference_pass_bit_for_bit() {
+        use crate::eval::net_forward_into;
+        use crate::workspace::NetPass;
+        use dp_nn::layer::{Layer, LayerKind};
+
+        let mut rng = CounterRng::new(47);
+        let mut layer = |kind, k, n| {
+            let w = Matrix::from_fn(k, n, |_, _| 0.6 * rng.gauss());
+            let b = (0..n).map(|_| 0.2 * rng.gauss()).collect();
+            let l = Layer { kind, w, b };
+            l.check();
+            l
+        };
+        let net = Net {
+            layers: vec![
+                layer(LayerKind::Plain, 3, 6),
+                layer(LayerKind::Growth, 6, 12),
+                layer(LayerKind::Residual, 12, 12),
+                layer(LayerKind::Linear, 12, 1),
+            ],
+        };
+        let x = Matrix::from_fn(5, 3, |i, j| 0.3 * i as f64 - 0.2 * j as f64);
+        let mut inference = NetPass::default();
+        net_forward_into(&net, &x, &mut inference, None);
+        let mut pair = PairPass::new();
+        pair.xs[0] = x;
+        pair.xds[0] = Matrix::from_fn(5, 3, |i, j| 0.1 * (i + j) as f64);
+        pair.forward(&net, &mut Matrix::default());
+
+        let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(pair.output(&net).0), bits(inference.out.as_slice()));
+        assert_eq!(pair.c.len(), inference.tgrads.len());
+        for (c, t) in pair.c.iter().zip(&inference.tgrads) {
+            assert_eq!(bits(c.as_slice()), bits(t.as_slice()));
         }
     }
 

@@ -25,7 +25,9 @@ use dp_linalg::{Matrix, Real};
 
 /// Buffers for one network forward/backward pass: the final activation,
 /// the per-layer cached tanh gradients (`1 - tanh²`, §5.3.3), and the
-/// ping-pong scratch used while walking the layers.
+/// scratch of the layer operator ([`crate::layer_op::forward`]) while
+/// walking the layers.
+#[derive(Default)]
 pub struct NetPass<T> {
     /// Final activation of the forward pass (the embedding matrix `G` for
     /// embedding nets, the energy column for fitting nets).
@@ -37,28 +39,15 @@ pub struct NetPass<T> {
     /// tanh output scratch; on the tabulated path (`crate::compress`),
     /// which runs no embedding net, `dG/ds` from the table lookup.
     pub act: Matrix<T>,
-    /// Skip-connection scratch.
-    pub skip: Matrix<T>,
-}
-
-impl<T: Real> Default for NetPass<T> {
-    fn default() -> Self {
-        Self {
-            out: Matrix::zeros(0, 0),
-            tgrads: Vec::new(),
-            pre: Matrix::zeros(0, 0),
-            act: Matrix::zeros(0, 0),
-            skip: Matrix::zeros(0, 0),
-        }
-    }
+    /// The current layer's output, swapped into `out` after each layer.
+    pub next: Matrix<T>,
 }
 
 impl<T: Real> NetPass<T> {
     /// Ensure one tgrad slot per layer (allocates only on first use).
     pub fn ensure_layers(&mut self, n: usize) {
-        while self.tgrads.len() < n {
-            self.tgrads.push(Matrix::zeros(0, 0));
-        }
+        self.tgrads
+            .resize_with(self.tgrads.len().max(n), Matrix::default);
     }
 }
 

@@ -8,8 +8,8 @@
 
 use crate::real::Real;
 
-/// Dense row-major matrix.
-#[derive(Clone, PartialEq)]
+/// Dense row-major matrix; the default is 0×0.
+#[derive(Clone, Default, PartialEq)]
 pub struct Matrix<T> {
     rows: usize,
     cols: usize,

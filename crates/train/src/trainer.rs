@@ -216,12 +216,7 @@ fn rmse_of(model: &DpModel<f64>, frames: &[PreparedFrame]) -> Rmse {
     // One workspace for all frames: a fresh one per frame is mostly page
     // faults on memory the allocator just handed back to the OS.
     let mut ws = EvalWorkspace::new(&model.config);
-    let mut out = EvalOutput {
-        energy: 0.0,
-        per_atom_energy: Vec::new(),
-        forces: Vec::new(),
-        virial: [0.0; 6],
-    };
+    let mut out = EvalOutput::default();
     for pf in frames {
         evaluate_into(
             model,
