@@ -6,7 +6,9 @@
 //! an emulated rank decomposition of a scaled-down water box, and (b) the
 //! projected paper-scale table from the calibrated Summit model, whose
 //! ghost and efficiency columns match the published values to a few
-//! per cent (validated in dp-perfmodel's tests).
+//! per cent (validated in dp-perfmodel's tests), then the model's §7.2.2
+//! time to solution: hours per simulated nanosecond of the 113 M-atom
+//! copper system.
 //!
 //! Run with: `cargo run --release -p dp-bench --bin table4`
 
@@ -110,5 +112,14 @@ fn main() {
     println!(
         "\nPaper row anchors: 480 GPUs: 26214 atoms / 25566 ghosts / 92.31 s / 1.00 /\n\
          1.35 PFLOPS / 38.54%; 27360 GPUs: 459 / 3039 / 4.53 s / 0.36 / 27.51 / 13.75%."
+    );
+
+    // §7.2.2's time to solution on the weak-scaling endpoint
+    let cu = pm::SystemModel::copper();
+    let p = pm::project(&spec, &cu, 113_246_208, 4560, pm::Precision::Double);
+    println!(
+        "\n113,246,208-atom copper on 4560 nodes (double): 1 ns of MD in {:.1} h \
+         (paper §7.2.2: ~23 h).",
+        p.hours_per_ns(cu.timestep_fs)
     );
 }

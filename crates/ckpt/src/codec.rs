@@ -25,10 +25,6 @@ impl Enc {
         self.buf.push(v);
     }
 
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -101,10 +97,6 @@ impl<'a> Dec<'a> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn get_u32(&mut self) -> Result<u32, CkptError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     pub fn get_u64(&mut self) -> Result<u64, CkptError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
@@ -153,14 +145,12 @@ mod tests {
     fn scalar_roundtrip() {
         let mut e = Enc::new();
         e.put_u8(7);
-        e.put_u32(0xDEAD_BEEF);
         e.put_u64(u64::MAX - 1);
         e.put_f64(-0.0);
         e.put_f64(f64::MIN_POSITIVE);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert_eq!(d.get_u8().unwrap(), 7);
-        assert_eq!(d.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(d.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(d.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(d.get_f64().unwrap(), f64::MIN_POSITIVE);

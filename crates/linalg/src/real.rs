@@ -138,35 +138,6 @@ macro_rules! impl_real {
 impl_real!(f32, std::f32::consts::PI);
 impl_real!(f64, std::f64::consts::PI);
 
-/// Truncate an `f64` to the representable range/precision of IEEE half
-/// precision (fp16) while keeping the value as `f64`.
-///
-/// Used by the fp16 ablation (§5.2.3): the paper reports that half precision
-/// on V100 tensor cores cannot preserve the accuracy of energies and forces.
-/// We emulate fp16 storage by rounding the significand to 10 bits and
-/// clamping the exponent to the fp16 range.
-pub fn truncate_to_f16(x: f64) -> f64 {
-    if x == 0.0 || !x.is_finite() {
-        return x;
-    }
-    const F16_MAX: f64 = 65504.0;
-    const F16_MIN_NORMAL: f64 = 6.103515625e-5;
-    if x.abs() > F16_MAX {
-        return F16_MAX.copysign(x);
-    }
-    if x.abs() < F16_MIN_NORMAL {
-        // Flush denormals to zero, as fast fp16 hardware paths commonly do.
-        return 0.0;
-    }
-    // Round the mantissa to 10 explicit bits: scale so the value is in
-    // [2^52, 2^53), add/subtract to force rounding at the fp16 precision.
-    let bits = x.to_bits();
-    let mantissa_drop = 52 - 10;
-    let round = 1u64 << (mantissa_drop - 1);
-    let truncated = (bits.wrapping_add(round)) & !((1u64 << mantissa_drop) - 1);
-    f64::from_bits(truncated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,44 +157,5 @@ mod tests {
         assert_eq!(Real::sqrt(x), x.sqrt());
         let y = 0.73_f32;
         assert_eq!(Real::cos(y), y.cos());
-    }
-
-    #[test]
-    fn f16_truncation_is_idempotent() {
-        for &x in &[1.0, -3.17159, 0.001, 1234.5, -0.49999] {
-            let once = truncate_to_f16(x);
-            let twice = truncate_to_f16(once);
-            assert_eq!(once, twice, "x={x}");
-        }
-    }
-
-    #[test]
-    fn f16_truncation_loses_precision() {
-        // fp16 has ~3 decimal digits; a change in the 5th digit must vanish.
-        let a = truncate_to_f16(1.00001);
-        let b = truncate_to_f16(1.00002);
-        assert_eq!(a, b);
-        // ...but a change at fp16 resolution must survive.
-        let c = truncate_to_f16(1.0);
-        let d = truncate_to_f16(1.01);
-        assert_ne!(c, d);
-    }
-
-    #[test]
-    fn f16_truncation_clamps_range() {
-        assert_eq!(truncate_to_f16(1e6), 65504.0);
-        assert_eq!(truncate_to_f16(-1e6), -65504.0);
-        assert_eq!(truncate_to_f16(1e-9), 0.0);
-        assert_eq!(truncate_to_f16(0.0), 0.0);
-    }
-
-    #[test]
-    fn f16_error_bounded_by_relative_eps() {
-        // Relative error of fp16 rounding is at most 2^-11.
-        for i in 1..1000 {
-            let x = i as f64 * 0.37;
-            let t = truncate_to_f16(x);
-            assert!((t - x).abs() <= x.abs() * 4.9e-4 + 1e-12, "x={x} t={t}");
-        }
     }
 }

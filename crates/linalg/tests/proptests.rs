@@ -110,16 +110,6 @@ fn tn_nt_consistency() {
     });
 }
 
-#[test]
-fn f16_truncation_monotone_pairs() {
-    let draw = |rng: &mut CounterRng| (rng.range(-1e4, 1e4), rng.range(-1e4, 1e4));
-    for_cases(0x6E09, CASES, draw, |&(a, b)| {
-        // Rounding to fp16 must preserve (weak) ordering.
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        assert!(dp_linalg::real::truncate_to_f16(lo) <= dp_linalg::real::truncate_to_f16(hi));
-    });
-}
-
 // ---------------------------------------------------------------------------
 // The GEMM panels against the per-row composition they replaced: a row
 // kernel per output row, a dot per output element. Bit for bit, on every

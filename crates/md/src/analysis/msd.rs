@@ -52,28 +52,6 @@ impl Msd {
         self.series.push((t, msd));
         msd
     }
-
-    /// Diffusion coefficient estimate from the Einstein relation,
-    /// `D = MSD / (6t)`, using a least-squares slope over the recorded
-    /// series (Å²/ps).
-    pub fn diffusion_coefficient(&self) -> Option<f64> {
-        if self.series.len() < 2 {
-            return None;
-        }
-        let n = self.series.len() as f64;
-        let (st, sm, stt, stm) = self
-            .series
-            .iter()
-            .fold((0.0, 0.0, 0.0, 0.0), |(st, sm, stt, stm), &(t, m)| {
-                (st + t, sm + m, stt + t * t, stm + t * m)
-            });
-        let denom = n * stt - st * st;
-        if denom.abs() < 1e-30 {
-            return None;
-        }
-        let slope = (n * stm - st * sm) / denom;
-        Some(slope / 6.0)
-    }
 }
 
 #[cfg(test)]
@@ -117,27 +95,5 @@ mod tests {
             let expect = (0.8 * k as f64).powi(2);
             assert!((m - expect).abs() < 1e-9, "k={k}: {m} vs {expect}");
         }
-    }
-
-    #[test]
-    fn diffusion_coefficient_of_linear_msd() {
-        // construct MSD = 6 D t with D = 0.25
-        let (sys, mut msd) = drifting_system(0.0);
-        msd.series.clear();
-        for k in 0..10 {
-            let t = k as f64;
-            msd.series.push((t, 6.0 * 0.25 * t));
-        }
-        let _ = sys;
-        let d = msd.diffusion_coefficient().unwrap();
-        assert!((d - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn too_few_samples_gives_none() {
-        let (sys, mut msd) = drifting_system(0.0);
-        assert!(msd.diffusion_coefficient().is_none());
-        msd.sample(&sys, 1.0);
-        assert!(msd.diffusion_coefficient().is_none());
     }
 }

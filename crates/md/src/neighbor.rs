@@ -360,15 +360,6 @@ impl NeighborList {
         self.neighbors.len()
     }
 
-    /// Mean neighbor count.
-    pub fn mean_neighbors(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.neighbors.len() as f64 / self.len() as f64
-        }
-    }
-
     /// True when some owned atom (`..n_local`) has moved more than
     /// `skin/2` since the list was built, i.e. a pair could have entered
     /// the bare cutoff unseen.
@@ -493,7 +484,7 @@ mod tests {
         let rc = 6.0;
         let nl = NeighborList::build(&sys, rc);
         let expect = 4.0 / 3.0 * std::f64::consts::PI * rc.powi(3) * (n as f64 / l.powi(3));
-        let got = nl.mean_neighbors();
+        let got = nl.num_pairs() as f64 / nl.len() as f64;
         assert!(
             (got - expect).abs() / expect < 0.15,
             "mean {got} vs ideal {expect}"

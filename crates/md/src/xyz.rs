@@ -1,4 +1,4 @@
-//! Extended-XYZ trajectory output/input.
+//! Extended-XYZ trajectory output.
 //!
 //! The paper's measurements are "on the basis of whole application
 //! including I/O" (§2): thermodynamic records every 20 steps plus
@@ -6,10 +6,9 @@
 //! format so trajectories from the examples and harnesses can be
 //! inspected with OVITO/ASE.
 
-use crate::cell::Cell;
 use crate::system::System;
 use std::fmt::Write as _;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Append one frame in extended-XYZ format.
 pub fn write_frame(
@@ -36,97 +35,52 @@ pub fn write_frame(
     out.write_all(buf.as_bytes())
 }
 
-/// Read one frame (positions + species names) from an extended-XYZ stream.
-/// Returns `None` at end of stream.
-pub fn read_frame(
-    input: &mut impl BufRead,
-    type_names: &[&str],
-    masses: Vec<f64>,
-) -> io::Result<Option<System>> {
-    let mut line = String::new();
-    if input.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    let n: usize = line
-        .trim()
-        .parse()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("atom count: {e}")))?;
-    let mut header = String::new();
-    input.read_line(&mut header)?;
-    let cell = parse_lattice(&header)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing Lattice"))?;
-    let mut positions = Vec::with_capacity(n);
-    let mut types = Vec::with_capacity(n);
-    for _ in 0..n {
-        line.clear();
-        input.read_line(&mut line)?;
-        let mut it = line.split_whitespace();
-        let name = it
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing species"))?;
-        let ty = type_names.iter().position(|&t| t == name).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown species {name}"),
-            )
-        })?;
-        let mut p = [0.0; 3];
-        for x in &mut p {
-            *x = it
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad coordinate"))?;
-        }
-        positions.push(p);
-        types.push(ty);
-    }
-    Ok(Some(System::new(cell, positions, types, masses)))
-}
-
-fn parse_lattice(header: &str) -> Option<Cell> {
-    let start = header.find("Lattice=\"")? + "Lattice=\"".len();
-    let end = header[start..].find('"')? + start;
-    let nums: Vec<f64> = header[start..end]
-        .split_whitespace()
-        .filter_map(|s| s.parse().ok())
-        .collect();
-    if nums.len() != 9 {
-        return None;
-    }
-    // orthorhombic only: off-diagonals must vanish
-    for (k, &v) in nums.iter().enumerate() {
-        if k % 4 != 0 && v.abs() > 1e-12 {
-            return None;
-        }
-    }
-    Some(Cell::orthorhombic(nums[0], nums[4], nums[8]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lattice;
-    use crate::units;
-    use std::io::BufReader;
+
+    /// A frame's header line and its `(species, position)` rows.
+    type Frame = (String, Vec<(String, [f64; 3])>);
+
+    fn parse(text: &str) -> Vec<Frame> {
+        let mut lines = text.lines();
+        let mut frames = Vec::new();
+        while let Some(count) = lines.next() {
+            let n: usize = count.parse().unwrap();
+            let header = lines.next().unwrap().to_string();
+            let atoms = (0..n)
+                .map(|_| {
+                    let mut it = lines.next().unwrap().split_whitespace();
+                    let name = it.next().unwrap().to_string();
+                    let p: Vec<f64> = it.map(|v| v.parse().unwrap()).collect();
+                    (name, [p[0], p[1], p[2]])
+                })
+                .collect();
+            frames.push((header, atoms));
+        }
+        frames
+    }
 
     #[test]
-    fn roundtrip_preserves_geometry() {
+    fn frame_text_preserves_geometry() {
         let sys = lattice::water_box([2, 2, 2], 3.104);
         let mut buf = Vec::new();
         write_frame(&mut buf, &sys, &["O", "H"], "step=0").unwrap();
 
-        let mut reader = BufReader::new(buf.as_slice());
-        let back = read_frame(&mut reader, &["O", "H"], vec![units::MASS_O, units::MASS_H])
-            .unwrap()
-            .unwrap();
-        assert_eq!(back.len(), sys.len());
-        assert_eq!(back.types, sys.types);
-        for (a, b) in back.positions.iter().zip(&sys.positions) {
-            for k in 0..3 {
-                assert!((a[k] - b[k]).abs() < 1e-7);
-            }
+        let frames = parse(&String::from_utf8(buf).unwrap());
+        assert_eq!(frames.len(), 1);
+        let (header, atoms) = &frames[0];
+        let l = sys.cell.lengths;
+        let lattice = format!("Lattice=\"{} 0 0 0 {} 0 0 0 {}\"", l[0], l[1], l[2]);
+        assert!(header.starts_with(&lattice), "{header}");
+        assert!(header.ends_with("step=0"), "{header}");
+        assert_eq!(atoms.len(), sys.len());
+        for (i, (name, p)) in atoms.iter().enumerate() {
+            assert_eq!(name, ["O", "H"][sys.types[i]]);
+            let written = p.iter().zip(&sys.positions[i]);
+            assert!(written.map(|(a, b)| (a - b).abs()).all(|d| d < 1e-7));
         }
-        assert!((back.cell.lengths[0] - sys.cell.lengths[0]).abs() < 1e-9);
     }
 
     #[test]
@@ -135,25 +89,9 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, &sys, &["Cu"], "step=0").unwrap();
         write_frame(&mut buf, &sys, &["Cu"], "step=1").unwrap();
-        let mut reader = BufReader::new(buf.as_slice());
-        let mut count = 0;
-        while read_frame(&mut reader, &["Cu"], vec![units::MASS_CU])
-            .unwrap()
-            .is_some()
-        {
-            count += 1;
-        }
-        assert_eq!(count, 2);
-    }
-
-    #[test]
-    fn unknown_species_is_error() {
-        let sys = lattice::copper([1, 1, 1]);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &sys, &["Cu"], "").unwrap();
-        let mut reader = BufReader::new(buf.as_slice());
-        let err = read_frame(&mut reader, &["O"], vec![units::MASS_O]);
-        assert!(err.is_err());
+        let frames = parse(&String::from_utf8(buf).unwrap());
+        assert_eq!(frames.len(), 2);
+        assert!(frames[1].0.ends_with("step=1"));
     }
 
     #[test]

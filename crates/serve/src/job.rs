@@ -48,10 +48,6 @@ impl JobState {
             JobState::Failed { .. } => "failed",
         }
     }
-
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, JobState::Done { .. } | JobState::Failed { .. })
-    }
 }
 
 /// A snapshot of one job for status responses.
@@ -294,10 +290,14 @@ mod tests {
         }
     }
 
+    fn terminal(s: &JobState) -> bool {
+        matches!(s, JobState::Done { .. } | JobState::Failed { .. })
+    }
+
     fn settle(store: &JobStore, id: &str) -> JobView {
         for _ in 0..200 {
             let v = store.get(id).unwrap();
-            if v.state.is_terminal() {
+            if terminal(&v.state) {
                 return v;
             }
             std::thread::sleep(Duration::from_millis(5));
@@ -337,7 +337,7 @@ mod tests {
 
         // The panic did not kill the pool: a fresh job still runs.
         let again = store.submit("ok".into()).unwrap();
-        assert!(settle(&store, &again).state.is_terminal());
+        assert!(terminal(&settle(&store, &again).state));
 
         store.drain();
         assert_eq!(store.submit("ok".into()), None);
@@ -367,7 +367,7 @@ mod tests {
             w.join().unwrap();
         }
         for id in ids {
-            assert!(store.get(&id).unwrap().state.is_terminal());
+            assert!(terminal(&store.get(&id).unwrap().state));
         }
     }
 
