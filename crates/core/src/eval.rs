@@ -115,6 +115,12 @@ pub(crate) fn net_forward_into<T: Real>(
         act,
         next,
     } = pass;
+    // `out` and `next` ping-pong; starting on the right one lands the
+    // output in the same buffer every pass, so neither grows to the other's
+    // widths on odd-depth nets
+    if net.layers.len() % 2 == 1 {
+        std::mem::swap(out, next);
+    }
     out.copy_from(x);
     for (l, c) in net.layers.iter().zip(tgrads.iter_mut()) {
         layer_op::forward(l, out, pre, act, c, next, prof);
@@ -138,6 +144,10 @@ pub(crate) fn net_backward_into<T: Real>(
     sb: &mut Matrix<T>,
     prof: Option<&Profiler>,
 ) {
+    // `g` and `sb` ping-pong, started as in `net_forward_into`
+    if net.layers.len() % 2 == 1 {
+        std::mem::swap(g, sb);
+    }
     g.copy_from(dy);
     for (l, c) in net.layers.iter().zip(&tgrads[..net.layers.len()]).rev() {
         let zb = if layer_op::is_tanh(l) {
