@@ -107,7 +107,6 @@ pub(crate) fn net_forward_into<T: Real>(
     pass: &mut NetPass<T>,
     prof: Option<&Profiler>,
 ) {
-    pass.ensure_layers(net.layers.len());
     let NetPass {
         out,
         tgrads,
@@ -115,6 +114,7 @@ pub(crate) fn net_forward_into<T: Real>(
         act,
         next,
     } = pass;
+    tgrads.resize_with(tgrads.len().max(net.layers.len()), Matrix::default);
     // `out` and `next` ping-pong; starting on the right one lands the
     // output in the same buffer every pass, so neither grows to the other's
     // widths on odd-depth nets

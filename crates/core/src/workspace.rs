@@ -43,14 +43,6 @@ pub struct NetPass<T> {
     pub next: Matrix<T>,
 }
 
-impl<T: Real> NetPass<T> {
-    /// Ensure one tgrad slot per layer (allocates only on first use).
-    pub fn ensure_layers(&mut self, n: usize) {
-        self.tgrads
-            .resize_with(self.tgrads.len().max(n), Matrix::default);
-    }
-}
-
 /// The §5.2.2 "trunk of memory" for [`crate::eval::evaluate_into`]: every
 /// per-chunk intermediate of the evaluation pipeline, allocated once and
 /// reused across chunks, steps, and atom-count changes.
