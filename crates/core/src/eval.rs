@@ -130,11 +130,11 @@ pub(crate) fn net_forward_into<T: Real>(
 
 /// Input gradient `dL/dx` given `dL/dy = dy`, using the tanh gradients
 /// cached by [`net_forward_into`] (no tanh is re-evaluated): per layer
-/// `z̄ = (1 − h²)⊙ȳ`, then the operator's
-/// [`input_adjoint`](layer_op::input_adjoint). Parameter gradients are not
-/// computed: forces need input gradients only, and training takes them
-/// from [`crate::train_grad`]. Same Fig 3 taxonomy. The input gradient
-/// lands in `g`; `sa` and `sb` are scratch.
+/// `z̄ = (1 − h²)⊙ȳ` ([`tanh_chain`](layer_op::tanh_chain)), then the
+/// operator's [`input_adjoint`](layer_op::input_adjoint). Parameter
+/// gradients are not computed: forces need input gradients only, and
+/// training takes them from [`crate::train_grad`]. Same Fig 3 taxonomy. The
+/// input gradient lands in `g`; `sa` and `sb` are scratch.
 pub(crate) fn net_backward_into<T: Real>(
     net: &Net<T>,
     tgrads: &[Matrix<T>],
@@ -151,10 +151,7 @@ pub(crate) fn net_backward_into<T: Real>(
     g.copy_from(dy);
     for (l, c) in net.layers.iter().zip(&tgrads[..net.layers.len()]).rev() {
         let zb = if layer_op::is_tanh(l) {
-            maybe_time(prof, Kernel::Tanh, || {
-                sa.copy_from(g);
-                sa.hadamard_assign(c);
-            });
+            maybe_time(prof, Kernel::Tanh, || layer_op::tanh_chain(c, g, sa));
             &*sa
         } else {
             &*g

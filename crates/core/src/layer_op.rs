@@ -17,7 +17,8 @@
 //! [`crate::eval`]'s inference net pass and [`crate::train_grad`]'s pass on
 //! primal/tangent pairs are loops over these four. The adjoint through the
 //! tanh, `z̄` from `ȳ`, stays with each caller: forces need its first-order
-//! form, the training gradient a second-order one.
+//! form `(1 − h²)⊙ȳ` ([`tanh_chain`]), the training gradient a second-order
+//! one.
 
 use crate::profile::{maybe_time, Kernel, Profiler};
 use dp_linalg::batch::{gemm_batch_tn, Acc, Panel};
@@ -29,6 +30,17 @@ use dp_nn::layer::{Layer, LayerKind};
 /// Whether the layer applies tanh: every kind but the linear head.
 pub(crate) fn is_tanh<T>(l: &Layer<T>) -> bool {
     l.kind != LayerKind::Linear
+}
+
+/// `out = c⊙v` for the cached `c = 1 − h²`: the chain rule through the
+/// tanh, `ḣ` from `ż` and `z̄` from `ȳ`.
+pub(crate) fn tanh_chain<T: Real>(c: &Matrix<T>, v: &Matrix<T>, out: &mut Matrix<T>) {
+    assert_eq!(c.shape(), v.shape(), "tanh gradient shape mismatch");
+    out.reuse_shape(v.rows(), v.cols());
+    let terms = c.as_slice().iter().zip(v.as_slice());
+    for (o, (&c, &v)) in out.as_mut_slice().iter_mut().zip(terms) {
+        *o = v * c;
+    }
 }
 
 /// `y = skip(x, h)`. The skip is linear, so the tangent runs it on
@@ -81,8 +93,7 @@ pub(crate) fn tangent<T: Real>(
     zd.reuse_shape(xd.rows(), l.w.cols());
     gemm_ex(Transpose::No, Transpose::No, T::ONE, xd, &l.w, T::ZERO, zd);
     let hd = if is_tanh(l) {
-        hd.copy_from(zd);
-        hd.hadamard_assign(c);
+        tanh_chain(c, zd, hd);
         &*hd
     } else {
         &*zd
@@ -105,11 +116,10 @@ pub(crate) fn input_adjoint<T: Real>(
         LayerKind::Plain | LayerKind::Linear => {}
         LayerKind::Residual => xb.axpy(T::ONE, yb),
         LayerKind::Growth => {
-            let k = l.w.rows();
             for i in 0..yb.rows() {
-                let (y, dx) = (yb.row(i), xb.row_mut(i));
-                for j in 0..k {
-                    dx[j] += y[j] + y[j + k];
+                let (lo, hi) = yb.row(i).split_at(l.w.rows());
+                for (dx, (&a, &b)) in xb.row_mut(i).iter_mut().zip(lo.iter().zip(hi)) {
+                    *dx += a + b;
                 }
             }
         }

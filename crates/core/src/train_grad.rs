@@ -162,8 +162,7 @@ impl PairPass {
             let (zb, zdb) = if layer_op::is_tanh(layer) {
                 let (h, c, zd) = (&self.h[l], &self.c[l], &self.zd[l]);
                 // ż̄ = (1−h²)⊙ḣ̄ ; z̄ = (1−h²)⊙(h̄ − 2h⊙ż⊙ḣ̄)
-                zdb.copy_from(ydb);
-                zdb.hadamard_assign(c);
+                layer_op::tanh_chain(c, ydb, zdb);
                 zb.reuse_shape(yb.rows(), yb.cols());
                 let terms = yb.as_slice().iter().zip(ydb.as_slice()).zip(h.as_slice());
                 let terms = terms.zip(c.as_slice()).zip(zd.as_slice());
