@@ -13,11 +13,9 @@ use super::linalg::{
 };
 use deepmd_core::eval::EvalOutput;
 use deepmd_core::format::NONE;
-use deepmd_core::DpModel;
+use deepmd_core::{DpModel, LayerKind, Net};
 use dp_linalg::Matrix;
 use dp_md::{NeighborList, System};
-use dp_nn::layer::LayerKind;
-use dp_nn::net::Net;
 
 /// Unfused network forward, as the 2018 TensorFlow graph executed it:
 /// separate MATMUL and SUM operators, CONCAT materialized for the skip

@@ -14,10 +14,9 @@
 
 use crate::eval::{evaluate_fresh, net_backward_into, net_forward_into, Embedding, EvalOutput};
 use crate::format::FormattedEnv;
-use crate::model::DpModel;
+use crate::model::{DpModel, Net};
 use crate::workspace::NetPass;
 use dp_linalg::{Matrix, Real};
-use dp_nn::net::Net;
 
 /// Cubic-Hermite table of one embedding net: `m` output channels sampled
 /// at `n_knots` uniformly spaced `s` values.
@@ -155,7 +154,7 @@ mod tests {
 
     fn net() -> Net<f64> {
         let mut rng = CounterRng::new(5);
-        Net::embedding(&[8, 16], &mut || rng.gauss())
+        Net::embedding(&[8, 16], &mut rng)
     }
 
     /// `G(s)` by the core net pass.

@@ -46,14 +46,13 @@
 use crate::compress::EmbeddingTable;
 use crate::format::FormattedEnv;
 use crate::layer_op;
-use crate::model::DpModel;
+use crate::model::{DpModel, Net};
 use crate::ops::{prod_force_into, prod_virial_into};
 use crate::potential_impl::BatchItem;
 use crate::profile::{maybe_time, Kernel, Profiler};
 use crate::workspace::{reuse_uninit, reuse_zeroed, EvalWorkspace, NetPass};
 use dp_linalg::batch::{gemm_batch_nn, gemm_batch_nt, gemm_batch_tn, Acc, Panel};
 use dp_linalg::{simd, Matrix, Real};
-use dp_nn::net::Net;
 
 /// Result of one evaluation.
 #[derive(Debug, Clone, Default)]
@@ -736,9 +735,9 @@ mod tests {
     use crate::codec::Codec;
     use crate::config::DpConfig;
     use crate::format::format_optimized;
+    use crate::layer_op::{Layer, LayerKind};
     use dp_md::CounterRng;
     use dp_md::{lattice, units, NeighborList, System};
-    use dp_nn::layer::LayerKind;
 
     fn test_setup() -> (DpModel<f64>, System, FormattedEnv) {
         let cfg = DpConfig::small(1, 4.5, 16);
@@ -849,7 +848,7 @@ mod tests {
     }
 
     fn one_layer(kind: LayerKind, rows: usize, cols: usize) -> Net<f64> {
-        let layer = dp_nn::Layer {
+        let layer = Layer {
             kind,
             w: Matrix::from_fn(rows, cols, |i, j| 0.3 * ((i * cols + j) as f64 % 7.0) - 0.9),
             b: (0..cols).map(|j| 0.1 * j as f64 - 0.2).collect(),
@@ -953,7 +952,7 @@ mod tests {
     #[test]
     fn backward_matches_fd_through_whole_net() {
         let mut rng = CounterRng::new(3);
-        let net = Net::<f64>::fitting(3, &[6, 6], &mut || rng.gauss());
+        let net = Net::<f64>::fitting(3, &[6, 6], &mut rng);
         let x0 = Matrix::from_fn(2, 3, |i, j| 0.2 * (i as f64) - 0.1 * (j as f64));
         let pass = forward(&net, &x0);
         assert_eq!(pass.out.shape(), (2, 1));
@@ -1002,8 +1001,8 @@ mod tests {
     #[test]
     fn net_pass_matches_reference_and_fd_over_every_layer_kind() {
         let mut rng = CounterRng::new(11);
-        let fitting = Net::<f64>::fitting(5, &[10, 10, 10], &mut || rng.gauss());
-        let embedding = Net::<f64>::embedding(&[6, 12, 24], &mut || rng.gauss());
+        let fitting = Net::<f64>::fitting(5, &[10, 10, 10], &mut rng);
+        let embedding = Net::<f64>::embedding(&[6, 12, 24], &mut rng);
         let kinds = [
             LayerKind::Plain,
             LayerKind::Growth,
@@ -1027,7 +1026,7 @@ mod tests {
     #[test]
     fn cast_to_f32_stays_close() {
         let mut rng = CounterRng::new(6);
-        let net = Net::<f64>::embedding(&[4, 8], &mut || rng.gauss());
+        let net = Net::<f64>::embedding(&[4, 8], &mut rng);
         let x = Matrix::from_fn(6, 1, |i, _| 0.3 * i as f64);
         let y64 = forward(&net, &x).out;
         let y32: Matrix<f64> = forward(&net.cast::<f32>(), &x.cast()).out.cast();

@@ -4,8 +4,12 @@
 //! A layer is `y = skip(x, h)` with `h = tanh(xW + b)`, or `h = xW + b`
 //! for the linear fitting head. The skip adds nothing (`Plain`, `Linear`),
 //! `x` (`Residual`, square `W`) or `(x, x)` (`Growth`, `W: k → 2k`, with no
-//! CONCAT, §5.3.2). The operator has four parts, each writing into
-//! caller-owned buffers so the §5.2.2 workspaces stay allocation-free:
+//! CONCAT, §5.3.2). Besides the [`LayerKind`]s and the [`Layer`]
+//! parameters, the module holds each kind's rules: its output width, its
+//! weight shape ([`Layer::validate`]), its model-file name, and which kind
+//! [`Net::embedding`] and [`Net::fitting`] give each layer of the paper's
+//! nets. The operator has four parts, each writing into caller-owned
+//! buffers so the §5.2.2 workspaces stay allocation-free:
 //!
 //! - [`forward`]: `z = xW + b` (GEMM with fused bias, §5.3.1), `h = tanh z`
 //!   with its cached gradient `1 − h²` (fused TANH + TANHGrad, §5.3.3), then
@@ -20,12 +24,157 @@
 //! form `(1 − h²)⊙ȳ` ([`tanh_chain`]), the training gradient a second-order
 //! one.
 
+use crate::model::Net;
 use crate::profile::{maybe_time, Kernel, Profiler};
 use dp_linalg::batch::{gemm_batch_tn, Acc, Panel};
 use dp_linalg::fused::{dup_sum_fused_into, tanh_fused_into};
 use dp_linalg::gemm::{gemm_bias_into, gemm_ex, matmul_nt_into, Transpose};
 use dp_linalg::{simd, Matrix, Real};
-use dp_nn::layer::{Layer, LayerKind};
+use dp_md::CounterRng;
+
+/// The four layer kinds of the DP nets (Fig 1 (e)–(g)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LayerKind {
+    /// `y = tanh(xW + b)`
+    Plain,
+    /// `y = (x,x) + tanh(xW + b)`, `W: k -> 2k`
+    Growth,
+    /// `y = x + tanh(xW + b)`, square `W`
+    Residual,
+    /// `y = xW + b`
+    Linear,
+}
+
+impl LayerKind {
+    /// The kind's name in the model file.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            LayerKind::Plain => "Plain",
+            LayerKind::Growth => "Growth",
+            LayerKind::Residual => "Residual",
+            LayerKind::Linear => "Linear",
+        }
+    }
+
+    /// The kind the model file calls `name`.
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
+        use LayerKind::*;
+        [Plain, Growth, Residual, Linear]
+            .into_iter()
+            .find(|k| k.name() == name)
+    }
+}
+
+/// Weights of one layer, in some precision `T`.
+#[derive(Clone)]
+pub struct Layer<T> {
+    pub kind: LayerKind,
+    /// `in_dim × out_dim` weight matrix.
+    pub w: Matrix<T>,
+    /// `out_dim` bias row.
+    pub b: Vec<T>,
+}
+
+impl<T: Real> Layer<T> {
+    /// Glorot-normal weights `rows × cols` drawn from `rng` in row-major
+    /// order, zero biases.
+    fn xavier(kind: LayerKind, rows: usize, cols: usize, rng: &mut CounterRng) -> Self {
+        let std = (2.0 / (rows + cols) as f64).sqrt();
+        Layer {
+            kind,
+            w: Matrix::from_fn(rows, cols, |_, _| T::from_f64(rng.gauss() * std)),
+            b: vec![T::ZERO; cols],
+        }
+    }
+
+    pub fn in_dim(&self) -> usize {
+        self.w.rows()
+    }
+
+    pub fn out_dim(&self) -> usize {
+        match self.kind {
+            LayerKind::Growth => 2 * self.w.rows(),
+            _ => self.w.cols(),
+        }
+    }
+
+    pub fn num_params(&self) -> usize {
+        self.w.len() + self.b.len()
+    }
+
+    /// The weight shape against the layer kind, as an error.
+    pub fn validate(&self) -> Result<(), String> {
+        let (rows, cols) = (self.w.rows(), self.w.cols());
+        let broken = match self.kind {
+            _ if self.b.len() != cols => "bias/width mismatch",
+            LayerKind::Growth if cols != 2 * rows => "growth layer must double width",
+            LayerKind::Residual if rows != cols => "residual layer must be square",
+            _ => return Ok(()),
+        };
+        Err(format!("{broken} ({rows}x{cols}, {} biases)", self.b.len()))
+    }
+
+    /// Panic unless [`validate`](Self::validate) passes.
+    pub fn check(&self) {
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Convert the layer to another precision (used to derive the f32 model
+    /// for the mixed-precision path from the trained f64 model, §5.2.3).
+    pub fn cast<U: Real>(&self) -> Layer<U> {
+        Layer {
+            kind: self.kind,
+            w: self.w.cast(),
+            b: self.b.iter().map(|&x| U::from_f64(x.to_f64())).collect(),
+        }
+    }
+}
+
+/// The paper's layer layout, drawing every weight from `rng` in layer
+/// order.
+impl<T: Real> Net<T> {
+    /// Embedding net (Fig 1 (c)): input is the scalar `s(r)` per neighbor,
+    /// `sizes` are the paper's `[25, 50, 100]`-style widths where each later
+    /// width doubles the previous one (growth layers).
+    pub fn embedding(sizes: &[usize], rng: &mut CounterRng) -> Self {
+        assert!(!sizes.is_empty(), "embedding net needs at least one layer");
+        let mut layers = vec![Layer::xavier(LayerKind::Plain, 1, sizes[0], rng)];
+        for win in sizes.windows(2) {
+            let (prev, next) = (win[0], win[1]);
+            assert_eq!(
+                next,
+                2 * prev,
+                "embedding widths must double (paper layout), got {prev} -> {next}"
+            );
+            layers.push(Layer::xavier(LayerKind::Growth, prev, next, rng));
+        }
+        let net = Self { layers };
+        net.check();
+        net
+    }
+
+    /// Fitting net (Fig 1 (d)): descriptor in, scalar atomic energy out.
+    /// `hidden` are the paper's `[240, 240, 240]`-style widths; equal
+    /// consecutive widths become residual (skip) layers.
+    pub fn fitting(d_in: usize, hidden: &[usize], rng: &mut CounterRng) -> Self {
+        assert!(!hidden.is_empty(), "fitting net needs hidden layers");
+        let mut layers = vec![Layer::xavier(LayerKind::Plain, d_in, hidden[0], rng)];
+        for win in hidden.windows(2) {
+            let (prev, next) = (win[0], win[1]);
+            let kind = if prev == next {
+                LayerKind::Residual
+            } else {
+                LayerKind::Plain
+            };
+            layers.push(Layer::xavier(kind, prev, next, rng));
+        }
+        let last = hidden[hidden.len() - 1];
+        layers.push(Layer::xavier(LayerKind::Linear, last, 1, rng));
+        let net = Self { layers };
+        net.check();
+        net
+    }
+}
 
 /// Whether the layer applies tanh: every kind but the linear head.
 pub(crate) fn is_tanh<T>(l: &Layer<T>) -> bool {
@@ -147,5 +296,50 @@ pub(crate) fn param_grad<T: Real>(
     }
     for r in 0..rows {
         simd::axpy(T::ONE, zb.row(r), bg);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn layer(kind: LayerKind, rows: usize, cols: usize) -> Layer<f64> {
+        Layer {
+            kind,
+            w: Matrix::from_fn(rows, cols, |i, j| 0.3 * ((i * cols + j) as f64 % 7.0) - 0.9),
+            b: (0..cols).map(|j| 0.1 * j as f64 - 0.2).collect(),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "growth layer must double width")]
+    fn growth_shape_check() {
+        layer(LayerKind::Growth, 4, 7).check();
+    }
+
+    #[test]
+    fn cast_roundtrip_close() {
+        let l = layer(LayerKind::Plain, 3, 3);
+        let l32: Layer<f32> = l.cast();
+        let back: Layer<f64> = l32.cast();
+        assert!(l.w.max_abs_diff(&back.w) < 1e-7);
+    }
+
+    #[test]
+    fn embedding_shapes() {
+        let mut rng = CounterRng::new(1);
+        let net = Net::<f64>::embedding(&[4, 8, 16], &mut rng);
+        assert_eq!(net.in_dim(), 1);
+        assert_eq!(net.out_dim(), 16);
+        assert_eq!(net.layers[1].kind, LayerKind::Growth);
+    }
+
+    #[test]
+    fn fitting_shapes() {
+        let mut rng = CounterRng::new(2);
+        let net = Net::<f64>::fitting(12, &[24, 24, 24], &mut rng);
+        assert_eq!(net.in_dim(), 12);
+        assert_eq!(net.out_dim(), 1);
+        assert_eq!(net.layers[1].kind, LayerKind::Residual);
     }
 }

@@ -11,12 +11,14 @@
 //!   the smoothed environment rows `R̃` and the `(1/r, s′)` pairs the force
 //!   pass consumes (from `dp_linalg::simd::env`),
 //! * [`model`] — model parameters (embedding nets per neighbor type,
-//!   fitting nets per center type) in any precision,
+//!   fitting nets per center type, each a [`Net`] of [`Layer`]s) in any
+//!   precision, and the model-file format,
 //! * [`eval`] — the optimized batched forward/backward: one tall GEMM per
 //!   (neighbor-type, layer) instead of per-atom small kernels,
 //! * `layer_op` — the network layer operator, the only code that knows the
-//!   four layer kinds: forward (fused bias/tanh/skip kernels), tangent,
-//!   input adjoint and parameter gradient, under both [`eval`] and
+//!   four [`LayerKind`]s: their shape rules and model-file names, the
+//!   paper's net layouts, and forward (fused bias/tanh/skip kernels),
+//!   tangent, input adjoint and parameter gradient, under both [`eval`] and
 //!   [`train_grad`],
 //! * [`ops`] — the customized operators of Table 3 (Environment,
 //!   ProdForce, ProdVirial, and ProdForce's transpose for training), one
@@ -53,6 +55,7 @@ pub mod train_grad;
 pub mod workspace;
 
 pub use config::DpConfig;
-pub use model::DpModel;
+pub use layer_op::{Layer, LayerKind};
+pub use model::{DpModel, Net};
 pub use potential_impl::{BatchItem, BatchOutput, BatchResult, DeepPotential, PrecisionMode};
 pub use workspace::EvalWorkspace;

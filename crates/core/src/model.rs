@@ -1,12 +1,90 @@
-//! Deep Potential model parameters, and the one place that knows the
+//! Deep Potential model parameters — the nets and their stack of
+//! [`Layer`]s, generic over precision — and the one place that knows the
 //! model-file format (JSON, see [`DpModel::to_json`]).
 
 use crate::config::DpConfig;
+use crate::layer_op::{Layer, LayerKind};
 use dp_linalg::{Matrix, Real};
 use dp_md::CounterRng;
-use dp_nn::layer::{Layer, LayerKind};
-use dp_nn::net::Net;
 use dp_obs::json::{self, Json};
+
+/// A feed-forward network: an ordered stack of [`Layer`]s. The paper's
+/// embedding and fitting nets are built by [`Net::embedding`] and
+/// [`Net::fitting`], with the other rules on layer kinds in `layer_op`.
+#[derive(Clone)]
+pub struct Net<T> {
+    pub layers: Vec<Layer<T>>,
+}
+
+impl<T: Real> Net<T> {
+    /// Every layer's shape and the widths between layers, as an error.
+    pub fn validate(&self) -> Result<(), String> {
+        self.layers.iter().try_for_each(Layer::validate)?;
+        let mut pairs = self.layers.windows(2);
+        match pairs.all(|w| w[0].out_dim() == w[1].in_dim()) {
+            true => Ok(()),
+            false => Err("consecutive layers disagree on width".into()),
+        }
+    }
+
+    /// Panic unless [`validate`](Self::validate) passes.
+    pub fn check(&self) {
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    pub fn in_dim(&self) -> usize {
+        self.layers.first().map_or(0, |l| l.in_dim())
+    }
+
+    pub fn out_dim(&self) -> usize {
+        self.layers.last().map_or(0, |l| l.out_dim())
+    }
+
+    pub fn num_params(&self) -> usize {
+        self.layers.iter().map(|l| l.num_params()).sum()
+    }
+
+    /// Flatten all parameters (row-major weights then biases, layer order)
+    /// into an `f64` vector — the canonical order shared with the
+    /// training gradient and the optimizer.
+    pub fn flat_params(&self) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.num_params());
+        self.extend_flat_params(&mut out);
+        out
+    }
+
+    /// Append the parameters to `out` in [`flat_params`](Self::flat_params)
+    /// order.
+    pub fn extend_flat_params(&self, out: &mut Vec<f64>) {
+        for l in &self.layers {
+            out.extend(l.w.as_slice().iter().map(|x| x.to_f64()));
+            out.extend(l.b.iter().map(|x| x.to_f64()));
+        }
+    }
+
+    /// Overwrite all parameters from a flat vector (inverse of
+    /// [`flat_params`](Self::flat_params)).
+    pub fn set_flat_params(&mut self, flat: &[f64]) {
+        assert_eq!(flat.len(), self.num_params(), "flat parameter length");
+        let mut off = 0;
+        for l in &mut self.layers {
+            for x in l.w.as_mut_slice() {
+                *x = T::from_f64(flat[off]);
+                off += 1;
+            }
+            for x in &mut l.b {
+                *x = T::from_f64(flat[off]);
+                off += 1;
+            }
+        }
+    }
+
+    pub fn cast<U: Real>(&self) -> Net<U> {
+        Net {
+            layers: self.layers.iter().map(|l| l.cast()).collect(),
+        }
+    }
+}
 
 /// A Deep Potential model in precision `T`: one embedding net per neighbor
 /// type (input `s(r)`, output width M) and one fitting net per center type
@@ -31,14 +109,6 @@ impl<T: Real> std::fmt::Debug for DpModel<T> {
     }
 }
 
-/// Layer kinds by their model-file names.
-const KINDS: [(&str, LayerKind); 4] = [
-    ("Plain", LayerKind::Plain),
-    ("Growth", LayerKind::Growth),
-    ("Residual", LayerKind::Residual),
-    ("Linear", LayerKind::Linear),
-];
-
 fn f64s(xs: &[f64]) -> Json {
     Json::Arr(xs.iter().map(|&x| json::num(x)).collect())
 }
@@ -49,13 +119,8 @@ fn counts(xs: &[usize]) -> Json {
 
 fn nets_json(nets: &[Net<f64>]) -> Json {
     let layer = |l: &Layer<f64>| {
-        let kind = KINDS
-            .iter()
-            .find(|(_, k)| *k == l.kind)
-            .expect("all kinds listed")
-            .0;
         json::obj(vec![
-            ("kind", json::str(kind)),
+            ("kind", json::str(l.kind.name())),
             ("rows", json::num(l.w.rows() as f64)),
             ("cols", json::num(l.w.cols() as f64)),
             ("w", f64s(l.w.as_slice())),
@@ -87,10 +152,7 @@ fn list<'a, T>(
 
 fn layer_from(v: &Json) -> Result<Layer<f64>, String> {
     let name = scalar(v, "kind", Json::as_str)?;
-    let kind = KINDS.iter().find(|(n, _)| *n == name);
-    let kind = kind
-        .ok_or_else(|| format!("unknown layer kind `{name}`"))?
-        .1;
+    let kind = LayerKind::from_name(name).ok_or_else(|| format!("unknown layer kind `{name}`"))?;
     let rows = scalar(v, "rows", Json::as_usize)?;
     let cols = scalar(v, "cols", Json::as_usize)?;
     let w = list(v, "w", Json::as_f64)?;
@@ -201,12 +263,11 @@ impl<T: Real> DpModel<T> {
     pub fn new_random(config: DpConfig, rng: &mut CounterRng) -> Self {
         config.check();
         let n_types = config.n_types();
-        let gauss = &mut || rng.gauss();
         let embeddings = (0..n_types)
-            .map(|_| Net::embedding(&config.embedding, gauss))
+            .map(|_| Net::embedding(&config.embedding, rng))
             .collect();
         let fittings = (0..n_types)
-            .map(|_| Net::fitting(config.descriptor_dim(), &config.fitting, gauss))
+            .map(|_| Net::fitting(config.descriptor_dim(), &config.fitting, rng))
             .collect();
         Self {
             config,
@@ -314,5 +375,27 @@ mod tests {
         let emb = 25 + 25 + (25 * 50 + 50) + (50 * 100 + 100);
         let fit = 400 * 240 + 240 + 2 * (240 * 240 + 240) + 240 + 1;
         assert_eq!(m.num_params(), 2 * emb + 2 * fit);
+    }
+
+    #[test]
+    fn net_flat_params_roundtrip() {
+        let mut rng = CounterRng::new(4);
+        let mut net = Net::<f64>::embedding(&[4, 8], &mut rng);
+        let p = net.flat_params();
+        assert_eq!(p.len(), net.num_params());
+        let mut p2 = p.clone();
+        for x in &mut p2 {
+            *x += 1.0;
+        }
+        net.set_flat_params(&p2);
+        assert_eq!(net.flat_params(), p2);
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let (mut r1, mut r2) = (CounterRng::new(7), CounterRng::new(7));
+        let n1 = Net::<f64>::embedding(&[4, 8], &mut r1);
+        let n2 = Net::<f64>::embedding(&[4, 8], &mut r2);
+        assert_eq!(n1.flat_params(), n2.flat_params());
     }
 }

@@ -32,12 +32,11 @@ use crate::config::DpConfig;
 use crate::eval::{chunk_size, evaluate_into, EvalOutput};
 use crate::format::FormattedEnv;
 use crate::layer_op;
-use crate::model::DpModel;
+use crate::model::{DpModel, Net};
 use crate::ops::env_tangent_into;
 use crate::workspace::{reuse_uninit, reuse_zeroed, EvalWorkspace};
 use dp_linalg::batch::{gemm_batch_nn, gemm_batch_nt, gemm_batch_tn, Acc, Panel};
 use dp_linalg::{simd, Matrix};
-use dp_nn::net::Net;
 
 /// Loss prefactors, constant over training. DeePMD-kit ramps the energy
 /// prefactor up and the force prefactor down with the learning rate; how
@@ -777,8 +776,8 @@ mod tests {
     #[test]
     fn pair_pass_primal_is_the_inference_pass_bit_for_bit() {
         use crate::eval::net_forward_into;
+        use crate::layer_op::{Layer, LayerKind};
         use crate::workspace::NetPass;
-        use dp_nn::layer::{Layer, LayerKind};
 
         let mut rng = CounterRng::new(47);
         let mut layer = |kind, k, n| {

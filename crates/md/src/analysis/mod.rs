@@ -2,9 +2,7 @@
 //! neighbor analysis (Fig 7).
 
 pub mod cna;
-pub mod msd;
 pub mod rdf;
 
 pub use cna::{classify, CnaClass, CnaCounts};
-pub use msd::Msd;
 pub use rdf::Rdf;

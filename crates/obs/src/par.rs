@@ -7,7 +7,7 @@
 //! benchmark pins. The `Send` / `Sync` bounds keep every call site safe
 //! to run on several threads, so threading can come back behind these two
 //! functions alone once a benchmark workload runs with more than one
-//! thread to size it against (ROADMAP item 1).
+//! thread to size it against (ROADMAP item 7).
 //!
 //! It lives in dp-obs because that is the one crate every user of these
 //! loops already links.

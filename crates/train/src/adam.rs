@@ -3,7 +3,7 @@
 //! DeePMD-kit trains with Adam and an exponentially decaying learning rate;
 //! we reproduce both. The optimizer is deliberately framework-free: it owns
 //! two moment vectors and updates a flat `Vec<f64>` in place, matching the
-//! canonical flat order of [`crate::net::Net::flat_params`].
+//! canonical flat order of [`deepmd_core::DpModel::flat_params`].
 
 /// The mutable state of an [`Adam`] optimizer: everything a training
 /// checkpoint must carry besides the (deck-supplied) hyperparameters.
@@ -24,8 +24,9 @@ pub struct Adam {
     pub beta1: f64,
     pub beta2: f64,
     pub eps: f64,
-    /// Multiplicative decay applied every `decay_steps` steps:
-    /// `lr = lr0 * decay_rate^(step / decay_steps)`.
+    /// Decay by `decay_rate` per `decay_steps` steps, spread smoothly over
+    /// them: `lr = lr0 * decay_rate^(step / decay_steps)` with a real
+    /// exponent, so the rate falls a little at every step.
     pub decay_rate: f64,
     pub decay_steps: usize,
     step: usize,

@@ -3,14 +3,14 @@
 //! Restarting a DeePMD-kit-style training run from the weights alone would
 //! reset the Adam moments and the decayed learning rate, producing a loss
 //! spike at every restart. A [`TrainCheckpoint`] therefore carries the
-//! complete optimizer state ([`dp_nn::AdamState`]) and the step counter, so
+//! complete optimizer state ([`AdamState`]) and the step counter, so
 //! a resumed run continues the loss curve where the interrupted one left
 //! off (the weights are stored as model-file JSON, whose f64 formatting
 //! round-trips bit-exactly).
 
+use crate::adam::AdamState;
 use deepmd_core::model::DpModel;
 use dp_ckpt::{CkptError, CkptReader, CkptWriter, Dec, Enc, Rotation, KIND_TRAIN};
-use dp_nn::AdamState;
 use std::path::PathBuf;
 
 const SEC_META: [u8; 4] = *b"META";

@@ -1,5 +1,6 @@
 //! Adam training loop with energy + force matching.
 
+use crate::adam::Adam;
 use crate::dataset::Frame;
 use deepmd_core::eval::{evaluate_into, EvalOutput};
 use deepmd_core::format::{format_optimized, FormattedEnv};
@@ -7,7 +8,6 @@ use deepmd_core::model::DpModel;
 use deepmd_core::train_grad::{loss_grad_into, Labels, TrainWorkspace};
 use deepmd_core::EvalWorkspace;
 use dp_md::System;
-use dp_nn::Adam;
 use dp_obs::par;
 use std::time::{Duration, Instant};
 

@@ -9,7 +9,6 @@ pub mod serve_app;
 pub use deepmd_core as core;
 pub use dp_linalg as linalg;
 pub use dp_md as md;
-pub use dp_nn as nn;
 pub use dp_obs as obs;
 pub use dp_parallel as parallel;
 pub use dp_perfmodel as perfmodel;

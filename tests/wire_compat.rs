@@ -5,11 +5,11 @@
 //! deck reader must name the key it rejects.
 
 use deepmd_repro::app::{self, PotentialSpec, SystemSpec};
-use deepmd_repro::core::{DpConfig, DpModel};
+use deepmd_repro::core::{DpConfig, DpModel, LayerKind, Net};
 use deepmd_repro::deck::{self, Deck, ModelSpec};
 use deepmd_repro::ensemble_app;
-use deepmd_repro::nn::{AdamState, LayerKind};
 use deepmd_repro::train::checkpoint::TrainCheckpoint;
+use deepmd_repro::train::AdamState;
 use dp_ckpt::CkptReader;
 use dp_md::CounterRng;
 
@@ -34,8 +34,7 @@ fn parent_shaped_model_file_loads() {
     assert_eq!(model.config.sel, vec![8]);
     assert_eq!(model.config.rcut_smth, 0.5);
     assert_eq!(model.e0, vec![-1.5]);
-    let kinds =
-        |n: &deepmd_repro::nn::Net<f64>| n.layers.iter().map(|l| l.kind).collect::<Vec<_>>();
+    let kinds = |n: &Net<f64>| n.layers.iter().map(|l| l.kind).collect::<Vec<_>>();
     assert_eq!(
         kinds(&model.embeddings[0]),
         [LayerKind::Plain, LayerKind::Growth]
@@ -86,6 +85,13 @@ fn malformed_model_files_are_errors_not_panics() {
         (
             TOY_MODEL.replace("\"Growth\"", "\"Residual\""),
             "embeddings: residual layer must be square",
+        ),
+        (
+            TOY_MODEL.replace(
+                "\"rows\":1,\"cols\":2,\"w\":[0.25,-0.75],\"b\":[0.0,0.001]",
+                "\"rows\":1,\"cols\":3,\"w\":[0.25,-0.75,0.5],\"b\":[0.0,0.001,0.0]",
+            ),
+            "growth layer must double width",
         ),
         (
             TOY_MODEL.replace("\"axis_neurons\":1", "\"axis_neurons\":2"),

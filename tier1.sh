@@ -20,20 +20,22 @@ trap 'rm -rf "$DIR"' EXIT
 
 # Every dependency is a path crate of this workspace, so the build needs
 # the toolchain and nothing else: `--offline` under an empty CARGO_HOME
-# proves no registry, vendor directory or network is involved.
+# proves no registry, vendor directory or network is involved. `--locked`:
+# a manifest edit that leaves the committed Cargo.lock stale fails here
+# instead of being rewritten silently.
 export CARGO_HOME="$DIR/cargo-home"
 mkdir -p "$CARGO_HOME"
 DPMD="${CARGO_TARGET_DIR:-target}/release/dpmd"
-cargo build --release --offline --workspace
+cargo build --release --offline --locked --workspace
 if [ "${1:-}" != "--skip-tests" ]; then
     cargo test -q --offline --workspace
     # the scalar fallback stays a tested baseline on hosts that always
     # dispatch to the SIMD path: linalg's unit tests and property suite,
-    # deepmd-core's net pass tests, scalar golden folds and training-gradient
-    # finite-difference checks, the nn and train suites (the trainer's
-    # steps run that gradient pass on the linalg panels), and the shipped
+    # deepmd-core's layer and net pass tests, scalar golden folds and
+    # training-gradient finite-difference checks, the train suite with Adam
+    # (the trainer's steps run that gradient pass on the linalg panels), and the shipped
     # path against the 2018 baseline and the §5.3 variants (dp-bench)
-    DPMD_SIMD=off cargo test -q --offline -p dp-linalg -p deepmd-core -p dp-nn -p dp-train
+    DPMD_SIMD=off cargo test -q --offline -p dp-linalg -p deepmd-core -p dp-train
     DPMD_SIMD=off cargo test -q --offline -p dp-bench --test baseline
 fi
 
